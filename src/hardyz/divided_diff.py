@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -116,10 +116,10 @@ def divided_difference(probe: FunctionProbe, nodes: NodeMultiset,
     return _dd_triangle(list(nodes.nodes), probe.deriv, prec)
 
 
-def divided_difference_data(nodes: NodeMultiset, data: Dict[Tuple[object, int], object],
+def divided_difference_data(nodes: NodeMultiset, data: Callable[[object, int], object],
                             prec: int = DEFAULT_PREC) -> mpf:
-    """Divided difference from tabulated values f^(i)(y) -> data[(y, i)]."""
-    return _dd_triangle(list(nodes.nodes), lambda y, i: data[(y, i)], prec)
+    """Divided difference from derivative data, data(y, i) = f^(i)(y)."""
+    return _dd_triangle(list(nodes.nodes), data, prec)
 
 
 def hermite_weights(nodes: NodeMultiset, prec: int = DEFAULT_PREC
@@ -137,8 +137,8 @@ def hermite_weights(nodes: NodeMultiset, prec: int = DEFAULT_PREC
             slots.append((y, i))
     out = []
     for target in slots:
-        data = {s: (1 if s == target else 0) for s in slots}
-        w = divided_difference_data(nodes, data, prec=prec)
+        w = divided_difference_data(
+            nodes, lambda y, i: 1 if (y, i) == target else 0, prec=prec)
         out.append((target[0], target[1], w))
     return out
 

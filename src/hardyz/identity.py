@@ -5,9 +5,13 @@ boundary derivatives and one integral against the kernel; the reconstruction
 identity specializes the weights so the node sum collapses to f(0) when the
 nodes are zeros of f.
 
-The integral term uses composite Gauss-Legendre with panels split at the
-kernel knot points (the nodes), where the high derivatives of the piecewise
-polynomial kernel break.
+The integral term runs against the compiled kernel (kernel.compile_psi),
+one polynomial per panel between the knots -a, x_k, a.  For a polynomial
+probe the integrand is a polynomial on every panel, so the integral is taken
+in closed form and carries no quadrature error; when deg f < 2m it is zero
+and the kernel is never built.  Other probes use composite Gauss-Legendre
+over the same panels.  Weakly ordered configurations in reconstruct_f0
+evaluate the kernel by its Chebyshev series instead.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .divided_diff import FunctionProbe
-from .kernel import NodeConfig, chebyshev_moment, coefficients, psi, psi_star_boundary
+from .kernel import (CompiledPsi, NodeConfig, chebyshev_moment, coefficients,
+                     compile_psi, kernel_knots, psi, psi_star_boundary)
 from .precision import DEFAULT_PREC, working_precision
+from .probes import PolynomialProbe
 
 
 class WeightContractError(ValueError):
@@ -44,22 +50,29 @@ class IdentityReport:
         return bool(self.residual <= self.residual_budget)
 
 
-def _panel_points(config: NodeConfig, prec: int) -> List[mpf]:
-    with working_precision(prec):
-        a = mp.mpf(config.a)
-        pts = [-a] + [mp.mpf(x) for x in config.nodes] + [a]
-        out = [pts[0]]
-        for p in pts[1:]:
-            if p > out[-1]:
-                out.append(p)
-        return out
-
-
 def _integrate(f: Callable, points: Sequence[mpf], prec: int) -> Tuple[mpf, mpf]:
     """Composite Gauss-Legendre over the panel points, with error estimate."""
     with working_precision(prec):
         val, err = mp.quad(f, points, method="gauss-legendre", error=True)
         return val, err
+
+
+def _integral_term(config: NodeConfig, probe: FunctionProbe, m: int,
+                   kernel: Callable[[], Callable], prec: int) -> Tuple[mpf, mpf]:
+    """int_{-a}^{a} f^(2m) Psi_{2m-1} dx and its error estimate.
+
+    kernel() builds Psi_{2m-1}; it is not called when f^(2m) vanishes.
+    """
+    if isinstance(probe, PolynomialProbe) and probe.degree < 2 * m:
+        return mp.mpf(0), mp.mpf(0)
+    kern = kernel()
+    if isinstance(probe, PolynomialProbe) and isinstance(kern, CompiledPsi):
+        return kern.integrate_polynomial(probe.derivative_coeffs(2 * m)), mp.mpf(0)
+
+    def integrand(x):
+        return mp.mpf(probe.deriv(x, 2 * m)) * kern(x)
+
+    return _integrate(integrand, kernel_knots(config, prec), prec)
 
 
 def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
@@ -86,10 +99,8 @@ def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
                 term = mp.mpf(probe.deriv(sign * a, 2 * k - 1)) \
                     * psi(config, k, sign * a, prec=prec, weights=mu_m)
                 boundary.append(sign * term)
-        def integrand(x):
-            return mp.mpf(probe.deriv(x, 2 * m)) \
-                * psi(config, m, x, prec=prec, weights=mu_m)
-        integral, quad_err = _integrate(integrand, _panel_points(config, prec), prec)
+        integral, quad_err = _integral_term(
+            config, probe, m, lambda: compile_psi(config, m, mu_m, prec=prec), prec)
         rhs = mp.fsum(boundary) - integral
         residual = abs(lhs - rhs)
         mag = max([abs(b) for b in boundary] + [abs(lhs), abs(integral), mp.mpf(1)])
@@ -127,20 +138,15 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
                 continue
             if abs(mp.mpf(probe.value(xk))) > tol * dscale:
                 raise NodeNotZeroError(f"node x={xk} is not a zero of f")
+        mu = coefficients(config, prec=prec).mu if config.is_strict() else None
         boundary = []
         for sign in (1, -1):
             for k in range(1, m + 1):
                 term = mp.mpf(probe.deriv(sign * a, 2 * k - 1)) \
-                    * psi_star_boundary(config, k, sign, prec=prec)
+                    * psi_star_boundary(config, k, sign, prec=prec, weights=mu)
                 boundary.append(sign * term)
-        degree = getattr(probe, "degree", None)
-        if degree is not None and degree < 2 * m:
-            integral, quad_err = mp.mpf(0), mp.mpf(0)
-        else:
-            kern = _interior_kernel(config, m, prec)
-            def integrand(x):
-                return mp.mpf(probe.deriv(x, 2 * m)) * kern(x)
-            integral, quad_err = _integrate(integrand, _panel_points(config, prec), prec)
+        integral, quad_err = _integral_term(
+            config, probe, m, lambda: _interior_kernel(config, m, prec, mu), prec)
         value = mp.fsum(boundary) - integral
         mag = max([abs(b) for b in boundary] + [abs(integral), mp.mpf(1)])
         budget = 2 * quad_err + mp.mpf(2) ** (-(prec - 20)) * mag
@@ -150,12 +156,13 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
                                     residual_budget=budget)
 
 
-def _interior_kernel(config: NodeConfig, l: int, prec: int) -> Callable:
-    """x -> Psi*_{2l-1}(x): direct sum for strict configurations, Chebyshev
-    series with precomputed moments for weakly ordered ones (l >= n+1)."""
+def _interior_kernel(config: NodeConfig, l: int, prec: int,
+                     mu: Optional[Sequence] = None) -> Callable:
+    """x -> Psi*_{2l-1}(x): the compiled kernel over the weights mu for
+    strict configurations, Chebyshev series with precomputed moments for
+    weakly ordered ones (l >= n+1)."""
     if config.is_strict():
-        mu = coefficients(config, prec=prec).mu
-        return lambda x: psi(config, l, x, prec=prec, weights=mu)
+        return compile_psi(config, l, mu, prec=prec)
     n = config.n
     with working_precision(prec):
         a = mp.mpf(config.a)

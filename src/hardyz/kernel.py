@@ -6,18 +6,26 @@ its closure-like superset where nodes of the same sign may coincide.  The
 kernel weights are reciprocal sine-difference products; boundary values of
 the kernels extend continuously to coincident nodes through confluent
 divided differences of a smooth transfer function.
+
+Between consecutive knots (-a, the nodes and a) each kernel is one
+polynomial in x; compile_psi builds those polynomials once per weight vector
+so the interior of [-a, a] costs one short Horner pass per point.  psi, the
+direct Bernoulli sum, stays the reference route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .divided_diff import NodeMultiset, divided_difference_data
-from .polynomials import bernoulli_poly, chebyshev, chebyshev_derivatives
-from .precision import DEFAULT_PREC, working_precision
+from .polynomials import (bernoulli_poly, bernoulli_poly_mpf, chebyshev,
+                          chebyshev_derivatives)
+from .precision import DEFAULT_PREC, GUARD_BITS, to_mpf, working_precision
 from .sequences import TAIL_WEIGHT_MIN_N, tail_weight_constant
 
 
@@ -59,13 +67,8 @@ class NodeConfig:
             if self.strict:
                 if not xs[i] < xs[i + 1]:
                     raise ValueError("strict configuration requires increasing nodes")
-            else:
-                if not xs[i] <= xs[i + 1]:
-                    raise ValueError("nodes must be non-decreasing")
-        if self.strict:
-            for i in range(2 * self.n):
-                if not xs[i] < xs[i + 1]:
-                    raise ValueError("strict configuration requires increasing nodes")
+            elif not xs[i] <= xs[i + 1]:
+                raise ValueError("nodes must be non-decreasing")
 
     def node(self, k: int):
         """x_k for k in -n..n."""
@@ -86,7 +89,6 @@ class NodeConfig:
 class KernelCoefficients:
     alpha: List[mpf]
     mu: List[mpf]
-    condition_estimate: mpf
 
     def alpha_k(self, k: int):
         return self.alpha[k + (len(self.alpha) - 1) // 2]
@@ -100,8 +102,7 @@ def coefficients(config: NodeConfig, prec: int = DEFAULT_PREC) -> KernelCoeffici
     nodes, and mu_k = alpha_k/alpha_0.
 
     Computed at twice the caller precision (the products cancel badly for
-    clustered nodes); condition_estimate = max|alpha_k| * min node spacing,
-    a heuristic, reported so callers can escalate.
+    clustered nodes).
     """
     if not config.is_strict():
         raise DuplicateNodeError("coefficients requires pairwise distinct nodes")
@@ -117,11 +118,8 @@ def coefficients(config: NodeConfig, prec: int = DEFAULT_PREC) -> KernelCoeffici
             alpha.append(1 / prod)
         a0 = alpha[config.n]
         mu = [v / a0 for v in alpha]
-        spacing = min(t[i + 1] - t[i] for i in range(N - 1))
-        cond = max(abs(v) for v in alpha) * spacing
     with working_precision(prec):
-        return KernelCoefficients(alpha=[+v for v in alpha], mu=[+v for v in mu],
-                                  condition_estimate=+cond)
+        return KernelCoefficients(alpha=[+v for v in alpha], mu=[+v for v in mu])
 
 
 def psi(config: NodeConfig, l: int, x, prec: int = DEFAULT_PREC,
@@ -153,15 +151,133 @@ def psi(config: NodeConfig, l: int, x, prec: int = DEFAULT_PREC,
         return pref * total
 
 
+def kernel_knots(config: NodeConfig, prec: int = DEFAULT_PREC) -> List[mpf]:
+    """-a, the distinct nodes and a, increasing: where the kernels' high
+    derivatives break."""
+    with working_precision(prec):
+        a = mp.mpf(config.a)
+        out = [-a]
+        for p in [mp.mpf(x) for x in config.nodes] + [a]:
+            if p > out[-1]:
+                out.append(p)
+        return out
+
+
+@dataclass
+class CompiledPsi:
+    """The order-(2l-1) kernel on [-a, a], one polynomial per panel.
+
+    Panel i is [knots[i], knots[i+1]]; on it the kernel equals
+    sum_j coeffs[i][j] (x - centers[i])^j.
+    """
+
+    knots: List[mpf]
+    centers: List[mpf]
+    coeffs: List[List[mpf]]
+    prec: int
+
+    def __call__(self, x) -> mpf:
+        with working_precision(self.prec):
+            xm = mp.mpf(x)
+            i = min(max(bisect_right(self.knots, xm) - 1, 0), len(self.coeffs) - 1)
+            h = xm - self.centers[i]
+            acc = mp.mpf(0)
+            for c in reversed(self.coeffs[i]):
+                acc = acc * h + c
+            return acc
+
+    def integrate_polynomial(self, poly: Sequence) -> mpf:
+        """Closed-form integral over [-a, a] of p(x) times the kernel.
+
+        poly holds the coefficients of p in x (Fractions or numbers).  Each
+        panel's integrand is a polynomial in h = x - centre, integrated term
+        by term over h in [-r, r], where odd powers drop out.
+        """
+        with working_precision(self.prec):
+            p = [to_mpf(c, self.prec) for c in poly]
+            terms = []
+            for lo, hi, c, q in zip(self.knots, self.knots[1:], self.centers,
+                                    self.coeffs):
+                ph = _taylor_shift(p, c)
+                r = (hi - lo) / 2
+                # moments int_{-r}^{r} h^s dh, zero for odd s
+                moments = []
+                r_pow = r
+                for s in range(len(ph) + len(q) - 1):
+                    moments.append(2 * r_pow / (s + 1) if s % 2 == 0 else 0)
+                    r_pow *= r
+                for i, pi in enumerate(ph):
+                    terms.append(pi * mp.fsum(qj * moments[i + j]
+                                              for j, qj in enumerate(q)))
+            return mp.fsum(terms)
+
+
+def _taylor_shift(p: List[mpf], c: mpf) -> List[mpf]:
+    """Coefficients of p(c + h) in h, from those of p(x) in x."""
+    d = list(p)
+    for i in range(len(d) - 1):
+        for j in range(len(d) - 2, i - 1, -1):
+            d[j] += c * d[j + 1]
+    return d
+
+
+def compile_psi(config: NodeConfig, l: int, weights: Optional[Sequence] = None,
+                prec: int = DEFAULT_PREC) -> CompiledPsi:
+    """The order-(2l-1) kernel as one polynomial per panel between knots.
+
+    On a panel with centre c, every Bernoulli argument of psi is z + h/(4a)
+    with z fixed and h = x - c: u_k = 1/2 + (x + x_k)/4a never leaves (0, 1)
+    and v_k = {(x - x_k)/4a} wraps only at x_k.  Taylor's theorem with
+    B_2l^(j)/j! = binom(2l, j) B_{2l-j} gives the coefficient of h^j as
+    (4a)^-j sum_i b_i binom(i, j) P_{i-j}, with b_i the coefficients of
+    B_2l and P_p = sum_k mu_k (u_k^p + v_k^p) at h = 0.  weights as in psi.
+    """
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    mu = list(weights) if weights is not None else coefficients(config, prec=prec).mu
+    knots = kernel_knots(config, prec)
+    two_l = 2 * l
+    # the Taylor sums cancel by up to about binom(2l, l) ~ 4^l more than a
+    # direct evaluation does, so they get 2l more bits
+    with working_precision(prec, guard=GUARD_BITS + two_l):
+        a = mp.mpf(config.a)
+        beta = 1 / (4 * a)
+        pref = (4 * a) ** (two_l - 1) / mp.factorial(two_l)
+        b = bernoulli_poly_mpf(two_l)
+        terms = [(m_k, mp.mpf(xk)) for m_k, xk in zip(map(mp.mpf, mu), config.nodes)
+                 if m_k != 0]
+        centers, coeffs = [], []
+        for lo, hi in zip(knots, knots[1:]):
+            c = (lo + hi) / 2
+            power_sums = [mp.mpf(0)] * (two_l + 1)
+            for m_k, xk in terms:
+                u = mp.mpf(0.5) + (c + xk) * beta
+                v = (c - xk) * beta
+                if v < 0:
+                    v += 1  # c lies strictly between knots, never on x_k
+                pu = pv = m_k
+                for e in range(two_l + 1):
+                    power_sums[e] += pu + pv
+                    pu *= u
+                    pv *= v
+            q = []
+            scale = pref
+            for j in range(two_l + 1):
+                q.append(scale * mp.fsum(b[i] * comb(i, j) * power_sums[i - j]
+                                         for i in range(j, two_l + 1)))
+                scale *= beta
+            centers.append(c)
+            coeffs.append(q)
+    return CompiledPsi(knots=knots, centers=centers, coeffs=coeffs, prec=prec)
+
+
 def _boundary_transfer(l: int, a, sign: int, prec: int) -> Callable:
     """h(t) = 2 (4a)^(2l-1)/(2l)! B_2l(1/2 +- 1/4 + Arcsin(t)/(2 pi)).
 
     Smooth on (-1, 1); the kernel boundary value is the divided difference of
     h over the sine-transformed nodes divided by alpha_0.
     """
-    from .polynomials import bernoulli_poly_coeffs
     base = mp.mpf(0.5) + sign * mp.mpf(0.25)
-    coeffs = bernoulli_poly_coeffs(2 * l)
 
     def h(t):
         # accepts complex t (needed by the Cauchy-integral differentiation)
@@ -169,8 +285,8 @@ def _boundary_transfer(l: int, a, sign: int, prec: int) -> Callable:
             u = base + mp.asin(t) / (2 * mp.pi)
             am = mp.mpf(a)
             acc = mp.mpf(0)
-            for cf in reversed(coeffs):
-                acc = acc * u + mp.mpf(cf.numerator) / cf.denominator
+            for cf in reversed(bernoulli_poly_mpf(2 * l)):
+                acc = acc * u + cf
             return 2 * (4 * am) ** (2 * l - 1) / mp.factorial(2 * l) * acc
 
     return h
@@ -188,19 +304,24 @@ def _smooth_derivative(f: Callable, t, order: int, prec: int) -> mpf:
 
 
 def psi_star_boundary(config: NodeConfig, l: int, sign: int,
-                      prec: int = DEFAULT_PREC) -> mpf:
+                      prec: int = DEFAULT_PREC,
+                      weights: Optional[Sequence] = None) -> mpf:
     """Continuous extension of the kernel boundary value at x = sign*a.
 
-    For strict configurations this equals psi(config, l, sign*a); coincident
-    nodes go through the confluent divided difference of the transfer
-    function, with derivatives from the Cauchy integral formula.
+    For strict configurations this equals psi(config, l, sign*a, weights);
+    callers looping over l pass coefficients(config).mu as weights so they
+    are computed once.  Coincident nodes go through the confluent divided
+    difference of the transfer function, with derivatives from the Cauchy
+    integral formula, and take no weights.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
     if l < 1:
         raise ValueError("l must be >= 1")
     if config.is_strict():
-        return psi(config, l, mp.mpf(config.a) * sign, prec=prec)
+        return psi(config, l, mp.mpf(config.a) * sign, prec=prec, weights=weights)
+    if weights is not None:
+        raise DuplicateNodeError("weights apply to strict configurations only")
     with working_precision(2 * prec):
         t = config.sine_nodes(prec=mp.prec)
         h = _boundary_transfer(l, config.a, sign, mp.prec)
@@ -213,7 +334,7 @@ def psi_star_boundary(config: NodeConfig, l: int, sign: int,
             return cache[key]
 
         nm = NodeMultiset(list(t))
-        dd = divided_difference_data(nm, _LazyData(data), prec=mp.prec)
+        dd = divided_difference_data(nm, data, prec=mp.prec)
         # alpha_0 = 1/prod_{j != 0}(t_0 - t_j) with t_0 = 0
         prod = mp.mpf(1)
         for j, tj in enumerate(t):
@@ -222,19 +343,6 @@ def psi_star_boundary(config: NodeConfig, l: int, sign: int,
         value = dd * prod
     with working_precision(prec):
         return +value
-
-
-class _LazyData(dict):
-    """dict facade over a (node, order) -> value function."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, key):
-        v = self._fn(*key)
-        self[key] = v
-        return v
 
 
 def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC,
@@ -265,7 +373,7 @@ def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC,
                     if i > 0 else chebyshev(j, y, prec=mp.prec)
             return cache[key]
 
-        dd = divided_difference_data(nm, _LazyData(data), prec=mp.prec)
+        dd = divided_difference_data(nm, data, prec=mp.prec)
         return (-1) ** j * dd
 
 
@@ -351,12 +459,12 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
             if abs(ca - j * mp.pi) < tol:
                 raise SingularParameterError(
                     f"c*a within tolerance of {j}*pi (removable singularity; refused)")
+        coeffs = coefficients(config, prec=prec)
         lhs = mp.mpf(0)
         for k in range(1, m + 1):
-            s = psi_star_boundary(config, k, 1, prec=prec) \
-                + psi_star_boundary(config, k, -1, prec=prec)
+            s = psi_star_boundary(config, k, 1, prec=prec, weights=coeffs.mu) \
+                + psi_star_boundary(config, k, -1, prec=prec, weights=coeffs.mu)
             lhs += (-1) ** (n + k + 1) * s * cm ** (2 * k - 1)
-        coeffs = coefficients(config, prec=prec)
         prod = mp.mpf(1)
         for i, xj in enumerate(config.nodes):
             if i != n:
@@ -405,19 +513,3 @@ def random_config(rng, n: int, a=None, min_gap: float = 0.05,
             + [am * mp.mpf(v) for v in pos]
         return NodeConfig(n=n, a=am, nodes=nodes, strict=True)
 
-
-def stable_value(fn: Callable[[int], mpf], prec: int = DEFAULT_PREC,
-                 agree_bits: int = 32, max_doublings: int = 3) -> mpf:
-    """Evaluate fn(prec) escalating precision until two successive precisions
-    agree to agree_bits significant bits."""
-    cur = fn(prec)
-    p = prec
-    for _ in range(max_doublings):
-        p *= 2
-        nxt = fn(p)
-        if nxt == cur:
-            return nxt
-        if abs(nxt) > 0 and abs(nxt - cur) / abs(nxt) < mp.mpf(2) ** (-agree_bits):
-            return nxt
-        cur = nxt
-    return cur

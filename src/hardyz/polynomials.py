@@ -22,6 +22,7 @@ MAX_DEGREE = 256
 _lock = threading.Lock()
 _bernoulli_cache: List[Fraction] = []
 _bpoly_coeff_cache: dict = {}
+_bpoly_mpf_cache: dict = {}
 
 
 class DegreeOverflowError(ValueError):
@@ -76,18 +77,33 @@ def bernoulli_poly_coeffs(n: int) -> Tuple[Fraction, ...]:
     return coeffs
 
 
+def bernoulli_poly_mpf(n: int) -> Tuple[mpf, ...]:
+    """Coefficients of B_n(x) rounded at the ambient precision.
+
+    Each is numerator/denominator with both rounded to mp.prec first, as the
+    Horner pass always converted them; cached per (n, mp.prec), so a cached
+    vector is bit-identical to a fresh conversion.
+    """
+    key = (n, mp.prec)
+    cached = _bpoly_mpf_cache.get(key)
+    if cached is None:
+        cached = tuple(mpf(c.numerator) / mpf(c.denominator)
+                       for c in bernoulli_poly_coeffs(n))
+        _bpoly_mpf_cache[key] = cached
+    return cached
+
+
 def _horner(coeffs, x: mpf) -> mpf:
     acc = mp.mpf(0)
     for c in reversed(coeffs):
-        acc = acc * x + mpf(c.numerator) / mpf(c.denominator)
+        acc = acc * x + c
     return acc
 
 
 def bernoulli_poly(n: int, x, prec: int = DEFAULT_PREC) -> mpf:
     """B_n(x) evaluated at precision via the exact coefficient expansion."""
-    coeffs = bernoulli_poly_coeffs(n)
     with working_precision(prec):
-        return _horner(coeffs, mp.mpf(x))
+        return _horner(bernoulli_poly_mpf(n), mp.mpf(x))
 
 
 def bernoulli_poly_exact(n: int, x: Fraction) -> Fraction:

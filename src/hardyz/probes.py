@@ -35,15 +35,21 @@ class PolynomialProbe(FunctionProbe):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def derivative_coeffs(self, k: int) -> list:
+        """Coefficients of f^(k): Fractions stay exact, mpf are rounded at
+        the probe precision.  Empty when k exceeds the degree."""
+        with working_precision(self.prec):
+            cs = self.coeffs
+            for _ in range(k):
+                cs = [i * c for i, c in enumerate(cs)][1:]
+            return list(cs)
+
     def _deriv(self, x, k: int):
         with working_precision(self.prec):
             if k > self.degree:
                 return mp.mpf(0)
-            cs = self.coeffs
-            for _ in range(k):
-                cs = [i * c for i, c in enumerate(cs)][1:]
             acc = mp.mpf(0)
-            for c in reversed(cs):
+            for c in reversed(self.derivative_coeffs(k)):
                 if isinstance(c, Fraction):
                     c = mp.mpf(c.numerator) / c.denominator
                 acc = acc * mp.mpf(x) + c

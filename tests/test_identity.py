@@ -1,14 +1,16 @@
 """Unit tests for the key identity and the reconstruction path."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from hardyz import identity
 from hardyz.identity import (NodeNotZeroError, WeightContractError,
                              piecewise_weight_integral, reconstruct_f0,
                              verify_key_identity)
-from hardyz.kernel import NodeConfig, coefficients, random_config
+from hardyz.kernel import NodeConfig, coefficients, kernel_knots, psi, random_config
 from hardyz.precision import working_precision
 from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
@@ -109,3 +111,93 @@ def test_lemma_weights_collapse_to_f0():
     rep = verify_key_identity(cfg, mu, probe, m=cfg.n + 1, prec=PREC)
     assert rep.passed
     assert abs(rep.lhs - 1) < mp.mpf(2) ** -120
+
+
+def _magnitude(rep):
+    return max([abs(b) for b in rep.boundary_terms]
+               + [abs(rep.lhs), abs(rep.integral_term), mp.mpf(1)])
+
+
+def test_closed_form_integral_matches_quadrature():
+    # degree 7 >= 2m = 4: the integral term is non-zero
+    rng = random.Random(61)
+    cfg = random_config(rng, 1, prec=PREC)
+    mu = _zero_sum_weights(rng, 3)
+    m = 2
+    probe = polynomial_probe([rng.uniform(-1, 1) for _ in range(8)], prec=PREC)
+    rep = verify_key_identity(cfg, mu, probe, m=m, prec=PREC)
+    assert rep.passed
+    assert rep.quadrature_error_estimate == 0
+    assert rep.integral_term != 0
+    with working_precision(PREC):
+        mu_m = [mp.mpf(v) for v in mu]
+
+        def integrand(x):
+            return mp.mpf(probe.deriv(x, 2 * m)) \
+                * psi(cfg, m, x, prec=PREC, weights=mu_m)
+
+        quad, err = identity._integrate(integrand, kernel_knots(cfg, PREC), PREC)
+        gap = abs(rep.integral_term - quad)
+        assert gap <= err + mp.mpf(2) ** (-(PREC - 40)) * _magnitude(rep)
+
+
+def test_closed_form_integral_exact_rational_coefficients():
+    rng = random.Random(67)
+    cfg = random_config(rng, 2, prec=PREC)
+    mu = _zero_sum_weights(rng, 5)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)]
+    exact = verify_key_identity(cfg, mu, polynomial_probe(coeffs, prec=PREC),
+                                m=3, prec=PREC)
+    rounded = verify_key_identity(
+        cfg, mu, polynomial_probe([float(c) for c in coeffs], prec=PREC),
+        m=3, prec=PREC)
+    assert exact.passed and exact.quadrature_error_estimate == 0
+    # the float coefficients differ from the Fractions by about 2^-53
+    assert abs(exact.integral_term - rounded.integral_term) \
+        <= mp.mpf(2) ** -40 * _magnitude(exact)
+
+
+def test_low_degree_probe_skips_the_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel built for a vanishing integrand")
+
+    monkeypatch.setattr(identity, "compile_psi", refuse)
+    monkeypatch.setattr(identity, "_interior_kernel", refuse)
+    monkeypatch.setattr(identity, "_integrate", refuse)
+    rng = random.Random(71)
+    cfg = random_config(rng, 2, prec=PREC)
+    mu = _zero_sum_weights(rng, 5)
+    rep = verify_key_identity(cfg, mu, polynomial_probe([1, -2, 3, 0.5, 1.5, -1]),
+                              m=3, prec=PREC)
+    assert rep.integral_term == 0 and rep.quadrature_error_estimate == 0
+    assert rep.passed
+    res = reconstruct_f0(cfg, cardinal_probe(cfg, prec=PREC), m=cfg.n + 1, prec=PREC)
+    assert res.integral_term == 0 and res.quadrature_error_estimate == 0
+
+
+def test_key_identity_with_zero_weights():
+    rng = random.Random(73)
+    cfg = random_config(rng, 3, prec=PREC)
+    mu = [2, 0, -3, 0, -1, 0, 2]
+    probe = polynomial_probe([rng.uniform(-1, 1) for _ in range(12)], prec=PREC)
+    rep = verify_key_identity(cfg, mu, probe, m=4, prec=PREC)
+    assert rep.passed and rep.integral_term != 0
+    rep = verify_key_identity(cfg, mu, cosine_probe(0.7, prec=PREC), m=4, prec=PREC)
+    assert rep.passed
+
+
+def test_reconstruction_with_closed_form_integral():
+    # cardinal polynomial times 1 + x^2/7 - x^3/5: still zero at the nodes
+    # and 1 at 0, of degree 2n + 3 >= 2m, so the integral term is non-zero
+    rng = random.Random(79)
+    cfg = random_config(rng, 2, prec=PREC)
+    card = cardinal_probe(cfg, prec=PREC).coeffs
+    with working_precision(PREC):
+        factor = [mp.mpf(1), 0, mp.mpf(1) / 7, -mp.mpf(1) / 5]
+        coeffs = [mp.fsum(card[i] * factor[k - i] for i in range(len(card))
+                          if 0 <= k - i < len(factor))
+                  for k in range(len(card) + len(factor) - 1)]
+    res = reconstruct_f0(cfg, polynomial_probe(coeffs, prec=PREC), m=cfg.n + 1,
+                         prec=PREC)
+    assert res.integral_term != 0 and res.quadrature_error_estimate == 0
+    assert abs(res.value - 1) < mp.mpf(2) ** -120

@@ -7,8 +7,8 @@ from mpmath import mp
 
 from hardyz.kernel import (DuplicateNodeError, NodeConfig, SingularParameterError,
                            boundary_sum_bound, chebyshev_moment, coefficients,
-                           psi, psi_chebyshev_series, psi_star_boundary,
-                           psi_sup_bound, random_config)
+                           compile_psi, kernel_knots, psi, psi_chebyshev_series,
+                           psi_star_boundary, psi_sup_bound, random_config)
 from hardyz.precision import working_precision
 
 PREC = 192
@@ -143,3 +143,65 @@ def test_sup_bound_regime_guards():
         psi_sup_bound(12, 5, 10, 1, prec=PREC)
     v = psi_sup_bound(12, 30, 10, 1, prec=PREC)
     assert v > 0
+
+
+def _assert_compiled_matches_direct(cfg, l, weights, rng):
+    comp = compile_psi(cfg, l, weights, prec=PREC)
+    with working_precision(PREC):
+        knots = kernel_knots(cfg, prec=PREC)
+        assert comp.knots == knots
+        near = mp.mpf(2) ** -40
+        for lo, hi in zip(knots, knots[1:]):
+            xs = [lo + near, hi - near, lo + (hi - lo) * mp.mpf(rng.random()),
+                  lo + (hi - lo) * mp.mpf(rng.random())]
+            for x in xs:
+                direct = psi(cfg, l, x, prec=PREC, weights=weights)
+                assert abs(comp(x) - direct) <= TOL * max(1, abs(direct))
+        for x in (knots[0], knots[-1]):
+            direct = psi(cfg, l, x, prec=PREC, weights=weights)
+            assert abs(comp(x) - direct) <= TOL * max(1, abs(direct))
+
+
+def test_compiled_kernel_matches_direct_in_every_panel():
+    rng = random.Random(41)
+    for n in range(1, 5):
+        cfg = random_config(rng, n, prec=PREC)
+        mu = coefficients(cfg, prec=PREC).mu
+        for l in (1, 2, 3, 5, 8, 10):
+            _assert_compiled_matches_direct(cfg, l, mu, rng)
+
+
+def test_compiled_kernel_with_zero_weights():
+    rng = random.Random(43)
+    cfg = random_config(rng, 3, prec=PREC)
+    with working_precision(PREC):
+        w = [mp.mpf(rng.uniform(-1, 1)) for _ in range(4)]
+        # zero weights on x_{-2}, x_1 and x_3: their knots stay, their
+        # Bernoulli terms vanish
+        weights = [w[0], 0, w[1], w[2], 0, w[3], 0]
+        weights[3] = -mp.fsum(weights[:3] + weights[4:])
+    for l in (1, 4, 7):
+        _assert_compiled_matches_direct(cfg, l, weights, rng)
+
+
+def test_compiled_kernel_defaults_to_lemma_weights():
+    rng = random.Random(47)
+    cfg = random_config(rng, 2, prec=PREC)
+    comp = compile_psi(cfg, 4, prec=PREC)
+    with working_precision(PREC):
+        x = mp.mpf(cfg.a) * mp.mpf("0.37")
+        direct = psi(cfg, 4, x, prec=PREC)
+        assert abs(comp(x) - direct) <= TOL * max(1, abs(direct))
+
+
+def test_boundary_weights_pass_through_bit_identical():
+    rng = random.Random(59)
+    cfg = random_config(rng, 3, prec=PREC)
+    mu = coefficients(cfg, prec=PREC).mu
+    for l in (1, 4):
+        for sign in (1, -1):
+            assert psi_star_boundary(cfg, l, sign, prec=PREC, weights=mu) \
+                == psi_star_boundary(cfg, l, sign, prec=PREC)
+    weak = NodeConfig(n=2, a=3, nodes=[-2, -1, 0, 1.2, 1.2], strict=False)
+    with pytest.raises(DuplicateNodeError):
+        psi_star_boundary(weak, 3, 1, prec=PREC, weights=[1, 1, 1, 1, 1])

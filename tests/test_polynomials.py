@@ -110,3 +110,16 @@ def test_fourier_partial_sum_within_tail():
 def test_degree_overflow():
     with pytest.raises(P.DegreeOverflowError):
         P.bernoulli_poly(300, mp.mpf(0.5), prec=PREC)
+
+
+def test_cached_mpf_coefficients_are_bit_identical():
+    for prec in (128, 192):
+        with working_precision(prec):
+            fresh = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
+                     for c in P.bernoulli_poly_coeffs(14)]
+            assert list(P.bernoulli_poly_mpf(14)) == fresh
+            assert P.bernoulli_poly_mpf(14) is P.bernoulli_poly_mpf(14)
+    with working_precision(128):
+        low = P.bernoulli_poly_mpf(14)
+    with working_precision(192):
+        assert P.bernoulli_poly_mpf(14) != low
