@@ -2,21 +2,25 @@
 
 Subcommands: verify-lemmas, identity, zeros, explore, extremal.  Output is
 deterministic for a fixed (seed, precision) pair: JSON is emitted with
-sorted keys, numbers are serialized to ceil(precision_bits * 0.302) digits,
-and no timestamps or machine identifiers appear.
+sorted keys, numbers are serialized to int(0.302 * precision_bits) + 1
+significant digits (precision.serialize), and no timestamps or machine
+identifiers appear.  identity, zeros, explore and extremal emit their
+library report plus a command/seed/precision_bits envelope.
+
+Formats: verify-lemmas json or text, zeros json or csv, the others json.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error, 3 numerical escalation exhausted.
 
 Environment overrides mirror the flags with the HARDYZ_ prefix
-(HARDYZ_PRECISION_BITS, HARDYZ_SEED, HARDYZ_JOBS, HARDYZ_FORMAT, HARDYZ_OUT).
+(HARDYZ_PRECISION_BITS, HARDYZ_SEED, HARDYZ_JOBS, HARDYZ_FORMAT, HARDYZ_OUT)
+and are validated like the flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv as csv_mod
-import io
+import dataclasses
 import json
 import os
 import random
@@ -29,7 +33,7 @@ from mpmath import mp
 
 from . import divided_diff, extremal, hardy, identity, kernel, polynomials, \
     probes, sequences
-from .precision import DEFAULT_PREC, digits_for, working_precision
+from .precision import DEFAULT_PREC, serialize, working_precision
 
 ENV_PREFIX = "HARDYZ_"
 EXIT_OK = 0
@@ -41,13 +45,10 @@ SUITES = ("polynomials", "divided_diff", "kernel", "identity", "sequences",
           "extremal")
 
 
-def _nstr(x, prec: int) -> str:
-    return mp.nstr(mp.mpf(x), digits_for(prec))
-
-
 def _check(name: str, passed: bool, margin, prec: int) -> Dict:
+    """margin is an mpf or an exact count, taken at the suite's precision."""
     return {"name": name, "passed": bool(passed),
-            "margin": _nstr(margin, prec) if not isinstance(margin, str) else margin}
+            "margin": serialize(mp.mpf(margin), prec)}
 
 
 def _suite_rng(seed: int, suite: str) -> random.Random:
@@ -536,56 +537,52 @@ def cmd_verify_lemmas(args) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
 
+def _emit_json(command: str, body: Dict, args) -> None:
+    """body plus the command/seed/precision_bits envelope, as sorted JSON."""
+    payload = dict(body, command=command, seed=args.seed,
+                   precision_bits=args.precision_bits)
+    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+
+
 def cmd_identity(args) -> int:
     prec = args.precision_bits
     rng = _suite_rng(args.seed, "identity-cmd")
     cfg = kernel.random_config(rng, args.n, prec=prec)
     if args.probe == "cardinal":
         probe = probes.cardinal_probe(cfg, prec=prec)
-        res = identity.reconstruct_f0(cfg, probe, max(args.m, args.n + 1),
+        rep = identity.reconstruct_f0(cfg, probe, max(args.m, args.n + 1),
                                       prec=prec)
-        payload = {
-            "command": "identity", "probe": args.probe, "n": args.n,
-            "m": max(args.m, args.n + 1), "seed": args.seed,
-            "precision_bits": prec,
-            "value": _nstr(res.value, prec),
-            "reconstruction_error": _nstr(abs(res.value - 1), prec),
-            "integral_term": _nstr(res.integral_term, prec),
-            "residual_budget": _nstr(res.residual_budget, prec),
-            "passed": bool(abs(res.value - 1) <= res.residual_budget
-                           + mp.mpf(2) ** (-(prec - 40))),
-        }
     else:
         if args.probe == "polynomial":
             probe = probes.polynomial_probe(
                 [rng.uniform(-1, 1) for _ in range(2 * args.m + 3)], prec=prec)
         elif args.probe == "cosine":
             probe = probes.cosine_probe(rng.uniform(0.3, 1.5), prec=prec)
-        elif args.probe == "gaussian-cosine":
+        else:
             probe = probes.gaussian_cosine_probe(rng.uniform(0.3, 1.0),
                                                  rng.uniform(2, 5), prec=prec)
-        else:
-            raise SystemExit(EXIT_USAGE)
-        mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * args.n)]
-        mu.append(-mp.fsum(mu))
+        with working_precision(prec):
+            mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * args.n)]
+            mu.append(-mp.fsum(mu))
         rep = identity.verify_key_identity(cfg, mu, probe, args.m, prec=prec)
-        payload = {
-            "command": "identity", "probe": args.probe, "n": args.n,
-            "m": args.m, "seed": args.seed, "precision_bits": prec,
-            "lhs": _nstr(rep.lhs, prec),
-            "integral_term": _nstr(rep.integral_term, prec),
-            "residual": _nstr(rep.residual, prec),
-            "residual_budget": _nstr(rep.residual_budget, prec),
-            "passed": rep.passed,
-        }
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-    return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
+    _emit_json("identity", serialize(rep, prec), args)
+    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
-def _zeros_chunk(chunk) -> List:
-    lo, hi, prec = chunk
-    zl = hardy.find_zeros(lo, hi, prec=prec)
-    return [(str(z.gamma), str(z.half_width)) for z in zl.zeros]
+def _find_zeros(lo, hi, jobs: int, prec: int) -> hardy.ZeroList:
+    """hardy.find_zeros over (lo, hi]; a window wider than 20 is split into
+    `jobs` chunks scanned in worker processes and merged."""
+    if jobs <= 1 or hi - lo <= 20:
+        return hardy.find_zeros(lo, hi, prec=prec)
+    import concurrent.futures
+    edges = [lo + (hi - lo) * i / jobs for i in range(jobs + 1)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        parts = list(ex.map(hardy.find_zeros, edges[:-1], edges[1:],
+                            [prec] * jobs))
+    return hardy.ZeroList(
+        t_lo=lo, t_hi=hi, zeros=[z for part in parts for z in part.zeros],
+        rescans=sum(part.rescans for part in parts),
+        suspected_missing=any(part.suspected_missing for part in parts))
 
 
 def cmd_zeros(args) -> int:
@@ -594,45 +591,18 @@ def cmd_zeros(args) -> int:
         lo = mp.mpf(args.t_lo)
         hi = mp.mpf(args.t_hi)
         scan_lo = mp.mpf(0) if lo <= 15 else lo
-        jobs = max(1, args.jobs)
-        if jobs > 1 and hi - scan_lo > 20:
-            import concurrent.futures
-            edges = [scan_lo + (hi - scan_lo) * i / jobs for i in range(jobs + 1)]
-            chunks = [(str(edges[i]), str(edges[i + 1]), prec)
-                      for i in range(jobs)]
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-                parts = list(ex.map(_zeros_chunk, chunks))
-            rows = [(mp.mpf(g), mp.mpf(w)) for part in parts for g, w in part]
-        else:
-            zl = hardy.find_zeros(scan_lo, hi, prec=prec)
-            rows = [(z.gamma, z.half_width) for z in zl.zeros]
-        rows.sort()
-        visible = [(g, w) for g, w in rows if g > lo]
-        stats = None
-        if hi >= 10 and scan_lo == 0:
-            full = hardy.ZeroList(t_lo=mp.mpf(0), t_hi=hi,
-                                  zeros=[hardy.Zero(g, w) for g, w in rows])
-            stats = hardy.count_stats(hi, prec=prec, zero_list=full)
-        d = digits_for(prec)
+        found = _find_zeros(scan_lo, hi, args.jobs, prec)
+        visible = dataclasses.replace(
+            found, t_lo=lo, zeros=[z for z in found.zeros if z.gamma > lo])
         if args.format == "csv":
-            buf = io.StringIO()
-            w = csv_mod.writer(buf)
-            w.writerow(["index", "t", "bracket_half_width"])
-            for i, (g, hw) in enumerate(visible, start=1):
-                w.writerow([i, mp.nstr(g, d), mp.nstr(hw, 6)])
-            _emit(buf.getvalue(), args.out)
-        else:
-            payload = {
-                "command": "zeros", "t_lo": _nstr(lo, prec),
-                "t_hi": _nstr(hi, prec), "seed": args.seed,
-                "precision_bits": prec, "count": len(visible),
-                "zeros": [{"t": mp.nstr(g, d), "half_width": mp.nstr(hw, 6)}
-                          for g, hw in visible],
-            }
-            if stats is not None:
-                payload["count_stats"] = json.loads(stats.to_json(prec=prec))
-            _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-        return EXIT_OK
+            _emit(visible.to_csv(prec), args.out)
+            return EXIT_OK
+        body = visible.serialize(prec)
+        if hi >= 10 and scan_lo == 0:
+            body["count_stats"] = serialize(
+                hardy.count_stats(hi, prec=prec, zero_list=found), prec)
+    _emit_json("zeros", body, args)
+    return EXIT_OK
 
 
 def cmd_explore(args) -> int:
@@ -642,11 +612,7 @@ def cmd_explore(args) -> int:
     except hardy.RejectedPointError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CHECK_FAILED
-    payload = json.loads(rep.to_json(prec=prec))
-    payload["command"] = "explore"
-    payload["seed"] = args.seed
-    payload["precision_bits"] = prec
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit_json("explore", serialize(rep, prec), args)
     return EXIT_OK
 
 
@@ -655,10 +621,7 @@ def cmd_extremal(args) -> int:
     rep = extremal.theorem2_certificate(args.n, mp.mpf(args.c), mp.mpf(args.eps),
                                         args.m, prec=prec,
                                         require_admissible=False)
-    payload = json.loads(rep.to_json())
-    payload["command"] = "extremal"
-    payload["seed"] = args.seed
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit_json("extremal", serialize(rep, prec), args)
     return EXIT_OK if rep.total_below_one else EXIT_CHECK_FAILED
 
 
@@ -666,14 +629,10 @@ def cmd_extremal(args) -> int:
 # argument parsing
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        return fallback
+def _env(name: str, fallback):
+    """Flag default from HARDYZ_<name>; argparse applies the flag's type to
+    it, so a malformed value is a usage error."""
+    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -682,18 +641,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification suites and explorations for the Hardy "
                     "Z-function kernel toolkit.")
     p.add_argument("--precision-bits", type=int,
-                   default=_env_default("PRECISION_BITS", int, DEFAULT_PREC))
-    p.add_argument("--seed", type=int, default=_env_default("SEED", int, 0))
-    p.add_argument("--jobs", type=int,
-                   default=_env_default("JOBS", int, os.cpu_count() or 1))
+                   default=_env("PRECISION_BITS", DEFAULT_PREC))
+    p.add_argument("--seed", type=int, default=_env("SEED", 0))
+    p.add_argument("--jobs", type=int, default=_env("JOBS", os.cpu_count() or 1))
     p.add_argument("--format", choices=("json", "csv", "text"),
-                   default=_env_default("FORMAT", str, "json"))
-    p.add_argument("--out", default=_env_default("OUT", str, None))
+                   default=_env("FORMAT", "json"))
+    p.add_argument("--out", default=_env("OUT", None))
     sub = p.add_subparsers(dest="command", required=True)
 
     vl = sub.add_parser("verify-lemmas", help="run module invariant suites")
     vl.add_argument("suite", choices=SUITES + ("all",))
-    vl.set_defaults(func=cmd_verify_lemmas)
+    vl.set_defaults(func=cmd_verify_lemmas, formats=("json", "text"))
 
     ident = sub.add_parser("identity", help="evaluate the key identity")
     ident.add_argument("--n", type=int, required=True)
@@ -701,25 +659,25 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--probe", required=True,
                        choices=("polynomial", "cosine", "gaussian-cosine",
                                 "cardinal"))
-    ident.set_defaults(func=cmd_identity)
+    ident.set_defaults(func=cmd_identity, formats=("json",))
 
     zr = sub.add_parser("zeros", help="locate zeros of Z in an interval")
     zr.add_argument("t_lo", type=float)
     zr.add_argument("t_hi", type=float)
-    zr.set_defaults(func=cmd_zeros)
+    zr.set_defaults(func=cmd_zeros, formats=("json", "csv"))
 
     ex = sub.add_parser("explore", help="derivative-maximum exploration report")
     ex.add_argument("T", type=float)
     ex.add_argument("C", type=float)
     ex.add_argument("m_cap", type=int)
-    ex.set_defaults(func=cmd_explore)
+    ex.set_defaults(func=cmd_explore, formats=("json",))
 
     xt = sub.add_parser("extremal", help="extremal configuration certificate")
     xt.add_argument("n", type=int)
     xt.add_argument("c", type=str)
     xt.add_argument("eps", type=str)
     xt.add_argument("m", type=int)
-    xt.set_defaults(func=cmd_extremal)
+    xt.set_defaults(func=cmd_extremal, formats=("json",))
     return p
 
 
@@ -728,6 +686,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.precision_bits < 64:
         parser.error("--precision-bits must be >= 64")
+    if args.format not in args.formats:
+        parser.error(f"{args.command} supports --format "
+                     f"{' or '.join(args.formats)}, not {args.format!r}")
     try:
         return args.func(args)
     except hardy.PrecisionEscalationError as exc:

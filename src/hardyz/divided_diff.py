@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 from mpmath import mp, mpf
 
@@ -35,15 +35,6 @@ class FunctionProbe:
 
     def value(self, x):
         return self.deriv(x, 0)
-
-    @staticmethod
-    def from_function(f: Callable, derivatives: Sequence[Callable]) -> "FunctionProbe":
-        funcs = [f] + list(derivatives)
-
-        def d(x, k):
-            return funcs[k](x)
-
-        return FunctionProbe(deriv=d, max_order=len(derivatives))
 
 
 @dataclass

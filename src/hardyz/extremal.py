@@ -10,17 +10,15 @@ below 1.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .divided_diff import FunctionProbe
 from .kernel import NodeConfig, boundary_sum_bound, coefficients
-from .precision import DEFAULT_PREC, digits_for, working_precision
+from .precision import DEFAULT_PREC, Report, working_precision
 from .sequences import tail_weight_constant
 
 FIND_C_EPS_RESOLUTION_BITS = 12
@@ -352,37 +350,37 @@ def theorem2_bound(n: int, c, eps, prec: int = DEFAULT_PREC) -> mpf:
 
 
 @dataclass
-class CertificateReport:
+class CertificateReport(Report):
     n: int
-    c: str
-    eps: str
+    c: mpf
+    eps: mpf
     m: int
-    c_eps: str
+    c_eps: mpf
     admissible: bool
-    s_star: str
-    sine_product: str
+    s_star: mpf
+    sine_product: mpf
     sine_product_in_range: bool
-    divided_bound: str
+    divided_bound: mpf
     divided_bound_in_range: bool
-    product: str
+    product: mpf
     product_below_half: bool
-    integral_bound: str
-    total: str
+    integral_bound: mpf
+    total: mpf
     total_below_one: bool
-    margin: str
-    boundary_lhs: str
-    boundary_rhs: str
+    margin: mpf
+    boundary_lhs: mpf
+    boundary_rhs: mpf
     boundary_ok: bool
-    s_lower_bound: str
+    s_lower_bound: mpf
     precision_bits: int = DEFAULT_PREC
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, indent=2)
+    def to_json(self, prec: Optional[int] = None) -> str:
+        """JSON at the report's own precision unless prec is given."""
+        return super().to_json(prec or self.precision_bits)
 
 
 def theorem2_certificate(n: int, c, eps, m: int,
                          prec: int = DEFAULT_PREC,
-                         boundary_m: Optional[int] = None,
                          require_admissible: bool = True) -> CertificateReport:
     """Evaluate the full numeric chain on the extremal configuration.
 
@@ -390,6 +388,7 @@ def theorem2_certificate(n: int, c, eps, m: int,
     (0, 2^(2n-1)); their product below 1/2; plus the integral bound
     2^(2n) * |sine product| * (1 - 1/2n)^(2m) * C*; the total must be < 1.
     Margins are reported rather than asserted; failures at small n are data.
+    The boundary-sum inequality is checked with min(m, 12) boundary terms.
     With require_admissible=False the chain is evaluated anyway and the
     report carries admissible=False (the bounds are well defined pointwise,
     only the supporting argument needs the admissible range).
@@ -411,26 +410,17 @@ def theorem2_certificate(n: int, c, eps, m: int,
         integral_bound = mp.mpf(2) ** (2 * n) * abs(P) \
             * (1 - mp.mpf(1) / (2 * n)) ** (2 * m) * tail_weight_constant(prec=prec)
         total = product + integral_bound
-        bm = boundary_m if boundary_m is not None else min(m, 12)
-        lhs, rhs = boundary_sum_bound(config, params.c, bm, prec=prec)
-        d = digits_for(prec)
+        lhs, rhs = boundary_sum_bound(config, params.c, min(m, 12), prec=prec)
         return CertificateReport(
-            n=n, c=mp.nstr(mp.mpf(c), d), eps=mp.nstr(mp.mpf(eps), d), m=m,
-            c_eps=mp.nstr(c_eps, d), admissible=admissible,
-            s_star=mp.nstr(params.s_star, d),
-            sine_product=mp.nstr(P, d),
+            n=n, c=mp.mpf(c), eps=mp.mpf(eps), m=m, c_eps=c_eps,
+            admissible=admissible, s_star=params.s_star, sine_product=P,
             sine_product_in_range=bool(0 < P < mp.mpf(2) ** (-2 * n)),
-            divided_bound=mp.nstr(D, d),
+            divided_bound=D,
             divided_bound_in_range=bool(0 < D < mp.mpf(2) ** (2 * n - 1)),
-            product=mp.nstr(product, d),
-            product_below_half=bool(product < mp.mpf(0.5)),
-            integral_bound=mp.nstr(integral_bound, d),
-            total=mp.nstr(total, d),
-            total_below_one=bool(total < 1),
-            margin=mp.nstr(1 - total, d),
-            boundary_lhs=mp.nstr(lhs, d),
-            boundary_rhs=mp.nstr(rhs, d),
-            boundary_ok=bool(lhs <= rhs),
-            s_lower_bound=mp.nstr(theorem2_bound(n, c, eps, prec=prec), d),
+            product=product, product_below_half=bool(product < mp.mpf(0.5)),
+            integral_bound=integral_bound, total=total,
+            total_below_one=bool(total < 1), margin=1 - total,
+            boundary_lhs=lhs, boundary_rhs=rhs, boundary_ok=bool(lhs <= rhs),
+            s_lower_bound=theorem2_bound(n, c, eps, prec=prec),
             precision_bits=prec,
         )

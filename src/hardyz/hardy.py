@@ -10,14 +10,14 @@ continuation of Z, cross-checked by Richardson finite differences.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .polynomials import bernoulli_numbers
-from .precision import DEFAULT_PREC, digits_for, working_precision
+from .precision import DEFAULT_PREC, Report, digits_for, working_precision
 
 MAX_DERIVATIVE_ORDER = 64
 BISECTION_HALF_WIDTH_BITS = 48
@@ -220,7 +220,6 @@ def _circle_derivatives(f: Callable, t, orders: Sequence[int], radius,
 
 
 def z_derivative(t, k: int, prec: int = DEFAULT_PREC,
-                 max_order: int = MAX_DERIVATIVE_ORDER,
                  fast: bool = False) -> mpf:
     """k-th derivative of Z at t by Cauchy circle integration.
 
@@ -230,8 +229,9 @@ def z_derivative(t, k: int, prec: int = DEFAULT_PREC,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > max_order:
-        raise CapacityError(f"derivative order {k} exceeds maximum {max_order}")
+    if k > MAX_DERIVATIVE_ORDER:
+        raise CapacityError(
+            f"derivative order {k} exceeds maximum {MAX_DERIVATIVE_ORDER}")
     if k == 0:
         return z_eval(t, prec=prec).z
     with working_precision(prec):
@@ -312,17 +312,11 @@ class ZeroList:
             out[i + 1] = g
         return out
 
-    def export_csv(self, path: str, prec: int = DEFAULT_PREC) -> None:
+    def serialize(self, prec: int = DEFAULT_PREC) -> Dict:
+        """The zeros shape of both the JSON and the CSV output: each zero
+        is its t to digits_for(prec) digits and a 6-digit half-width."""
         d = digits_for(prec)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "t", "bracket_half_width"])
-            for i, z in enumerate(self.zeros, start=1):
-                w.writerow([i, mp.nstr(z.gamma, d), mp.nstr(z.half_width, 6)])
-
-    def to_json(self, prec: int = DEFAULT_PREC) -> str:
-        d = digits_for(prec)
-        return json.dumps({
+        return {
             "t_lo": mp.nstr(self.t_lo, d),
             "t_hi": mp.nstr(self.t_hi, d),
             "count": len(self.zeros),
@@ -331,7 +325,15 @@ class ZeroList:
             "zeros": [{"t": mp.nstr(z.gamma, d),
                        "half_width": mp.nstr(z.half_width, 6)}
                       for z in self.zeros],
-        }, sort_keys=True, indent=2)
+        }
+
+    def to_csv(self, prec: int = DEFAULT_PREC) -> str:
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["index", "t", "bracket_half_width"])
+        for i, z in enumerate(self.serialize(prec)["zeros"], start=1):
+            w.writerow([i, z["t"], z["half_width"]])
+        return buf.getvalue()
 
 
 def _scan_step(t, prec: int) -> mpf:
@@ -425,20 +427,11 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC,
 
 
 @dataclass
-class CountStats:
+class CountStats(Report):
     t: mpf
     n_counted: int
     n_main: mpf
     s_estimate: mpf
-
-    def to_json(self, prec: int = DEFAULT_PREC) -> str:
-        d = digits_for(prec)
-        return json.dumps({
-            "t": mp.nstr(self.t, d),
-            "n_counted": self.n_counted,
-            "n_main": mp.nstr(self.n_main, d),
-            "s_estimate": mp.nstr(self.s_estimate, d),
-        }, sort_keys=True, indent=2)
 
 
 def n_main(t, prec: int = DEFAULT_PREC) -> mpf:
@@ -481,27 +474,11 @@ class SpacingRow:
 
 
 @dataclass
-class SpacingReport:
+class SpacingReport(Report):
     T: mpf
     K: int
     log_scale: mpf
     rows: List[SpacingRow]
-
-    def to_json(self, prec: int = DEFAULT_PREC) -> str:
-        d = digits_for(prec)
-        return json.dumps({
-            "T": mp.nstr(self.T, d),
-            "K": self.K,
-            "log_scale": mp.nstr(self.log_scale, d),
-            "rows": [{
-                "k": r.k,
-                "gamma_plus": mp.nstr(r.gamma_plus, d),
-                "gamma_minus": mp.nstr(r.gamma_minus, d),
-                "main_term": mp.nstr(r.main_term, d),
-                "residual_plus": mp.nstr(r.residual_plus, d),
-                "residual_minus": mp.nstr(r.residual_minus, d),
-            } for r in self.rows],
-        }, sort_keys=True, indent=2)
 
 
 def spacing_check(T, K: int, prec: int = DEFAULT_PREC) -> SpacingReport:
@@ -552,7 +529,7 @@ class ExploreRow:
 
 
 @dataclass
-class ExploreReport:
+class ExploreReport(Report):
     T: mpf
     C: mpf
     m_theorem: int
@@ -563,27 +540,6 @@ class ExploreReport:
     rows: List[ExploreRow]
     exploratory_note: str = ("desk-scale T cannot validate an asymptotic "
                              "statement; margins are raw data")
-
-    def to_json(self, prec: int = DEFAULT_PREC) -> str:
-        d = digits_for(prec)
-        return json.dumps({
-            "T": mp.nstr(self.T, d),
-            "C": mp.nstr(self.C, d),
-            "m_theorem": self.m_theorem,
-            "m_used": self.m_used,
-            "z_at_T": mp.nstr(self.z_at_T, d),
-            "grid_points": self.grid_points,
-            "witness_k": self.witness_k,
-            "exploratory_note": self.exploratory_note,
-            "rows": [{
-                "k": r.k,
-                "max_abs_deriv": mp.nstr(r.max_abs_deriv, d),
-                "t_at_max": mp.nstr(r.t_at_max, d),
-                "bound": mp.nstr(r.bound, d),
-                "margin": mp.nstr(r.margin, d),
-                "witness": r.witness,
-            } for r in self.rows],
-        }, sort_keys=True, indent=2)
 
 
 def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC,

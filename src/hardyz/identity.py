@@ -44,10 +44,7 @@ class IdentityReport:
     residual: mpf
     quadrature_error_estimate: mpf
     residual_budget: mpf
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.residual <= self.residual_budget)
+    passed: bool  # residual <= residual_budget
 
 
 def _integrate(f: Callable, points: Sequence[mpf], prec: int) -> Tuple[mpf, mpf]:
@@ -107,7 +104,7 @@ def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
         budget = 2 * quad_err + mp.mpf(2) ** (-(prec - 20)) * mag
         return IdentityReport(lhs=lhs, boundary_terms=boundary, integral_term=integral,
                               residual=residual, quadrature_error_estimate=quad_err,
-                              residual_budget=budget)
+                              residual_budget=budget, passed=bool(residual <= budget))
 
 
 @dataclass
@@ -117,6 +114,8 @@ class ReconstructionResult:
     integral_term: mpf
     quadrature_error_estimate: mpf
     residual_budget: mpf
+    reconstruction_error: mpf  # |value - f(0)|, f(0) from the probe itself
+    passed: bool  # reconstruction_error <= residual_budget + 2^-(prec-40)
 
 
 def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
@@ -150,10 +149,12 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
         value = mp.fsum(boundary) - integral
         mag = max([abs(b) for b in boundary] + [abs(integral), mp.mpf(1)])
         budget = 2 * quad_err + mp.mpf(2) ** (-(prec - 20)) * mag
-        return ReconstructionResult(value=value, boundary_terms=boundary,
-                                    integral_term=integral,
-                                    quadrature_error_estimate=quad_err,
-                                    residual_budget=budget)
+        error = abs(value - mp.mpf(probe.value(0)))
+        return ReconstructionResult(
+            value=value, boundary_terms=boundary, integral_term=integral,
+            quadrature_error_estimate=quad_err, residual_budget=budget,
+            reconstruction_error=error,
+            passed=bool(error <= budget + mp.mpf(2) ** (-(prec - 40))))
 
 
 def _interior_kernel(config: NodeConfig, l: int, prec: int,

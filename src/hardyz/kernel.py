@@ -90,9 +90,6 @@ class KernelCoefficients:
     alpha: List[mpf]
     mu: List[mpf]
 
-    def alpha_k(self, k: int):
-        return self.alpha[k + (len(self.alpha) - 1) // 2]
-
     def mu_k(self, k: int):
         return self.mu[k + (len(self.mu) - 1) // 2]
 

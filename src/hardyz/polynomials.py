@@ -55,11 +55,6 @@ def bernoulli_numbers(n: int) -> List[Fraction]:
     return _bernoulli_cache[: n + 1]
 
 
-def bernoulli_number(n: int) -> Fraction:
-    """B_n as an exact Fraction."""
-    return bernoulli_numbers(n)[n]
-
-
 def bernoulli_poly_coeffs(n: int) -> Tuple[Fraction, ...]:
     """Exact coefficients (c_0, ..., c_n) of B_n(x) = sum c_k x^k."""
     if n < 0:

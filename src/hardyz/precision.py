@@ -4,11 +4,16 @@ All numeric routines in this package take an explicit ``prec`` argument in
 bits (default 192) and evaluate under an mpmath working-precision context.
 Guard bits are added internally; results are returned as mpf/mpc values
 rounded at the working precision of the caller's context.
+
+Reports are serialized here as well, by one rule: an mpf prints with
+digits_for(prec) significant digits of its own bits.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 
 from mpmath import mp, mpf
 
@@ -42,3 +47,28 @@ def to_mpf(x, prec: int = DEFAULT_PREC) -> mpf:
 def digits_for(prec: int) -> int:
     """Decimal digits needed to round-trip a prec-bit float."""
     return int(prec * 0.302) + 1
+
+
+def serialize(value, prec: int):
+    """The JSON-ready form of a report or of any value inside one.
+
+    A dataclass becomes a dict of its fields, lists and tuples are mapped
+    element-wise, and an mpf becomes mp.nstr(v, digits_for(prec)) of the
+    value as it is, never re-rounded at the ambient precision.  Ints, bools,
+    strings and None pass through unchanged.
+    """
+    if isinstance(value, mpf):
+        return mp.nstr(value, digits_for(prec))
+    if is_dataclass(value):
+        return {f.name: serialize(getattr(value, f.name), prec)
+                for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [serialize(v, prec) for v in value]
+    return value
+
+
+class Report:
+    """Base of the report dataclasses with a to_json: serialize() as text."""
+
+    def to_json(self, prec: int = DEFAULT_PREC) -> str:
+        return json.dumps(serialize(self, prec), sort_keys=True, indent=2)

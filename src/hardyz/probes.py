@@ -7,7 +7,7 @@ analytically (coefficient manipulation), never by finite differences.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from mpmath import mp
 
@@ -80,14 +80,6 @@ def exp_probe(prec: int = DEFAULT_PREC) -> FunctionProbe:
     def deriv(x, k):
         with working_precision(prec):
             return mp.exp(mp.mpf(x))
-
-    return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
-
-
-def constant_probe(value=1, prec: int = DEFAULT_PREC) -> FunctionProbe:
-    def deriv(x, k):
-        with working_precision(prec):
-            return mp.mpf(value) if k == 0 else mp.mpf(0)
 
     return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
 

@@ -12,7 +12,6 @@ evaluation at comparison time, never by float pipelines.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -33,14 +32,6 @@ class SequenceTable:
 
     kind: str
     entries: Dict[Tuple[int, int], object] = field(default_factory=dict)
-
-    def export_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "j", "numerator", "denominator"])
-            for (i, j), v in sorted(self.entries.items()):
-                f = Fraction(v) if not isinstance(v, Fraction) else v
-                w.writerow([i, j, f.numerator, f.denominator])
 
 
 def b_table(K: int, L: int) -> SequenceTable:

@@ -1,11 +1,15 @@
 """CLI-level tests: exit codes, output formats, determinism."""
 
 import json
+import multiprocessing
 
 import pytest
+from mpmath import mp
 
-from hardyz.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser,
-                        main, run_suites)
+from hardyz import hardy, identity, kernel, probes
+from hardyz.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _suite_rng,
+                        build_parser, main, run_suites)
+from hardyz.precision import working_precision
 
 PREC = 128
 
@@ -59,6 +63,34 @@ def test_identity_cosine(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("probe, seed, m", [("cosine", 5, 3),
+                                            ("polynomial", 1, 2)])
+def test_identity_prints_full_precision(capsys, probe, seed, m):
+    prec, n = 192, 2
+    code, out = _run(capsys, ["--precision-bits", str(prec), "--seed", str(seed),
+                              "identity", "--n", str(n), "--m", str(m),
+                              "--probe", probe])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    # the command's own draws, repeated in the same order
+    rng = _suite_rng(seed, "identity-cmd")
+    cfg = kernel.random_config(rng, n, prec=prec)
+    if probe == "cosine":
+        f = probes.cosine_probe(rng.uniform(0.3, 1.5), prec=prec)
+    else:
+        f = probes.polynomial_probe(
+            [rng.uniform(-1, 1) for _ in range(2 * m + 3)], prec=prec)
+    with working_precision(prec):
+        mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * n)]
+        mu.append(-mp.fsum(mu))
+    rep = identity.verify_key_identity(cfg, mu, f, m, prec=prec)
+    with working_precision(prec):
+        for key in ("lhs", "integral_term"):
+            ref = getattr(rep, key)
+            assert abs(mp.mpf(payload[key]) - ref) \
+                <= abs(ref) * mp.mpf(2) ** -(prec - 8), key
+
+
 def test_zeros_csv_count(capsys):
     code, out = _run(capsys, ["--precision-bits", "128", "--jobs", "1",
                               "--format", "csv", "zeros", "10", "100"])
@@ -76,8 +108,29 @@ def test_zeros_json_includes_count_stats(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["count"] == 10
+    assert payload["rescans"] == 0
+    assert payload["suspected_missing"] is False
     assert "count_stats" in payload
     assert payload["count_stats"]["n_counted"] == 10
+
+
+def test_zeros_jobs_keep_every_digit(capsys):
+    # spawn workers (the default on some platforms) start at mpmath's
+    # default 53 bits, so a zero must not pass through a decimal string
+    # formatted in the worker
+    old = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        serial, split = (json.loads(_run(capsys, [
+            "--precision-bits", "128", "--jobs", jobs, "zeros", "10", "40"])[1])
+            for jobs in ("1", "2"))
+    finally:
+        multiprocessing.set_start_method(old, force=True)
+    assert serial["count"] == split["count"] == 6
+    with mp.workprec(256):
+        for a, b in zip(serial["zeros"], split["zeros"]):
+            gap = abs(mp.mpf(a["t"]) - mp.mpf(b["t"]))
+            assert gap <= mp.mpf(a["half_width"]) + mp.mpf(b["half_width"])
 
 
 def test_extremal_exit_code_tracks_total(capsys):
@@ -103,6 +156,32 @@ def test_explore_has_witness_field(capsys):
     payload = json.loads(out)
     assert "witness_k" in payload
     assert "exploratory_note" in payload
+
+
+@pytest.mark.parametrize("env, argv", [
+    ({}, ["--format", "csv", "explore", "100", "0.3", "2"]),
+    ({}, ["--format", "text", "zeros", "10", "20"]),
+    ({}, ["--format", "csv", "verify-lemmas", "sequences"]),
+    ({"HARDYZ_FORMAT": "xml"}, ["zeros", "10", "20"]),
+    ({"HARDYZ_PRECISION_BITS": "abc"}, ["zeros", "10", "20"]),
+])
+def test_unhonourable_input_exits_2_before_computing(monkeypatch, capsys,
+                                                     env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for attr in ("find_zeros", "theorem1_explore"):
+        monkeypatch.setattr(hardy, attr, refuse)
+    monkeypatch.setattr("hardyz.cli.run_suites", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_usage_errors():
