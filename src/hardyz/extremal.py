@@ -374,9 +374,9 @@ class CertificateReport(Report):
     s_lower_bound: mpf
     precision_bits: int = DEFAULT_PREC
 
-    def to_json(self, prec: Optional[int] = None) -> str:
-        """JSON at the report's own precision unless prec is given."""
-        return super().to_json(prec or self.precision_bits)
+    def to_json(self) -> str:
+        """JSON at the report's own precision."""
+        return super().to_json(self.precision_bits)
 
 
 def theorem2_certificate(n: int, c, eps, m: int,

@@ -427,7 +427,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC,
 
 
 @dataclass
-class CountStats(Report):
+class CountStats:
     t: mpf
     n_counted: int
     n_main: mpf

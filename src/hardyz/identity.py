@@ -109,6 +109,7 @@ def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
 
 @dataclass
 class ReconstructionResult:
+    m: int  # the derivative order used
     value: mpf
     boundary_terms: List[mpf]
     integral_term: mpf
@@ -151,7 +152,7 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
         budget = 2 * quad_err + mp.mpf(2) ** (-(prec - 20)) * mag
         error = abs(value - mp.mpf(probe.value(0)))
         return ReconstructionResult(
-            value=value, boundary_terms=boundary, integral_term=integral,
+            m=m, value=value, boundary_terms=boundary, integral_term=integral,
             quadrature_error_estimate=quad_err, residual_budget=budget,
             reconstruction_error=error,
             passed=bool(error <= budget + mp.mpf(2) ** (-(prec - 40))))

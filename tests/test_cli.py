@@ -52,7 +52,17 @@ def test_identity_cardinal(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["passed"] is True
+    assert payload["m"] == 4
     assert float(payload["reconstruction_error"]) < 1e-30
+
+
+def test_identity_cardinal_reports_the_m_it_used(capsys):
+    # reconstruction needs m >= n+1, so a smaller --m is raised to n+1
+    code, out = _run(capsys, ["--precision-bits", "128", "--seed", "4",
+                              "identity", "--n", "2", "--m", "1",
+                              "--probe", "cardinal"])
+    assert code == EXIT_OK
+    assert json.loads(out)["m"] == 3
 
 
 def test_identity_cosine(capsys):
