@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -68,17 +69,27 @@ class NodeMultiset:
         return out
 
 
+def node_product(y: Sequence, k: int) -> mpf:
+    """prod_{j != k} (y_k - y_j) at the ambient precision: the reciprocal of
+    y_k's weight in the divided difference over the distinct nodes y."""
+    prod = mp.mpf(1)
+    for j, yj in enumerate(y):
+        if j != k:
+            prod *= y[k] - yj
+    return prod
+
+
 def _dd_triangle(z: List, data: Callable[[object, int], object], prec: int):
     """Newton triangle on the (sorted, possibly repeated) node vector z.
 
-    ``data(y, i)`` returns f^(i)(y).  Returns the top-order divided
-    difference.
+    ``data(y, i)`` returns f^(i)(y) and is called once per distinct (y, i).
+    Returns the top-order divided difference.
     """
+    data = lru_cache(maxsize=None)(data)
     with working_precision(prec):
         N = len(z)
         col = [None] * N
         # column j of the triangle holds dd over windows of length j+1
-        run_start = 0
         for i in range(N):
             col[i] = mp.mpf(data(z[i], 0))
         for j in range(1, N):

@@ -16,8 +16,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .divided_diff import FunctionProbe
-from .kernel import NodeConfig, boundary_sum_bound, coefficients
+from .divided_diff import FunctionProbe, node_product
+# coefficients and divided_bound_direct are also reached through this module
+from .kernel import (NodeConfig, boundary_sum_bound, coefficients,  # noqa: F401
+                     divided_bound_direct)
 from .precision import DEFAULT_PREC, Report, working_precision
 from .sequences import tail_weight_constant
 
@@ -131,21 +133,22 @@ def g_and_h(delta, eps, prec: int = DEFAULT_PREC,
 _c_eps_cache = {}
 
 
-def find_c_eps(eps, n: int = 0, prec: int = DEFAULT_PREC,
-               resolution_bits: int = FIND_C_EPS_RESOLUTION_BITS) -> mpf:
+def find_c_eps(eps, n: int = 0, prec: int = DEFAULT_PREC) -> mpf:
     """Numerically locate c_eps = 1 - delta_eps with h < 0 on (0, delta_eps).
 
-    Scans a delta-grid of step 2^-resolution_bits up to 1/4, bisects the
-    first sign change of h.  If h >= 0 on the whole grid (which would
-    contradict the sine-product argument) a warning is issued and c_eps = 1
-    is returned, making the admissible range empty.
+    Scans a delta-grid of step 2^-FIND_C_EPS_RESOLUTION_BITS up to 1/4,
+    bisects the first sign change of h.  If h >= 0 on the whole grid (which
+    would contradict the sine-product argument) a warning is issued and
+    c_eps = 1 is returned, making the admissible range empty.  Results are
+    cached per (eps at working precision, prec).
     """
-    key = (str(eps), prec, resolution_bits)
-    if key in _c_eps_cache:
-        return _c_eps_cache[key]
     with working_precision(prec):
+        eps = mp.mpf(eps)
+        key = (eps, prec)
+        if key in _c_eps_cache:
+            return _c_eps_cache[key]
         G = lambda t: log_sine_integral_closed(t, prec=prec)
-        step = mp.mpf(2) ** (-resolution_bits)
+        step = mp.mpf(2) ** (-FIND_C_EPS_RESOLUTION_BITS)
         h_at = lambda d: g_and_h(d, eps, prec=prec, g_func=G)[1]
         prev = None
         first_bad = None
@@ -198,23 +201,19 @@ def sine_product(config: NodeConfig, prec: int = DEFAULT_PREC,
     """(-1)^n prod_{j!=0} sin(pi x_j/2a); contract (0, 2^-2n) on extremal
     configurations in the admissible range."""
     with working_precision(prec):
-        a = mp.mpf(config.a)
         n = config.n
+        t = config.sine_nodes(prec=prec)
         if log_domain:
             log_abs = mp.mpf(0)
             sign = 1
-            for i, xj in enumerate(config.nodes):
+            for i, s in enumerate(t):
                 if i == n:
                     continue
-                s = mp.sin(mp.pi * mp.mpf(xj) / (2 * a))
                 sign *= 1 if s > 0 else -1
                 log_abs += mp.log(abs(s))
             return (-1) ** n * sign * mp.e ** log_abs
-        prod = mp.mpf(1)
-        for i, xj in enumerate(config.nodes):
-            if i != n:
-                prod *= mp.sin(mp.pi * mp.mpf(xj) / (2 * a))
-        return (-1) ** n * prod
+        # prod_{j != 0}(t_0 - t_j) with t_0 = 0 has 2n factors
+        return (-1) ** n * node_product(t, n)
 
 
 def phi(y: Sequence, n: int, prec: int = DEFAULT_PREC) -> mpf:
@@ -231,11 +230,7 @@ def phi(y: Sequence, n: int, prec: int = DEFAULT_PREC) -> mpf:
             raise ValueError("phi arguments must lie in [0, 1]")
         total = mp.mpf(0)
         for k, yk in enumerate(ym):
-            prod = mp.mpf(1)
-            for j, yj in enumerate(ym):
-                if j != k:
-                    prod *= yk - yj
-            total += mp.cos((2 * n - 1) * mp.asin(mp.sqrt(yk))) / prod
+            total += mp.cos((2 * n - 1) * mp.asin(mp.sqrt(yk))) / node_product(ym, k)
         return (-1) ** n * total
 
 
@@ -249,14 +244,7 @@ def equal_angle_weights(n: int, prec: int = DEFAULT_PREC) -> List[mpf]:
     """gamma_k = 1/prod_{j!=k}(t*_k - t*_j) at the equal-angle nodes."""
     t = equal_angle_nodes(n, prec=prec)
     with working_precision(prec):
-        out = []
-        for k, tk in enumerate(t):
-            prod = mp.mpf(1)
-            for j, tj in enumerate(t):
-                if j != k:
-                    prod *= tk - tj
-            out.append(1 / prod)
-        return out
+        return [1 / node_product(t, k) for k in range(len(t))]
 
 
 def divided_bound(config: NodeConfig, params: ExtremalParams,
@@ -273,22 +261,8 @@ def divided_bound(config: NodeConfig, params: ExtremalParams,
         sca = mp.sin(c * a)
         if abs(sca - (-1) ** (n + 1)) > mp.mpf(2) ** (-(prec - 8)):
             raise ValueError("sin(c a) != (-1)^(n+1): params and config disagree")
-        y = [mp.mpf(0)] + [mp.sin(mp.pi * mp.mpf(config.node(k)) / (2 * a)) ** 2
-                           for k in range(1, n + 1)]
+        y = [mp.mpf(0)] + [t ** 2 for t in config.sine_nodes(prec=prec)[n + 1:]]
         return phi(y, n, prec=prec)
-
-
-def divided_bound_direct(config: NodeConfig, c, prec: int = DEFAULT_PREC) -> mpf:
-    """Independent route: (-1/sin(ca)) sum_k alpha_k cos(c x_k) over all
-    2n+1 nodes, with alpha from the kernel coefficient products."""
-    with working_precision(prec):
-        a = mp.mpf(config.a)
-        cm = mp.mpf(c)
-        coeffs = coefficients(config, prec=prec)
-        total = mp.mpf(0)
-        for i, al in enumerate(coeffs.alpha):
-            total += mp.mpf(al) * mp.cos(cm * mp.mpf(config.nodes[i]))
-        return -total / mp.sin(cm * a)
 
 
 def hyp_coefficients(n: int, K: int) -> List[int]:
@@ -332,11 +306,7 @@ def node_spread_monotonicity(t: Sequence, t_star: Sequence, probe: FunctionProbe
         def dd(nodes):
             total = mp.mpf(0)
             for k, yk in enumerate(nodes):
-                prod = mp.mpf(1)
-                for j, yj in enumerate(nodes):
-                    if j != k:
-                        prod *= yk - yj
-                total += mp.mpf(probe.value(yk)) / prod
+                total += mp.mpf(probe.value(yk)) / node_product(nodes, k)
             return total
 
         return dd(tm), dd(sm)

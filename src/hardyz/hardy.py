@@ -1,10 +1,11 @@
 """Hardy Z function engine: evaluation, derivatives, zeros, counting.
 
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  The primary
-evaluation path applies Euler-Maclaurin summation to zeta with an explicit
-truncation bound; a Riemann-Siegel fast path backs interval scans.
-Derivatives come from Cauchy circle integration of the analytic
-continuation of Z, cross-checked by Richardson finite differences.
+evaluation path (z_eval) applies Euler-Maclaurin summation to zeta with an
+explicit truncation bound; a Riemann-Siegel fast path backs interval scans
+and is checked against it.  Derivatives come from Cauchy circle integration
+of the analytic continuation of Z, sampled with the library zeta, and are
+cross-checked by Richardson finite differences.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .precision import DEFAULT_PREC, Report, digits_for, working_precision
 MAX_DERIVATIVE_ORDER = 64
 BISECTION_HALF_WIDTH_BITS = 48
 THETA_ASYMPTOTIC_MIN_T = 10
+THETA_ASYMPTOTIC_TERMS = 5
+MAX_RESCANS = 4
 
 
 class CapacityError(ValueError):
@@ -50,8 +53,9 @@ def theta(t, prec: int = DEFAULT_PREC) -> mpf:
         return mp.loggamma(mp.mpf(0.25) + 0.5j * tm).imag - tm / 2 * mp.log(mp.pi)
 
 
-def theta_asymptotic(t, prec: int = DEFAULT_PREC, terms: int = 5) -> mpf:
-    """Asymptotic branch t/2 log(t/2pi) - t/2 - pi/8 + sum a_j t^(1-2j).
+def theta_asymptotic(t, prec: int = DEFAULT_PREC) -> mpf:
+    """Asymptotic branch t/2 log(t/2pi) - t/2 - pi/8 + sum a_j t^(1-2j),
+    j = 1..THETA_ASYMPTOTIC_TERMS.
 
     a_j = (1 - 2^(1-2j)) |B_2j| / (4j(2j-1)); valid for t >= 10 where the
     series terms fall well below the leading scale.
@@ -60,9 +64,9 @@ def theta_asymptotic(t, prec: int = DEFAULT_PREC, terms: int = 5) -> mpf:
         tm = mp.mpf(t)
         if tm < THETA_ASYMPTOTIC_MIN_T:
             raise ValueError("asymptotic branch requires t >= 10")
-        bern = bernoulli_numbers(2 * terms)
+        bern = bernoulli_numbers(2 * THETA_ASYMPTOTIC_TERMS)
         val = tm / 2 * mp.log(tm / (2 * mp.pi)) - tm / 2 - mp.pi / 8
-        for j in range(1, terms + 1):
+        for j in range(1, THETA_ASYMPTOTIC_TERMS + 1):
             b = bern[2 * j]
             a_j = (1 - mp.mpf(2) ** (1 - 2 * j)) \
                 * abs(mp.mpf(b.numerator)) / b.denominator / (4 * j * (2 * j - 1))
@@ -178,15 +182,12 @@ def z_eval(t, prec: int = DEFAULT_PREC, method: str = "euler_maclaurin") -> ZSam
         raise ValueError(f"unknown method {method!r}")
 
 
-def _z_complex(w, prec: int, fast: bool = False):
-    """Analytic continuation Z(w); pole of zeta sits at w = -i/2 only."""
+def _z_complex(w, prec: int):
+    """Analytic continuation Z(w) from the library zeta; the pole of zeta
+    sits at w = -i/2 only."""
     with working_precision(prec):
         wm = mp.mpc(w)
-        s = mp.mpf(0.5) + 1j * wm
-        if fast:
-            zeta_val = mp.zeta(s)
-        else:
-            zeta_val, _ = _zeta_em(s, prec)
+        zeta_val = mp.zeta(mp.mpf(0.5) + 1j * wm)
         return mp.e ** (1j * _theta_complex(wm, prec)) * zeta_val
 
 
@@ -219,28 +220,12 @@ def _circle_derivatives(f: Callable, t, orders: Sequence[int], radius,
         return out
 
 
-def z_derivative(t, k: int, prec: int = DEFAULT_PREC,
-                 fast: bool = False) -> mpf:
-    """k-th derivative of Z at t by Cauchy circle integration.
-
-    The integration precision is elevated with the order (the r^-k factor
-    amplifies sample noise); fast=True swaps the library zeta in for the
-    Euler-Maclaurin sum inside the contour samples.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > MAX_DERIVATIVE_ORDER:
-        raise CapacityError(
-            f"derivative order {k} exceeds maximum {MAX_DERIVATIVE_ORDER}")
+def z_derivative(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
+    """k-th derivative of Z at t: z_eval for k = 0, otherwise the single
+    order of z_derivatives_batch (Cauchy circle integration)."""
     if k == 0:
         return z_eval(t, prec=prec).z
-    with working_precision(prec):
-        tm = mp.mpf(t)
-        radius = min(mp.mpf(2), tm / 2 + mp.mpf(0.25))
-        wp = prec + 8 * k + 32
-        vals = _circle_derivatives(lambda w: _z_complex(w, wp, fast=fast),
-                                   tm, [k], radius, wp)
-        return +vals[k].real
+    return z_derivatives_batch(t, [k], prec=prec)[k]
 
 
 def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
@@ -256,9 +241,13 @@ def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
         return +d
 
 
-def z_derivatives_batch(t, orders: Sequence[int], prec: int = DEFAULT_PREC,
-                        fast: bool = False) -> Dict[int, mpf]:
-    """All requested derivative orders from a single contour of samples."""
+def z_derivatives_batch(t, orders: Sequence[int],
+                        prec: int = DEFAULT_PREC) -> Dict[int, mpf]:
+    """All requested derivative orders from a single contour of samples.
+
+    The integration precision is elevated with the largest order (the r^-k
+    factor amplifies sample noise).
+    """
     orders = sorted(set(int(k) for k in orders))
     if not orders:
         return {}
@@ -270,7 +259,7 @@ def z_derivatives_batch(t, orders: Sequence[int], prec: int = DEFAULT_PREC,
         tm = mp.mpf(t)
         radius = min(mp.mpf(2), tm / 2 + mp.mpf(0.25))
         wp = prec + 8 * orders[-1] + 32
-        vals = _circle_derivatives(lambda w: _z_complex(w, wp, fast=fast),
+        vals = _circle_derivatives(lambda w: _z_complex(w, wp),
                                    tm, orders, radius, wp)
         return {k: +v.real for k, v in vals.items()}
 
@@ -367,13 +356,12 @@ def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
         return (theta(t_hi, prec=prec) - theta(lo, prec=prec)) / mp.pi
 
 
-def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC,
-               max_rescans: int = 4) -> ZeroList:
+def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     """All sign-change zeros of Z in (t_lo, t_hi], bisected to 2^-48.
 
     Scans with the Riemann-Siegel fast path at step pi/(4 theta'); the count
     is cross-checked against the smooth theta-based estimate and the scan is
-    repeated at half step (up to max_rescans times) when a missed close pair
+    repeated at half step (up to MAX_RESCANS times) when a missed close pair
     is suspected.  Each final bracket is certified by an Euler-Maclaurin
     sign check.
     """
@@ -398,7 +386,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC,
                 u, fu = v, fv
             # the smooth estimate can be off by the fluctuation term, so only
             # a deficit of 2 or more triggers a rescan
-            if expected - len(brackets) < 2 or rescans >= max_rescans:
+            if expected - len(brackets) < 2 or rescans >= MAX_RESCANS:
                 break
             rescans += 1
             step_scale /= 2
@@ -542,8 +530,7 @@ class ExploreReport(Report):
                              "statement; margins are raw data")
 
 
-def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC,
-                     fast: bool = True) -> ExploreReport:
+def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> ExploreReport:
     """Grid maxima of |Z^(k)| over [T-2pi, T+2pi] against the shrinking-factor
     bound, for k in {1, 3, ..., 2m-1, 2m}.
 
@@ -573,7 +560,7 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC,
             u += step
         maxima: Dict[int, Tuple[mpf, mpf]] = {k: (mp.mpf(-1), Tm) for k in orders}
         for u in grid:
-            vals = z_derivatives_batch(u, orders, prec=prec, fast=fast)
+            vals = z_derivatives_batch(u, orders, prec=prec)
             for k in orders:
                 if abs(vals[k]) > maxima[k][0]:
                     maxima[k] = (abs(vals[k]), u)
@@ -583,7 +570,7 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC,
             for du in (-step / 2, step / 2):
                 u = t0 + du
                 if Tm - 2 * mp.pi <= u <= Tm + 2 * mp.pi:
-                    v = abs(z_derivatives_batch(u, [k], prec=prec, fast=fast)[k])
+                    v = abs(z_derivatives_batch(u, [k], prec=prec)[k])
                     if v > maxima[k][0]:
                         maxima[k] = (v, u)
         shrink = 1 - mp.log(mp.log(mp.log(Tm))) / mp.log(mp.log(Tm)) \

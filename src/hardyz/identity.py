@@ -11,7 +11,7 @@ probe the integrand is a polynomial on every panel, so the integral is taken
 in closed form and carries no quadrature error; when deg f < 2m it is zero
 and the kernel is never built.  Other probes use composite Gauss-Legendre
 over the same panels.  Weakly ordered configurations in reconstruct_f0
-evaluate the kernel by its Chebyshev series instead.
+evaluate the kernel by its Chebyshev series (kernel.chebyshev_psi) instead.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .divided_diff import FunctionProbe
-from .kernel import (CompiledPsi, NodeConfig, chebyshev_moment, coefficients,
+from .kernel import (CompiledPsi, NodeConfig, chebyshev_psi, coefficients,
                      compile_psi, kernel_knots, psi, psi_star_boundary)
 from .precision import DEFAULT_PREC, working_precision
 from .probes import PolynomialProbe
@@ -72,6 +72,25 @@ def _integral_term(config: NodeConfig, probe: FunctionProbe, m: int,
     return _integrate(integrand, kernel_knots(config, prec), prec)
 
 
+def _boundary_terms(probe: FunctionProbe, a: mpf, m: int,
+                    kernel_at: Callable[[int, int], mpf]) -> List[mpf]:
+    """sign * f^(2k-1)(sign a) * kernel_at(k, sign) for k = 1..m, first at
+    sign = +1, then at sign = -1."""
+    boundary = []
+    for sign in (1, -1):
+        for k in range(1, m + 1):
+            term = mp.mpf(probe.deriv(sign * a, 2 * k - 1)) * kernel_at(k, sign)
+            boundary.append(sign * term)
+    return boundary
+
+
+def _residual_budget(quad_err: mpf, values: Sequence[mpf], prec: int) -> mpf:
+    """Twice the quadrature error plus 2^-(prec-20) of the largest |value|
+    (at least 1)."""
+    mag = max([abs(v) for v in values] + [mp.mpf(1)])
+    return 2 * quad_err + mp.mpf(2) ** (-(prec - 20)) * mag
+
+
 def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
                         m: int, prec: int = DEFAULT_PREC) -> IdentityReport:
     """Evaluate both sides of the key identity for arbitrary zero-sum weights.
@@ -90,18 +109,14 @@ def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
             raise WeightContractError("weights must sum to zero")
         lhs = mp.fsum(mk * mp.mpf(probe.value(x))
                       for mk, x in zip(mu_m, config.nodes))
-        boundary = []
-        for sign in (1, -1):
-            for k in range(1, m + 1):
-                term = mp.mpf(probe.deriv(sign * a, 2 * k - 1)) \
-                    * psi(config, k, sign * a, prec=prec, weights=mu_m)
-                boundary.append(sign * term)
+        boundary = _boundary_terms(
+            probe, a, m,
+            lambda k, sign: psi(config, k, sign * a, prec=prec, weights=mu_m))
         integral, quad_err = _integral_term(
             config, probe, m, lambda: compile_psi(config, m, mu_m, prec=prec), prec)
         rhs = mp.fsum(boundary) - integral
         residual = abs(lhs - rhs)
-        mag = max([abs(b) for b in boundary] + [abs(lhs), abs(integral), mp.mpf(1)])
-        budget = 2 * quad_err + mp.mpf(2) ** (-(prec - 20)) * mag
+        budget = _residual_budget(quad_err, boundary + [lhs, integral], prec)
         return IdentityReport(lhs=lhs, boundary_terms=boundary, integral_term=integral,
                               residual=residual, quadrature_error_estimate=quad_err,
                               residual_budget=budget, passed=bool(residual <= budget))
@@ -139,17 +154,13 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
             if abs(mp.mpf(probe.value(xk))) > tol * dscale:
                 raise NodeNotZeroError(f"node x={xk} is not a zero of f")
         mu = coefficients(config, prec=prec).mu if config.is_strict() else None
-        boundary = []
-        for sign in (1, -1):
-            for k in range(1, m + 1):
-                term = mp.mpf(probe.deriv(sign * a, 2 * k - 1)) \
-                    * psi_star_boundary(config, k, sign, prec=prec, weights=mu)
-                boundary.append(sign * term)
+        boundary = _boundary_terms(
+            probe, a, m,
+            lambda k, sign: psi_star_boundary(config, k, sign, prec=prec, weights=mu))
         integral, quad_err = _integral_term(
             config, probe, m, lambda: _interior_kernel(config, m, prec, mu), prec)
         value = mp.fsum(boundary) - integral
-        mag = max([abs(b) for b in boundary] + [abs(integral), mp.mpf(1)])
-        budget = 2 * quad_err + mp.mpf(2) ** (-(prec - 20)) * mag
+        budget = _residual_budget(quad_err, boundary + [integral], prec)
         error = abs(value - mp.mpf(probe.value(0)))
         return ReconstructionResult(
             m=m, value=value, boundary_terms=boundary, integral_term=integral,
@@ -161,34 +172,12 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
 def _interior_kernel(config: NodeConfig, l: int, prec: int,
                      mu: Optional[Sequence] = None) -> Callable:
     """x -> Psi*_{2l-1}(x): the compiled kernel over the weights mu for
-    strict configurations, Chebyshev series with precomputed moments for
-    weakly ordered ones (l >= n+1)."""
+    strict configurations, the Chebyshev series for weakly ordered ones
+    (l >= n+1)."""
     if config.is_strict():
         return compile_psi(config, l, mu, prec=prec)
-    n = config.n
-    with working_precision(prec):
-        a = mp.mpf(config.a)
-        t = config.sine_nodes(prec=mp.prec)
-        prod = mp.mpf(1)
-        for j, tj in enumerate(t):
-            if j != n:
-                prod *= -tj
-        alpha0 = 1 / prod
-        pref = (-1) ** (l + 1) * 2 * (2 * a) ** (2 * l - 1) / (alpha0 * mp.pi ** (2 * l))
-        # choose J so the j^(-2l) decay pushes the tail below working accuracy
-        J = max(40, int(2 * prec / (2 * l - 1)))
-        moments = [(j, chebyshev_moment(config, j, prec=prec))
-                   for j in range(2 * n, 2 * n + J + 1)]
-
-    def kern(x):
-        with working_precision(prec):
-            xm = mp.mpf(x)
-            phase = mp.pi * (mp.mpf(0.5) + xm / (2 * a))
-            total = mp.fsum(s * mp.cos(j * phase) / mp.mpf(j) ** (2 * l)
-                            for j, s in moments)
-            return pref * total
-
-    return kern
+    # choose J so the j^(-2l) decay pushes the tail below working accuracy
+    return chebyshev_psi(config, l, max(40, int(2 * prec / (2 * l - 1))), prec=prec)
 
 
 def piecewise_weight_integral(config: NodeConfig, mu: Sequence, probe: FunctionProbe,

@@ -22,11 +22,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .divided_diff import NodeMultiset, divided_difference_data
+from .divided_diff import NodeMultiset, divided_difference_data, node_product
 from .polynomials import (bernoulli_poly, bernoulli_poly_mpf, chebyshev,
-                          chebyshev_derivatives)
+                          chebyshev_deriv_at_one, chebyshev_derivatives)
 from .precision import DEFAULT_PREC, GUARD_BITS, to_mpf, working_precision
 from .sequences import TAIL_WEIGHT_MIN_N, tail_weight_constant
+
+MIN_NODE_GAP = 0.05
 
 
 class DuplicateNodeError(ValueError):
@@ -105,14 +107,7 @@ def coefficients(config: NodeConfig, prec: int = DEFAULT_PREC) -> KernelCoeffici
         raise DuplicateNodeError("coefficients requires pairwise distinct nodes")
     with working_precision(2 * prec):
         t = config.sine_nodes(prec=mp.prec)
-        N = len(t)
-        alpha = []
-        for k in range(N):
-            prod = mp.mpf(1)
-            for j in range(N):
-                if j != k:
-                    prod *= t[k] - t[j]
-            alpha.append(1 / prod)
+        alpha = [1 / node_product(t, k) for k in range(len(t))]
         a0 = alpha[config.n]
         mu = [v / a0 for v in alpha]
     with working_precision(prec):
@@ -322,22 +317,10 @@ def psi_star_boundary(config: NodeConfig, l: int, sign: int,
     with working_precision(2 * prec):
         t = config.sine_nodes(prec=mp.prec)
         h = _boundary_transfer(l, config.a, sign, mp.prec)
-        cache = {}
-
-        def data(y, i):
-            key = (y, i)
-            if key not in cache:
-                cache[key] = _smooth_derivative(h, y, i, prec)
-            return cache[key]
-
-        nm = NodeMultiset(list(t))
-        dd = divided_difference_data(nm, data, prec=mp.prec)
-        # alpha_0 = 1/prod_{j != 0}(t_0 - t_j) with t_0 = 0
-        prod = mp.mpf(1)
-        for j, tj in enumerate(t):
-            if j != config.n:
-                prod *= -tj
-        value = dd * prod
+        dd = divided_difference_data(NodeMultiset(list(t)),
+                                     lambda y, i: _smooth_derivative(h, y, i, prec),
+                                     prec=mp.prec)
+        value = dd * node_product(t, config.n)  # dd / alpha_0
     with working_precision(prec):
         return +value
 
@@ -361,63 +344,81 @@ def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC,
             return (-1) ** j * total
         nm = NodeMultiset(list(t))
         need = nm.max_multiplicity() - 1
-        cache = {}
 
         def data(y, i):
-            key = (y, i)
-            if key not in cache:
-                cache[key] = chebyshev_derivatives(j, y, need, prec=mp.prec)[i] \
-                    if i > 0 else chebyshev(j, y, prec=mp.prec)
-            return cache[key]
+            return chebyshev_derivatives(j, y, need, prec=mp.prec)[i] \
+                if i > 0 else chebyshev(j, y, prec=mp.prec)
 
         dd = divided_difference_data(nm, data, prec=mp.prec)
         return (-1) ** j * dd
+
+
+@dataclass
+class ChebyshevPsi:
+    """The order-(2l-1) kernel as its Chebyshev series through j = 2n+J:
+    pref * sum_j S_j cos(j pi (1/2 + x/2a)) / j^(2l) over the moments
+    (j, S_j)."""
+
+    a: mpf
+    l: int
+    pref: mpf
+    moments: List[Tuple[int, mpf]]
+    prec: int
+
+    def __call__(self, x) -> mpf:
+        with working_precision(self.prec):
+            xm = mp.mpf(x)
+            total = mp.mpf(0)
+            for j, s_j in self.moments:
+                total += s_j * mp.cos(j * mp.pi * (mp.mpf(0.5) + xm / (2 * self.a))) \
+                    / mp.mpf(j) ** (2 * self.l)
+            return self.pref * total
+
+
+def chebyshev_psi(config: NodeConfig, l: int, J: int,
+                  prec: int = DEFAULT_PREC) -> ChebyshevPsi:
+    """The Chebyshev-series kernel, with alpha_0, the prefactor
+    (-1)^(l+1) 2 (2a)^(2l-1) / (alpha_0 pi^(2l)) and the moments S_j for
+    j = 2n..2n+J computed once.  Valid for l >= n+1, where it is also the
+    continuous extension of the kernel to weakly ordered configurations for
+    interior x."""
+    n = config.n
+    if l < n + 1:
+        raise ValueError("series representation requires l >= n+1")
+    if J < 0:
+        raise ValueError("J must be >= 0")
+    coeffs = coefficients(config, prec=prec) if config.is_strict() else None
+    with working_precision(prec):
+        a = mp.mpf(config.a)
+        if coeffs is not None:
+            alpha0 = coeffs.alpha[n]
+        else:
+            alpha0 = 1 / node_product(config.sine_nodes(prec=mp.prec), n)
+        pref = (-1) ** (l + 1) * 2 * (2 * a) ** (2 * l - 1) / (alpha0 * mp.pi ** (2 * l))
+        moments = [(j, chebyshev_moment(config, j, prec=mp.prec, coeffs=coeffs))
+                   for j in range(2 * n, 2 * n + J + 1)]
+    return ChebyshevPsi(a=a, l=l, pref=pref, moments=moments, prec=prec)
 
 
 def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
                          prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
     """Chebyshev-series evaluation of the kernel with analytic tail bound.
 
-    Valid in the convergence regime l >= n+1; this is also the continuous
-    extension of the kernel to weakly ordered configurations for interior x.
-    Returns (partial sum through j = 2n+J, tail bound).
+    Returns (chebyshev_psi(config, l, J)(x), bound on the terms j > 2n+J).
     """
+    kern = chebyshev_psi(config, l, J, prec=prec)
     n = config.n
-    if l < n + 1:
-        raise ValueError("series representation requires l >= n+1")
-    if J < 0:
-        raise ValueError("J must be >= 0")
-    strict = config.is_strict()
-    coeffs = coefficients(config, prec=prec) if strict else None
     with working_precision(prec):
-        a = mp.mpf(config.a)
-        xm = mp.mpf(x)
-        if strict:
-            alpha0 = coeffs.alpha[n]
-        else:
-            t = config.sine_nodes(prec=mp.prec)
-            prod = mp.mpf(1)
-            for j, tj in enumerate(t):
-                if j != n:
-                    prod *= -tj
-            alpha0 = 1 / prod
-        pref = (-1) ** (l + 1) * 2 * (2 * a) ** (2 * l - 1) / (alpha0 * mp.pi ** (2 * l))
-        total = mp.mpf(0)
-        last_moment_bound = mp.mpf(0)
-        for j in range(2 * n, 2 * n + J + 1):
-            s_j = chebyshev_moment(config, j, prec=mp.prec, coeffs=coeffs)
-            total += s_j * mp.cos(j * mp.pi * (mp.mpf(0.5) + xm / (2 * a))) \
-                / mp.mpf(j) ** (2 * l)
-        value = pref * total
+        value = kern(x)
         M = 2 * n + J
-        if strict:
+        if config.is_strict():
             # |S_j| <= max|alpha_k| (2n+1); sum_{j>M} j^(-2l) <= M^(1-2l)/(2l-1)
-            s_bound = max(abs(mp.mpf(v)) for v in coeffs.alpha) * (2 * n + 1)
-            tail = abs(pref) * s_bound * mp.mpf(M) ** (1 - 2 * l) / (2 * l - 1)
+            alpha = coefficients(config, prec=prec).alpha
+            s_bound = max(abs(mp.mpf(v)) for v in alpha) * (2 * n + 1)
+            tail = abs(kern.pref) * s_bound * mp.mpf(M) ** (1 - 2 * l) / (2 * l - 1)
         else:
             # |S_j| <= T_j^(2n)(1)/(2n)! = O(j^(4n)); bound the tail term by
             # term over a window then extend geometrically by the last ratio.
-            from .polynomials import chebyshev_deriv_at_one
             tail = mp.mpf(0)
             prev = None
             ratio = mp.mpf(1)
@@ -430,8 +431,21 @@ def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
                 prev = term
             if 0 < ratio < 1:
                 tail += prev * ratio / (1 - ratio)
-            tail *= abs(pref)
+            tail *= abs(kern.pref)
         return value, tail
+
+
+def divided_bound_direct(config: NodeConfig, c, prec: int = DEFAULT_PREC) -> mpf:
+    """The cosine divided difference (-1/sin(ca)) sum_k alpha_k cos(c x_k)
+    over all 2n+1 nodes, with alpha from the kernel coefficient products."""
+    with working_precision(prec):
+        a = mp.mpf(config.a)
+        cm = mp.mpf(c)
+        coeffs = coefficients(config, prec=prec)
+        total = mp.mpf(0)
+        for i, al in enumerate(coeffs.alpha):
+            total += mp.mpf(al) * mp.cos(cm * mp.mpf(config.nodes[i]))
+        return -total / mp.sin(cm * a)
 
 
 def boundary_sum_bound(config: NodeConfig, c, m: int,
@@ -439,7 +453,7 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
     """Both sides of the boundary-sum inequality.
 
     lhs = sum_{k=1..m} (-1)^(n+k+1) [Psi*_{2k-1}(a) + Psi*_{2k-1}(-a)] c^(2k-1);
-    rhs = ((-1)^n prod_{j!=0} sin(pi x_j/2a)) * (-1/sin(ca)) sum_k alpha_k cos(c x_k).
+    rhs = ((-1)^n prod_{j!=0} sin(pi x_j/2a)) * divided_bound_direct(config, c).
     Contract: lhs <= rhs for 0 < c a < n pi with c a off the multiples of pi.
     """
     if not config.is_strict():
@@ -456,21 +470,15 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
             if abs(ca - j * mp.pi) < tol:
                 raise SingularParameterError(
                     f"c*a within tolerance of {j}*pi (removable singularity; refused)")
-        coeffs = coefficients(config, prec=prec)
+        mu = coefficients(config, prec=prec).mu
         lhs = mp.mpf(0)
         for k in range(1, m + 1):
-            s = psi_star_boundary(config, k, 1, prec=prec, weights=coeffs.mu) \
-                + psi_star_boundary(config, k, -1, prec=prec, weights=coeffs.mu)
+            s = psi_star_boundary(config, k, 1, prec=prec, weights=mu) \
+                + psi_star_boundary(config, k, -1, prec=prec, weights=mu)
             lhs += (-1) ** (n + k + 1) * s * cm ** (2 * k - 1)
-        prod = mp.mpf(1)
-        for i, xj in enumerate(config.nodes):
-            if i != n:
-                prod *= mp.sin(mp.pi * mp.mpf(xj) / (2 * a))
-        dd_cos = mp.mpf(0)
-        for i, al in enumerate(coeffs.alpha):
-            xk = mp.mpf(config.nodes[i])
-            dd_cos += mp.mpf(al) * mp.cos(cm * xk)
-        rhs = ((-1) ** n * prod) * (-dd_cos / mp.sin(ca))
+        # the sine product: prod_{j != 0}(t_0 - t_j) has 2n factors
+        sines = node_product(config.sine_nodes(prec=prec), n)
+        rhs = (-1) ** n * sines * divided_bound_direct(config, c, prec=prec)
         return lhs, rhs
 
 
@@ -488,21 +496,20 @@ def psi_sup_bound(n: int, m: int, a, alpha0, prec: int = DEFAULT_PREC) -> mpf:
             * (am / (n * mp.pi)) ** (2 * m) * cstar
 
 
-def random_config(rng, n: int, a=None, min_gap: float = 0.05,
-                  prec: int = DEFAULT_PREC) -> NodeConfig:
+def random_config(rng, n: int, a=None, prec: int = DEFAULT_PREC) -> NodeConfig:
     """Seeded random strict configuration with 2n+1 nodes in (-a, a).
 
-    rng is a random.Random; node fractions keep a relative gap of min_gap so
-    the weight products stay well conditioned.
+    rng is a random.Random; node fractions keep a relative gap of
+    MIN_NODE_GAP so the weight products stay well conditioned.
     """
     with working_precision(prec):
         am = mp.mpf(a) if a is not None else mp.mpf(2 + 4 * rng.random())
-        pos = sorted(rng.uniform(min_gap, 0.95) for _ in range(n))
-        neg = sorted(rng.uniform(min_gap, 0.95) for _ in range(n))
+        pos = sorted(rng.uniform(MIN_NODE_GAP, 0.95) for _ in range(n))
+        neg = sorted(rng.uniform(MIN_NODE_GAP, 0.95) for _ in range(n))
         for side in (pos, neg):
             for i in range(1, n):
-                if side[i] - side[i - 1] < min_gap:
-                    side[i] = side[i - 1] + min_gap
+                if side[i] - side[i - 1] < MIN_NODE_GAP:
+                    side[i] = side[i - 1] + MIN_NODE_GAP
             if side[-1] > 0.97:
                 scale = 0.97 / side[-1]
                 side[:] = [v * scale for v in side]

@@ -29,6 +29,7 @@ class PolynomialProbe(FunctionProbe):
             self.coeffs = [c if isinstance(c, Fraction) else mp.mpf(c)
                            for c in coeffs]
         self.prec = prec
+        self._horner_coeffs: dict = {}  # k -> mpf coefficients of f^(k)
         super().__init__(deriv=self._deriv, max_order=LARGE_ORDER)
 
     @property
@@ -48,11 +49,15 @@ class PolynomialProbe(FunctionProbe):
         with working_precision(self.prec):
             if k > self.degree:
                 return mp.mpf(0)
+            cs = self._horner_coeffs.get(k)
+            if cs is None:
+                cs = self._horner_coeffs[k] = [
+                    mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction)
+                    else c for c in self.derivative_coeffs(k)]
+            xm = mp.mpf(x)
             acc = mp.mpf(0)
-            for c in reversed(self.derivative_coeffs(k)):
-                if isinstance(c, Fraction):
-                    c = mp.mpf(c.numerator) / c.denominator
-                acc = acc * mp.mpf(x) + c
+            for c in reversed(cs):
+                acc = acc * xm + c
             return acc
 
 
@@ -64,14 +69,14 @@ def monomial_probe(k: int, prec: int = DEFAULT_PREC) -> PolynomialProbe:
     return PolynomialProbe([0] * k + [1], prec=prec)
 
 
-def cosine_probe(b, amplitude=1, prec: int = DEFAULT_PREC) -> FunctionProbe:
-    """f(x) = amplitude * cos(b x)."""
+def cosine_probe(b, prec: int = DEFAULT_PREC) -> FunctionProbe:
+    """f(x) = cos(b x)."""
 
     def deriv(x, k):
         with working_precision(prec):
             bm = mp.mpf(b)
             phase = mp.mpf(k) * mp.pi / 2
-            return mp.mpf(amplitude) * bm ** k * mp.cos(bm * mp.mpf(x) + phase)
+            return bm ** k * mp.cos(bm * mp.mpf(x) + phase)
 
     return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
 

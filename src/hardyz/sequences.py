@@ -248,18 +248,18 @@ def tail_weight_sum(n: int, L: int, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]
         return total, tail
 
 
-_tail_constant_cache: Dict[Tuple[int, int], mpf] = {}
+_tail_constant_cache: Dict[int, mpf] = {}
 
 
-def tail_weight_constant(L_max: int = TAIL_WEIGHT_DEFAULT_LMAX,
-                         prec: int = DEFAULT_PREC) -> mpf:
+def tail_weight_constant(prec: int = DEFAULT_PREC) -> mpf:
     """Computed stand-in C* for the uniform tail-sum constant.
 
-    C* = tail_weight_sum(10, L_max) partial sum plus its tail estimate; every
-    kernel sup bound in this package uses this concrete number.
+    C* = tail_weight_sum(10, TAIL_WEIGHT_DEFAULT_LMAX) partial sum plus its
+    tail estimate; every kernel sup bound in this package uses this concrete
+    number.
     """
-    key = (L_max, prec)
-    if key not in _tail_constant_cache:
-        partial, tail = tail_weight_sum(TAIL_WEIGHT_MIN_N, L_max, prec=prec)
-        _tail_constant_cache[key] = partial + tail
-    return _tail_constant_cache[key]
+    if prec not in _tail_constant_cache:
+        partial, tail = tail_weight_sum(TAIL_WEIGHT_MIN_N, TAIL_WEIGHT_DEFAULT_LMAX,
+                                        prec=prec)
+        _tail_constant_cache[prec] = partial + tail
+    return _tail_constant_cache[prec]

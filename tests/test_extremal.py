@@ -3,6 +3,7 @@
 import pytest
 from mpmath import mp
 
+from hardyz import extremal
 from hardyz.extremal import (ExtremalParams, divided_bound, divided_bound_direct,
                              equal_angle_nodes, equal_angle_weights, extremal_config,
                              find_c_eps, g_and_h, hyp_coefficients,
@@ -142,3 +143,14 @@ def test_certificate_report_fields():
     assert rep.boundary_ok
     data = rep.to_json()
     assert '"total_below_one": true' in data
+
+
+def test_find_c_eps_cache_keys_on_the_working_precision_value():
+    prec = 128
+    with mp.workprec(prec):
+        eps = mp.mpf("0.3")  # differs from the double 0.3 beyond 15 digits
+    extremal._c_eps_cache.clear()
+    fresh = find_c_eps(eps, prec=prec)
+    extremal._c_eps_cache.clear()
+    find_c_eps(mp.mpf(0.3), prec=prec)
+    assert find_c_eps(eps, prec=prec) == fresh

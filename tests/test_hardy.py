@@ -54,15 +54,15 @@ def test_z_matches_zeta_modulus():
 
 def test_derivative_dual_path():
     for t, k in ((100, 3), (50, 5), (20, 2)):
-        a = z_derivative(t, k, prec=PREC, fast=True)
+        a = z_derivative(t, k, prec=PREC)
         b = z_derivative_fd(t, k, prec=PREC)
         assert abs(a - b) < mp.mpf(10) ** -20 * max(1, abs(a))
 
 
 def test_batch_matches_single():
-    vals = z_derivatives_batch(60, [1, 4], prec=PREC, fast=True)
+    vals = z_derivatives_batch(60, [1, 4], prec=PREC)
     for k in (1, 4):
-        single = z_derivative(60, k, prec=PREC, fast=True)
+        single = z_derivative(60, k, prec=PREC)
         assert abs(vals[k] - single) < mp.mpf(10) ** -25 * max(1, abs(single))
 
 
@@ -107,7 +107,7 @@ def test_spacing_report_shape():
 
 
 def test_explore_report_shape():
-    rep = theorem1_explore(100, 0.3, m_cap=2, prec=64, fast=True)
+    rep = theorem1_explore(100, 0.3, m_cap=2, prec=64)
     assert rep.m_used <= 2
     ks = [r.k for r in rep.rows]
     assert ks == sorted(set(ks))
@@ -126,3 +126,10 @@ def test_guards():
         spacing_check(250, 20, prec=PREC)
     with pytest.raises(ValueError):
         theorem1_explore(10, 0.3, prec=PREC)
+
+
+def test_single_derivative_is_the_batch_entry():
+    assert z_derivative(40, 0, prec=PREC) == z_eval(40, prec=PREC).z
+    for k in (1, 4):
+        single = z_derivative(40, k, prec=PREC)
+        assert single._mpf_ == z_derivatives_batch(40, [k], prec=PREC)[k]._mpf_

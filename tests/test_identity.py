@@ -10,7 +10,8 @@ from hardyz import identity
 from hardyz.identity import (NodeNotZeroError, WeightContractError,
                              piecewise_weight_integral, reconstruct_f0,
                              verify_key_identity)
-from hardyz.kernel import NodeConfig, coefficients, kernel_knots, psi, random_config
+from hardyz.kernel import (NodeConfig, coefficients, kernel_knots, psi,
+                           psi_chebyshev_series, random_config)
 from hardyz.precision import working_precision
 from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
@@ -201,3 +202,30 @@ def test_reconstruction_with_closed_form_integral():
                          prec=PREC)
     assert res.integral_term != 0 and res.quadrature_error_estimate == 0
     assert abs(res.value - 1) < mp.mpf(2) ** -120
+
+
+def test_weak_interior_kernel_is_the_chebyshev_series():
+    cfg = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
+    l = cfg.n + 1
+    J = max(40, int(2 * PREC / (2 * l - 1)))
+    kern = identity._interior_kernel(cfg, l, PREC)
+    for x in ("-3.1", "0.4", "1.7", "3.9"):
+        series, _ = psi_chebyshev_series(cfg, l, mp.mpf(x), J, prec=PREC)
+        assert kern(mp.mpf(x))._mpf_ == series._mpf_
+
+
+def test_polynomial_probe_cached_derivatives_are_bit_identical():
+    coeffs = [Fraction(3, 7), mp.mpf("0.1"), -2, Fraction(-5, 3), 0.25, 1]
+    probe = polynomial_probe(coeffs, prec=PREC)
+    x = mp.mpf("0.37")
+    for k in range(probe.degree + 2):
+        # the uncached route: fresh derivative coefficients, converted per call
+        with working_precision(PREC):
+            expected = mp.mpf(0)
+            for c in reversed(probe.derivative_coeffs(k)):
+                if isinstance(c, Fraction):
+                    c = mp.mpf(c.numerator) / c.denominator
+                expected = expected * x + c
+        first, cached = probe.deriv(x, k), probe.deriv(x, k)
+        assert first._mpf_ == expected._mpf_
+        assert cached._mpf_ == expected._mpf_

@@ -5,10 +5,12 @@ import random
 import pytest
 from mpmath import mp
 
+from hardyz.extremal import equal_angle_nodes, equal_angle_weights, sine_product
 from hardyz.kernel import (DuplicateNodeError, NodeConfig, SingularParameterError,
                            boundary_sum_bound, chebyshev_moment, coefficients,
-                           compile_psi, kernel_knots, psi, psi_chebyshev_series,
-                           psi_star_boundary, psi_sup_bound, random_config)
+                           compile_psi, divided_bound_direct, kernel_knots, psi,
+                           psi_chebyshev_series, psi_star_boundary, psi_sup_bound,
+                           random_config)
 from hardyz.precision import working_precision
 
 PREC = 192
@@ -205,3 +207,46 @@ def test_boundary_weights_pass_through_bit_identical():
     weak = NodeConfig(n=2, a=3, nodes=[-2, -1, 0, 1.2, 1.2], strict=False)
     with pytest.raises(DuplicateNodeError):
         psi_star_boundary(weak, 3, 1, prec=PREC, weights=[1, 1, 1, 1, 1])
+
+
+def _explicit_weights(t):
+    """1/prod_{j!=k}(t_k - t_j), written out at the ambient precision."""
+    out = []
+    for k, tk in enumerate(t):
+        prod = mp.mpf(1)
+        for j, tj in enumerate(t):
+            if j != k:
+                prod *= tk - tj
+        out.append(1 / prod)
+    return out
+
+
+def test_coefficients_equal_an_explicit_product_loop():
+    cfg = random_config(random.Random(41), 3, prec=PREC)
+    with working_precision(2 * PREC):
+        alpha = _explicit_weights(cfg.sine_nodes(prec=mp.prec))
+        mu = [v / alpha[cfg.n] for v in alpha]
+    with working_precision(PREC):
+        alpha, mu = [+v for v in alpha], [+v for v in mu]
+    co = coefficients(cfg, prec=PREC)
+    assert [v._mpf_ for v in co.alpha] == [v._mpf_ for v in alpha]
+    assert [v._mpf_ for v in co.mu] == [v._mpf_ for v in mu]
+
+
+def test_equal_angle_weights_equal_an_explicit_product_loop():
+    for n in (2, 5):
+        t = equal_angle_nodes(n, prec=PREC)
+        with working_precision(PREC):
+            expected = _explicit_weights(t)
+        got = equal_angle_weights(n, prec=PREC)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in expected]
+
+
+def test_boundary_sum_rhs_is_sine_product_times_divided_difference():
+    cfg = random_config(random.Random(31), 2, prec=PREC)
+    with working_precision(PREC):
+        c = mp.mpf("0.6") * cfg.n * mp.pi / mp.mpf(cfg.a)
+        _, rhs = boundary_sum_bound(cfg, c, 3, prec=PREC)
+        expected = sine_product(cfg, prec=PREC) \
+            * divided_bound_direct(cfg, c, prec=PREC)
+    assert rhs._mpf_ == expected._mpf_
