@@ -3,9 +3,11 @@
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  The primary
 evaluation path (z_eval) applies Euler-Maclaurin summation to zeta with an
 explicit truncation bound; a Riemann-Siegel fast path backs interval scans
-and is checked against it.  Derivatives come from Cauchy circle integration
-of the analytic continuation of Z, sampled with the library zeta, and are
-cross-checked by Richardson finite differences.
+and is checked against it: each sign change the scan brackets is refined by
+Illinois regula falsi to a 2^-48 bracket, which Euler-Maclaurin then
+certifies.  Derivatives come from Cauchy circle integration of the analytic
+continuation of Z, sampled with the library zeta, and are cross-checked by
+Richardson finite differences.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .polynomials import bernoulli_numbers
 from .precision import DEFAULT_PREC, Report, digits_for, working_precision
 
 MAX_DERIVATIVE_ORDER = 64
-BISECTION_HALF_WIDTH_BITS = 48
+ZERO_HALF_WIDTH_BITS = 48
 THETA_ASYMPTOTIC_MIN_T = 10
 THETA_ASYMPTOTIC_TERMS = 5
 MAX_RESCANS = 4
@@ -332,19 +334,43 @@ def _scan_step(t, prec: int) -> mpf:
     return mp.pi / (4 * tp)
 
 
-def _bisect_zero(f: Callable, lo, hi, prec: int) -> Tuple[mpf, mpf]:
-    target = mp.mpf(2) ** (-BISECTION_HALF_WIDTH_BITS)
-    flo = f(lo)
+def _refine_zero(f: Callable, lo, hi, flo, fhi, prec: int) -> Tuple[mpf, mpf]:
+    """(midpoint, half-width) of a sign-change bracket of f inside [lo, hi]
+    with half-width <= 2^-ZERO_HALF_WIDTH_BITS, or (x, 0) at an exact zero.
+
+    flo = f(lo) and fhi = f(hi) have opposite signs.  Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971): each step evaluates the secant point,
+    held at least the target width inside each end so that a step landing
+    next to the zero lets the next one close the bracket from the far side.
+    When the same end moves twice in a row, the value stored at the end that
+    stayed is halved.  When the last three steps have not shrunk the bracket
+    to a quarter, a bisection step is taken instead, which keeps a flat or
+    steep f within about twice the evaluations of plain bisection.
+    """
     with working_precision(prec):
+        target = mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS)
+        moved = None                # which end the last step replaced
+        widths = [mp.inf] * 3       # bracket widths before the last three steps
         while (hi - lo) / 2 > target:
-            mid = (lo + hi) / 2
-            fm = f(mid)
-            if fm == 0:
-                return mid, mp.mpf(0)
-            if (flo > 0) != (fm > 0):
-                hi = mid
+            if hi - lo > widths[0] / 4:
+                x = (lo + hi) / 2
             else:
-                lo, flo = mid, fm
+                x = lo - flo * (hi - lo) / (fhi - flo)
+                x = min(max(x, lo + target), hi - target)
+            widths = widths[1:] + [hi - lo]
+            fx = f(x)
+            if fx == 0:
+                return x, mp.mpf(0)
+            if (fx > 0) == (flo > 0):
+                lo, flo = x, fx
+                if moved == "lo":
+                    fhi /= 2
+                moved = "lo"
+            else:
+                hi, fhi = x, fx
+                if moved == "hi":
+                    flo /= 2
+                moved = "hi"
         return (lo + hi) / 2, (hi - lo) / 2
 
 
@@ -356,14 +382,25 @@ def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
         return (theta(t_hi, prec=prec) - theta(lo, prec=prec)) / mp.pi
 
 
+def _certified_sign_change(t, w, prec: int) -> bool:
+    """Euler-Maclaurin Z has opposite signs at t - w and t + w, and each
+    value exceeds its own error estimate."""
+    za = z_eval(t - w, prec=prec)
+    zb = z_eval(t + w, prec=prec)
+    return ((za.z > 0) != (zb.z > 0) and abs(za.z) > za.error_estimate
+            and abs(zb.z) > zb.error_estimate)
+
+
 def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
-    """All sign-change zeros of Z in (t_lo, t_hi], bisected to 2^-48.
+    """All sign-change zeros of Z in (t_lo, t_hi], each the midpoint of a
+    sign-change bracket of half-width <= 2^-48 refined by Illinois regula
+    falsi.
 
     Scans with the Riemann-Siegel fast path at step pi/(4 theta'); the count
     is cross-checked against the smooth theta-based estimate and the scan is
     repeated at half step (up to MAX_RESCANS times) when a missed close pair
     is suspected.  Each final bracket is certified by an Euler-Maclaurin
-    sign check.
+    sign check whose values exceed their error estimates.
     """
     with working_precision(prec):
         lo = mp.mpf(t_lo)
@@ -382,7 +419,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
                 v = min(u + _scan_step(u, prec) * step_scale, hi)
                 fv = f(v)
                 if fu is not None and fu != 0 and (fu > 0) != (fv > 0):
-                    brackets.append((u, v, fu))
+                    brackets.append((u, v, fu, fv))
                 u, fu = v, fv
             # the smooth estimate can be off by the fluctuation term, so only
             # a deficit of 2 or more triggers a rescan
@@ -391,21 +428,16 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             rescans += 1
             step_scale /= 2
         zeros = []
-        for (a, b, fa) in brackets:
-            g, hw = _bisect_zero(f, a, b, prec)
+        for (a, b, fa, fb) in brackets:
+            g, hw = _refine_zero(f, a, b, fa, fb, prec)
             zeros.append(Zero(gamma=g, half_width=hw))
         for z in zeros:
-            w = max(z.half_width * 4, mp.mpf(2) ** (-BISECTION_HALF_WIDTH_BITS + 2))
-            za = z_eval(z.gamma - w, prec=prec)
-            zb = z_eval(z.gamma + w, prec=prec)
-            if (za.z > 0) == (zb.z > 0):
-                # widen once; a still-matching sign means the bracket failed
-                w *= 256
-                za = z_eval(z.gamma - w, prec=prec)
-                zb = z_eval(z.gamma + w, prec=prec)
-                if (za.z > 0) == (zb.z > 0):
-                    raise PrecisionEscalationError(
-                        f"could not certify sign change at t = {mp.nstr(z.gamma, 20)}")
+            w = max(z.half_width * 4, mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS + 2))
+            # widen once; a second failure means the bracket is not certified
+            if not (_certified_sign_change(z.gamma, w, prec)
+                    or _certified_sign_change(z.gamma, w * 256, prec)):
+                raise PrecisionEscalationError(
+                    f"could not certify sign change at t = {mp.nstr(z.gamma, 20)}")
         return ZeroList(t_lo=lo, t_hi=hi, zeros=zeros, rescans=rescans,
                         suspected_missing=bool(expected - len(zeros) >= 2))
 

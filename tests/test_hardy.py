@@ -3,13 +3,17 @@
 Kept at 128 bits so the whole file stays inside a desk-scale budget.
 """
 
+import dataclasses
+
 import pytest
 from mpmath import mp
 
-from hardyz.hardy import (CapacityError, RejectedPointError, count_stats,
-                          expected_zero_count, find_zeros, n_main,
-                          spacing_check, theorem1_explore, theta,
-                          theta_asymptotic, theta_prime, z_derivative,
+from hardyz import hardy
+from hardyz.hardy import (ZERO_HALF_WIDTH_BITS, CapacityError,
+                          PrecisionEscalationError, RejectedPointError,
+                          _refine_zero, count_stats, expected_zero_count,
+                          find_zeros, n_main, spacing_check, theorem1_explore,
+                          theta, theta_asymptotic, theta_prime, z_derivative,
                           z_derivative_fd, z_derivatives_batch, z_eval)
 from hardyz.precision import working_precision
 
@@ -78,6 +82,84 @@ def test_first_zero_and_count_to_100():
         assert abs(zl.gammas()[0] - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -6
     exp = expected_zero_count(0, 100, prec=PREC)
     assert abs(exp - 29) < 2
+
+
+def test_zeros_to_100_match_zetazero_inside_sign_change_brackets():
+    zl = find_zeros(0, 100, prec=PREC)
+    assert len(zl) == 29
+    with working_precision(PREC):
+        for k, z in enumerate(zl.zeros, start=1):
+            assert 0 < z.half_width <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
+            assert abs(z.gamma - mp.zetazero(k).imag) < mp.mpf(10) ** -12
+            assert (mp.siegelz(z.gamma - z.half_width) > 0) \
+                != (mp.siegelz(z.gamma + z.half_width) > 0)
+
+
+def test_zeros_to_100_siegelz_budget(monkeypatch):
+    calls = []
+    siegelz = mp.siegelz
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return siegelz(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "siegelz", counted)
+    assert len(find_zeros(0, 100, prec=PREC)) == 29
+    # bisecting every bracket to 2^-48 took 1521 calls
+    assert len(calls) <= 400
+
+
+def _refine_counted(f, lo, hi):
+    """_refine_zero on [lo, hi] at PREC: (point, half-width, evaluations)."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    with working_precision(PREC):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        x, hw = _refine_zero(counted, lo, hi, f(lo), f(hi), PREC)
+    return x, hw, len(calls)
+
+
+def test_refine_smooth_root_in_few_evaluations():
+    f = lambda x: mp.cos(x) - x
+    x, hw, n = _refine_counted(f, 0, 1)
+    with working_precision(PREC):
+        assert 0 < hw <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
+        assert (f(x - hw) > 0) != (f(x + hw) > 0)
+        assert abs(x - mp.findroot(f, 0.74)) <= hw
+    assert n <= 12
+
+
+def test_refine_returns_an_exact_zero_at_the_secant_point():
+    x, hw, n = _refine_counted(lambda x: x - mp.mpf(0.25), 0, 1)
+    assert (x, hw, n) == (mp.mpf(0.25), 0, 1)
+
+
+@pytest.mark.parametrize("f", [lambda x: (x - mp.mpf(1) / 3) ** 5,
+                               lambda x: mp.tanh(200 * (x - mp.mpf(1) / 3))],
+                         ids=["flat", "steep"])
+def test_refine_flat_or_steep_stays_within_twice_bisection(f):
+    # bisection halves [0, 1] 47 times to reach half-width 2^-48
+    x, hw, n = _refine_counted(f, 0, 1)
+    with working_precision(PREC):
+        assert 0 < hw <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
+        assert abs(x - mp.mpf(1) / 3) <= hw
+    assert n <= 2 * 47
+
+
+def test_sign_change_within_error_estimate_is_not_certified(monkeypatch):
+    z_eval_exact = hardy.z_eval
+
+    def unsure(t, prec=PREC, method="euler_maclaurin"):
+        s = z_eval_exact(t, prec=prec, method=method)
+        return dataclasses.replace(s, error_estimate=2 * abs(s.z))
+
+    monkeypatch.setattr(hardy, "z_eval", unsure)
+    with pytest.raises(PrecisionEscalationError):
+        find_zeros(14, 15, prec=PREC)
 
 
 def test_count_stats_main_term():
