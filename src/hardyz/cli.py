@@ -57,308 +57,305 @@ def _suite_rng(seed: int, suite: str) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each runs inside run_suites' working precision, and
+# its prec is the requested bits for tolerances and library calls
 
 
 def _suite_polynomials(rng: random.Random, prec: int) -> List[Dict]:
     out = []
-    with working_precision(prec):
-        bern = polynomials.bernoulli_numbers(24)
-        known = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6),
-                 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30),
-                 10: Fraction(5, 66), 12: Fraction(-691, 2730)}
-        exact_ok = all(bern[k] == v for k, v in known.items()) \
-            and all(bern[k] == 0 for k in range(3, 24, 2))
-        # defining recurrence (B_1 = -1/2 convention):
-        # sum_{k=0}^{n} binom(n+1,k) B_k = 0 for n >= 1
-        for n in range(1, 24):
-            s = sum(Fraction(comb(n + 1, k)) * bern[k] for k in range(n + 1))
-            exact_ok = exact_ok and s == 0
-        out.append(_check("bernoulli-number-values", exact_ok, 0, prec))
+    bern = polynomials.bernoulli_numbers(24)
+    known = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6),
+             4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30),
+             10: Fraction(5, 66), 12: Fraction(-691, 2730)}
+    exact_ok = all(bern[k] == v for k, v in known.items()) \
+        and all(bern[k] == 0 for k in range(3, 24, 2))
+    # defining recurrence (B_1 = -1/2 convention):
+    # sum_{k=0}^{n} binom(n+1,k) B_k = 0 for n >= 1
+    for n in range(1, 24):
+        s = sum(Fraction(comb(n + 1, k)) * bern[k] for k in range(n + 1))
+        exact_ok = exact_ok and s == 0
+    out.append(_check("bernoulli-number-values", exact_ok, 0, prec))
 
-        worst = mp.mpf(0)
-        for _ in range(10):
-            n = rng.randrange(1, 17)
-            x = mp.mpf(rng.uniform(-2, 2))
-            r = polynomials.bernoulli_poly(n, 1 - x, prec=prec) \
-                - (-1) ** n * polynomials.bernoulli_poly(n, x, prec=prec)
-            worst = max(worst, abs(r))
-        out.append(_check("bernoulli-poly-symmetry", worst < mp.mpf(2) ** (-(prec - 24)),
-                          worst, prec))
+    worst = mp.mpf(0)
+    for _ in range(10):
+        n = rng.randrange(1, 17)
+        x = mp.mpf(rng.uniform(-2, 2))
+        r = polynomials.bernoulli_poly(n, 1 - x, prec=prec) \
+            - (-1) ** n * polynomials.bernoulli_poly(n, x, prec=prec)
+        worst = max(worst, abs(r))
+    out.append(_check("bernoulli-poly-symmetry", worst < mp.mpf(2) ** (-(prec - 24)),
+                      worst, prec))
 
-        worst = mp.mpf(0)
-        for j in range(2, 13):
-            x = mp.mpf(rng.uniform(-0.8, 0.8))
-            ode = polynomials.chebyshev_derivatives(j, x, 4, prec=prec)
+    worst = mp.mpf(0)
+    for j in range(2, 13):
+        x = mp.mpf(rng.uniform(-0.8, 0.8))
+        ode = polynomials.chebyshev_derivatives(j, x, 4, prec=prec)
+        cs = [Fraction(c) for c in polynomials.chebyshev_coeffs(j)]
+        for k in range(5):
+            acc = mp.mpf(0)
+            for c in reversed(cs):
+                acc = acc * x + mp.mpf(c.numerator) / c.denominator
+            worst = max(worst, abs(ode[k] - acc))
+            cs = [i * c for i, c in enumerate(cs)][1:] or [Fraction(0)]
+    out.append(_check("chebyshev-ode-vs-coefficients",
+                      worst < mp.mpf(2) ** (-(prec - 32)), worst, prec))
+
+    exact_ok = True
+    for n in range(1, 4):
+        for j in range(2 * n, 13):
             cs = [Fraction(c) for c in polynomials.chebyshev_coeffs(j)]
-            for k in range(5):
-                acc = mp.mpf(0)
-                for c in reversed(cs):
-                    acc = acc * x + mp.mpf(c.numerator) / c.denominator
-                worst = max(worst, abs(ode[k] - acc))
+            for _ in range(2 * n):
                 cs = [i * c for i, c in enumerate(cs)][1:] or [Fraction(0)]
-        out.append(_check("chebyshev-ode-vs-coefficients",
-                          worst < mp.mpf(2) ** (-(prec - 32)), worst, prec))
+            direct = sum(cs)
+            exact_ok = exact_ok and \
+                direct == polynomials.chebyshev_deriv_at_one(j, n)
+    out.append(_check("chebyshev-high-derivative-at-one", exact_ok, 0, prec))
 
-        exact_ok = True
-        for n in range(1, 4):
-            for j in range(2 * n, 13):
-                cs = [Fraction(c) for c in polynomials.chebyshev_coeffs(j)]
-                for _ in range(2 * n):
-                    cs = [i * c for i, c in enumerate(cs)][1:] or [Fraction(0)]
-                direct = sum(cs)
-                exact_ok = exact_ok and \
-                    direct == polynomials.chebyshev_deriv_at_one(j, n)
-        out.append(_check("chebyshev-high-derivative-at-one", exact_ok, 0, prec))
-
-        worst = mp.mpf(0)
-        ok = True
-        for _ in range(5):
-            l = rng.randrange(1, 5)
-            x = mp.mpf(rng.uniform(0, 1))
-            val, tail = polynomials.bernoulli_fourier_partial(l, x, 400, prec=prec)
-            ref = polynomials.bernoulli_poly(2 * l, x, prec=prec)
-            worst = max(worst, abs(val - ref))
-            ok = ok and abs(val - ref) <= tail
-        out.append(_check("bernoulli-fourier-partial-sum", ok, worst, prec))
+    worst = mp.mpf(0)
+    ok = True
+    for _ in range(5):
+        l = rng.randrange(1, 5)
+        x = mp.mpf(rng.uniform(0, 1))
+        val, tail = polynomials.bernoulli_fourier_partial(l, x, 400, prec=prec)
+        ref = polynomials.bernoulli_poly(2 * l, x, prec=prec)
+        worst = max(worst, abs(val - ref))
+        ok = ok and abs(val - ref) <= tail
+    out.append(_check("bernoulli-fourier-partial-sum", ok, worst, prec))
     return out
 
 
 def _suite_divided_diff(rng: random.Random, prec: int) -> List[Dict]:
     out = []
-    with working_precision(prec):
-        worst = mp.mpf(0)
-        for _ in range(10):
-            N = rng.randrange(2, 8)
-            nodes = sorted(rng.uniform(-3, 3) for _ in range(N + 1))
-            probe = probes.monomial_probe(N, prec=prec)
-            dd = divided_diff.divided_difference(
-                probe, divided_diff.NodeMultiset([mp.mpf(v) for v in nodes]),
-                prec=prec)
-            worst = max(worst, abs(dd - 1))
-        out.append(_check("top-monomial-divided-difference",
-                          worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
+    worst = mp.mpf(0)
+    for _ in range(10):
+        N = rng.randrange(2, 8)
+        nodes = sorted(rng.uniform(-3, 3) for _ in range(N + 1))
+        probe = probes.monomial_probe(N, prec=prec)
+        dd = divided_diff.divided_difference(
+            probe, divided_diff.NodeMultiset([mp.mpf(v) for v in nodes]),
+            prec=prec)
+        worst = max(worst, abs(dd - 1))
+    out.append(_check("top-monomial-divided-difference",
+                      worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
 
-        worst = mp.mpf(0)
-        for _ in range(10):
-            N = rng.randrange(2, 8)
-            nodes = sorted(rng.uniform(-3, 3) for _ in range(N + 1))
-            probe = probes.polynomial_probe(
-                [rng.uniform(-1, 1) for _ in range(N)], prec=prec)
-            dd = divided_diff.divided_difference(
-                probe, divided_diff.NodeMultiset([mp.mpf(v) for v in nodes]),
-                prec=prec)
-            worst = max(worst, abs(dd))
-        out.append(_check("low-degree-annihilation",
-                          worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
+    worst = mp.mpf(0)
+    for _ in range(10):
+        N = rng.randrange(2, 8)
+        nodes = sorted(rng.uniform(-3, 3) for _ in range(N + 1))
+        probe = probes.polynomial_probe(
+            [rng.uniform(-1, 1) for _ in range(N)], prec=prec)
+        dd = divided_diff.divided_difference(
+            probe, divided_diff.NodeMultiset([mp.mpf(v) for v in nodes]),
+            prec=prec)
+        worst = max(worst, abs(dd))
+    out.append(_check("low-degree-annihilation",
+                      worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
 
-        worst = mp.mpf(0)
-        for _ in range(5):
-            b = rng.uniform(0.5, 2)
-            probe = probes.cosine_probe(b, prec=prec)
-            base = sorted(set(round(rng.uniform(-1, 1), 3) for _ in range(3)))
-            nodes = [mp.mpf(v) for v in base] + [mp.mpf(base[0])]
-            confluent = divided_diff.divided_difference(
-                probe, divided_diff.NodeMultiset(nodes), prec=prec)
-            eps = mp.mpf(2) ** (-40)
-            split = [mp.mpf(v) for v in base] + [mp.mpf(base[0]) + eps]
-            near = divided_diff.divided_difference(
-                probe, divided_diff.NodeMultiset(split), prec=prec)
-            worst = max(worst, abs(confluent - near))
-        out.append(_check("confluent-matches-cluster-limit",
-                          worst < mp.mpf(2) ** (-30), worst, prec))
+    worst = mp.mpf(0)
+    for _ in range(5):
+        b = rng.uniform(0.5, 2)
+        probe = probes.cosine_probe(b, prec=prec)
+        base = sorted(set(round(rng.uniform(-1, 1), 3) for _ in range(3)))
+        nodes = [mp.mpf(v) for v in base] + [mp.mpf(base[0])]
+        confluent = divided_diff.divided_difference(
+            probe, divided_diff.NodeMultiset(nodes), prec=prec)
+        eps = mp.mpf(2) ** (-40)
+        split = [mp.mpf(v) for v in base] + [mp.mpf(base[0]) + eps]
+        near = divided_diff.divided_difference(
+            probe, divided_diff.NodeMultiset(split), prec=prec)
+        worst = max(worst, abs(confluent - near))
+    out.append(_check("confluent-matches-cluster-limit",
+                      worst < mp.mpf(2) ** (-30), worst, prec))
 
-        worst = mp.mpf(0)
-        for _ in range(5):
-            N = rng.randrange(2, 6)
-            base = sorted(rng.uniform(-2, 2) for _ in range(N))
-            nodes = [mp.mpf(v) for v in base] + [mp.mpf(base[0])]
-            nm = divided_diff.NodeMultiset(nodes)
-            w = divided_diff.hermite_weights(nm, prec=prec)
-            probe = probes.polynomial_probe(
-                [rng.uniform(-1, 1) for _ in range(N + 2)], prec=prec)
-            via_w = mp.fsum(mp.mpf(wt) * mp.mpf(probe.deriv(z, j))
-                            for (z, j, wt) in w)
-            dd = divided_diff.divided_difference(probe, nm, prec=prec)
-            worst = max(worst, abs(via_w - dd))
-        out.append(_check("hermite-weights-reproduce",
-                          worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
+    worst = mp.mpf(0)
+    for _ in range(5):
+        N = rng.randrange(2, 6)
+        base = sorted(rng.uniform(-2, 2) for _ in range(N))
+        nodes = [mp.mpf(v) for v in base] + [mp.mpf(base[0])]
+        nm = divided_diff.NodeMultiset(nodes)
+        w = divided_diff.hermite_weights(nm, prec=prec)
+        probe = probes.polynomial_probe(
+            [rng.uniform(-1, 1) for _ in range(N + 2)], prec=prec)
+        via_w = mp.fsum(mp.mpf(wt) * mp.mpf(probe.deriv(z, j))
+                        for (z, j, wt) in w)
+        dd = divided_diff.divided_difference(probe, nm, prec=prec)
+        worst = max(worst, abs(via_w - dd))
+    out.append(_check("hermite-weights-reproduce",
+                      worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
 
-        probe = probes.cosine_probe(1.3, prec=prec)
-        nodes = divided_diff.NodeMultiset([mp.mpf(v) for v in (-1, 0, 1)])
-        dd = divided_diff.divided_difference(probe, nodes, prec=prec)
-        mc = divided_diff.divided_difference_mc(probe, nodes, samples=20000,
-                                               seed=rng.randrange(2 ** 30),
-                                               prec=prec)
-        gap = abs(dd - mc)
-        out.append(_check("monte-carlo-oracle", gap < mp.mpf("0.01"), gap, prec))
+    probe = probes.cosine_probe(1.3, prec=prec)
+    nodes = divided_diff.NodeMultiset([mp.mpf(v) for v in (-1, 0, 1)])
+    dd = divided_diff.divided_difference(probe, nodes, prec=prec)
+    mc = divided_diff.divided_difference_mc(probe, nodes, samples=20000,
+                                           seed=rng.randrange(2 ** 30),
+                                           prec=prec)
+    gap = abs(dd - mc)
+    out.append(_check("monte-carlo-oracle", gap < mp.mpf("0.01"), gap, prec))
     return out
 
 
 def _suite_kernel(rng: random.Random, prec: int) -> List[Dict]:
     out = []
-    with working_precision(prec):
-        worst = mp.mpf(0)
-        for _ in range(10):
-            cfg = kernel.random_config(rng, rng.randrange(1, 5), prec=prec)
-            co = kernel.coefficients(cfg, prec=prec)
-            scale = max(abs(mp.mpf(v)) for v in co.alpha)
-            worst = max(worst, abs(mp.fsum(co.alpha)) / scale)
-        out.append(_check("alpha-zero-sum", worst < mp.mpf(2) ** (-(prec - 32)),
-                          worst, prec))
+    worst = mp.mpf(0)
+    for _ in range(10):
+        cfg = kernel.random_config(rng, rng.randrange(1, 5), prec=prec)
+        co = kernel.coefficients(cfg, prec=prec)
+        scale = max(abs(mp.mpf(v)) for v in co.alpha)
+        worst = max(worst, abs(mp.fsum(co.alpha)) / scale)
+    out.append(_check("alpha-zero-sum", worst < mp.mpf(2) ** (-(prec - 32)),
+                      worst, prec))
 
-        worst = mp.mpf(0)
-        for _ in range(6):
-            cfg = kernel.random_config(rng, rng.randrange(1, 5), prec=prec)
-            co = kernel.coefficients(cfg, prec=prec)
-            scale = max(abs(mp.mpf(v)) for v in co.alpha)
-            for j in range(1, 2 * cfg.n):
-                worst = max(worst, abs(kernel.chebyshev_moment(
-                    cfg, j, prec=prec, coeffs=co)) / scale)
-        out.append(_check("vanishing-moments", worst < mp.mpf(2) ** (-(prec - 40)),
-                          worst, prec))
+    worst = mp.mpf(0)
+    for _ in range(6):
+        cfg = kernel.random_config(rng, rng.randrange(1, 5), prec=prec)
+        co = kernel.coefficients(cfg, prec=prec)
+        scale = max(abs(mp.mpf(v)) for v in co.alpha)
+        for j in range(1, 2 * cfg.n):
+            worst = max(worst, abs(kernel.chebyshev_moment(
+                cfg, j, prec=prec, coeffs=co)) / scale)
+    out.append(_check("vanishing-moments", worst < mp.mpf(2) ** (-(prec - 40)),
+                      worst, prec))
 
-        worst = mp.mpf(0)
-        ok = True
-        for _ in range(4):
-            n = rng.randrange(1, 4)
-            cfg = kernel.random_config(rng, n, prec=prec)
-            l = n + 1 + rng.randrange(0, 3)
-            x = mp.mpf(cfg.a) * mp.mpf(rng.uniform(-0.9, 0.9))
-            direct = kernel.psi(cfg, l, x, prec=prec)
-            series, tail = kernel.psi_chebyshev_series(cfg, l, x, 60, prec=prec)
-            gap = abs(direct - series)
-            worst = max(worst, gap)
-            ok = ok and gap <= tail + mp.mpf(2) ** (-(prec - 48))
-        out.append(_check("series-vs-direct", ok, worst, prec))
+    worst = mp.mpf(0)
+    ok = True
+    for _ in range(4):
+        n = rng.randrange(1, 4)
+        cfg = kernel.random_config(rng, n, prec=prec)
+        l = n + 1 + rng.randrange(0, 3)
+        x = mp.mpf(cfg.a) * mp.mpf(rng.uniform(-0.9, 0.9))
+        direct = kernel.psi(cfg, l, x, prec=prec)
+        series, tail = kernel.psi_chebyshev_series(cfg, l, x, 60, prec=prec)
+        gap = abs(direct - series)
+        worst = max(worst, gap)
+        ok = ok and gap <= tail + mp.mpf(2) ** (-(prec - 48))
+    out.append(_check("series-vs-direct", ok, worst, prec))
 
-        violations = 0
-        for _ in range(200):
-            n = rng.randrange(1, 7)
-            l = rng.randrange(1, 11)
-            cfg = kernel.random_config(rng, n, prec=prec)
-            for sign in (1, -1):
-                v = kernel.psi_star_boundary(cfg, l, sign, prec=prec)
-                if not (-1) ** (n + l + 1) * v > 0:
-                    violations += 1
-        out.append(_check("boundary-sign-property", violations == 0,
-                          violations, prec))
-
-        violations = 0
-        for _ in range(5):
-            n = rng.randrange(1, 4)
-            l = rng.randrange(1, 6)
-            cfg = kernel.random_config(rng, n, prec=prec)
-            a = mp.mpf(cfg.a)
-            h = a * mp.mpf(2) ** (-20)
-            for i in range(2 * n + 1):
-                k = i - n
-                if k == 0:
-                    continue
-                for sign in (1, -1):
-                    lo = list(cfg.nodes)
-                    hi = list(cfg.nodes)
-                    lo[i] = mp.mpf(lo[i]) - h
-                    hi[i] = mp.mpf(hi[i]) + h
-                    try:
-                        c_lo = kernel.NodeConfig(n=n, a=cfg.a, nodes=lo)
-                        c_hi = kernel.NodeConfig(n=n, a=cfg.a, nodes=hi)
-                    except ValueError:
-                        continue
-                    f = lambda c: (-1) ** (n + l + 1) \
-                        * kernel.psi_star_boundary(c, l, sign, prec=prec)
-                    quotient = (f(c_hi) - f(c_lo)) / (2 * h)
-                    if (quotient > 0) != (k > 0):
-                        violations += 1
-        out.append(_check("boundary-monotonicity", violations == 0,
-                          violations, prec))
-
-        worst = mp.mpf(0)
+    violations = 0
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        l = rng.randrange(1, 11)
+        cfg = kernel.random_config(rng, n, prec=prec)
         for sign in (1, -1):
-            n = 2
-            a = mp.mpf(4)
-            dup = [mp.mpf(v) for v in (-3, "-1.5", 0, "1.5", "1.5")]
-            cfg_w = kernel.NodeConfig(n=n, a=a, nodes=dup, strict=False)
-            conf = kernel.psi_star_boundary(cfg_w, 3, sign, prec=prec)
-            eps = mp.mpf(2) ** (-50)
-            near = [mp.mpf(v) for v in (-3, "-1.5", 0, "1.5")] \
-                + [mp.mpf("1.5") + eps]
-            cfg_s = kernel.NodeConfig(n=n, a=a, nodes=near, strict=True)
-            lim = kernel.psi_star_boundary(cfg_s, 3, sign, prec=2 * prec)
-            worst = max(worst, abs(conf - lim))
-        out.append(_check("confluent-boundary-extension",
-                          worst < mp.mpf(2) ** (-40), worst, prec))
-
-        violations = 0
-        checked = 0
-        while checked < 20:
-            n = rng.randrange(1, 4)
-            cfg = kernel.random_config(rng, n, prec=prec)
-            a = mp.mpf(cfg.a)
-            c = mp.mpf(rng.uniform(0.05, float(n))) * mp.pi / a
-            try:
-                lhs, rhs = kernel.boundary_sum_bound(cfg, c, 4, prec=prec)
-            except kernel.SingularParameterError:
-                continue
-            checked += 1
-            if not lhs <= rhs + mp.mpf(2) ** (-(prec - 48)):
+            v = kernel.psi_star_boundary(cfg, l, sign, prec=prec)
+            if not (-1) ** (n + l + 1) * v > 0:
                 violations += 1
-        out.append(_check("boundary-sum-inequality", violations == 0,
-                          violations, prec))
+    out.append(_check("boundary-sign-property", violations == 0,
+                      violations, prec))
+
+    violations = 0
+    for _ in range(5):
+        n = rng.randrange(1, 4)
+        l = rng.randrange(1, 6)
+        cfg = kernel.random_config(rng, n, prec=prec)
+        a = mp.mpf(cfg.a)
+        h = a * mp.mpf(2) ** (-20)
+        for i in range(2 * n + 1):
+            k = i - n
+            if k == 0:
+                continue
+            for sign in (1, -1):
+                lo = list(cfg.nodes)
+                hi = list(cfg.nodes)
+                lo[i] = mp.mpf(lo[i]) - h
+                hi[i] = mp.mpf(hi[i]) + h
+                try:
+                    c_lo = kernel.NodeConfig(n=n, a=cfg.a, nodes=lo)
+                    c_hi = kernel.NodeConfig(n=n, a=cfg.a, nodes=hi)
+                except ValueError:
+                    continue
+                f = lambda c: (-1) ** (n + l + 1) \
+                    * kernel.psi_star_boundary(c, l, sign, prec=prec)
+                quotient = (f(c_hi) - f(c_lo)) / (2 * h)
+                if (quotient > 0) != (k > 0):
+                    violations += 1
+    out.append(_check("boundary-monotonicity", violations == 0,
+                      violations, prec))
+
+    worst = mp.mpf(0)
+    for sign in (1, -1):
+        n = 2
+        a = mp.mpf(4)
+        dup = [mp.mpf(v) for v in (-3, "-1.5", 0, "1.5", "1.5")]
+        cfg_w = kernel.NodeConfig(n=n, a=a, nodes=dup, strict=False)
+        conf = kernel.psi_star_boundary(cfg_w, 3, sign, prec=prec)
+        eps = mp.mpf(2) ** (-50)
+        near = [mp.mpf(v) for v in (-3, "-1.5", 0, "1.5")] \
+            + [mp.mpf("1.5") + eps]
+        cfg_s = kernel.NodeConfig(n=n, a=a, nodes=near, strict=True)
+        lim = kernel.psi_star_boundary(cfg_s, 3, sign, prec=2 * prec)
+        worst = max(worst, abs(conf - lim))
+    out.append(_check("confluent-boundary-extension",
+                      worst < mp.mpf(2) ** (-40), worst, prec))
+
+    violations = 0
+    checked = 0
+    while checked < 20:
+        n = rng.randrange(1, 4)
+        cfg = kernel.random_config(rng, n, prec=prec)
+        a = mp.mpf(cfg.a)
+        c = mp.mpf(rng.uniform(0.05, float(n))) * mp.pi / a
+        try:
+            lhs, rhs = kernel.boundary_sum_bound(cfg, c, 4, prec=prec)
+        except kernel.SingularParameterError:
+            continue
+        checked += 1
+        if not lhs <= rhs + mp.mpf(2) ** (-(prec - 48)):
+            violations += 1
+    out.append(_check("boundary-sum-inequality", violations == 0,
+                      violations, prec))
     return out
 
 
 def _suite_identity(rng: random.Random, prec: int) -> List[Dict]:
     out = []
-    with working_precision(prec):
-        worst_ratio = mp.mpf(0)
-        ok = True
-        for _ in range(10):
-            n = rng.randrange(1, 5)
-            cfg = kernel.random_config(rng, n, prec=prec)
-            mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * n)]
-            mu.append(-mp.fsum(mu))
-            m = rng.randrange(1, 7)
-            kind = rng.choice(["poly", "cos", "gauss"])
-            if kind == "poly":
-                probe = probes.polynomial_probe(
-                    [rng.uniform(-1, 1) for _ in range(2 * m + 3)], prec=prec)
-            elif kind == "cos":
-                probe = probes.cosine_probe(rng.uniform(0.3, 1.5), prec=prec)
-            else:
-                probe = probes.gaussian_cosine_probe(rng.uniform(0.3, 1.0),
-                                                     rng.uniform(2, 5), prec=prec)
-            rep = identity.verify_key_identity(cfg, mu, probe, m, prec=prec)
-            ok = ok and rep.passed
-            if rep.residual_budget > 0:
-                worst_ratio = max(worst_ratio, rep.residual / rep.residual_budget)
-        out.append(_check("key-identity-residual", ok, worst_ratio, prec))
-
-        worst = mp.mpf(0)
-        for _ in range(5):
-            n = rng.randrange(1, 5)
-            cfg = kernel.random_config(rng, n, prec=prec)
-            probe = probes.cardinal_probe(cfg, prec=prec)
-            res = identity.reconstruct_f0(cfg, probe, n + 1 + rng.randrange(0, 3),
-                                          prec=prec)
-            worst = max(worst, abs(res.value - 1))
-        out.append(_check("cardinal-reconstruction",
-                          worst < mp.mpf(2) ** (-120), worst, prec))
-
-        worst = mp.mpf(0)
-        for _ in range(5):
-            n = rng.randrange(1, 4)
-            cfg = kernel.random_config(rng, n, prec=prec)
-            mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * n)]
-            mu.append(-mp.fsum(mu))
+    worst_ratio = mp.mpf(0)
+    ok = True
+    for _ in range(10):
+        n = rng.randrange(1, 5)
+        cfg = kernel.random_config(rng, n, prec=prec)
+        mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * n)]
+        mu.append(-mp.fsum(mu))
+        m = rng.randrange(1, 7)
+        kind = rng.choice(["poly", "cos", "gauss"])
+        if kind == "poly":
             probe = probes.polynomial_probe(
-                [rng.uniform(-1, 1) for _ in range(6)], prec=prec)
-            lhs = mp.fsum(mk * mp.mpf(probe.value(x))
-                          for mk, x in zip(mu, cfg.nodes))
-            tele = identity.piecewise_weight_integral(cfg, mu, probe, prec=prec)
-            worst = max(worst, abs(lhs - tele))
-        out.append(_check("telescoping-top-derivative",
-                          worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
+                [rng.uniform(-1, 1) for _ in range(2 * m + 3)], prec=prec)
+        elif kind == "cos":
+            probe = probes.cosine_probe(rng.uniform(0.3, 1.5), prec=prec)
+        else:
+            probe = probes.gaussian_cosine_probe(rng.uniform(0.3, 1.0),
+                                                 rng.uniform(2, 5), prec=prec)
+        rep = identity.verify_key_identity(cfg, mu, probe, m, prec=prec)
+        ok = ok and rep.passed
+        if rep.residual_budget > 0:
+            worst_ratio = max(worst_ratio, rep.residual / rep.residual_budget)
+    out.append(_check("key-identity-residual", ok, worst_ratio, prec))
+
+    worst = mp.mpf(0)
+    for _ in range(5):
+        n = rng.randrange(1, 5)
+        cfg = kernel.random_config(rng, n, prec=prec)
+        probe = probes.cardinal_probe(cfg, prec=prec)
+        res = identity.reconstruct_f0(cfg, probe, n + 1 + rng.randrange(0, 3),
+                                      prec=prec)
+        worst = max(worst, abs(res.value - 1))
+    out.append(_check("cardinal-reconstruction",
+                      worst < mp.mpf(2) ** (-120), worst, prec))
+
+    worst = mp.mpf(0)
+    for _ in range(5):
+        n = rng.randrange(1, 4)
+        cfg = kernel.random_config(rng, n, prec=prec)
+        mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * n)]
+        mu.append(-mp.fsum(mu))
+        probe = probes.polynomial_probe(
+            [rng.uniform(-1, 1) for _ in range(6)], prec=prec)
+        lhs = mp.fsum(mk * mp.mpf(probe.value(x))
+                      for mk, x in zip(mu, cfg.nodes))
+        tele = identity.piecewise_weight_integral(cfg, mu, probe, prec=prec)
+        worst = max(worst, abs(lhs - tele))
+    out.append(_check("telescoping-top-derivative",
+                      worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
     return out
 
 
@@ -375,111 +372,109 @@ def _suite_sequences(rng: random.Random, prec: int) -> List[Dict]:
     ok = all(sequences.g_closed_form_sum(m) == 0 for m in range(1, 9))
     out.append(_check("closed-form-rational-sum-zero", ok, 0, prec))
 
-    with working_precision(prec):
-        ok = True
-        for m in range(1, 9):
-            es = sequences.e_coefficients(m, 40)
-            for l in range(1, 41):
-                if not es[l].evaluate(prec) > 0:
-                    ok = False
-        out.append(_check("e-coefficients-positive", ok, 0, prec))
+    ok = True
+    for m in range(1, 9):
+        es = sequences.e_coefficients(m, 40)
+        for l in range(1, 41):
+            if not es[l].evaluate(prec) > 0:
+                ok = False
+    out.append(_check("e-coefficients-positive", ok, 0, prec))
 
-        d, limit, gap = sequences.d_limit_check(2, 200, prec=prec)
-        out.append(_check("d2-limit-within-1pct", gap / limit < mp.mpf("0.01"),
-                          gap / limit, prec))
+    d, limit, gap = sequences.d_limit_check(2, 200, prec=prec)
+    out.append(_check("d2-limit-within-1pct", gap / limit < mp.mpf("0.01"),
+                      gap / limit, prec))
 
-        _, limit3, _ = sequences.d_limit_check(3, 200, prec=prec)
-        samples = [sequences.d_limit_check(3, L, prec=prec)[0]
-                   for L in (50, 100, 150, 200)]
-        ok = all(x < limit3 for x in samples) \
-            and all(a < bb for a, bb in zip(samples, samples[1:]))
-        out.append(_check("d3-below-limit-increasing", ok,
-                          limit3 - samples[-1], prec))
+    _, limit3, _ = sequences.d_limit_check(3, 200, prec=prec)
+    samples = [sequences.d_limit_check(3, L, prec=prec)[0]
+               for L in (50, 100, 150, 200)]
+    ok = all(x < limit3 for x in samples) \
+        and all(a < bb for a, bb in zip(samples, samples[1:]))
+    out.append(_check("d3-below-limit-increasing", ok,
+                      limit3 - samples[-1], prec))
 
-        ok = True
-        worst = mp.mpf(0)
-        for n in range(11, 21):
-            for l in range(0, 2001, 97):
-                w = sequences.tail_weight(n, l, prec=prec)
-                w10 = sequences.tail_weight(10, l, prec=prec)
-                if w > w10:
-                    ok = False
-                    worst = max(worst, w - w10)
-        out.append(_check("tail-weight-dominated-by-n10", ok, worst, prec))
+    ok = True
+    worst = mp.mpf(0)
+    for n in range(11, 21):
+        for l in range(0, 2001, 97):
+            w = sequences.tail_weight(n, l, prec=prec)
+            w10 = sequences.tail_weight(10, l, prec=prec)
+            if w > w10:
+                ok = False
+                worst = max(worst, w - w10)
+    out.append(_check("tail-weight-dominated-by-n10", ok, worst, prec))
 
-        partial, tail = sequences.tail_weight_sum(10, 4000, prec=prec)
-        out.append(_check("tail-weight-sum-converged", tail < mp.mpf("1e-3"),
-                          tail, prec))
+    partial, tail = sequences.tail_weight_sum(10, 4000, prec=prec)
+    out.append(_check("tail-weight-sum-converged", tail < mp.mpf("1e-3"),
+                      tail, prec))
     return out
 
 
 def _suite_extremal(rng: random.Random, prec: int) -> List[Dict]:
     out = []
-    with working_precision(prec):
-        worst = mp.mpf(0)
-        for n in range(2, 11):
-            w = extremal.equal_angle_weights(n, prec=prec)
-            g0 = mp.mpf((-1) ** n) * mp.mpf(2) ** (2 * n - 2) / n
-            for k, wk in enumerate(w):
-                if k == 0:
-                    target = g0
-                elif k == n:
-                    target = (-1) ** n * g0
-                else:
-                    target = (-1) ** k * 2 * g0
-                worst = max(worst, abs(wk - target) / abs(target))
-        out.append(_check("equal-angle-weight-formula",
-                          worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
+    worst = mp.mpf(0)
+    for n in range(2, 11):
+        w = extremal.equal_angle_weights(n, prec=prec)
+        g0 = mp.mpf((-1) ** n) * mp.mpf(2) ** (2 * n - 2) / n
+        for k, wk in enumerate(w):
+            if k == 0:
+                target = g0
+            elif k == n:
+                target = (-1) ** n * g0
+            else:
+                target = (-1) ** k * 2 * g0
+            worst = max(worst, abs(wk - target) / abs(target))
+    out.append(_check("equal-angle-weight-formula",
+                      worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
 
-        gq = extremal.log_sine_integral(mp.mpf("0.37"), prec=prec)
-        gc = extremal.log_sine_integral_closed(mp.mpf("0.37"), prec=prec)
-        out.append(_check("log-sine-integral-dual-route",
-                          abs(gq - gc) < mp.mpf(2) ** (-(prec // 2)),
-                          abs(gq - gc), prec))
+    gq = extremal.log_sine_integral(mp.mpf("0.37"), prec=prec)
+    gc = extremal.log_sine_integral_closed(mp.mpf("0.37"), prec=prec)
+    out.append(_check("log-sine-integral-dual-route",
+                      abs(gq - gc) < mp.mpf(2) ** (-(prec // 2)),
+                      abs(gq - gc), prec))
 
-        ok = True
-        for n in range(1, 13):
-            hc = extremal.hyp_coefficients(n, n + 40)
-            for k in range(n, n + 41):
-                if not (-1) ** n * hc[k] > 0:
-                    ok = False
-        out.append(_check("hypergeometric-coefficient-signs", ok, 0, prec))
+    ok = True
+    for n in range(1, 13):
+        hc = extremal.hyp_coefficients(n, n + 40)
+        for k in range(n, n + 41):
+            if not (-1) ** n * hc[k] > 0:
+                ok = False
+    out.append(_check("hypergeometric-coefficient-signs", ok, 0, prec))
 
-        violations = 0
-        for n in (8, 12):
-            for eps in ("0.5", "0.65"):
-                c_eps = extremal.find_c_eps(mp.mpf(eps), n, prec=160)
-                hi = 1 - mp.mpf(1) / (2 * n)
-                for frac in ("0.3", "0.6", "0.9"):
-                    c = c_eps + (hi - c_eps) * mp.mpf(frac)
-                    params = extremal.ExtremalParams(n=n, c=c, eps=mp.mpf(eps),
-                                                     prec=prec)
-                    cfg = extremal.extremal_config(params)
-                    P = extremal.sine_product(cfg, prec=prec)
-                    D = extremal.divided_bound(cfg, params, prec=prec)
-                    if not 0 < P < mp.mpf(2) ** (-2 * n):
-                        violations += 1
-                    if not 0 < D < mp.mpf(2) ** (2 * n - 1):
-                        violations += 1
-        out.append(_check("extremal-grid-bounds", violations == 0,
-                          violations, prec))
+    violations = 0
+    for n in (8, 12):
+        for eps in ("0.5", "0.65"):
+            c_eps = extremal.find_c_eps(mp.mpf(eps), prec=prec)
+            hi = 1 - mp.mpf(1) / (2 * n)
+            for frac in ("0.3", "0.6", "0.9"):
+                c = c_eps + (hi - c_eps) * mp.mpf(frac)
+                params = extremal.ExtremalParams(n=n, c=c, eps=mp.mpf(eps),
+                                                 prec=prec)
+                cfg = extremal.extremal_config(params)
+                P = extremal.sine_product(cfg, prec=prec)
+                D = extremal.divided_bound(cfg, params, prec=prec)
+                if not 0 < P < mp.mpf(2) ** (-2 * n):
+                    violations += 1
+                if not 0 < D < mp.mpf(2) ** (2 * n - 1):
+                    violations += 1
+    out.append(_check("extremal-grid-bounds", violations == 0,
+                      violations, prec))
 
-        worst = mp.mpf(0)
-        for n in (6, 9):
-            params = extremal.ExtremalParams(n=n, c=mp.mpf("0.9"),
-                                             eps=mp.mpf("0.5"), prec=prec)
-            cfg = extremal.extremal_config(params)
-            D1 = extremal.divided_bound(cfg, params, prec=prec)
-            D2 = extremal.divided_bound_direct(cfg, params.c, prec=prec)
-            worst = max(worst, abs(D1 - D2) / abs(D1))
-        out.append(_check("divided-bound-dual-route",
-                          worst < mp.mpf(2) ** (-(prec // 3)), worst, prec))
+    worst = mp.mpf(0)
+    for n in (6, 9):
+        params = extremal.ExtremalParams(n=n, c=mp.mpf("0.9"),
+                                         eps=mp.mpf("0.5"), prec=prec)
+        cfg = extremal.extremal_config(params)
+        D1 = extremal.divided_bound(cfg, params, prec=prec)
+        D2 = extremal.divided_bound_direct(cfg, params.c, prec=prec)
+        worst = max(worst, abs(D1 - D2) / abs(D1))
+    out.append(_check("divided-bound-dual-route",
+                      worst < mp.mpf(2) ** (-(prec // 3)), worst, prec))
 
-        rep = extremal.theorem2_certificate(12, mp.mpf("0.95"), mp.mpf("0.65"),
-                                            30, prec=prec)
-        out.append(_check("theorem2-certificate-total",
-                          rep.total_below_one and rep.admissible,
-                          rep.margin, prec))
+    rep = extremal.theorem2_certificate(12, mp.mpf("0.95"), mp.mpf("0.65"),
+                                        30, prec=prec)
+    out.append(_check("theorem2-certificate-total",
+                      rep.total_below_one and rep.admissible,
+                      rep.margin, prec))
     return out
 
 
@@ -496,12 +491,13 @@ _SUITE_FUNCS: Dict[str, Callable] = {
 def run_suites(names: List[str], seed: int, prec: int) -> Dict:
     suites = []
     all_passed = True
-    for name in names:
-        rng = _suite_rng(seed, name)
-        checks = _SUITE_FUNCS[name](rng, prec)
-        passed = all(c["passed"] for c in checks)
-        all_passed = all_passed and passed
-        suites.append({"suite": name, "passed": passed, "checks": checks})
+    with working_precision(prec):
+        for name in names:
+            rng = _suite_rng(seed, name)
+            checks = _SUITE_FUNCS[name](rng, prec)
+            passed = all(c["passed"] for c in checks)
+            all_passed = all_passed and passed
+            suites.append({"suite": name, "passed": passed, "checks": checks})
     return {"seed": seed, "precision_bits": prec, "all_passed": all_passed,
             "suites": suites}
 

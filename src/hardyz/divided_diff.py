@@ -79,29 +79,28 @@ def node_product(y: Sequence, k: int) -> mpf:
     return prod
 
 
-def _dd_triangle(z: List, data: Callable[[object, int], object], prec: int):
+def _dd_triangle(z: List, data: Callable[[object, int], object]):
     """Newton triangle on the (sorted, possibly repeated) node vector z.
 
     ``data(y, i)`` returns f^(i)(y) and is called once per distinct (y, i).
     Returns the top-order divided difference.
     """
     data = lru_cache(maxsize=None)(data)
-    with working_precision(prec):
-        N = len(z)
-        col = [None] * N
-        # column j of the triangle holds dd over windows of length j+1
-        for i in range(N):
-            col[i] = mp.mpf(data(z[i], 0))
-        for j in range(1, N):
-            new = [None] * (N - j)
-            for i in range(N - j):
-                lo, hi = z[i], z[i + j]
-                if lo == hi:
-                    new[i] = mp.mpf(data(lo, j)) / factorial(j)
-                else:
-                    new[i] = (col[i + 1] - col[i]) / (mp.mpf(hi) - mp.mpf(lo))
-            col = new
-        return col[0]
+    N = len(z)
+    col = [None] * N
+    # column j of the triangle holds dd over windows of length j+1
+    for i in range(N):
+        col[i] = mp.mpf(data(z[i], 0))
+    for j in range(1, N):
+        new = [None] * (N - j)
+        for i in range(N - j):
+            lo, hi = z[i], z[i + j]
+            if lo == hi:
+                new[i] = mp.mpf(data(lo, j)) / factorial(j)
+            else:
+                new[i] = (col[i + 1] - col[i]) / (mp.mpf(hi) - mp.mpf(lo))
+        col = new
+    return col[0]
 
 
 def divided_difference(probe: FunctionProbe, nodes: NodeMultiset,
@@ -115,13 +114,14 @@ def divided_difference(probe: FunctionProbe, nodes: NodeMultiset,
     if probe.max_order < need:
         raise ProbeOrderError(
             f"probe supplies order {probe.max_order}, need {need} for this multiset")
-    return _dd_triangle(list(nodes.nodes), probe.deriv, prec)
+    return divided_difference_data(nodes, probe.deriv, prec=prec)
 
 
 def divided_difference_data(nodes: NodeMultiset, data: Callable[[object, int], object],
                             prec: int = DEFAULT_PREC) -> mpf:
     """Divided difference from derivative data, data(y, i) = f^(i)(y)."""
-    return _dd_triangle(list(nodes.nodes), data, prec)
+    with working_precision(prec):
+        return _dd_triangle(list(nodes.nodes), data)
 
 
 def hermite_weights(nodes: NodeMultiset, prec: int = DEFAULT_PREC

@@ -133,7 +133,7 @@ def g_and_h(delta, eps, prec: int = DEFAULT_PREC,
 _c_eps_cache = {}
 
 
-def find_c_eps(eps, n: int = 0, prec: int = DEFAULT_PREC) -> mpf:
+def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
     """Numerically locate c_eps = 1 - delta_eps with h < 0 on (0, delta_eps).
 
     Scans a delta-grid of step 2^-FIND_C_EPS_RESOLUTION_BITS up to 1/4,
@@ -364,7 +364,7 @@ def theorem2_certificate(n: int, c, eps, m: int,
     only the supporting argument needs the admissible range).
     """
     params = ExtremalParams(n=n, c=c, eps=eps, prec=prec)
-    c_eps = find_c_eps(eps, n, prec=prec)
+    c_eps = find_c_eps(eps, prec=prec)
     admissible = params.admissible(c_eps)
     if not admissible and require_admissible:
         raise ValueError(

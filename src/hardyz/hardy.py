@@ -27,6 +27,13 @@ ZERO_HALF_WIDTH_BITS = 48
 THETA_ASYMPTOTIC_MIN_T = 10
 THETA_ASYMPTOTIC_TERMS = 5
 MAX_RESCANS = 4
+THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
+EM_GUARD_BITS = 8  # the Euler-Maclaurin sum rounds about |t|/2 terms
+CONTOUR_BITS_PER_ORDER = 8  # the Cauchy sum for Z^(k) divides by r^k and cancels
+CONTOUR_GUARD_BITS = 32  # contour samples: zeta and loggamma off the line, at any order
+CONTOUR_SUM_GUARD_BITS = 16  # the sample points and the Cauchy sums, above the samples
+FD_BITS_PER_ORDER = 12  # z_derivative_fd: a k-th difference loses bits with k
+FD_GUARD_BITS = 24  # z_derivative_fd: bits on top of the per-order ones
 
 
 class CapacityError(ValueError):
@@ -83,33 +90,32 @@ def theta_prime(t, prec: int = DEFAULT_PREC) -> mpf:
         return mp.digamma(mp.mpf(0.25) + 0.5j * tm).real / 2 - mp.log(mp.pi) / 2
 
 
-def _theta_complex(w, prec: int):
+def _theta_complex(w):
     """Analytic continuation of theta, real on the real axis."""
-    with working_precision(prec):
-        wm = mp.mpc(w)
-        lg = (mp.loggamma(mp.mpf(0.25) + 0.5j * wm)
-              - mp.loggamma(mp.mpf(0.25) - 0.5j * wm)) / 2j
-        return lg - wm / 2 * mp.log(mp.pi)
+    wm = mp.mpc(w)
+    lg = (mp.loggamma(mp.mpf(0.25) + 0.5j * wm)
+          - mp.loggamma(mp.mpf(0.25) - 0.5j * wm)) / 2j
+    return lg - wm / 2 * mp.log(mp.pi)
 
 
 # ---------------------------------------------------------------------------
 # zeta via Euler-Maclaurin
 
 
-def _zeta_em(s, prec: int, N: Optional[int] = None) -> Tuple[object, mpf]:
+def _zeta_em(s, prec: int) -> Tuple[object, mpf]:
     """(zeta(s), truncation bound) by Euler-Maclaurin, s != 1, complex s.
 
-    N defaults to max(|Im s|/2, prec/4, 10) so the correction terms decay by
-    several bits each; the recorded bound is the standard
-    |s+2K+1|/(sigma+2K+1) multiple of the first omitted term.
+    Runs EM_GUARD_BITS above the ambient precision; prec is the caller's
+    requested bits, which set the term counts.  N = max(|Im s|/2, prec/4, 10)
+    so the correction terms decay by several bits each; the recorded bound
+    is the standard |s+2K+1|/(sigma+2K+1) multiple of the first omitted term.
     """
-    with working_precision(prec, guard=24):
+    with mp.extraprec(EM_GUARD_BITS):
         sm = mp.mpc(s)
         if sm == 1:
             raise ValueError("zeta pole at s = 1")
         t_abs = abs(sm.imag)
-        if N is None:
-            N = int(max(mp.ceil(t_abs / 2), prec // 4, 10))
+        N = int(max(mp.ceil(t_abs / 2), prec // 4, 10))
         total = mp.mpc(0)
         for k in range(1, N):
             total += mp.power(k, -sm)
@@ -173,7 +179,7 @@ def z_eval(t, prec: int = DEFAULT_PREC, method: str = "euler_maclaurin") -> ZSam
             raise ValueError("t must be >= 0")
         if method == "euler_maclaurin":
             zeta_val, zeta_err = _zeta_em(mp.mpf(0.5) + 1j * tm, prec)
-            phase = mp.e ** (1j * theta(tm, prec=prec + 16))
+            phase = mp.e ** (1j * theta(tm, prec=prec + THETA_GUARD_BITS))
             zc = phase * zeta_val
             err = zeta_err + abs(zc.imag)
             return ZSample(t=tm, z=zc.real, method=method, error_estimate=+err)
@@ -184,13 +190,12 @@ def z_eval(t, prec: int = DEFAULT_PREC, method: str = "euler_maclaurin") -> ZSam
         raise ValueError(f"unknown method {method!r}")
 
 
-def _z_complex(w, prec: int):
+def _z_complex(w):
     """Analytic continuation Z(w) from the library zeta; the pole of zeta
     sits at w = -i/2 only."""
-    with working_precision(prec):
-        wm = mp.mpc(w)
-        zeta_val = mp.zeta(mp.mpf(0.5) + 1j * wm)
-        return mp.e ** (1j * _theta_complex(wm, prec)) * zeta_val
+    wm = mp.mpc(w)
+    zeta_val = mp.zeta(mp.mpf(0.5) + 1j * wm)
+    return mp.e ** (1j * _theta_complex(wm)) * zeta_val
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +207,18 @@ def _circle_derivatives(f: Callable, t, orders: Sequence[int], radius,
     """f^(k)(t) for every k in orders from one circle of samples.
 
     Trapezoid discretization of the Cauchy integral; the sample count grows
-    with the working precision and the largest requested order.
+    with prec, the caller's bits, and the largest requested order.  f is
+    sampled at the ambient precision; the points and the sums carry
+    CONTOUR_SUM_GUARD_BITS more.
     """
     kmax = max(orders)
-    with working_precision(prec, guard=32):
+    with mp.extraprec(CONTOUR_SUM_GUARD_BITS):
         r = mp.mpf(radius)
         M = 2 ** max(6, int(mp.ceil(mp.log(prec // 2 + 8 * kmax + 16, 2))))
-        samples = []
-        for j in range(M):
-            phi_j = 2 * mp.pi * j / M
-            samples.append(f(mp.mpf(t) + r * mp.e ** (1j * phi_j)))
+        points = [mp.mpf(t) + r * mp.e ** (1j * (2 * mp.pi * j / M))
+                  for j in range(M)]
+    samples = [f(w) for w in points]
+    with mp.extraprec(CONTOUR_SUM_GUARD_BITS):
         out = {}
         for k in orders:
             acc = mp.mpc(0)
@@ -235,11 +242,9 @@ def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
     Riemann-Siegel evaluation at elevated precision."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    wp = prec + 12 * k + 24
-    with working_precision(wp):
-        tm = mp.mpf(t)
-        d = mp.diff(lambda u: mp.siegelz(u), tm, k)
     with working_precision(prec):
+        with mp.extraprec(FD_BITS_PER_ORDER * k + FD_GUARD_BITS):
+            d = mp.diff(lambda u: mp.siegelz(u), mp.mpf(t), k)
         return +d
 
 
@@ -248,7 +253,7 @@ def z_derivatives_batch(t, orders: Sequence[int],
     """All requested derivative orders from a single contour of samples.
 
     The integration precision is elevated with the largest order (the r^-k
-    factor amplifies sample noise).
+    factor amplifies sample noise): CONTOUR_BITS_PER_ORDER bits per order.
     """
     orders = sorted(set(int(k) for k in orders))
     if not orders:
@@ -260,9 +265,9 @@ def z_derivatives_batch(t, orders: Sequence[int],
     with working_precision(prec):
         tm = mp.mpf(t)
         radius = min(mp.mpf(2), tm / 2 + mp.mpf(0.25))
-        wp = prec + 8 * orders[-1] + 32
-        vals = _circle_derivatives(lambda w: _z_complex(w, wp),
-                                   tm, orders, radius, wp)
+        extra = CONTOUR_BITS_PER_ORDER * orders[-1] + CONTOUR_GUARD_BITS
+        with mp.extraprec(extra):
+            vals = _circle_derivatives(_z_complex, tm, orders, radius, prec + extra)
         return {k: +v.real for k, v in vals.items()}
 
 
@@ -334,7 +339,7 @@ def _scan_step(t, prec: int) -> mpf:
     return mp.pi / (4 * tp)
 
 
-def _refine_zero(f: Callable, lo, hi, flo, fhi, prec: int) -> Tuple[mpf, mpf]:
+def _refine_zero(f: Callable, lo, hi, flo, fhi) -> Tuple[mpf, mpf]:
     """(midpoint, half-width) of a sign-change bracket of f inside [lo, hi]
     with half-width <= 2^-ZERO_HALF_WIDTH_BITS, or (x, 0) at an exact zero.
 
@@ -347,31 +352,30 @@ def _refine_zero(f: Callable, lo, hi, flo, fhi, prec: int) -> Tuple[mpf, mpf]:
     to a quarter, a bisection step is taken instead, which keeps a flat or
     steep f within about twice the evaluations of plain bisection.
     """
-    with working_precision(prec):
-        target = mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS)
-        moved = None                # which end the last step replaced
-        widths = [mp.inf] * 3       # bracket widths before the last three steps
-        while (hi - lo) / 2 > target:
-            if hi - lo > widths[0] / 4:
-                x = (lo + hi) / 2
-            else:
-                x = lo - flo * (hi - lo) / (fhi - flo)
-                x = min(max(x, lo + target), hi - target)
-            widths = widths[1:] + [hi - lo]
-            fx = f(x)
-            if fx == 0:
-                return x, mp.mpf(0)
-            if (fx > 0) == (flo > 0):
-                lo, flo = x, fx
-                if moved == "lo":
-                    fhi /= 2
-                moved = "lo"
-            else:
-                hi, fhi = x, fx
-                if moved == "hi":
-                    flo /= 2
-                moved = "hi"
-        return (lo + hi) / 2, (hi - lo) / 2
+    target = mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS)
+    moved = None                # which end the last step replaced
+    widths = [mp.inf] * 3       # bracket widths before the last three steps
+    while (hi - lo) / 2 > target:
+        if hi - lo > widths[0] / 4:
+            x = (lo + hi) / 2
+        else:
+            x = lo - flo * (hi - lo) / (fhi - flo)
+            x = min(max(x, lo + target), hi - target)
+        widths = widths[1:] + [hi - lo]
+        fx = f(x)
+        if fx == 0:
+            return x, mp.mpf(0)
+        if (fx > 0) == (flo > 0):
+            lo, flo = x, fx
+            if moved == "lo":
+                fhi /= 2
+            moved = "lo"
+        else:
+            hi, fhi = x, fx
+            if moved == "hi":
+                flo /= 2
+            moved = "hi"
+    return (lo + hi) / 2, (hi - lo) / 2
 
 
 def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
@@ -429,7 +433,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             step_scale /= 2
         zeros = []
         for (a, b, fa, fb) in brackets:
-            g, hw = _refine_zero(f, a, b, fa, fb, prec)
+            g, hw = _refine_zero(f, a, b, fa, fb)
             zeros.append(Zero(gamma=g, half_width=hw))
         for z in zeros:
             w = max(z.half_width * 4, mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS + 2))

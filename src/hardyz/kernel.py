@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -25,10 +26,12 @@ from mpmath import mp, mpf
 from .divided_diff import NodeMultiset, divided_difference_data, node_product
 from .polynomials import (bernoulli_poly, bernoulli_poly_mpf, chebyshev,
                           chebyshev_deriv_at_one, chebyshev_derivatives)
-from .precision import DEFAULT_PREC, GUARD_BITS, to_mpf, working_precision
+from .precision import DEFAULT_PREC, working_precision
 from .sequences import TAIL_WEIGHT_MIN_N, tail_weight_constant
 
 MIN_NODE_GAP = 0.05
+TERM_GUARD_BITS = 16  # zero-sum node sums cancel: nodes and terms get these bits more
+COMPILE_BITS_PER_ORDER = 2  # compile_psi's Taylor sums cancel ~binom(2l, l) ~ 4^l more
 
 
 class DuplicateNodeError(ValueError):
@@ -105,12 +108,12 @@ def coefficients(config: NodeConfig, prec: int = DEFAULT_PREC) -> KernelCoeffici
     """
     if not config.is_strict():
         raise DuplicateNodeError("coefficients requires pairwise distinct nodes")
-    with working_precision(2 * prec):
-        t = config.sine_nodes(prec=mp.prec)
-        alpha = [1 / node_product(t, k) for k in range(len(t))]
-        a0 = alpha[config.n]
-        mu = [v / a0 for v in alpha]
     with working_precision(prec):
+        with mp.extraprec(prec):
+            t = config.sine_nodes(2 * prec + TERM_GUARD_BITS)
+            alpha = [1 / node_product(t, k) for k in range(len(t))]
+            a0 = alpha[config.n]
+            mu = [v / a0 for v in alpha]
         return KernelCoefficients(alpha=[+v for v in alpha], mu=[+v for v in mu])
 
 
@@ -138,8 +141,8 @@ def psi(config: NodeConfig, l: int, x, prec: int = DEFAULT_PREC,
             u = mp.mpf(0.5) + (xm + xk) / (4 * a)
             v = (xm - xk) / (4 * a)
             v = v - mp.floor(v)
-            total += m_k * (bernoulli_poly(two_l, u, prec=mp.prec)
-                            + bernoulli_poly(two_l, v, prec=mp.prec))
+            total += m_k * (bernoulli_poly(two_l, u, prec=prec + TERM_GUARD_BITS)
+                            + bernoulli_poly(two_l, v, prec=prec + TERM_GUARD_BITS))
         return pref * total
 
 
@@ -186,7 +189,8 @@ class CompiledPsi:
         by term over h in [-r, r], where odd powers drop out.
         """
         with working_precision(self.prec):
-            p = [to_mpf(c, self.prec) for c in poly]
+            p = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
+                 if isinstance(c, Fraction) else mp.mpf(c) for c in poly]
             terms = []
             for lo, hi, c, q in zip(self.knots, self.knots[1:], self.centers,
                                     self.coeffs):
@@ -229,9 +233,7 @@ def compile_psi(config: NodeConfig, l: int, weights: Optional[Sequence] = None,
     mu = list(weights) if weights is not None else coefficients(config, prec=prec).mu
     knots = kernel_knots(config, prec)
     two_l = 2 * l
-    # the Taylor sums cancel by up to about binom(2l, l) ~ 4^l more than a
-    # direct evaluation does, so they get 2l more bits
-    with working_precision(prec, guard=GUARD_BITS + two_l):
+    with working_precision(prec), mp.extraprec(COMPILE_BITS_PER_ORDER * l):
         a = mp.mpf(config.a)
         beta = 1 / (4 * a)
         pref = (4 * a) ** (two_l - 1) / mp.factorial(two_l)
@@ -263,36 +265,24 @@ def compile_psi(config: NodeConfig, l: int, weights: Optional[Sequence] = None,
     return CompiledPsi(knots=knots, centers=centers, coeffs=coeffs, prec=prec)
 
 
-def _boundary_transfer(l: int, a, sign: int, prec: int) -> Callable:
+def _boundary_transfer(l: int, a, sign: int) -> Callable:
     """h(t) = 2 (4a)^(2l-1)/(2l)! B_2l(1/2 +- 1/4 + Arcsin(t)/(2 pi)).
 
     Smooth on (-1, 1); the kernel boundary value is the divided difference of
-    h over the sine-transformed nodes divided by alpha_0.
+    h over the sine-transformed nodes divided by alpha_0.  h runs at the
+    ambient precision, so mp.diff's step method can raise it.
     """
     base = mp.mpf(0.5) + sign * mp.mpf(0.25)
 
     def h(t):
-        # accepts complex t (needed by the Cauchy-integral differentiation)
-        with working_precision(prec):
-            u = base + mp.asin(t) / (2 * mp.pi)
-            am = mp.mpf(a)
-            acc = mp.mpf(0)
-            for cf in reversed(bernoulli_poly_mpf(2 * l)):
-                acc = acc * u + cf
-            return 2 * (4 * am) ** (2 * l - 1) / mp.factorial(2 * l) * acc
+        u = base + mp.asin(t) / (2 * mp.pi)
+        am = mp.mpf(a)
+        acc = mp.mpf(0)
+        for cf in reversed(bernoulli_poly_mpf(2 * l)):
+            acc = acc * u + cf
+        return 2 * (4 * am) ** (2 * l - 1) / mp.factorial(2 * l) * acc
 
     return h
-
-
-def _smooth_derivative(f: Callable, t, order: int, prec: int) -> mpf:
-    """order-th derivative of an analytic f at t in (-1,1), Cauchy-integral path."""
-    with working_precision(2 * prec):
-        tm = mp.mpf(t)
-        if order == 0:
-            return f(tm)
-        radius = (1 - abs(tm)) / 2
-        d = mp.diff(f, tm, order, method="quad", radius=radius)
-        return d.real if hasattr(d, "real") and not isinstance(d, mp.mpf) else d
 
 
 def psi_star_boundary(config: NodeConfig, l: int, sign: int,
@@ -303,8 +293,8 @@ def psi_star_boundary(config: NodeConfig, l: int, sign: int,
     For strict configurations this equals psi(config, l, sign*a, weights);
     callers looping over l pass coefficients(config).mu as weights so they
     are computed once.  Coincident nodes go through the confluent divided
-    difference of the transfer function, with derivatives from the Cauchy
-    integral formula, and take no weights.
+    difference of the transfer function at twice the caller precision, with
+    derivatives by mp.diff, and take no weights.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
@@ -314,14 +304,14 @@ def psi_star_boundary(config: NodeConfig, l: int, sign: int,
         return psi(config, l, mp.mpf(config.a) * sign, prec=prec, weights=weights)
     if weights is not None:
         raise DuplicateNodeError("weights apply to strict configurations only")
-    with working_precision(2 * prec):
-        t = config.sine_nodes(prec=mp.prec)
-        h = _boundary_transfer(l, config.a, sign, mp.prec)
-        dd = divided_difference_data(NodeMultiset(list(t)),
-                                     lambda y, i: _smooth_derivative(h, y, i, prec),
-                                     prec=mp.prec)
-        value = dd * node_product(t, config.n)  # dd / alpha_0
     with working_precision(prec):
+        with mp.extraprec(prec):
+            t = config.sine_nodes(2 * prec + TERM_GUARD_BITS)
+            h = _boundary_transfer(l, config.a, sign)
+            dd = divided_difference_data(NodeMultiset(list(t)),
+                                         lambda y, i: mp.diff(h, y, i),
+                                         prec=2 * prec + TERM_GUARD_BITS)
+            value = dd * node_product(t, config.n)  # dd / alpha_0
         return +value
 
 
@@ -333,23 +323,27 @@ def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC,
     difference of (-1)^j T_j over the sine-transformed nodes.  Vanishes for
     j = 1..2n-1.
     """
+    term_prec = prec + TERM_GUARD_BITS
     with working_precision(prec):
-        t = config.sine_nodes(prec=mp.prec)
+        t = config.sine_nodes(term_prec)
         if config.is_strict():
             if coeffs is None:
                 coeffs = coefficients(config, prec=prec)
             total = mp.mpf(0)
             for al, tk in zip(coeffs.alpha, t):
-                total += mp.mpf(al) * chebyshev(j, tk, prec=mp.prec)
+                total += mp.mpf(al) * chebyshev(j, tk, prec=term_prec)
             return (-1) ** j * total
         nm = NodeMultiset(list(t))
         need = nm.max_multiplicity() - 1
 
-        def data(y, i):
-            return chebyshev_derivatives(j, y, need, prec=mp.prec)[i] \
-                if i > 0 else chebyshev(j, y, prec=mp.prec)
+        # here the confluent triangle is the sum, and its data are the terms
+        data_prec = term_prec + TERM_GUARD_BITS
 
-        dd = divided_difference_data(nm, data, prec=mp.prec)
+        def data(y, i):
+            return chebyshev_derivatives(j, y, need, prec=data_prec)[i] \
+                if i > 0 else chebyshev(j, y, prec=data_prec)
+
+        dd = divided_difference_data(nm, data, prec=term_prec)
         return (-1) ** j * dd
 
 
@@ -393,9 +387,10 @@ def chebyshev_psi(config: NodeConfig, l: int, J: int,
         if coeffs is not None:
             alpha0 = coeffs.alpha[n]
         else:
-            alpha0 = 1 / node_product(config.sine_nodes(prec=mp.prec), n)
+            alpha0 = 1 / node_product(config.sine_nodes(prec + TERM_GUARD_BITS), n)
         pref = (-1) ** (l + 1) * 2 * (2 * a) ** (2 * l - 1) / (alpha0 * mp.pi ** (2 * l))
-        moments = [(j, chebyshev_moment(config, j, prec=mp.prec, coeffs=coeffs))
+        moments = [(j, chebyshev_moment(config, j, prec=prec + TERM_GUARD_BITS,
+                                        coeffs=coeffs))
                    for j in range(2 * n, 2 * n + J + 1)]
     return ChebyshevPsi(a=a, l=l, pref=pref, moments=moments, prec=prec)
 

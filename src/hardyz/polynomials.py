@@ -18,6 +18,8 @@ from mpmath import mp, mpf
 from .precision import DEFAULT_PREC, working_precision
 
 MAX_DEGREE = 256
+PERIODIC_GUARD_BITS = 16  # B_n's Horner pass cancels on [0, 1]; x - floor(x) does not
+CHEBYSHEV_SEED_GUARD_BITS = 16  # the derivative recurrence divides by 1 - x^2
 
 _lock = threading.Lock()
 _bernoulli_cache: List[Fraction] = []
@@ -117,7 +119,7 @@ def periodic_bernoulli(n: int, x, prec: int = DEFAULT_PREC) -> mpf:
     with working_precision(prec):
         xm = mp.mpf(x)
         frac = xm - mp.floor(xm)
-        return bernoulli_poly(n, frac, prec=mp.prec)
+        return bernoulli_poly(n, frac, prec=prec + PERIODIC_GUARD_BITS)
 
 
 def chebyshev(j: int, x, prec: int = DEFAULT_PREC) -> mpf:
@@ -164,7 +166,7 @@ def chebyshev_derivatives(j: int, x, kmax: int, prec: int = DEFAULT_PREC) -> Lis
         xm = mp.mpf(x)
         if abs(xm) >= 1:
             raise ValueError("chebyshev_derivatives requires |x| < 1")
-        vals = [chebyshev(j, xm, prec=mp.prec)]
+        vals = [chebyshev(j, xm, prec=prec + CHEBYSHEV_SEED_GUARD_BITS)]
         if kmax >= 1:
             # U_{j-1} via its own recurrence
             if j == 0:

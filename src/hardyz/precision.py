@@ -1,9 +1,13 @@
 """Shared arbitrary-precision substrate.
 
-All numeric routines in this package take an explicit ``prec`` argument in
-bits (default 192) and evaluate under an mpmath working-precision context.
-Guard bits are added internally; results are returned as mpf/mpc values
-rounded at the working precision of the caller's context.
+One precision policy.  A public function (or a CLI command) takes a
+``prec`` in bits (default 192) and opens working_precision(prec) once;
+everything it calls runs at the ambient mp.prec, and private helpers never
+set a precision of their own.  Extra bits come only from named module-level
+constants, each with its reason, added relative to the ambient precision
+(mp.extraprec) or to the caller's ``prec``.  Objects that keep their own
+``prec`` (compiled kernels, probes, ExtremalParams) are entry points too,
+because callers use them outside any working precision.
 
 Reports are serialized here as well, by one rule: an mpf prints with
 digits_for(prec) significant digits of its own bits.
@@ -18,30 +22,25 @@ from dataclasses import fields, is_dataclass
 from mpmath import mp, mpf
 
 DEFAULT_PREC = 192
-GUARD_BITS = 16
+GUARD_BITS = 16  # working_precision(prec) runs above prec, so rounding adds no error
 
 MIN_PREC = 64
 
 
 @contextmanager
-def working_precision(prec: int, guard: int = GUARD_BITS):
-    """Context manager setting mp.prec to prec + guard bits."""
+def working_precision(prec: int):
+    """Context manager setting mp.prec to prec + GUARD_BITS.
+
+    Opened once by each entry point; what runs inside inherits mp.prec.
+    """
     if prec < MIN_PREC:
         raise ValueError(f"precision must be >= {MIN_PREC} bits, got {prec}")
     old = mp.prec
-    mp.prec = prec + guard
+    mp.prec = prec + GUARD_BITS
     try:
         yield mp
     finally:
         mp.prec = old
-
-
-def to_mpf(x, prec: int = DEFAULT_PREC) -> mpf:
-    """Convert x (int, float, str, Fraction, mpf) to mpf at the given precision."""
-    with working_precision(prec):
-        if hasattr(x, "numerator") and hasattr(x, "denominator") and not isinstance(x, int):
-            return mpf(x.numerator) / mpf(x.denominator)
-        return mpf(x)
 
 
 def digits_for(prec: int) -> int:

@@ -97,30 +97,29 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
     """
     cache: dict = {}
 
-    def poly_for(k, workprec):
-        # complex coefficient lists of P_k at the given working precision
-        key = (k, workprec)
+    def poly_for(k):
+        # complex coefficient lists of P_k at the ambient precision
+        key = (k, mp.prec)
         if key in cache:
             return cache[key]
-        with working_precision(workprec, guard=0):
-            w2 = mp.mpf(width) ** 2
-            qp = [mp.mpc(0, b), mp.mpc(-1 / w2, 0)]  # q'(x) = ib - x/w^2
-            P = [mp.mpc(1)]
-            for _ in range(k):
-                dP = [i * c for i, c in enumerate(P)][1:] or [mp.mpc(0)]
-                prod = [mp.mpc(0)] * (len(P) + 1)
-                for i, c in enumerate(P):
-                    prod[i] += qp[0] * c
-                    prod[i + 1] += qp[1] * c
-                n = max(len(dP), len(prod))
-                P = [(dP[i] if i < len(dP) else 0) + (prod[i] if i < len(prod) else 0)
-                     for i in range(n)]
-            cache[key] = P
+        w2 = mp.mpf(width) ** 2
+        qp = [mp.mpc(0, b), mp.mpc(-1 / w2, 0)]  # q'(x) = ib - x/w^2
+        P = [mp.mpc(1)]
+        for _ in range(k):
+            dP = [i * c for i, c in enumerate(P)][1:] or [mp.mpc(0)]
+            prod = [mp.mpc(0)] * (len(P) + 1)
+            for i, c in enumerate(P):
+                prod[i] += qp[0] * c
+                prod[i + 1] += qp[1] * c
+            n = max(len(dP), len(prod))
+            P = [(dP[i] if i < len(dP) else 0) + (prod[i] if i < len(prod) else 0)
+                 for i in range(n)]
+        cache[key] = P
         return P
 
     def deriv(x, k):
         with working_precision(prec):
-            P = poly_for(k, mp.prec)
+            P = poly_for(k)
             xm = mp.mpf(x)
             acc = mp.mpc(0)
             for c in reversed(P):

@@ -150,7 +150,7 @@ def test_criterion_07_extremal_grid_bounds():
             hi = 1 - mp.mpf(1) / (2 * n)
             for eps_s in eps_grid:
                 eps = mp.mpf(eps_s)
-                c_eps = extremal.find_c_eps(eps, n, prec=PREC)
+                c_eps = extremal.find_c_eps(eps, prec=PREC)
                 if not c_eps < hi:
                     continue  # empty admissible range at this resolution
                 for frac in ("0.25", "0.5", "0.75"):

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp
 
-from hardyz import extremal
+from hardyz import extremal, kernel
 from hardyz.extremal import (ExtremalParams, divided_bound, divided_bound_direct,
                              equal_angle_nodes, equal_angle_weights, extremal_config,
                              find_c_eps, g_and_h, hyp_coefficients,
@@ -143,6 +143,20 @@ def test_certificate_report_fields():
     assert rep.boundary_ok
     data = rep.to_json()
     assert '"total_below_one": true' in data
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_boundary_verdict_survives_cancellation(prec):
+    # the zero-sum Bernoulli sums behind boundary_lhs lose over 100 bits on
+    # the paper's configuration, so lhs is good to far fewer digits than it
+    # prints; the verdict lhs <= rhs must not rest on those digits
+    params = ExtremalParams(n=12, c=mp.mpf(0.95), eps=mp.mpf(0.65), prec=prec)
+    cfg = extremal_config(params)
+    lhs, rhs = kernel.boundary_sum_bound(cfg, params.c, 12, prec=prec)
+    lhs_fine, _ = kernel.boundary_sum_bound(cfg, params.c, 12, prec=2 * prec)
+    with mp.workprec(2 * prec):
+        assert lhs < rhs
+        assert abs(lhs - lhs_fine) < mp.mpf("1e-6") * (rhs - lhs)
 
 
 def test_find_c_eps_cache_keys_on_the_working_precision_value():

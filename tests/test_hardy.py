@@ -119,7 +119,7 @@ def _refine_counted(f, lo, hi):
 
     with working_precision(PREC):
         lo, hi = mp.mpf(lo), mp.mpf(hi)
-        x, hw = _refine_zero(counted, lo, hi, f(lo), f(hi), PREC)
+        x, hw = _refine_zero(counted, lo, hi, f(lo), f(hi))
     return x, hw, len(calls)
 
 

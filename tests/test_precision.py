@@ -1,11 +1,15 @@
-"""The report serializer."""
+"""The report serializer and the precision policy."""
 
+import ast
+import inspect
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional
 
 from mpmath import mp, mpf
 
-from hardyz.precision import Report, digits_for, serialize, working_precision
+from hardyz.precision import (GUARD_BITS, Report, digits_for, serialize,
+                              working_precision)
 
 
 @dataclass
@@ -38,3 +42,56 @@ def test_serialize_keeps_the_value_bits():
                    "rows": [{"k": 1, "value": "-" + out["x"]}]}
     assert out["x"] == "0." + "3" * digits_for(prec)
     assert rep.to_json(prec).startswith('{\n  "best": null,')
+
+
+# ---------------------------------------------------------------------------
+# the precision policy: entry points set the working precision once, helpers
+# inherit it, and extra bits come from named constants
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hardyz"
+# perfbench's tracer calls _integrate(f, points, prec) positionally
+HELPERS_ALLOWED_TO_SET_PRECISION = {("identity", "_integrate")}
+
+
+def _calls(tree, name):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                yield node
+
+
+def _policy_breaches(src: Path) -> List[str]:
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = path.stem
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.keyword) or node.arg != "prec":
+                continue
+            v = node.value
+            if (isinstance(v, ast.Attribute) and v.attr == "prec"
+                    and isinstance(v.value, ast.Name) and v.value.id == "mp"):
+                found.append(f"{module}:{node.value.lineno}: prec=mp.prec")
+        for call in _calls(tree, "working_precision"):
+            if call.keywords or len(call.args) != 1:
+                found.append(f"{module}:{call.lineno}: working_precision "
+                             "with more than prec")
+        for fn in tree.body:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_")
+                    and (module, fn.name) not in HELPERS_ALLOWED_TO_SET_PRECISION
+                    and any(_calls(fn, "working_precision"))):
+                found.append(f"{module}.{fn.name} opens working_precision")
+    return found
+
+
+def test_precision_policy_holds_in_the_source():
+    assert _policy_breaches(SRC) == []
+
+
+def test_working_precision_takes_only_prec():
+    assert list(inspect.signature(working_precision).parameters) == ["prec"]
+    with working_precision(100):
+        assert mp.prec == 100 + GUARD_BITS
+    assert mp.prec == 53
