@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -54,8 +54,7 @@ class ExtremalParams:
     @property
     def eta(self) -> mpf:
         with working_precision(self.prec):
-            d = self.delta
-            return (mp.log(2) - mp.mpf(self.eps)) * d / abs(mp.log(d))
+            return _eta(self.delta, self.eps)
 
     @property
     def a(self) -> mpf:
@@ -110,22 +109,26 @@ def log_sine_integral_closed(t, prec: int = DEFAULT_PREC) -> mpf:
         return -tm * mp.log(2) - mp.clsin(2, mp.pi * tm) / mp.pi
 
 
-def g_and_h(delta, eps, prec: int = DEFAULT_PREC,
-            g_func: Optional[Callable] = None) -> Tuple[Tuple[mpf, mpf], mpf]:
+def _eta(delta, eps) -> mpf:
+    """eta = (log 2 - eps) delta/|log delta|, at the ambient precision."""
+    return (mp.log(2) - mp.mpf(eps)) * delta / abs(mp.log(delta))
+
+
+def g_and_h(delta, eps, prec: int = DEFAULT_PREC) -> Tuple[Tuple[mpf, mpf], mpf]:
     """((G(1-delta+eta), G(eta)), h(delta)) for the sine-product bound.
 
     h(delta) = (1-delta) log 2 + G(1-delta+eta) - G(eta) with
     eta = (log 2 - eps) delta/|log delta|; h -> 0 with slope -eps as
-    delta -> 0+, and the admissible c-range is where h < 0.
+    delta -> 0+, and the admissible c-range is where h < 0.  G is
+    log_sine_integral_closed; the quadrature route is its test oracle.
     """
-    G = g_func or (lambda t: log_sine_integral(t, prec=prec))
     with working_precision(prec):
         d = mp.mpf(delta)
         if not 0 < d < mp.mpf(1) / 4:
             raise ValueError("delta must lie in (0, 1/4)")
-        eta = (mp.log(2) - mp.mpf(eps)) * d / abs(mp.log(d))
-        g_upper = G(1 - d + eta)
-        g_lower = G(eta)
+        eta = _eta(d, eps)
+        g_upper = log_sine_integral_closed(1 - d + eta, prec=prec)
+        g_lower = log_sine_integral_closed(eta, prec=prec)
         h = (1 - d) * mp.log(2) + g_upper - g_lower
         return (g_upper, g_lower), h
 
@@ -147,9 +150,8 @@ def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
         key = (eps, prec)
         if key in _c_eps_cache:
             return _c_eps_cache[key]
-        G = lambda t: log_sine_integral_closed(t, prec=prec)
         step = mp.mpf(2) ** (-FIND_C_EPS_RESOLUTION_BITS)
-        h_at = lambda d: g_and_h(d, eps, prec=prec, g_func=G)[1]
+        h_at = lambda d: g_and_h(d, eps, prec=prec)[1]
         prev = None
         first_bad = None
         d = step
@@ -315,8 +317,7 @@ def node_spread_monotonicity(t: Sequence, t_star: Sequence, probe: FunctionProbe
 def theorem2_bound(n: int, c, eps, prec: int = DEFAULT_PREC) -> mpf:
     """Lower bound (log 2 - eps) (1-c)/|log(1-c)| n pi on the zero spread s."""
     with working_precision(prec):
-        cm = mp.mpf(c)
-        return (mp.log(2) - mp.mpf(eps)) * (1 - cm) / abs(mp.log(1 - cm)) * n * mp.pi
+        return _eta(1 - mp.mpf(c), eps) * n * mp.pi
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Hardy Z function engine: evaluation, derivatives, zeros, counting.
 
-Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  The primary
-evaluation path (z_eval) applies Euler-Maclaurin summation to zeta with an
-explicit truncation bound; a Riemann-Siegel fast path backs interval scans
-and is checked against it: each sign change the scan brackets is refined by
-Illinois regula falsi to a 2^-48 bracket, which Euler-Maclaurin then
-certifies.  Derivatives come from Cauchy circle integration of the analytic
-continuation of Z, sampled with the library zeta, and are cross-checked by
-Richardson finite differences.
+Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Two routes
+evaluate it: z_eval applies Euler-Maclaurin summation to zeta with an
+explicit truncation bound, and the library's Riemann-Siegel mp.siegelz backs
+interval scans.  Each sign change the scan brackets is refined by Illinois
+regula falsi to a 2^-48 bracket, which z_eval then certifies.  Derivatives
+come from Cauchy circle integration of the analytic continuation of Z,
+sampled with the library zeta, and are cross-checked by Richardson finite
+differences.
 """
 
 from __future__ import annotations
@@ -162,32 +162,26 @@ def _zeta_em(s, prec: int) -> Tuple[object, mpf]:
 class ZSample:
     t: mpf
     z: mpf
-    method: str
     error_estimate: mpf
 
 
-def z_eval(t, prec: int = DEFAULT_PREC, method: str = "euler_maclaurin") -> ZSample:
-    """Z(t) = e^{i theta(t)} zeta(1/2 + it), guaranteed-real output.
+def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
+    """Z(t) = e^{i theta(t)} zeta(1/2 + it) by Euler-Maclaurin, real output.
 
-    euler_maclaurin (default) carries an explicit truncation bound plus the
-    imaginary residue of the complex product; riemann_siegel delegates to the
-    library implementation and records a working-precision heuristic bound.
+    The error estimate is the Euler-Maclaurin truncation bound plus the
+    imaginary residue of the complex product.  The Riemann-Siegel route is
+    the library's mp.siegelz, which the scan uses and the tests compare
+    against this one.
     """
     with working_precision(prec):
         tm = mp.mpf(t)
         if tm < 0:
             raise ValueError("t must be >= 0")
-        if method == "euler_maclaurin":
-            zeta_val, zeta_err = _zeta_em(mp.mpf(0.5) + 1j * tm, prec)
-            phase = mp.e ** (1j * theta(tm, prec=prec + THETA_GUARD_BITS))
-            zc = phase * zeta_val
-            err = zeta_err + abs(zc.imag)
-            return ZSample(t=tm, z=zc.real, method=method, error_estimate=+err)
-        if method == "riemann_siegel":
-            val = mp.siegelz(tm)
-            err = abs(val) * mp.mpf(2) ** (-(prec - 8)) + mp.mpf(2) ** (-(prec - 8))
-            return ZSample(t=tm, z=val, method=method, error_estimate=err)
-        raise ValueError(f"unknown method {method!r}")
+        zeta_val, zeta_err = _zeta_em(mp.mpf(0.5) + 1j * tm, prec)
+        phase = mp.e ** (1j * theta(tm, prec=prec + THETA_GUARD_BITS))
+        zc = phase * zeta_val
+        err = zeta_err + abs(zc.imag)
+        return ZSample(t=tm, z=zc.real, error_estimate=+err)
 
 
 def _z_complex(w):
@@ -244,7 +238,7 @@ def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
         raise ValueError("k must be >= 0")
     with working_precision(prec):
         with mp.extraprec(FD_BITS_PER_ORDER * k + FD_GUARD_BITS):
-            d = mp.diff(lambda u: mp.siegelz(u), mp.mpf(t), k)
+            d = mp.diff(mp.siegelz, mp.mpf(t), k)
         return +d
 
 
@@ -400,7 +394,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     sign-change bracket of half-width <= 2^-48 refined by Illinois regula
     falsi.
 
-    Scans with the Riemann-Siegel fast path at step pi/(4 theta'); the count
+    Scans a finite window with mp.siegelz at step pi/(4 theta'); the count
     is cross-checked against the smooth theta-based estimate and the scan is
     repeated at half step (up to MAX_RESCANS times) when a missed close pair
     is suspected.  Each final bracket is certified by an Euler-Maclaurin
@@ -409,9 +403,9 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     with working_precision(prec):
         lo = mp.mpf(t_lo)
         hi = mp.mpf(t_hi)
-        if not hi > lo >= 0:
-            raise ValueError("need t_hi > t_lo >= 0")
-        f = lambda u: mp.siegelz(u)
+        if not (hi > lo >= 0 and mp.isfinite(hi)):
+            raise ValueError("need finite t_hi > t_lo >= 0")
+        f = mp.siegelz
         expected = expected_zero_count(lo, hi, prec=prec)
         rescans = 0
         step_scale = mp.mpf(1)

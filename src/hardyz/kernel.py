@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 
 from .divided_diff import NodeMultiset, divided_difference_data, node_product
 from .polynomials import (bernoulli_poly, bernoulli_poly_mpf, chebyshev,
-                          chebyshev_deriv_at_one, chebyshev_derivatives)
+                          chebyshev_derivatives, horner)
 from .precision import DEFAULT_PREC, working_precision
 from .sequences import TAIL_WEIGHT_MIN_N, tail_weight_constant
 
@@ -175,11 +175,7 @@ class CompiledPsi:
         with working_precision(self.prec):
             xm = mp.mpf(x)
             i = min(max(bisect_right(self.knots, xm) - 1, 0), len(self.coeffs) - 1)
-            h = xm - self.centers[i]
-            acc = mp.mpf(0)
-            for c in reversed(self.coeffs[i]):
-                acc = acc * h + c
-            return acc
+            return horner(self.coeffs[i], xm - self.centers[i])
 
     def integrate_polynomial(self, poly: Sequence) -> mpf:
         """Closed-form integral over [-a, a] of p(x) times the kernel.
@@ -277,10 +273,8 @@ def _boundary_transfer(l: int, a, sign: int) -> Callable:
     def h(t):
         u = base + mp.asin(t) / (2 * mp.pi)
         am = mp.mpf(a)
-        acc = mp.mpf(0)
-        for cf in reversed(bernoulli_poly_mpf(2 * l)):
-            acc = acc * u + cf
-        return 2 * (4 * am) ** (2 * l - 1) / mp.factorial(2 * l) * acc
+        return 2 * (4 * am) ** (2 * l - 1) / mp.factorial(2 * l) \
+            * horner(bernoulli_poly_mpf(2 * l), u)
 
     return h
 
@@ -400,33 +394,20 @@ def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
     """Chebyshev-series evaluation of the kernel with analytic tail bound.
 
     Returns (chebyshev_psi(config, l, J)(x), bound on the terms j > 2n+J).
+    The bound needs distinct nodes; a weak configuration has no tail bound.
     """
+    if not config.is_strict():
+        raise DuplicateNodeError(
+            "psi_chebyshev_series requires a strict configuration")
     kern = chebyshev_psi(config, l, J, prec=prec)
     n = config.n
     with working_precision(prec):
         value = kern(x)
         M = 2 * n + J
-        if config.is_strict():
-            # |S_j| <= max|alpha_k| (2n+1); sum_{j>M} j^(-2l) <= M^(1-2l)/(2l-1)
-            alpha = coefficients(config, prec=prec).alpha
-            s_bound = max(abs(mp.mpf(v)) for v in alpha) * (2 * n + 1)
-            tail = abs(kern.pref) * s_bound * mp.mpf(M) ** (1 - 2 * l) / (2 * l - 1)
-        else:
-            # |S_j| <= T_j^(2n)(1)/(2n)! = O(j^(4n)); bound the tail term by
-            # term over a window then extend geometrically by the last ratio.
-            tail = mp.mpf(0)
-            prev = None
-            ratio = mp.mpf(1)
-            for j in range(M + 1, M + 202):
-                term = mp.mpf(chebyshev_deriv_at_one(j, n)) / mp.factorial(2 * n) \
-                    / mp.mpf(j) ** (2 * l)
-                tail += term
-                if prev is not None and prev > 0:
-                    ratio = term / prev
-                prev = term
-            if 0 < ratio < 1:
-                tail += prev * ratio / (1 - ratio)
-            tail *= abs(kern.pref)
+        # |S_j| <= max|alpha_k| (2n+1); sum_{j>M} j^(-2l) <= M^(1-2l)/(2l-1)
+        alpha = coefficients(config, prec=prec).alpha
+        s_bound = max(abs(mp.mpf(v)) for v in alpha) * (2 * n + 1)
+        tail = abs(kern.pref) * s_bound * mp.mpf(M) ** (1 - 2 * l) / (2 * l - 1)
         return value, tail
 
 

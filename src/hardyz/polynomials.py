@@ -90,8 +90,12 @@ def bernoulli_poly_mpf(n: int) -> Tuple[mpf, ...]:
     return cached
 
 
-def _horner(coeffs, x: mpf) -> mpf:
-    acc = mp.mpf(0)
+def horner(coeffs, x):
+    """sum_k coeffs[k] x^k, the package's one Horner pass.  Starting at the
+    integer 0 keeps Fractions exact and rounds an mpf leading coefficient as
+    an mp.mpf(0) start does; an mpc one keeps its imaginary bits in that
+    step, so mpc coefficients should be at the ambient precision."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -100,16 +104,12 @@ def _horner(coeffs, x: mpf) -> mpf:
 def bernoulli_poly(n: int, x, prec: int = DEFAULT_PREC) -> mpf:
     """B_n(x) evaluated at precision via the exact coefficient expansion."""
     with working_precision(prec):
-        return _horner(bernoulli_poly_mpf(n), mp.mpf(x))
+        return horner(bernoulli_poly_mpf(n), mp.mpf(x))
 
 
 def bernoulli_poly_exact(n: int, x: Fraction) -> Fraction:
     """B_n(x) for rational x, exact."""
-    coeffs = bernoulli_poly_coeffs(n)
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    return horner(bernoulli_poly_coeffs(n), x)
 
 
 def periodic_bernoulli(n: int, x, prec: int = DEFAULT_PREC) -> mpf:

@@ -12,6 +12,7 @@ from typing import Sequence
 from mpmath import mp
 
 from .divided_diff import FunctionProbe
+from .polynomials import horner
 from .precision import DEFAULT_PREC, working_precision
 
 LARGE_ORDER = 10 ** 6
@@ -54,11 +55,7 @@ class PolynomialProbe(FunctionProbe):
                 cs = self._horner_coeffs[k] = [
                     mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction)
                     else c for c in self.derivative_coeffs(k)]
-            xm = mp.mpf(x)
-            acc = mp.mpf(0)
-            for c in reversed(cs):
-                acc = acc * xm + c
-            return acc
+            return horner(cs, mp.mpf(x))
 
 
 def polynomial_probe(coeffs: Sequence, prec: int = DEFAULT_PREC) -> PolynomialProbe:
@@ -121,11 +118,8 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
         with working_precision(prec):
             P = poly_for(k)
             xm = mp.mpf(x)
-            acc = mp.mpc(0)
-            for c in reversed(P):
-                acc = acc * xm + c
             q = -xm ** 2 / (2 * mp.mpf(width) ** 2) + mp.mpc(0, b) * xm
-            return (acc * mp.exp(q)).real
+            return (horner(P, xm) * mp.exp(q)).real
 
     return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
 

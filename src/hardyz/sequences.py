@@ -12,7 +12,6 @@ evaluation at comparison time, never by float pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Tuple
@@ -26,16 +25,8 @@ TAIL_WEIGHT_MIN_N = 10
 TAIL_WEIGHT_DEFAULT_LMAX = 10 ** 5
 
 
-@dataclass
-class SequenceTable:
-    """Exact table indexed by (k, l) or (m, l)."""
-
-    kind: str
-    entries: Dict[Tuple[int, int], object] = field(default_factory=dict)
-
-
-def b_table(K: int, L: int) -> SequenceTable:
-    """Integers b_{k,l} of the arcsin-power expansion.
+def b_table(K: int, L: int) -> Dict[Tuple[int, int], int]:
+    """Integers b_{k,l} of the arcsin-power expansion, keyed by (k, l).
 
     b_{0,0} = 1, b_{k,0} = b_{0,l} = 0 for k,l >= 1, and
     b_{k+1,l+1} = b_{k,l} + l^2 b_{k+1,l}.
@@ -51,14 +42,14 @@ def b_table(K: int, L: int) -> SequenceTable:
                 b[k, l] = 0
             else:
                 b[k, l] = b[k - 1, l - 1] + (l - 1) ** 2 * b[k, l - 1]
-    return SequenceTable(kind="b_arcsin", entries=b)
+    return b
 
 
 def arcsin_power_coefficients(k: int, L: int) -> List[Fraction]:
     """Coefficients of x^{2l}, l = 0..L, in the expansion of (Arcsin x)^{2k}."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    b = b_table(k, L).entries
+    b = b_table(k, L)
     out = []
     for l in range(L + 1):
         c = Fraction(factorial(2 * k), factorial(2 * l)) \
@@ -75,8 +66,7 @@ def d_limit_check(k: int, L: int, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf, m
     """
     if k < 1 or L < k:
         raise ValueError("need k >= 1 and L >= k")
-    b = b_table(k, L).entries
-    d_exact = Fraction(b[k, L], factorial(L - 1) ** 2)
+    d_exact = d_value(k, L)
     with working_precision(prec):
         d = mp.mpf(d_exact.numerator) / d_exact.denominator
         limit = mp.pi ** (2 * k - 2) / mp.factorial(2 * k - 1)
@@ -87,8 +77,7 @@ def d_value(k: int, l: int) -> Fraction:
     """Exact d_{k,l} = b_{k,l}/((l-1)!)^2 for l >= 1."""
     if k < 1 or l < 1:
         raise ValueError("need k, l >= 1")
-    b = b_table(k, l).entries
-    return Fraction(b[k, l], factorial(l - 1) ** 2)
+    return Fraction(b_table(k, l)[k, l], factorial(l - 1) ** 2)
 
 
 class PiSquarePoly:
@@ -118,9 +107,6 @@ class PiSquarePoly:
         """Multiply by (pi^2)^de."""
         return PiSquarePoly({e + de: c for e, c in self.coeffs.items()})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PiSquarePoly) and self.coeffs == other.coeffs
 
@@ -136,14 +122,14 @@ class PiSquarePoly:
         return f"PiSquarePoly({self.coeffs!r})"
 
 
-def f_poly(m: int, l: int, _b=None) -> PiSquarePoly:
+def f_poly(m: int, l: int) -> PiSquarePoly:
     """f_{m,l} as an exact polynomial in pi^2.
 
     f_{m,l} = (-1)^(m+1) sum_{k=0}^m (2 pi)^(2m-2k)/(2m-2k)! B_{2m-2k}(1/2) b_{k,l}.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    b = _b if _b is not None else b_table(m, l).entries
+    b = b_table(m, l)
     sign = Fraction((-1) ** (m + 1))
     coeffs: Dict[int, Fraction] = {}
     for k in range(m + 1):
@@ -157,11 +143,11 @@ def f_poly(m: int, l: int, _b=None) -> PiSquarePoly:
     return PiSquarePoly(coeffs)
 
 
-def g_poly(m: int, l: int, _b=None) -> PiSquarePoly:
+def g_poly(m: int, l: int) -> PiSquarePoly:
     """g_{m,l} = f_{m,l}/((l-1)!)^2 for l >= 1, exact in pi^2."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    return f_poly(m, l, _b=_b).scale(Fraction(1, factorial(l - 1) ** 2))
+    return f_poly(m, l).scale(Fraction(1, factorial(l - 1) ** 2))
 
 
 def e_coefficients(m: int, L: int) -> List[PiSquarePoly]:
@@ -173,10 +159,9 @@ def e_coefficients(m: int, L: int) -> List[PiSquarePoly]:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    b = b_table(m, L).entries
     out = []
     for l in range(L + 1):
-        fp = f_poly(m, l, _b=b)
+        fp = f_poly(m, l)
         r = Fraction(factorial(2 * m) * 2 ** (2 * l), factorial(2 * l) * 2 ** (2 * m))
         out.append(fp.scale(r).shift(-m))
     return out

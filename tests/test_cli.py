@@ -160,12 +160,34 @@ def test_extremal_exit_code_tracks_total(capsys):
 
 
 def test_explore_has_witness_field(capsys):
+    # the one run of explore 100 0.3 2 in the suite: the report's shape
     code, out = _run(capsys, ["--precision-bits", "64", "explore",
                               "100", "0.3", "2"])
     assert code == EXIT_OK
     payload = json.loads(out)
+    assert payload["m_used"] <= 2
+    ks = [row["k"] for row in payload["rows"]]
+    assert ks == sorted(set(ks))
+    assert 2 * payload["m_used"] in ks
     assert "witness_k" in payload
     assert "exploratory_note" in payload
+    assert payload["C"] == "0.3"
+
+
+def test_zeros_reads_the_window_at_working_precision(capsys):
+    code, out = _run(capsys, ["--precision-bits", "128", "--jobs", "1",
+                              "zeros", "14.1", "14.2"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["t_lo"], payload["t_hi"]) == ("14.1", "14.2")
+    assert payload["count"] == 1
+
+
+def test_zeros_refuses_an_infinite_window():
+    assert main(["--precision-bits", "128", "--jobs", "1",
+                 "zeros", "0", "inf"]) == EXIT_USAGE
+    assert main(["--precision-bits", "128", "--jobs", "1",
+                 "zeros", "0", "ten"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("env, argv", [

@@ -10,8 +10,8 @@ from hardyz import identity
 from hardyz.identity import (NodeNotZeroError, WeightContractError,
                              piecewise_weight_integral, reconstruct_f0,
                              verify_key_identity)
-from hardyz.kernel import (NodeConfig, coefficients, kernel_knots, psi,
-                           psi_chebyshev_series, random_config)
+from hardyz.kernel import (NodeConfig, chebyshev_psi, coefficients,
+                           kernel_knots, psi, random_config)
 from hardyz.precision import working_precision
 from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
@@ -209,9 +209,9 @@ def test_weak_interior_kernel_is_the_chebyshev_series():
     l = cfg.n + 1
     J = max(40, int(2 * PREC / (2 * l - 1)))
     kern = identity._interior_kernel(cfg, l, PREC)
+    series = chebyshev_psi(cfg, l, J, prec=PREC)
     for x in ("-3.1", "0.4", "1.7", "3.9"):
-        series, _ = psi_chebyshev_series(cfg, l, mp.mpf(x), J, prec=PREC)
-        assert kern(mp.mpf(x))._mpf_ == series._mpf_
+        assert kern(mp.mpf(x))._mpf_ == series(mp.mpf(x))._mpf_
 
 
 def test_polynomial_probe_cached_derivatives_are_bit_identical():

@@ -76,6 +76,14 @@ def test_series_matches_direct_evaluation():
             assert abs(direct - series) <= tail + mp.mpf(2) ** (-(PREC - 60))
 
 
+def test_series_tail_bound_refuses_weak_configurations():
+    # the tail bound rests on |S_j| <= max|alpha_k| (2n+1), which needs
+    # distinct nodes; chebyshev_psi evaluates the weak series without one
+    cfg = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
+    with pytest.raises(DuplicateNodeError):
+        psi_chebyshev_series(cfg, 3, mp.mpf("0.4"), 40, prec=PREC)
+
+
 def test_boundary_matches_direct_for_strict():
     rng = random.Random(17)
     cfg = random_config(rng, 2, prec=PREC)

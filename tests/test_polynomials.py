@@ -1,6 +1,8 @@
 """Unit tests for the Bernoulli/Chebyshev substrate."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -123,3 +125,74 @@ def test_cached_mpf_coefficients_are_bit_identical():
         low = P.bernoulli_poly_mpf(14)
     with working_precision(192):
         assert P.bernoulli_poly_mpf(14) != low
+
+
+def _zero_start_horner(coeffs, x, zero):
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_horner_keeps_fractions_exact():
+    cs = [Fraction(1, 3), Fraction(-2, 5), 0, Fraction(7, 11)]
+    x = Fraction(3, 7)
+    value = P.horner(cs, x)
+    assert isinstance(value, Fraction)
+    assert value == sum(c * x ** k for k, c in enumerate(cs))
+
+
+def test_horner_rounds_like_an_mpf_zero_start():
+    # coefficients carrying more bits than the ambient precision are rounded
+    # in the first step exactly as an mp.mpf(0) start rounds them
+    with working_precision(400):
+        cs = [mp.mpf(k + 1) / 3 ** (k + 2) * (-1) ** k for k in range(9)]
+        x = mp.mpf(5) / 7
+    with working_precision(128):
+        xm = +x
+        for coeffs in (cs, cs[:1]):
+            assert P.horner(coeffs, xm)._mpf_ == \
+                _zero_start_horner(coeffs, xm, mp.mpf(0))._mpf_
+
+
+def test_horner_complex_coefficients():
+    with working_precision(PREC):
+        cs = [mp.mpc(k + 1, -k) / 7 ** k for k in range(6)]
+        x = mp.mpf("0.37")
+        assert P.horner(cs, x) == _zero_start_horner(cs, x, mp.mpc(0))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hardyz"
+
+
+def _horner_loops(src: Path):
+    """Every `for ... in reversed(...)` loop whose body holds a step
+    `a = a * x + c`, as "module:line", outside polynomials.horner."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = set()
+        if path.stem == "polynomials":
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "horner":
+                    exempt = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, ast.For) or id(node) in exempt
+                    or not isinstance(node.iter, ast.Call)
+                    or getattr(node.iter.func, "id", None) != "reversed"):
+                continue
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                        and isinstance(stmt.targets[0], ast.Name)
+                        and isinstance(stmt.value, ast.BinOp)
+                        and isinstance(stmt.value.op, ast.Add)
+                        and isinstance(stmt.value.left, ast.BinOp)
+                        and isinstance(stmt.value.left.op, ast.Mult)
+                        and isinstance(stmt.value.left.left, ast.Name)
+                        and stmt.value.left.left.id == stmt.targets[0].id):
+                    found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_horner_is_the_only_horner_loop():
+    assert _horner_loops(SRC) == []

@@ -15,13 +15,13 @@ PREC = 192
 
 
 def test_b_first_row_factorial_squares():
-    b = b_table(1, 30).entries
+    b = b_table(1, 30)
     for l in range(1, 31):
         assert b[1, l] == factorial(l - 1) ** 2
 
 
 def test_b_recurrence_spot_values():
-    b = b_table(3, 6).entries
+    b = b_table(3, 6)
     assert b[0, 0] == 1
     assert b[1, 1] == 1
     assert b[2, 2] == 1

@@ -33,6 +33,7 @@ COMMANDS = [
     for probe in ("cosine", "polynomial", "gaussian-cosine", "cardinal")
 ] + [
     "--jobs 1 zeros 10 100",
+    "--precision-bits 128 --jobs 1 zeros 14.1 14.2",
 ]
 
 ENTRY = "import sys; from hardyz.cli import main; sys.exit(main(sys.argv[1:]))"
