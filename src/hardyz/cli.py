@@ -9,6 +9,9 @@ library report plus a command/seed/precision_bits envelope.
 
 Formats: verify-lemmas json or text, zeros json or csv, the others json.
 
+zeros scans serially unless --jobs N (default 1) splits a window wider than
+20 into N worker processes, whose digits agree within the half-widths.
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error, 3 numerical escalation exhausted.
 
@@ -565,9 +568,9 @@ def cmd_identity(args) -> int:
 
 
 def _find_zeros(lo, hi, jobs: int, prec: int) -> hardy.ZeroList:
-    """hardy.find_zeros over (lo, hi]; a window wider than 20 is split into
-    `jobs` chunks scanned in worker processes and merged."""
-    if jobs <= 1 or hi - lo <= 20:
+    """hardy.find_zeros over (lo, hi]; a finite window wider than 20 is split
+    into `jobs` chunks scanned in worker processes and merged."""
+    if jobs <= 1 or not (mp.isfinite(hi) and hi - lo > 20):
         return hardy.find_zeros(lo, hi, prec=prec)
     import concurrent.futures
     edges = [lo + (hi - lo) * i / jobs for i in range(jobs + 1)]
@@ -638,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision-bits", type=int,
                    default=_env("PRECISION_BITS", DEFAULT_PREC))
     p.add_argument("--seed", type=int, default=_env("SEED", 0))
-    p.add_argument("--jobs", type=int, default=_env("JOBS", os.cpu_count() or 1))
+    p.add_argument("--jobs", type=int, default=_env("JOBS", 1))
     p.add_argument("--format", choices=("json", "csv", "text"),
                    default=_env("FORMAT", "json"))
     p.add_argument("--out", default=_env("OUT", None))

@@ -10,16 +10,17 @@ below 1.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .divided_diff import FunctionProbe, node_product
-# coefficients and divided_bound_direct are also reached through this module
+# also reached through this module: coefficients, divided_bound_direct, sine_product
 from .kernel import (NodeConfig, boundary_sum_bound, coefficients,  # noqa: F401
-                     divided_bound_direct)
+                     divided_bound_direct, sine_product)
 from .precision import DEFAULT_PREC, Report, working_precision
 from .sequences import tail_weight_constant
 
@@ -28,12 +29,16 @@ FIND_C_EPS_RESOLUTION_BITS = 12
 
 @dataclass
 class ExtremalParams:
-    """(n, c, eps) with the derived delta, eta, a and s* quantities."""
+    """(n, c, eps) with delta = 1 - c, eta, a and s* = eta a set at construction."""
 
     n: int
     c: object
     eps: object
     prec: int = DEFAULT_PREC
+    delta: mpf = field(init=False)
+    eta: mpf = field(init=False)
+    a: mpf = field(init=False)
+    s_star: mpf = field(init=False)
 
     def __post_init__(self):
         with working_precision(self.prec):
@@ -45,26 +50,10 @@ class ExtremalParams:
                 raise ValueError("eps must lie in (0, log 2)")
             if self.n < 1:
                 raise ValueError("n must be >= 1")
-
-    @property
-    def delta(self) -> mpf:
-        with working_precision(self.prec):
-            return 1 - mp.mpf(self.c)
-
-    @property
-    def eta(self) -> mpf:
-        with working_precision(self.prec):
-            return _eta(self.delta, self.eps)
-
-    @property
-    def a(self) -> mpf:
-        with working_precision(self.prec):
-            return (self.n - mp.mpf(0.5)) * mp.pi / mp.mpf(self.c)
-
-    @property
-    def s_star(self) -> mpf:
-        with working_precision(self.prec):
-            return self.eta * self.a
+            self.delta = 1 - c
+            self.eta = _eta(self.delta, eps)
+            self.a = (self.n - mp.mpf(0.5)) * mp.pi / c
+            self.s_star = self.eta * self.a
 
     def admissible(self, c_eps) -> bool:
         with working_precision(self.prec):
@@ -133,9 +122,6 @@ def g_and_h(delta, eps, prec: int = DEFAULT_PREC) -> Tuple[Tuple[mpf, mpf], mpf]
         return (g_upper, g_lower), h
 
 
-_c_eps_cache = {}
-
-
 def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
     """Numerically locate c_eps = 1 - delta_eps with h < 0 on (0, delta_eps).
 
@@ -143,44 +129,37 @@ def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
     bisects the first sign change of h.  If h >= 0 on the whole grid (which
     would contradict the sine-product argument) a warning is issued and
     c_eps = 1 is returned, making the admissible range empty.  Results are
-    cached per (eps at working precision, prec).
+    cached per (eps at working precision, prec) by _c_eps.
     """
     with working_precision(prec):
-        eps = mp.mpf(eps)
-        key = (eps, prec)
-        if key in _c_eps_cache:
-            return _c_eps_cache[key]
-        step = mp.mpf(2) ** (-FIND_C_EPS_RESOLUTION_BITS)
-        h_at = lambda d: g_and_h(d, eps, prec=prec)[1]
-        prev = None
-        first_bad = None
-        d = step
-        while d < mp.mpf(1) / 4:
-            if h_at(d) >= 0:
-                first_bad = d
-                break
-            prev = d
-            d += step
-        if first_bad is None:
-            delta_eps = mp.mpf(1) / 4
-        elif prev is None:
-            warnings.warn("h(delta) >= 0 at the smallest grid point; "
-                          "no admissible range located")
-            result = mp.mpf(1)
-            _c_eps_cache[key] = result
-            return result
+        return _c_eps(mp.mpf(eps), prec)
+
+
+@functools.cache
+def _c_eps(eps: mpf, prec: int) -> mpf:
+    step = mp.mpf(2) ** (-FIND_C_EPS_RESOLUTION_BITS)
+    h_at = lambda d: g_and_h(d, eps, prec=prec)[1]
+    prev = None
+    d = step
+    while d < mp.mpf(1) / 4:
+        if h_at(d) >= 0:
+            break
+        prev = d
+        d += step
+    else:
+        return 1 - mp.mpf(1) / 4
+    if prev is None:
+        warnings.warn("h(delta) >= 0 at the smallest grid point; "
+                      "no admissible range located")
+        return mp.mpf(1)
+    lo, hi = prev, d
+    for _ in range(prec // 2):
+        mid = (lo + hi) / 2
+        if h_at(mid) < 0:
+            lo = mid
         else:
-            lo, hi = prev, first_bad
-            for _ in range(prec // 2):
-                mid = (lo + hi) / 2
-                if h_at(mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            delta_eps = lo
-        result = 1 - delta_eps
-        _c_eps_cache[key] = result
-        return result
+            hi = mid
+    return 1 - lo
 
 
 def extremal_config(params: ExtremalParams, prec: Optional[int] = None) -> NodeConfig:
@@ -196,26 +175,6 @@ def extremal_config(params: ExtremalParams, prec: Optional[int] = None) -> NodeC
             raise ValueError("outermost node escapes (-a, a)")
         nodes = [-v for v in reversed(pos)] + [mp.mpf(0)] + pos
         return NodeConfig(n=params.n, a=a, nodes=nodes, strict=True)
-
-
-def sine_product(config: NodeConfig, prec: int = DEFAULT_PREC,
-                 log_domain: bool = False) -> mpf:
-    """(-1)^n prod_{j!=0} sin(pi x_j/2a); contract (0, 2^-2n) on extremal
-    configurations in the admissible range."""
-    with working_precision(prec):
-        n = config.n
-        t = config.sine_nodes(prec=prec)
-        if log_domain:
-            log_abs = mp.mpf(0)
-            sign = 1
-            for i, s in enumerate(t):
-                if i == n:
-                    continue
-                sign *= 1 if s > 0 else -1
-                log_abs += mp.log(abs(s))
-            return (-1) ** n * sign * mp.e ** log_abs
-        # prod_{j != 0}(t_0 - t_j) with t_0 = 0 has 2n factors
-        return (-1) ** n * node_product(t, n)
 
 
 def phi(y: Sequence, n: int, prec: int = DEFAULT_PREC) -> mpf:

@@ -424,12 +424,32 @@ def divided_bound_direct(config: NodeConfig, c, prec: int = DEFAULT_PREC) -> mpf
         return -total / mp.sin(cm * a)
 
 
+def sine_product(config: NodeConfig, prec: int = DEFAULT_PREC,
+                 log_domain: bool = False) -> mpf:
+    """(-1)^n prod_{j!=0} sin(pi x_j/2a); contract (0, 2^-2n) on extremal
+    configurations in the admissible range."""
+    with working_precision(prec):
+        n = config.n
+        t = config.sine_nodes(prec=prec)
+        if log_domain:
+            log_abs = mp.mpf(0)
+            sign = 1
+            for i, s in enumerate(t):
+                if i == n:
+                    continue
+                sign *= 1 if s > 0 else -1
+                log_abs += mp.log(abs(s))
+            return (-1) ** n * sign * mp.e ** log_abs
+        # prod_{j != 0}(t_0 - t_j) with t_0 = 0 has 2n factors
+        return (-1) ** n * node_product(t, n)
+
+
 def boundary_sum_bound(config: NodeConfig, c, m: int,
                        prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
     """Both sides of the boundary-sum inequality.
 
     lhs = sum_{k=1..m} (-1)^(n+k+1) [Psi*_{2k-1}(a) + Psi*_{2k-1}(-a)] c^(2k-1);
-    rhs = ((-1)^n prod_{j!=0} sin(pi x_j/2a)) * divided_bound_direct(config, c).
+    rhs = sine_product(config) * divided_bound_direct(config, c).
     Contract: lhs <= rhs for 0 < c a < n pi with c a off the multiples of pi.
     """
     if not config.is_strict():
@@ -452,9 +472,8 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
             s = psi_star_boundary(config, k, 1, prec=prec, weights=mu) \
                 + psi_star_boundary(config, k, -1, prec=prec, weights=mu)
             lhs += (-1) ** (n + k + 1) * s * cm ** (2 * k - 1)
-        # the sine product: prod_{j != 0}(t_0 - t_j) has 2n factors
-        sines = node_product(config.sine_nodes(prec=prec), n)
-        rhs = (-1) ** n * sines * divided_bound_direct(config, c, prec=prec)
+        rhs = sine_product(config, prec=prec) \
+            * divided_bound_direct(config, c, prec=prec)
         return lhs, rhs
 
 

@@ -8,7 +8,7 @@ B_n(0) = B_n for the polynomial coefficients used here.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from math import comb, factorial
 from typing import List, Tuple
@@ -21,57 +21,29 @@ MAX_DEGREE = 256
 PERIODIC_GUARD_BITS = 16  # B_n's Horner pass cancels on [0, 1]; x - floor(x) does not
 CHEBYSHEV_SEED_GUARD_BITS = 16  # the derivative recurrence divides by 1 - x^2
 
-_lock = threading.Lock()
-_bernoulli_cache: List[Fraction] = []
-_bpoly_coeff_cache: dict = {}
-_bpoly_mpf_cache: dict = {}
-
 
 class DegreeOverflowError(ValueError):
     """Requested degree exceeds the configured maximum."""
 
 
-def bernoulli_numbers(n: int) -> List[Fraction]:
-    """Bernoulli numbers B_0..B_n as exact Fractions (B_1 = -1/2).
-
-    Computed once by the Akiyama-Tanigawa triangular recurrence and cached;
-    the cache is append-only and safe for concurrent readers.
-    """
+@functools.cache
+def bernoulli_numbers(n: int) -> Tuple[Fraction, ...]:
+    """Bernoulli numbers B_0..B_n as exact Fractions (B_1 = -1/2), from
+    mpmath's exact bernfrac; cached per n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n >= len(_bernoulli_cache):
-        with _lock:
-            if n >= len(_bernoulli_cache):
-                A = [Fraction(0)] * (n + 1)
-                out: List[Fraction] = []
-                for m in range(n + 1):
-                    A[m] = Fraction(1, m + 1)
-                    for j in range(m, 0, -1):
-                        A[j - 1] = j * (A[j - 1] - A[j])
-                    out.append(A[0])
-                # Akiyama-Tanigawa yields B_1 = +1/2; flip to the polynomial
-                # convention B_n(0) = B_n with B_1(x) = x - 1/2.
-                if n >= 1:
-                    out[1] = Fraction(-1, 2)
-                _bernoulli_cache[:] = out
-    return _bernoulli_cache[: n + 1]
+    return tuple(Fraction(*mp.bernfrac(k)) for k in range(n + 1))
 
 
+@functools.cache
 def bernoulli_poly_coeffs(n: int) -> Tuple[Fraction, ...]:
     """Exact coefficients (c_0, ..., c_n) of B_n(x) = sum c_k x^k."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > MAX_DEGREE:
         raise DegreeOverflowError(f"degree {n} exceeds maximum {MAX_DEGREE}")
-    with _lock:
-        cached = _bpoly_coeff_cache.get(n)
-    if cached is not None:
-        return cached
     B = bernoulli_numbers(n)
-    coeffs = tuple(comb(n, k) * B[n - k] for k in range(n + 1))
-    with _lock:
-        _bpoly_coeff_cache[n] = coeffs
-    return coeffs
+    return tuple(comb(n, k) * B[n - k] for k in range(n + 1))
 
 
 def bernoulli_poly_mpf(n: int) -> Tuple[mpf, ...]:
@@ -81,13 +53,13 @@ def bernoulli_poly_mpf(n: int) -> Tuple[mpf, ...]:
     Horner pass always converted them; cached per (n, mp.prec), so a cached
     vector is bit-identical to a fresh conversion.
     """
-    key = (n, mp.prec)
-    cached = _bpoly_mpf_cache.get(key)
-    if cached is None:
-        cached = tuple(mpf(c.numerator) / mpf(c.denominator)
-                       for c in bernoulli_poly_coeffs(n))
-        _bpoly_mpf_cache[key] = cached
-    return cached
+    return _bernoulli_poly_mpf(n, mp.prec)
+
+
+@functools.cache
+def _bernoulli_poly_mpf(n: int, prec: int) -> Tuple[mpf, ...]:
+    return tuple(mpf(c.numerator) / mpf(c.denominator)
+                 for c in bernoulli_poly_coeffs(n))
 
 
 def horner(coeffs, x):

@@ -6,6 +6,7 @@ analytically (coefficient manipulation), never by finite differences.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -92,13 +93,9 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
     Derivatives via the polynomial recurrence P_{k+1} = P_k' + q' P_k with
     f^(k) = Re[P_k exp(q)].
     """
-    cache: dict = {}
-
-    def poly_for(k):
-        # complex coefficient lists of P_k at the ambient precision
-        key = (k, mp.prec)
-        if key in cache:
-            return cache[key]
+    @functools.cache
+    def poly_for(k, prec):
+        # complex coefficient lists of P_k at precision prec, the ambient one
         w2 = mp.mpf(width) ** 2
         qp = [mp.mpc(0, b), mp.mpc(-1 / w2, 0)]  # q'(x) = ib - x/w^2
         P = [mp.mpc(1)]
@@ -111,12 +108,11 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
             n = max(len(dP), len(prod))
             P = [(dP[i] if i < len(dP) else 0) + (prod[i] if i < len(prod) else 0)
                  for i in range(n)]
-        cache[key] = P
         return P
 
     def deriv(x, k):
         with working_precision(prec):
-            P = poly_for(k)
+            P = poly_for(k, mp.prec)
             xm = mp.mpf(x)
             q = -xm ** 2 / (2 * mp.mpf(width) ** 2) + mp.mpc(0, b) * xm
             return (horner(P, xm) * mp.exp(q)).real

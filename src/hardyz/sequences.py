@@ -12,6 +12,7 @@ evaluation at comparison time, never by float pipelines.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Tuple
@@ -87,18 +88,6 @@ class PiSquarePoly:
 
     def __init__(self, coeffs: Dict[int, Fraction] | None = None):
         self.coeffs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c != 0}
-
-    def __add__(self, other: "PiSquarePoly") -> "PiSquarePoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return PiSquarePoly(out)
-
-    def __sub__(self, other: "PiSquarePoly") -> "PiSquarePoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return PiSquarePoly(out)
 
     def scale(self, r: Fraction) -> "PiSquarePoly":
         return PiSquarePoly({e: c * r for e, c in self.coeffs.items()})
@@ -233,18 +222,18 @@ def tail_weight_sum(n: int, L: int, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]
         return total, tail
 
 
-_tail_constant_cache: Dict[int, mpf] = {}
-
-
 def tail_weight_constant(prec: int = DEFAULT_PREC) -> mpf:
     """Computed stand-in C* for the uniform tail-sum constant.
 
     C* = tail_weight_sum(10, TAIL_WEIGHT_DEFAULT_LMAX) partial sum plus its
     tail estimate; every kernel sup bound in this package uses this concrete
-    number.
+    number.  Computed once per prec by _tail_weight_constant.
     """
-    if prec not in _tail_constant_cache:
-        partial, tail = tail_weight_sum(TAIL_WEIGHT_MIN_N, TAIL_WEIGHT_DEFAULT_LMAX,
-                                        prec=prec)
-        _tail_constant_cache[prec] = partial + tail
-    return _tail_constant_cache[prec]
+    return _tail_weight_constant(prec)
+
+
+@functools.cache
+def _tail_weight_constant(prec: int) -> mpf:
+    partial, tail = tail_weight_sum(TAIL_WEIGHT_MIN_N, TAIL_WEIGHT_DEFAULT_LMAX,
+                                    prec=prec)
+    return partial + tail

@@ -1,5 +1,6 @@
 """CLI-level tests: exit codes, output formats, determinism."""
 
+import concurrent.futures
 import json
 import multiprocessing
 
@@ -183,11 +184,22 @@ def test_zeros_reads_the_window_at_working_precision(capsys):
     assert payload["count"] == 1
 
 
-def test_zeros_refuses_an_infinite_window():
-    assert main(["--precision-bits", "128", "--jobs", "1",
-                 "zeros", "0", "inf"]) == EXIT_USAGE
-    assert main(["--precision-bits", "128", "--jobs", "1",
-                 "zeros", "0", "ten"]) == EXIT_USAGE
+def test_zeros_refuses_an_infinite_window(monkeypatch):
+    # a window that cannot be scanned is refused before any worker starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started for an invalid window")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for jobs in ("1", "2"):
+        for hi in ("inf", "nan", "ten"):
+            assert main(["--precision-bits", "128", "--jobs", jobs,
+                         "zeros", "0", hi]) == EXIT_USAGE, (jobs, hi)
+
+
+def test_jobs_default_does_not_follow_the_cpu_count(monkeypatch):
+    monkeypatch.delenv("HARDYZ_JOBS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert build_parser().parse_args(["zeros", "10", "40"]).jobs == 1
 
 
 @pytest.mark.parametrize("env, argv", [

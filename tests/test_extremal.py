@@ -163,8 +163,8 @@ def test_find_c_eps_cache_keys_on_the_working_precision_value():
     prec = 128
     with mp.workprec(prec):
         eps = mp.mpf("0.3")  # differs from the double 0.3 beyond 15 digits
-    extremal._c_eps_cache.clear()
+    extremal._c_eps.cache_clear()
     fresh = find_c_eps(eps, prec=prec)
-    extremal._c_eps_cache.clear()
+    extremal._c_eps.cache_clear()
     find_c_eps(mp.mpf(0.3), prec=prec)
     assert find_c_eps(eps, prec=prec) == fresh

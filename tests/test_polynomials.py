@@ -114,6 +114,27 @@ def test_degree_overflow():
         P.bernoulli_poly(300, mp.mpf(0.5), prec=PREC)
 
 
+def _akiyama_tanigawa(n):
+    """B_0..B_n by the Akiyama-Tanigawa triangle, flipped to B_1 = -1/2."""
+    A = [Fraction(0)] * (n + 1)
+    out = []
+    for m in range(n + 1):
+        A[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            A[j - 1] = j * (A[j - 1] - A[j])
+        out.append(A[0])
+    out[1] = Fraction(-1, 2)
+    return out
+
+
+def test_bernoulli_numbers_match_the_akiyama_tanigawa_recurrence():
+    assert list(P.bernoulli_numbers(256)) == _akiyama_tanigawa(256)
+
+
+def test_bernoulli_numbers_are_computed_once():
+    assert P.bernoulli_numbers(40) is P.bernoulli_numbers(40)
+
+
 def test_cached_mpf_coefficients_are_bit_identical():
     for prec in (128, 192):
         with working_precision(prec):
