@@ -4,13 +4,18 @@ The extremal configuration places |x*_k| = (k-1) pi + s* inside the interval
 of half-width a = (n - 1/2) pi / c.  Two bounds are checked on it: the sine
 product lies in (0, 2^-2n) and the cosine divided difference lies in
 (0, 2^(2n-1)).  Their product, together with the kernel sup bound scaled by
-the computed tail constant, forms the certificate total that must stay
-below 1.
+the tail constant C*, forms the certificate total that must stay below 1.
+
+The configuration is admissible for c > c_eps, where h(delta) < 0.  h is a
+difference of Clausen values Cl_2, computed by its Bernoulli series
+(_clausen) with a proved bound on the omitted terms; mp.clsin and the
+quadrature log_sine_integral are the routes the tests check it against.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -21,6 +26,7 @@ from .divided_diff import FunctionProbe, node_product
 # also reached through this module: coefficients, divided_bound_direct, sine_product
 from .kernel import (NodeConfig, boundary_sum_bound, coefficients,  # noqa: F401
                      divided_bound_direct, sine_product)
+from .polynomials import bernoulli_numbers, horner
 from .precision import DEFAULT_PREC, Report, working_precision
 from .sequences import tail_weight_constant
 
@@ -88,14 +94,58 @@ def log_sine_integral(t, prec: int = DEFAULT_PREC) -> mpf:
 
 
 def log_sine_integral_closed(t, prec: int = DEFAULT_PREC) -> mpf:
-    """Closed form G(t) = -t log 2 - Cl_2(pi t)/pi via the Clausen function.
+    """Closed form G(t) = -t log 2 - Cl_2(pi t)/pi for t in [0, 1].
 
-    Fast path used for admissibility grid scans; cross-checked against the
-    quadrature route in the test suite.
+    Cl_2 is the Bernoulli series of _clausen, so G(0) = 0 and G(1) = -log 2
+    come out exactly; the quadrature route log_sine_integral is its test
+    oracle.
     """
     with working_precision(prec):
         tm = mp.mpf(t)
-        return -tm * mp.log(2) - mp.clsin(2, mp.pi * tm) / mp.pi
+        if tm < 0 or tm > 1:
+            raise ValueError("t must lie in [0, 1]")
+        return -tm * mp.ln2 - _clausen(mp.pi * tm) / mp.pi
+
+
+def _clausen(theta) -> mpf:
+    """Cl_2(theta) for 0 <= theta <= pi, to 2^-(mp.prec+1) relative.
+
+    Cl_2(theta) = theta - theta log theta + sum_k c_k theta^(2k+1) with
+    c_k = |B_2k| / (2k (2k+1)!) (Lewin, Polylogarithms and Associated
+    Functions, 1981).  |B_2k| <= 2 zeta(2) (2k)!/(2 pi)^(2k) bounds the terms
+    after the K-th by zeta(2) theta x^(2K+2) / ((K+1)(2K+3)(1 - x^2)) with
+    x = theta/(2 pi).  For theta <= 2 pi/3, where x <= 1/3 and
+    Cl_2(theta) >= theta/4, that is below 4 x^(2K+2) Cl_2(theta), and K is
+    the smallest count that puts it under 2^-(mp.prec+1) Cl_2(theta).  Above
+    2 pi/3 the argument goes through Cl_2(pi - t) = Cl_2(t) - Cl_2(2t)/2,
+    whose t and 2t stay below 2 pi/3 (a cut at pi/2 would send 2t back
+    above it).
+    """
+    if theta > 2 * mp.pi / 3:
+        t = mp.pi - theta
+        return _clausen(t) - _clausen(2 * t) / 2
+    if not theta:
+        return mp.zero
+    log_theta = mp.log(theta)
+    bits_per_term = 2 * (math.log(2 * math.pi) - float(log_theta)) / math.log(2)
+    terms = math.ceil((mp.prec + 4) / bits_per_term) - 1  # 1 bit spare for the floats
+    coeffs = _clausen_coefficients(mp.prec)[:terms]
+    theta2 = theta * theta
+    return theta - theta * log_theta + theta * theta2 * horner(coeffs, theta2)
+
+
+@functools.cache
+def _clausen_coefficients(prec: int) -> Tuple[mpf, ...]:
+    """(c_1, c_2, ...) rounded at prec bits: one more than _clausen uses at
+    theta = 2 pi/3 (x = 1/3), so a float rounding in its count never runs
+    off the end."""
+    terms = math.ceil((prec + 4) / (2 * math.log2(3)))
+    B = bernoulli_numbers(2 * terms)
+    out = []
+    for k in range(1, terms + 1):
+        c = abs(B[2 * k]) / (2 * k * math.factorial(2 * k + 1))
+        out.append(mpf(c.numerator) / mpf(c.denominator))
+    return tuple(out)
 
 
 def _eta(delta, eps) -> mpf:
@@ -108,28 +158,34 @@ def g_and_h(delta, eps, prec: int = DEFAULT_PREC) -> Tuple[Tuple[mpf, mpf], mpf]
 
     h(delta) = (1-delta) log 2 + G(1-delta+eta) - G(eta) with
     eta = (log 2 - eps) delta/|log delta|; h -> 0 with slope -eps as
-    delta -> 0+, and the admissible c-range is where h < 0.  G is
-    log_sine_integral_closed; the quadrature route is its test oracle.
+    delta -> 0+, and the admissible c-range is where h < 0.  With
+    G(t) = -t log 2 - Cl_2(pi t)/pi the log 2 terms cancel exactly:
+    h = [Cl_2(pi eta) - Cl_2(pi - theta)]/pi with theta = pi (delta - eta),
+    and Cl_2(pi - theta) = Cl_2(theta) - Cl_2(2 theta)/2.  As eta < delta/2,
+    every Cl_2 argument stays below pi/2.
     """
     with working_precision(prec):
         d = mp.mpf(delta)
         if not 0 < d < mp.mpf(1) / 4:
             raise ValueError("delta must lie in (0, 1/4)")
         eta = _eta(d, eps)
-        g_upper = log_sine_integral_closed(1 - d + eta, prec=prec)
-        g_lower = log_sine_integral_closed(eta, prec=prec)
-        h = (1 - d) * mp.log(2) + g_upper - g_lower
-        return (g_upper, g_lower), h
+        theta = mp.pi * (d - eta)
+        cl_near = _clausen(mp.pi * eta)
+        cl_far = _clausen(theta) - _clausen(2 * theta) / 2
+        g_upper = -(1 - d + eta) * mp.ln2 - cl_far / mp.pi
+        g_lower = -eta * mp.ln2 - cl_near / mp.pi
+        return (g_upper, g_lower), (cl_near - cl_far) / mp.pi
 
 
 def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
     """Numerically locate c_eps = 1 - delta_eps with h < 0 on (0, delta_eps).
 
-    Scans a delta-grid of step 2^-FIND_C_EPS_RESOLUTION_BITS up to 1/4,
-    bisects the first sign change of h.  If h >= 0 on the whole grid (which
-    would contradict the sine-product argument) a warning is issued and
-    c_eps = 1 is returned, making the admissible range empty.  Results are
-    cached per (eps at working precision, prec) by _c_eps.
+    Scans a delta-grid of step 2^-FIND_C_EPS_RESOLUTION_BITS up to 1/4 and
+    bisects the first sign change of h until the bracket is 2^-prec wide,
+    one unit in the last place of a prec-bit c_eps.  If h >= 0 on the whole
+    grid (which would contradict the sine-product argument) a warning is
+    issued and c_eps = 1 is returned, making the admissible range empty.
+    Results are cached per (eps at working precision, prec) by _c_eps.
     """
     with working_precision(prec):
         return _c_eps(mp.mpf(eps), prec)
@@ -153,7 +209,7 @@ def _c_eps(eps: mpf, prec: int) -> mpf:
                       "no admissible range located")
         return mp.mpf(1)
     lo, hi = prev, d
-    for _ in range(prec // 2):
+    for _ in range(prec - FIND_C_EPS_RESOLUTION_BITS):
         mid = (lo + hi) / 2
         if h_at(mid) < 0:
             lo = mid

@@ -3,7 +3,9 @@
 Covers the arcsin-power coefficient table b_{k,l}, its normalized limits
 d_{k,l} (partial sums of the multiple zeta value zeta({2}_{k-1})), the
 positivity chain f/g/e for the composed Bernoulli expansion, and the
-binomial tail weights used by the kernel sup bound.
+binomial tail weights used by the kernel sup bound.  Their sum at n = 10,
+the constant C*, is an exact partial sum plus a tail bound proved by AM-GM
+and an integral comparison, so C* is an upper bound, not an estimate.
 
 f_{m,l} and g_{m,l} are kept symbolic as polynomials in pi^2 with rational
 coefficients (class PiSquarePoly); signs are decided by one high-precision
@@ -17,13 +19,13 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from .polynomials import bernoulli_poly_exact
 from .precision import DEFAULT_PREC, working_precision
 
 TAIL_WEIGHT_MIN_N = 10
-TAIL_WEIGHT_DEFAULT_LMAX = 10 ** 5
+TAIL_WEIGHT_DEFAULT_LMAX = 5000
 
 
 def b_table(K: int, L: int) -> Dict[Tuple[int, int], int]:
@@ -194,10 +196,16 @@ def tail_weight(n: int, l: int, prec: int = DEFAULT_PREC) -> mpf:
 
 
 def tail_weight_sum(n: int, L: int, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
-    """(partial sum through l = L, crude geometric tail estimate).
+    """(partial sum through l = L, proved upper bound on the terms after L).
 
-    Binomials are updated incrementally; the tail estimate extends the last
-    term by the final observed term ratio when it is below 1.
+    Binomials are updated incrementally.  For the tail, AM-GM on
+    binom(4n-1+l, l) = prod_{j=1}^{4n-1} (l+j) / (4n-1)! gives
+    binom <= (l+2n)^(4n-1) / (4n-1)!, so term l is at most K (l+2n)^-(s+1)
+    with e = 2n log n - 1, K = (2n)^e / (4n-1)! and s = e - 4n (about 5.05
+    at n = 10).  That bound decreases in l, so the terms after L sum to at
+    most K times its integral from L to infinity, K (L+2n)^-s / s.  It is
+    evaluated in mpmath.iv at the working precision and its upper end
+    returned.
     """
     if n < TAIL_WEIGHT_MIN_N:
         raise ValueError(f"tail_weight_sum requires n >= {TAIL_WEIGHT_MIN_N}")
@@ -205,31 +213,36 @@ def tail_weight_sum(n: int, L: int, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]
         expo = 2 * n * mp.log(n) - 1
         total = mp.mpf(0)
         binom = 1  # binom(4n-1, 0)
-        prev_term = None
-        ratio = mp.mpf(0)
         for l in range(L + 1):
             if l > 0:
                 binom = binom * (4 * n + l - 1) // l
-            term = (mp.mpf(2 * n) / (2 * n + l)) ** expo * binom
-            total += term
-            if prev_term is not None and prev_term > 0:
-                ratio = term / prev_term
-            prev_term = term
-        if 0 < ratio < 1:
-            tail = prev_term * ratio / (1 - ratio)
-        else:
-            tail = mp.inf
-        return total, tail
+            total += (mp.mpf(2 * n) / (2 * n + l)) ** expo * binom
+        return total, _tail_bound(n, L)
+
+
+def _tail_bound(n: int, L: int) -> mpf:
+    """Upper end of K (L+2n)^-s / s, the tail_weight_sum bound, enclosed in
+    mpmath.iv at the ambient precision."""
+    old = iv.prec
+    iv.prec = mp.prec
+    try:
+        e = 2 * n * iv.log(n) - 1
+        s = e - 4 * n
+        K = iv.exp(e * iv.log(2 * n)) / factorial(4 * n - 1)
+        return mp.mpf((K * iv.exp(-s * iv.log(L + 2 * n)) / s).b)
+    finally:
+        iv.prec = old
 
 
 def tail_weight_constant(prec: int = DEFAULT_PREC) -> mpf:
-    """Computed stand-in C* for the uniform tail-sum constant.
+    """C*, an upper bound on the uniform tail-sum constant sum_l tail_weight(10, l).
 
-    C* = tail_weight_sum(10, TAIL_WEIGHT_DEFAULT_LMAX) partial sum plus its
-    tail estimate; every kernel sup bound in this package uses this concrete
-    number.  Computed once per prec by _tail_weight_constant.
+    The exact partial sum of tail_weight_sum(10, TAIL_WEIGHT_DEFAULT_LMAX)
+    plus its proved tail bound; every kernel sup bound in this package uses
+    this number.  Computed once per prec by _tail_weight_constant.
     """
-    return _tail_weight_constant(prec)
+    with working_precision(prec):
+        return _tail_weight_constant(prec)
 
 
 @functools.cache

@@ -30,6 +30,75 @@ def test_log_sine_dual_route():
             assert abs(quad - closed) < mp.mpf(2) ** -120
 
 
+def test_log_sine_integral_closed_range():
+    with working_precision(PREC):
+        assert log_sine_integral_closed(0, prec=PREC) == 0
+        assert log_sine_integral_closed(1, prec=PREC) == -mp.log(2)
+    for t in ("-1e-30", "1.000001", 2):
+        with pytest.raises(ValueError):
+            log_sine_integral_closed(t, prec=PREC)
+
+
+@pytest.mark.parametrize("prec", [128, 192, 256])
+def test_clausen_series_matches_clsin(prec):
+    with working_precision(prec):
+        tiny, near = mp.mpf(2) ** -40, mp.mpf(2) ** -20
+        for theta in (tiny, mp.mpf("0.1"), mp.pi / 2 - near, mp.pi / 2 + near,
+                      2 * mp.pi / 3 - near, 2 * mp.pi / 3 + near, mp.mpf(3),
+                      mp.pi - tiny):
+            err = abs(extremal._clausen(theta) - mp.clsin(2, theta))
+            assert err < mp.mpf(2) ** -(prec - 8)
+
+
+def _h_through_clsin(delta, eps):
+    """h = (1-delta) log 2 + G(1-delta+eta) - G(eta) with G through mp.clsin."""
+    G = lambda t: -t * mp.log(2) - mp.clsin(2, mp.pi * t) / mp.pi
+    eta = extremal._eta(delta, eps)
+    return (1 - delta) * mp.log(2) + G(1 - delta + eta) - G(eta)
+
+
+def test_h_matches_the_clsin_route():
+    with working_precision(PREC):
+        eps = mp.mpf("0.3")
+        tol = mp.mpf(2) ** -(PREC - 8)
+        for j in range(64):
+            d = mp.mpf(2 * j + 1) / 512
+            (g_upper, g_lower), h = g_and_h(d, eps, prec=PREC)
+            eta = extremal._eta(d, eps)
+            assert abs(h - _h_through_clsin(d, eps)) < tol
+            assert abs(g_upper - (-(1 - d + eta) * mp.log(2)
+                                  - mp.clsin(2, mp.pi * (1 - d + eta)) / mp.pi)) < tol
+            assert abs(g_lower - (-eta * mp.log(2)
+                                  - mp.clsin(2, mp.pi * eta) / mp.pi)) < tol
+
+
+def _scan_stop(h_at):
+    """First grid index j of find_c_eps' delta-scan with h(j step) >= 0."""
+    step = mp.mpf(2) ** -extremal.FIND_C_EPS_RESOLUTION_BITS
+    j = 1
+    while j * step < mp.mpf(1) / 4 and h_at(j * step) < 0:
+        j += 1
+    return j
+
+
+def test_scan_stops_where_the_clsin_scan_stops():
+    prec = 128
+    with working_precision(prec):
+        for eps in map(mp.mpf, ("0.05", "0.1", "0.3", "0.5", "0.65")):
+            series = _scan_stop(lambda d: g_and_h(d, eps, prec=prec)[1])
+            assert series == _scan_stop(lambda d: _h_through_clsin(d, eps))
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.3, 0.4])
+def test_c_eps_bisects_to_the_working_resolution(eps):
+    prec = 128
+    c_eps = find_c_eps(eps, prec=prec)
+    reference = find_c_eps(eps, prec=2 * prec)
+    with mp.workprec(2 * prec):
+        assert 1 - mp.mpf(1) / 4 < c_eps < 1  # a sign change was bisected
+        assert abs(c_eps - reference) <= mp.mpf(2) ** -(prec - 1)
+
+
 def test_h_negative_in_admissible_regime():
     with working_precision(PREC):
         _, h = g_and_h(mp.mpf("0.05"), mp.mpf("0.65"), prec=PREC)

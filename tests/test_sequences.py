@@ -6,9 +6,11 @@ from math import factorial
 import pytest
 from mpmath import mp
 
-from hardyz.sequences import (arcsin_power_coefficients, b_table, d_limit_check,
-                              d_value, e_coefficients, f_poly, g_closed_form_sum,
-                              g_limit_check, g_poly, tail_weight, tail_weight_sum)
+from hardyz import sequences
+from hardyz.sequences import (TAIL_WEIGHT_DEFAULT_LMAX, arcsin_power_coefficients,
+                              b_table, d_limit_check, d_value, e_coefficients,
+                              f_poly, g_closed_form_sum, g_limit_check, g_poly,
+                              tail_weight, tail_weight_constant, tail_weight_sum)
 from hardyz.precision import working_precision
 
 PREC = 192
@@ -100,6 +102,33 @@ def test_tail_weight_sum_converges():
     assert mp.isfinite(total)
     assert mp.isfinite(tail)
     assert tail < total
+
+
+def test_tail_bound_covers_the_terms_to_1e5():
+    prec = 64
+    partial, tail = tail_weight_sum(10, TAIL_WEIGHT_DEFAULT_LMAX, prec=prec)
+    longer, _ = tail_weight_sum(10, 10 ** 5, prec=prec)
+    with working_precision(prec):
+        assert tail >= longer - partial
+
+
+def test_tail_weight_constant_is_not_below_the_geometric_estimate():
+    # partial sum through l = 10^5 plus the geometric tail prev r/(1-r),
+    # the value C* had before it carried a proved tail bound
+    with working_precision(PREC):
+        geometric = mp.mpf("2473.28454851525574581320501900219388319193422430866")
+        assert tail_weight_constant(PREC) >= geometric
+
+
+def test_tail_weight_constant_does_not_depend_on_the_first_caller():
+    # the value is cached per prec, so it must not take the ambient
+    # precision of whichever call computed it first
+    sequences._tail_weight_constant.cache_clear()
+    outside = tail_weight_constant(PREC)
+    sequences._tail_weight_constant.cache_clear()
+    with working_precision(PREC):
+        inside = tail_weight_constant(PREC)
+    assert outside == inside
 
 
 def test_regime_guards():
