@@ -5,9 +5,12 @@ evaluate it: z_eval applies Euler-Maclaurin summation to zeta with an
 explicit truncation bound, and the library's Riemann-Siegel mp.siegelz backs
 interval scans.  Each sign change the scan brackets is refined by Illinois
 regula falsi to a 2^-48 bracket, which z_eval then certifies.  Derivatives
-come from Cauchy circle integration of the analytic continuation of Z,
-sampled with the library zeta, and are cross-checked by Richardson finite
-differences.
+come from the Taylor coefficients of the analytic continuation of Z on one
+Cauchy circle: the half with Im w <= 0 is sampled with the library zeta and
+Schwarz reflection fills the other.  z_derivatives_batch reads the orders it
+is asked for at the circle's centre; theorem1_explore reads every point of
+its window from the series of seven circles (Taylor patches).  Richardson
+finite differences cross-check both.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .polynomials import bernoulli_numbers
+from .polynomials import bernoulli_numbers, horner
 from .precision import DEFAULT_PREC, Report, digits_for, working_precision
 
 MAX_DERIVATIVE_ORDER = 64
@@ -32,6 +35,7 @@ EM_GUARD_BITS = 8  # the Euler-Maclaurin sum rounds about |t|/2 terms
 CONTOUR_BITS_PER_ORDER = 8  # the Cauchy sum for Z^(k) divides by r^k and cancels
 CONTOUR_GUARD_BITS = 32  # contour samples: zeta and loggamma off the line, at any order
 CONTOUR_SUM_GUARD_BITS = 16  # the sample points and the Cauchy sums, above the samples
+CONTOUR_RADIUS = 2  # Cauchy circles; z_derivatives_batch shrinks it to t/2 + 1/4 near 0
 FD_BITS_PER_ORDER = 12  # z_derivative_fd: a k-th difference loses bits with k
 FD_GUARD_BITS = 24  # z_derivative_fd: bits on top of the per-order ones
 
@@ -196,31 +200,50 @@ def _z_complex(w):
 # derivatives
 
 
-def _circle_derivatives(f: Callable, t, orders: Sequence[int], radius,
-                        prec: int) -> Dict[int, object]:
-    """f^(k)(t) for every k in orders from one circle of samples.
+def _contour_size(bits: int, kmax: int) -> int:
+    """M, the number of points on a contour that serves orders up to kmax
+    with samples at the given bits: the power of two at or above
+    bits/2 + 8 kmax + 16, and at least 64."""
+    return 2 ** max(6, (bits // 2 + 8 * kmax + 15).bit_length())
 
-    Trapezoid discretization of the Cauchy integral; the sample count grows
-    with prec, the caller's bits, and the largest requested order.  f is
-    sampled at the ambient precision; the points and the sums carry
-    CONTOUR_SUM_GUARD_BITS more.
+
+def _z_taylor(centre, radius, M: int,
+              indices: Iterable[int]) -> Tuple[Dict[int, mpf], mpf]:
+    """({n: a_n}, max |Z| sampled): Taylor coefficients of Z about the real
+    point centre, for each n in indices, from one circle of M points.
+
+    Only the M/2 + 1 points with Im w <= 0 are sampled, where zeta sits at
+    sigma >= 1/2.  The Schwarz reflection Z(conj w) = conj Z(w) fills the
+    other half: Z is real on the real axis, and theta's principal loggamma
+    commutes with conjugation away from its cut.  a_n r^n is then the
+    trapezoid sum (Re f_0 + (-1)^n Re f_{M/2} + 2 sum_{0<j<M/2} Re(f_j u^(nj)))/M
+    over one table of M-th roots of unity u^j, with f_j = Z(centre + r u^-j).
+    The samples are taken at the ambient precision; the points and the sums
+    carry CONTOUR_SUM_GUARD_BITS more.  The sums run in fixed point, with
+    as many fraction bits as the points carry: the integer products are
+    exact, so each input and each sum is rounded once.
     """
-    kmax = max(orders)
+    half = M // 2
     with mp.extraprec(CONTOUR_SUM_GUARD_BITS):
         r = mp.mpf(radius)
-        M = 2 ** max(6, int(mp.ceil(mp.log(prec // 2 + 8 * kmax + 16, 2))))
-        points = [mp.mpf(t) + r * mp.e ** (1j * (2 * mp.pi * j / M))
-                  for j in range(M)]
-    samples = [f(w) for w in points]
+        roots = mp.unitroots(M)
+        points = [mp.mpf(centre) + r * mp.conj(roots[j]) for j in range(half + 1)]
+    samples = [_z_complex(w) for w in points]
     with mp.extraprec(CONTOUR_SUM_GUARD_BITS):
-        out = {}
-        for k in orders:
-            acc = mp.mpc(0)
-            for j, fv in enumerate(samples):
-                phi_j = 2 * mp.pi * j / M
-                acc += fv * mp.e ** (-1j * k * phi_j)
-            out[k] = acc / M * mp.factorial(k) / r ** k
-        return out
+        bits = mp.prec
+
+        def fixed(xs):
+            return [int(mp.ldexp(x, bits)) for x in xs]
+
+        f_re, f_im = fixed(f.real for f in samples), fixed(f.imag for f in samples)
+        u_re, u_im = fixed(u.real for u in roots), fixed(u.imag for u in roots)
+        coeffs = {}
+        for n in indices:
+            acc = 2 * sum(f_re[j] * u_re[n * j % M] - f_im[j] * u_im[n * j % M]
+                          for j in range(1, half))
+            acc += (f_re[0] + (-1) ** n * f_re[half]) << bits
+            coeffs[n] = mp.ldexp(acc, -2 * bits) / (M * r ** n)
+        return coeffs, max(abs(f) for f in samples)
 
 
 def z_derivative(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
@@ -244,10 +267,13 @@ def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
 
 def z_derivatives_batch(t, orders: Sequence[int],
                         prec: int = DEFAULT_PREC) -> Dict[int, mpf]:
-    """All requested derivative orders from a single contour of samples.
+    """All requested derivative orders from a single contour about t.
 
-    The integration precision is elevated with the largest order (the r^-k
-    factor amplifies sample noise): CONTOUR_BITS_PER_ORDER bits per order.
+    Z^(k)(t) = k! a_k with a_k from _z_taylor, which samples half of a
+    circle of radius min(CONTOUR_RADIUS, t/2 + 1/4) and reflects the other
+    half.  The samples are elevated with the largest order (the r^-k factor
+    amplifies sample noise): CONTOUR_BITS_PER_ORDER bits per order on top of
+    CONTOUR_GUARD_BITS.
     """
     orders = sorted(set(int(k) for k in orders))
     if not orders:
@@ -258,11 +284,13 @@ def z_derivatives_batch(t, orders: Sequence[int],
         raise CapacityError(f"order {orders[-1]} exceeds {MAX_DERIVATIVE_ORDER}")
     with working_precision(prec):
         tm = mp.mpf(t)
-        radius = min(mp.mpf(2), tm / 2 + mp.mpf(0.25))
+        radius = min(mp.mpf(CONTOUR_RADIUS), tm / 2 + mp.mpf(0.25))
         extra = CONTOUR_BITS_PER_ORDER * orders[-1] + CONTOUR_GUARD_BITS
         with mp.extraprec(extra):
-            vals = _circle_derivatives(_z_complex, tm, orders, radius, prec + extra)
-        return {k: +v.real for k, v in vals.items()}
+            coeffs, _ = _z_taylor(tm, radius, _contour_size(prec + extra, orders[-1]),
+                                  orders)
+            vals = {k: coeffs[k] * mp.factorial(k) for k in orders}
+        return {k: +v for k, v in vals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +584,64 @@ class ExploreReport(Report):
     grid_points: int
     witness_k: Optional[int]
     rows: List[ExploreRow]
+    contours: int
+    series_error: mpf
     exploratory_note: str = ("desk-scale T cannot validate an asymptotic "
                              "statement; margins are raw data")
+
+
+class _TaylorPatches:
+    """Z^(k) on [lo, hi] from truncated Taylor series of Z, one contour each.
+
+    count = ceil((hi - lo)/r) patches of width (hi - lo)/count <= r tile the
+    interval, r = CONTOUR_RADIUS, and a point is read by Horner from the
+    series about its nearest centre, at most q r <= r/2 away.  Each circle
+    has the M points z_derivatives_batch would take for the largest order,
+    at the same bits, and each series keeps a_n for n < N = M/2.
+
+    series_error is the largest Cauchy-estimate bound on the truncation over
+    patches and orders: |a_n| <= M_r r^-n gives
+    M_r r^-k sum_{n>=N} n!/(n-k)! q^(n-k), with M_r the largest |Z| sampled
+    on a circle.  The sum is bounded by its first term over 1 - rho, rho the
+    ratio of its first two terms (the ratios fall with n).  The aliasing of
+    a_(n+M) r^M into a_n by the M-point sum is not bounded, as it is not for
+    the per-point contour.
+    """
+
+    def __init__(self, lo, hi, orders: Sequence[int], prec: int):
+        kmax = max(orders)
+        if kmax > MAX_DERIVATIVE_ORDER:
+            raise CapacityError(f"order {kmax} exceeds {MAX_DERIVATIVE_ORDER}")
+        self.extra = CONTOUR_BITS_PER_ORDER * kmax + CONTOUR_GUARD_BITS
+        self.lo = lo
+        r = mp.mpf(CONTOUR_RADIUS)
+        self.count = int(mp.ceil((hi - lo) / r))
+        self.width = (hi - lo) / self.count
+        self.centres: List[mpf] = []
+        self.series: List[Dict[int, List[mpf]]] = []  # per patch and order
+        max_abs = mp.mpf(0)
+        with mp.extraprec(self.extra):
+            M = _contour_size(prec + self.extra, kmax)
+            N = M // 2
+            for i in range(self.count):
+                c = lo + (i + mp.mpf(0.5)) * self.width
+                a, m_r = _z_taylor(c, r, M, range(N))
+                max_abs = max(max_abs, m_r)
+                self.centres.append(c)
+                with mp.extraprec(CONTOUR_SUM_GUARD_BITS):
+                    self.series.append({k: [a[n] * mp.ff(n, k) for n in range(k, N)]
+                                        for k in orders})
+            q = self.width / (2 * r)
+            self.series_error = max_abs * max(
+                mp.ff(N, k) * q ** (N - k) / (1 - q * (N + 1) / (N + 1 - k)) / r ** k
+                for k in orders)
+
+    def derivative(self, u, k: int) -> mpf:
+        """Z^(k)(u) from the nearest patch, rounded to the ambient precision."""
+        i = min(int((u - self.lo) / self.width), self.count - 1)
+        with mp.extraprec(self.extra + CONTOUR_SUM_GUARD_BITS):
+            v = horner(self.series[i][k], u - self.centres[i])
+        return +v
 
 
 def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> ExploreReport:
@@ -566,8 +650,12 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
 
     m = min(floor(C log T loglog T), m_cap); the grid step is
     pi/(8 theta'(T)) with local refinement around each running maximum.  A
-    witness is any k whose grid maximum meets its bound.  Explicitly
-    exploratory output.
+    witness is any k whose grid maximum meets its bound.  Every value is
+    read from Taylor patches: contours = ceil(4 pi/CONTOUR_RADIUS) = 7
+    circles of M/2 + 1 zeta samples, M as z_derivatives_batch picks it for
+    the largest order, instead of one full circle per point.  series_error
+    is the patches' Cauchy-estimate truncation bound (aliasing is not
+    bounded, as for the per-point contour).  Explicitly exploratory output.
     """
     with working_precision(prec):
         Tm = mp.mpf(T)
@@ -588,19 +676,20 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
         while u <= Tm + 2 * mp.pi:
             grid.append(u)
             u += step
+        patches = _TaylorPatches(Tm - 2 * mp.pi, Tm + 2 * mp.pi, orders, prec)
         maxima: Dict[int, Tuple[mpf, mpf]] = {k: (mp.mpf(-1), Tm) for k in orders}
         for u in grid:
-            vals = z_derivatives_batch(u, orders, prec=prec)
             for k in orders:
-                if abs(vals[k]) > maxima[k][0]:
-                    maxima[k] = (abs(vals[k]), u)
+                v = abs(patches.derivative(u, k))
+                if v > maxima[k][0]:
+                    maxima[k] = (v, u)
         # one refinement pass: re-sample at half step around each maximum
         for k in orders:
             _, t0 = maxima[k]
             for du in (-step / 2, step / 2):
                 u = t0 + du
                 if Tm - 2 * mp.pi <= u <= Tm + 2 * mp.pi:
-                    v = abs(z_derivatives_batch(u, [k], prec=prec)[k])
+                    v = abs(patches.derivative(u, k))
                     if v > maxima[k][0]:
                         maxima[k] = (v, u)
         shrink = 1 - mp.log(mp.log(mp.log(Tm))) / mp.log(mp.log(Tm)) \
@@ -619,4 +708,6 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
                                    witness=witness))
         return ExploreReport(T=Tm, C=Cm, m_theorem=m_theorem, m_used=m_used,
                              z_at_T=zT.z, grid_points=len(grid),
-                             witness_k=witness_k, rows=rows)
+                             witness_k=witness_k, rows=rows,
+                             contours=patches.count,
+                             series_error=patches.series_error)

@@ -173,6 +173,8 @@ def test_explore_has_witness_field(capsys):
     assert "witness_k" in payload
     assert "exploratory_note" in payload
     assert payload["C"] == "0.3"
+    assert payload["contours"] <= 7
+    assert "series_error" in payload
 
 
 def test_zeros_reads_the_window_at_working_precision(capsys):

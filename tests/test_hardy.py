@@ -70,9 +70,57 @@ def test_batch_matches_single():
         assert abs(vals[k] - single) < mp.mpf(10) ** -25 * max(1, abs(single))
 
 
+@pytest.mark.parametrize("centre", [60, 1000])
+def test_z_reflects_across_the_real_axis(centre):
+    # the contour samples Im w <= 0 only and fills the rest by reflection
+    with working_precision(PREC):
+        for j in range(8):
+            w = centre + 2 * mp.expjpi(mp.mpf(2 * j + 1) / 8)
+            zw = hardy._z_complex(w)
+            gap = abs(hardy._z_complex(mp.conj(w)) - mp.conj(zw))
+            assert gap <= mp.mpf(2) ** -(PREC - 8) * max(1, abs(zw))
+
+
+def test_patches_match_the_per_point_contour():
+    prec = 64
+    with working_precision(prec):
+        T = mp.mpf(60)
+        patches = hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi, [1, 2], prec)
+        step = mp.pi / (8 * theta_prime(T, prec=prec))
+        # grid points of explore 60; the window's ends sit farthest from a centre
+        grid = [T - 2 * mp.pi + j * step for j in (0, 12, 24, 36)]
+        read = [{k: patches.derivative(u, k) for k in (1, 2)} for u in grid]
+    for u, vals in zip(grid, read):
+        ref = z_derivatives_batch(u, [1, 2], prec=prec)
+        for k in (1, 2):
+            assert abs(vals[k] - ref[k]) <= mp.mpf(10) ** -20 * abs(ref[k])
+
+
+@pytest.mark.parametrize("run, budget", [
+    # 37 grid and 4 refinement contours of 128 samples took 5248;
+    # 7 patches of 65 samples
+    (lambda: theorem1_explore("60", "0.3", 2, prec=64), 7 * 65),
+    # the full circle took 128
+    (lambda: z_derivatives_batch(60, [1, 2], prec=64), 65),
+], ids=["explore", "batch"])
+def test_contour_zeta_budget(monkeypatch, run, budget):
+    calls = []
+    zeta = mp.zeta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return zeta(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "zeta", counted)
+    run()
+    assert len(calls) <= budget
+
+
 def test_derivative_capacity_guard():
     with pytest.raises(CapacityError):
         z_derivative(50, 65, prec=PREC)
+    with pytest.raises(CapacityError):
+        theorem1_explore(60, 100, m_cap=33, prec=PREC)
 
 
 def test_first_zero_and_count_to_100():
