@@ -9,8 +9,9 @@ library report plus a command/seed/precision_bits envelope.
 
 Formats: verify-lemmas json or text, zeros json or csv, the others json.
 
-zeros scans serially unless --jobs N (default 1) splits a window wider than
-20 into N worker processes, whose digits agree within the half-widths.
+zeros scans serially unless --jobs N (default 1, at least 1) splits a window
+wider than 20 into N chunks, scanned by at most one worker process per CPU,
+whose digits agree within the half-widths.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error, 3 numerical escalation exhausted.
@@ -36,7 +37,7 @@ from mpmath import mp
 
 from . import divided_diff, extremal, hardy, identity, kernel, polynomials, \
     probes, sequences
-from .precision import DEFAULT_PREC, serialize, working_precision
+from .precision import DEFAULT_PREC, MIN_PREC, serialize, working_precision
 
 ENV_PREFIX = "HARDYZ_"
 EXIT_OK = 0
@@ -569,12 +570,14 @@ def cmd_identity(args) -> int:
 
 def _find_zeros(lo, hi, jobs: int, prec: int) -> hardy.ZeroList:
     """hardy.find_zeros over (lo, hi]; a finite window wider than 20 is split
-    into `jobs` chunks scanned in worker processes and merged."""
+    into `jobs` chunks scanned by at most one worker process per CPU and
+    merged."""
     if jobs <= 1 or not (mp.isfinite(hi) and hi - lo > 20):
         return hardy.find_zeros(lo, hi, prec=prec)
     import concurrent.futures
     edges = [lo + (hi - lo) * i / jobs for i in range(jobs + 1)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
         parts = list(ex.map(hardy.find_zeros, edges[:-1], edges[1:],
                             [prec] * jobs))
     return hardy.ZeroList(
@@ -682,8 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision_bits < 64:
-        parser.error("--precision-bits must be >= 64")
+    if args.precision_bits < MIN_PREC:
+        parser.error(f"--precision-bits must be >= {MIN_PREC}")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     if args.format not in args.formats:
         parser.error(f"{args.command} supports --format "
                      f"{' or '.join(args.formats)}, not {args.format!r}")

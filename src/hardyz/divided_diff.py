@@ -145,18 +145,6 @@ def hermite_weights(nodes: NodeMultiset, prec: int = DEFAULT_PREC
     return out
 
 
-def mean_value_witness(probe: FunctionProbe, nodes: NodeMultiset,
-                       prec: int = DEFAULT_PREC) -> mpf:
-    """(N-1)! times the divided difference over N nodes.
-
-    By the mean value property this equals f^(N-1)(eta) for some eta in the
-    node hull, so it must lie between the extremes of f^(N-1) there.
-    """
-    dd = divided_difference(probe, nodes, prec=prec)
-    with working_precision(prec):
-        return mp.factorial(len(nodes) - 1) * dd
-
-
 def divided_difference_mc(probe: FunctionProbe, nodes: NodeMultiset,
                           samples: int = 20000, seed: int = 0,
                           prec: int = DEFAULT_PREC) -> mpf:

@@ -22,12 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .divided_diff import FunctionProbe, node_product
+from .divided_diff import node_product
 # also reached through this module: coefficients, divided_bound_direct, sine_product
 from .kernel import (NodeConfig, boundary_sum_bound, coefficients,  # noqa: F401
                      divided_bound_direct, sine_product)
 from .polynomials import bernoulli_numbers, horner
-from .precision import DEFAULT_PREC, Report, working_precision
+from .precision import DEFAULT_PREC, working_precision
 from .sequences import tail_weight_constant
 
 FIND_C_EPS_RESOLUTION_BITS = 12
@@ -297,38 +297,6 @@ def hyp_coefficients(n: int, K: int) -> List[int]:
     return out
 
 
-def node_spread_monotonicity(t: Sequence, t_star: Sequence, probe: FunctionProbe,
-                             prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
-    """Divided differences over two symmetric node sets, spread-dominated.
-
-    Both sets must be symmetric about 1/2 (t_k + t_{n-k} = 1) and t_star must
-    dominate t on the upper half; under a nonnegative top derivative the
-    first divided difference is <= the second.
-    """
-    with working_precision(prec):
-        tm = [mp.mpf(v) for v in t]
-        sm = [mp.mpf(v) for v in t_star]
-        if len(tm) != len(sm):
-            raise ValueError("node sets must have equal size")
-        tol = mp.mpf(2) ** (-(prec // 2))
-        for seq in (tm, sm):
-            for k in range(len(seq)):
-                if abs(seq[k] + seq[len(seq) - 1 - k] - 1) > tol:
-                    raise ValueError("node set not symmetric about 1/2")
-        half = len(tm) // 2
-        for k in range(half, len(tm)):
-            if sm[k] < tm[k] - tol:
-                raise ValueError("t_star must dominate t on the upper half")
-
-        def dd(nodes):
-            total = mp.mpf(0)
-            for k, yk in enumerate(nodes):
-                total += mp.mpf(probe.value(yk)) / node_product(nodes, k)
-            return total
-
-        return dd(tm), dd(sm)
-
-
 def theorem2_bound(n: int, c, eps, prec: int = DEFAULT_PREC) -> mpf:
     """Lower bound (log 2 - eps) (1-c)/|log(1-c)| n pi on the zero spread s."""
     with working_precision(prec):
@@ -336,7 +304,7 @@ def theorem2_bound(n: int, c, eps, prec: int = DEFAULT_PREC) -> mpf:
 
 
 @dataclass
-class CertificateReport(Report):
+class CertificateReport:
     n: int
     c: mpf
     eps: mpf
@@ -358,11 +326,6 @@ class CertificateReport(Report):
     boundary_rhs: mpf
     boundary_ok: bool
     s_lower_bound: mpf
-    precision_bits: int = DEFAULT_PREC
-
-    def to_json(self) -> str:
-        """JSON at the report's own precision."""
-        return super().to_json(self.precision_bits)
 
 
 def theorem2_certificate(n: int, c, eps, m: int,
@@ -373,6 +336,9 @@ def theorem2_certificate(n: int, c, eps, m: int,
     Sub-bounds: sine product in (0, 2^-2n); cosine divided difference in
     (0, 2^(2n-1)); their product below 1/2; plus the integral bound
     2^(2n) * |sine product| * (1 - 1/2n)^(2m) * C*; the total must be < 1.
+    The integral bound is 2a c^(2m) times the paper's kernel sup bound
+    2^(2n-1)/(|alpha_0| a) (a/(n pi))^(2m) C*, because 1/|alpha_0| is the
+    |sine product| and c a = (n - 1/2) pi.
     Margins are reported rather than asserted; failures at small n are data.
     The boundary-sum inequality is checked with min(m, 12) boundary terms.
     With require_admissible=False the chain is evaluated anyway and the
@@ -408,5 +374,4 @@ def theorem2_certificate(n: int, c, eps, m: int,
             total_below_one=bool(total < 1), margin=1 - total,
             boundary_lhs=lhs, boundary_rhs=rhs, boundary_ok=bool(lhs <= rhs),
             s_lower_bound=theorem2_bound(n, c, eps, prec=prec),
-            precision_bits=prec,
         )

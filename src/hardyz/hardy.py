@@ -23,12 +23,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .polynomials import bernoulli_numbers, horner
-from .precision import DEFAULT_PREC, Report, digits_for, working_precision
+from .precision import DEFAULT_PREC, digits_for, working_precision
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
-THETA_ASYMPTOTIC_MIN_T = 10
-THETA_ASYMPTOTIC_TERMS = 5
 MAX_RESCANS = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
 EM_GUARD_BITS = 8  # the Euler-Maclaurin sum rounds about |t|/2 terms
@@ -64,27 +62,6 @@ def theta(t, prec: int = DEFAULT_PREC) -> mpf:
     with working_precision(prec):
         tm = mp.mpf(t)
         return mp.loggamma(mp.mpf(0.25) + 0.5j * tm).imag - tm / 2 * mp.log(mp.pi)
-
-
-def theta_asymptotic(t, prec: int = DEFAULT_PREC) -> mpf:
-    """Asymptotic branch t/2 log(t/2pi) - t/2 - pi/8 + sum a_j t^(1-2j),
-    j = 1..THETA_ASYMPTOTIC_TERMS.
-
-    a_j = (1 - 2^(1-2j)) |B_2j| / (4j(2j-1)); valid for t >= 10 where the
-    series terms fall well below the leading scale.
-    """
-    with working_precision(prec):
-        tm = mp.mpf(t)
-        if tm < THETA_ASYMPTOTIC_MIN_T:
-            raise ValueError("asymptotic branch requires t >= 10")
-        bern = bernoulli_numbers(2 * THETA_ASYMPTOTIC_TERMS)
-        val = tm / 2 * mp.log(tm / (2 * mp.pi)) - tm / 2 - mp.pi / 8
-        for j in range(1, THETA_ASYMPTOTIC_TERMS + 1):
-            b = bern[2 * j]
-            a_j = (1 - mp.mpf(2) ** (1 - 2 * j)) \
-                * abs(mp.mpf(b.numerator)) / b.denominator / (4 * j * (2 * j - 1))
-            val += a_j / tm ** (2 * j - 1)
-        return val
 
 
 def theta_prime(t, prec: int = DEFAULT_PREC) -> mpf:
@@ -246,14 +223,6 @@ def _z_taylor(centre, radius, M: int,
         return coeffs, max(abs(f) for f in samples)
 
 
-def z_derivative(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
-    """k-th derivative of Z at t: z_eval for k = 0, otherwise the single
-    order of z_derivatives_batch (Cauchy circle integration)."""
-    if k == 0:
-        return z_eval(t, prec=prec).z
-    return z_derivatives_batch(t, [k], prec=prec)[k]
-
-
 def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
     """Cross-check path: Richardson-extrapolated finite differences of the
     Riemann-Siegel evaluation at elevated precision."""
@@ -313,22 +282,6 @@ class ZeroList:
 
     def __len__(self) -> int:
         return len(self.zeros)
-
-    def gammas(self) -> List[mpf]:
-        return [z.gamma for z in self.zeros]
-
-    def indexed(self, reference) -> Dict[int, mpf]:
-        """gamma_k relative to reference: ..., -2, -1, 1, 2, ... with
-        gamma_-1 < reference < gamma_1."""
-        ref = mp.mpf(reference)
-        below = [z.gamma for z in self.zeros if z.gamma < ref]
-        above = [z.gamma for z in self.zeros if z.gamma > ref]
-        out: Dict[int, mpf] = {}
-        for i, g in enumerate(reversed(below)):
-            out[-(i + 1)] = g
-        for i, g in enumerate(above):
-            out[i + 1] = g
-        return out
 
     def serialize(self, prec: int = DEFAULT_PREC) -> Dict:
         """The zeros shape of both the JSON and the CSV output: each zero
@@ -506,61 +459,6 @@ def count_stats(t, prec: int = DEFAULT_PREC,
 
 
 # ---------------------------------------------------------------------------
-# spacing report
-
-
-@dataclass
-class SpacingRow:
-    k: int
-    gamma_plus: mpf
-    gamma_minus: mpf
-    main_term: mpf
-    residual_plus: mpf
-    residual_minus: mpf
-
-
-@dataclass
-class SpacingReport(Report):
-    T: mpf
-    K: int
-    log_scale: mpf
-    rows: List[SpacingRow]
-
-
-def spacing_check(T, K: int, prec: int = DEFAULT_PREC) -> SpacingReport:
-    """Distances |gamma_{+-k} - T| minus the (k-1) pi/log sqrt(T/2pi) term.
-
-    Pure report: the leftover is what the unknowable o(1)/loglog correction
-    absorbs, so nothing here passes or fails.
-    """
-    with working_precision(prec):
-        Tm = mp.mpf(T)
-        if Tm < 20:
-            raise ValueError("spacing_check requires T >= 20")
-        if K < 1 or K * K > Tm:
-            raise ValueError("need 1 <= K <= floor(sqrt(T))")
-        zT = z_eval(Tm, prec=prec)
-        if abs(zT.z) <= 4 * zT.error_estimate:
-            raise RejectedPointError("Z(T) indistinguishable from zero")
-        log_scale = mp.log(mp.sqrt(Tm / (2 * mp.pi)))
-        mean_gap = mp.pi / log_scale
-        window = (K + 2) * mean_gap * 3 + 2
-        zl = find_zeros(max(Tm - window, mp.mpf(10)), Tm + window, prec=prec)
-        idx = zl.indexed(Tm)
-        if K not in idx or -K not in idx:
-            raise ValueError("window did not capture K zeros on both sides; "
-                             "increase K margin or lower K")
-        rows = []
-        for k in range(1, K + 1):
-            main = (k - 1) * mean_gap
-            rows.append(SpacingRow(
-                k=k, gamma_plus=idx[k], gamma_minus=idx[-k], main_term=main,
-                residual_plus=abs(idx[k] - Tm) - main,
-                residual_minus=abs(idx[-k] - Tm) - main))
-        return SpacingReport(T=Tm, K=K, log_scale=log_scale, rows=rows)
-
-
-# ---------------------------------------------------------------------------
 # derivative-maximum exploration
 
 
@@ -575,7 +473,7 @@ class ExploreRow:
 
 
 @dataclass
-class ExploreReport(Report):
+class ExploreReport:
     T: mpf
     C: mpf
     m_theorem: int

@@ -27,7 +27,8 @@ from .divided_diff import NodeMultiset, divided_difference_data, node_product
 from .polynomials import (bernoulli_poly, bernoulli_poly_mpf, chebyshev,
                           chebyshev_derivatives, horner)
 from .precision import DEFAULT_PREC, working_precision
-from .sequences import TAIL_WEIGHT_MIN_N, tail_weight_constant
+# unused here, but perfbench's tracer patches kernel.tail_weight_constant
+from .sequences import tail_weight_constant  # noqa: F401
 
 MIN_NODE_GAP = 0.05
 TERM_GUARD_BITS = 16  # zero-sum node sums cancel: nodes and terms get these bits more
@@ -75,10 +76,6 @@ class NodeConfig:
             elif not xs[i] <= xs[i + 1]:
                 raise ValueError("nodes must be non-decreasing")
 
-    def node(self, k: int):
-        """x_k for k in -n..n."""
-        return self.nodes[k + self.n]
-
     def is_strict(self) -> bool:
         xs = self.nodes
         return all(mp.mpf(xs[i]) < mp.mpf(xs[i + 1]) for i in range(len(xs) - 1))
@@ -94,9 +91,6 @@ class NodeConfig:
 class KernelCoefficients:
     alpha: List[mpf]
     mu: List[mpf]
-
-    def mu_k(self, k: int):
-        return self.mu[k + (len(self.mu) - 1) // 2]
 
 
 def coefficients(config: NodeConfig, prec: int = DEFAULT_PREC) -> KernelCoefficients:
@@ -475,20 +469,6 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
         rhs = sine_product(config, prec=prec) \
             * divided_bound_direct(config, c, prec=prec)
         return lhs, rhs
-
-
-def psi_sup_bound(n: int, m: int, a, alpha0, prec: int = DEFAULT_PREC) -> mpf:
-    """Uniform sup bound 2^(2n-1)/(|alpha_0| a) (a/(n pi))^(2m) C* on the
-    order-(2m-1) kernel, in the regime n >= 10, m >= n log n."""
-    with working_precision(prec):
-        if n < TAIL_WEIGHT_MIN_N:
-            raise ValueError(f"bound regime requires n >= {TAIL_WEIGHT_MIN_N}")
-        if m < n * mp.log(n):
-            raise ValueError("bound regime requires m >= n log n")
-        am = mp.mpf(a)
-        cstar = tail_weight_constant(prec=prec)
-        return mp.mpf(2) ** (2 * n - 1) / (abs(mp.mpf(alpha0)) * am) \
-            * (am / (n * mp.pi)) ** (2 * m) * cstar
 
 
 def random_config(rng, n: int, a=None, prec: int = DEFAULT_PREC) -> NodeConfig:

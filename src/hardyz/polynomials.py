@@ -18,7 +18,6 @@ from mpmath import mp, mpf
 from .precision import DEFAULT_PREC, working_precision
 
 MAX_DEGREE = 256
-PERIODIC_GUARD_BITS = 16  # B_n's Horner pass cancels on [0, 1]; x - floor(x) does not
 CHEBYSHEV_SEED_GUARD_BITS = 16  # the derivative recurrence divides by 1 - x^2
 
 
@@ -82,16 +81,6 @@ def bernoulli_poly(n: int, x, prec: int = DEFAULT_PREC) -> mpf:
 def bernoulli_poly_exact(n: int, x: Fraction) -> Fraction:
     """B_n(x) for rational x, exact."""
     return horner(bernoulli_poly_coeffs(n), x)
-
-
-def periodic_bernoulli(n: int, x, prec: int = DEFAULT_PREC) -> mpf:
-    """B_n({x}) with {x} = x - floor(x), period-1 extension."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    with working_precision(prec):
-        xm = mp.mpf(x)
-        frac = xm - mp.floor(xm)
-        return bernoulli_poly(n, frac, prec=prec + PERIODIC_GUARD_BITS)
 
 
 def chebyshev(j: int, x, prec: int = DEFAULT_PREC) -> mpf:

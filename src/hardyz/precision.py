@@ -15,7 +15,6 @@ digits_for(prec) significant digits of its own bits.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
@@ -64,10 +63,3 @@ def serialize(value, prec: int):
     if isinstance(value, (list, tuple)):
         return [serialize(v, prec) for v in value]
     return value
-
-
-class Report:
-    """Base of the report dataclasses with a to_json: serialize() as text."""
-
-    def to_json(self, prec: int = DEFAULT_PREC) -> str:
-        return json.dumps(serialize(self, prec), sort_keys=True, indent=2)

@@ -79,14 +79,6 @@ def cosine_probe(b, prec: int = DEFAULT_PREC) -> FunctionProbe:
     return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
 
 
-def exp_probe(prec: int = DEFAULT_PREC) -> FunctionProbe:
-    def deriv(x, k):
-        with working_precision(prec):
-            return mp.exp(mp.mpf(x))
-
-    return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
-
-
 def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
     """f(x) = exp(-x^2/(2 width^2)) cos(b x) = Re exp(q(x)), q quadratic.
 

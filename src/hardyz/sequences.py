@@ -3,9 +3,9 @@
 Covers the arcsin-power coefficient table b_{k,l}, its normalized limits
 d_{k,l} (partial sums of the multiple zeta value zeta({2}_{k-1})), the
 positivity chain f/g/e for the composed Bernoulli expansion, and the
-binomial tail weights used by the kernel sup bound.  Their sum at n = 10,
-the constant C*, is an exact partial sum plus a tail bound proved by AM-GM
-and an integral comparison, so C* is an upper bound, not an estimate.
+binomial tail weights behind the certificate's integral_bound.  Their sum at
+n = 10, the constant C*, is an exact partial sum plus a tail bound proved by
+AM-GM and an integral comparison, so C* is an upper bound, not an estimate.
 
 f_{m,l} and g_{m,l} are kept symbolic as polynomials in pi^2 with rational
 coefficients (class PiSquarePoly); signs are decided by one high-precision
@@ -46,19 +46,6 @@ def b_table(K: int, L: int) -> Dict[Tuple[int, int], int]:
             else:
                 b[k, l] = b[k - 1, l - 1] + (l - 1) ** 2 * b[k, l - 1]
     return b
-
-
-def arcsin_power_coefficients(k: int, L: int) -> List[Fraction]:
-    """Coefficients of x^{2l}, l = 0..L, in the expansion of (Arcsin x)^{2k}."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    b = b_table(k, L)
-    out = []
-    for l in range(L + 1):
-        c = Fraction(factorial(2 * k), factorial(2 * l)) \
-            * Fraction(2 ** (2 * l), 2 ** (2 * k)) * b[k, l]
-        out.append(c)
-    return out
 
 
 def d_limit_check(k: int, L: int, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf, mpf]:
@@ -172,13 +159,6 @@ def g_closed_form_sum(m: int) -> Fraction:
     return total
 
 
-def g_limit_check(m: int, L: int, prec: int = DEFAULT_PREC) -> mpf:
-    """Numeric value of g_{m+1,L}; decreasing in L with limit 0."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return g_poly(m + 1, L).evaluate(prec)
-
-
 def tail_weight(n: int, l: int, prec: int = DEFAULT_PREC) -> mpf:
     """Weight (2n/(2n+l))^(2n log n - 1) * binom(4n+l-1, l).
 
@@ -238,8 +218,9 @@ def tail_weight_constant(prec: int = DEFAULT_PREC) -> mpf:
     """C*, an upper bound on the uniform tail-sum constant sum_l tail_weight(10, l).
 
     The exact partial sum of tail_weight_sum(10, TAIL_WEIGHT_DEFAULT_LMAX)
-    plus its proved tail bound; every kernel sup bound in this package uses
-    this number.  Computed once per prec by _tail_weight_constant.
+    plus its proved tail bound; the integral_bound of
+    extremal.theorem2_certificate uses this number.  Computed once per prec
+    by _tail_weight_constant.
     """
     with working_precision(prec):
         return _tail_weight_constant(prec)

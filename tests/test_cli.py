@@ -198,6 +198,47 @@ def test_zeros_refuses_an_infinite_window(monkeypatch):
                          "zeros", "0", hi]) == EXIT_USAGE, (jobs, hi)
 
 
+@pytest.mark.parametrize("env, argv", [({}, ["--jobs", "0"]),
+                                       ({"HARDYZ_JOBS": "-1"}, [])])
+def test_jobs_below_one_is_a_usage_error(monkeypatch, capsys, env, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started for an invalid --jobs")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision-bits", "128", *argv, "zeros", "10", "40"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_beyond_the_cpu_count_share_the_cpus(monkeypatch, capsys):
+    # the chunks still follow --jobs; only the pool is capped at the CPUs
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    code, out = _run(capsys, ["--precision-bits", "128", "--jobs", "3",
+                              "zeros", "10", "40"])
+    assert code == EXIT_OK
+    assert sizes == [2]
+    assert json.loads(out)["count"] == 6
+
+
 def test_jobs_default_does_not_follow_the_cpu_count(monkeypatch):
     monkeypatch.delenv("HARDYZ_JOBS", raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 4)

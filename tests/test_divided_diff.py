@@ -1,16 +1,27 @@
 """Unit tests for confluent divided differences."""
 
+from math import factorial
+
 import pytest
 from mpmath import mp
 
 from hardyz.divided_diff import (FunctionProbe, NodeMultiset, ProbeOrderError,
                                  divided_difference, divided_difference_mc,
-                                 hermite_weights, mean_value_witness)
+                                 hermite_weights)
 from hardyz.precision import working_precision
-from hardyz.probes import exp_probe, monomial_probe, polynomial_probe
+from hardyz.probes import LARGE_ORDER, monomial_probe, polynomial_probe
 
 PREC = 192
 TOL = mp.mpf(2) ** (-(PREC - 40))
+
+
+def exp_probe(prec):
+    """exp, which is its own derivative of every order, at prec bits."""
+    def deriv(x, k):
+        with working_precision(prec):
+            return mp.exp(mp.mpf(x))
+
+    return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
 
 
 def test_square_over_three_distinct_nodes():
@@ -78,8 +89,10 @@ def test_hermite_weights_reproduce_divided_difference():
 def test_mean_value_bracket():
     probe = exp_probe(prec=PREC)
     nodes = NodeMultiset([0, 0.3, 0.3, 1])
-    w = mean_value_witness(probe, nodes, prec=PREC)
+    # (N-1)! f[nodes] = f^(N-1)(eta) for some eta in the node hull
+    dd = divided_difference(probe, nodes, prec=PREC)
     with working_precision(PREC):
+        w = factorial(len(nodes) - 1) * dd
         assert mp.exp(0) <= w <= mp.exp(1)
 
 

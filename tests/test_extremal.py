@@ -1,5 +1,7 @@
 """Unit tests for the extremal configuration and certificate chain."""
 
+import json
+
 import pytest
 from mpmath import mp
 
@@ -8,10 +10,12 @@ from hardyz.extremal import (ExtremalParams, divided_bound, divided_bound_direct
                              equal_angle_nodes, equal_angle_weights, extremal_config,
                              find_c_eps, g_and_h, hyp_coefficients,
                              log_sine_integral, log_sine_integral_closed,
-                             node_spread_monotonicity, phi, sine_product,
-                             theorem2_bound, theorem2_certificate)
-from hardyz.precision import working_precision
+                             phi, sine_product, theorem2_bound,
+                             theorem2_certificate)
+from hardyz.divided_diff import NodeMultiset, divided_difference
+from hardyz.precision import serialize, working_precision
 from hardyz.probes import polynomial_probe
+from hardyz.sequences import tail_weight_constant
 
 PREC = 192
 
@@ -123,7 +127,7 @@ def test_extremal_invariant():
     cfg = extremal_config(params, prec=PREC)
     with working_precision(PREC):
         # outermost node (n/2 - 1) pi + s* stays inside half the interval
-        outer = mp.mpf(cfg.node(params.n // 2))
+        outer = mp.mpf(cfg.nodes[params.n + params.n // 2])
         assert outer < mp.mpf(cfg.a) / 2
         assert 0 < params.s_star < mp.pi
 
@@ -190,7 +194,8 @@ def test_node_spread_monotonicity():
     probe = polynomial_probe([0, 0, 0, 0, 1], prec=PREC)  # x^4, f'''' >= 0
     t = [0.125, 0.375, 0.625, 0.875]
     t_star = [0.0625, 0.3125, 0.6875, 0.9375]
-    d1, d2 = node_spread_monotonicity(t, t_star, probe, prec=PREC)
+    d1 = divided_difference(probe, NodeMultiset(t), prec=PREC)
+    d2 = divided_difference(probe, NodeMultiset(t_star), prec=PREC)
     assert d1 <= d2
 
 
@@ -210,8 +215,28 @@ def test_certificate_report_fields():
     assert rep.divided_bound_in_range
     assert rep.total_below_one
     assert rep.boundary_ok
-    data = rep.to_json()
+    data = json.dumps(serialize(rep, PREC), sort_keys=True, indent=2)
     assert '"total_below_one": true' in data
+
+
+def _kernel_sup_bound(n, m, a, alpha0):
+    """The paper's bound 2^(2n-1)/(|alpha_0| a) (a/(n pi))^(2m) C* on the
+    order-(2m-1) kernel, in the regime n >= 10, m >= n log n."""
+    return mp.mpf(2) ** (2 * n - 1) / (abs(alpha0) * a) \
+        * (a / (n * mp.pi)) ** (2 * m) * tail_weight_constant(prec=PREC)
+
+
+@pytest.mark.parametrize("n, c, eps, m", [(12, 0.95, 0.65, 30), (20, 0.974, 0.3, 60)])
+def test_integral_bound_is_the_scaled_kernel_sup_bound(n, c, eps, m):
+    # on the extremal configuration 1/|alpha_0| is the |sine product|, so
+    # 2a c^(2m) times the sup bound is the certificate's integral_bound
+    params = ExtremalParams(n=n, c=c, eps=eps, prec=PREC)
+    rep = theorem2_certificate(n, c, eps, m, prec=PREC, require_admissible=False)
+    alpha0 = kernel.coefficients(extremal_config(params), prec=PREC).alpha[n]
+    with working_precision(PREC):
+        a, cm = params.a, mp.mpf(params.c)
+        oracle = 2 * a * cm ** (2 * m) * _kernel_sup_bound(n, m, a, alpha0)
+        assert abs(rep.integral_bound - oracle) < mp.mpf(2) ** -(PREC - 24) * oracle
 
 
 @pytest.mark.parametrize("prec", [128, 192])

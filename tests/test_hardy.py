@@ -10,16 +10,35 @@ from mpmath import mp
 
 from hardyz import hardy
 from hardyz.hardy import (ZERO_HALF_WIDTH_BITS, CapacityError,
-                          PrecisionEscalationError, RejectedPointError,
-                          _refine_zero, count_stats, expected_zero_count,
-                          find_zeros, n_main, spacing_check, theorem1_explore,
-                          theta, theta_asymptotic, theta_prime, z_derivative,
-                          z_derivative_fd, z_derivatives_batch, z_eval)
+                          PrecisionEscalationError, _refine_zero, count_stats,
+                          expected_zero_count, find_zeros, n_main,
+                          theorem1_explore, theta, theta_prime, z_derivative_fd,
+                          z_derivatives_batch, z_eval)
 from hardyz.precision import working_precision
 
 PREC = 128
 
 GAMMA_1 = "14.134725141734693790457251983562470270784257115699"
+
+THETA_ASYMPTOTIC_MIN_T = 10
+THETA_ASYMPTOTIC_TERMS = 5
+
+
+def _theta_asymptotic(t):
+    """Asymptotic branch t/2 log(t/2pi) - t/2 - pi/8 + sum a_j t^(1-2j),
+    j = 1..THETA_ASYMPTOTIC_TERMS, at the ambient precision.
+
+    a_j = (1 - 2^(1-2j)) |B_2j| / (4j(2j-1)); valid for t >= 10 where the
+    series terms fall well below the leading scale.
+    """
+    tm = mp.mpf(t)
+    assert tm >= THETA_ASYMPTOTIC_MIN_T
+    val = tm / 2 * mp.log(tm / (2 * mp.pi)) - tm / 2 - mp.pi / 8
+    for j in range(1, THETA_ASYMPTOTIC_TERMS + 1):
+        a_j = (1 - mp.mpf(2) ** (1 - 2 * j)) * abs(mp.bernoulli(2 * j)) \
+            / (4 * j * (2 * j - 1))
+        val += a_j / tm ** (2 * j - 1)
+    return val
 
 
 def test_theta_branches_agree():
@@ -27,7 +46,7 @@ def test_theta_branches_agree():
         # truncation error of the 5-term series scales like t^-11
         for t, tol in ((15, -12), (50, -18), (200, -24)):
             exact = theta(t, prec=PREC)
-            asym = theta_asymptotic(t, prec=PREC)
+            asym = _theta_asymptotic(t)
             assert abs(exact - asym) < mp.mpf(10) ** tol
 
 
@@ -58,7 +77,7 @@ def test_z_matches_zeta_modulus():
 
 def test_derivative_dual_path():
     for t, k in ((100, 3), (50, 5), (20, 2)):
-        a = z_derivative(t, k, prec=PREC)
+        a = z_derivatives_batch(t, [k], prec=PREC)[k]
         b = z_derivative_fd(t, k, prec=PREC)
         assert abs(a - b) < mp.mpf(10) ** -20 * max(1, abs(a))
 
@@ -66,7 +85,7 @@ def test_derivative_dual_path():
 def test_batch_matches_single():
     vals = z_derivatives_batch(60, [1, 4], prec=PREC)
     for k in (1, 4):
-        single = z_derivative(60, k, prec=PREC)
+        single = z_derivatives_batch(60, [k], prec=PREC)[k]
         assert abs(vals[k] - single) < mp.mpf(10) ** -25 * max(1, abs(single))
 
 
@@ -118,7 +137,7 @@ def test_contour_zeta_budget(monkeypatch, run, budget):
 
 def test_derivative_capacity_guard():
     with pytest.raises(CapacityError):
-        z_derivative(50, 65, prec=PREC)
+        z_derivatives_batch(50, [65], prec=PREC)
     with pytest.raises(CapacityError):
         theorem1_explore(60, 100, m_cap=33, prec=PREC)
 
@@ -127,7 +146,7 @@ def test_first_zero_and_count_to_100():
     zl = find_zeros(0, 100, prec=PREC)
     assert len(zl) == 29
     with working_precision(PREC):
-        assert abs(zl.gammas()[0] - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -6
+        assert abs(zl.zeros[0].gamma - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -6
     exp = expected_zero_count(0, 100, prec=PREC)
     assert abs(exp - 29) < 2
 
@@ -220,22 +239,6 @@ def test_count_stats_main_term():
         assert abs(cs.s_estimate) < 2
 
 
-def test_zero_list_indexing():
-    zl = find_zeros(10, 60, prec=PREC)
-    idx = zl.indexed(30)
-    assert idx[-1] < 30 < idx[1]
-    assert idx[1] < idx[2]
-
-
-def test_spacing_report_shape():
-    rep = spacing_check(250, 3, prec=PREC)
-    assert len(rep.rows) == 3
-    assert rep.rows[0].main_term == 0
-    for r in rep.rows:
-        assert r.gamma_minus < rep.T < r.gamma_plus
-    assert '"rows"' in rep.to_json(prec=PREC)
-
-
 def test_guards():
     with pytest.raises(ValueError):
         find_zeros(50, 40, prec=PREC)
@@ -244,13 +247,5 @@ def test_guards():
     with pytest.raises(ValueError):
         count_stats(5, prec=PREC)
     with pytest.raises(ValueError):
-        spacing_check(250, 20, prec=PREC)
-    with pytest.raises(ValueError):
         theorem1_explore(10, 0.3, prec=PREC)
 
-
-def test_single_derivative_is_the_batch_entry():
-    assert z_derivative(40, 0, prec=PREC) == z_eval(40, prec=PREC).z
-    for k in (1, 4):
-        single = z_derivative(40, k, prec=PREC)
-        assert single._mpf_ == z_derivatives_batch(40, [k], prec=PREC)[k]._mpf_

@@ -9,8 +9,7 @@ from hardyz.extremal import equal_angle_nodes, equal_angle_weights, sine_product
 from hardyz.kernel import (DuplicateNodeError, NodeConfig, SingularParameterError,
                            boundary_sum_bound, chebyshev_moment, coefficients,
                            compile_psi, divided_bound_direct, kernel_knots, psi,
-                           psi_chebyshev_series, psi_star_boundary, psi_sup_bound,
-                           random_config)
+                           psi_chebyshev_series, psi_star_boundary, random_config)
 from hardyz.precision import working_precision
 
 PREC = 192
@@ -39,18 +38,19 @@ def test_alpha_zero_sum_and_symmetric_mu():
     co = coefficients(cfg, prec=PREC)
     with working_precision(PREC):
         assert abs(mp.fsum(co.alpha)) < TOL * max(abs(v) for v in co.alpha)
-        assert co.mu_k(0) == 1
+        n = cfg.n
+        assert co.mu[n] == 1
         # symmetric configuration: mu_{-k} = mu_k
-        for k in range(1, cfg.n + 1):
-            assert abs(co.mu_k(k) - co.mu_k(-k)) < TOL
+        for k in range(1, n + 1):
+            assert abs(co.mu[n + k] - co.mu[n - k]) < TOL
 
 
 def test_symmetric_coefficients_n1():
     cfg = NodeConfig(n=1, a=2, nodes=[-1, 0, 1], strict=True)
     co = coefficients(cfg, prec=PREC)
     with working_precision(PREC):
-        assert abs(co.mu_k(1) + mp.mpf(0.5)) < TOL
-        assert abs(co.mu_k(-1) + mp.mpf(0.5)) < TOL
+        assert abs(co.mu[cfg.n + 1] + mp.mpf(0.5)) < TOL
+        assert abs(co.mu[cfg.n - 1] + mp.mpf(0.5)) < TOL
 
 
 def test_vanishing_chebyshev_moments():
@@ -144,15 +144,6 @@ def test_boundary_sum_guards():
     weak = NodeConfig(n=2, a=3, nodes=[-2, -1, 0, 1.2, 1.2], strict=False)
     with pytest.raises(DuplicateNodeError):
         boundary_sum_bound(weak, 0.5, 3, prec=PREC)
-
-
-def test_sup_bound_regime_guards():
-    with pytest.raises(ValueError):
-        psi_sup_bound(5, 100, 10, 1, prec=PREC)
-    with pytest.raises(ValueError):
-        psi_sup_bound(12, 5, 10, 1, prec=PREC)
-    v = psi_sup_bound(12, 30, 10, 1, prec=PREC)
-    assert v > 0
 
 
 def _assert_compiled_matches_direct(cfg, l, weights, rng):

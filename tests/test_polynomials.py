@@ -55,17 +55,6 @@ def test_even_shift_symmetry_coefficient_level():
         assert all(shifted[i] == 0 for i in range(1, 2 * m + 1, 2))
 
 
-def test_periodic_bernoulli():
-    with working_precision(PREC):
-        assert abs(P.periodic_bernoulli(2, mp.mpf("1.25"), prec=PREC)
-                   - P.bernoulli_poly(2, mp.mpf("0.25"), prec=PREC)) < TOL
-        assert abs(P.periodic_bernoulli(2, mp.mpf(-3), prec=PREC)
-                   - mp.mpf(1) / 6) < TOL
-        x = mp.mpf("0.6182")
-        assert abs(P.periodic_bernoulli(4, x, prec=PREC)
-                   - P.periodic_bernoulli(4, x + 7, prec=PREC)) < TOL
-
-
 def test_chebyshev_values():
     with working_precision(PREC):
         assert abs(P.chebyshev(2, mp.mpf(0.5), prec=PREC) + mp.mpf(0.5)) < TOL

@@ -7,10 +7,10 @@ import pytest
 from mpmath import mp
 
 from hardyz import sequences
-from hardyz.sequences import (TAIL_WEIGHT_DEFAULT_LMAX, arcsin_power_coefficients,
-                              b_table, d_limit_check, d_value, e_coefficients,
-                              f_poly, g_closed_form_sum, g_limit_check, g_poly,
-                              tail_weight, tail_weight_constant, tail_weight_sum)
+from hardyz.sequences import (TAIL_WEIGHT_DEFAULT_LMAX, b_table, d_limit_check,
+                              d_value, e_coefficients, f_poly, g_closed_form_sum,
+                              g_poly, tail_weight, tail_weight_constant,
+                              tail_weight_sum)
 from hardyz.precision import working_precision
 
 PREC = 192
@@ -31,9 +31,17 @@ def test_b_recurrence_spot_values():
     assert b[2, 3] == b[1, 2] + 4 * b[2, 2]
 
 
+def _arcsin_power_coefficients(k, L):
+    """Coefficients of x^{2l}, l = 0..L, in the expansion of (Arcsin x)^{2k},
+    built from b_table."""
+    b = b_table(k, L)
+    return [Fraction(factorial(2 * k), factorial(2 * l))
+            * Fraction(2 ** (2 * l), 2 ** (2 * k)) * b[k, l] for l in range(L + 1)]
+
+
 def test_arcsin_power_series_numerical():
     # (Arcsin x)^2 partial series against direct evaluation
-    cs = arcsin_power_coefficients(1, 40)
+    cs = _arcsin_power_coefficients(1, 40)
     with working_precision(PREC):
         x = mp.mpf("0.3")
         acc = mp.mpf(0)
@@ -68,7 +76,7 @@ def test_closed_form_sum_vanishes():
 def test_g_decreasing_to_zero():
     prev = None
     for L in (5, 20, 80):
-        v = g_limit_check(2, L, prec=PREC)
+        v = g_poly(3, L).evaluate(PREC)
         assert v > 0
         if prev is not None:
             assert v < prev
