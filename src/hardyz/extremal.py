@@ -10,13 +10,14 @@ The configuration is admissible for c > c_eps, where h(delta) < 0.  h is a
 difference of Clausen values Cl_2, computed by its Bernoulli series
 (_clausen) with a proved bound on the omitted terms; mp.clsin and the
 quadrature log_sine_integral are the routes the tests check it against.
+find_c_eps refines the edge delta_eps = 1 - c_eps with the sign-change
+finder find_zeros uses, precision.refine_sign_change.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,7 +28,7 @@ from .divided_diff import node_product
 from .kernel import (NodeConfig, boundary_sum_bound, coefficients,  # noqa: F401
                      divided_bound_direct, sine_product)
 from .polynomials import bernoulli_numbers, horner
-from .precision import DEFAULT_PREC, working_precision
+from .precision import DEFAULT_PREC, refine_sign_change, working_precision
 from .sequences import tail_weight_constant
 
 FIND_C_EPS_RESOLUTION_BITS = 12
@@ -180,12 +181,19 @@ def g_and_h(delta, eps, prec: int = DEFAULT_PREC) -> Tuple[Tuple[mpf, mpf], mpf]
 def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
     """Numerically locate c_eps = 1 - delta_eps with h < 0 on (0, delta_eps).
 
-    Scans a delta-grid of step 2^-FIND_C_EPS_RESOLUTION_BITS up to 1/4 and
-    bisects the first sign change of h until the bracket is 2^-prec wide,
-    one unit in the last place of a prec-bit c_eps.  If h >= 0 on the whole
-    grid (which would contradict the sine-product argument) a warning is
-    issued and c_eps = 1 is returned, making the admissible range empty.
-    Results are cached per (eps at working precision, prec) by _c_eps.
+    If h(2^-12) < 0, scans a delta-grid of step 2^-FIND_C_EPS_RESOLUTION_BITS
+    up to 1/4 for the first delta with h >= 0 (none: c_eps = 3/4).
+    Otherwise delta_eps lies below the grid: k doubles from 12 until
+    h(2^-k) < 0, the k interval is halved down to [2^-k, 2^-(k-1)], and
+    c_eps = 1 if k would pass prec + 1.  This search assumes that h(2^-k)
+    changes sign once in k, which stays unproved until an interval sweep
+    shows h < 0 below delta_eps.  The asymptotic form
+    h ~ delta [-eps + (log 2 - eps)(log L + 1 + log(2/(pi (log 2 - eps))))/L]
+    with L = |log delta| puts its zero at 7.78e-12 for eps 0.1 and at
+    1.002e-29 for eps 0.05, and the search finds the same.  The bracket is
+    refined by precision.refine_sign_change to width 2^-prec, one unit in
+    the last place of a prec-bit c_eps.  Results are cached per (eps at
+    working precision, prec) by _c_eps.
     """
     with working_precision(prec):
         return _c_eps(mp.mpf(eps), prec)
@@ -193,28 +201,35 @@ def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
 
 @functools.cache
 def _c_eps(eps: mpf, prec: int) -> mpf:
-    step = mp.mpf(2) ** (-FIND_C_EPS_RESOLUTION_BITS)
     h_at = lambda d: g_and_h(d, eps, prec=prec)[1]
-    prev = None
-    d = step
-    while d < mp.mpf(1) / 4:
-        if h_at(d) >= 0:
-            break
-        prev = d
-        d += step
-    else:
-        return 1 - mp.mpf(1) / 4
-    if prev is None:
-        warnings.warn("h(delta) >= 0 at the smallest grid point; "
-                      "no admissible range located")
-        return mp.mpf(1)
-    lo, hi = prev, d
-    for _ in range(prec - FIND_C_EPS_RESOLUTION_BITS):
-        mid = (lo + hi) / 2
-        if h_at(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+    k = FIND_C_EPS_RESOLUTION_BITS
+    step = mp.mpf(2) ** -k
+    lo, h_lo = step, h_at(step)
+    if h_lo < 0:  # walk the grid to the first delta with h >= 0
+        while True:
+            hi = lo + step
+            if hi >= mp.mpf(1) / 4:
+                return 1 - mp.mpf(1) / 4
+            h_hi = h_at(hi)
+            if h_hi >= 0:
+                break
+            lo, h_lo = hi, h_hi
+    else:  # delta_eps < 2^-k: search on k for h(2^-j) >= 0 > h(2^-k), j = k - 1
+        while h_lo >= 0:
+            if k == prec + 1:
+                return mp.mpf(1)
+            j, h_hi = k, h_lo
+            k = min(2 * k, prec + 1)
+            h_lo = h_at(mp.mpf(2) ** -k)
+        while k - j > 1:
+            mid = (j + k) // 2
+            h_mid = h_at(mp.mpf(2) ** -mid)
+            if h_mid < 0:
+                k, h_lo = mid, h_mid
+            else:
+                j, h_hi = mid, h_mid
+        lo, hi = mp.mpf(2) ** -k, mp.mpf(2) ** -j
+    lo, _ = refine_sign_change(h_at, lo, hi, h_lo, h_hi, mp.mpf(2) ** -(prec + 1))
     return 1 - lo
 
 

@@ -4,13 +4,13 @@ Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Two routes
 evaluate it: z_eval applies Euler-Maclaurin summation to zeta with an
 explicit truncation bound, and the library's Riemann-Siegel mp.siegelz backs
 interval scans.  Each sign change the scan brackets is refined by Illinois
-regula falsi to a 2^-48 bracket, which z_eval then certifies.  Derivatives
-come from the Taylor coefficients of the analytic continuation of Z on one
-Cauchy circle: the half with Im w <= 0 is sampled with the library zeta and
-Schwarz reflection fills the other.  z_derivatives_batch reads the orders it
-is asked for at the circle's centre; theorem1_explore reads every point of
-its window from the series of seven circles (Taylor patches).  Richardson
-finite differences cross-check both.
+regula falsi (precision.refine_sign_change) to a 2^-48 bracket, which z_eval
+then certifies.  Derivatives come from the Taylor coefficients of the
+analytic continuation of Z on one Cauchy circle: the half with Im w <= 0 is
+sampled with the library zeta and Schwarz reflection fills the other.
+z_derivatives_batch reads the orders it is asked for at the circle's centre;
+theorem1_explore reads every point of its window from the series of seven
+circles (Taylor patches).  Richardson finite differences cross-check both.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .polynomials import bernoulli_numbers, horner
-from .precision import DEFAULT_PREC, digits_for, working_precision
+from .precision import DEFAULT_PREC, digits_for, refine_sign_change, working_precision
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
@@ -314,45 +314,6 @@ def _scan_step(t, prec: int) -> mpf:
     return mp.pi / (4 * tp)
 
 
-def _refine_zero(f: Callable, lo, hi, flo, fhi) -> Tuple[mpf, mpf]:
-    """(midpoint, half-width) of a sign-change bracket of f inside [lo, hi]
-    with half-width <= 2^-ZERO_HALF_WIDTH_BITS, or (x, 0) at an exact zero.
-
-    flo = f(lo) and fhi = f(hi) have opposite signs.  Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 1971): each step evaluates the secant point,
-    held at least the target width inside each end so that a step landing
-    next to the zero lets the next one close the bracket from the far side.
-    When the same end moves twice in a row, the value stored at the end that
-    stayed is halved.  When the last three steps have not shrunk the bracket
-    to a quarter, a bisection step is taken instead, which keeps a flat or
-    steep f within about twice the evaluations of plain bisection.
-    """
-    target = mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS)
-    moved = None                # which end the last step replaced
-    widths = [mp.inf] * 3       # bracket widths before the last three steps
-    while (hi - lo) / 2 > target:
-        if hi - lo > widths[0] / 4:
-            x = (lo + hi) / 2
-        else:
-            x = lo - flo * (hi - lo) / (fhi - flo)
-            x = min(max(x, lo + target), hi - target)
-        widths = widths[1:] + [hi - lo]
-        fx = f(x)
-        if fx == 0:
-            return x, mp.mpf(0)
-        if (fx > 0) == (flo > 0):
-            lo, flo = x, fx
-            if moved == "lo":
-                fhi /= 2
-            moved = "lo"
-        else:
-            hi, fhi = x, fx
-            if moved == "hi":
-                flo /= 2
-            moved = "hi"
-    return (lo + hi) / 2, (hi - lo) / 2
-
-
 def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
     """(theta(t_hi) - theta(t_lo))/pi, the smooth count of zeros in the
     interval (off by the bounded fluctuation term)."""
@@ -386,7 +347,9 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         hi = mp.mpf(t_hi)
         if not (hi > lo >= 0 and mp.isfinite(hi)):
             raise ValueError("need finite t_hi > t_lo >= 0")
-        f = mp.siegelz
+        # siegelz is called from a frame of this module, also inside
+        # refine_sign_change, because perfbench's tracer counts only those
+        f = lambda t: mp.siegelz(t)
         expected = expected_zero_count(lo, hi, prec=prec)
         rescans = 0
         step_scale = mp.mpf(1)
@@ -408,8 +371,9 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             step_scale /= 2
         zeros = []
         for (a, b, fa, fb) in brackets:
-            g, hw = _refine_zero(f, a, b, fa, fb)
-            zeros.append(Zero(gamma=g, half_width=hw))
+            zlo, zhi = refine_sign_change(f, a, b, fa, fb,
+                                          mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS))
+            zeros.append(Zero(gamma=(zlo + zhi) / 2, half_width=(zhi - zlo) / 2))
         for z in zeros:
             w = max(z.half_width * 4, mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS + 2))
             # widen once; a second failure means the bracket is not certified

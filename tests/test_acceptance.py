@@ -152,7 +152,7 @@ def test_criterion_07_extremal_grid_bounds():
                 eps = mp.mpf(eps_s)
                 c_eps = extremal.find_c_eps(eps, prec=PREC)
                 if not c_eps < hi:
-                    continue  # empty admissible range at this resolution
+                    continue  # c_eps >= 1 - 1/2n (eps 0.05, 0.1): no admissible c
                 for frac in ("0.25", "0.5", "0.75"):
                     c = c_eps + (hi - c_eps) * mp.mpf(frac)
                     params = extremal.ExtremalParams(n=n, c=c, eps=eps, prec=PREC)

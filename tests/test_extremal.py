@@ -1,6 +1,7 @@
 """Unit tests for the extremal configuration and certificate chain."""
 
 import json
+import warnings
 
 import pytest
 from mpmath import mp
@@ -93,14 +94,58 @@ def test_scan_stops_where_the_clsin_scan_stops():
             assert series == _scan_stop(lambda d: _h_through_clsin(d, eps))
 
 
-@pytest.mark.parametrize("eps", [0.25, 0.3, 0.4])
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.25, 0.3, 0.4])
 def test_c_eps_bisects_to_the_working_resolution(eps):
-    prec = 128
-    c_eps = find_c_eps(eps, prec=prec)
-    reference = find_c_eps(eps, prec=2 * prec)
-    with mp.workprec(2 * prec):
-        assert 1 - mp.mpf(1) / 4 < c_eps < 1  # a sign change was bisected
-        assert abs(c_eps - reference) <= mp.mpf(2) ** -(prec - 1)
+    # eps 0.05, 0.1 and 0.2 refine a bracket below the 2^-12 grid
+    for prec in (128, 192):
+        c_eps = find_c_eps(eps, prec=prec)
+        reference = find_c_eps(eps, prec=2 * prec)
+        with mp.workprec(2 * prec):
+            assert 1 - mp.mpf(1) / 4 < c_eps < 1  # a sign change was refined
+            assert abs(c_eps - reference) <= mp.mpf(2) ** -(prec - 1)
+
+
+def _counted_c_eps(monkeypatch, eps, prec):
+    """(c_eps, g_and_h calls) of an uncached find_c_eps."""
+    calls = []
+    g_and_h_exact = extremal.g_and_h
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return g_and_h_exact(*args, **kwargs)
+
+    extremal._c_eps.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(extremal, "g_and_h", counted)
+        c_eps = find_c_eps(eps, prec=prec)
+    extremal._c_eps.cache_clear()
+    return c_eps, len(calls)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.25, 0.65])
+def test_c_eps_g_and_h_budget(monkeypatch, eps):
+    # a bisection to 2^-192 took 199 calls at eps 0.25; eps 0.65 scans the
+    # whole grid, whose 1023 points stay
+    _, calls = _counted_c_eps(monkeypatch, eps, PREC)
+    assert calls == 1023 if eps == 0.65 else calls <= 40
+
+
+@pytest.mark.parametrize("eps, first_k", [(0.05, 97), (0.1, 37), (0.2, 13)])
+def test_c_eps_brackets_below_the_grid_at_the_first_negative_k(monkeypatch, eps,
+                                                               first_k):
+    with working_precision(PREC):
+        h_at = lambda d: g_and_h(d, mp.mpf(eps), prec=PREC)[1]
+        step = mp.mpf(2) ** -extremal.FIND_C_EPS_RESOLUTION_BITS
+        assert h_at(step) >= 0  # delta_eps lies below the grid
+        k = extremal.FIND_C_EPS_RESOLUTION_BITS + 1
+        while h_at(mp.mpf(2) ** -k) >= 0:
+            k += 1
+    assert k == first_k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c_eps, _ = _counted_c_eps(monkeypatch, eps, PREC)
+    with working_precision(PREC):
+        assert mp.mpf(2) ** -k <= 1 - c_eps <= mp.mpf(2) ** -(k - 1)
 
 
 def test_h_negative_in_admissible_regime():
@@ -191,12 +236,14 @@ def test_hyp_coefficients_signs():
 
 
 def test_node_spread_monotonicity():
-    probe = polynomial_probe([0, 0, 0, 0, 1], prec=PREC)  # x^4, f'''' >= 0
+    # x^5: the third divided difference is the complete symmetric sum h_2 of
+    # the nodes, 2.65625 and 2.7265625 here (x^4 gives their sum, 2 for both)
+    probe = polynomial_probe([0, 0, 0, 0, 0, 1], prec=PREC)
     t = [0.125, 0.375, 0.625, 0.875]
     t_star = [0.0625, 0.3125, 0.6875, 0.9375]
     d1 = divided_difference(probe, NodeMultiset(t), prec=PREC)
     d2 = divided_difference(probe, NodeMultiset(t_star), prec=PREC)
-    assert d1 <= d2
+    assert d1 < d2
 
 
 def test_theorem2_bound_positive():

@@ -10,7 +10,7 @@ from mpmath import mp
 
 from hardyz import hardy
 from hardyz.hardy import (ZERO_HALF_WIDTH_BITS, CapacityError,
-                          PrecisionEscalationError, _refine_zero, count_stats,
+                          PrecisionEscalationError, count_stats,
                           expected_zero_count, find_zeros, n_main,
                           theorem1_explore, theta, theta_prime, z_derivative_fd,
                           z_derivatives_batch, z_eval)
@@ -174,47 +174,6 @@ def test_zeros_to_100_siegelz_budget(monkeypatch):
     assert len(find_zeros(0, 100, prec=PREC)) == 29
     # bisecting every bracket to 2^-48 took 1521 calls
     assert len(calls) <= 400
-
-
-def _refine_counted(f, lo, hi):
-    """_refine_zero on [lo, hi] at PREC: (point, half-width, evaluations)."""
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return f(x)
-
-    with working_precision(PREC):
-        lo, hi = mp.mpf(lo), mp.mpf(hi)
-        x, hw = _refine_zero(counted, lo, hi, f(lo), f(hi))
-    return x, hw, len(calls)
-
-
-def test_refine_smooth_root_in_few_evaluations():
-    f = lambda x: mp.cos(x) - x
-    x, hw, n = _refine_counted(f, 0, 1)
-    with working_precision(PREC):
-        assert 0 < hw <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
-        assert (f(x - hw) > 0) != (f(x + hw) > 0)
-        assert abs(x - mp.findroot(f, 0.74)) <= hw
-    assert n <= 12
-
-
-def test_refine_returns_an_exact_zero_at_the_secant_point():
-    x, hw, n = _refine_counted(lambda x: x - mp.mpf(0.25), 0, 1)
-    assert (x, hw, n) == (mp.mpf(0.25), 0, 1)
-
-
-@pytest.mark.parametrize("f", [lambda x: (x - mp.mpf(1) / 3) ** 5,
-                               lambda x: mp.tanh(200 * (x - mp.mpf(1) / 3))],
-                         ids=["flat", "steep"])
-def test_refine_flat_or_steep_stays_within_twice_bisection(f):
-    # bisection halves [0, 1] 47 times to reach half-width 2^-48
-    x, hw, n = _refine_counted(f, 0, 1)
-    with working_precision(PREC):
-        assert 0 < hw <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
-        assert abs(x - mp.mpf(1) / 3) <= hw
-    assert n <= 2 * 47
 
 
 def test_sign_change_within_error_estimate_is_not_certified(monkeypatch):

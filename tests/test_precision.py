@@ -1,4 +1,5 @@
-"""The report serializer, the precision policy and the public surface."""
+"""The report serializer, the sign-change finder, the precision policy and
+the public surface."""
 
 import ast
 import inspect
@@ -7,9 +8,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
+import pytest
 from mpmath import mp, mpf
 
-from hardyz.precision import GUARD_BITS, digits_for, serialize, working_precision
+from hardyz.precision import (GUARD_BITS, digits_for, refine_sign_change, serialize,
+                              working_precision)
 
 
 @dataclass
@@ -43,6 +46,68 @@ def test_serialize_keeps_the_value_bits():
     assert out["x"] == "0." + "3" * digits_for(prec)
     assert json.dumps(serialize(rep, prec), sort_keys=True,
                       indent=2).startswith('{\n  "best": null,')
+
+
+# ---------------------------------------------------------------------------
+# the one sign-change finder, at find_zeros' width (2^-48 at 128 bits) and at
+# find_c_eps' (2^-(prec+1) at 192 bits); bisection halves [0, 1] 47 and 192
+# times to reach them
+
+WIDTHS = pytest.mark.parametrize("prec, width_bits, bisections",
+                                 [(128, 48, 47), (192, 193, 192)],
+                                 ids=["2^-48", "2^-193"])
+
+
+def _refine_counted(f, lo, hi, prec, width_bits):
+    """refine_sign_change on [lo, hi] at prec: (point, half-width, evaluations)."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    with working_precision(prec):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        a, b = refine_sign_change(counted, lo, hi, f(lo), f(hi),
+                                  mp.mpf(2) ** -width_bits)
+        return (a + b) / 2, (b - a) / 2, len(calls)
+
+
+@WIDTHS
+def test_refine_smooth_root_in_few_evaluations(prec, width_bits, bisections):
+    f = lambda x: mp.cos(x) - x
+    x, hw, n = _refine_counted(f, 0, 1, prec, width_bits)
+    with working_precision(prec):
+        assert 0 < hw <= mp.mpf(2) ** -width_bits
+        assert (f(x - hw) > 0) != (f(x + hw) > 0)
+        assert abs(x - mp.findroot(f, 0.74)) <= hw
+    assert n <= 12
+
+
+@WIDTHS
+def test_refine_returns_an_exact_zero_at_the_secant_point(prec, width_bits, bisections):
+    x, hw, n = _refine_counted(lambda x: x - mp.mpf(0.25), 0, 1, prec, width_bits)
+    assert (x, hw, n) == (mp.mpf(0.25), 0, 1)
+
+
+# 1/3 at more bits than any working precision here: no point the finder
+# tries is the root, so the sign of f is the sign of x - THIRD and the
+# bracket is never closed by an exact zero
+with mp.workprec(512):
+    THIRD = mp.mpf(1) / 3
+
+
+@WIDTHS
+@pytest.mark.parametrize("f", [lambda x: (x - THIRD) ** 5,
+                               lambda x: mp.tanh(200 * (x - THIRD))],
+                         ids=["flat", "steep"])
+def test_refine_flat_or_steep_stays_within_twice_bisection(f, prec, width_bits,
+                                                            bisections):
+    x, hw, n = _refine_counted(f, 0, 1, prec, width_bits)
+    with working_precision(prec):
+        assert 0 < hw <= mp.mpf(2) ** -width_bits
+        assert abs(x - THIRD) <= hw
+    assert n <= 2 * bisections
 
 
 # ---------------------------------------------------------------------------
