@@ -47,6 +47,7 @@ EXIT_ESCALATION = 3
 
 SUITES = ("polynomials", "divided_diff", "kernel", "identity", "sequences",
           "extremal")
+SEEDED_PROBES = ("polynomial", "cosine", "gaussian-cosine")
 
 
 def _check(name: str, passed: bool, margin, prec: int) -> Dict:
@@ -58,6 +59,26 @@ def _check(name: str, passed: bool, margin, prec: int) -> Dict:
 def _suite_rng(seed: int, suite: str) -> random.Random:
     """Per-suite substream so suites are individually reproducible."""
     return random.Random(f"{seed}:{suite}")
+
+
+def _seeded_probe(rng: random.Random, kind: str, m: int, prec: int):
+    """The seeded probe of a key-identity case, kind one of SEEDED_PROBES; a
+    polynomial draws 2m + 3 coefficients."""
+    if kind == "polynomial":
+        return probes.polynomial_probe(
+            [rng.uniform(-1, 1) for _ in range(2 * m + 3)], prec=prec)
+    if kind == "cosine":
+        return probes.cosine_probe(rng.uniform(0.3, 1.5), prec=prec)
+    return probes.gaussian_cosine_probe(rng.uniform(0.3, 1.0),
+                                        rng.uniform(2, 5), prec=prec)
+
+
+def _zero_sum_weights(rng: random.Random, n: int) -> List:
+    """2n + 1 weights summing to zero at the ambient precision: 2n uniform
+    draws on [-1, 1] and minus their sum."""
+    mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * n)]
+    mu.append(-mp.fsum(mu))
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +337,9 @@ def _suite_identity(rng: random.Random, prec: int) -> List[Dict]:
     for _ in range(10):
         n = rng.randrange(1, 5)
         cfg = kernel.random_config(rng, n, prec=prec)
-        mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * n)]
-        mu.append(-mp.fsum(mu))
+        mu = _zero_sum_weights(rng, n)
         m = rng.randrange(1, 7)
-        kind = rng.choice(["poly", "cos", "gauss"])
-        if kind == "poly":
-            probe = probes.polynomial_probe(
-                [rng.uniform(-1, 1) for _ in range(2 * m + 3)], prec=prec)
-        elif kind == "cos":
-            probe = probes.cosine_probe(rng.uniform(0.3, 1.5), prec=prec)
-        else:
-            probe = probes.gaussian_cosine_probe(rng.uniform(0.3, 1.0),
-                                                 rng.uniform(2, 5), prec=prec)
+        probe = _seeded_probe(rng, rng.choice(SEEDED_PROBES), m, prec)
         rep = identity.verify_key_identity(cfg, mu, probe, m, prec=prec)
         ok = ok and rep.passed
         if rep.residual_budget > 0:
@@ -349,8 +361,7 @@ def _suite_identity(rng: random.Random, prec: int) -> List[Dict]:
     for _ in range(5):
         n = rng.randrange(1, 4)
         cfg = kernel.random_config(rng, n, prec=prec)
-        mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * n)]
-        mu.append(-mp.fsum(mu))
+        mu = _zero_sum_weights(rng, n)
         probe = probes.polynomial_probe(
             [rng.uniform(-1, 1) for _ in range(6)], prec=prec)
         lhs = mp.fsum(mk * mp.mpf(probe.value(x))
@@ -552,17 +563,9 @@ def cmd_identity(args) -> int:
         rep = identity.reconstruct_f0(cfg, probe, max(args.m, args.n + 1),
                                       prec=prec)
     else:
-        if args.probe == "polynomial":
-            probe = probes.polynomial_probe(
-                [rng.uniform(-1, 1) for _ in range(2 * args.m + 3)], prec=prec)
-        elif args.probe == "cosine":
-            probe = probes.cosine_probe(rng.uniform(0.3, 1.5), prec=prec)
-        else:
-            probe = probes.gaussian_cosine_probe(rng.uniform(0.3, 1.0),
-                                                 rng.uniform(2, 5), prec=prec)
+        probe = _seeded_probe(rng, args.probe, args.m, prec)
         with working_precision(prec):
-            mu = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * args.n)]
-            mu.append(-mp.fsum(mu))
+            mu = _zero_sum_weights(rng, args.n)
         rep = identity.verify_key_identity(cfg, mu, probe, args.m, prec=prec)
     _emit_json("identity", serialize(rep, prec), args)
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
@@ -601,7 +604,7 @@ def cmd_zeros(args) -> int:
         body = visible.serialize(prec)
         if hi >= 10 and scan_lo == 0:
             body["count_stats"] = serialize(
-                hardy.count_stats(hi, prec=prec, zero_list=found), prec)
+                hardy.count_stats(hi, found, prec=prec), prec)
     _emit_json("zeros", body, args)
     return EXIT_OK
 
@@ -620,8 +623,7 @@ def cmd_explore(args) -> int:
 def cmd_extremal(args) -> int:
     prec = args.precision_bits
     rep = extremal.theorem2_certificate(args.n, mp.mpf(args.c), mp.mpf(args.eps),
-                                        args.m, prec=prec,
-                                        require_admissible=False)
+                                        args.m, prec=prec)
     _emit_json("extremal", serialize(rep, prec), args)
     return EXIT_OK if rep.total_below_one else EXIT_CHECK_FAILED
 
@@ -658,8 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--n", type=int, required=True)
     ident.add_argument("--m", type=int, required=True)
     ident.add_argument("--probe", required=True,
-                       choices=("polynomial", "cosine", "gaussian-cosine",
-                                "cardinal"))
+                       choices=SEEDED_PROBES + ("cardinal",))
     ident.set_defaults(func=cmd_identity, formats=("json",))
 
     zr = sub.add_parser("zeros", help="locate zeros of Z in an interval")

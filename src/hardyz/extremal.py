@@ -344,8 +344,7 @@ class CertificateReport:
 
 
 def theorem2_certificate(n: int, c, eps, m: int,
-                         prec: int = DEFAULT_PREC,
-                         require_admissible: bool = True) -> CertificateReport:
+                         prec: int = DEFAULT_PREC) -> CertificateReport:
     """Evaluate the full numeric chain on the extremal configuration.
 
     Sub-bounds: sine product in (0, 2^-2n); cosine divided difference in
@@ -356,17 +355,14 @@ def theorem2_certificate(n: int, c, eps, m: int,
     |sine product| and c a = (n - 1/2) pi.
     Margins are reported rather than asserted; failures at small n are data.
     The boundary-sum inequality is checked with min(m, 12) boundary terms.
-    With require_admissible=False the chain is evaluated anyway and the
-    report carries admissible=False (the bounds are well defined pointwise,
-    only the supporting argument needs the admissible range).
+    The chain is evaluated outside the admissible range c_eps < c <
+    1 - 1/2n too, and the report's admissible says whether c is inside it
+    (the bounds are well defined pointwise; only the supporting argument
+    needs the range).
     """
     params = ExtremalParams(n=n, c=c, eps=eps, prec=prec)
     c_eps = find_c_eps(eps, prec=prec)
     admissible = params.admissible(c_eps)
-    if not admissible and require_admissible:
-        raise ValueError(
-            f"(n={n}, c={c}, eps={eps}) outside the admissible range "
-            f"(c_eps={mp.nstr(c_eps, 8)}, 1 - 1/2n = {1 - 1 / (2 * n)})")
     with working_precision(prec):
         if m < n * mp.log(n):
             raise ValueError("certificate regime requires m >= n log n")

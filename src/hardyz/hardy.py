@@ -6,11 +6,12 @@ explicit truncation bound, and the library's Riemann-Siegel mp.siegelz backs
 interval scans.  Each sign change the scan brackets is refined by Illinois
 regula falsi (precision.refine_sign_change) to a 2^-48 bracket, which z_eval
 then certifies.  Derivatives come from the Taylor coefficients of the
-analytic continuation of Z on one Cauchy circle: the half with Im w <= 0 is
+analytic continuation of Z on a Cauchy circle: the half with Im w <= 0 is
 sampled with the library zeta and Schwarz reflection fills the other.
-z_derivatives_batch reads the orders it is asked for at the circle's centre;
-theorem1_explore reads every point of its window from the series of seven
-circles (Taylor patches).  Richardson finite differences cross-check both.
+_TaylorPatches is the one place that builds such circles and keeps their
+series: z_derivatives_batch reads one patch at its centre, and
+theorem1_explore reads every point of its window from seven.  Richardson
+finite differences cross-check the contour route.
 """
 
 from __future__ import annotations
@@ -236,30 +237,22 @@ def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
 
 def z_derivatives_batch(t, orders: Sequence[int],
                         prec: int = DEFAULT_PREC) -> Dict[int, mpf]:
-    """All requested derivative orders from a single contour about t.
-
-    Z^(k)(t) = k! a_k with a_k from _z_taylor, which samples half of a
-    circle of radius min(CONTOUR_RADIUS, t/2 + 1/4) and reflects the other
-    half.  The samples are elevated with the largest order (the r^-k factor
-    amplifies sample noise): CONTOUR_BITS_PER_ORDER bits per order on top of
-    CONTOUR_GUARD_BITS.
+    """All requested derivative orders from a single contour about t: the
+    centre read of one Taylor patch (_TaylorPatches over the width-0 window
+    [t, t]) of radius min(CONTOUR_RADIUS, t/2 + 1/4), which keeps the circle
+    inside the disc where Z is analytic: its nearest singularities are at
+    w = +-i/2.
     """
     orders = sorted(set(int(k) for k in orders))
     if not orders:
         return {}
     if orders[0] < 0:
         raise ValueError("orders must be >= 0")
-    if orders[-1] > MAX_DERIVATIVE_ORDER:
-        raise CapacityError(f"order {orders[-1]} exceeds {MAX_DERIVATIVE_ORDER}")
     with working_precision(prec):
         tm = mp.mpf(t)
         radius = min(mp.mpf(CONTOUR_RADIUS), tm / 2 + mp.mpf(0.25))
-        extra = CONTOUR_BITS_PER_ORDER * orders[-1] + CONTOUR_GUARD_BITS
-        with mp.extraprec(extra):
-            coeffs, _ = _z_taylor(tm, radius, _contour_size(prec + extra, orders[-1]),
-                                  orders)
-            vals = {k: coeffs[k] * mp.factorial(k) for k in orders}
-        return {k: +v for k, v in vals.items()}
+        patch = _TaylorPatches(tm, tm, radius, orders, prec)
+        return {k: patch.derivative(tm, k) for k in orders}
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +398,9 @@ def n_main(t, prec: int = DEFAULT_PREC) -> mpf:
         return tm / (2 * mp.pi) * mp.log(tm / (2 * mp.pi * mp.e))
 
 
-def count_stats(t, prec: int = DEFAULT_PREC,
-                zero_list: Optional[ZeroList] = None) -> CountStats:
-    """Counted-minus-main realization of the fluctuation term at height t.
+def count_stats(t, zero_list: ZeroList, prec: int = DEFAULT_PREC) -> CountStats:
+    """Counted-minus-main realization of the fluctuation term at height t,
+    counting the zeros of zero_list (a scan of (0, t]).
 
     The fluctuation estimate is N_counted - N_main - 7/8; equal to S(t) up
     to the integer consistency the count check enforces.
@@ -416,10 +409,9 @@ def count_stats(t, prec: int = DEFAULT_PREC,
         tm = mp.mpf(t)
         if tm < 10:
             raise ValueError("count_stats requires t >= 10")
-        zl = zero_list if zero_list is not None else find_zeros(0, tm, prec=prec)
         main = n_main(tm, prec=prec)
-        return CountStats(t=tm, n_counted=len(zl), n_main=main,
-                          s_estimate=len(zl) - main - mp.mpf(7) / 8)
+        return CountStats(t=tm, n_counted=len(zero_list), n_main=main,
+                          s_estimate=len(zero_list) - main - mp.mpf(7) / 8)
 
 
 # ---------------------------------------------------------------------------
@@ -453,38 +445,42 @@ class ExploreReport:
 
 
 class _TaylorPatches:
-    """Z^(k) on [lo, hi] from truncated Taylor series of Z, one contour each.
+    """Z^(k) on [lo, hi] from truncated Taylor series of Z, one contour
+    each; the only code that builds a contour.
 
-    count = ceil((hi - lo)/r) patches of width (hi - lo)/count <= r tile the
-    interval, r = CONTOUR_RADIUS, and a point is read by Horner from the
-    series about its nearest centre, at most q r <= r/2 away.  Each circle
-    has the M points z_derivatives_batch would take for the largest order,
-    at the same bits, and each series keeps a_n for n < N = M/2.
+    count = ceil((hi - lo)/r) patches (at least one) of width
+    (hi - lo)/count <= r tile the interval, and a point is read by Horner
+    from the series about its nearest centre, at most q r <= r/2 away.
+    Every circle has the given radius r and M = _contour_size(bits, kmax)
+    points.  Its samples are elevated with the largest order kmax (the r^-k
+    factor amplifies sample noise): CONTOUR_BITS_PER_ORDER bits per order on
+    top of CONTOUR_GUARD_BITS.  Each series keeps a_n for n < N = M/2, or
+    for n <= kmax on a width-0 window, which is read only at its centre.
 
     series_error is the largest Cauchy-estimate bound on the truncation over
     patches and orders: |a_n| <= M_r r^-n gives
     M_r r^-k sum_{n>=N} n!/(n-k)! q^(n-k), with M_r the largest |Z| sampled
     on a circle.  The sum is bounded by its first term over 1 - rho, rho the
-    ratio of its first two terms (the ratios fall with n).  The aliasing of
-    a_(n+M) r^M into a_n by the M-point sum is not bounded, as it is not for
-    the per-point contour.
+    ratio of its first two terms (the ratios fall with n), and it is 0 at
+    width 0.  The aliasing of a_(n+M) r^M into a_n by the M-point sum is not
+    bounded.
     """
 
-    def __init__(self, lo, hi, orders: Sequence[int], prec: int):
+    def __init__(self, lo, hi, radius, orders: Sequence[int], prec: int):
         kmax = max(orders)
         if kmax > MAX_DERIVATIVE_ORDER:
             raise CapacityError(f"order {kmax} exceeds {MAX_DERIVATIVE_ORDER}")
         self.extra = CONTOUR_BITS_PER_ORDER * kmax + CONTOUR_GUARD_BITS
         self.lo = lo
-        r = mp.mpf(CONTOUR_RADIUS)
-        self.count = int(mp.ceil((hi - lo) / r))
+        r = mp.mpf(radius)
+        self.count = max(1, int(mp.ceil((hi - lo) / r)))
         self.width = (hi - lo) / self.count
         self.centres: List[mpf] = []
         self.series: List[Dict[int, List[mpf]]] = []  # per patch and order
         max_abs = mp.mpf(0)
         with mp.extraprec(self.extra):
             M = _contour_size(prec + self.extra, kmax)
-            N = M // 2
+            N = M // 2 if self.width else kmax + 1
             for i in range(self.count):
                 c = lo + (i + mp.mpf(0.5)) * self.width
                 a, m_r = _z_taylor(c, r, M, range(N))
@@ -500,7 +496,7 @@ class _TaylorPatches:
 
     def derivative(self, u, k: int) -> mpf:
         """Z^(k)(u) from the nearest patch, rounded to the ambient precision."""
-        i = min(int((u - self.lo) / self.width), self.count - 1)
+        i = min(int((u - self.lo) / self.width), self.count - 1) if self.width else 0
         with mp.extraprec(self.extra + CONTOUR_SUM_GUARD_BITS):
             v = horner(self.series[i][k], u - self.centres[i])
         return +v
@@ -514,10 +510,10 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
     pi/(8 theta'(T)) with local refinement around each running maximum.  A
     witness is any k whose grid maximum meets its bound.  Every value is
     read from Taylor patches: contours = ceil(4 pi/CONTOUR_RADIUS) = 7
-    circles of M/2 + 1 zeta samples, M as z_derivatives_batch picks it for
-    the largest order, instead of one full circle per point.  series_error
-    is the patches' Cauchy-estimate truncation bound (aliasing is not
-    bounded, as for the per-point contour).  Explicitly exploratory output.
+    circles of M/2 + 1 zeta samples, M as _TaylorPatches picks it for the
+    largest order, instead of one full circle per point.  series_error is
+    the patches' Cauchy-estimate truncation bound (aliasing is not
+    bounded).  Explicitly exploratory output.
     """
     with working_precision(prec):
         Tm = mp.mpf(T)
@@ -538,7 +534,8 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
         while u <= Tm + 2 * mp.pi:
             grid.append(u)
             u += step
-        patches = _TaylorPatches(Tm - 2 * mp.pi, Tm + 2 * mp.pi, orders, prec)
+        patches = _TaylorPatches(Tm - 2 * mp.pi, Tm + 2 * mp.pi, CONTOUR_RADIUS,
+                                 orders, prec)
         maxima: Dict[int, Tuple[mpf, mpf]] = {k: (mp.mpf(-1), Tm) for k in orders}
         for u in grid:
             for k in orders:

@@ -250,9 +250,9 @@ def test_theorem2_bound_positive():
     assert theorem2_bound(12, 0.95, 0.65, prec=PREC) > 0
 
 
-def test_certificate_rejects_inadmissible_by_default():
-    with pytest.raises(ValueError):
-        theorem2_certificate(12, 0.5, 0.65, 30, prec=PREC)
+def test_certificate_reports_inadmissible():
+    # c = 0.5 is below c_eps(0.65) = 0.75; the chain is still evaluated
+    assert theorem2_certificate(12, 0.5, 0.65, 30, prec=PREC).admissible is False
 
 
 def test_certificate_report_fields():
@@ -278,7 +278,7 @@ def test_integral_bound_is_the_scaled_kernel_sup_bound(n, c, eps, m):
     # on the extremal configuration 1/|alpha_0| is the |sine product|, so
     # 2a c^(2m) times the sup bound is the certificate's integral_bound
     params = ExtremalParams(n=n, c=c, eps=eps, prec=PREC)
-    rep = theorem2_certificate(n, c, eps, m, prec=PREC, require_admissible=False)
+    rep = theorem2_certificate(n, c, eps, m, prec=PREC)
     alpha0 = kernel.coefficients(extremal_config(params), prec=PREC).alpha[n]
     with working_precision(PREC):
         a, cm = params.a, mp.mpf(params.c)

@@ -76,7 +76,8 @@ def test_z_matches_zeta_modulus():
 
 
 def test_derivative_dual_path():
-    for t, k in ((100, 3), (50, 5), (20, 2)):
+    # below t = 3.5 the circle shrinks to radius t/2 + 1/4
+    for t, k in ((100, 3), (50, 5), (20, 2), (3, 3), (1, 2), (0.5, 1)):
         a = z_derivatives_batch(t, [k], prec=PREC)[k]
         b = z_derivative_fd(t, k, prec=PREC)
         assert abs(a - b) < mp.mpf(10) ** -20 * max(1, abs(a))
@@ -104,7 +105,8 @@ def test_patches_match_the_per_point_contour():
     prec = 64
     with working_precision(prec):
         T = mp.mpf(60)
-        patches = hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi, [1, 2], prec)
+        patches = hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi,
+                                       hardy.CONTOUR_RADIUS, [1, 2], prec)
         step = mp.pi / (8 * theta_prime(T, prec=prec))
         # grid points of explore 60; the window's ends sit farthest from a centre
         grid = [T - 2 * mp.pi + j * step for j in (0, 12, 24, 36)]
@@ -192,7 +194,7 @@ def test_count_stats_main_term():
     with working_precision(PREC):
         assert abs(n_main(100, prec=PREC) - mp.mpf("28.127")) < 0.01
     zl = find_zeros(0, 100, prec=PREC)
-    cs = count_stats(100, prec=PREC, zero_list=zl)
+    cs = count_stats(100, zl, prec=PREC)
     assert cs.n_counted == 29
     with working_precision(PREC):
         assert abs(cs.s_estimate) < 2
@@ -204,7 +206,7 @@ def test_guards():
     with pytest.raises(ValueError):
         find_zeros(0, mp.inf, prec=PREC)
     with pytest.raises(ValueError):
-        count_stats(5, prec=PREC)
+        count_stats(5, find_zeros(0, 5, prec=PREC), prec=PREC)
     with pytest.raises(ValueError):
         theorem1_explore(10, 0.3, prec=PREC)
 

@@ -38,6 +38,8 @@ COMMANDS = [
     "--jobs 1 zeros 10 100",
     "--precision-bits 128 --jobs 1 zeros 14.1 14.2",
     "--precision-bits 128 zeros 10 40",
+    "--seed 7 --format text verify-lemmas identity",
+    "--precision-bits 128 --format csv zeros 10 40",
 ]
 
 ENTRY = "import sys; from hardyz.cli import main; sys.exit(main(sys.argv[1:]))"
