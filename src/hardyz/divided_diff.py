@@ -9,7 +9,7 @@ must pass exactly equal nodes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Callable, List, Sequence, Tuple
@@ -18,21 +18,18 @@ from mpmath import mp, mpf
 
 from .precision import DEFAULT_PREC, working_precision
 
-
-class ProbeOrderError(ValueError):
-    """The probe does not supply a high enough derivative order."""
+MC_SAMPLES = 20000  # divided_difference_mc's draws: its callers accept a 1% error
 
 
 @dataclass
 class FunctionProbe:
-    """f together with its derivatives up to a declared order.
+    """f together with its derivatives of every order.
 
-    ``deriv(x, k)`` must return f^(k)(x); ``max_order`` is the highest k the
-    probe guarantees.
+    ``deriv(x, k)`` must return f^(k)(x) for every k >= 0; the built-in
+    probes compute it analytically.
     """
 
     deriv: Callable[[object, int], object]
-    max_order: int
 
     def value(self, x):
         return self.deriv(x, 0)
@@ -42,7 +39,7 @@ class FunctionProbe:
 class NodeMultiset:
     """Sorted node list with repetitions expressing multiplicity."""
 
-    nodes: List[object] = field(default_factory=list)
+    nodes: List[object]
 
     def __post_init__(self):
         self.nodes = sorted(self.nodes, key=mp.mpf)
@@ -110,10 +107,6 @@ def divided_difference(probe: FunctionProbe, nodes: NodeMultiset,
     Equals the classical sum over distinct nodes; for confluent nodes it is
     the Hermite-type limit, with f^(i) substituted on equal-node cells.
     """
-    need = nodes.max_multiplicity() - 1
-    if probe.max_order < need:
-        raise ProbeOrderError(
-            f"probe supplies order {probe.max_order}, need {need} for this multiset")
     return divided_difference_data(nodes, probe.deriv, prec=prec)
 
 
@@ -146,26 +139,25 @@ def hermite_weights(nodes: NodeMultiset, prec: int = DEFAULT_PREC
 
 
 def divided_difference_mc(probe: FunctionProbe, nodes: NodeMultiset,
-                          samples: int = 20000, seed: int = 0,
-                          prec: int = DEFAULT_PREC) -> mpf:
+                          seed: int = 0, prec: int = DEFAULT_PREC) -> mpf:
     """Monte Carlo estimate via the iterated-integral (simplex) representation.
 
     dd = integral over the ordered simplex of f^(N-1) at the barycentric
-    point; low-accuracy cross-check oracle only.
+    point, averaged over MC_SAMPLES points drawn with random.Random(seed);
+    low-accuracy cross-check oracle only.  The nodes and their gaps are
+    taken at the working precision, so the result does not depend on the
+    caller's.
     """
-    N = len(nodes)
-    order = N - 1
-    if probe.max_order < order:
-        raise ProbeOrderError("probe order too low for simplex representation")
+    order = len(nodes) - 1
     rng = random.Random(seed)
-    z = [mp.mpf(v) for v in nodes.nodes]
-    diffs = [z[i + 1] - z[i] for i in range(order)]
     with working_precision(prec):
+        z = [mp.mpf(v) for v in nodes.nodes]
+        diffs = [z[i + 1] - z[i] for i in range(order)]
         total = mp.mpf(0)
-        for _ in range(samples):
+        for _ in range(MC_SAMPLES):
             taus = sorted((rng.random() for _ in range(order)), reverse=True)
             x = z[0]
             for t, d in zip(taus, diffs):
                 x += t * d
             total += mp.mpf(probe.deriv(x, order))
-        return total / samples / mp.factorial(order)
+        return total / MC_SAMPLES / mp.factorial(order)

@@ -312,12 +312,6 @@ def hyp_coefficients(n: int, K: int) -> List[int]:
     return out
 
 
-def theorem2_bound(n: int, c, eps, prec: int = DEFAULT_PREC) -> mpf:
-    """Lower bound (log 2 - eps) (1-c)/|log(1-c)| n pi on the zero spread s."""
-    with working_precision(prec):
-        return _eta(1 - mp.mpf(c), eps) * n * mp.pi
-
-
 @dataclass
 class CertificateReport:
     n: int
@@ -355,6 +349,8 @@ def theorem2_certificate(n: int, c, eps, m: int,
     |sine product| and c a = (n - 1/2) pi.
     Margins are reported rather than asserted; failures at small n are data.
     The boundary-sum inequality is checked with min(m, 12) boundary terms.
+    s_lower_bound is Theorem 2's lower bound eta n pi =
+    (log 2 - eps) delta/|log delta| n pi on the zero spread s.
     The chain is evaluated outside the admissible range c_eps < c <
     1 - 1/2n too, and the report's admissible says whether c is inside it
     (the bounds are well defined pointwise; only the supporting argument
@@ -384,5 +380,5 @@ def theorem2_certificate(n: int, c, eps, m: int,
             integral_bound=integral_bound, total=total,
             total_below_one=bool(total < 1), margin=1 - total,
             boundary_lhs=lhs, boundary_rhs=rhs, boundary_ok=bool(lhs <= rhs),
-            s_lower_bound=theorem2_bound(n, c, eps, prec=prec),
+            s_lower_bound=params.eta * n * mp.pi,
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
@@ -270,8 +270,8 @@ class ZeroList:
     t_lo: mpf
     t_hi: mpf
     zeros: List[Zero]
-    rescans: int = 0
-    suspected_missing: bool = False
+    rescans: int
+    suspected_missing: bool
 
     def __len__(self) -> int:
         return len(self.zeros)
@@ -440,8 +440,9 @@ class ExploreReport:
     rows: List[ExploreRow]
     contours: int
     series_error: mpf
-    exploratory_note: str = ("desk-scale T cannot validate an asymptotic "
-                             "statement; margins are raw data")
+    exploratory_note: str = field(
+        default="desk-scale T cannot validate an asymptotic statement; "
+        "margins are raw data", init=False)
 
 
 class _TaylorPatches:

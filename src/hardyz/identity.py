@@ -17,13 +17,16 @@ evaluate the kernel by its Chebyshev series (kernel.chebyshev_psi) instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .divided_diff import FunctionProbe
-from .kernel import (CompiledPsi, NodeConfig, chebyshev_psi, coefficients,
-                     compile_psi, kernel_knots, psi, psi_star_boundary)
+# coefficients is unused here, but perfbench's tracer patches
+# identity.coefficients
+from .kernel import (CompiledPsi, NodeConfig, chebyshev_psi,  # noqa: F401
+                     coefficients, compile_psi, kernel_knots, psi,
+                     psi_star_boundary)
 from .precision import DEFAULT_PREC, working_precision
 from .probes import PolynomialProbe
 
@@ -139,7 +142,9 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
     """Reconstruct f(0) from boundary derivatives and the kernel integral.
 
     Requires m >= n+1 and that f vanishes at every configuration node (with
-    multiplicity, for weakly ordered configurations).
+    multiplicity, for weakly ordered configurations).  The boundary values
+    and the compiled kernel of a strict configuration share the weights
+    kernel.coefficients keeps for it, so they are computed once.
     """
     n = config.n
     if m < n + 1:
@@ -153,12 +158,11 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
                 continue
             if abs(mp.mpf(probe.value(xk))) > tol * dscale:
                 raise NodeNotZeroError(f"node x={xk} is not a zero of f")
-        mu = coefficients(config, prec=prec).mu if config.is_strict() else None
         boundary = _boundary_terms(
             probe, a, m,
-            lambda k, sign: psi_star_boundary(config, k, sign, prec=prec, weights=mu))
+            lambda k, sign: psi_star_boundary(config, k, sign, prec=prec))
         integral, quad_err = _integral_term(
-            config, probe, m, lambda: _interior_kernel(config, m, prec, mu), prec)
+            config, probe, m, lambda: _interior_kernel(config, m, prec), prec)
         value = mp.fsum(boundary) - integral
         budget = _residual_budget(quad_err, boundary + [integral], prec)
         error = abs(value - mp.mpf(probe.value(0)))
@@ -169,13 +173,11 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
             passed=bool(error <= budget + mp.mpf(2) ** (-(prec - 40))))
 
 
-def _interior_kernel(config: NodeConfig, l: int, prec: int,
-                     mu: Optional[Sequence] = None) -> Callable:
-    """x -> Psi*_{2l-1}(x): the compiled kernel over the weights mu for
-    strict configurations, the Chebyshev series for weakly ordered ones
-    (l >= n+1)."""
+def _interior_kernel(config: NodeConfig, l: int, prec: int) -> Callable:
+    """x -> Psi*_{2l-1}(x): the compiled kernel for strict configurations,
+    the Chebyshev series for weakly ordered ones (l >= n+1)."""
     if config.is_strict():
-        return compile_psi(config, l, mu, prec=prec)
+        return compile_psi(config, l, prec=prec)
     # choose J so the j^(-2l) decay pushes the tail below working accuracy
     return chebyshev_psi(config, l, max(40, int(2 * prec / (2 * l - 1))), prec=prec)
 

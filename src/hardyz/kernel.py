@@ -15,6 +15,7 @@ direct Bernoulli sum, stays the reference route.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,9 @@ from .sequences import tail_weight_constant  # noqa: F401
 MIN_NODE_GAP = 0.05
 TERM_GUARD_BITS = 16  # zero-sum node sums cancel: nodes and terms get these bits more
 COMPILE_BITS_PER_ORDER = 2  # compile_psi's Taylor sums cancel ~binom(2l, l) ~ 4^l more
+# weight vectors coefficients keeps: chebyshev_psi needs two (prec and
+# prec + TERM_GUARD_BITS), every other caller one
+COEFFICIENTS_CACHE_SIZE = 2
 
 
 class DuplicateNodeError(ValueError):
@@ -98,25 +102,34 @@ def coefficients(config: NodeConfig, prec: int = DEFAULT_PREC) -> KernelCoeffici
     nodes, and mu_k = alpha_k/alpha_0.
 
     Computed at twice the caller precision (the products cancel badly for
-    clustered nodes).
+    clustered nodes), once per node configuration and prec: the last
+    COEFFICIENTS_CACHE_SIZE results are kept, and a repeated call returns
+    the stored object, which callers must not change.
     """
+    with working_precision(prec):
+        return _coefficients(config.n, config.a, tuple(config.nodes), prec)
+
+
+@functools.lru_cache(maxsize=COEFFICIENTS_CACHE_SIZE)
+def _coefficients(n: int, a, nodes: Tuple, prec: int) -> KernelCoefficients:
+    """coefficients' weights, keyed by the configuration's values and prec,
+    at the ambient precision coefficients opens for that prec."""
+    config = NodeConfig(n=n, a=a, nodes=list(nodes), strict=False)
     if not config.is_strict():
         raise DuplicateNodeError("coefficients requires pairwise distinct nodes")
-    with working_precision(prec):
-        with mp.extraprec(prec):
-            t = config.sine_nodes(2 * prec + TERM_GUARD_BITS)
-            alpha = [1 / node_product(t, k) for k in range(len(t))]
-            a0 = alpha[config.n]
-            mu = [v / a0 for v in alpha]
-        return KernelCoefficients(alpha=[+v for v in alpha], mu=[+v for v in mu])
+    with mp.extraprec(prec):
+        t = config.sine_nodes(2 * prec + TERM_GUARD_BITS)
+        alpha = [1 / node_product(t, k) for k in range(len(t))]
+        mu = [v / alpha[n] for v in alpha]
+    return KernelCoefficients(alpha=[+v for v in alpha], mu=[+v for v in mu])
 
 
 def psi(config: NodeConfig, l: int, x, prec: int = DEFAULT_PREC,
         weights: Optional[Sequence] = None) -> mpf:
     """Direct Bernoulli-sum evaluation of the order-(2l-1) kernel at x.
 
-    weights overrides the mu_k (used with arbitrary zero-sum weight vectors);
-    by default the Lemma-style mu from coefficients() are used.
+    weights is an arbitrary zero-sum weight vector, as verify_key_identity
+    passes; by default the Lemma-style mu from coefficients() are used.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -274,24 +287,20 @@ def _boundary_transfer(l: int, a, sign: int) -> Callable:
 
 
 def psi_star_boundary(config: NodeConfig, l: int, sign: int,
-                      prec: int = DEFAULT_PREC,
-                      weights: Optional[Sequence] = None) -> mpf:
+                      prec: int = DEFAULT_PREC) -> mpf:
     """Continuous extension of the kernel boundary value at x = sign*a.
 
-    For strict configurations this equals psi(config, l, sign*a, weights);
-    callers looping over l pass coefficients(config).mu as weights so they
-    are computed once.  Coincident nodes go through the confluent divided
-    difference of the transfer function at twice the caller precision, with
-    derivatives by mp.diff, and take no weights.
+    For strict configurations this equals psi(config, l, sign*a), over the
+    weights coefficients() keeps for the configuration.  Coincident nodes go
+    through the confluent divided difference of the transfer function at
+    twice the caller precision, with derivatives by mp.diff.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
     if l < 1:
         raise ValueError("l must be >= 1")
     if config.is_strict():
-        return psi(config, l, mp.mpf(config.a) * sign, prec=prec, weights=weights)
-    if weights is not None:
-        raise DuplicateNodeError("weights apply to strict configurations only")
+        return psi(config, l, mp.mpf(config.a) * sign, prec=prec)
     with working_precision(prec):
         with mp.extraprec(prec):
             t = config.sine_nodes(2 * prec + TERM_GUARD_BITS)
@@ -303,22 +312,19 @@ def psi_star_boundary(config: NodeConfig, l: int, sign: int,
         return +value
 
 
-def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC,
-                     coeffs: Optional[KernelCoefficients] = None) -> mpf:
+def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC) -> mpf:
     """S_j = sum_k alpha_k (-1)^j T_j(t_k), confluent-safe.
 
-    For weakly ordered configurations this is the confluent divided
-    difference of (-1)^j T_j over the sine-transformed nodes.  Vanishes for
-    j = 1..2n-1.
+    For strict configurations alpha is coefficients(config, prec).alpha; for
+    weakly ordered ones S_j is the confluent divided difference of
+    (-1)^j T_j over the sine-transformed nodes.  Vanishes for j = 1..2n-1.
     """
     term_prec = prec + TERM_GUARD_BITS
     with working_precision(prec):
         t = config.sine_nodes(term_prec)
         if config.is_strict():
-            if coeffs is None:
-                coeffs = coefficients(config, prec=prec)
             total = mp.mpf(0)
-            for al, tk in zip(coeffs.alpha, t):
+            for al, tk in zip(coefficients(config, prec=prec).alpha, t):
                 total += mp.mpf(al) * chebyshev(j, tk, prec=term_prec)
             return (-1) ** j * total
         nm = NodeMultiset(list(t))
@@ -361,24 +367,24 @@ def chebyshev_psi(config: NodeConfig, l: int, J: int,
                   prec: int = DEFAULT_PREC) -> ChebyshevPsi:
     """The Chebyshev-series kernel, with alpha_0, the prefactor
     (-1)^(l+1) 2 (2a)^(2l-1) / (alpha_0 pi^(2l)) and the moments S_j for
-    j = 2n..2n+J computed once.  Valid for l >= n+1, where it is also the
-    continuous extension of the kernel to weakly ordered configurations for
-    interior x."""
+    j = 2n..2n+J computed once.  Strict configurations take alpha_0 from
+    coefficients() at prec and the moments' weights at prec +
+    TERM_GUARD_BITS, the moments' own precision.  Valid for l >= n+1, where
+    it is also the continuous extension of the kernel to weakly ordered
+    configurations for interior x."""
     n = config.n
     if l < n + 1:
         raise ValueError("series representation requires l >= n+1")
     if J < 0:
         raise ValueError("J must be >= 0")
-    coeffs = coefficients(config, prec=prec) if config.is_strict() else None
     with working_precision(prec):
         a = mp.mpf(config.a)
-        if coeffs is not None:
-            alpha0 = coeffs.alpha[n]
+        if config.is_strict():
+            alpha0 = coefficients(config, prec=prec).alpha[n]
         else:
             alpha0 = 1 / node_product(config.sine_nodes(prec + TERM_GUARD_BITS), n)
         pref = (-1) ** (l + 1) * 2 * (2 * a) ** (2 * l - 1) / (alpha0 * mp.pi ** (2 * l))
-        moments = [(j, chebyshev_moment(config, j, prec=prec + TERM_GUARD_BITS,
-                                        coeffs=coeffs))
+        moments = [(j, chebyshev_moment(config, j, prec=prec + TERM_GUARD_BITS))
                    for j in range(2 * n, 2 * n + J + 1)]
     return ChebyshevPsi(a=a, l=l, pref=pref, moments=moments, prec=prec)
 
@@ -460,25 +466,25 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
             if abs(ca - j * mp.pi) < tol:
                 raise SingularParameterError(
                     f"c*a within tolerance of {j}*pi (removable singularity; refused)")
-        mu = coefficients(config, prec=prec).mu
         lhs = mp.mpf(0)
         for k in range(1, m + 1):
-            s = psi_star_boundary(config, k, 1, prec=prec, weights=mu) \
-                + psi_star_boundary(config, k, -1, prec=prec, weights=mu)
+            s = psi_star_boundary(config, k, 1, prec=prec) \
+                + psi_star_boundary(config, k, -1, prec=prec)
             lhs += (-1) ** (n + k + 1) * s * cm ** (2 * k - 1)
         rhs = sine_product(config, prec=prec) \
             * divided_bound_direct(config, c, prec=prec)
         return lhs, rhs
 
 
-def random_config(rng, n: int, a=None, prec: int = DEFAULT_PREC) -> NodeConfig:
-    """Seeded random strict configuration with 2n+1 nodes in (-a, a).
+def random_config(rng, n: int, prec: int = DEFAULT_PREC) -> NodeConfig:
+    """Seeded random strict configuration with 2n+1 nodes in (-a, a), with a
+    drawn from [2, 6).
 
     rng is a random.Random; node fractions keep a relative gap of
     MIN_NODE_GAP so the weight products stay well conditioned.
     """
     with working_precision(prec):
-        am = mp.mpf(a) if a is not None else mp.mpf(2 + 4 * rng.random())
+        am = mp.mpf(2 + 4 * rng.random())
         pos = sorted(rng.uniform(MIN_NODE_GAP, 0.95) for _ in range(n))
         neg = sorted(rng.uniform(MIN_NODE_GAP, 0.95) for _ in range(n))
         for side in (pos, neg):

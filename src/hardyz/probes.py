@@ -16,8 +16,6 @@ from .divided_diff import FunctionProbe
 from .polynomials import horner
 from .precision import DEFAULT_PREC, working_precision
 
-LARGE_ORDER = 10 ** 6
-
 
 class PolynomialProbe(FunctionProbe):
     """Probe backed by an explicit coefficient list (c_0 + c_1 x + ...)."""
@@ -32,7 +30,7 @@ class PolynomialProbe(FunctionProbe):
                            for c in coeffs]
         self.prec = prec
         self._horner_coeffs: dict = {}  # k -> mpf coefficients of f^(k)
-        super().__init__(deriv=self._deriv, max_order=LARGE_ORDER)
+        super().__init__(deriv=self._deriv)
 
     @property
     def degree(self) -> int:
@@ -76,7 +74,7 @@ def cosine_probe(b, prec: int = DEFAULT_PREC) -> FunctionProbe:
             phase = mp.mpf(k) * mp.pi / 2
             return bm ** k * mp.cos(bm * mp.mpf(x) + phase)
 
-    return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
+    return FunctionProbe(deriv=deriv)
 
 
 def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
@@ -109,7 +107,7 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
             q = -xm ** 2 / (2 * mp.mpf(width) ** 2) + mp.mpc(0, b) * xm
             return (horner(P, xm) * mp.exp(q)).real
 
-    return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
+    return FunctionProbe(deriv=deriv)
 
 
 def cardinal_probe(config, prec: int = DEFAULT_PREC) -> PolynomialProbe:

@@ -2,14 +2,12 @@
 
 from math import factorial
 
-import pytest
 from mpmath import mp
 
-from hardyz.divided_diff import (FunctionProbe, NodeMultiset, ProbeOrderError,
-                                 divided_difference, divided_difference_mc,
-                                 hermite_weights)
+from hardyz.divided_diff import (FunctionProbe, NodeMultiset, divided_difference,
+                                 divided_difference_mc, hermite_weights)
 from hardyz.precision import working_precision
-from hardyz.probes import LARGE_ORDER, monomial_probe, polynomial_probe
+from hardyz.probes import monomial_probe, polynomial_probe
 
 PREC = 192
 TOL = mp.mpf(2) ** (-(PREC - 40))
@@ -21,7 +19,7 @@ def exp_probe(prec):
         with working_precision(prec):
             return mp.exp(mp.mpf(x))
 
-    return FunctionProbe(deriv=deriv, max_order=LARGE_ORDER)
+    return FunctionProbe(deriv=deriv)
 
 
 def test_square_over_three_distinct_nodes():
@@ -100,11 +98,17 @@ def test_monte_carlo_oracle_agrees():
     probe = exp_probe(prec=64)
     nodes = NodeMultiset([0, 0.5, 1])
     exact = divided_difference(probe, nodes, prec=64)
-    approx = divided_difference_mc(probe, nodes, samples=20000, seed=3, prec=64)
+    approx = divided_difference_mc(probe, nodes, seed=3, prec=64)
     assert abs(exact - approx) < 0.01 * abs(exact)
 
 
-def test_order_contract_enforced():
-    limited = FunctionProbe(deriv=lambda x, k: mp.exp(x), max_order=1)
-    with pytest.raises(ProbeOrderError):
-        divided_difference(limited, NodeMultiset([0, 0, 0]), prec=PREC)
+def test_monte_carlo_rounds_its_nodes_at_its_own_precision():
+    # nodes held at 192 bits: rounding them at the 53 bits a library caller
+    # runs at would move the barycentric points by ~1e-17
+    with working_precision(PREC):
+        nodes = NodeMultiset([mp.mpf(1) / 3, mp.mpf(2) / 3, mp.mpf(5) / 7])
+    probe = monomial_probe(3, prec=PREC)
+    outside = divided_difference_mc(probe, nodes, seed=3, prec=PREC)
+    with working_precision(PREC):
+        inside = divided_difference_mc(probe, nodes, seed=3, prec=PREC)
+    assert outside == inside

@@ -11,8 +11,7 @@ from hardyz.extremal import (ExtremalParams, divided_bound, divided_bound_direct
                              equal_angle_nodes, equal_angle_weights, extremal_config,
                              find_c_eps, g_and_h, hyp_coefficients,
                              log_sine_integral, log_sine_integral_closed,
-                             phi, sine_product, theorem2_bound,
-                             theorem2_certificate)
+                             phi, sine_product, theorem2_certificate)
 from hardyz.divided_diff import NodeMultiset, divided_difference
 from hardyz.precision import serialize, working_precision
 from hardyz.probes import polynomial_probe
@@ -247,7 +246,11 @@ def test_node_spread_monotonicity():
 
 
 def test_theorem2_bound_positive():
-    assert theorem2_bound(12, 0.95, 0.65, prec=PREC) > 0
+    rep = theorem2_certificate(12, 0.95, 0.65, 30, prec=PREC)
+    with working_precision(PREC):
+        delta = 1 - mp.mpf(0.95)
+        bound = (mp.log(2) - mp.mpf(0.65)) * delta / abs(mp.log(delta)) * 12 * mp.pi
+        assert rep.s_lower_bound == bound > 0
 
 
 def test_certificate_reports_inadmissible():

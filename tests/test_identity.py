@@ -44,7 +44,7 @@ def test_key_identity_cosine_probe():
 
 def test_key_identity_gaussian_cosine_probe():
     rng = random.Random(14)
-    cfg = random_config(rng, 2, a=2.5, prec=PREC)
+    cfg = random_config(rng, 2, prec=PREC)
     mu = _zero_sum_weights(rng, 5)
     probe = gaussian_cosine_probe(0.8, 2.0, prec=PREC)
     rep = verify_key_identity(cfg, mu, probe, m=3, prec=PREC)

@@ -5,6 +5,7 @@ import random
 import pytest
 from mpmath import mp
 
+from hardyz import kernel
 from hardyz.extremal import equal_angle_nodes, equal_angle_weights, sine_product
 from hardyz.kernel import (DuplicateNodeError, NodeConfig, SingularParameterError,
                            boundary_sum_bound, chebyshev_moment, coefficients,
@@ -201,11 +202,30 @@ def test_boundary_weights_pass_through_bit_identical():
     mu = coefficients(cfg, prec=PREC).mu
     for l in (1, 4):
         for sign in (1, -1):
-            assert psi_star_boundary(cfg, l, sign, prec=PREC, weights=mu) \
-                == psi_star_boundary(cfg, l, sign, prec=PREC)
-    weak = NodeConfig(n=2, a=3, nodes=[-2, -1, 0, 1.2, 1.2], strict=False)
-    with pytest.raises(DuplicateNodeError):
-        psi_star_boundary(weak, 3, 1, prec=PREC, weights=[1, 1, 1, 1, 1])
+            with working_precision(PREC):
+                x = sign * mp.mpf(cfg.a)
+            assert psi_star_boundary(cfg, l, sign, prec=PREC)._mpf_ \
+                == psi(cfg, l, x, prec=PREC, weights=mu)._mpf_
+
+
+def test_coefficients_are_kept_per_precision():
+    rng = random.Random(61)
+    cfg = random_config(rng, 3, prec=PREC)
+
+    def bits(co):
+        return [v._mpf_ for v in co.alpha + co.mu]
+
+    fresh = {}
+    for prec in (128, 192):
+        kernel._coefficients.cache_clear()
+        fresh[prec] = bits(coefficients(cfg, prec=prec))
+    kernel._coefficients.cache_clear()
+    first = coefficients(cfg, prec=128)
+    for prec in (192, 128):
+        assert bits(coefficients(cfg, prec=prec)) == fresh[prec]
+    assert coefficients(cfg, prec=128) is first
+    copy = NodeConfig(n=cfg.n, a=cfg.a, nodes=list(cfg.nodes))
+    assert coefficients(copy, prec=128) is first
 
 
 def _explicit_weights(t):

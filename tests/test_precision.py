@@ -222,3 +222,100 @@ def test_working_precision_takes_only_prec():
     with working_precision(100):
         assert mp.prec == 100 + GUARD_BITS
     assert mp.prec == 53
+
+
+# ---------------------------------------------------------------------------
+# every option is an option: a parameter with a default, other than prec,
+# is given another value by some call in src/hardyz, or it is a constant.
+
+OPTIONS_ALLOWED_UNSET = {
+    # the console script calls main() and argparse reads sys.argv
+    "cli.main(argv)",
+    # only perfbench's certificate oracle sets it, and perfbench changes
+    # only with the benchmark
+    "kernel.sine_product(log_domain)",
+}
+
+
+def _field_is_init(value) -> bool:
+    """False for a dataclass field(..., init=False)."""
+    return not (isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in value.keywords))
+
+
+def _options(tree, module):
+    """(label, callee name, position, default) for each defaulted parameter
+    other than prec.  position counts the arguments a call passes (after
+    self) and is None for keyword-only parameters.  A class's options are
+    those of its __init__, or its dataclass fields, set by constructor
+    calls."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def of_function(fn, label, callee, skip_self):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+        for i, (arg, default) in enumerate(zip(positional, defaults)):
+            if default is not None and arg.arg != "prec":
+                yield (f"{label}({arg.arg})", callee, i - skip_self, default)
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None and arg.arg != "prec":
+                yield (f"{label}({arg.arg})", callee, None, default)
+
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield from of_function(node, f"{module}.{node.name}", node.name, 0)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                  and isinstance(s.target, ast.Name) and _field_is_init(s.value)]
+        for i, s in enumerate(fields):
+            if s.value is not None and s.target.id != "prec":
+                yield (f"{module}.{node.name}({s.target.id})", node.name, i, s.value)
+        for item in node.body:
+            if isinstance(item, defs):
+                if item.name == "__init__":
+                    yield from of_function(item, f"{module}.{node.name}",
+                                           node.name, 1)
+                else:
+                    yield from of_function(item, f"{module}.{node.name}.{item.name}",
+                                           item.name, 1)
+
+
+def _unset_options(src: Path) -> List[str]:
+    """Options that no call in src passes a value other than the default
+    to.  Calls are matched by name; a value that is not the default's own
+    expression counts as another value, and so does a * or ** argument."""
+    trees = [(p.stem, ast.parse(p.read_text(), filename=str(p)))
+             for p in sorted(src.glob("*.py"))]
+    calls: dict = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, param, position, default):
+        if any(k.arg is None for k in call.keywords) \
+                or any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        given = [k.value for k in call.keywords if k.arg == param]
+        if position is not None and position < len(call.args):
+            given.append(call.args[position])
+        return any(ast.dump(v) != ast.dump(default) for v in given)
+
+    unset = []
+    for module, tree in trees:
+        for label, callee, position, default in _options(tree, module):
+            param = label[label.index("(") + 1:-1]
+            if not any(sets(c, param, position, default)
+                       for c in calls.get(callee, [])):
+                unset.append(label)
+    return sorted(unset)
+
+
+def test_every_option_is_set_by_the_program():
+    assert _unset_options(SRC) == sorted(OPTIONS_ALLOWED_UNSET)

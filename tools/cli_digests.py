@@ -35,6 +35,7 @@ COMMANDS = [
     f"--seed 3 --precision-bits 192 identity --n 3 --m 5 --probe {probe}"
     for probe in ("cosine", "polynomial", "gaussian-cosine", "cardinal")
 ] + [
+    "--seed 3 --precision-bits 128 identity --n 4 --m 5 --probe cardinal",
     "--jobs 1 zeros 10 100",
     "--precision-bits 128 --jobs 1 zeros 14.1 14.2",
     "--precision-bits 128 zeros 10 40",
