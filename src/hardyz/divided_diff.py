@@ -16,7 +16,7 @@ from typing import Callable, List, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .precision import DEFAULT_PREC, working_precision
+from .precision import DEFAULT_PREC, held, working_precision
 
 MC_SAMPLES = 20000  # divided_difference_mc's draws: its callers accept a 1% error
 
@@ -37,12 +37,13 @@ class FunctionProbe:
 
 @dataclass
 class NodeMultiset:
-    """Sorted node list with repetitions expressing multiplicity."""
+    """Sorted node list with repetitions expressing multiplicity.  The nodes
+    are held as mpf (precision.held) and sorted exactly, never re-rounded."""
 
     nodes: List[object]
 
     def __post_init__(self):
-        self.nodes = sorted(self.nodes, key=mp.mpf)
+        self.nodes = sorted(map(held, self.nodes))
 
     def __len__(self):
         return len(self.nodes)
@@ -95,7 +96,7 @@ def _dd_triangle(z: List, data: Callable[[object, int], object]):
             if lo == hi:
                 new[i] = mp.mpf(data(lo, j)) / factorial(j)
             else:
-                new[i] = (col[i + 1] - col[i]) / (mp.mpf(hi) - mp.mpf(lo))
+                new[i] = (col[i + 1] - col[i]) / (hi - lo)
         col = new
     return col[0]
 
@@ -144,14 +145,14 @@ def divided_difference_mc(probe: FunctionProbe, nodes: NodeMultiset,
 
     dd = integral over the ordered simplex of f^(N-1) at the barycentric
     point, averaged over MC_SAMPLES points drawn with random.Random(seed);
-    low-accuracy cross-check oracle only.  The nodes and their gaps are
-    taken at the working precision, so the result does not depend on the
-    caller's.
+    low-accuracy cross-check oracle only.  The nodes are used as held and
+    their gaps are taken at the working precision, so the result does not
+    depend on the caller's.
     """
     order = len(nodes) - 1
     rng = random.Random(seed)
     with working_precision(prec):
-        z = [mp.mpf(v) for v in nodes.nodes]
+        z = nodes.nodes
         diffs = [z[i + 1] - z[i] for i in range(order)]
         total = mp.mpf(0)
         for _ in range(MC_SAMPLES):

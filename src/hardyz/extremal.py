@@ -36,7 +36,9 @@ FIND_C_EPS_RESOLUTION_BITS = 12
 
 @dataclass
 class ExtremalParams:
-    """(n, c, eps) with delta = 1 - c, eta, a and s* = eta a set at construction."""
+    """(n, c, eps) with delta = 1 - c, eta, a and s* = eta a set at construction.
+
+    c and eps are rounded once, at the working precision of prec, and held."""
 
     n: int
     c: object
@@ -49,8 +51,8 @@ class ExtremalParams:
 
     def __post_init__(self):
         with working_precision(self.prec):
-            c = mp.mpf(self.c)
-            eps = mp.mpf(self.eps)
+            c = self.c = mp.mpf(self.c)
+            eps = self.eps = mp.mpf(self.eps)
             if not 0 < c < 1:
                 raise ValueError("c must lie in (0, 1)")
             if not 0 < eps < mp.log(2):
@@ -64,7 +66,7 @@ class ExtremalParams:
 
     def admissible(self, c_eps) -> bool:
         with working_precision(self.prec):
-            return bool(mp.mpf(c_eps) < mp.mpf(self.c) < 1 - mp.mpf(1) / (2 * self.n))
+            return bool(mp.mpf(c_eps) < self.c < 1 - mp.mpf(1) / (2 * self.n))
 
 
 def log_sine_integral(t, prec: int = DEFAULT_PREC) -> mpf:
@@ -288,9 +290,7 @@ def divided_bound(config: NodeConfig, params: ExtremalParams,
     """
     n = config.n
     with working_precision(prec):
-        a = mp.mpf(config.a)
-        c = mp.mpf(params.c)
-        sca = mp.sin(c * a)
+        sca = mp.sin(params.c * config.a)
         if abs(sca - (-1) ** (n + 1)) > mp.mpf(2) ** (-(prec - 8)):
             raise ValueError("sin(c a) != (-1)^(n+1): params and config disagree")
         y = [mp.mpf(0)] + [t ** 2 for t in config.sine_nodes(prec=prec)[n + 1:]]
@@ -371,7 +371,7 @@ def theorem2_certificate(n: int, c, eps, m: int,
         total = product + integral_bound
         lhs, rhs = boundary_sum_bound(config, params.c, min(m, 12), prec=prec)
         return CertificateReport(
-            n=n, c=mp.mpf(c), eps=mp.mpf(eps), m=m, c_eps=c_eps,
+            n=n, c=params.c, eps=params.eps, m=m, c_eps=c_eps,
             admissible=admissible, s_star=params.s_star, sine_product=P,
             sine_product_in_range=bool(0 < P < mp.mpf(2) ** (-2 * n)),
             divided_bound=D,

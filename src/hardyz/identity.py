@@ -105,7 +105,7 @@ def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
     if m < 1:
         raise ValueError("m must be >= 1")
     with working_precision(prec):
-        a = mp.mpf(config.a)
+        a = config.a
         mu_m = [mp.mpf(v) for v in mu]
         scale = max([abs(v) for v in mu_m] + [mp.mpf(1)])
         if abs(mp.fsum(mu_m)) > scale * mp.mpf(2) ** (-(prec - 24)):
@@ -150,7 +150,7 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
     if m < n + 1:
         raise ValueError("reconstruction requires m >= n+1")
     with working_precision(prec):
-        a = mp.mpf(config.a)
+        a = config.a
         tol = mp.mpf(2) ** (-(prec // 2))
         dscale = max([abs(mp.mpf(probe.deriv(s * a, 1))) for s in (1, -1)] + [mp.mpf(1)])
         for i, xk in enumerate(config.nodes):
@@ -192,7 +192,7 @@ def piecewise_weight_integral(config: NodeConfig, mu: Sequence, probe: FunctionP
     """
     with working_precision(prec):
         mu_m = [mp.mpf(v) for v in mu]
-        xs = [mp.mpf(x) for x in config.nodes]
+        xs = config.nodes
         total = mp.mpf(0)
         for j in range(len(xs) - 1):
             level = -mp.fsum(mu_m[: j + 1])

@@ -27,7 +27,7 @@ from mpmath import mp, mpf
 from .divided_diff import NodeMultiset, divided_difference_data, node_product
 from .polynomials import (bernoulli_poly, bernoulli_poly_mpf, chebyshev,
                           chebyshev_derivatives, horner)
-from .precision import DEFAULT_PREC, working_precision
+from .precision import DEFAULT_PREC, held, working_precision
 # unused here, but perfbench's tracer patches kernel.tail_weight_constant
 from .sequences import tail_weight_constant  # noqa: F401
 
@@ -49,7 +49,10 @@ class SingularParameterError(ValueError):
 
 @dataclass
 class NodeConfig:
-    """Symmetric-interval node system x_{-n..n} with x_0 = 0 inside (-a, a)."""
+    """Symmetric-interval node system x_{-n..n} with x_0 = 0 inside (-a, a).
+
+    a and the nodes are held as mpf from construction (precision.held), and
+    every reader uses them as stored, at any precision."""
 
     n: int
     a: object
@@ -63,10 +66,10 @@ class NodeConfig:
             raise ValueError("need 2n+1 nodes")
         if self.nodes[self.n] != 0:
             raise ValueError("x_0 must be exactly 0")
-        a = mp.mpf(self.a)
+        a = self.a = held(self.a)
         if not a > 0:
             raise ValueError("a must be positive")
-        xs = [mp.mpf(v) for v in self.nodes]
+        xs = self.nodes = [held(v) for v in self.nodes]
         if not (-a < xs[0] and xs[-1] < a):
             raise ValueError("nodes must lie in (-a, a)")
         if not (xs[self.n - 1] < 0 < xs[self.n + 1]):
@@ -81,14 +84,12 @@ class NodeConfig:
                 raise ValueError("nodes must be non-decreasing")
 
     def is_strict(self) -> bool:
-        xs = self.nodes
-        return all(mp.mpf(xs[i]) < mp.mpf(xs[i + 1]) for i in range(len(xs) - 1))
+        return all(x < y for x, y in zip(self.nodes, self.nodes[1:]))
 
     def sine_nodes(self, prec: int = DEFAULT_PREC) -> List[mpf]:
         """t_k = sin(pi x_k / 2a), the transformed nodes, k = -n..n."""
         with working_precision(prec):
-            a = mp.mpf(self.a)
-            return [mp.sin(mp.pi * mp.mpf(x) / (2 * a)) for x in self.nodes]
+            return [mp.sin(mp.pi * x / (2 * self.a)) for x in self.nodes]
 
 
 @dataclass
@@ -135,7 +136,7 @@ def psi(config: NodeConfig, l: int, x, prec: int = DEFAULT_PREC,
         raise ValueError("l must be >= 1")
     mu = list(weights) if weights is not None else coefficients(config, prec=prec).mu
     with working_precision(prec):
-        a = mp.mpf(config.a)
+        a = config.a
         xm = mp.mpf(x)
         two_l = 2 * l
         pref = (4 * a) ** (two_l - 1) / mp.factorial(two_l)
@@ -144,7 +145,7 @@ def psi(config: NodeConfig, l: int, x, prec: int = DEFAULT_PREC,
             m_k = mp.mpf(m_k)
             if m_k == 0:
                 continue
-            xk = mp.mpf(config.nodes[i])
+            xk = config.nodes[i]
             u = mp.mpf(0.5) + (xm + xk) / (4 * a)
             v = (xm - xk) / (4 * a)
             v = v - mp.floor(v)
@@ -157,9 +158,8 @@ def kernel_knots(config: NodeConfig, prec: int = DEFAULT_PREC) -> List[mpf]:
     """-a, the distinct nodes and a, increasing: where the kernels' high
     derivatives break."""
     with working_precision(prec):
-        a = mp.mpf(config.a)
-        out = [-a]
-        for p in [mp.mpf(x) for x in config.nodes] + [a]:
+        out = [-config.a]
+        for p in config.nodes + [config.a]:
             if p > out[-1]:
                 out.append(p)
         return out
@@ -237,11 +237,10 @@ def compile_psi(config: NodeConfig, l: int, weights: Optional[Sequence] = None,
     knots = kernel_knots(config, prec)
     two_l = 2 * l
     with working_precision(prec), mp.extraprec(COMPILE_BITS_PER_ORDER * l):
-        a = mp.mpf(config.a)
-        beta = 1 / (4 * a)
-        pref = (4 * a) ** (two_l - 1) / mp.factorial(two_l)
+        beta = 1 / (4 * config.a)
+        pref = (4 * config.a) ** (two_l - 1) / mp.factorial(two_l)
         b = bernoulli_poly_mpf(two_l)
-        terms = [(m_k, mp.mpf(xk)) for m_k, xk in zip(map(mp.mpf, mu), config.nodes)
+        terms = [(m_k, xk) for m_k, xk in zip(map(mp.mpf, mu), config.nodes)
                  if m_k != 0]
         centers, coeffs = [], []
         for lo, hi in zip(knots, knots[1:]):
@@ -279,8 +278,7 @@ def _boundary_transfer(l: int, a, sign: int) -> Callable:
 
     def h(t):
         u = base + mp.asin(t) / (2 * mp.pi)
-        am = mp.mpf(a)
-        return 2 * (4 * am) ** (2 * l - 1) / mp.factorial(2 * l) \
+        return 2 * (4 * a) ** (2 * l - 1) / mp.factorial(2 * l) \
             * horner(bernoulli_poly_mpf(2 * l), u)
 
     return h
@@ -299,9 +297,9 @@ def psi_star_boundary(config: NodeConfig, l: int, sign: int,
         raise ValueError("sign must be +-1")
     if l < 1:
         raise ValueError("l must be >= 1")
-    if config.is_strict():
-        return psi(config, l, mp.mpf(config.a) * sign, prec=prec)
     with working_precision(prec):
+        if config.is_strict():
+            return psi(config, l, sign * config.a, prec=prec)
         with mp.extraprec(prec):
             t = config.sine_nodes(2 * prec + TERM_GUARD_BITS)
             h = _boundary_transfer(l, config.a, sign)
@@ -325,7 +323,7 @@ def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC) -> mp
         if config.is_strict():
             total = mp.mpf(0)
             for al, tk in zip(coefficients(config, prec=prec).alpha, t):
-                total += mp.mpf(al) * chebyshev(j, tk, prec=term_prec)
+                total += al * chebyshev(j, tk, prec=term_prec)
             return (-1) ** j * total
         nm = NodeMultiset(list(t))
         need = nm.max_multiplicity() - 1
@@ -378,7 +376,7 @@ def chebyshev_psi(config: NodeConfig, l: int, J: int,
     if J < 0:
         raise ValueError("J must be >= 0")
     with working_precision(prec):
-        a = mp.mpf(config.a)
+        a = config.a
         if config.is_strict():
             alpha0 = coefficients(config, prec=prec).alpha[n]
         else:
@@ -406,7 +404,7 @@ def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
         M = 2 * n + J
         # |S_j| <= max|alpha_k| (2n+1); sum_{j>M} j^(-2l) <= M^(1-2l)/(2l-1)
         alpha = coefficients(config, prec=prec).alpha
-        s_bound = max(abs(mp.mpf(v)) for v in alpha) * (2 * n + 1)
+        s_bound = max(abs(v) for v in alpha) * (2 * n + 1)
         tail = abs(kern.pref) * s_bound * mp.mpf(M) ** (1 - 2 * l) / (2 * l - 1)
         return value, tail
 
@@ -415,13 +413,11 @@ def divided_bound_direct(config: NodeConfig, c, prec: int = DEFAULT_PREC) -> mpf
     """The cosine divided difference (-1/sin(ca)) sum_k alpha_k cos(c x_k)
     over all 2n+1 nodes, with alpha from the kernel coefficient products."""
     with working_precision(prec):
-        a = mp.mpf(config.a)
         cm = mp.mpf(c)
-        coeffs = coefficients(config, prec=prec)
         total = mp.mpf(0)
-        for i, al in enumerate(coeffs.alpha):
-            total += mp.mpf(al) * mp.cos(cm * mp.mpf(config.nodes[i]))
-        return -total / mp.sin(cm * a)
+        for al, xk in zip(coefficients(config, prec=prec).alpha, config.nodes):
+            total += al * mp.cos(cm * xk)
+        return -total / mp.sin(cm * config.a)
 
 
 def sine_product(config: NodeConfig, prec: int = DEFAULT_PREC,
@@ -456,9 +452,8 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
         raise DuplicateNodeError("boundary_sum_bound requires a strict configuration")
     n = config.n
     with working_precision(prec):
-        a = mp.mpf(config.a)
         cm = mp.mpf(c)
-        ca = cm * a
+        ca = cm * config.a
         if not 0 < ca < n * mp.pi:
             raise ValueError("need 0 < c*a < n*pi")
         tol = mp.mpf(2) ** (-(prec // 4))

@@ -7,7 +7,10 @@ set a precision of their own.  Extra bits come only from named module-level
 constants, each with its reason, added relative to the ambient precision
 (mp.extraprec) or to the caller's ``prec``.  Objects that keep their own
 ``prec`` (compiled kernels, probes, ExtremalParams) are entry points too,
-because callers use them outside any working precision.
+because callers use them outside any working precision.  A number is rounded
+once, where it is stored: value objects hold theirs as mpf from construction
+(held), readers use them as stored, and only arguments coming in are rounded
+at the working precision.
 
 Reports are serialized here as well, by one rule: an mpf prints with
 digits_for(prec) significant digits of its own bits.  The one sign-change
@@ -43,6 +46,12 @@ def working_precision(prec: int):
         yield mp
     finally:
         mp.prec = old
+
+
+def held(v) -> mpf:
+    """v as a value object stores it: v itself if it is an mpf, else mp.mpf(v),
+    exact for the ints and floats callers pass."""
+    return v if isinstance(v, mpf) else mp.mpf(v)
 
 
 def digits_for(prec: int) -> int:

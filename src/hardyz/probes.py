@@ -66,11 +66,13 @@ def monomial_probe(k: int, prec: int = DEFAULT_PREC) -> PolynomialProbe:
 
 
 def cosine_probe(b, prec: int = DEFAULT_PREC) -> FunctionProbe:
-    """f(x) = cos(b x)."""
+    """f(x) = cos(b x), with b held as an mpf from construction, rounded at
+    the probe's working precision."""
+    with working_precision(prec):
+        bm = mp.mpf(b)
 
     def deriv(x, k):
         with working_precision(prec):
-            bm = mp.mpf(b)
             phase = mp.mpf(k) * mp.pi / 2
             return bm ** k * mp.cos(bm * mp.mpf(x) + phase)
 
@@ -81,13 +83,17 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
     """f(x) = exp(-x^2/(2 width^2)) cos(b x) = Re exp(q(x)), q quadratic.
 
     Derivatives via the polynomial recurrence P_{k+1} = P_k' + q' P_k with
-    f^(k) = Re[P_k exp(q)].
+    f^(k) = Re[P_k exp(q)].  b, width^2 and q' are held from construction,
+    rounded at the probe's working precision.
     """
-    @functools.cache
-    def poly_for(k, prec):
-        # complex coefficient lists of P_k at precision prec, the ambient one
+    with working_precision(prec):
         w2 = mp.mpf(width) ** 2
-        qp = [mp.mpc(0, b), mp.mpc(-1 / w2, 0)]  # q'(x) = ib - x/w^2
+        ib = mp.mpc(0, b)
+        qp = [ib, mp.mpc(-1 / w2, 0)]  # q'(x) = ib - x/w^2
+
+    @functools.cache
+    def poly_for(k):
+        # complex coefficient lists of P_k, at the probe's working precision
         P = [mp.mpc(1)]
         for _ in range(k):
             dP = [i * c for i, c in enumerate(P)][1:] or [mp.mpc(0)]
@@ -102,9 +108,9 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
 
     def deriv(x, k):
         with working_precision(prec):
-            P = poly_for(k, mp.prec)
+            P = poly_for(k)
             xm = mp.mpf(x)
-            q = -xm ** 2 / (2 * mp.mpf(width) ** 2) + mp.mpc(0, b) * xm
+            q = -xm ** 2 / (2 * w2) + ib * xm
             return (horner(P, xm) * mp.exp(q)).real
 
     return FunctionProbe(deriv=deriv)
@@ -121,10 +127,9 @@ def cardinal_probe(config, prec: int = DEFAULT_PREC) -> PolynomialProbe:
         for i, xk in enumerate(config.nodes):
             if i == config.n:
                 continue
-            xkm = mp.mpf(xk)
             coeffs = [mp.mpf(0)] + coeffs
             for j in range(len(coeffs) - 1):
-                coeffs[j] -= xkm * coeffs[j + 1]
-            norm *= -xkm
+                coeffs[j] -= xk * coeffs[j + 1]
+            norm *= -xk
         coeffs = [c / norm for c in coeffs]
     return PolynomialProbe(coeffs, prec=prec)

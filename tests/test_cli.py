@@ -40,6 +40,15 @@ def test_verify_lemmas_json_shape(capsys):
     assert all(c["passed"] for c in payload["suites"][0]["checks"])
 
 
+def test_identity_suite_passes_at_the_lowest_precision(capsys):
+    # the cardinal-reconstruction bound scales with the precision: a fixed
+    # 2^-120 failed every precision below 113 bits
+    code, out = _run(capsys, ["--precision-bits", "64", "--seed", "7",
+                              "verify-lemmas", "identity"])
+    assert code == EXIT_OK
+    assert json.loads(out)["all_passed"] is True
+
+
 def test_suite_runs_deterministic():
     a = run_suites(["divided_diff", "sequences"], seed=3, prec=128)
     b = run_suites(["divided_diff", "sequences"], seed=3, prec=128)

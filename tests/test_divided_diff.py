@@ -5,7 +5,8 @@ from math import factorial
 from mpmath import mp
 
 from hardyz.divided_diff import (FunctionProbe, NodeMultiset, divided_difference,
-                                 divided_difference_mc, hermite_weights)
+                                 divided_difference_data, divided_difference_mc,
+                                 hermite_weights)
 from hardyz.precision import working_precision
 from hardyz.probes import monomial_probe, polynomial_probe
 
@@ -112,3 +113,17 @@ def test_monte_carlo_rounds_its_nodes_at_its_own_precision():
     with working_precision(PREC):
         inside = divided_difference_mc(probe, nodes, seed=3, prec=PREC)
     assert outside == inside
+
+
+def test_multiset_sorts_its_nodes_exactly():
+    # 1 + 2^-70 rounds to 1 at 53 bits; sorting by that key kept the input
+    # order and split the double node 1
+    with working_precision(PREC):
+        above = 1 + mp.mpf(2) ** -70
+        ref = NodeMultiset([1, 1, above])
+    nodes = NodeMultiset([1, above, 1])
+    assert nodes.nodes == [1, 1, above]
+    assert nodes.max_multiplicity() == 2
+    data = lambda y, i: mp.exp(y)
+    assert divided_difference_data(nodes, data, prec=PREC) \
+        == divided_difference_data(ref, data, prec=PREC)

@@ -269,3 +269,25 @@ def test_boundary_sum_rhs_is_sine_product_times_divided_difference():
         expected = sine_product(cfg, prec=PREC) \
             * divided_bound_direct(cfg, c, prec=PREC)
     assert rhs._mpf_ == expected._mpf_
+
+
+# ---------------------------------------------------------------------------
+# a configuration holds its numbers from construction: what a reader sees
+# does not depend on the precision it is called at
+
+def test_strictness_does_not_depend_on_the_callers_precision():
+    # 1 and 1 + 2^-70 are equal at 53 bits and distinct at 192
+    with working_precision(PREC):
+        cfg = NodeConfig(n=2, a=4, nodes=[-2, -1, 0, 1, 1 + mp.mpf(2) ** -70])
+        assert cfg.is_strict()
+    assert cfg.is_strict()
+
+
+def test_boundary_value_does_not_depend_on_the_callers_precision():
+    with working_precision(PREC):
+        a = +mp.pi
+        cfg = NodeConfig(n=1, a=a, nodes=[-a / 3, 0, a / 2])
+    outside = psi_star_boundary(cfg, 2, 1, prec=PREC)
+    with working_precision(PREC):
+        inside = psi_star_boundary(cfg, 2, 1, prec=PREC)
+    assert outside._mpf_ == inside._mpf_

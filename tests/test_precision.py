@@ -319,3 +319,82 @@ def _unset_options(src: Path) -> List[str]:
 
 def test_every_option_is_set_by_the_program():
     assert _unset_options(SRC) == sorted(OPTIONS_ALLOWED_UNSET)
+
+
+# ---------------------------------------------------------------------------
+# a number is rounded once, where it is stored: configurations, node
+# multisets, parameters and kernel weights hold their mpf, and no reader
+# passes a held number through mp.mpf again
+
+HELD_ATTRS = {"a", "nodes", "c", "eps", "alpha", "mu"}
+REROUNDS_ALLOWED = {
+    # the conversion point itself: c and eps are rounded once, at prec
+    "extremal.ExtremalParams.__post_init__",
+    # c and eps are parsed as doubles, as perfbench's certificate oracle
+    # parses them; both change together in a benchmark change
+    "cli.cmd_extremal",
+}
+
+
+def _reads_held(node) -> bool:
+    """node is obj.attr or obj.attr[i] for a held attribute."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in HELD_ATTRS
+
+
+def _held_names(target, it) -> set:
+    """Names a loop target takes from a held attribute: the whole target
+    when the iterable is one, else the matching element of a zip or the
+    second element of an enumerate."""
+    if _reads_held(it):
+        return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    if isinstance(target, ast.Tuple) and isinstance(it, ast.Call) \
+            and getattr(it.func, "id", None) in ("zip", "enumerate"):
+        args = it.args if it.func.id == "zip" else [None, *it.args]
+        return set().union(*(_held_names(t, v) for t, v in zip(target.elts, args)
+                             if v is not None))
+    return set()
+
+
+def _mpf_calls(tree):
+    """(line, argument) of each one-argument mp.mpf call under tree."""
+    for node in ast.walk(tree):
+        f = getattr(node, "func", None)
+        if (isinstance(f, ast.Attribute) and f.attr == "mpf"
+                and isinstance(f.value, ast.Name) and f.value.id == "mp"
+                and len(node.args) == 1):
+            yield node.lineno, node.args[0]
+
+
+def _rerounds(src: Path) -> List[str]:
+    """'module.function:line' for each mp.mpf of a held number: obj.attr,
+    obj.attr[i], or a name bound by a for loop or comprehension over one."""
+    found = []
+    comps = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        units = []
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                units.append((f"{path.stem}.{top.name}", top))
+            elif isinstance(top, ast.ClassDef):
+                units += [(f"{path.stem}.{top.name}.{fn.name}", fn) for fn in top.body
+                          if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for qualname, fn in units:
+            sites = [line for line, x in _mpf_calls(fn) if _reads_held(x)]
+            for node in ast.walk(fn):
+                loops = node.generators if isinstance(node, comps) \
+                    else [node] if isinstance(node, ast.For) else []
+                scope = node.body if isinstance(node, ast.For) else [node]
+                for loop in loops:
+                    names = _held_names(loop.target, loop.iter)
+                    sites += [line for part in scope for line, x in _mpf_calls(part)
+                              if isinstance(x, ast.Name) and x.id in names]
+            found += [f"{qualname}:{line}" for line in sorted(sites)]
+    return found
+
+
+def test_no_reader_rerounds_a_held_number():
+    found = _rerounds(SRC)
+    assert {site.split(":")[0] for site in found} == REROUNDS_ALLOWED, found

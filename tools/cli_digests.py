@@ -25,6 +25,7 @@ from pathlib import Path
 COMMANDS = [
     "--seed 7 --precision-bits 192 verify-lemmas all",
     "--seed 7 --precision-bits 128 verify-lemmas all",
+    "--seed 7 --precision-bits 64 verify-lemmas kernel",
     "--precision-bits 128 extremal 12 0.95 0.65 30",
     "--precision-bits 192 extremal 12 0.95 0.65 30",
     "--precision-bits 128 extremal 20 0.974 0.3 60",
