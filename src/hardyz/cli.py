@@ -9,16 +9,13 @@ library report plus a command/seed/precision_bits envelope.
 
 Formats: verify-lemmas json or text, zeros json or csv, the others json.
 
-zeros scans serially unless --jobs N (default 1, at least 1) splits a window
-wider than 20 into N chunks, scanned by at most one worker process per CPU,
-whose digits agree within the half-widths.
-
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
-error, 3 numerical escalation exhausted.
+error (an --out path that cannot be written included), 3 z_eval could not
+confirm a zero's sign change, even with its bracket widened 256 times.
 
 Environment overrides mirror the flags with the HARDYZ_ prefix
-(HARDYZ_PRECISION_BITS, HARDYZ_SEED, HARDYZ_JOBS, HARDYZ_FORMAT, HARDYZ_OUT)
-and are validated like the flags.
+(HARDYZ_PRECISION_BITS, HARDYZ_SEED, HARDYZ_FORMAT, HARDYZ_OUT) and are
+validated like the flags.
 """
 
 from __future__ import annotations
@@ -569,31 +566,13 @@ def cmd_identity(args) -> int:
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
-def _find_zeros(lo, hi, jobs: int, prec: int) -> hardy.ZeroList:
-    """hardy.find_zeros over (lo, hi]; a finite window wider than 20 is split
-    into `jobs` chunks scanned by at most one worker process per CPU and
-    merged."""
-    if jobs <= 1 or not (mp.isfinite(hi) and hi - lo > 20):
-        return hardy.find_zeros(lo, hi, prec=prec)
-    import concurrent.futures
-    edges = [lo + (hi - lo) * i / jobs for i in range(jobs + 1)]
-    workers = min(jobs, os.cpu_count() or 1)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(hardy.find_zeros, edges[:-1], edges[1:],
-                            [prec] * jobs))
-    return hardy.ZeroList(
-        t_lo=lo, t_hi=hi, zeros=[z for part in parts for z in part.zeros],
-        rescans=sum(part.rescans for part in parts),
-        suspected_missing=any(part.suspected_missing for part in parts))
-
-
 def cmd_zeros(args) -> int:
     prec = args.precision_bits
     with working_precision(prec):
         lo = mp.mpf(args.t_lo)
         hi = mp.mpf(args.t_hi)
         scan_lo = mp.mpf(0) if lo <= 15 else lo
-        found = _find_zeros(scan_lo, hi, args.jobs, prec)
+        found = hardy.find_zeros(scan_lo, hi, prec=prec)
         visible = dataclasses.replace(
             found, t_lo=lo, zeros=[z for z in found.zeros if z.gamma > lo])
         if args.format == "csv":
@@ -644,7 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision-bits", type=int,
                    default=_env("PRECISION_BITS", DEFAULT_PREC))
     p.add_argument("--seed", type=int, default=_env("SEED", 0))
-    p.add_argument("--jobs", type=int, default=_env("JOBS", 1))
+    # parsed, with its one value, only because perfbench/worker.py passes it
+    p.add_argument("--jobs", type=int, choices=(1,), default=1,
+                   help=argparse.SUPPRESS)
     p.add_argument("--format", choices=("json", "csv", "text"),
                    default=_env("FORMAT", "json"))
     p.add_argument("--out", default=_env("OUT", None))
@@ -686,8 +667,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.precision_bits < MIN_PREC:
         parser.error(f"--precision-bits must be >= {MIN_PREC}")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.format not in args.formats:
         parser.error(f"{args.command} supports --format "
                      f"{' or '.join(args.formats)}, not {args.format!r}")
@@ -696,7 +675,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except hardy.PrecisionEscalationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ESCALATION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -44,7 +44,9 @@ class CapacityError(ValueError):
 
 
 class PrecisionEscalationError(ArithmeticError):
-    """Requested tolerance unreachable after precision escalation."""
+    """z_eval could not confirm a zero's sign change, even with the bracket
+    widened 256 times.  Nothing escalates precision; the name is kept for
+    callers that catch it (the CLI's exit code 3)."""
 
 
 class RejectedPointError(ValueError):

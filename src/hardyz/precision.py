@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from typing import Callable, Tuple
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 DEFAULT_PREC = 192
 GUARD_BITS = 16  # working_precision(prec) runs above prec, so rounding adds no error
@@ -49,9 +49,17 @@ def working_precision(prec: int):
 
 
 def held(v) -> mpf:
-    """v as a value object stores it: v itself if it is an mpf, else mp.mpf(v),
-    exact for the ints and floats callers pass."""
-    return v if isinstance(v, mpf) else mp.mpf(v)
+    """v as a value object stores it, at no precision of the caller's: v itself
+    if it is an mpf, else the exact value of an int of any size or a float.
+    Anything else, a decimal string say, has no exact binary value and is a
+    TypeError; the caller rounds it first, at its working precision."""
+    if isinstance(v, mpf):
+        return v
+    if isinstance(v, int):
+        return mp.make_mpf(libmp.from_int(v))
+    if isinstance(v, float):
+        return mp.make_mpf(libmp.from_float(v))
+    raise TypeError(f"cannot hold {v!r} exactly: pass an mpf, an int or a float")
 
 
 def digits_for(prec: int) -> int:

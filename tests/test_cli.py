@@ -1,13 +1,11 @@
 """CLI-level tests: exit codes, output formats, determinism."""
 
-import concurrent.futures
 import json
-import multiprocessing
 
 import pytest
 from mpmath import mp
 
-from hardyz import hardy, identity, kernel, probes
+from hardyz import extremal, hardy, identity, kernel, probes
 from hardyz.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _suite_rng,
                         build_parser, main, run_suites)
 from hardyz.precision import working_precision
@@ -134,25 +132,6 @@ def test_zeros_json_includes_count_stats(capsys):
     assert payload["count_stats"]["n_counted"] == 10
 
 
-def test_zeros_jobs_keep_every_digit(capsys):
-    # spawn workers (the default on some platforms) start at mpmath's
-    # default 53 bits, so a zero must not pass through a decimal string
-    # formatted in the worker
-    old = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("spawn", force=True)
-    try:
-        serial, split = (json.loads(_run(capsys, [
-            "--precision-bits", "128", "--jobs", jobs, "zeros", "10", "40"])[1])
-            for jobs in ("1", "2"))
-    finally:
-        multiprocessing.set_start_method(old, force=True)
-    assert serial["count"] == split["count"] == 6
-    with mp.workprec(256):
-        for a, b in zip(serial["zeros"], split["zeros"]):
-            gap = abs(mp.mpf(a["t"]) - mp.mpf(b["t"]))
-            assert gap <= mp.mpf(a["half_width"]) + mp.mpf(b["half_width"])
-
-
 def test_extremal_exit_code_tracks_total(capsys):
     code, out = _run(capsys, ["--precision-bits", "128", "extremal",
                               "12", "0.95", "0.65", "30"])
@@ -167,6 +146,15 @@ def test_extremal_exit_code_tracks_total(capsys):
     payload = json.loads(out)
     assert "total_below_one" in payload
     assert payload["total_below_one"] is False
+
+
+def test_extremal_refuses_a_small_m_before_the_c_eps_search(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("c_eps search started")
+
+    monkeypatch.setattr(extremal, "find_c_eps", refuse)
+    assert main(["extremal", "12", "0.95", "0.65", "5"]) == EXIT_USAGE
+    assert "m >= n log n" in capsys.readouterr().err
 
 
 def test_explore_has_witness_field(capsys):
@@ -195,63 +183,9 @@ def test_zeros_reads_the_window_at_working_precision(capsys):
     assert payload["count"] == 1
 
 
-def test_zeros_refuses_an_infinite_window(monkeypatch):
-    # a window that cannot be scanned is refused before any worker starts
-    def no_pool(*args, **kwargs):
-        raise AssertionError("process pool started for an invalid window")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    for jobs in ("1", "2"):
-        for hi in ("inf", "nan", "ten"):
-            assert main(["--precision-bits", "128", "--jobs", jobs,
-                         "zeros", "0", hi]) == EXIT_USAGE, (jobs, hi)
-
-
-@pytest.mark.parametrize("env, argv", [({}, ["--jobs", "0"]),
-                                       ({"HARDYZ_JOBS": "-1"}, [])])
-def test_jobs_below_one_is_a_usage_error(monkeypatch, capsys, env, argv):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("process pool started for an invalid --jobs")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    with pytest.raises(SystemExit) as exc:
-        main(["--precision-bits", "128", *argv, "zeros", "10", "40"])
-    assert exc.value.code == EXIT_USAGE
-    assert "--jobs" in capsys.readouterr().err
-
-
-def test_jobs_beyond_the_cpu_count_share_the_cpus(monkeypatch, capsys):
-    # the chunks still follow --jobs; only the pool is capped at the CPUs
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    code, out = _run(capsys, ["--precision-bits", "128", "--jobs", "3",
-                              "zeros", "10", "40"])
-    assert code == EXIT_OK
-    assert sizes == [2]
-    assert json.loads(out)["count"] == 6
-
-
-def test_jobs_default_does_not_follow_the_cpu_count(monkeypatch):
-    monkeypatch.delenv("HARDYZ_JOBS", raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert build_parser().parse_args(["zeros", "10", "40"]).jobs == 1
+def test_zeros_refuses_an_infinite_window():
+    for hi in ("inf", "nan", "ten"):
+        assert main(["--precision-bits", "128", "zeros", "0", hi]) == EXIT_USAGE, hi
 
 
 @pytest.mark.parametrize("env, argv", [
@@ -260,6 +194,8 @@ def test_jobs_default_does_not_follow_the_cpu_count(monkeypatch):
     ({}, ["--format", "csv", "verify-lemmas", "sequences"]),
     ({"HARDYZ_FORMAT": "xml"}, ["zeros", "10", "20"]),
     ({"HARDYZ_PRECISION_BITS": "abc"}, ["zeros", "10", "20"]),
+    ({}, ["--jobs", "0", "zeros", "10", "20"]),
+    ({}, ["--jobs", "2", "zeros", "10", "20"]),
 ])
 def test_unhonourable_input_exits_2_before_computing(monkeypatch, capsys,
                                                      env, argv):
@@ -280,6 +216,10 @@ def test_unhonourable_input_exits_2_before_computing(monkeypatch, capsys,
     assert "error:" in captured.err
 
 
+def test_jobs_is_not_listed_in_the_help():
+    assert "--jobs" not in build_parser().format_help()
+
+
 def test_usage_errors():
     parser = build_parser()
     with pytest.raises(SystemExit):
@@ -296,3 +236,12 @@ def test_out_file_writes(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(target.read_text())
     assert payload["all_passed"] is True
+
+
+def test_an_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["--precision-bits", "128", "--out", str(target),
+                 "zeros", "10", "20"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -291,3 +291,17 @@ def test_boundary_value_does_not_depend_on_the_callers_precision():
     with working_precision(PREC):
         inside = psi_star_boundary(cfg, 2, 1, prec=PREC)
     assert outside._mpf_ == inside._mpf_
+
+
+def test_a_large_int_is_held_exactly_at_any_precision():
+    outside = NodeConfig(n=1, a=2 ** 60 + 1, nodes=[-1, 0, 1])
+    with working_precision(PREC):
+        inside = NodeConfig(n=1, a=2 ** 60 + 1, nodes=[-1, 0, 1])
+    assert outside.a == inside.a == 2 ** 60 + 1
+
+
+def test_a_decimal_string_is_refused():
+    # "3.3" has no exact binary value: held would round it at whatever
+    # precision its caller happens to run
+    with pytest.raises(TypeError):
+        NodeConfig(n=1, a="3.3", nodes=[-1, 0, 1])

@@ -217,6 +217,35 @@ def test_every_public_name_is_used_in_the_source():
     assert _unused_public_names(SRC, keep=SURFACE_ALLOWED_UNUSED) == []
 
 
+# ---------------------------------------------------------------------------
+# a run is one process: no module starts another, so counters and results
+# never have to be merged across processes
+
+PROCESS_MODULES = {"concurrent.futures", "multiprocessing", "subprocess"}
+
+
+def _process_imports(src: Path) -> List[str]:
+    """'module:line' for each import of a module that starts processes."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            if any(name in PROCESS_MODULES or name.startswith(m + ".")
+                   for name in names for m in PROCESS_MODULES):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_a_run_is_one_process():
+    assert _process_imports(SRC) == []
+
+
 def test_working_precision_takes_only_prec():
     assert list(inspect.signature(working_precision).parameters) == ["prec"]
     with working_precision(100):
