@@ -9,13 +9,11 @@ library report plus a command/seed/precision_bits envelope.
 
 Formats: verify-lemmas json or text, zeros json or csv, the others json.
 
-Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
-error (an --out path that cannot be written included), 3 z_eval could not
-confirm a zero's sign change, even with its bracket widened 256 times.
-
-Environment overrides mirror the flags with the HARDYZ_ prefix
-(HARDYZ_PRECISION_BITS, HARDYZ_SEED, HARDYZ_FORMAT, HARDYZ_OUT) and are
-validated like the flags.
+Exit codes: 0 all checks passed, 1 a mathematical check failed (explore's
+T included, when Z(T) is indistinguishable from zero), 2 usage error, 3 z_eval
+could not confirm a zero's sign change, even with its bracket widened 256
+times.  main refuses an --out path whose directory is missing, or that is a
+directory, before any command runs.
 """
 
 from __future__ import annotations
@@ -36,11 +34,10 @@ from . import divided_diff, extremal, hardy, identity, kernel, polynomials, \
     probes, sequences
 from .precision import DEFAULT_PREC, MIN_PREC, serialize, working_precision
 
-ENV_PREFIX = "HARDYZ_"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-EXIT_ESCALATION = 3
+EXIT_UNCONFIRMED = 3
 
 SUITES = ("polynomials", "divided_diff", "kernel", "identity", "sequences",
           "extremal")
@@ -588,11 +585,7 @@ def cmd_zeros(args) -> int:
 
 def cmd_explore(args) -> int:
     prec = args.precision_bits
-    try:
-        rep = hardy.theorem1_explore(args.T, args.C, m_cap=args.m_cap, prec=prec)
-    except hardy.RejectedPointError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CHECK_FAILED
+    rep = hardy.theorem1_explore(args.T, args.C, m_cap=args.m_cap, prec=prec)
     _emit_json("explore", serialize(rep, prec), args)
     return EXIT_OK
 
@@ -609,26 +602,18 @@ def cmd_extremal(args) -> int:
 # argument parsing
 
 
-def _env(name: str, fallback):
-    """Flag default from HARDYZ_<name>; argparse applies the flag's type to
-    it, so a malformed value is a usage error."""
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hardyz",
         description="Verification suites and explorations for the Hardy "
                     "Z-function kernel toolkit.")
-    p.add_argument("--precision-bits", type=int,
-                   default=_env("PRECISION_BITS", DEFAULT_PREC))
-    p.add_argument("--seed", type=int, default=_env("SEED", 0))
+    p.add_argument("--precision-bits", type=int, default=DEFAULT_PREC)
+    p.add_argument("--seed", type=int, default=0)
     # parsed, with its one value, only because perfbench/worker.py passes it
     p.add_argument("--jobs", type=int, choices=(1,), default=1,
                    help=argparse.SUPPRESS)
-    p.add_argument("--format", choices=("json", "csv", "text"),
-                   default=_env("FORMAT", "json"))
-    p.add_argument("--out", default=_env("OUT", None))
+    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    p.add_argument("--out")
     sub = p.add_subparsers(dest="command", required=True)
 
     vl = sub.add_parser("verify-lemmas", help="run module invariant suites")
@@ -670,11 +655,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.format not in args.formats:
         parser.error(f"{args.command} supports --format "
                      f"{' or '.join(args.formats)}, not {args.format!r}")
+    # _emit opens --out only once the report exists, so its failure would
+    # come after the whole computation
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        sys.stderr.write(f"error: --out {args.out!r} is not a file in an "
+                         f"existing directory\n")
+        return EXIT_USAGE
     try:
         return args.func(args)
-    except hardy.PrecisionEscalationError as exc:
+    except hardy.UnconfirmedSignChangeError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ESCALATION
+        return EXIT_UNCONFIRMED
+    except hardy.RejectedPointError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -360,9 +360,9 @@ def theorem2_certificate(n: int, c, eps, m: int,
     with working_precision(prec):
         if m < n * mp.log(n):
             raise ValueError("certificate regime requires m >= n log n")
+        config = extremal_config(params, prec=prec)
         c_eps = find_c_eps(eps, prec=prec)
         admissible = params.admissible(c_eps)
-        config = extremal_config(params, prec=prec)
         P = sine_product(config, prec=prec)
         D = divided_bound(config, params, prec=prec)
         product = P * D

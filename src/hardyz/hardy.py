@@ -43,10 +43,9 @@ class CapacityError(ValueError):
     """Requested derivative order exceeds the configured maximum."""
 
 
-class PrecisionEscalationError(ArithmeticError):
+class UnconfirmedSignChangeError(ArithmeticError):
     """z_eval could not confirm a zero's sign change, even with the bracket
-    widened 256 times.  Nothing escalates precision; the name is kept for
-    callers that catch it (the CLI's exit code 3)."""
+    widened 256 times."""
 
 
 class RejectedPointError(ValueError):
@@ -374,7 +373,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             # widen once; a second failure means the bracket is not certified
             if not (_certified_sign_change(z.gamma, w, prec)
                     or _certified_sign_change(z.gamma, w * 256, prec)):
-                raise PrecisionEscalationError(
+                raise UnconfirmedSignChangeError(
                     f"could not certify sign change at t = {mp.nstr(z.gamma, 20)}")
         return ZeroList(t_lo=lo, t_hi=hi, zeros=zeros, rescans=rescans,
                         suspected_missing=bool(expected - len(zeros) >= 2))

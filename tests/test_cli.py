@@ -110,8 +110,8 @@ def test_identity_prints_full_precision(capsys, probe, seed, m):
 
 
 def test_zeros_csv_count(capsys):
-    code, out = _run(capsys, ["--precision-bits", "128", "--jobs", "1",
-                              "--format", "csv", "zeros", "10", "100"])
+    code, out = _run(capsys, ["--precision-bits", "128", "--format", "csv",
+                              "zeros", "10", "100"])
     assert code == EXIT_OK
     lines = [l for l in out.strip().splitlines() if l]
     assert lines[0].startswith("index,")
@@ -121,8 +121,7 @@ def test_zeros_csv_count(capsys):
 
 
 def test_zeros_json_includes_count_stats(capsys):
-    code, out = _run(capsys, ["--precision-bits", "128", "--jobs", "1",
-                              "zeros", "0", "50"])
+    code, out = _run(capsys, ["--precision-bits", "128", "zeros", "0", "50"])
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["count"] == 10
@@ -175,8 +174,8 @@ def test_explore_has_witness_field(capsys):
 
 
 def test_zeros_reads_the_window_at_working_precision(capsys):
-    code, out = _run(capsys, ["--precision-bits", "128", "--jobs", "1",
-                              "zeros", "14.1", "14.2"])
+    code, out = _run(capsys, ["--precision-bits", "128", "zeros", "14.1",
+                              "14.2"])
     assert code == EXIT_OK
     payload = json.loads(out)
     assert (payload["t_lo"], payload["t_hi"]) == ("14.1", "14.2")
@@ -188,32 +187,46 @@ def test_zeros_refuses_an_infinite_window():
         assert main(["--precision-bits", "128", "zeros", "0", hi]) == EXIT_USAGE, hi
 
 
-@pytest.mark.parametrize("env, argv", [
-    ({}, ["--format", "csv", "explore", "100", "0.3", "2"]),
-    ({}, ["--format", "text", "zeros", "10", "20"]),
-    ({}, ["--format", "csv", "verify-lemmas", "sequences"]),
-    ({"HARDYZ_FORMAT": "xml"}, ["zeros", "10", "20"]),
-    ({"HARDYZ_PRECISION_BITS": "abc"}, ["zeros", "10", "20"]),
-    ({}, ["--jobs", "0", "zeros", "10", "20"]),
-    ({}, ["--jobs", "2", "zeros", "10", "20"]),
+@pytest.mark.parametrize("argv, named", [
+    (["--format", "csv", "explore", "100", "0.3", "2"], "--format"),
+    (["--format", "text", "zeros", "10", "20"], "--format"),
+    (["--format", "csv", "verify-lemmas", "sequences"], "--format"),
+    (["--jobs", "0", "zeros", "10", "20"], "--jobs"),
+    (["--jobs", "2", "zeros", "10", "20"], "--jobs"),
+    (["--precision-bits", "32", "zeros", "10", "20"], "--precision-bits"),
+    (["--out", "missing/x.json", "zeros", "10", "20"], "--out"),
+    # s* = eta a falls outside (0, pi), and m = 5 >= 3 log 3 passes
+    (["extremal", "3", "0.3", "0.6", "5"], "s*"),
 ])
 def test_unhonourable_input_exits_2_before_computing(monkeypatch, capsys,
-                                                     env, argv):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-
+                                                     tmp_path, argv, named):
     def refuse(*args, **kwargs):
         raise AssertionError("computation started")
 
     for attr in ("find_zeros", "theorem1_explore"):
         monkeypatch.setattr(hardy, attr, refuse)
+    monkeypatch.setattr(extremal, "find_c_eps", refuse)
     monkeypatch.setattr("hardyz.cli.run_suites", refuse)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_USAGE
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
+    assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert "error:" in captured.err and named in captured.err
+
+
+def test_a_rejected_explore_point_exits_1(capsys):
+    # T is the fifth zero of Z, gamma_5
+    code = main(["--precision-bits", "64", "explore",
+                 "32.935061587739189690662368964074903488812715603517039",
+                 "0.3", "2"])
+    assert code == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", "error: Z(T) indistinguishable from zero\n")
 
 
 def test_jobs_is_not_listed_in_the_help():

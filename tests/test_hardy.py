@@ -10,7 +10,7 @@ from mpmath import mp
 
 from hardyz import hardy
 from hardyz.hardy import (ZERO_HALF_WIDTH_BITS, CapacityError,
-                          PrecisionEscalationError, count_stats,
+                          UnconfirmedSignChangeError, count_stats,
                           expected_zero_count, find_zeros, n_main,
                           theorem1_explore, theta, theta_prime, z_derivative_fd,
                           z_derivatives_batch, z_eval)
@@ -186,7 +186,7 @@ def test_sign_change_within_error_estimate_is_not_certified(monkeypatch):
         return dataclasses.replace(s, error_estimate=2 * abs(s.z))
 
     monkeypatch.setattr(hardy, "z_eval", unsure)
-    with pytest.raises(PrecisionEscalationError):
+    with pytest.raises(UnconfirmedSignChangeError):
         find_zeros(14, 15, prec=PREC)
 
 

@@ -246,6 +246,33 @@ def test_a_run_is_one_process():
     assert _process_imports(SRC) == []
 
 
+# ---------------------------------------------------------------------------
+# a run is its argv: no module reads the environment, so the flags alone fix
+# the printed bytes
+
+ENVIRONMENT_READERS = {"environ", "getenv"}
+
+
+def _environment_reads(src: Path) -> List[str]:
+    """'module:line' for each os.environ or os.getenv, imported or not."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                owner, names = getattr(node.value, "id", None), [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                owner, names = node.module, [alias.name for alias in node.names]
+            else:
+                continue
+            if owner == "os" and ENVIRONMENT_READERS.intersection(names):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_a_run_is_its_argv():
+    assert _environment_reads(SRC) == []
+
+
 def test_working_precision_takes_only_prec():
     assert list(inspect.signature(working_precision).parameters) == ["prec"]
     with working_precision(100):

@@ -37,8 +37,8 @@ COMMANDS = [
     for probe in ("cosine", "polynomial", "gaussian-cosine", "cardinal")
 ] + [
     "--seed 3 --precision-bits 128 identity --n 4 --m 5 --probe cardinal",
-    "--jobs 1 zeros 10 100",
-    "--precision-bits 128 --jobs 1 zeros 14.1 14.2",
+    "zeros 10 100",
+    "--precision-bits 128 zeros 14.1 14.2",
     "--precision-bits 128 zeros 10 40",
     "--seed 7 --format text verify-lemmas identity",
     "--precision-bits 128 --format csv zeros 10 40",
