@@ -1,0 +1,178 @@
+"""Enclosures: values that come with a proved bound on their error.
+
+z_rs(t) encloses Hardy's Z for t >= 200 by the Riemann-Siegel formula with
+its first two correction terms,
+
+    Z(t) = 2 sum_{n<=N} n^-1/2 cos(theta(t) - t log n)
+           + (-1)^(N-1) tau^-1/2 (C0(p) + C1(p)/tau) + R(t),
+
+tau = sqrt(t/2pi), N = floor(tau), p = tau - N (Edwards, Riemann's Zeta
+Function, 1974, ch. 7), evaluated in floats.  It costs microseconds where
+mp.siegelz costs tens of milliseconds, so find_zeros proves Z's signs with
+it and spends mp.siegelz only where the enclosure cannot decide.
+
+C0 = Psi and C1 = -Psi'''/(96 pi^2), with
+Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).  Psi is entire (the zeros of
+its denominator at p = 1/4 and 3/4 are zeros of its numerator too), and even
+about p = 1/2: with x = p - 1/2 and y = x^2,
+
+    Psi = -cos(2pi y - 5pi/8)/cos(2pi x) = sum_j a_j y^j,
+
+so C0 and C1 are evaluated as polynomials in y, never as the quotient.
+On the circle |x| = 1 the numerator is at most cosh(2pi), since
+|Im 2pi x^2| <= 2pi, and |cos(2pi x)| >= 0.99: where |Im x| >= 0.2 it is at
+least sinh(0.4 pi) > 1.6, and elsewhere |Re x| > 0.979, so
+cos(2pi Re x) > cos(0.127) > 0.99.  Hence |Psi| < cosh(2pi)/0.99 < 271
+there, and Cauchy's estimates give |a_j| < 271 and the bounds z_rs uses.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from functools import lru_cache
+from typing import List, Tuple
+
+from mpmath import mp
+
+from .polynomials import horner
+
+RS_MIN_T = 200  # Gabcke's remainder bound holds from t = 200 on
+GABCKE_D1 = 0.053  # |R(t)| <= GABCKE_D1 tau^-5/2 (see z_rs)
+PSI_TERMS = 40  # a_0..a_39; the truncated tails are below 2^-49 (see z_rs)
+PSI_SERIES_BITS = 4 * PSI_TERMS + 96  # the series division loses 4 bits a term
+ROUNDING_ALLOWANCE = 2.0 ** -40  # per unit of the magnitudes named in z_rs
+# log Gamma's Stirling sum keeps B_2..B_8; B_10 = 5/66 bounds its remainder
+STIRLING_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30)
+STIRLING_NEXT_BERNOULLI = 5 / 66
+EPS = 2.0 ** -53  # unit roundoff of a float
+
+
+@lru_cache(maxsize=1)
+def _psi_series() -> Tuple[List[float], List[float]]:
+    """(a, b): Psi = sum_j a_j y^j and C1 = x sum_j b_j y^j, as floats,
+    computed once at PSI_SERIES_BITS.
+
+    a is the power-series quotient of -cos(2pi y - 5pi/8) by cos(2pi x) in
+    y.  The quotient's recursion amplifies rounding by about 16 a term,
+    since sec(2pi x) has radius 1/4 in x and so 1/16 in y, hence the 4 bits
+    a term.  Psi''' = x sum_j a_(j+2) (2j+4)(2j+3)(2j+2) y^j gives b.
+    """
+    with mp.workprec(PSI_SERIES_BITS):
+        two_pi = 2 * mp.pi
+        shift = 5 * mp.pi / 8
+        phase = (mp.cos(shift), mp.sin(shift))
+        num, den = [], []
+        for j in range(PSI_TERMS + 2):
+            # cos(2pi y - s) = cos(2pi y) cos s + sin(2pi y) sin s, term y^j
+            num.append(-(-1) ** (j // 2) * two_pi ** j / mp.factorial(j)
+                       * phase[j % 2])
+            den.append((-1) ** j * two_pi ** (2 * j) / mp.factorial(2 * j))
+        a = []
+        for j in range(PSI_TERMS + 2):
+            a.append((num[j] - mp.fsum(a[i] * den[j - i] for i in range(j)))
+                     / den[0])
+        scale = -1 / (96 * mp.pi ** 2)
+        b = [a[j + 2] * (2 * j + 4) * (2 * j + 3) * (2 * j + 2) * scale
+             for j in range(PSI_TERMS)]
+        return [float(v) for v in a[:PSI_TERMS]], [float(v) for v in b]
+
+
+def _c0_c1(p: float) -> Tuple[float, float]:
+    """(C0(p), C1(p)) for 0 <= p <= 1 from the series about p = 1/2."""
+    a, b = _psi_series()
+    x = p - 0.5
+    y = x * x
+    return horner(a, y), x * horner(b, y)
+
+
+def _theta(x: float) -> Tuple[float, float]:
+    """(theta(x), bound on the Stirling remainder) for x >= RS_MIN_T:
+    theta = Im log Gamma(z) - (x/2) log pi with z = 1/4 + ix/2, log Gamma by
+    its Stirling sum through B_8 (see z_rs for the remainder)."""
+    z = complex(0.25, 0.5 * x)
+    z2 = z * z
+    w = (z - 0.5) * cmath.log(z) - z
+    power = z
+    for k, bern in enumerate(STIRLING_BERNOULLI, start=1):
+        w += bern / (2 * k * (2 * k - 1) * power)
+        power *= z2
+    remainder = 32 * STIRLING_NEXT_BERNOULLI / (90 * abs(z) ** 9)
+    return w.imag - 0.5 * x * math.log(math.pi), remainder
+
+
+def z_rs(t) -> Tuple[float, float]:
+    """(value, bound) with |Z(t) - value| <= bound, for real t >= RS_MIN_T.
+
+    The value is the formula of the module docstring without R, in floats.
+    The bound adds up three things.
+
+    1. Gabcke's remainder.  W. Gabcke, Neue Herleitung und explizite
+       Restabschaetzung der Riemann-Siegel-Formel, Dissertation, Goettingen,
+       1979, Satz 4.2.3: for t >= 200 and 0 <= K <= 10, the remainder after
+       the terms C_0 .. C_K satisfies |R_K(t)| <= d_K (t/2pi)^(-(2K+3)/4),
+       with d_0 = 0.127 and d_1 = 0.053.  Here K = 1, so
+       |R| <= 0.053 tau^-5/2.
+    2. theta's Stirling remainder.  theta(t) = Im log Gamma(z) - (t/2) log pi
+       with z = 1/4 + it/2.  log Gamma(z) is summed through B_8/(56 z^7);
+       by Stieltjes' bound (Olver, Asymptotics and Special Functions, 1974,
+       ch. 8 sec. 4) the rest is at most |B_10| sec^10(arg(z)/2)/(90|z|^9),
+       and arg z < pi/2 makes sec^10 at most 2^5.  Every phase carries that
+       error r, and sum_{n<=N} n^-1/2 <= 2 sqrt(N), so the sum carries at
+       most 4 sqrt(N) r.
+    3. Rounding, as the allowance ROUNDING_ALLOWANCE (4 sqrt(N) t log t
+       + 8 (tau + 1)).  With e = 2^-53, to first order in e, taking +, -,
+       *, / and sqrt as correctly rounded and log, cos and the complex log
+       as within one ulp (2e relative):
+       - x = float(t) is within one ulp of t.  theta' < log(t/2pi)/2 and
+         log n <= log tau, so each phase phi_n = theta(t) - t log n moves by
+         less than 2e t log t when t becomes x.
+       - The Stirling sum's terms are at most t log t in size and take about
+         a dozen operations, so theta(x) is within 24 e t log t; x log n
+         adds 3 e t log t and the subtraction e t log t.  So each phase is
+         within 30 e t log t.
+       - cos is 1-Lipschitz and within 2e, and 2/sqrt(n) is within 2e, so
+         each term errs by less than 2 n^-1/2 (30 e t log t + 5e); adding
+         the N terms adds less than N e 4 sqrt(N).  The sum therefore errs
+         by less than 4 sqrt(N) 31 e t log t.
+       - tau is within 3e of sqrt(t/2pi) (relative) and p = tau - N is exact
+         once N is right, so p is within 3e tau; x = p - 1/2 and y = x^2
+         add 2e.  On |x| <= 1/2, Cauchy's estimate on circles of radius
+         1/2 inside |x| <= 1, where |Psi| < 271, gives |C0'| < 542
+         and |C1'| < 110, so this moves the correction by less than
+         2300 e tau^1/2.  |a_j| and |Psi'''| series terms are bounded by the
+         same estimate (|a_j| < 271, sum_k k^3 2^-k = 26), so the Horner
+         passes over PSI_TERMS coefficients, each a float within e, err by
+         less than 81 e (362 + 60).  The tails the series drop,
+         sum_{j>=40} 271 4^-j and their Psi''' counterpart over 96 pi^2,
+         are below 1e-21 and 1e-15.  Together that is below
+         6000 e (tau + 1).
+       The allowance is 2^13 e per unit of each magnitude: over 260 times
+       the first-order bound on the sum and 10 times the one on the
+       correction.  That leaves room for the second-order terms and, in the
+       sum, for a libm that errs by a few hundred ulps.  The bound is itself
+       computed in floats, and its own rounding is far below that room.
+
+    Where float rounding could put N = floor(tau) on the wrong integer (p
+    within 4 e tau of 0 or 1) nothing is proved: the result is (0, inf).
+    Raises ValueError for t < RS_MIN_T, where Gabcke's bound does not hold.
+    """
+    if not t >= RS_MIN_T:
+        raise ValueError(f"z_rs needs t >= {RS_MIN_T}, got {t}")
+    x = float(t)
+    tau = math.sqrt(x / (2 * math.pi))
+    n_terms = int(tau)
+    p = tau - n_terms
+    if min(p, 1 - p) <= 4 * EPS * tau:
+        return 0.0, math.inf
+    theta, stirling = _theta(x)
+    total = 0.0
+    for n in range(1, n_terms + 1):
+        total += math.cos(theta - x * math.log(n)) / math.sqrt(n)
+    c0, c1 = _c0_c1(p)
+    correction = (c0 + c1 / tau) / math.sqrt(tau)
+    value = 2 * total + (correction if n_terms % 2 else -correction)
+    sum_scale = 4 * math.sqrt(n_terms)
+    bound = (GABCKE_D1 * tau ** -2.5 + sum_scale * stirling
+             + ROUNDING_ALLOWANCE * (sum_scale * x * math.log(x) + 8 * (tau + 1)))
+    return value, bound

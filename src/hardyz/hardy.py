@@ -1,13 +1,16 @@
 """Hardy Z function engine: evaluation, derivatives, zeros, counting.
 
-Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Two routes
-evaluate it: z_eval applies Euler-Maclaurin summation to zeta with an
-explicit truncation bound, and the library's Riemann-Siegel mp.siegelz backs
-interval scans.  Each sign change the scan brackets is refined by Illinois
-regula falsi (precision.refine_sign_change) to a 2^-48 bracket, which z_eval
-then certifies.  Derivatives come from the Taylor coefficients of the
-analytic continuation of Z on a Cauchy circle: the half with Im w <= 0 is
-sampled with the library zeta and Schwarz reflection fills the other.
+Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  z_eval applies
+Euler-Maclaurin summation to zeta with an explicit truncation bound.  The
+scans read mp.siegelz, which below |t| = 500 mp.prec is mpmath's own
+Euler-Maclaurin (Hurwitz) sum, not Riemann-Siegel, and from t = 200 on
+enclose.z_rs, the Riemann-Siegel formula with Gabcke's remainder bound,
+wherever its enclosure proves Z's sign.  Each sign change the scan brackets
+is refined by Illinois regula falsi (precision.refine_sign_change) to a
+2^-48 bracket, which z_eval then certifies.  Derivatives come from the
+Taylor coefficients of the analytic continuation of Z on a Cauchy circle:
+the half with Im w <= 0 is sampled with the library zeta and Schwarz
+reflection fills the other.
 _TaylorPatches is the one place that builds such circles and keeps their
 series: z_derivatives_batch reads one patch at its centre, and
 theorem1_explore reads every point of its window from seven.  Richardson
@@ -23,12 +26,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
+from .enclose import RS_MIN_T, z_rs
 from .polynomials import bernoulli_numbers, horner
 from .precision import DEFAULT_PREC, digits_for, refine_sign_change, working_precision
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
 MAX_RESCANS = 4
+# Illinois reads a z_rs value only where it is 4 times its bound, so the
+# values its secants use are within 25% of Z
+RS_SECANT_MARGIN = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
 EM_GUARD_BITS = 8  # the Euler-Maclaurin sum rounds about |t|/2 terms
 CONTOUR_BITS_PER_ORDER = 8  # the Cauchy sum for Z^(k) divides by r^k and cancels
@@ -153,8 +160,9 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
 
     The error estimate is the Euler-Maclaurin truncation bound plus the
     imaginary residue of the complex product.  The Riemann-Siegel route is
-    the library's mp.siegelz, which the scan uses and the tests compare
-    against this one.
+    enclose.z_rs, for t >= 200, and the tests check that this value lies in
+    its enclosure.  Below 200 they compare it with mp.siegelz, which there
+    is mpmath's own Euler-Maclaurin route.
     """
     with working_precision(prec):
         tm = mp.mpf(t)
@@ -226,8 +234,8 @@ def _z_taylor(centre, radius, M: int,
 
 
 def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
-    """Cross-check path: Richardson-extrapolated finite differences of the
-    Riemann-Siegel evaluation at elevated precision."""
+    """Cross-check path: Richardson-extrapolated finite differences of
+    mp.siegelz at elevated precision."""
     if k < 0:
         raise ValueError("k must be >= 0")
     with working_precision(prec):
@@ -330,11 +338,17 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     sign-change bracket of half-width <= 2^-48 refined by Illinois regula
     falsi.
 
-    Scans a finite window with mp.siegelz at step pi/(4 theta'); the count
-    is cross-checked against the smooth theta-based estimate and the scan is
-    repeated at half step (up to MAX_RESCANS times) when a missed close pair
-    is suspected.  Each final bracket is certified by an Euler-Maclaurin
-    sign check whose values exceed their error estimates.
+    Scans a finite window at step pi/(4 theta'); the count is cross-checked
+    against the smooth theta-based estimate and the scan is repeated at half
+    step (up to MAX_RESCANS times) when a missed close pair is suspected.
+    From t = 200 on, a point's sign comes from enclose.z_rs where its value
+    exceeds its bound, and from mp.siegelz (mpmath's Euler-Maclaurin route
+    at these heights) elsewhere and below 200.  The refinement reads z_rs
+    where it exceeds RS_SECANT_MARGIN times its bound, so the bracket
+    shrinks on the formula until its points come close to the zero, and
+    mp.siegelz takes only the last steps; the bracket's end values seed it.
+    Each final bracket is certified by an Euler-Maclaurin sign check whose
+    values exceed their error estimates.
     """
     with working_precision(prec):
         lo = mp.mpf(t_lo)
@@ -344,16 +358,26 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         # siegelz is called from a frame of this module, also inside
         # refine_sign_change, because perfbench's tracer counts only those
         f = lambda t: mp.siegelz(t)
+
+        def z_sign(t, margin):
+            """Z(t) with its sign proved: z_rs's value where it exceeds
+            margin times its bound, else siegelz."""
+            if t >= RS_MIN_T:
+                value, bound = z_rs(t)
+                if abs(value) > margin * bound:
+                    return mp.mpf(value)
+            return f(t)
+
         expected = expected_zero_count(lo, hi, prec=prec)
         rescans = 0
         step_scale = mp.mpf(1)
         while True:
             brackets = []
             u = lo
-            fu = f(u) if u > 0 else None
+            fu = z_sign(u, 1) if u > 0 else None
             while u < hi:
                 v = min(u + _scan_step(u, prec) * step_scale, hi)
-                fv = f(v)
+                fv = z_sign(v, 1)
                 if fu is not None and fu != 0 and (fu > 0) != (fv > 0):
                     brackets.append((u, v, fu, fv))
                 u, fu = v, fv
@@ -365,7 +389,8 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             step_scale /= 2
         zeros = []
         for (a, b, fa, fb) in brackets:
-            zlo, zhi = refine_sign_change(f, a, b, fa, fb,
+            zlo, zhi = refine_sign_change(lambda t: z_sign(t, RS_SECANT_MARGIN),
+                                          a, b, fa, fb,
                                           mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS))
             zeros.append(Zero(gamma=(zlo + zhi) / 2, half_width=(zhi - zlo) / 2))
         for z in zeros:

@@ -10,7 +10,9 @@ constants, each with its reason, added relative to the ambient precision
 because callers use them outside any working precision.  A number is rounded
 once, where it is stored: value objects hold theirs as mpf from construction
 (held), readers use them as stored, and only arguments coming in are rounded
-at the working precision.
+at the working precision.  enclose computes in floats, whatever the
+caller's precision; its one mpmath computation, the Psi series it rounds to
+floats, runs at its own PSI_SERIES_BITS.
 
 Reports are serialized here as well, by one rule: an mpf prints with
 digits_for(prec) significant digits of its own bits.  The one sign-change

@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 
 from hardyz import hardy
+from hardyz.enclose import z_rs
 from hardyz.hardy import (ZERO_HALF_WIDTH_BITS, CapacityError,
                           UnconfirmedSignChangeError, count_stats,
                           expected_zero_count, find_zeros, n_main,
@@ -60,10 +61,18 @@ def test_theta_prime_is_derivative():
 
 def test_z_eval_methods_agree():
     with working_precision(PREC):
+        # below |t| = 500 prec, siegelz is mpmath's Euler-Maclaurin (Hurwitz)
+        # route, so these heights compare two Euler-Maclaurin codes
         for t in (25, 80, 150):
             em = z_eval(t, prec=PREC)
             rs = mp.siegelz(t)
             assert abs(em.z - rs) < mp.mpf(10) ** -25
+            assert em.error_estimate < mp.mpf(10) ** -25
+        # from t = 200 the Riemann-Siegel formula encloses Z
+        for t in (250, 600, 1500):
+            em = z_eval(t, prec=PREC)
+            value, bound = z_rs(t)
+            assert abs(em.z - value) <= bound
             assert em.error_estimate < mp.mpf(10) ** -25
 
 
@@ -176,6 +185,54 @@ def test_zeros_to_100_siegelz_budget(monkeypatch):
     assert len(find_zeros(0, 100, prec=PREC)) == 29
     # bisecting every bracket to 2^-48 took 1521 calls
     assert len(calls) <= 400
+
+
+@pytest.fixture(scope="module")
+def zeros_480_to_500():
+    """find_zeros(480, 500] at PREC and the number of mp.siegelz calls it made."""
+    calls = []
+    siegelz = mp.siegelz
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return siegelz(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mp, "siegelz", counted)
+        zl = find_zeros(480, 500, prec=PREC)
+    return zl, len(calls)
+
+
+def _assert_zetazeros_in_siegelz_brackets(zl, lo, hi):
+    with working_precision(PREC):
+        first = int(mp.nzeros(lo)) + 1
+        assert len(zl) == int(mp.nzeros(hi)) - first + 1
+        for k, z in enumerate(zl.zeros, start=first):
+            assert 0 < z.half_width <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
+            assert (mp.siegelz(z.gamma - z.half_width) > 0) \
+                != (mp.siegelz(z.gamma + z.half_width) > 0)
+            with mp.workdps(20):
+                assert abs(z.gamma - mp.zetazero(k).imag) < mp.mpf(10) ** -12
+
+
+def test_zeros_480_to_500_match_zetazero_inside_sign_change_brackets(
+        zeros_480_to_500):
+    zl, _ = zeros_480_to_500
+    assert len(zl) == 13
+    _assert_zetazeros_in_siegelz_brackets(zl, 480, 500)
+
+
+def test_zeros_480_to_500_siegelz_budget(zeros_480_to_500):
+    zl, calls = zeros_480_to_500
+    # scanning and refining on siegelz alone took 155 calls, 11.9 a zero
+    assert calls <= 7 * len(zl)
+
+
+def test_zeros_straddling_200_match_zetazero():
+    # the scan reads siegelz below t = 200 and z_rs above
+    zl = find_zeros(196, 203, prec=PREC)
+    assert len(zl) == 4
+    _assert_zetazeros_in_siegelz_brackets(zl, 196, 203)
 
 
 def test_sign_change_within_error_estimate_is_not_certified(monkeypatch):

@@ -42,6 +42,7 @@ COMMANDS = [
     "--precision-bits 128 zeros 10 40",
     "--seed 7 --format text verify-lemmas identity",
     "--precision-bits 128 --format csv zeros 10 40",
+    "--precision-bits 128 zeros 480 500",
 ]
 
 ENTRY = "import sys; from hardyz.cli import main; sys.exit(main(sys.argv[1:]))"
