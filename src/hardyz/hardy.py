@@ -2,15 +2,19 @@
 
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  z_eval applies
 Euler-Maclaurin summation to zeta with an explicit truncation bound.  The
-scans read mp.siegelz, which below |t| = 500 mp.prec is mpmath's own
-Euler-Maclaurin (Hurwitz) sum, not Riemann-Siegel, and from t = 200 on
-enclose.z_rs, the Riemann-Siegel formula with Gabcke's remainder bound,
-wherever its enclosure proves Z's sign.  Each sign change the scan brackets
-is refined by Illinois regula falsi (precision.refine_sign_change) to a
-2^-48 bracket, which z_eval then certifies.  Derivatives come from the
-Taylor coefficients of the analytic continuation of Z on a Cauchy circle:
-the half with Im w <= 0 is sampled with the library zeta and Schwarz
-reflection fills the other.
+zero finder reads Z by one rule: below t = 200 from mp.siegelz, and from
+200 on from enclose.z_rs, the Riemann-Siegel formula with Gabcke's
+remainder bound, wherever its enclosure proves Z's sign, else from z_eval.
+mp.siegelz is not Riemann-Siegel below |t| = 500 mp.prec: it is Borwein's
+algorithm up to |t| of about mp.prec + 21 and mpmath's Euler-Maclaurin
+(Hurwitz) sum above that.  Each sign change the scan brackets is refined
+by Illinois regula falsi (precision.refine_sign_change) to a 2^-48
+bracket.  What is proved is a sign change of Z on gamma +- 2^-46
+(gamma +- 2^-38 after one retry): z_eval has opposite signs there, each
+larger than its error estimate.
+Derivatives come from the Taylor coefficients of the analytic continuation
+of Z on a Cauchy circle: the half with Im w <= 0 is sampled with the
+library zeta and Schwarz reflection fills the other.
 _TaylorPatches is the one place that builds such circles and keeps their
 series: z_derivatives_batch reads one patch at its centre, and
 theorem1_explore reads every point of its window from seven.  Richardson
@@ -33,9 +37,6 @@ from .precision import DEFAULT_PREC, digits_for, refine_sign_change, working_pre
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
 MAX_RESCANS = 4
-# Illinois reads a z_rs value only where it is 4 times its bound, so the
-# values its secants use are within 25% of Z
-RS_SECANT_MARGIN = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
 EM_GUARD_BITS = 8  # the Euler-Maclaurin sum rounds about |t|/2 terms
 CONTOUR_BITS_PER_ORDER = 8  # the Cauchy sum for Z^(k) divides by r^k and cancels
@@ -92,20 +93,18 @@ def _theta_complex(w):
 # zeta via Euler-Maclaurin
 
 
-def _zeta_em(s, prec: int) -> Tuple[object, mpf]:
-    """(zeta(s), truncation bound) by Euler-Maclaurin, s != 1, complex s.
+def _zeta_em(t, prec: int) -> Tuple[object, mpf]:
+    """(zeta(1/2 + it), truncation bound) by Euler-Maclaurin.
 
     Runs EM_GUARD_BITS above the ambient precision; prec is the caller's
-    requested bits, which set the term counts.  N = max(|Im s|/2, prec/4, 10)
+    requested bits, which set the term counts.  N = max(t/2, prec/4, 10)
     so the correction terms decay by several bits each; the recorded bound
-    is the standard |s+2K+1|/(sigma+2K+1) multiple of the first omitted term.
+    is the standard |s+2K+1|/(sigma+2K+1) multiple of the first omitted term,
+    with sigma = 1/2.
     """
     with mp.extraprec(EM_GUARD_BITS):
-        sm = mp.mpc(s)
-        if sm == 1:
-            raise ValueError("zeta pole at s = 1")
-        t_abs = abs(sm.imag)
-        N = int(max(mp.ceil(t_abs / 2), prec // 4, 10))
+        sm = mp.mpc(0.5, t)
+        N = int(max(mp.ceil(t / 2), prec // 4, 10))
         total = mp.mpc(0)
         for k in range(1, N):
             total += mp.power(k, -sm)
@@ -121,7 +120,6 @@ def _zeta_em(s, prec: int) -> Tuple[object, mpf]:
         tol = mp.mpf(2) ** (-(prec + 10))
         prev_mag = mp.inf
         k = 1
-        term_mag = mp.inf
         while k <= K_cap:
             b = bern[2 * k]
             term = mp.mpf(b.numerator) / b.denominator / fact * npow * rising
@@ -137,10 +135,7 @@ def _zeta_em(s, prec: int) -> Tuple[object, mpf]:
             npow /= Nm ** 2
             fact *= (2 * k + 1) * (2 * k + 2)
             k += 1
-        sigma = sm.real
-        bound = abs(sm + 2 * k + 1) / abs(sigma + 2 * k + 1) * term_mag
-        if not mp.isfinite(bound):
-            bound = term_mag
+        bound = abs(sm + 2 * k + 1) / (2 * k + mp.mpf(1.5)) * term_mag
         return +total, +bound
 
 
@@ -159,16 +154,18 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
     """Z(t) = e^{i theta(t)} zeta(1/2 + it) by Euler-Maclaurin, real output.
 
     The error estimate is the Euler-Maclaurin truncation bound plus the
-    imaginary residue of the complex product.  The Riemann-Siegel route is
-    enclose.z_rs, for t >= 200, and the tests check that this value lies in
-    its enclosure.  Below 200 they compare it with mp.siegelz, which there
-    is mpmath's own Euler-Maclaurin route.
+    imaginary residue of the complex product.  find_zeros reads it from
+    t = 200 on wherever enclose.z_rs cannot prove the sign, and it checks
+    every zero's sign change.  The Riemann-Siegel route is enclose.z_rs, for
+    t >= 200, and the tests check that this value lies in its enclosure.
+    Below 200 they compare it with mp.siegelz, which there is Borwein's
+    algorithm or mpmath's own Euler-Maclaurin route.
     """
     with working_precision(prec):
         tm = mp.mpf(t)
         if tm < 0:
             raise ValueError("t must be >= 0")
-        zeta_val, zeta_err = _zeta_em(mp.mpf(0.5) + 1j * tm, prec)
+        zeta_val, zeta_err = _zeta_em(tm, prec)
         phase = mp.e ** (1j * theta(tm, prec=prec + THETA_GUARD_BITS))
         zc = phase * zeta_val
         err = zeta_err + abs(zc.imag)
@@ -190,8 +187,8 @@ def _z_complex(w):
 def _contour_size(bits: int, kmax: int) -> int:
     """M, the number of points on a contour that serves orders up to kmax
     with samples at the given bits: the power of two at or above
-    bits/2 + 8 kmax + 16, and at least 64."""
-    return 2 ** max(6, (bits // 2 + 8 * kmax + 15).bit_length())
+    bits/2 + 8 kmax + 16.  The samples carry at least 96 bits, so M >= 64."""
+    return 2 ** (bits // 2 + 8 * kmax + 15).bit_length()
 
 
 def _z_taylor(centre, radius, M: int,
@@ -310,10 +307,9 @@ class ZeroList:
 
 
 def _scan_step(t, prec: int) -> mpf:
-    """pi/(4 theta'(t)) clamped: theta' is small or negative below ~18."""
-    tp = theta_prime(max(mp.mpf(t), mp.mpf(20)), prec=prec)
-    tp = max(tp, mp.mpf(0.5))
-    return mp.pi / (4 * tp)
+    """pi/(4 theta'(max(t, 20))): theta' is small or negative below ~18, and
+    rises from theta'(20) = 0.579."""
+    return mp.pi / (4 * theta_prime(max(mp.mpf(t), mp.mpf(20)), prec=prec))
 
 
 def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
@@ -335,38 +331,35 @@ def _certified_sign_change(t, w, prec: int) -> bool:
 
 def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     """All sign-change zeros of Z in (t_lo, t_hi], each the midpoint of a
-    sign-change bracket of half-width <= 2^-48 refined by Illinois regula
-    falsi.
+    bracket of half-width <= 2^-48 refined by Illinois regula falsi.
 
     Scans a finite window at step pi/(4 theta'); the count is cross-checked
     against the smooth theta-based estimate and the scan is repeated at half
     step (up to MAX_RESCANS times) when a missed close pair is suspected.
-    From t = 200 on, a point's sign comes from enclose.z_rs where its value
-    exceeds its bound, and from mp.siegelz (mpmath's Euler-Maclaurin route
-    at these heights) elsewhere and below 200.  The refinement reads z_rs
-    where it exceeds RS_SECANT_MARGIN times its bound, so the bracket
-    shrinks on the formula until its points come close to the zero, and
-    mp.siegelz takes only the last steps; the bracket's end values seed it.
-    Each final bracket is certified by an Euler-Maclaurin sign check whose
-    values exceed their error estimates.
+    The scan and the refinement read Z by one rule: below t = 200 from
+    mp.siegelz, and from 200 on from enclose.z_rs where its value exceeds
+    its bound, else from z_eval; the scan's values seed the refinement.
+    What is proved about a zero is the Euler-Maclaurin sign check that
+    follows: z_eval has opposite signs at gamma - 2^-46 and gamma + 2^-46
+    (or, after one retry, at gamma +- 2^-38), each value larger than its
+    error estimate.  The signs at the ends of the 2^-48 bracket come from
+    z_rs, which proves them, or from a value with no bound.
     """
     with working_precision(prec):
         lo = mp.mpf(t_lo)
         hi = mp.mpf(t_hi)
         if not (hi > lo >= 0 and mp.isfinite(hi)):
             raise ValueError("need finite t_hi > t_lo >= 0")
-        # siegelz is called from a frame of this module, also inside
-        # refine_sign_change, because perfbench's tracer counts only those
-        f = lambda t: mp.siegelz(t)
 
-        def z_sign(t, margin):
-            """Z(t) with its sign proved: z_rs's value where it exceeds
-            margin times its bound, else siegelz."""
-            if t >= RS_MIN_T:
-                value, bound = z_rs(t)
-                if abs(value) > margin * bound:
-                    return mp.mpf(value)
-            return f(t)
+        def z_sign(t):
+            """Z(t): mp.siegelz below 200; from 200 on z_rs's value where it
+            proves the sign, else z_eval's."""
+            if t < RS_MIN_T:
+                return mp.siegelz(t)
+            value, bound = z_rs(t)
+            if abs(value) > bound:
+                return mp.mpf(value)
+            return z_eval(t, prec=prec).z
 
         expected = expected_zero_count(lo, hi, prec=prec)
         rescans = 0
@@ -374,10 +367,10 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         while True:
             brackets = []
             u = lo
-            fu = z_sign(u, 1) if u > 0 else None
+            fu = z_sign(u) if u > 0 else None
             while u < hi:
                 v = min(u + _scan_step(u, prec) * step_scale, hi)
-                fv = z_sign(v, 1)
+                fv = z_sign(v)
                 if fu is not None and fu != 0 and (fu > 0) != (fv > 0):
                     brackets.append((u, v, fu, fv))
                 u, fu = v, fv
@@ -389,13 +382,12 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             step_scale /= 2
         zeros = []
         for (a, b, fa, fb) in brackets:
-            zlo, zhi = refine_sign_change(lambda t: z_sign(t, RS_SECANT_MARGIN),
-                                          a, b, fa, fb,
+            zlo, zhi = refine_sign_change(z_sign, a, b, fa, fb,
                                           mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS))
             zeros.append(Zero(gamma=(zlo + zhi) / 2, half_width=(zhi - zlo) / 2))
+        w = mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS + 2)
         for z in zeros:
-            w = max(z.half_width * 4, mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS + 2))
-            # widen once; a second failure means the bracket is not certified
+            # widen once; a second failure means the sign change is not proved
             if not (_certified_sign_change(z.gamma, w, prec)
                     or _certified_sign_change(z.gamma, w * 256, prec)):
                 raise UnconfirmedSignChangeError(
@@ -555,7 +547,7 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
         m_theorem = int(mp.floor(Cm * mp.log(Tm) * mp.log(mp.log(Tm))))
         m_used = max(1, min(m_theorem, m_cap))
         orders = list(range(1, 2 * m_used, 2)) + [2 * m_used]
-        step = mp.pi / (8 * max(theta_prime(Tm, prec=prec), mp.mpf(0.25)))
+        step = mp.pi / (8 * theta_prime(Tm, prec=prec))  # theta'(30) = 0.78
         grid = []
         u = Tm - 2 * mp.pi
         while u <= Tm + 2 * mp.pi:
@@ -578,8 +570,8 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
                     v = abs(patches.derivative(u, k))
                     if v > maxima[k][0]:
                         maxima[k] = (v, u)
-        shrink = 1 - mp.log(mp.log(mp.log(Tm))) / mp.log(mp.log(Tm)) \
-            if mp.log(mp.log(Tm)) > 1 and mp.log(Tm) > mp.e else mp.mpf(1)
+        # T >= 30, so log log T > 1 and the factor lies in (0, 1)
+        shrink = 1 - mp.log(mp.log(mp.log(Tm))) / mp.log(mp.log(Tm))
         log_scale = mp.log(mp.sqrt(Tm / (2 * mp.pi)))
         rows = []
         witness_k = None

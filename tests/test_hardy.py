@@ -4,6 +4,7 @@ Kept at 128 bits so the whole file stays inside a desk-scale budget.
 """
 
 import dataclasses
+import sys
 
 import pytest
 from mpmath import mp
@@ -61,8 +62,8 @@ def test_theta_prime_is_derivative():
 
 def test_z_eval_methods_agree():
     with working_precision(PREC):
-        # below |t| = 500 prec, siegelz is mpmath's Euler-Maclaurin (Hurwitz)
-        # route, so these heights compare two Euler-Maclaurin codes
+        # at these heights and PREC, siegelz is Borwein's algorithm (mpmath
+        # uses it up to |t| of about mp.prec + 21, 165 here)
         for t in (25, 80, 150):
             em = z_eval(t, prec=PREC)
             rs = mp.siegelz(t)
@@ -189,18 +190,24 @@ def test_zeros_to_100_siegelz_budget(monkeypatch):
 
 @pytest.fixture(scope="module")
 def zeros_480_to_500():
-    """find_zeros(480, 500] at PREC and the number of mp.siegelz calls it made."""
-    calls = []
-    siegelz = mp.siegelz
+    """find_zeros(480, 500] at PREC and the numbers of mp.siegelz and z_eval
+    calls it made."""
+    calls = {"siegelz": 0, "z_eval": 0}
+    siegelz, z_eval_exact = mp.siegelz, hardy.z_eval
 
-    def counted(*args, **kwargs):
-        calls.append(args)
+    def counted_siegelz(*args, **kwargs):
+        calls["siegelz"] += 1
         return siegelz(*args, **kwargs)
 
+    def counted_z_eval(*args, **kwargs):
+        calls["z_eval"] += 1
+        return z_eval_exact(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mp, "siegelz", counted)
+        patch.setattr(mp, "siegelz", counted_siegelz)
+        patch.setattr(hardy, "z_eval", counted_z_eval)
         zl = find_zeros(480, 500, prec=PREC)
-    return zl, len(calls)
+    return zl, calls
 
 
 def _assert_zetazeros_in_siegelz_brackets(zl, lo, hi):
@@ -224,14 +231,28 @@ def test_zeros_480_to_500_match_zetazero_inside_sign_change_brackets(
 
 def test_zeros_480_to_500_siegelz_budget(zeros_480_to_500):
     zl, calls = zeros_480_to_500
-    # scanning and refining on siegelz alone took 155 calls, 11.9 a zero
-    assert calls <= 7 * len(zl)
+    # above t = 200, Z is read from z_rs where it proves the sign and from
+    # z_eval elsewhere: 96 z_eval calls, 7.4 a zero, two of them the check
+    assert calls["siegelz"] == 0
+    assert calls["z_eval"] <= 8 * len(zl)
 
 
-def test_zeros_straddling_200_match_zetazero():
-    # the scan reads siegelz below t = 200 and z_rs above
+def test_zeros_straddling_200_match_zetazero(monkeypatch):
+    # the scan and the refinement read siegelz below t = 200 and z_rs or
+    # z_eval from 200 on; every siegelz call comes from hardy, below 200
+    calls = []
+    siegelz = mp.siegelz
+
+    def recorded(t, *args, **kwargs):
+        calls.append((t, sys._getframe(1).f_globals["__name__"]))
+        return siegelz(t, *args, **kwargs)
+
+    monkeypatch.setattr(mp, "siegelz", recorded)
     zl = find_zeros(196, 203, prec=PREC)
+    monkeypatch.undo()
     assert len(zl) == 4
+    assert calls
+    assert all(t < 200 and caller == "hardyz.hardy" for t, caller in calls)
     _assert_zetazeros_in_siegelz_brackets(zl, 196, 203)
 
 

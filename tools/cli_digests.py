@@ -43,6 +43,8 @@ COMMANDS = [
     "--seed 7 --format text verify-lemmas identity",
     "--precision-bits 128 --format csv zeros 10 40",
     "--precision-bits 128 zeros 480 500",
+    "--precision-bits 64 zeros 480 500",
+    "zeros 195 215",
 ]
 
 ENTRY = "import sys; from hardyz.cli import main; sys.exit(main(sys.argv[1:]))"
