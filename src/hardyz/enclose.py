@@ -25,6 +25,11 @@ On the circle |x| = 1 the numerator is at most cosh(2pi), since
 least sinh(0.4 pi) > 1.6, and elsewhere |Re x| > 0.979, so
 cos(2pi Re x) > cos(0.127) > 0.99.  Hence |Psi| < cosh(2pi)/0.99 < 271
 there, and Cauchy's estimates give |a_j| < 271 and the bounds z_rs uses.
+
+z_log_majorant(c, R) bounds |Z| on the circle of radius R about a real c,
+off the real line: hardy._TaylorPatches sizes its Cauchy contours from it.
+It sums no zeta and no loggamma: Stirling's formula bounds the phase and an
+Euler-Maclaurin majorant bounds zeta (see its docstring).
 """
 
 from __future__ import annotations
@@ -43,10 +48,12 @@ GABCKE_D1 = 0.053  # |R(t)| <= GABCKE_D1 tau^-5/2 (see z_rs)
 PSI_TERMS = 40  # a_0..a_39; the truncated tails are below 2^-49 (see z_rs)
 PSI_SERIES_BITS = 4 * PSI_TERMS + 96  # the series division loses 4 bits a term
 ROUNDING_ALLOWANCE = 2.0 ** -40  # per unit of the magnitudes named in z_rs
-# log Gamma's Stirling sum keeps B_2..B_8; B_10 = 5/66 bounds its remainder
+# log Gamma's Stirling sum keeps B_2..B_8; B_10 = 5/66 bounds its remainder.
+# z_log_majorant's Euler-Maclaurin majorant of zeta uses B_2..B_8 too.
 STIRLING_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30)
 STIRLING_NEXT_BERNOULLI = 5 / 66
 EPS = 2.0 ** -53  # unit roundoff of a float
+LOG_2PI = math.log(2 * math.pi)
 
 
 @lru_cache(maxsize=1)
@@ -177,3 +184,82 @@ def z_rs(t) -> Tuple[float, float]:
     bound = (GABCKE_D1 * tau ** -2.5 + sum_scale * stirling
              + ROUNDING_ALLOWANCE * (sum_scale * x * math.log(x) + 8 * (tau + 1)))
     return value, bound
+
+
+def _log_z_box(s0: float, s1: float, x0: float, x1: float) -> float:
+    """An upper bound on log |Z(w)| for s = 1/2 + iw = sigma + ix in the box
+    s0 <= sigma <= s1, x0 <= x <= x1, where 1/2 <= s0 and s = 1 is outside.
+    See z_log_majorant for the two bounds it adds up."""
+    x_hi = max(abs(x0), abs(x1))
+    x_lo = 0.0 if x0 <= 0 <= x1 else min(abs(x0), abs(x1))
+    s_hi, s_lo = math.hypot(s1, x_hi), math.hypot(s0, x_lo)
+    log_s = math.log(s_hi)
+    log_phase = (math.log(2) + LOG_2PI / 2 - s0 * (LOG_2PI + 1)
+                 + max((s0 - 0.5) * log_s, (s1 - 0.5) * log_s)
+                 + x_hi * math.atan2(s1, x_hi)
+                 + math.log((1 + math.exp(-math.pi * x_lo)) / 2) + 1 / (6 * s_lo)) / 2
+    pole = math.hypot(max(0.0, s0 - 1, 1 - s1), x_lo)
+    corrections = len(STIRLING_BERNOULLI) - 1  # B_2, B_4, B_6; B_8 bounds the rest
+    n = max(2, math.ceil((s_hi + 2 * corrections + 1) / math.pi))
+    zeta = (math.fsum(j ** -s0 for j in range(1, n)) + n ** -s0 / 2
+            + n ** (1 - s0) / pole)
+    rising, factorial = s_hi, 2.0  # |s (s+1) .. (s+2j-2)| and (2j)!
+    for j, bern in enumerate(STIRLING_BERNOULLI, start=1):
+        term = abs(bern) / factorial * rising * n ** (1 - s0 - 2 * j)
+        if j > corrections:
+            term *= math.hypot(s1 + 2 * j - 1, x_hi) / (s0 + 2 * j - 1)
+        zeta += term
+        rising *= math.hypot(s1 + 2 * j - 1, x_hi) * math.hypot(s1 + 2 * j, x_hi)
+        factorial *= (2 * j + 1) * (2 * j + 2)
+    return log_phase + math.log(zeta)
+
+
+def z_log_majorant(centre, radius) -> float:
+    """An upper bound on log |Z(w)| over the circle |w - centre| = radius,
+    for a real centre and 0 < radius < sqrt(centre^2 + 1/4).
+
+    Z is analytic inside that radius: its singularities nearest the real
+    line are at w = +-i/2, where zeta has its pole and theta its branch
+    points.  Z is even and real on the real line, so |Z(-w)| = |Z(w)| and
+    |Z(conj w)| = |Z(w)|; only the half-circle with Im w <= 0 about |centre|
+    is bounded.  There s = 1/2 + iw = sigma + ix has sigma >= 1/2.
+
+    1. The phase.  |e^{i theta(w)}|^2 = |Gamma(s/2)/Gamma((1-s)/2)| pi^(1/2-sigma),
+       and the reflection and duplication formulas turn that into
+       2 (2 pi)^-sigma |Gamma(s)| |cos(pi s/2)|.  Stirling's formula with
+       Stieltjes' bound on its remainder (Olver, Asymptotics and Special
+       Functions, 1974, ch. 8 sec. 4; |arg s| < pi/2 makes the secant
+       factor at most 2) gives
+       log |Gamma(s)| <= (sigma - 1/2) log|s| - x arg s - sigma
+       + log(2 pi)/2 + 1/(6|s|), and |cos(pi s/2)| <= cosh(pi x/2).  With
+       pi|x|/2 - |x| arg s = |x| atan2(sigma, |x|) no large terms cancel.
+    2. zeta.  Euler-Maclaurin summation with n terms and the corrections
+       B_2, B_4, B_6, whose remainder is at most |s + 7|/(sigma + 7) times
+       the first omitted term, the one with B_8 (Edwards, Riemann's Zeta
+       Function, 1974, sec. 6.4).  Every term is bounded by its modulus,
+       with |j^-s| = j^-sigma, so no zeta is evaluated.  n > (|s| + 7)/pi
+       keeps the corrections falling by 4 a step.
+
+    The half-circle is cut into arcs, each inside a box in (sigma, x).  On a
+    box every term is bounded at its worst corner: each is monotone in
+    sigma and in |x| (|x| atan2(sigma, |x|) rises with both), except
+    (sigma - 1/2) log|s|, bounded by (sigma - 1/2) log max|s| at an end of
+    the sigma range.  The arcs are short enough (length at most gap/(2
+    sqrt 2), gap the distance from the circle to s = 1) that every box
+    stays gap/2 away from the pole.  The bound is computed in floats and
+    raised by log 2, which covers their rounding many times over.
+    """
+    c, r = abs(float(centre)), float(radius)
+    gap = math.hypot(c, 0.5) - r
+    if not (r > 0 and gap > 0):
+        raise ValueError(f"radius {radius} must lie in (0, {math.hypot(c, 0.5)})")
+    arcs = 16 + math.ceil(2 * r) + math.ceil(9 * r / gap)
+    best = -math.inf
+    for i in range(arcs):
+        a, b = math.pi * i / arcs, math.pi * (i + 1) / arcs
+        y0, y1 = sorted((r * math.sin(a), r * math.sin(b)))
+        if a <= math.pi / 2 <= b:
+            y1 = r
+        best = max(best, _log_z_box(0.5 + y0, 0.5 + y1,
+                                    c + r * math.cos(b), c + r * math.cos(a)))
+    return best + math.log(2)

@@ -1,13 +1,14 @@
 """Hardy Z function engine: evaluation, derivatives, zeros, counting.
 
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  z_eval applies
-Euler-Maclaurin summation to zeta with an explicit truncation bound.  The
-zero finder reads Z by one rule: below t = 200 from mp.siegelz, and from
-200 on from enclose.z_rs, the Riemann-Siegel formula with Gabcke's
-remainder bound, wherever its enclosure proves Z's sign, else from z_eval.
+Euler-Maclaurin summation to zeta with an explicit truncation bound.
 mp.siegelz is not Riemann-Siegel below |t| = 500 mp.prec: it is Borwein's
 algorithm up to |t| of about mp.prec + 21 and mpmath's Euler-Maclaurin
-(Hurwitz) sum above that.  Each sign change the scan brackets is refined
+(Hurwitz) sum above that, which costs more than z_eval.  So the zero finder
+reads Z by one rule: up to t = mp.prec + 21 from mp.siegelz, from there to
+t = 200 from z_eval, and from 200 on from enclose.z_rs, the Riemann-Siegel
+formula with Gabcke's remainder bound, wherever its enclosure proves Z's
+sign, else from z_eval.  Each sign change the scan brackets is refined
 by Illinois regula falsi (precision.refine_sign_change) to a 2^-48
 bracket.  What is proved is a sign change of Z on gamma +- 2^-46
 (gamma +- 2^-38 after one retry): z_eval has opposite signs there, each
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .enclose import RS_MIN_T, z_rs
+from .enclose import RS_MIN_T, z_log_majorant, z_rs
 from .polynomials import bernoulli_numbers, horner
 from .precision import DEFAULT_PREC, digits_for, refine_sign_change, working_precision
 
@@ -39,12 +41,11 @@ ZERO_HALF_WIDTH_BITS = 48
 MAX_RESCANS = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
 EM_GUARD_BITS = 8  # the Euler-Maclaurin sum rounds about |t|/2 terms
-CONTOUR_BITS_PER_ORDER = 8  # the Cauchy sum for Z^(k) divides by r^k and cancels
-CONTOUR_GUARD_BITS = 32  # contour samples: zeta and loggamma off the line, at any order
-CONTOUR_SUM_GUARD_BITS = 16  # the sample points and the Cauchy sums, above the samples
-CONTOUR_RADIUS = 2  # Cauchy circles; z_derivatives_batch shrinks it to t/2 + 1/4 near 0
-FD_BITS_PER_ORDER = 12  # z_derivative_fd: a k-th difference loses bits with k
-FD_GUARD_BITS = 24  # z_derivative_fd: bits on top of the per-order ones
+CONTOUR_RADIUS = 2  # Cauchy circles; z_derivatives_batch shrinks it to |t|/2 + 1/4 near 0
+SAMPLE_ULPS = 16  # assumed error of a contour sample (see _TaylorPatches)
+SIEGELZ_MAX_DERIVATIVE = 4  # mp.siegelz(t, derivative=k) takes k <= 4
+FD_BITS_PER_ORDER = 12  # z_derivative_fd's differences: a k-th difference loses bits with k
+FD_GUARD_BITS = 24  # z_derivative_fd: bits above the working precision, on top of those
 
 
 class CapacityError(ValueError):
@@ -154,9 +155,10 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
     """Z(t) = e^{i theta(t)} zeta(1/2 + it) by Euler-Maclaurin, real output.
 
     The error estimate is the Euler-Maclaurin truncation bound plus the
-    imaginary residue of the complex product.  find_zeros reads it from
-    t = 200 on wherever enclose.z_rs cannot prove the sign, and it checks
-    every zero's sign change.  The Riemann-Siegel route is enclose.z_rs, for
+    imaginary residue of the complex product.  find_zeros reads it between
+    mpmath's Borwein limit (t = mp.prec + 21) and t = 200, and from 200 on
+    wherever enclose.z_rs cannot prove the sign, and it checks every zero's
+    sign change.  The Riemann-Siegel route is enclose.z_rs, for
     t >= 200, and the tests check that this value lies in its enclosure.
     Below 200 they compare it with mp.siegelz, which there is Borwein's
     algorithm or mpmath's own Euler-Maclaurin route.
@@ -184,17 +186,9 @@ def _z_complex(w):
 # derivatives
 
 
-def _contour_size(bits: int, kmax: int) -> int:
-    """M, the number of points on a contour that serves orders up to kmax
-    with samples at the given bits: the power of two at or above
-    bits/2 + 8 kmax + 16.  The samples carry at least 96 bits, so M >= 64."""
-    return 2 ** (bits // 2 + 8 * kmax + 15).bit_length()
-
-
-def _z_taylor(centre, radius, M: int,
-              indices: Iterable[int]) -> Tuple[Dict[int, mpf], mpf]:
-    """({n: a_n}, max |Z| sampled): Taylor coefficients of Z about the real
-    point centre, for each n in indices, from one circle of M points.
+def _z_taylor(centre, radius, M: int, count: int, bits: int) -> List[mpf]:
+    """[a_0, .., a_(count-1)], count <= M: Taylor coefficients of Z about the
+    real point centre, from one circle of M points, all at the given bits.
 
     Only the M/2 + 1 points with Im w <= 0 are sampled, where zeta sits at
     sigma >= 1/2.  The Schwarz reflection Z(conj w) = conj Z(w) fills the
@@ -202,42 +196,45 @@ def _z_taylor(centre, radius, M: int,
     commutes with conjugation away from its cut.  a_n r^n is then the
     trapezoid sum (Re f_0 + (-1)^n Re f_{M/2} + 2 sum_{0<j<M/2} Re(f_j u^(nj)))/M
     over one table of M-th roots of unity u^j, with f_j = Z(centre + r u^-j).
-    The samples are taken at the ambient precision; the points and the sums
-    carry CONTOUR_SUM_GUARD_BITS more.  The sums run in fixed point, with
-    as many fraction bits as the points carry: the integer products are
-    exact, so each input and each sum is rounded once.
+    For every n < M that sum is a_n plus the aliases a_(n+jM) r^(jM), j >= 1.
+    The sums run in fixed point with `bits` fraction bits: the integer
+    products are exact, so each input is truncated once and each sum
+    rounded once.
     """
     half = M // 2
-    with mp.extraprec(CONTOUR_SUM_GUARD_BITS):
+    with mp.workprec(bits):
         r = mp.mpf(radius)
         roots = mp.unitroots(M)
-        points = [mp.mpf(centre) + r * mp.conj(roots[j]) for j in range(half + 1)]
-    samples = [_z_complex(w) for w in points]
-    with mp.extraprec(CONTOUR_SUM_GUARD_BITS):
-        bits = mp.prec
+        samples = [_z_complex(centre + r * mp.conj(roots[j])) for j in range(half + 1)]
 
         def fixed(xs):
             return [int(mp.ldexp(x, bits)) for x in xs]
 
         f_re, f_im = fixed(f.real for f in samples), fixed(f.imag for f in samples)
         u_re, u_im = fixed(u.real for u in roots), fixed(u.imag for u in roots)
-        coeffs = {}
-        for n in indices:
+        coeffs = []
+        for n in range(count):
             acc = 2 * sum(f_re[j] * u_re[n * j % M] - f_im[j] * u_im[n * j % M]
                           for j in range(1, half))
             acc += (f_re[0] + (-1) ** n * f_re[half]) << bits
-            coeffs[n] = mp.ldexp(acc, -2 * bits) / (M * r ** n)
-        return coeffs, max(abs(f) for f in samples)
+            coeffs.append(mp.ldexp(acc, -2 * bits) / (M * r ** n))
+        return coeffs
 
 
 def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
-    """Cross-check path: Richardson-extrapolated finite differences of
-    mp.siegelz at elevated precision."""
+    """Cross-check path for the contour derivatives, sharing no code with
+    them: mpmath's own Z^(k) for k <= 4 (mp.siegelz(t, derivative=k), which
+    combines zeta's derivatives with theta's), and Richardson-extrapolated
+    finite differences of mp.siegelz above that, at elevated precision."""
     if k < 0:
         raise ValueError("k must be >= 0")
     with working_precision(prec):
-        with mp.extraprec(FD_BITS_PER_ORDER * k + FD_GUARD_BITS):
-            d = mp.diff(mp.siegelz, mp.mpf(t), k)
+        if k <= SIEGELZ_MAX_DERIVATIVE:
+            with mp.extraprec(FD_GUARD_BITS):
+                d = mp.siegelz(mp.mpf(t), derivative=k)
+        else:
+            with mp.extraprec(FD_BITS_PER_ORDER * k + FD_GUARD_BITS):
+                d = mp.diff(mp.siegelz, mp.mpf(t), k)
         return +d
 
 
@@ -245,9 +242,11 @@ def z_derivatives_batch(t, orders: Sequence[int],
                         prec: int = DEFAULT_PREC) -> Dict[int, mpf]:
     """All requested derivative orders from a single contour about t: the
     centre read of one Taylor patch (_TaylorPatches over the width-0 window
-    [t, t]) of radius min(CONTOUR_RADIUS, t/2 + 1/4), which keeps the circle
-    inside the disc where Z is analytic: its nearest singularities are at
-    w = +-i/2.
+    [t, t]) of radius min(CONTOUR_RADIUS, |t|/2 + 1/4), which keeps the
+    circle inside the disc where Z is analytic: its nearest singularities
+    are at w = +-i/2.  _TaylorPatches sizes M and the sample bits from its
+    proved error bound, so near t = 0, where that disc is small, the circle
+    gets more points, not fewer bits.
     """
     orders = sorted(set(int(k) for k in orders))
     if not orders:
@@ -256,7 +255,7 @@ def z_derivatives_batch(t, orders: Sequence[int],
         raise ValueError("orders must be >= 0")
     with working_precision(prec):
         tm = mp.mpf(t)
-        radius = min(mp.mpf(CONTOUR_RADIUS), tm / 2 + mp.mpf(0.25))
+        radius = min(mp.mpf(CONTOUR_RADIUS), abs(tm) / 2 + mp.mpf(0.25))
         patch = _TaylorPatches(tm, tm, radius, orders, prec)
         return {k: patch.derivative(tm, k) for k in orders}
 
@@ -336,9 +335,10 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     Scans a finite window at step pi/(4 theta'); the count is cross-checked
     against the smooth theta-based estimate and the scan is repeated at half
     step (up to MAX_RESCANS times) when a missed close pair is suspected.
-    The scan and the refinement read Z by one rule: below t = 200 from
-    mp.siegelz, and from 200 on from enclose.z_rs where its value exceeds
-    its bound, else from z_eval; the scan's values seed the refinement.
+    The scan and the refinement read Z by one rule: up to t = mp.prec + 21
+    (165 at 128 bits) from mp.siegelz, from there to t = 200 from z_eval,
+    and from 200 on from enclose.z_rs where its value exceeds its bound,
+    else from z_eval; the scan's values seed the refinement.
     What is proved about a zero is the Euler-Maclaurin sign check that
     follows: z_eval has opposite signs at gamma - 2^-46 and gamma + 2^-46
     (or, after one retry, at gamma +- 2^-38), each value larger than its
@@ -351,11 +351,18 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         if not (hi > lo >= 0 and mp.isfinite(hi)):
             raise ValueError("need finite t_hi > t_lo >= 0")
 
+        # mpmath 1.3.0's siegelz adds 21 bits and hands 1/2 + it to zeta,
+        # whose Borwein route (libmp.gammazeta.mpc_zeta) refuses |s| > mp.prec;
+        # above that it sums the Hurwitz zeta by Euler-Maclaurin, which costs
+        # 2-3 times z_eval near a zero
+        borwein_limit = mp.prec + 21
+
         def z_sign(t):
-            """Z(t): mp.siegelz below 200; from 200 on z_rs's value where it
-            proves the sign, else z_eval's."""
+            """Z(t): below 200, mp.siegelz up to borwein_limit and z_eval
+            above it; from 200 on z_rs's value where it proves the sign,
+            else z_eval's."""
             if t < RS_MIN_T:
-                return mp.siegelz(t)
+                return mp.siegelz(t) if t <= borwein_limit else z_eval(t, prec=prec).z
             value, bound = z_rs(t)
             if abs(value) > bound:
                 return mp.mpf(value)
@@ -463,60 +470,190 @@ class ExploreReport:
         "margins are raw data", init=False)
 
 
+def _log_add(*logs: float) -> float:
+    """log(sum e^x) for the given logs."""
+    top = max(logs)
+    if top in (-math.inf, math.inf):
+        return top
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
 class _TaylorPatches:
     """Z^(k) on [lo, hi] from truncated Taylor series of Z, one contour
     each; the only code that builds a contour.
 
     count = ceil((hi - lo)/r) patches (at least one) of width
     (hi - lo)/count <= r tile the interval, and a point is read by Horner
-    from the series about its nearest centre, at most q r <= r/2 away.
-    Every circle has the given radius r and M = _contour_size(bits, kmax)
-    points.  Its samples are elevated with the largest order kmax (the r^-k
-    factor amplifies sample noise): CONTOUR_BITS_PER_ORDER bits per order on
-    top of CONTOUR_GUARD_BITS.  Each series keeps a_n for n < N = M/2, or
+    from the series about its nearest centre, at most d = width/2 away.
+    Every circle has the given radius r, the same number M of points and
+    the same sample bits, and each series keeps a_n for n < N = M - 1, or
     for n <= kmax on a width-0 window, which is read only at its centre.
 
-    series_error is the largest Cauchy-estimate bound on the truncation over
-    patches and orders: |a_n| <= M_r r^-n gives
-    M_r r^-k sum_{n>=N} n!/(n-k)! q^(n-k), with M_r the largest |Z| sampled
-    on a circle.  The sum is bounded by its first term over 1 - rho, rho the
-    ratio of its first two terms (the ratios fall with n), and it is 0 at
-    width 0.  The aliasing of a_(n+M) r^M into a_n by the M-point sum is not
-    bounded.
+    The error of a read is bounded from A, an upper bound on |Z| over the
+    circles of a larger radius R about the centres (enclose.z_log_majorant;
+    R < sqrt(c^2 + 1/4), the distance to the singularities +-i/2), through
+    Cauchy's estimate |a_n| <= A R^-n.  The M-point sum returns a_n plus
+    sum_{j>=1} a_(n+jM) r^(jM) (Trefethen and Weideman, SIAM Review 56,
+    2014), so for Z^(k) at distance <= d from a centre, with q = r/R:
+    - aliasing is at most A q^M/(1 - q^M) k! R/(R - d)^(k+1);
+    - truncation is at most A R^-k sum_{n>=N} n!/(n-k)! (d/R)^(n-k),
+      bounded by its first term over 1 - rho, rho the ratio of its first
+      two terms (the ratios fall with n); it is 0 at width 0;
+    - rounding: each sample is assumed within
+      SAMPLE_ULPS (1 + W log(2 + W)) 2^-bits m of Z at its exact point, W the
+      largest |w| sampled and m = z_log_majorant's bound on the r-circles.
+      mpmath guarantees nothing for zeta or loggamma; W log W is the size of
+      theta(w), whose ulps become Z's relative error, and measured errors
+      stay below 1.4 such units.  The fixed-point sums add 2 (m + 2) 2^-bits
+      a sample, and a sample error delta moves Z^(k) by at most
+      delta k! r/(r - d)^(k+1).  Forming the coefficients, the Horner pass
+      and rounding h = u - centre add (3N + 6) 2^-bits S, and rounding the
+      read to the working precision 2^-mp.prec S, with
+      S = max sum_n |a_n| n!/(n-k)! d^(n-k) over the patches.
+    series_error is the largest sum of the three over the orders, doubled,
+    which covers the second-order rounding terms and the floats the bound is
+    computed in.
+
+    M, N and the bits come from one budget: 2^-prec times the largest
+    |Z^(k)| read at the centres over the orders, taken as 1 until the
+    circles are sampled.  M is the smallest even M whose aliasing and
+    truncation take at most a quarter of it at every order, with R the
+    radius that allows the smallest M (tried at r (R_max/r)^(j/16),
+    j = 1..15, about the centre farthest from 0, R_max the reach above);
+    the bits are the fewest whose rounding, with
+    S <= (m + 1) k! r/(r - d)^(k+1), takes at most an eighth.  If
+    series_error then exceeds the budget the reads set (where the largest
+    read is below 1; it counts as at least 2^-prec), the circles are sized
+    for that budget and sampled once more.
     """
 
     def __init__(self, lo, hi, radius, orders: Sequence[int], prec: int):
         kmax = max(orders)
         if kmax > MAX_DERIVATIVE_ORDER:
             raise CapacityError(f"order {kmax} exceeds {MAX_DERIVATIVE_ORDER}")
-        self.extra = CONTOUR_BITS_PER_ORDER * kmax + CONTOUR_GUARD_BITS
         self.lo = lo
         r = mp.mpf(radius)
         self.count = max(1, int(mp.ceil((hi - lo) / r)))
         self.width = (hi - lo) / self.count
-        self.centres: List[mpf] = []
+        self.centres = [lo + (i + mp.mpf(0.5)) * self.width for i in range(self.count)]
         self.series: List[Dict[int, List[mpf]]] = []  # per patch and order
-        max_abs = mp.mpf(0)
-        with mp.extraprec(self.extra):
-            M = _contour_size(prec + self.extra, kmax)
-            N = M // 2 if self.width else kmax + 1
-            for i in range(self.count):
-                c = lo + (i + mp.mpf(0.5)) * self.width
-                a, m_r = _z_taylor(c, r, M, range(N))
-                max_abs = max(max_abs, m_r)
-                self.centres.append(c)
-                with mp.extraprec(CONTOUR_SUM_GUARD_BITS):
-                    self.series.append({k: [a[n] * mp.ff(n, k) for n in range(k, N)]
-                                        for k in orders})
-            q = self.width / (2 * r)
-            self.series_error = max_abs * max(
-                mp.ff(N, k) * q ** (N - k) / (1 - q * (N + 1) / (N + 1 - k)) / r ** k
-                for k in orders)
+        self._orders = sorted(orders)
+        self._r, self._d = float(r), float(self.width) / 2
+        self._centres = [float(c) for c in self.centres]
+        self._far = max(abs(c) for c in self._centres)
+        self._reach = min(math.hypot(c, 0.5) for c in self._centres)
+        self._m = math.exp(max(z_log_majorant(c, self._r) for c in self._centres))
+        w = self._far + self._r
+        self._ulps = SAMPLE_ULPS * (1 + w * math.log(2 + w))
+        self._majorants: Dict[float, float] = {}
+        unit = prec * math.log(2)
+        log_budget = -unit  # 2^-prec times a largest |Z^(k)| of 1, until one is read
+        self.M = self.bits = 0
+        for _ in range(2):
+            M, bits, R = self._size(log_budget)
+            if M > self.M or bits > self.bits:
+                self.M, self.bits = max(M, self.M), max(bits, self.bits)
+                self._sample(r)
+            log_error = self._log_error(R)
+            read = max(abs(patch[k][0]) for patch in self.series for k in orders)
+            log_budget = max(float(mp.log(read)) if read else -unit, -unit) - unit
+            if log_error <= log_budget:
+                break
+        self.series_error = mp.exp(log_error)
+
+    def _sample(self, r) -> None:
+        """Sample every circle at the current M and bits and keep the series."""
+        N = self._terms(self.M)
+        self.series = []
+        for c in self.centres:
+            a = _z_taylor(c, r, self.M, N, self.bits)
+            with mp.workprec(self.bits):
+                self.series.append({k: [a[n] * mp.ff(n, k) for n in range(k, N)]
+                                    for k in self._orders})
+
+    def _terms(self, M: int) -> int:
+        return M - 1 if self.width else self._orders[-1] + 1
+
+    def _majorant(self, R: float) -> float:
+        """log A: z_log_majorant's bound at radius R, the largest over the
+        centres."""
+        if R not in self._majorants:
+            self._majorants[R] = max(z_log_majorant(c, R) for c in self._centres)
+        return self._majorants[R]
+
+    def _log_series(self, k: int, M: int, R: float, log_a: float) -> float:
+        """log of the aliasing plus truncation bound on Z^(k)."""
+        q, N = self._r / R, self._terms(M)
+        alias = (log_a + M * math.log(q) - math.log1p(-q ** M) + math.lgamma(k + 1)
+                 + math.log(R) - (k + 1) * math.log(R - self._d))
+        trunc = -math.inf
+        if self._d:
+            x = self._d / R
+            rho = x * (N + 1) / (N + 1 - k)
+            trunc = math.inf if rho >= 1 else (
+                log_a - k * math.log(R) + math.lgamma(N + 1) - math.lgamma(N + 1 - k)
+                + (N - k) * math.log(x) - math.log1p(-rho))
+        return _log_add(alias, trunc)
+
+    def _log_gain(self, k: int) -> float:
+        """log of k! r/(r - d)^(k+1), which turns a sample error into one of
+        Z^(k)."""
+        return math.lgamma(k + 1) + math.log(self._r) - (k + 1) * math.log(self._r - self._d)
+
+    def _size(self, log_budget: float) -> Tuple[int, int, float]:
+        """(M, bits, R) for the error budget e^log_budget on every Z^(k)."""
+        best, worse = None, 0
+        for j in range(1, 16):
+            R = self._r * (self._reach / self._r) ** (j / 16)
+            M = self._points(log_budget, R, z_log_majorant(self._far, R))
+            if best is None or M < best[0]:
+                best, worse = (M, R), 0
+            else:
+                worse += 1
+                if worse == 2:
+                    break
+        R = best[1]
+        M = self._points(log_budget, R, self._majorant(R))
+        N = self._terms(M)
+        log_unit = math.log((self._ulps + 3 * N + 8) * (self._m + 2))
+        bits = max(math.ceil((self._log_gain(k) + log_unit + 3 * math.log(2)
+                              - log_budget) / math.log(2)) for k in self._orders)
+        return M, bits, R
+
+    def _points(self, log_budget: float, R: float, log_a: float) -> int:
+        """The smallest even M > kmax + 1 whose aliasing and truncation take a
+        quarter of the budget."""
+        kmax = self._orders[-1]
+        M = kmax + 2 + kmax % 2
+        while any(self._log_series(k, M, R, log_a) > log_budget - 2 * math.log(2)
+                  for k in self._orders):
+            M += 2
+        return M
+
+    def _log_error(self, R: float) -> float:
+        """log of series_error for the circles as sampled."""
+        N = self._terms(self.M)
+        log_a = self._majorant(R)
+        m = self._m
+        log_delta = math.log(self._ulps * m + 2 * (m + 2)) - self.bits * math.log(2)
+        log_arithmetic = math.log(3 * N + 6) - self.bits * math.log(2)
+        log_output = -mp.prec * math.log(2)
+        d = self.width / 2
+        worst = -math.inf
+        for k in self._orders:
+            size = max(mp.fsum(abs(b) * d ** n for n, b in enumerate(patch[k]))
+                       for patch in self.series)
+            log_size = float(mp.log(size)) if size else -math.inf
+            worst = max(worst, _log_add(self._log_series(k, self.M, R, log_a),
+                                        log_delta + self._log_gain(k),
+                                        log_arithmetic + log_size,
+                                        log_output + log_size))
+        return worst + math.log(2)
 
     def derivative(self, u, k: int) -> mpf:
         """Z^(k)(u) from the nearest patch, rounded to the ambient precision."""
         i = min(int((u - self.lo) / self.width), self.count - 1) if self.width else 0
-        with mp.extraprec(self.extra + CONTOUR_SUM_GUARD_BITS):
+        with mp.workprec(self.bits):
             v = horner(self.series[i][k], u - self.centres[i])
         return +v
 
@@ -529,10 +666,11 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
     pi/(8 theta'(T)) with local refinement around each running maximum.  A
     witness is any k whose grid maximum meets its bound.  Every value is
     read from Taylor patches: contours = ceil(4 pi/CONTOUR_RADIUS) = 7
-    circles of M/2 + 1 zeta samples, M as _TaylorPatches picks it for the
-    largest order, instead of one full circle per point.  series_error is
-    the patches' Cauchy-estimate truncation bound (aliasing is not
-    bounded).  Explicitly exploratory output.
+    circles of M/2 + 1 zeta samples each (16 at 64 bits for T in [55, 65]),
+    instead of one full circle per point.  series_error is the patches'
+    proved bound on the error of every value read, from truncation,
+    aliasing and rounding (see _TaylorPatches).  Explicitly exploratory
+    output.
     """
     with working_precision(prec):
         Tm = mp.mpf(T)

@@ -1,4 +1,5 @@
-"""The Riemann-Siegel enclosure of Hardy's Z."""
+"""The Riemann-Siegel enclosure of Hardy's Z, and the majorant of |Z| on a
+circle."""
 
 import math
 import random
@@ -6,7 +7,8 @@ import random
 import pytest
 from mpmath import mp
 
-from hardyz.enclose import RS_MIN_T, _c0_c1, z_rs
+from hardyz import hardy
+from hardyz.enclose import RS_MIN_T, _c0_c1, z_log_majorant, z_rs
 
 # siegelz at twice a float's 53 bits is exact next to any bound z_rs gives
 REFERENCE_BITS = 106
@@ -69,3 +71,24 @@ def test_c0_c1_match_the_derivatives_of_psi(p):
         ref1 = -mp.diff(_psi, pm, 3, singular=True) / (96 * mp.pi ** 2)
         assert abs(c0 - ref0) < 1e-15
         assert abs(c1 - ref1) < 1e-15
+
+
+@pytest.mark.parametrize("centre, radius", [
+    (60, 2), (60, 16), (1000, 8), (-3, 2), (0.5, 0.5),
+    (0.5, 0.69),  # 0.017 from the singularities at +-i/2
+])
+def test_z_log_majorant_bounds_z_on_the_circle(centre, radius):
+    with mp.workprec(64):
+        # the lower half-circle; Schwarz reflection gives the upper
+        points = [mp.mpf(centre) + radius * mp.expjpi(-mp.mpf(j) / 64) for j in range(65)]
+        largest = max(abs(hardy._z_complex(w)) for w in points)
+    bound = math.exp(z_log_majorant(centre, radius))
+    assert largest <= bound
+    # tight enough to size contours: a factor 2^6 costs 6 bits
+    assert bound <= 64 * largest
+
+
+def test_z_log_majorant_refuses_a_circle_through_a_singularity():
+    for centre, radius in ((0.5, math.sqrt(0.5)), (60, 61), (3, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            z_log_majorant(centre, radius)

@@ -16,7 +16,7 @@ from hardyz.hardy import (ZERO_HALF_WIDTH_BITS, CapacityError,
                           expected_zero_count, find_zeros, n_main,
                           theorem1_explore, theta, theta_prime, z_derivative_fd,
                           z_derivatives_batch, z_eval)
-from hardyz.precision import working_precision
+from hardyz.precision import GUARD_BITS, working_precision
 
 PREC = 128
 
@@ -91,6 +91,32 @@ def test_derivative_dual_path():
         a = z_derivatives_batch(t, [k], prec=PREC)[k]
         b = z_derivative_fd(t, k, prec=PREC)
         assert abs(a - b) < mp.mpf(10) ** -20 * max(1, abs(a))
+    # the last case keeps its bits: Z's singularities are 2^-1/2 from 0.5, and
+    # a fixed M = 128 aliased at (2^-1/2)^128 there, keeping about 64 of them
+    with mp.workprec(300):
+        assert abs(a - mp.siegelz(mp.mpf(0.5), derivative=1)) < mp.mpf(2) ** -100
+
+
+@pytest.mark.parametrize("T, prec", [(55, 64), (60, 64), (65, 64), (60, PREC)])
+def test_series_error_bounds_every_read(T, prec):
+    orders = (1, 2, 3, 4)
+    with working_precision(prec):
+        T = mp.mpf(T)
+        patches = hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi,
+                                       hardy.CONTOUR_RADIUS, orders, prec)
+        # the grid of explore T
+        step = mp.pi / (8 * theta_prime(T, prec=prec))
+        grid, u = [], T - 2 * mp.pi
+        while u <= T + 2 * mp.pi:
+            grid.append(u)
+            u += step
+        read = {(u, k): patches.derivative(u, k) for u in grid for k in orders}
+        bound = patches.series_error
+    with mp.workprec(2 * prec):
+        # the same bits as mp.diff(mp.siegelz, u, k) here, at under half its cost
+        worst = max(abs(v - mp.siegelz(u, derivative=k)) for (u, k), v in read.items())
+    assert worst <= bound
+    assert bound <= mp.mpf(2) ** -prec * max(abs(v) for v in read.values())
 
 
 def test_batch_matches_single():
@@ -127,24 +153,32 @@ def test_patches_match_the_per_point_contour():
             assert abs(vals[k] - ref[k]) <= mp.mpf(10) ** -20 * abs(ref[k])
 
 
-@pytest.mark.parametrize("run, budget", [
-    # 37 grid and 4 refinement contours of 128 samples took 5248;
-    # 7 patches of 65 samples
-    (lambda: theorem1_explore("60", "0.3", 2, prec=64), 7 * 65),
-    # the full circle took 128
-    (lambda: z_derivatives_batch(60, [1, 2], prec=64), 65),
+@pytest.mark.parametrize("run, patches, samples", [
+    # 37 grid and 4 refinement contours of 128 samples took 5248, and 7
+    # patches of 65 samples (M = 128) 455; the error bound sizes M = 30
+    (lambda: theorem1_explore("60", "0.3", 2, prec=64), 7, 16),
+    # the full circle took 128 and the half circle 65; M = 30
+    (lambda: z_derivatives_batch(60, [1, 2], prec=64), 1, 16),
 ], ids=["explore", "batch"])
-def test_contour_zeta_budget(monkeypatch, run, budget):
-    calls = []
-    zeta = mp.zeta
+def test_contour_zeta_budget(monkeypatch, run, patches, samples):
+    calls, built = [], []
+    zeta, patches_class = mp.zeta, hardy._TaylorPatches
 
     def counted(*args, **kwargs):
         calls.append(args)
         return zeta(*args, **kwargs)
 
+    class Recorded(patches_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
     monkeypatch.setattr(mp, "zeta", counted)
+    monkeypatch.setattr(hardy, "_TaylorPatches", Recorded)
     run()
-    assert len(calls) <= budget
+    # one patch set sampled once: count circles of M/2 + 1 samples
+    assert [p.count for p in built] == [patches]
+    assert len(calls) == patches * (built[0].M // 2 + 1) <= patches * samples
 
 
 def test_derivative_capacity_guard():
@@ -237,23 +271,59 @@ def test_zeros_480_to_500_siegelz_budget(zeros_480_to_500):
     assert calls["z_eval"] <= 8 * len(zl)
 
 
-def test_zeros_straddling_200_match_zetazero(monkeypatch):
-    # the scan and the refinement read siegelz below t = 200 and z_rs or
-    # z_eval from 200 on; every siegelz call comes from hardy, below 200
-    calls = []
-    siegelz = mp.siegelz
+def _recorded_siegelz_and_z_eval(monkeypatch):
+    """Lists of (t, calling module) that mp.siegelz and hardy.z_eval fill."""
+    calls = {"siegelz": [], "z_eval": []}
+    siegelz, z_eval_exact = mp.siegelz, hardy.z_eval
 
-    def recorded(t, *args, **kwargs):
-        calls.append((t, sys._getframe(1).f_globals["__name__"]))
+    def recorded_siegelz(t, *args, **kwargs):
+        calls["siegelz"].append((t, sys._getframe(1).f_globals["__name__"]))
         return siegelz(t, *args, **kwargs)
 
-    monkeypatch.setattr(mp, "siegelz", recorded)
+    def recorded_z_eval(t, *args, **kwargs):
+        calls["z_eval"].append((t, sys._getframe(1).f_globals["__name__"]))
+        return z_eval_exact(t, *args, **kwargs)
+
+    monkeypatch.setattr(mp, "siegelz", recorded_siegelz)
+    monkeypatch.setattr(hardy, "z_eval", recorded_z_eval)
+    return calls
+
+
+def test_zeros_straddling_200_match_zetazero(monkeypatch):
+    # at PREC the scan and the refinement read z_eval below t = 200 (mpmath's
+    # siegelz has left Borwein's algorithm at 165) and z_rs or z_eval from
+    # 200 on: no siegelz call
+    calls = _recorded_siegelz_and_z_eval(monkeypatch)
     zl = find_zeros(196, 203, prec=PREC)
     monkeypatch.undo()
     assert len(zl) == 4
-    assert calls
-    assert all(t < 200 and caller == "hardyz.hardy" for t, caller in calls)
+    assert not calls["siegelz"]
+    assert any(t < 200 for t, _ in calls["z_eval"])
     _assert_zetazeros_in_siegelz_brackets(zl, 196, 203)
+
+
+def test_zeros_straddling_200_at_192_bits_read_siegelz_below_200_only(monkeypatch):
+    # at 192 bits mpmath's Borwein limit is 229, above 200: siegelz reads
+    # every point below 200 and none above, where z_rs and z_eval do
+    calls = _recorded_siegelz_and_z_eval(monkeypatch)
+    zl = find_zeros(196, 203, prec=192)
+    monkeypatch.undo()
+    assert len(zl) == 4
+    assert calls["siegelz"] and all(t < 200 for t, _ in calls["siegelz"])
+    _assert_zetazeros_in_siegelz_brackets(zl, 196, 203)
+
+
+def test_zeros_straddling_the_borwein_limit_match_zetazero(monkeypatch):
+    # mpmath 1.3.0's siegelz runs Borwein's algorithm up to t = mp.prec + 21,
+    # 165 at PREC; find_zeros reads it there and z_eval above
+    limit = PREC + GUARD_BITS + 21
+    calls = _recorded_siegelz_and_z_eval(monkeypatch)
+    zl = find_zeros(160, 170, prec=PREC)
+    monkeypatch.undo()
+    assert calls["siegelz"]
+    assert all(t <= limit and caller == "hardyz.hardy" for t, caller in calls["siegelz"])
+    assert any(t > limit for t, _ in calls["z_eval"])
+    _assert_zetazeros_in_siegelz_brackets(zl, 160, 170)
 
 
 def test_sign_change_within_error_estimate_is_not_certified(monkeypatch):
