@@ -1,7 +1,8 @@
 """Hardy Z function engine: evaluation, derivatives, zeros, counting.
 
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  z_eval applies
-Euler-Maclaurin summation to zeta with an explicit truncation bound.
+Euler-Maclaurin summation to zeta, in fixed point, with an explicit bound
+on its truncation and its rounding.
 mp.siegelz is not Riemann-Siegel below |t| = 500 mp.prec: it is Borwein's
 algorithm up to |t| of about mp.prec + 21 and mpmath's Euler-Maclaurin
 (Hurwitz) sum above that, which costs more than z_eval.  So the zero finder
@@ -18,19 +19,20 @@ of Z on a Cauchy circle: the half with Im w <= 0 is sampled with the
 library zeta and Schwarz reflection fills the other.
 _TaylorPatches is the one place that builds such circles and keeps their
 series: z_derivatives_batch reads one patch at its centre, and
-theorem1_explore reads every point of its window from seven.  Richardson
-finite differences cross-check the contour route.
+theorem1_explore reads every point of its window from seven.  Finite
+differences of mpmath's Z^(4) cross-check the contour route.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .enclose import RS_MIN_T, z_log_majorant, z_rs
 from .polynomials import bernoulli_numbers, horner
@@ -40,11 +42,15 @@ MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
 MAX_RESCANS = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
-EM_GUARD_BITS = 8  # the Euler-Maclaurin sum rounds about |t|/2 terms
+EM_GUARD_BITS = 8  # _zeta_em rounds its fixed-point result once, 2^-8 of z_eval's rounding
+EM_FIXED_BITS = 16  # _zeta_em's fraction bits above mp.prec: its sum rounds by about 14 N units
+PHASE_GUARD_BITS = 20  # t log p for p^-s: keeps its rounding under a unit of 2^-bits to t = 10^4
+LOG_ULPS = 2  # assumed error of libmp.mpf_log (see _zeta_em)
+COS_SIN_ULPS = 2  # assumed error of libmp.mpf_cos_sin (see _zeta_em)
 CONTOUR_RADIUS = 2  # Cauchy circles; z_derivatives_batch shrinks it to |t|/2 + 1/4 near 0
 SAMPLE_ULPS = 16  # assumed error of a contour sample (see _TaylorPatches)
 SIEGELZ_MAX_DERIVATIVE = 4  # mp.siegelz(t, derivative=k) takes k <= 4
-FD_BITS_PER_ORDER = 12  # z_derivative_fd's differences: a k-th difference loses bits with k
+FD_BITS_PER_ORDER = 12  # z_derivative_fd: a difference of order j loses bits with j
 FD_GUARD_BITS = 24  # z_derivative_fd: bits above the working precision, on top of those
 
 
@@ -94,50 +100,186 @@ def _theta_complex(w):
 # zeta via Euler-Maclaurin
 
 
-def _zeta_em(t, prec: int) -> Tuple[object, mpf]:
-    """(zeta(1/2 + it), truncation bound) by Euler-Maclaurin.
+class _PrimeTable:
+    """What n^-s = n^-1/2 e^(-it log n) needs that does not depend on t:
+    the smallest prime factor of each n, from one sieve that grows when a
+    larger n is asked for, and per (p, bits) log p, rounded at
+    bits + PHASE_GUARD_BITS, and floor(2^bits p^-1/2)."""
 
-    Runs EM_GUARD_BITS above the ambient precision; prec is the caller's
-    requested bits, which set the term counts.  N = max(t/2, prec/4, 10)
-    so the correction terms decay by several bits each; the recorded bound
-    is the standard |s+2K+1|/(sigma+2K+1) multiple of the first omitted term,
-    with sigma = 1/2.
+    def __init__(self):
+        self.spf: List[int] = [0, 1]
+        self.constants: Dict[Tuple[int, int], Tuple[tuple, int]] = {}
+
+    def factors(self, n: int) -> List[int]:
+        """spf[m] for m <= n, the smallest prime factor of m (spf[m] = m
+        for a prime m)."""
+        if n >= len(self.spf):
+            size = max(n + 1, 2 * len(self.spf))
+            spf = list(range(size))
+            for p in range(2, math.isqrt(size - 1) + 1):
+                if spf[p] == p:
+                    for m in range(p * p, size, p):
+                        if spf[m] == m:
+                            spf[m] = p
+            self.spf = spf
+        return self.spf
+
+    def constant(self, p: int, bits: int) -> Tuple[tuple, int]:
+        """(log p as a raw mpf, floor(2^bits p^-1/2))."""
+        key = (p, bits)
+        if key not in self.constants:
+            self.constants[key] = (libmp.mpf_log(libmp.from_int(p), bits + PHASE_GUARD_BITS),
+                                   math.isqrt((1 << 2 * bits) // p))
+        return self.constants[key]
+
+
+_PRIMES = _PrimeTable()
+
+
+def _dirichlet_table(t, N: int, bits: int) -> Tuple[List[int], List[int]]:
+    """(re, im): n^-s, s = 1/2 + it, for 1 <= n <= N in fixed point with
+    `bits` fraction bits (index 0 unused).  A prime p costs one cos_sin of
+    t log p at bits + PHASE_GUARD_BITS, times floor(2^bits p^-1/2); a
+    composite n = p m, p its smallest prime factor, the floor of one
+    complex product of the entries of p and m.  _zeta_em bounds the
+    rounding."""
+    spf = _PRIMES.factors(N)
+    wp = bits + PHASE_GUARD_BITS
+    tt = t._mpf_
+    re, im = [0] * (N + 1), [0] * (N + 1)
+    re[1] = 1 << bits
+    for n in range(2, N + 1):
+        p = spf[n]
+        if p == n:
+            log_p, root = _PRIMES.constant(p, bits)
+            c, s = libmp.mpf_cos_sin(libmp.mpf_mul(tt, log_p, wp), wp)
+            re[n] = libmp.to_fixed(c, bits) * root >> bits
+            im[n] = -libmp.to_fixed(s, bits) * root >> bits
+        else:
+            ar, ai, br, bi = re[p], im[p], re[n // p], im[n // p]
+            re[n] = (ar * br - ai * bi) >> bits
+            im[n] = (ar * bi + ai * br) >> bits
+    return re, im
+
+
+def _entry_units(t, N: int) -> float:
+    """B: every entry of _dirichlet_table(t, N, bits) is within B units of
+    2^-bits of n^-s (derived in _zeta_em)."""
+    phase = 2 * float(t) * math.log(N) * (LOG_ULPS + 1) + 2 * COS_SIN_ULPS
+    a = 1 + phase / 2 ** PHASE_GUARD_BITS
+    return (a + 3 + math.sqrt(2)) / (math.sqrt(2) - 1) + 1
+
+
+@functools.cache
+def _bernoulli_ratios(count: int, bits: int) -> Tuple[int, ...]:
+    """round(2^bits c_(k+1)/c_k) for k = 1..count, c_k = B_2k/(2k)!."""
+    bern = bernoulli_numbers(2 * count + 2)
+    return tuple(round(bern[2 * k + 2] / (bern[2 * k] * (2 * k + 1) * (2 * k + 2)) * 2 ** bits)
+                 for k in range(1, count + 1))
+
+
+def _zeta_em(t, prec: int) -> Tuple[object, mpf]:
+    """(zeta(1/2 + it), error bound) by Euler-Maclaurin summation (Edwards,
+    Riemann's Zeta Function, 1974, 6.4):
+
+        zeta(s) = sum_{n<N} n^-s + N^-s/2 + N^(1-s)/(s-1)
+                  + N^(1-s) sum_{k<=K} Q_k + R_K,
+        Q_k = c_k s(s+1)..(s+2k-2)/N^2k,  c_k = B_2k/(2k)!.
+
+    prec is the caller's requested bits, which set the term counts:
+    N = max(ceil(t/2), prec/4, 10), so the correction terms decay by
+    several bits each, and K <= max(prec/2, 20).  Terms T_k = N^(1-s) Q_k
+    are added while |T_k| falls, up to and including the first below
+    2^-(prec+10).  The truncation bound is the standard |s+2K+3|/(2K+3.5)
+    multiple of the first omitted term T_(K+1) (sigma = 1/2), with |T_K|
+    standing in for it when the sum stopped at the tolerance or at K's cap.
+
+    All of it is summed in fixed point, Python ints with bits = mp.prec +
+    EM_FIXED_BITS fraction bits (more if t needs them to be exact), mp.prec
+    being EM_GUARD_BITS above the ambient precision.  The entries n^-s,
+    n <= N, come from _dirichlet_table, and
+    Q_(k+1) = Q_k (c_(k+1)/c_k) (s+2k-1)(s+2k)/N^2 from the ratios
+    c_(k+1)/c_k rounded to bits fraction bits.  N^(1-s) is N times the
+    entry of N.
+
+    The rounding, in units of 2^-bits, as complex moduli:
+    - the floor of an exact integer product or quotient errs by less than
+      1 a component, sqrt 2 in all;
+    - a prime p: log p is assumed within LOG_ULPS ulps and the cos_sin of
+      the rounded t log p within COS_SIN_ULPS, at wp = bits +
+      PHASE_GUARD_BITS.  The phase then errs by at most
+      2 t log N (LOG_ULPS + 1) 2^-wp, and cos and sin, truncated to bits,
+      by a = 1 + 2^-PHASE_GUARD_BITS (2 t log N (LOG_ULPS + 1)
+      + 2 COS_SIN_ULPS).  floor(2^bits p^-1/2) errs by less than 1, so with
+      p >= 2 the entry errs by at most P = a + 1 + sqrt 2;
+    - a composite n = p m with m >= p >= 2: the product of entries with
+      errors E_p and E_m errs by E_p m^-1/2 + p^-1/2 E_m + E_p E_m 2^-bits,
+      plus its floor.  |p^-s| = p^-1/2 < 1, so an error carried through
+      n = p m shrinks, and every entry is within B = (P + 2)/(sqrt 2 - 1) + 1
+      (about 14) of n^-s: B exceeds P/sqrt 2 + B/sqrt 2 + sqrt 2 by more
+      than the second-order term;
+    - so the sum over n < N errs by at most (N - 2) B, N^-s/2 by B/2 plus a
+      floor, and N^(1-s)/(s-1) = N N^-s conj(s-1)/|s-1|^2, in which t is
+      exact, by N B/max(t, 1/2) plus a floor;
+    - Q_1 = s/(12 N^2) errs by sqrt 2.  While the terms fall,
+      |Q_k| <= |Q_1| < 1/58, and |c_(k+1)/c_k| >= 1/(4 pi^2 zeta(2)) > 1/65,
+      so the rounded ratio adds less than 1 a step, and a step adds at
+      most 1 + sqrt 2 to the error it inherits: Q_k errs by 2.5 k, the sum
+      of K of them by 1.25 K(K+1), and its product with N^(1-s),
+      |N^(1-s)| = N^1/2, by 1.25 K(K+1) N^1/2 + |sum Q_k| N B plus a floor;
+    - converting the result to an mpc rounds it once: 2^(1-mp.prec) |zeta|.
+    The bound returned is the truncation bound plus these, which are
+    computed in floats with B's unit of slack to spare.
     """
     with mp.extraprec(EM_GUARD_BITS):
-        sm = mp.mpc(0.5, t)
         N = int(max(mp.ceil(t / 2), prec // 4, 10))
-        total = mp.mpc(0)
-        for k in range(1, N):
-            total += mp.power(k, -sm)
-        Nm = mp.mpf(N)
-        total += mp.power(Nm, -sm) / 2
-        total += mp.power(Nm, 1 - sm) / (sm - 1)
-        # correction terms B_2k/(2k)! * N^(1-s-2k) * prod_{j<2k-1}(s+j)
+        bits = max(mp.prec + EM_FIXED_BITS, -t._mpf_[2])
+        T = libmp.to_fixed(t._mpf_, bits)
+        T2 = T * T
+        re, im = _dirichlet_table(t, N, bits)
+        half = 1 << (bits - 1)
+        zr = sum(re[1:N]) + (re[N] >> 1)
+        zi = sum(im[1:N]) + (im[N] >> 1)
+        xr, xi = N * re[N], N * im[N]  # N^(1-s)
+        d = half * half + T2  # |s-1|^2 2^(2 bits); conj(s-1) = -1/2 - it
+        zr += ((-xr * half + xi * T) << bits) // d
+        zi += ((-xr * T - xi * half) << bits) // d
+        # correction terms N^(1-s) Q_k
         K_cap = max(prec // 2, 20)
-        bern = bernoulli_numbers(2 * K_cap + 2)
-        rising = sm          # prod_{j=0}^{2k-2}(s+j), starts at k=1 with s
-        npow = mp.power(Nm, 1 - sm) / Nm ** 2
-        fact = mp.factorial(2)
-        tol = mp.mpf(2) ** (-(prec + 10))
-        prev_mag = mp.inf
+        ratios = _bernoulli_ratios(K_cap, bits)
+        N2 = N * N
+        div = N2 << 3 * bits
+        qr, qi = half // (12 * N2), T // (12 * N2)
+        tol2 = 1 << 2 * (bits - prec - 10)  # |Q_k|^2 N < tol2: the term is below 2^-(prec+10)
+        sr = si = 0
+        prev = None
         k = 1
         while k <= K_cap:
-            b = bern[2 * k]
-            term = mp.mpf(b.numerator) / b.denominator / fact * npow * rising
-            term_mag = abs(term)
-            if term_mag > prev_mag:
+            mag2 = qr * qr + qi * qi
+            if prev is not None and mag2 > prev:
                 break
-            total += term
-            if term_mag < tol:
+            sr, si = sr + qr, si + qi
+            if mag2 * N < tol2:
                 k += 1
                 break
-            prev_mag = term_mag
-            rising *= (sm + 2 * k - 1) * (sm + 2 * k)
-            npow /= Nm ** 2
-            fact *= (2 * k + 1) * (2 * k + 2)
+            prev = mag2
+            a = ((16 * k * k - 1) << 2 * bits - 2) - T2  # (s+2k-1)(s+2k), 2 bits fraction bits
+            b = 4 * k * T << bits
+            qr, qi = ((qr * a - qi * b) * ratios[k - 1] // div,
+                      (qr * b + qi * a) * ratios[k - 1] // div)
             k += 1
-        bound = abs(sm + 2 * k + 1) / (2 * k + mp.mpf(1.5)) * term_mag
-        return +total, +bound
+        zr += (sr * xr - si * xi) >> bits
+        zi += (sr * xi + si * xr) >> bits
+        zeta = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
+        term_mag = mp.ldexp(mp.sqrt(mag2 * N), -bits)
+        truncation = abs(mp.mpc(0.5, t) + 2 * k + 1) / (2 * k + mp.mpf(1.5)) * term_mag
+
+        tf, K, B = float(t), k - 1, _entry_units(t, N)
+        q_sum = float(mp.ldexp(mp.hypot(sr, si), -bits))
+        units = ((N - 1.5 + N / max(tf, 0.5) + q_sum * N) * B
+                 + 1.25 * K * (K + 1) * math.sqrt(N) + 4)
+        rounding = mp.ldexp(units, -bits) + mp.ldexp(abs(zeta), 1 - mp.prec)
+        return +zeta, +(truncation + rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +296,9 @@ class ZSample:
 def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
     """Z(t) = e^{i theta(t)} zeta(1/2 + it) by Euler-Maclaurin, real output.
 
-    The error estimate is the Euler-Maclaurin truncation bound plus the
-    imaginary residue of the complex product.  find_zeros reads it between
+    The error estimate is _zeta_em's bound, its truncation plus the proved
+    rounding of its fixed-point sums, plus the imaginary residue of the
+    complex product.  find_zeros reads it between
     mpmath's Borwein limit (t = mp.prec + 21) and t = 200, and from 200 on
     wherever enclose.z_rs cannot prove the sign, and it checks every zero's
     sign change.  The Riemann-Siegel route is enclose.z_rs, for
@@ -224,17 +367,14 @@ def _z_taylor(centre, radius, M: int, count: int, bits: int) -> List[mpf]:
 def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
     """Cross-check path for the contour derivatives, sharing no code with
     them: mpmath's own Z^(k) for k <= 4 (mp.siegelz(t, derivative=k), which
-    combines zeta's derivatives with theta's), and Richardson-extrapolated
-    finite differences of mp.siegelz above that, at elevated precision."""
+    combines zeta's derivatives with theta's), and above that finite
+    differences of order k - 4 of mpmath's Z^(4), at elevated precision."""
     if k < 0:
         raise ValueError("k must be >= 0")
     with working_precision(prec):
-        if k <= SIEGELZ_MAX_DERIVATIVE:
-            with mp.extraprec(FD_GUARD_BITS):
-                d = mp.siegelz(mp.mpf(t), derivative=k)
-        else:
-            with mp.extraprec(FD_BITS_PER_ORDER * k + FD_GUARD_BITS):
-                d = mp.diff(mp.siegelz, mp.mpf(t), k)
+        top = min(k, SIEGELZ_MAX_DERIVATIVE)
+        with mp.extraprec(FD_BITS_PER_ORDER * (k - top) + FD_GUARD_BITS):
+            d = mp.diff(lambda u: mp.siegelz(u, derivative=top), mp.mpf(t), k - top)
         return +d
 
 
@@ -354,7 +494,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         # mpmath 1.3.0's siegelz adds 21 bits and hands 1/2 + it to zeta,
         # whose Borwein route (libmp.gammazeta.mpc_zeta) refuses |s| > mp.prec;
         # above that it sums the Hurwitz zeta by Euler-Maclaurin, which costs
-        # 2-3 times z_eval near a zero
+        # about 10 times z_eval
         borwein_limit = mp.prec + 21
 
         def z_sign(t):

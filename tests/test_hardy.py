@@ -77,6 +77,40 @@ def test_z_eval_methods_agree():
             assert em.error_estimate < mp.mpf(10) ** -25
 
 
+# 20 heights spread geometrically over [30, 2000], and one with N = 5000 terms
+ORACLE_HEIGHTS = [f"{30 * (200 / 3) ** (i / 19):.3f}" for i in range(20)] + ["10000.3"]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_z_eval_within_its_estimate_of_siegelz(prec):
+    samples = [z_eval(t, prec=prec) for t in ORACLE_HEIGHTS]
+    with mp.workprec(2 * prec + 30):
+        for s in samples:
+            assert abs(s.z - mp.siegelz(s.t)) <= s.error_estimate, s.t
+
+
+# N = 16 is the smallest N of _zeta_em (prec//4 at 64 bits), 251 a prime,
+# 252 a prime plus one and 243 = 3^5
+@pytest.mark.parametrize("t, N, prec", [("30.5", 16, 64), ("500.3", 251, 128),
+                                        ("503.1", 252, 128), ("485.7", 243, 192)])
+def test_dirichlet_table_within_its_bound(t, N, prec):
+    bits = prec + 40
+    with working_precision(prec):
+        tm = mp.mpf(t)
+        re, im = hardy._dirichlet_table(tm, N, bits)
+    B = hardy._entry_units(tm, N)
+    with mp.workprec(2 * prec):
+        s = mp.mpc(0.5, tm)
+        exact = [mp.power(n, -s) for n in range(1, N + 1)]
+        unit = mp.ldexp(1, -bits)
+        worst = max(abs(mp.mpc(re[n], im[n]) * unit - exact[n - 1]) for n in range(1, N + 1))
+        assert worst <= B * unit
+        total = mp.mpc(sum(re[1:N]), sum(im[1:N])) * unit
+        assert abs(total - mp.fsum(exact[:N - 1])) <= (N - 2) * B * unit
+        # the bound is not vacuous: the entries are good to within 2^-(prec+30)
+        assert worst < mp.ldexp(1, -(prec + 30))
+
+
 def test_z_matches_zeta_modulus():
     with working_precision(PREC):
         t = mp.mpf(30)

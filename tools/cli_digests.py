@@ -46,6 +46,8 @@ COMMANDS = [
     "--precision-bits 128 zeros 480 500",
     "--precision-bits 64 zeros 480 500",
     "zeros 195 215",
+    "--precision-bits 128 zeros 10000 10002",
+    "--precision-bits 192 zeros 900 905",
 ]
 
 ENTRY = "import sys; from hardyz.cli import main; sys.exit(main(sys.argv[1:]))"
