@@ -241,7 +241,8 @@ def _suite_kernel(rng: random.Random, prec: int) -> List[Dict]:
         cfg = kernel.random_config(rng, n, prec=prec)
         l = n + 1 + rng.randrange(0, 3)
         x = cfg.a * mp.mpf(rng.uniform(-0.9, 0.9))
-        direct = kernel.psi(cfg, l, x, prec=prec)
+        direct = kernel.psi(cfg, l, x, kernel.coefficients(cfg, prec=prec).mu,
+                            prec=prec)
         series, tail = kernel.psi_chebyshev_series(cfg, l, x, 60, prec=prec)
         gap = abs(direct - series)
         worst = max(worst, gap)

@@ -22,10 +22,9 @@ from typing import Callable, List, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .divided_diff import FunctionProbe
-# coefficients is unused here, but perfbench's tracer patches
-# identity.coefficients
+# psi is unused here, but perfbench's tracer patches identity.psi
 from .kernel import (CompiledPsi, NodeConfig, chebyshev_psi,  # noqa: F401
-                     coefficients, compile_psi, kernel_knots, psi,
+                     coefficients, compile_psi, kernel_knots, psi, psi_orders,
                      psi_star_boundary)
 from .precision import DEFAULT_PREC, working_precision
 from .probes import PolynomialProbe
@@ -75,14 +74,15 @@ def _integral_term(config: NodeConfig, probe: FunctionProbe, m: int,
     return _integrate(integrand, kernel_knots(config, prec), prec)
 
 
-def _boundary_terms(probe: FunctionProbe, a: mpf, m: int,
-                    kernel_at: Callable[[int, int], mpf]) -> List[mpf]:
-    """sign * f^(2k-1)(sign a) * kernel_at(k, sign) for k = 1..m, first at
-    sign = +1, then at sign = -1."""
+def _boundary_terms(probe: FunctionProbe, a: mpf,
+                    kernel_at: Callable[[int], Sequence[mpf]]) -> List[mpf]:
+    """sign * f^(2k-1)(sign a) * Psi_{2k-1}(sign a) for k = 1..m, first at
+    sign = +1, then at sign = -1; kernel_at(sign) lists the m kernel values
+    at sign * a, in order."""
     boundary = []
     for sign in (1, -1):
-        for k in range(1, m + 1):
-            term = mp.mpf(probe.deriv(sign * a, 2 * k - 1)) * kernel_at(k, sign)
+        for k, value in enumerate(kernel_at(sign), 1):
+            term = mp.mpf(probe.deriv(sign * a, 2 * k - 1)) * value
             boundary.append(sign * term)
     return boundary
 
@@ -113,8 +113,7 @@ def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
         lhs = mp.fsum(mk * mp.mpf(probe.value(x))
                       for mk, x in zip(mu_m, config.nodes))
         boundary = _boundary_terms(
-            probe, a, m,
-            lambda k, sign: psi(config, k, sign * a, prec=prec, weights=mu_m))
+            probe, a, lambda sign: psi_orders(config, m, sign * a, mu_m, prec=prec))
         integral, quad_err = _integral_term(
             config, probe, m, lambda: compile_psi(config, m, mu_m, prec=prec), prec)
         rhs = mp.fsum(boundary) - integral
@@ -144,7 +143,8 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
     Requires m >= n+1 and that f vanishes at every configuration node (with
     multiplicity, for weakly ordered configurations).  The boundary values
     and the compiled kernel of a strict configuration share the weights
-    kernel.coefficients keeps for it, so they are computed once.
+    kernel.coefficients keeps for it, so they are computed once, and the
+    boundary values of every order come from one psi_orders pass per end.
     """
     n = config.n
     if m < n + 1:
@@ -158,9 +158,7 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
                 continue
             if abs(mp.mpf(probe.value(xk))) > tol * dscale:
                 raise NodeNotZeroError(f"node x={xk} is not a zero of f")
-        boundary = _boundary_terms(
-            probe, a, m,
-            lambda k, sign: psi_star_boundary(config, k, sign, prec=prec))
+        boundary = _boundary_terms(probe, a, _boundary_kernel(config, m, prec))
         integral, quad_err = _integral_term(
             config, probe, m, lambda: _interior_kernel(config, m, prec), prec)
         value = mp.fsum(boundary) - integral
@@ -171,6 +169,18 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
             quadrature_error_estimate=quad_err, residual_budget=budget,
             reconstruction_error=error,
             passed=bool(error <= budget + mp.mpf(2) ** (-(prec - 40))))
+
+
+def _boundary_kernel(config: NodeConfig, m: int, prec: int) -> Callable:
+    """sign -> [Psi*_1(sign a), Psi*_3(sign a), ..., Psi*_{2m-1}(sign a)]:
+    for strict configurations all m orders from one psi_orders pass over the
+    weights kernel.coefficients keeps, for weakly ordered ones
+    psi_star_boundary's confluent extension order by order."""
+    if config.is_strict():
+        mu = coefficients(config, prec=prec).mu
+        return lambda sign: psi_orders(config, m, sign * config.a, mu, prec=prec)
+    return lambda sign: [psi_star_boundary(config, k, sign, prec=prec)
+                         for k in range(1, m + 1)]
 
 
 def _interior_kernel(config: NodeConfig, l: int, prec: int) -> Callable:

@@ -10,7 +10,12 @@ divided differences of a smooth transfer function.
 Between consecutive knots (-a, the nodes and a) each kernel is one
 polynomial in x; compile_psi builds those polynomials once per weight vector
 so the interior of [-a, a] costs one short Horner pass per point.  psi, the
-direct Bernoulli sum, stays the reference route.
+direct Bernoulli sum for one order, stays the reference route.  psi_orders
+gives the kernels of every order 1..m at one point from one set of Bernoulli
+arguments and weights, bit for bit what psi gives order by order; the
+boundary sum and the identities read the boundary values a and -a that way.
+Each order's Bernoulli polynomial is one Horner pass, which polynomials.horner
+runs on mpmath's libmp tuples when everything is an mpf.
 """
 
 from __future__ import annotations
@@ -125,16 +130,18 @@ def _coefficients(n: int, a, nodes: Tuple, prec: int) -> KernelCoefficients:
     return KernelCoefficients(alpha=[+v for v in alpha], mu=[+v for v in mu])
 
 
-def psi(config: NodeConfig, l: int, x, prec: int = DEFAULT_PREC,
-        weights: Optional[Sequence] = None) -> mpf:
-    """Direct Bernoulli-sum evaluation of the order-(2l-1) kernel at x.
+def psi(config: NodeConfig, l: int, x, weights: Sequence,
+        prec: int = DEFAULT_PREC) -> mpf:
+    """Direct Bernoulli-sum evaluation of the order-(2l-1) kernel at x, the
+    reference route for one order.
 
-    weights is an arbitrary zero-sum weight vector, as verify_key_identity
-    passes; by default the Lemma-style mu from coefficients() are used.
+    weights is any zero-sum weight vector: the Lemma-style mu of
+    coefficients(config, prec), or arbitrary ones as verify_key_identity
+    passes.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    mu = list(weights) if weights is not None else coefficients(config, prec=prec).mu
+    mu = list(weights)
     with working_precision(prec):
         a = config.a
         xm = mp.mpf(x)
@@ -152,6 +159,40 @@ def psi(config: NodeConfig, l: int, x, prec: int = DEFAULT_PREC,
             total += m_k * (bernoulli_poly(two_l, u, prec=prec + TERM_GUARD_BITS)
                             + bernoulli_poly(two_l, v, prec=prec + TERM_GUARD_BITS))
         return pref * total
+
+
+def psi_orders(config: NodeConfig, m: int, x, weights: Sequence,
+               prec: int = DEFAULT_PREC) -> List[mpf]:
+    """[psi(config, l, x, weights, prec) for l = 1..m], bit for bit.
+
+    The Bernoulli arguments u_k = 1/2 + (x + x_k)/4a and v_k =
+    {(x - x_k)/4a} and the rounded weights do not depend on the order, so
+    they are computed once; each order then costs its two Horner passes per
+    node, at the TERM_GUARD_BITS more that psi gives them.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    with working_precision(prec):
+        a = config.a
+        xm = mp.mpf(x)
+        terms = []
+        for m_k, xk in zip(weights, config.nodes):
+            m_k = mp.mpf(m_k)
+            if m_k != 0:
+                v = (xm - xk) / (4 * a)
+                terms.append((m_k, mp.mpf(0.5) + (xm + xk) / (4 * a), v - mp.floor(v)))
+        values = []
+        for l in range(1, m + 1):
+            two_l = 2 * l
+            pref = (4 * a) ** (two_l - 1) / mp.factorial(two_l)
+            with mp.extraprec(TERM_GUARD_BITS):
+                b = bernoulli_poly_mpf(two_l)
+                sums = [(m_k, horner(b, u), horner(b, v)) for m_k, u, v in terms]
+            total = mp.mpf(0)
+            for m_k, bu, bv in sums:
+                total += m_k * (bu + bv)
+            values.append(pref * total)
+        return values
 
 
 def kernel_knots(config: NodeConfig, prec: int = DEFAULT_PREC) -> List[mpf]:
@@ -229,7 +270,8 @@ def compile_psi(config: NodeConfig, l: int, weights: Optional[Sequence] = None,
     and v_k = {(x - x_k)/4a} wraps only at x_k.  Taylor's theorem with
     B_2l^(j)/j! = binom(2l, j) B_{2l-j} gives the coefficient of h^j as
     (4a)^-j sum_i b_i binom(i, j) P_{i-j}, with b_i the coefficients of
-    B_2l and P_p = sum_k mu_k (u_k^p + v_k^p) at h = 0.  weights as in psi.
+    B_2l and P_p = sum_k mu_k (u_k^p + v_k^p) at h = 0.  weights as in psi,
+    by default the mu of coefficients().
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -299,7 +341,8 @@ def psi_star_boundary(config: NodeConfig, l: int, sign: int,
         raise ValueError("l must be >= 1")
     with working_precision(prec):
         if config.is_strict():
-            return psi(config, l, sign * config.a, prec=prec)
+            return psi(config, l, sign * config.a, coefficients(config, prec=prec).mu,
+                       prec=prec)
         with mp.extraprec(prec):
             t = config.sine_nodes(2 * prec + TERM_GUARD_BITS)
             h = _boundary_transfer(l, config.a, sign)
@@ -445,7 +488,9 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
     """Both sides of the boundary-sum inequality.
 
     lhs = sum_{k=1..m} (-1)^(n+k+1) [Psi*_{2k-1}(a) + Psi*_{2k-1}(-a)] c^(2k-1);
-    rhs = sine_product(config) * divided_bound_direct(config, c).
+    rhs = sine_product(config) * divided_bound_direct(config, c).  The
+    configuration is strict, so Psi* is psi over the mu of coefficients(),
+    and psi_orders reads all m orders at a and at -a.
     Contract: lhs <= rhs for 0 < c a < n pi with c a off the multiples of pi.
     """
     if not config.is_strict():
@@ -461,11 +506,12 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
             if abs(ca - j * mp.pi) < tol:
                 raise SingularParameterError(
                     f"c*a within tolerance of {j}*pi (removable singularity; refused)")
+        mu = coefficients(config, prec=prec).mu
+        at_a, at_minus_a = (psi_orders(config, m, sign * config.a, mu, prec=prec)
+                            for sign in (1, -1))
         lhs = mp.mpf(0)
-        for k in range(1, m + 1):
-            s = psi_star_boundary(config, k, 1, prec=prec) \
-                + psi_star_boundary(config, k, -1, prec=prec)
-            lhs += (-1) ** (n + k + 1) * s * cm ** (2 * k - 1)
+        for k, (plus, minus) in enumerate(zip(at_a, at_minus_a), 1):
+            lhs += (-1) ** (n + k + 1) * (plus + minus) * cm ** (2 * k - 1)
         rhs = sine_product(config, prec=prec) \
             * divided_bound_direct(config, c, prec=prec)
         return lhs, rhs

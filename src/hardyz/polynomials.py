@@ -14,6 +14,7 @@ from math import comb, factorial
 from typing import List, Tuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, mpf_add, mpf_mul
 
 from .precision import DEFAULT_PREC, working_precision
 
@@ -65,7 +66,19 @@ def horner(coeffs, x):
     """sum_k coeffs[k] x^k, the package's one Horner pass.  Starting at the
     integer 0 keeps Fractions exact and rounds an mpf leading coefficient as
     an mp.mpf(0) start does; an mpc one keeps its imaginary bits in that
-    step, so mpc coefficients should be at the ambient precision."""
+    step, so mpc coefficients should be at the ambient precision.
+
+    When x and every coefficient are mpf, the loop runs on their libmp
+    tuples, with the roundings acc * x + c makes (mpf_mul, then mpf_add, at
+    mp.prec and the context's rounding mode), so the result is the same mpf
+    without the operator dispatch and object allocation of each step."""
+    if type(x) is mpf and coeffs and all(type(c) is mpf for c in coeffs):
+        prec, rnd = mp._prec_rounding  # what mpf's operators round at
+        xv = x._mpf_
+        acc = fzero
+        for c in reversed(coeffs):
+            acc = mpf_add(mpf_mul(acc, xv, prec, rnd), c._mpf_, prec, rnd)
+        return mp.make_mpf(acc)
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c

@@ -11,7 +11,7 @@ from hardyz.identity import (NodeNotZeroError, WeightContractError,
                              piecewise_weight_integral, reconstruct_f0,
                              verify_key_identity)
 from hardyz.kernel import (NodeConfig, chebyshev_psi, coefficients,
-                           kernel_knots, psi, random_config)
+                           kernel_knots, psi, psi_star_boundary, random_config)
 from hardyz.precision import working_precision
 from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
@@ -229,3 +229,44 @@ def test_polynomial_probe_cached_derivatives_are_bit_identical():
         first, cached = probe.deriv(x, k), probe.deriv(x, k)
         assert first._mpf_ == expected._mpf_
         assert cached._mpf_ == expected._mpf_
+
+
+def _per_order_boundary_terms(probe, a, m, kernel_at):
+    """sign * f^(2k-1)(sign a) * kernel_at(k, sign), one order at a time."""
+    with working_precision(PREC):
+        return [sign * (mp.mpf(probe.deriv(sign * a, 2 * k - 1)) * kernel_at(k, sign))
+                for sign in (1, -1) for k in range(1, m + 1)]
+
+
+def _bits(values):
+    return [v._mpf_ for v in values]
+
+
+def test_key_identity_boundary_terms_equal_per_order_psi():
+    rng = random.Random(103)
+    for n, m, probe in [(2, 5, polynomial_probe([rng.uniform(-1, 1) for _ in range(8)],
+                                                prec=PREC)),
+                        (3, 4, cosine_probe(1.3, prec=PREC)),
+                        (1, 7, gaussian_cosine_probe(0.8, 2.0, prec=PREC))]:
+        cfg = random_config(rng, n, prec=PREC)
+        mu = _zero_sum_weights(rng, 2 * n + 1)
+        rep = verify_key_identity(cfg, mu, probe, m=m, prec=PREC)
+        with working_precision(PREC):
+            mu_m = [mp.mpf(v) for v in mu]
+        want = _per_order_boundary_terms(
+            probe, cfg.a, m,
+            lambda k, sign: psi(cfg, k, sign * cfg.a, mu_m, prec=PREC))
+        assert _bits(rep.boundary_terms) == _bits(want)
+
+
+def test_reconstruction_boundary_terms_equal_per_order_psi_star_boundary():
+    rng = random.Random(107)
+    weak = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
+    for cfg in (random_config(rng, 3, prec=PREC), random_config(rng, 1, prec=PREC),
+                weak):
+        m = cfg.n + 2
+        res = reconstruct_f0(cfg, cardinal_probe(cfg, prec=PREC), m=m, prec=PREC)
+        want = _per_order_boundary_terms(
+            cardinal_probe(cfg, prec=PREC), cfg.a, m,
+            lambda k, sign: psi_star_boundary(cfg, k, sign, prec=PREC))
+        assert _bits(res.boundary_terms) == _bits(want)

@@ -6,11 +6,13 @@ import pytest
 from mpmath import mp
 
 from hardyz import kernel
-from hardyz.extremal import equal_angle_nodes, equal_angle_weights, sine_product
+from hardyz.extremal import (ExtremalParams, equal_angle_nodes, equal_angle_weights,
+                             extremal_config, sine_product)
 from hardyz.kernel import (DuplicateNodeError, NodeConfig, SingularParameterError,
                            boundary_sum_bound, chebyshev_moment, coefficients,
                            compile_psi, divided_bound_direct, kernel_knots, psi,
-                           psi_chebyshev_series, psi_star_boundary, random_config)
+                           psi_chebyshev_series, psi_orders, psi_star_boundary,
+                           random_config)
 from hardyz.precision import working_precision
 
 PREC = 192
@@ -72,7 +74,7 @@ def test_series_matches_direct_evaluation():
     with working_precision(PREC):
         for frac in ("-0.4", "0.1", "0.8"):
             x = mp.mpf(cfg.a) * mp.mpf(frac)
-            direct = psi(cfg, l, x, prec=PREC)
+            direct = psi(cfg, l, x, coefficients(cfg, prec=PREC).mu, prec=PREC)
             series, tail = psi_chebyshev_series(cfg, l, x, 400, prec=PREC)
             assert abs(direct - series) <= tail + mp.mpf(2) ** (-(PREC - 60))
 
@@ -89,7 +91,8 @@ def test_boundary_matches_direct_for_strict():
     rng = random.Random(17)
     cfg = random_config(rng, 2, prec=PREC)
     for sign in (1, -1):
-        direct = psi(cfg, 3, sign * mp.mpf(cfg.a), prec=PREC)
+        direct = psi(cfg, 3, sign * mp.mpf(cfg.a), coefficients(cfg, prec=PREC).mu,
+                     prec=PREC)
         ext = psi_star_boundary(cfg, 3, sign, prec=PREC)
         assert abs(direct - ext) < mp.mpf(2) ** (-(PREC - 60))
 
@@ -192,7 +195,7 @@ def test_compiled_kernel_defaults_to_lemma_weights():
     comp = compile_psi(cfg, 4, prec=PREC)
     with working_precision(PREC):
         x = mp.mpf(cfg.a) * mp.mpf("0.37")
-        direct = psi(cfg, 4, x, prec=PREC)
+        direct = psi(cfg, 4, x, coefficients(cfg, prec=PREC).mu, prec=PREC)
         assert abs(comp(x) - direct) <= TOL * max(1, abs(direct))
 
 
@@ -305,3 +308,66 @@ def test_a_decimal_string_is_refused():
     # precision its caller happens to run
     with pytest.raises(TypeError):
         NodeConfig(n=1, a="3.3", nodes=[-1, 0, 1])
+
+
+# ---------------------------------------------------------------------------
+# boundary values of every order from one set of Bernoulli arguments
+
+
+def _per_order_boundary_sum(config, c, m, prec):
+    """boundary_sum_bound's (lhs, rhs), with the boundary values read order
+    by order through psi_star_boundary."""
+    n = config.n
+    with working_precision(prec):
+        cm = mp.mpf(c)
+        lhs = mp.mpf(0)
+        for k in range(1, m + 1):
+            s = psi_star_boundary(config, k, 1, prec=prec) \
+                + psi_star_boundary(config, k, -1, prec=prec)
+            lhs += (-1) ** (n + k + 1) * s * cm ** (2 * k - 1)
+        rhs = kernel.sine_product(config, prec=prec) \
+            * divided_bound_direct(config, c, prec=prec)
+        return lhs, rhs
+
+
+def _assert_boundary_sum_is_per_order(config, c, m, prec):
+    got = boundary_sum_bound(config, c, m, prec=prec)
+    want = _per_order_boundary_sum(config, c, m, prec)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+@pytest.mark.parametrize("n, c, eps, m, prec",
+                         [(12, 0.95, 0.65, 30, 128), (12, 0.95, 0.65, 30, 192),
+                          (16, 0.935086, 0.066081, 45, 192)],
+                         ids=["paper-128", "paper-192", "early-exit-192"])
+def test_boundary_sum_equals_the_per_order_loop_on_certificates(n, c, eps, m, prec):
+    # the configurations and the min(m, 12) orders theorem2_certificate reads
+    params = ExtremalParams(n=n, c=c, eps=eps, prec=prec)
+    config = extremal_config(params, prec=prec)
+    _assert_boundary_sum_is_per_order(config, params.c, min(m, 12), prec)
+
+
+def test_boundary_sum_equals_the_per_order_loop_on_random_configurations():
+    rng = random.Random(97)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        config = random_config(rng, n, prec=PREC)
+        with working_precision(PREC):
+            c = (mp.mpf(rng.randrange(n)) + mp.mpf(rng.uniform(0.05, 0.95))) \
+                * mp.pi / config.a
+        _assert_boundary_sum_is_per_order(config, c, rng.randint(1, 12), PREC)
+
+
+def test_psi_orders_equals_psi_order_by_order():
+    # zero weights are skipped, and x anywhere in [-a, a], the knots included
+    rng = random.Random(101)
+    config = random_config(rng, 3, prec=PREC)
+    with working_precision(PREC):
+        w = [mp.mpf(rng.uniform(-1, 1)) for _ in range(5)]
+        weights = [w[0], 0, w[1], w[2], w[3], 0, w[4]]
+        weights[3] = -mp.fsum(weights[:3] + weights[4:])
+        xs = [config.a, -config.a, config.nodes[1], config.a * mp.mpf(rng.uniform(-1, 1))]
+    for x in xs:
+        values = psi_orders(config, 9, x, weights, prec=PREC)
+        assert [v._mpf_ for v in values] \
+            == [psi(config, l, x, weights, prec=PREC)._mpf_ for l in range(1, 10)]

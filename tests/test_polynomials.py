@@ -1,11 +1,12 @@
 """Unit tests for the Bernoulli/Chebyshev substrate."""
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from hardyz import polynomials as P
 from hardyz.precision import working_precision
@@ -170,6 +171,49 @@ def test_horner_complex_coefficients():
         cs = [mp.mpc(k + 1, -k) / 7 ** k for k in range(6)]
         x = mp.mpf("0.37")
         assert P.horner(cs, x) == _zero_start_horner(cs, x, mp.mpc(0))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192, 224])
+def test_horner_mpf_path_equals_the_generic_loop(prec):
+    # seeded coefficients of degree 0..60, some zero and some carrying more
+    # bits than the working precision, at x = 0, x < 0 and |x| > 1
+    rng = random.Random(prec)
+    with working_precision(prec):
+        xs = [mp.mpf(0), mp.mpf(-rng.random()), mp.mpf(rng.random()),
+              mp.mpf(rng.uniform(1, 3)), mp.mpf(-rng.uniform(1, 3))]
+    for degree in range(61):
+        with working_precision(prec + 40):
+            coeffs = [mp.mpf(0) if rng.random() < 0.1 else
+                      mp.mpf(rng.uniform(-1, 1)) * 2 ** rng.randint(-30, 30) / 3
+                      for _ in range(degree + 1)]
+        with working_precision(prec):
+            for x in xs:
+                value = P.horner(coeffs, x)
+                assert type(value) is mpf
+                assert value._mpf_ == _zero_start_horner(coeffs, x, 0)._mpf_
+
+
+def test_horner_takes_the_generic_loop_unless_everything_is_mpf(monkeypatch):
+    def libmp_step(*args):
+        raise AssertionError("the libmp loop ran")
+
+    monkeypatch.setattr(P, "mpf_mul", libmp_step)
+    with working_precision(128):
+        x = mp.mpf("0.3")
+        cases = [([Fraction(1, 3), Fraction(-2, 7)], Fraction(1, 5), Fraction),
+                 ([1, -2, 3], 4, int),
+                 ([0.5, 1.5], 0.25, float),
+                 ([mp.mpc(1, 2), mp.mpf(1)], x, mp.mpc),
+                 ([mp.mpf(1), mp.mpf(2)], mp.mpc(0.5, 1), mp.mpc),
+                 ([mp.mpf(1), 2], x, mpf),
+                 ([mp.mpf(1), mp.mpf(2)], 0.5, mpf)]
+        for coeffs, xv, kind in cases:
+            value = P.horner(coeffs, xv)
+            assert type(value) is kind
+            assert value == _zero_start_horner(coeffs, xv, 0)
+        assert type(P.horner([], x)) is int and P.horner([], x) == 0
+        with pytest.raises(AssertionError, match="libmp"):
+            P.horner([x, x], x)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hardyz"

@@ -30,6 +30,7 @@ COMMANDS = [
     "--precision-bits 192 extremal 12 0.95 0.65 30",
     "--precision-bits 128 extremal 20 0.974 0.3 60",
     "--precision-bits 192 extremal 14 0.95 0.07 40",
+    "--precision-bits 192 extremal 16 0.935086 0.066081 45",
     "--precision-bits 64 explore 100 0.3 2",
     "--precision-bits 64 explore 57.5 0.3 2",
     "--precision-bits 128 explore 57.5 0.3 2",
