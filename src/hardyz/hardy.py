@@ -1,8 +1,9 @@
 """Hardy Z function engine: evaluation, derivatives, zeros, counting.
 
-Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  z_eval applies
-Euler-Maclaurin summation to zeta, in fixed point, with an explicit bound
-on its truncation and its rounding.
+Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Every zeta the
+program reads comes from one Euler-Maclaurin sum (_zeta_em), in fixed
+point, with an explicit bound on its truncation and its rounding: z_eval's
+on the critical line and the contour samples' off it.
 mp.siegelz is not Riemann-Siegel below |t| = 500 mp.prec: it is Borwein's
 algorithm up to |t| of about mp.prec + 21 and mpmath's Euler-Maclaurin
 (Hurwitz) sum above that, which costs more than z_eval.  So the zero finder
@@ -15,8 +16,9 @@ bracket.  What is proved is a sign change of Z on gamma +- 2^-46
 (gamma +- 2^-38 after one retry): z_eval has opposite signs there, each
 larger than its error estimate.
 Derivatives come from the Taylor coefficients of the analytic continuation
-of Z on a Cauchy circle: the half with Im w <= 0 is sampled with the
-library zeta and Schwarz reflection fills the other.
+of Z on a Cauchy circle: the half with Im w <= 0, where zeta sits at
+sigma >= 1/2, is sampled with _zeta_em, and Schwarz reflection fills the
+other.
 _TaylorPatches is the one place that builds such circles and keeps their
 series: z_derivatives_batch reads one patch at its centre, and
 theorem1_explore reads every point of its window from seven.  Finite
@@ -47,6 +49,7 @@ EM_FIXED_BITS = 16  # _zeta_em's fraction bits above mp.prec: its sum rounds by 
 PHASE_GUARD_BITS = 20  # t log p for p^-s: keeps its rounding under a unit of 2^-bits to t = 10^4
 LOG_ULPS = 2  # assumed error of libmp.mpf_log (see _zeta_em)
 COS_SIN_ULPS = 2  # assumed error of libmp.mpf_cos_sin (see _zeta_em)
+EXP_ULPS = 2  # assumed error of libmp.mpf_exp (see _zeta_em)
 CONTOUR_RADIUS = 2  # Cauchy circles; z_derivatives_batch shrinks it to |t|/2 + 1/4 near 0
 SAMPLE_ULPS = 16  # assumed error of a contour sample (see _TaylorPatches)
 SIEGELZ_MAX_DERIVATIVE = 4  # mp.siegelz(t, derivative=k) takes k <= 4
@@ -101,9 +104,9 @@ def _theta_complex(w):
 
 
 class _PrimeTable:
-    """What n^-s = n^-1/2 e^(-it log n) needs that does not depend on t:
-    the smallest prime factor of each n, from one sieve that grows when a
-    larger n is asked for, and per (p, bits) log p, rounded at
+    """What n^-s = n^-sigma e^(-it log n) needs that depends on neither
+    sigma nor t: the smallest prime factor of each n, from one sieve that
+    grows when a larger n is asked for, and per (p, bits) log p, rounded at
     bits + PHASE_GUARD_BITS, and floor(2^bits p^-1/2)."""
 
     def __init__(self):
@@ -136,22 +139,27 @@ class _PrimeTable:
 _PRIMES = _PrimeTable()
 
 
-def _dirichlet_table(t, N: int, bits: int) -> Tuple[List[int], List[int]]:
-    """(re, im): n^-s, s = 1/2 + it, for 1 <= n <= N in fixed point with
-    `bits` fraction bits (index 0 unused).  A prime p costs one cos_sin of
-    t log p at bits + PHASE_GUARD_BITS, times floor(2^bits p^-1/2); a
-    composite n = p m, p its smallest prime factor, the floor of one
-    complex product of the entries of p and m.  _zeta_em bounds the
-    rounding."""
+def _dirichlet_table(sigma, t, N: int, bits: int) -> Tuple[List[int], List[int]]:
+    """(re, im): n^-s, s = sigma + it, sigma >= 1/2, for 1 <= n <= N in
+    fixed point with `bits` fraction bits (index 0 unused).  A prime p costs
+    one cos_sin of t log p at bits + PHASE_GUARD_BITS, times
+    floor(2^bits p^-sigma): an isqrt at sigma = 1/2, elsewhere the exp of
+    -sigma log p at bits + PHASE_GUARD_BITS; a composite n = p m, p its
+    smallest prime factor, the floor of one complex product of the entries
+    of p and m.  _zeta_em bounds the rounding."""
     spf = _PRIMES.factors(N)
     wp = bits + PHASE_GUARD_BITS
     tt = t._mpf_
+    minus_sigma = None if sigma._mpf_ == libmp.fhalf else libmp.mpf_neg(sigma._mpf_)
     re, im = [0] * (N + 1), [0] * (N + 1)
     re[1] = 1 << bits
     for n in range(2, N + 1):
         p = spf[n]
         if p == n:
             log_p, root = _PRIMES.constant(p, bits)
+            if minus_sigma is not None:
+                root = libmp.to_fixed(libmp.mpf_exp(libmp.mpf_mul(minus_sigma, log_p, wp), wp),
+                                      bits)
             c, s = libmp.mpf_cos_sin(libmp.mpf_mul(tt, log_p, wp), wp)
             re[n] = libmp.to_fixed(c, bits) * root >> bits
             im[n] = -libmp.to_fixed(s, bits) * root >> bits
@@ -162,12 +170,15 @@ def _dirichlet_table(t, N: int, bits: int) -> Tuple[List[int], List[int]]:
     return re, im
 
 
-def _entry_units(t, N: int) -> float:
-    """B: every entry of _dirichlet_table(t, N, bits) is within B units of
-    2^-bits of n^-s (derived in _zeta_em)."""
-    phase = 2 * float(t) * math.log(N) * (LOG_ULPS + 1) + 2 * COS_SIN_ULPS
+def _entry_units(sigma, t, N: int) -> float:
+    """B: every entry of _dirichlet_table(sigma, t, N, bits) is within B
+    units of 2^-bits of n^-s (derived in _zeta_em)."""
+    log_n = math.log(N)
+    phase = 2 * abs(float(t)) * log_n * (LOG_ULPS + 1) + 2 * COS_SIN_ULPS
     a = 1 + phase / 2 ** PHASE_GUARD_BITS
-    return (a + 3 + math.sqrt(2)) / (math.sqrt(2) - 1) + 1
+    mu = 0.0 if sigma._mpf_ == libmp.fhalf else (
+        (2 * float(sigma) * log_n * (LOG_ULPS + 1) + 2 * EXP_ULPS) / 2 ** PHASE_GUARD_BITS)
+    return (a + mu + 3 + math.sqrt(2)) / (math.sqrt(2) - 1) + 1
 
 
 @functools.cache
@@ -178,29 +189,33 @@ def _bernoulli_ratios(count: int, bits: int) -> Tuple[int, ...]:
                  for k in range(1, count + 1))
 
 
-def _zeta_em(t, prec: int) -> Tuple[object, mpf]:
-    """(zeta(1/2 + it), error bound) by Euler-Maclaurin summation (Edwards,
-    Riemann's Zeta Function, 1974, 6.4):
+def _zeta_em(sigma, t, prec: int) -> Tuple[object, mpf]:
+    """(zeta(s), error bound), s = sigma + it with sigma >= 1/2 and any real
+    t other than s = 1, by Euler-Maclaurin summation (Edwards, Riemann's
+    Zeta Function, 1974, 6.4):
 
         zeta(s) = sum_{n<N} n^-s + N^-s/2 + N^(1-s)/(s-1)
                   + N^(1-s) sum_{k<=K} Q_k + R_K,
         Q_k = c_k s(s+1)..(s+2k-2)/N^2k,  c_k = B_2k/(2k)!.
 
     prec is the caller's requested bits, which set the term counts:
-    N = max(ceil(t/2), prec/4, 10), so the correction terms decay by
+    N = max(ceil(|t|/2), prec/4, 10), so the correction terms decay by
     several bits each, and K <= max(prec/2, 20).  Terms T_k = N^(1-s) Q_k
     are added while |T_k| falls, up to and including the first below
-    2^-(prec+10).  The truncation bound is the standard |s+2K+3|/(2K+3.5)
-    multiple of the first omitted term T_(K+1) (sigma = 1/2), with |T_K|
-    standing in for it when the sum stopped at the tolerance or at K's cap.
+    2^-(prec+10).  The truncation bound is the standard
+    |s+2K+3|/(sigma+2K+3) multiple of the first omitted term T_(K+1), with
+    |T_K| standing in for it when the sum stopped at the tolerance or at
+    K's cap; |T_k| = |Q_k| N^(1-sigma).
 
     All of it is summed in fixed point, Python ints with bits = mp.prec +
-    EM_FIXED_BITS fraction bits (more if t needs them to be exact), mp.prec
-    being EM_GUARD_BITS above the ambient precision.  The entries n^-s,
-    n <= N, come from _dirichlet_table, and
+    EM_FIXED_BITS fraction bits (more if sigma or t needs them to be
+    exact), mp.prec being EM_GUARD_BITS above the ambient precision.  The
+    entries n^-s, n <= N, come from _dirichlet_table, and
     Q_(k+1) = Q_k (c_(k+1)/c_k) (s+2k-1)(s+2k)/N^2 from the ratios
-    c_(k+1)/c_k rounded to bits fraction bits.  N^(1-s) is N times the
-    entry of N.
+    c_(k+1)/c_k rounded to bits fraction bits, with sigma = 1/2 + delta:
+    (s+2k-1)(s+2k) = (16k^2 - 1)/4 + 4k delta + delta^2 - t^2
+    + i t (4k + 2 delta).  N^(1-s) is N times the entry of N.  At
+    sigma = 1/2, delta = 0, and every sum is the one of the critical line.
 
     The rounding, in units of 2^-bits, as complex moduli:
     - the floor of an exact integer product or quotient errs by less than
@@ -208,49 +223,65 @@ def _zeta_em(t, prec: int) -> Tuple[object, mpf]:
     - a prime p: log p is assumed within LOG_ULPS ulps and the cos_sin of
       the rounded t log p within COS_SIN_ULPS, at wp = bits +
       PHASE_GUARD_BITS.  The phase then errs by at most
-      2 t log N (LOG_ULPS + 1) 2^-wp, and cos and sin, truncated to bits,
-      by a = 1 + 2^-PHASE_GUARD_BITS (2 t log N (LOG_ULPS + 1)
-      + 2 COS_SIN_ULPS).  floor(2^bits p^-1/2) errs by less than 1, so with
-      p >= 2 the entry errs by at most P = a + 1 + sqrt 2;
+      2 |t| log N (LOG_ULPS + 1) 2^-wp, and cos and sin, truncated to bits,
+      by a = 1 + 2^-PHASE_GUARD_BITS (2 |t| log N (LOG_ULPS + 1)
+      + 2 COS_SIN_ULPS).  At sigma = 1/2 the modulus floor(2^bits p^-1/2)
+      is an exact isqrt and errs by less than 1.  Elsewhere it is the
+      truncated exp of the rounded -sigma log p, the exp assumed within
+      EXP_ULPS ulps, and it errs by less than 1 + mu,
+      mu = 2^-PHASE_GUARD_BITS (2 sigma log N (LOG_ULPS + 1) + 2 EXP_ULPS)
+      (mu = 0 at sigma = 1/2).  So with p >= 2 the entry errs by at most
+      P = a + 1 + mu + sqrt 2;
     - a composite n = p m with m >= p >= 2: the product of entries with
-      errors E_p and E_m errs by E_p m^-1/2 + p^-1/2 E_m + E_p E_m 2^-bits,
-      plus its floor.  |p^-s| = p^-1/2 < 1, so an error carried through
-      n = p m shrinks, and every entry is within B = (P + 2)/(sqrt 2 - 1) + 1
-      (about 14) of n^-s: B exceeds P/sqrt 2 + B/sqrt 2 + sqrt 2 by more
-      than the second-order term;
+      errors E_p and E_m errs by E_p |m^-s| + |p^-s| E_m + E_p E_m 2^-bits,
+      plus its floor.  |p^-s| = p^-sigma <= p^-1/2 < 1, so an error carried
+      through n = p m shrinks, and every entry is within
+      B = (P + 2)/(sqrt 2 - 1) + 1 (about 14) of n^-s: B exceeds
+      P/sqrt 2 + B/sqrt 2 + sqrt 2 by more than the second-order term;
     - so the sum over n < N errs by at most (N - 2) B, N^-s/2 by B/2 plus a
-      floor, and N^(1-s)/(s-1) = N N^-s conj(s-1)/|s-1|^2, in which t is
-      exact, by N B/max(t, 1/2) plus a floor;
+      floor, and N^(1-s)/(s-1) = N N^-s conj(s-1)/|s-1|^2, in which sigma
+      and t are exact, by N B/max(|t|, |sigma - 1|) plus a floor;
     - Q_1 = s/(12 N^2) errs by sqrt 2.  While the terms fall,
-      |Q_k| <= |Q_1| < 1/58, and |c_(k+1)/c_k| >= 1/(4 pi^2 zeta(2)) > 1/65,
-      so the rounded ratio adds less than 1 a step, and a step adds at
-      most 1 + sqrt 2 to the error it inherits: Q_k errs by 2.5 k, the sum
-      of K of them by 1.25 K(K+1), and its product with N^(1-s),
-      |N^(1-s)| = N^1/2, by 1.25 K(K+1) N^1/2 + |sum Q_k| N B plus a floor;
+      |Q_k| <= |Q_1| = q, and |c_(k+1)/c_k| >= 1/(4 pi^2 zeta(2)) > 1/65,
+      so the rounded ratio adds less than 32.5 q a step, and a step adds at
+      most 32.5 q + sqrt 2 to the error it inherits: Q_k errs by e k,
+      e = max(2.5, 32.5 q + sqrt 2), which is 2.5 on the critical line,
+      where q < 1/58.  The sum of K of them errs by e K(K+1)/2, and its
+      product with N^(1-s), |N^(1-s)| = N^(1-sigma), by
+      e K(K+1) N^(1-sigma)/2 + |sum Q_k| N B plus a floor;
     - converting the result to an mpc rounds it once: 2^(1-mp.prec) |zeta|.
     The bound returned is the truncation bound plus these, which are
     computed in floats with B's unit of slack to spare.
     """
     with mp.extraprec(EM_GUARD_BITS):
-        N = int(max(mp.ceil(t / 2), prec // 4, 10))
-        bits = max(mp.prec + EM_FIXED_BITS, -t._mpf_[2])
+        N = int(max(mp.ceil(abs(t) / 2), prec // 4, 10))
+        bits = max(mp.prec + EM_FIXED_BITS, -t._mpf_[2], -sigma._mpf_[2])
         T = libmp.to_fixed(t._mpf_, bits)
         T2 = T * T
-        re, im = _dirichlet_table(t, N, bits)
         half = 1 << (bits - 1)
+        S = libmp.to_fixed(sigma._mpf_, bits)
+        D, c = S - half, S - 2 * half  # sigma - 1/2 and sigma - 1; conj(s-1) = c - iT
+        d = c * c + T2  # |s-1|^2 2^(2 bits)
+        if D < 0 or not d:
+            raise ValueError("_zeta_em needs sigma >= 1/2 and s != 1")
+        re, im = _dirichlet_table(sigma, t, N, bits)
         zr = sum(re[1:N]) + (re[N] >> 1)
         zi = sum(im[1:N]) + (im[N] >> 1)
         xr, xi = N * re[N], N * im[N]  # N^(1-s)
-        d = half * half + T2  # |s-1|^2 2^(2 bits); conj(s-1) = -1/2 - it
-        zr += ((-xr * half + xi * T) << bits) // d
-        zi += ((-xr * T - xi * half) << bits) // d
+        zr += ((xr * c + xi * T) << bits) // d
+        zi += ((xi * c - xr * T) << bits) // d
         # correction terms N^(1-s) Q_k
         K_cap = max(prec // 2, 20)
         ratios = _bernoulli_ratios(K_cap, bits)
         N2 = N * N
         div = N2 << 3 * bits
-        qr, qi = half // (12 * N2), T // (12 * N2)
-        tol2 = 1 << 2 * (bits - prec - 10)  # |Q_k|^2 N < tol2: the term is below 2^-(prec+10)
+        qr, qi = S // (12 * N2), T // (12 * N2)
+        # |Q_k|^2 N < tol2: the term is below 2^-(prec+10)
+        tol2, lift = 1 << 2 * (bits - prec - 10), 1
+        if D:
+            lift = mp.mpf(N) ** (sigma - 0.5)  # N^(sigma-1/2) = N^1/2/|N^(1-s)|
+            tol2 = int(lift * lift * tol2)
+            D2, TD2 = D * D, 2 * T * D
         sr = si = 0
         prev = None
         k = 1
@@ -265,19 +296,23 @@ def _zeta_em(t, prec: int) -> Tuple[object, mpf]:
             prev = mag2
             a = ((16 * k * k - 1) << 2 * bits - 2) - T2  # (s+2k-1)(s+2k), 2 bits fraction bits
             b = 4 * k * T << bits
+            if D:
+                a += (4 * k * D << bits) + D2
+                b += TD2
             qr, qi = ((qr * a - qi * b) * ratios[k - 1] // div,
                       (qr * b + qi * a) * ratios[k - 1] // div)
             k += 1
         zr += (sr * xr - si * xi) >> bits
         zi += (sr * xi + si * xr) >> bits
         zeta = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
-        term_mag = mp.ldexp(mp.sqrt(mag2 * N), -bits)
-        truncation = abs(mp.mpc(0.5, t) + 2 * k + 1) / (2 * k + mp.mpf(1.5)) * term_mag
+        term_mag = mp.ldexp(mp.sqrt(mag2 * N), -bits) / lift
+        truncation = abs(mp.mpc(sigma, t) + 2 * k + 1) / (sigma + 2 * k + 1) * term_mag
 
-        tf, K, B = float(t), k - 1, _entry_units(t, N)
+        sf, tf, K, B = float(sigma), float(t), k - 1, _entry_units(sigma, t, N)
+        step = max(2.5, 32.5 * math.hypot(sf, tf) / (12 * N2) + math.sqrt(2))
         q_sum = float(mp.ldexp(mp.hypot(sr, si), -bits))
-        units = ((N - 1.5 + N / max(tf, 0.5) + q_sum * N) * B
-                 + 1.25 * K * (K + 1) * math.sqrt(N) + 4)
+        units = ((N - 1.5 + N / max(abs(tf), abs(sf - 1)) + q_sum * N) * B
+                 + step / 2 * K * (K + 1) * math.sqrt(N) / float(lift) + 4)
         rounding = mp.ldexp(units, -bits) + mp.ldexp(abs(zeta), 1 - mp.prec)
         return +zeta, +(truncation + rounding)
 
@@ -296,9 +331,10 @@ class ZSample:
 def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
     """Z(t) = e^{i theta(t)} zeta(1/2 + it) by Euler-Maclaurin, real output.
 
-    The error estimate is _zeta_em's bound, its truncation plus the proved
-    rounding of its fixed-point sums, plus the imaginary residue of the
-    complex product.  find_zeros reads it between
+    The error estimate is _zeta_em's bound at sigma = 1/2, its truncation
+    plus the proved rounding of its fixed-point sums, plus the imaginary
+    residue of the complex product; the contour samples (_z_complex) read
+    the same sum off the line.  find_zeros reads it between
     mpmath's Borwein limit (t = mp.prec + 21) and t = 200, and from 200 on
     wherever enclose.z_rs cannot prove the sign, and it checks every zero's
     sign change.  The Riemann-Siegel route is enclose.z_rs, for
@@ -310,7 +346,7 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
         tm = mp.mpf(t)
         if tm < 0:
             raise ValueError("t must be >= 0")
-        zeta_val, zeta_err = _zeta_em(tm, prec)
+        zeta_val, zeta_err = _zeta_em(mp.mpf(0.5), tm, prec)
         phase = mp.e ** (1j * theta(tm, prec=prec + THETA_GUARD_BITS))
         zc = phase * zeta_val
         err = zeta_err + abs(zc.imag)
@@ -318,10 +354,15 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
 
 
 def _z_complex(w):
-    """Analytic continuation Z(w) from the library zeta; the pole of zeta
-    sits at w = -i/2 only."""
+    """Analytic continuation Z(w) = e^{i theta(w)} zeta(1/2 + iw) at
+    Im w <= 0, a contour sample: zeta from _zeta_em at sigma = 1/2 - Im w
+    (rounded at the ambient precision) and t = Re w, with the ambient
+    precision as its requested bits, and theta from the library loggamma.
+    _zeta_em refuses Im w > 0, where sigma < 1/2 and _dirichlet_table's
+    bound does not hold; the contours fill that half by reflection.  The
+    pole of zeta sits at w = -i/2."""
     wm = mp.mpc(w)
-    zeta_val = mp.zeta(mp.mpf(0.5) + 1j * wm)
+    zeta_val, _ = _zeta_em(mp.mpf(0.5) - wm.imag, wm.real, mp.prec)
     return mp.e ** (1j * _theta_complex(wm)) * zeta_val
 
 
@@ -642,13 +683,15 @@ class _TaylorPatches:
     - rounding: each sample is assumed within
       SAMPLE_ULPS (1 + W log(2 + W)) 2^-bits m of Z at its exact point, W the
       largest |w| sampled and m = z_log_majorant's bound on the r-circles.
-      mpmath guarantees nothing for zeta or loggamma; W log W is the size of
-      theta(w), whose ulps become Z's relative error, and measured errors
-      stay below 1.4 such units.  The fixed-point sums add 2 (m + 2) 2^-bits
-      a sample, and a sample error delta moves Z^(k) by at most
-      delta k! r/(r - d)^(k+1).  Forming the coefficients, the Horner pass
-      and rounding h = u - centre add (3N + 6) 2^-bits S, and rounding the
-      read to the working precision 2^-mp.prec S, with
+      Zeta comes from _zeta_em with a proved bound, which times
+      |e^(i theta)| the tests check stays inside that allowance on
+      explore's circles; mpmath guarantees nothing for loggamma.  W log W
+      is the size of theta(w), whose ulps become Z's relative error, and
+      measured errors stay below 1.4 such units.  The fixed-point sums add
+      2 (m + 2) 2^-bits a sample, and a sample error delta moves Z^(k) by
+      at most delta k! r/(r - d)^(k+1).  Forming the coefficients, the
+      Horner pass and rounding h = u - centre add (3N + 6) 2^-bits S, and
+      rounding the read to the working precision 2^-mp.prec S, with
       S = max sum_n |a_n| n!/(n-k)! d^(n-k) over the patches.
     series_error is the largest sum of the three over the orders, doubled,
     which covers the second-order rounding terms and the floats the bound is
@@ -708,7 +751,7 @@ class _TaylorPatches:
         for c in self.centres:
             a = _z_taylor(c, r, self.M, N, self.bits)
             with mp.workprec(self.bits):
-                self.series.append({k: [a[n] * mp.ff(n, k) for n in range(k, N)]
+                self.series.append({k: [a[n] * math.perm(n, k) for n in range(k, N)]
                                     for k in self._orders})
 
     def _terms(self, M: int) -> int:

@@ -4,6 +4,7 @@ Kept at 128 bits so the whole file stays inside a desk-scale budget.
 """
 
 import dataclasses
+import random
 import sys
 
 import pytest
@@ -89,26 +90,94 @@ def test_z_eval_within_its_estimate_of_siegelz(prec):
             assert abs(s.z - mp.siegelz(s.t)) <= s.error_estimate, s.t
 
 
+# the critical line, three points inside explore's circles (sigma up to
+# 1/2 + CONTOUR_RADIUS) and the far side of test_enclose's (60, 16) circle
+TABLE_SIGMAS = ("0.5", "0.75", "1.5", "2.5", "16.5")
+
+
 # N = 16 is the smallest N of _zeta_em (prec//4 at 64 bits), 251 a prime,
-# 252 a prime plus one and 243 = 3^5
+# 252 a prime plus one and 243 = 3^5; t < 0 is the lower half of a circle
+# about a centre below 0
 @pytest.mark.parametrize("t, N, prec", [("30.5", 16, 64), ("500.3", 251, 128),
-                                        ("503.1", 252, 128), ("485.7", 243, 192)])
+                                        ("503.1", 252, 128), ("485.7", 243, 192),
+                                        ("-4.25", 16, 64)])
 def test_dirichlet_table_within_its_bound(t, N, prec):
     bits = prec + 40
-    with working_precision(prec):
-        tm = mp.mpf(t)
-        re, im = hardy._dirichlet_table(tm, N, bits)
-    B = hardy._entry_units(tm, N)
-    with mp.workprec(2 * prec):
-        s = mp.mpc(0.5, tm)
-        exact = [mp.power(n, -s) for n in range(1, N + 1)]
-        unit = mp.ldexp(1, -bits)
-        worst = max(abs(mp.mpc(re[n], im[n]) * unit - exact[n - 1]) for n in range(1, N + 1))
-        assert worst <= B * unit
-        total = mp.mpc(sum(re[1:N]), sum(im[1:N])) * unit
-        assert abs(total - mp.fsum(exact[:N - 1])) <= (N - 2) * B * unit
-        # the bound is not vacuous: the entries are good to within 2^-(prec+30)
-        assert worst < mp.ldexp(1, -(prec + 30))
+    for sigma in TABLE_SIGMAS:
+        with working_precision(prec):
+            sm, tm = mp.mpf(sigma), mp.mpf(t)
+            re, im = hardy._dirichlet_table(sm, tm, N, bits)
+        B = hardy._entry_units(sm, tm, N)
+        with mp.workprec(2 * prec):
+            s = mp.mpc(sm, tm)
+            exact = [mp.power(n, -s) for n in range(1, N + 1)]
+            unit = mp.ldexp(1, -bits)
+            worst = max(abs(mp.mpc(re[n], im[n]) * unit - exact[n - 1])
+                        for n in range(1, N + 1))
+            assert worst <= B * unit, sigma
+            total = mp.mpc(sum(re[1:N]), sum(im[1:N])) * unit
+            assert abs(total - mp.fsum(exact[:N - 1])) <= (N - 2) * B * unit, sigma
+            # the bound is not vacuous: the entries are good to within 2^-(prec+30)
+            assert worst < mp.ldexp(1, -(prec + 30)), sigma
+
+
+def _zeta_points():
+    """(sigma, t): 100 seeded points with sigma in [1/2, 17] and t in
+    [-5, 1010], denser near sigma = 1/2 and small t, where the contours
+    sample, and 12 about the pole, |s - 1| from 0.017 (the (0.5, 0.69)
+    circle's nearest approach) to 0.25."""
+    rng = random.Random(20261019)
+    points = [(0.5 + 16.5 * rng.random() ** 3, -5 + 1015 * rng.random() ** 3)
+              for _ in range(100)]
+    with mp.workprec(64):
+        for rho in ("0.017", "0.06", "0.25"):
+            for j in (-3, -1, 0, 2):
+                s = 1 + mp.mpf(rho) * mp.expjpi(mp.mpf(j) / 4)
+                points.append((s.real, s.imag))
+    return points
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_zeta_em_encloses_the_library_zeta(prec):
+    for sigma, t in _zeta_points():
+        with working_precision(prec):
+            sm, tm = mp.mpf(sigma), mp.mpf(t)
+            value, bound = hardy._zeta_em(sm, tm, prec)
+        with mp.workprec(2 * prec + 30):
+            exact = mp.zeta(mp.mpc(sm, tm))
+            assert abs(value - exact) <= bound, (sigma, t)
+            # and the bound is near the precision asked for
+            assert bound <= mp.ldexp(max(1, abs(exact)), 4 - prec), (sigma, t)
+
+
+def test_zeta_em_refuses_sigma_below_one_half_and_the_pole():
+    with working_precision(64):
+        for sigma, t in (("0.4999", "10"), ("-1", "0"), ("1", "0")):
+            with pytest.raises(ValueError):
+                hardy._zeta_em(mp.mpf(sigma), mp.mpf(t), 64)
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_contour_zeta_stays_inside_the_sample_allowance(prec):
+    # _TaylorPatches assumes each sample within SAMPLE_ULPS (1 + W log(2 + W))
+    # 2^-bits m of Z; the zeta half of that is _zeta_em's bound times
+    # |e^(i theta)|, on every point of explore's circles
+    for T in (55, 60, 65):
+        with working_precision(prec):
+            T = mp.mpf(T)
+            patches = hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi,
+                                           hardy.CONTOUR_RADIUS, (1, 3, 4), prec)
+            allowance = patches._ulps * patches._m * mp.ldexp(1, -patches.bits)
+            worst = 0
+            with mp.workprec(patches.bits):
+                roots = mp.unitroots(patches.M)
+                for c in patches.centres:
+                    for j in range(patches.M // 2 + 1):
+                        w = c + hardy.CONTOUR_RADIUS * mp.conj(roots[j])
+                        _, bound = hardy._zeta_em(mp.mpf(0.5) - w.imag, w.real, mp.prec)
+                        phase = abs(mp.e ** (1j * hardy._theta_complex(w)))
+                        worst = max(worst, bound * phase)
+            assert worst <= allowance, T
 
 
 def test_z_matches_zeta_modulus():
@@ -162,13 +231,20 @@ def test_batch_matches_single():
 
 @pytest.mark.parametrize("centre", [60, 1000])
 def test_z_reflects_across_the_real_axis(centre):
-    # the contour samples Im w <= 0 only and fills the rest by reflection
+    # the contour samples Im w <= 0 only and fills the rest by reflection;
+    # the upper half comes from the library zeta and loggamma, which share
+    # no code with _zeta_em
     with working_precision(PREC):
-        for j in range(8):
-            w = centre + 2 * mp.expjpi(mp.mpf(2 * j + 1) / 8)
+        for j in range(4):
+            w = centre + 2 * mp.expjpi(-mp.mpf(2 * j + 1) / 8)
             zw = hardy._z_complex(w)
-            gap = abs(hardy._z_complex(mp.conj(w)) - mp.conj(zw))
+            up = mp.conj(w)
+            library = mp.e ** (1j * hardy._theta_complex(up)) * mp.zeta(0.5 + 1j * up)
+            gap = abs(library - mp.conj(zw))
             assert gap <= mp.mpf(2) ** -(PREC - 8) * max(1, abs(zw))
+            # sigma = 1/2 - Im w < 1/2 there, outside _dirichlet_table's bound
+            with pytest.raises(ValueError):
+                hardy._z_complex(up)
 
 
 def test_patches_match_the_per_point_contour():
@@ -195,24 +271,29 @@ def test_patches_match_the_per_point_contour():
     (lambda: z_derivatives_batch(60, [1, 2], prec=64), 1, 16),
 ], ids=["explore", "batch"])
 def test_contour_zeta_budget(monkeypatch, run, patches, samples):
-    calls, built = [], []
-    zeta, patches_class = mp.zeta, hardy._TaylorPatches
+    # a sample is one _zeta_em call from _z_complex; explore's z_eval(T)
+    # calls it too, on the line, and is not a sample
+    calls, built, library = [], [], []
+    zeta_em, patches_class = hardy._zeta_em, hardy._TaylorPatches
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return zeta(*args, **kwargs)
+        if sys._getframe(1).f_code.co_name == "_z_complex":
+            calls.append(args)
+        return zeta_em(*args, **kwargs)
 
     class Recorded(patches_class):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(mp, "zeta", counted)
+    monkeypatch.setattr(hardy, "_zeta_em", counted)
+    monkeypatch.setattr(mp, "zeta", lambda *args, **kwargs: library.append(args))
     monkeypatch.setattr(hardy, "_TaylorPatches", Recorded)
     run()
     # one patch set sampled once: count circles of M/2 + 1 samples
     assert [p.count for p in built] == [patches]
     assert len(calls) == patches * (built[0].M // 2 + 1) <= patches * samples
+    assert library == []
 
 
 def test_derivative_capacity_guard():

@@ -273,6 +273,36 @@ def test_a_run_is_its_argv():
     assert _environment_reads(SRC) == []
 
 
+# ---------------------------------------------------------------------------
+# one zeta route: the program sums zeta itself (hardy._zeta_em, with a proved
+# bound), on the critical line and off it; the library zeta is the tests'
+# oracle only
+
+LIBRARY_OWNERS = {"mp", "mpmath"}
+
+
+def _library_zeta_uses(src: Path) -> List[str]:
+    """'module:line' for each mp.zeta or mpmath.zeta, and each zeta imported
+    from mpmath."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "zeta" and getattr(node.value, "id", None) in LIBRARY_OWNERS
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module in LIBRARY_OWNERS and any(
+                    alias.name == "zeta" for alias in node.names)
+            else:
+                continue
+            if hit:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_zeta_has_one_route():
+    assert _library_zeta_uses(SRC) == []
+
+
 def test_working_precision_takes_only_prec():
     assert list(inspect.signature(working_precision).parameters) == ["prec"]
     with working_precision(100):

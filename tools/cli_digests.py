@@ -34,6 +34,7 @@ COMMANDS = [
     "--precision-bits 64 explore 100 0.3 2",
     "--precision-bits 64 explore 57.5 0.3 2",
     "--precision-bits 128 explore 57.5 0.3 2",
+    "--precision-bits 64 explore 1000 0.3 4",
 ] + [
     f"--seed 3 --precision-bits 192 identity --n 3 --m 5 --probe {probe}"
     for probe in ("cosine", "polynomial", "gaussian-cosine", "cardinal")
