@@ -8,9 +8,9 @@ its first two correction terms,
 
 tau = sqrt(t/2pi), N = floor(tau), p = tau - N (Edwards, Riemann's Zeta
 Function, 1974, ch. 7), evaluated in floats.  It costs microseconds where
-the Euler-Maclaurin Z costs milliseconds (about 1.4 at t = 500 and 18 at
-t = 10^4, at 128 bits), so find_zeros proves Z's signs with it and reads
-hardy.z_eval only where the enclosure cannot decide.
+the Euler-Maclaurin Z (hardy.z_eval) costs milliseconds (about 1.4 at
+t = 500 and 18 at t = 10^4, at 128 bits); hardy.find_zeros states where the
+zero finder reads which.
 
 C0 = Psi and C1 = -Psi'''/(96 pi^2), with
 Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).  Psi is entire (the zeros of

@@ -4,17 +4,7 @@ Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Every zeta the
 program reads comes from one Euler-Maclaurin sum (_zeta_em), in fixed
 point, with an explicit bound on its truncation and its rounding: z_eval's
 on the critical line and the contour samples' off it.
-mp.siegelz is not Riemann-Siegel below |t| = 500 mp.prec: it is Borwein's
-algorithm up to |t| of about mp.prec + 21 and mpmath's Euler-Maclaurin
-(Hurwitz) sum above that, which costs more than z_eval.  So the zero finder
-reads Z by one rule: up to t = mp.prec + 21 from mp.siegelz, from there to
-t = 200 from z_eval, and from 200 on from enclose.z_rs, the Riemann-Siegel
-formula with Gabcke's remainder bound, wherever its enclosure proves Z's
-sign, else from z_eval.  Each sign change the scan brackets is refined
-by Illinois regula falsi (precision.refine_sign_change) to a 2^-48
-bracket.  What is proved is a sign change of Z on gamma +- 2^-46
-(gamma +- 2^-38 after one retry): z_eval has opposite signs there, each
-larger than its error estimate.
+find_zeros states how the zero finder reads Z and what it proves.
 Derivatives come from the Taylor coefficients of the analytic continuation
 of Z on a Cauchy circle: the half with Im w <= 0, where zeta sits at
 sigma >= 1/2, is sampled with _zeta_em, and Schwarz reflection fills the
@@ -202,9 +192,9 @@ def _zeta_em(sigma, t, prec: int) -> Tuple[object, mpf]:
     N = max(ceil(|t|/2), prec/4, 10), so the correction terms decay by
     several bits each, and K <= max(prec/2, 20).  Terms T_k = N^(1-s) Q_k
     are added while |T_k| falls, up to and including the first below
-    2^-(prec+10).  The truncation bound is the standard
-    |s+2K+3|/(sigma+2K+3) multiple of the first omitted term T_(K+1), with
-    |T_K| standing in for it when the sum stopped at the tolerance or at
+    2^-(prec+10).  The truncation bound is Edwards' |s+2K+1|/(sigma+2K+1)
+    multiple of the first omitted term T_(K+1), K the number of terms added,
+    with |T_K| standing in for it when the sum stopped at the tolerance or at
     K's cap; |T_k| = |Q_k| N^(1-sigma).
 
     All of it is summed in fixed point, Python ints with bits = mp.prec +
@@ -306,7 +296,7 @@ def _zeta_em(sigma, t, prec: int) -> Tuple[object, mpf]:
         zi += (sr * xi + si * xr) >> bits
         zeta = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
         term_mag = mp.ldexp(mp.sqrt(mag2 * N), -bits) / lift
-        truncation = abs(mp.mpc(sigma, t) + 2 * k + 1) / (sigma + 2 * k + 1) * term_mag
+        truncation = abs(mp.mpc(sigma, t) + 2 * k - 1) / (sigma + 2 * k - 1) * term_mag
 
         sf, tf, K, B = float(sigma), float(t), k - 1, _entry_units(sigma, t, N)
         step = max(2.5, 32.5 * math.hypot(sf, tf) / (12 * N2) + math.sqrt(2))
@@ -321,26 +311,15 @@ def _zeta_em(sigma, t, prec: int) -> Tuple[object, mpf]:
 # Z evaluation
 
 
-@dataclass
-class ZSample:
-    t: mpf
-    z: mpf
-    error_estimate: mpf
-
-
-def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
-    """Z(t) = e^{i theta(t)} zeta(1/2 + it) by Euler-Maclaurin, real output.
+def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
+    """(value, error estimate) for Z(t) = e^{i theta(t)} zeta(1/2 + it) by
+    Euler-Maclaurin, the (value, bound) shape of enclose.z_rs.
 
     The error estimate is _zeta_em's bound at sigma = 1/2, its truncation
     plus the proved rounding of its fixed-point sums, plus the imaginary
     residue of the complex product; the contour samples (_z_complex) read
-    the same sum off the line.  find_zeros reads it between
-    mpmath's Borwein limit (t = mp.prec + 21) and t = 200, and from 200 on
-    wherever enclose.z_rs cannot prove the sign, and it checks every zero's
-    sign change.  The Riemann-Siegel route is enclose.z_rs, for
-    t >= 200, and the tests check that this value lies in its enclosure.
-    Below 200 they compare it with mp.siegelz, which there is Borwein's
-    algorithm or mpmath's own Euler-Maclaurin route.
+    the same sum off the line.  The tests check the value against z_rs's
+    enclosure from t = 200 on and against mp.siegelz at every height.
     """
     with working_precision(prec):
         tm = mp.mpf(t)
@@ -349,8 +328,7 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> ZSample:
         zeta_val, zeta_err = _zeta_em(mp.mpf(0.5), tm, prec)
         phase = mp.e ** (1j * theta(tm, prec=prec + THETA_GUARD_BITS))
         zc = phase * zeta_val
-        err = zeta_err + abs(zc.imag)
-        return ZSample(t=tm, z=zc.real, error_estimate=+err)
+        return zc.real, +(zeta_err + abs(zc.imag))
 
 
 def _z_complex(w):
@@ -503,10 +481,9 @@ def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
 def _certified_sign_change(t, w, prec: int) -> bool:
     """Euler-Maclaurin Z has opposite signs at t - w and t + w, and each
     value exceeds its own error estimate."""
-    za = z_eval(t - w, prec=prec)
-    zb = z_eval(t + w, prec=prec)
-    return ((za.z > 0) != (zb.z > 0) and abs(za.z) > za.error_estimate
-            and abs(zb.z) > zb.error_estimate)
+    za, ea = z_eval(t - w, prec=prec)
+    zb, eb = z_eval(t + w, prec=prec)
+    return (za > 0) != (zb > 0) and abs(za) > ea and abs(zb) > eb
 
 
 def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
@@ -516,15 +493,16 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     Scans a finite window at step pi/(4 theta'); the count is cross-checked
     against the smooth theta-based estimate and the scan is repeated at half
     step (up to MAX_RESCANS times) when a missed close pair is suspected.
-    The scan and the refinement read Z by one rule: up to t = mp.prec + 21
-    (165 at 128 bits) from mp.siegelz, from there to t = 200 from z_eval,
-    and from 200 on from enclose.z_rs where its value exceeds its bound,
-    else from z_eval; the scan's values seed the refinement.
+    The scan and the refinement read Z by one rule at every height: from
+    t = 200 on, enclose.z_rs's value wherever it exceeds z_rs's bound, which
+    proves Z's sign there; everywhere else z_eval's value.  The scan's
+    values seed the refinement.
     What is proved about a zero is the Euler-Maclaurin sign check that
     follows: z_eval has opposite signs at gamma - 2^-46 and gamma + 2^-46
     (or, after one retry, at gamma +- 2^-38), each value larger than its
     error estimate.  The signs at the ends of the 2^-48 bracket come from
-    z_rs, which proves them, or from a value with no bound.
+    z_rs, which proves them, or from a z_eval value whose estimate is not
+    compared.
     """
     with working_precision(prec):
         lo = mp.mpf(t_lo)
@@ -532,22 +510,13 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         if not (hi > lo >= 0 and mp.isfinite(hi)):
             raise ValueError("need finite t_hi > t_lo >= 0")
 
-        # mpmath 1.3.0's siegelz adds 21 bits and hands 1/2 + it to zeta,
-        # whose Borwein route (libmp.gammazeta.mpc_zeta) refuses |s| > mp.prec;
-        # above that it sums the Hurwitz zeta by Euler-Maclaurin, which costs
-        # about 10 times z_eval
-        borwein_limit = mp.prec + 21
-
         def z_sign(t):
-            """Z(t): below 200, mp.siegelz up to borwein_limit and z_eval
-            above it; from 200 on z_rs's value where it proves the sign,
-            else z_eval's."""
-            if t < RS_MIN_T:
-                return mp.siegelz(t) if t <= borwein_limit else z_eval(t, prec=prec).z
-            value, bound = z_rs(t)
-            if abs(value) > bound:
-                return mp.mpf(value)
-            return z_eval(t, prec=prec).z
+            """Z(t) by find_zeros' rule."""
+            if t >= RS_MIN_T:
+                value, bound = z_rs(t)
+                if abs(value) > bound:
+                    return mp.mpf(value)
+            return z_eval(t, prec=prec)[0]
 
         expected = expected_zero_count(lo, hi, prec=prec)
         rescans = 0
@@ -862,8 +831,8 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
             raise ValueError("explore requires T >= 30 (loglog scale)")
         if m_cap < 1:
             raise ValueError("m_cap must be >= 1")
-        zT = z_eval(Tm, prec=prec)
-        if abs(zT.z) <= 4 * zT.error_estimate:
+        z_T, z_T_error = z_eval(Tm, prec=prec)
+        if abs(z_T) <= 4 * z_T_error:
             raise RejectedPointError("Z(T) indistinguishable from zero")
         m_theorem = int(mp.floor(Cm * mp.log(Tm) * mp.log(mp.log(Tm))))
         m_used = max(1, min(m_theorem, m_cap))
@@ -898,7 +867,7 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
         witness_k = None
         for k in orders:
             mx, t_at = maxima[k]
-            bound = (shrink * log_scale) ** k * abs(zT.z)
+            bound = (shrink * log_scale) ** k * abs(z_T)
             witness = bool(mx >= bound)
             if witness and witness_k is None:
                 witness_k = k
@@ -906,7 +875,7 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
                                    bound=bound, margin=mx - bound,
                                    witness=witness))
         return ExploreReport(T=Tm, C=Cm, m_theorem=m_theorem, m_used=m_used,
-                             z_at_T=zT.z, grid_points=len(grid),
+                             z_at_T=z_T, grid_points=len(grid),
                              witness_k=witness_k, rows=rows,
                              contours=patches.count,
                              series_error=patches.series_error)

@@ -3,7 +3,6 @@
 Kept at 128 bits so the whole file stays inside a desk-scale budget.
 """
 
-import dataclasses
 import random
 import sys
 
@@ -66,16 +65,16 @@ def test_z_eval_methods_agree():
         # at these heights and PREC, siegelz is Borwein's algorithm (mpmath
         # uses it up to |t| of about mp.prec + 21, 165 here)
         for t in (25, 80, 150):
-            em = z_eval(t, prec=PREC)
+            em, estimate = z_eval(t, prec=PREC)
             rs = mp.siegelz(t)
-            assert abs(em.z - rs) < mp.mpf(10) ** -25
-            assert em.error_estimate < mp.mpf(10) ** -25
+            assert abs(em - rs) < mp.mpf(10) ** -25
+            assert estimate < mp.mpf(10) ** -25
         # from t = 200 the Riemann-Siegel formula encloses Z
         for t in (250, 600, 1500):
-            em = z_eval(t, prec=PREC)
+            em, estimate = z_eval(t, prec=PREC)
             value, bound = z_rs(t)
-            assert abs(em.z - value) <= bound
-            assert em.error_estimate < mp.mpf(10) ** -25
+            assert abs(em - value) <= bound
+            assert estimate < mp.mpf(10) ** -25
 
 
 # 20 heights spread geometrically over [30, 2000], and one with N = 5000 terms
@@ -84,10 +83,12 @@ ORACLE_HEIGHTS = [f"{30 * (200 / 3) ** (i / 19):.3f}" for i in range(20)] + ["10
 
 @pytest.mark.parametrize("prec", [64, 128, 192])
 def test_z_eval_within_its_estimate_of_siegelz(prec):
-    samples = [z_eval(t, prec=prec) for t in ORACLE_HEIGHTS]
+    with working_precision(prec):  # each height as z_eval rounds it
+        heights = [mp.mpf(t) for t in ORACLE_HEIGHTS]
+    samples = [(t, *z_eval(t, prec=prec)) for t in heights]
     with mp.workprec(2 * prec + 30):
-        for s in samples:
-            assert abs(s.z - mp.siegelz(s.t)) <= s.error_estimate, s.t
+        for t, value, estimate in samples:
+            assert abs(value - mp.siegelz(t)) <= estimate, t
 
 
 # the critical line, three points inside explore's circles (sigma up to
@@ -183,7 +184,7 @@ def test_contour_zeta_stays_inside_the_sample_allowance(prec):
 def test_z_matches_zeta_modulus():
     with working_precision(PREC):
         t = mp.mpf(30)
-        z = z_eval(t, prec=PREC).z
+        z, _ = z_eval(t, prec=PREC)
         zeta = mp.zeta(mp.mpf(0.5) + 1j * t)
         assert abs(z ** 2 - abs(zeta) ** 2) < mp.mpf(10) ** -30
 
@@ -324,17 +325,14 @@ def test_zeros_to_100_match_zetazero_inside_sign_change_brackets():
 
 
 def test_zeros_to_100_siegelz_budget(monkeypatch):
-    calls = []
-    siegelz = mp.siegelz
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return siegelz(*args, **kwargs)
-
-    monkeypatch.setattr(mp, "siegelz", counted)
+    calls = _recorded_siegelz_and_z_eval(monkeypatch)
     assert len(find_zeros(0, 100, prec=PREC)) == 29
-    # bisecting every bracket to 2^-48 took 1521 calls
-    assert len(calls) <= 400
+    monkeypatch.undo()
+    assert not calls["siegelz"]
+    # the scan and the refinement: 356 reads (bisecting every bracket to
+    # 2^-48 took 1521 siegelz calls); the sign check adds 58
+    scan = [t for t, caller in calls["z_eval"] if caller != "_certified_sign_change"]
+    assert len(scan) <= 400
 
 
 @pytest.fixture(scope="module")
@@ -387,16 +385,16 @@ def test_zeros_480_to_500_siegelz_budget(zeros_480_to_500):
 
 
 def _recorded_siegelz_and_z_eval(monkeypatch):
-    """Lists of (t, calling module) that mp.siegelz and hardy.z_eval fill."""
+    """Lists of (t, calling function) that mp.siegelz and hardy.z_eval fill."""
     calls = {"siegelz": [], "z_eval": []}
     siegelz, z_eval_exact = mp.siegelz, hardy.z_eval
 
     def recorded_siegelz(t, *args, **kwargs):
-        calls["siegelz"].append((t, sys._getframe(1).f_globals["__name__"]))
+        calls["siegelz"].append((t, sys._getframe(1).f_code.co_name))
         return siegelz(t, *args, **kwargs)
 
     def recorded_z_eval(t, *args, **kwargs):
-        calls["z_eval"].append((t, sys._getframe(1).f_globals["__name__"]))
+        calls["z_eval"].append((t, sys._getframe(1).f_code.co_name))
         return z_eval_exact(t, *args, **kwargs)
 
     monkeypatch.setattr(mp, "siegelz", recorded_siegelz)
@@ -405,9 +403,8 @@ def _recorded_siegelz_and_z_eval(monkeypatch):
 
 
 def test_zeros_straddling_200_match_zetazero(monkeypatch):
-    # at PREC the scan and the refinement read z_eval below t = 200 (mpmath's
-    # siegelz has left Borwein's algorithm at 165) and z_rs or z_eval from
-    # 200 on: no siegelz call
+    # the scan and the refinement read z_eval below t = 200 and z_rs or
+    # z_eval from 200 on: no siegelz call
     calls = _recorded_siegelz_and_z_eval(monkeypatch)
     zl = find_zeros(196, 203, prec=PREC)
     monkeypatch.undo()
@@ -418,25 +415,26 @@ def test_zeros_straddling_200_match_zetazero(monkeypatch):
 
 
 def test_zeros_straddling_200_at_192_bits_read_siegelz_below_200_only(monkeypatch):
-    # at 192 bits mpmath's Borwein limit is 229, above 200: siegelz reads
-    # every point below 200 and none above, where z_rs and z_eval do
+    # the same window at 192 bits, where mpmath's siegelz would still run
+    # Borwein's algorithm below 200: no siegelz call either
     calls = _recorded_siegelz_and_z_eval(monkeypatch)
     zl = find_zeros(196, 203, prec=192)
     monkeypatch.undo()
     assert len(zl) == 4
-    assert calls["siegelz"] and all(t < 200 for t, _ in calls["siegelz"])
+    assert not calls["siegelz"]
+    assert any(t < 200 for t, _ in calls["z_eval"])
     _assert_zetazeros_in_siegelz_brackets(zl, 196, 203)
 
 
 def test_zeros_straddling_the_borwein_limit_match_zetazero(monkeypatch):
     # mpmath 1.3.0's siegelz runs Borwein's algorithm up to t = mp.prec + 21,
-    # 165 at PREC; find_zeros reads it there and z_eval above
+    # 165 at PREC; find_zeros reads z_eval on both sides of it
     limit = PREC + GUARD_BITS + 21
     calls = _recorded_siegelz_and_z_eval(monkeypatch)
     zl = find_zeros(160, 170, prec=PREC)
     monkeypatch.undo()
-    assert calls["siegelz"]
-    assert all(t <= limit and caller == "hardyz.hardy" for t, caller in calls["siegelz"])
+    assert not calls["siegelz"]
+    assert any(t <= limit for t, _ in calls["z_eval"])
     assert any(t > limit for t, _ in calls["z_eval"])
     _assert_zetazeros_in_siegelz_brackets(zl, 160, 170)
 
@@ -445,8 +443,8 @@ def test_sign_change_within_error_estimate_is_not_certified(monkeypatch):
     z_eval_exact = hardy.z_eval
 
     def unsure(t, prec=PREC):
-        s = z_eval_exact(t, prec=prec)
-        return dataclasses.replace(s, error_estimate=2 * abs(s.z))
+        value, _ = z_eval_exact(t, prec=prec)
+        return value, 2 * abs(value)
 
     monkeypatch.setattr(hardy, "z_eval", unsure)
     with pytest.raises(UnconfirmedSignChangeError):

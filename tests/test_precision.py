@@ -281,26 +281,37 @@ def test_a_run_is_its_argv():
 LIBRARY_OWNERS = {"mp", "mpmath"}
 
 
-def _library_zeta_uses(src: Path) -> List[str]:
-    """'module:line' for each mp.zeta or mpmath.zeta, and each zeta imported
-    from mpmath."""
+def _library_uses(src: Path, name: str) -> List[str]:
+    """'module.owner:line' for each mp.<name> or mpmath.<name>, and each
+    <name> imported from mpmath; owner is the top-level function or class
+    that holds it, and is left out at module level."""
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute):
-                hit = node.attr == "zeta" and getattr(node.value, "id", None) in LIBRARY_OWNERS
-            elif isinstance(node, ast.ImportFrom):
-                hit = node.module in LIBRARY_OWNERS and any(
-                    alias.name == "zeta" for alias in node.names)
-            else:
-                continue
-            if hit:
-                found.append(f"{path.stem}:{node.lineno}")
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = path.stem + (f".{top.name}" if isinstance(
+                top, (ast.FunctionDef, ast.ClassDef)) else "")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    hit = node.attr == name and getattr(node.value, "id", None) in LIBRARY_OWNERS
+                elif isinstance(node, ast.ImportFrom):
+                    hit = node.module in LIBRARY_OWNERS and any(
+                        alias.name == name for alias in node.names)
+                else:
+                    continue
+                if hit:
+                    found.append(f"{owner}:{node.lineno}")
     return found
 
 
 def test_zeta_has_one_route():
-    assert _library_zeta_uses(SRC) == []
+    assert _library_uses(SRC, "zeta") == []
+
+
+def test_siegelz_is_only_the_derivative_oracle():
+    # find_zeros and z_eval read Z from the program's own routes; mpmath's Z
+    # cross-checks the contour derivatives and nothing else
+    owners = {use.split(":")[0] for use in _library_uses(SRC, "siegelz")}
+    assert owners == {"hardy.z_derivative_fd"}
 
 
 def test_working_precision_takes_only_prec():

@@ -1,10 +1,10 @@
 """SHA-256 digests of the hardyz CLI's stdout for a fixed list of commands.
 
-Each command runs in a fresh interpreter with every HARDYZ_* variable
-cleared and PYTHONPATH set to the checkout's src directory.  One line is
-printed per command, "<sha256>  <argv>", with "  exit=<code>" appended when
-the command does not exit 0.  Diffing the output of two checkouts shows
-whether a change kept the printed bytes:
+Each command runs in a fresh interpreter with PYTHONPATH set to the
+checkout's src directory.  One line is printed per command,
+"<sha256>  <argv>", with "  exit=<code>" appended when the command does not
+exit 0.  Diffing the output of two checkouts shows whether a change kept
+the printed bytes:
 
     python tools/cli_digests.py > after.txt
     python tools/cli_digests.py /path/to/other/checkout > before.txt
@@ -50,14 +50,15 @@ COMMANDS = [
     "zeros 195 215",
     "--precision-bits 128 zeros 10000 10002",
     "--precision-bits 192 zeros 900 905",
+    "--precision-bits 64 zeros 90 110",
+    "--precision-bits 128 zeros 160 170",
 ]
 
 ENTRY = "import sys; from hardyz.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def digest_line(root: Path, command: str) -> str:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("HARDYZ_")}
-    env["PYTHONPATH"] = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", ENTRY, *shlex.split(command)],
                           cwd=root, env=env, stdout=subprocess.PIPE)
     line = f"{hashlib.sha256(proc.stdout).hexdigest()}  {command}"
