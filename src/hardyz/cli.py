@@ -255,7 +255,7 @@ def _suite_kernel(rng: random.Random, prec: int) -> List[Dict]:
         l = rng.randrange(1, 11)
         cfg = kernel.random_config(rng, n, prec=prec)
         for sign in (1, -1):
-            v = kernel.psi_star_boundary(cfg, l, sign, prec=prec)
+            v = kernel.psi_star_boundary(cfg, [l], sign, prec=prec)[0]
             if not (-1) ** (n + l + 1) * v > 0:
                 violations += 1
     out.append(_check("boundary-sign-property", violations == 0,
@@ -282,7 +282,7 @@ def _suite_kernel(rng: random.Random, prec: int) -> List[Dict]:
                 except ValueError:
                     continue
                 f = lambda c: (-1) ** (n + l + 1) \
-                    * kernel.psi_star_boundary(c, l, sign, prec=prec)
+                    * kernel.psi_star_boundary(c, [l], sign, prec=prec)[0]
                 quotient = (f(c_hi) - f(c_lo)) / (2 * h)
                 if (quotient > 0) != (k > 0):
                     violations += 1
@@ -295,12 +295,12 @@ def _suite_kernel(rng: random.Random, prec: int) -> List[Dict]:
         a = mp.mpf(4)
         dup = [mp.mpf(v) for v in (-3, "-1.5", 0, "1.5", "1.5")]
         cfg_w = kernel.NodeConfig(n=n, a=a, nodes=dup, strict=False)
-        conf = kernel.psi_star_boundary(cfg_w, 3, sign, prec=prec)
+        conf = kernel.psi_star_boundary(cfg_w, [3], sign, prec=prec)[0]
         eps = mp.mpf(2) ** (-50)
         near = [mp.mpf(v) for v in (-3, "-1.5", 0, "1.5")] \
             + [mp.mpf("1.5") + eps]
         cfg_s = kernel.NodeConfig(n=n, a=a, nodes=near, strict=True)
-        lim = kernel.psi_star_boundary(cfg_s, 3, sign, prec=2 * prec)
+        lim = kernel.psi_star_boundary(cfg_s, [3], sign, prec=2 * prec)[0]
         worst = max(worst, abs(conf - lim))
     out.append(_check("confluent-boundary-extension",
                       worst < mp.mpf(2) ** (-40), worst, prec))

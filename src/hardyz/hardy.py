@@ -266,12 +266,11 @@ def _zeta_em(sigma, t, prec: int) -> Tuple[object, mpf]:
         N2 = N * N
         div = N2 << 3 * bits
         qr, qi = S // (12 * N2), T // (12 * N2)
-        # |Q_k|^2 N < tol2: the term is below 2^-(prec+10)
-        tol2, lift = 1 << 2 * (bits - prec - 10), 1
-        if D:
-            lift = mp.mpf(N) ** (sigma - 0.5)  # N^(sigma-1/2) = N^1/2/|N^(1-s)|
-            tol2 = int(lift * lift * tol2)
-            D2, TD2 = D * D, 2 * T * D
+        # |Q_k|^2 N < tol2: the term is below 2^-(prec+10); at sigma = 1/2,
+        # D = 0, lift = 1 and the D terms below add 0
+        lift = mp.mpf(N) ** (sigma - 0.5)  # N^(sigma-1/2) = N^1/2/|N^(1-s)|
+        tol2 = int(lift * lift * (1 << 2 * (bits - prec - 10)))
+        D2_T2, TD2 = D * D - T2, 2 * T * D
         sr = si = 0
         prev = None
         k = 1
@@ -284,11 +283,9 @@ def _zeta_em(sigma, t, prec: int) -> Tuple[object, mpf]:
                 k += 1
                 break
             prev = mag2
-            a = ((16 * k * k - 1) << 2 * bits - 2) - T2  # (s+2k-1)(s+2k), 2 bits fraction bits
-            b = 4 * k * T << bits
-            if D:
-                a += (4 * k * D << bits) + D2
-                b += TD2
+            # (s+2k-1)(s+2k), 2 bits fraction bits
+            a = ((16 * k * k - 1) << 2 * bits - 2) + (4 * k * D << bits) + D2_T2
+            b = (4 * k * T << bits) + TD2
             qr, qi = ((qr * a - qi * b) * ratios[k - 1] // div,
                       (qr * b + qi * a) * ratios[k - 1] // div)
             k += 1

@@ -10,8 +10,9 @@ one polynomial per panel between the knots -a, x_k, a.  For a polynomial
 probe the integrand is a polynomial on every panel, so the integral is taken
 in closed form and carries no quadrature error; when deg f < 2m it is zero
 and the kernel is never built.  Other probes use composite Gauss-Legendre
-over the same panels.  Weakly ordered configurations in reconstruct_f0
-evaluate the kernel by its Chebyshev series (kernel.chebyshev_psi) instead.
+over the same panels.  reconstruct_f0 takes its kernels from
+kernel.psi_star_boundary and kernel.interior_kernel, which choose between
+strict and weakly ordered configurations (the Chebyshev series for these).
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from typing import Callable, List, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .divided_diff import FunctionProbe
-# psi is unused here, but perfbench's tracer patches identity.psi
-from .kernel import (CompiledPsi, NodeConfig, chebyshev_psi,  # noqa: F401
-                     coefficients, compile_psi, kernel_knots, psi, psi_orders,
+# coefficients and psi are unused here, but perfbench's tracer patches
+# identity.coefficients and identity.psi
+from .kernel import (CompiledPsi, NodeConfig, coefficients,  # noqa: F401
+                     compile_psi, interior_kernel, kernel_knots, psi, psi_orders,
                      psi_star_boundary)
 from .precision import DEFAULT_PREC, working_precision
 from .probes import PolynomialProbe
@@ -113,7 +115,8 @@ def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
         lhs = mp.fsum(mk * mp.mpf(probe.value(x))
                       for mk, x in zip(mu_m, config.nodes))
         boundary = _boundary_terms(
-            probe, a, lambda sign: psi_orders(config, m, sign * a, mu_m, prec=prec))
+            probe, a,
+            lambda sign: psi_orders(config, range(1, m + 1), sign * a, mu_m, prec=prec))
         integral, quad_err = _integral_term(
             config, probe, m, lambda: compile_psi(config, m, mu_m, prec=prec), prec)
         rhs = mp.fsum(boundary) - integral
@@ -142,9 +145,9 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
 
     Requires m >= n+1 and that f vanishes at every configuration node (with
     multiplicity, for weakly ordered configurations).  The boundary values
-    and the compiled kernel of a strict configuration share the weights
-    kernel.coefficients keeps for it, so they are computed once, and the
-    boundary values of every order come from one psi_orders pass per end.
+    of all m orders come from one kernel.psi_star_boundary call per end, and
+    the interior kernel from kernel.interior_kernel; for a strict
+    configuration both read the weights kernel.coefficients keeps for it.
     """
     n = config.n
     if m < n + 1:
@@ -158,9 +161,11 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
                 continue
             if abs(mp.mpf(probe.value(xk))) > tol * dscale:
                 raise NodeNotZeroError(f"node x={xk} is not a zero of f")
-        boundary = _boundary_terms(probe, a, _boundary_kernel(config, m, prec))
+        boundary = _boundary_terms(
+            probe, a,
+            lambda sign: psi_star_boundary(config, range(1, m + 1), sign, prec=prec))
         integral, quad_err = _integral_term(
-            config, probe, m, lambda: _interior_kernel(config, m, prec), prec)
+            config, probe, m, lambda: interior_kernel(config, m, prec=prec), prec)
         value = mp.fsum(boundary) - integral
         budget = _residual_budget(quad_err, boundary + [integral], prec)
         error = abs(value - mp.mpf(probe.value(0)))
@@ -169,27 +174,6 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
             quadrature_error_estimate=quad_err, residual_budget=budget,
             reconstruction_error=error,
             passed=bool(error <= budget + mp.mpf(2) ** (-(prec - 40))))
-
-
-def _boundary_kernel(config: NodeConfig, m: int, prec: int) -> Callable:
-    """sign -> [Psi*_1(sign a), Psi*_3(sign a), ..., Psi*_{2m-1}(sign a)]:
-    for strict configurations all m orders from one psi_orders pass over the
-    weights kernel.coefficients keeps, for weakly ordered ones
-    psi_star_boundary's confluent extension order by order."""
-    if config.is_strict():
-        mu = coefficients(config, prec=prec).mu
-        return lambda sign: psi_orders(config, m, sign * config.a, mu, prec=prec)
-    return lambda sign: [psi_star_boundary(config, k, sign, prec=prec)
-                         for k in range(1, m + 1)]
-
-
-def _interior_kernel(config: NodeConfig, l: int, prec: int) -> Callable:
-    """x -> Psi*_{2l-1}(x): the compiled kernel for strict configurations,
-    the Chebyshev series for weakly ordered ones (l >= n+1)."""
-    if config.is_strict():
-        return compile_psi(config, l, prec=prec)
-    # choose J so the j^(-2l) decay pushes the tail below working accuracy
-    return chebyshev_psi(config, l, max(40, int(2 * prec / (2 * l - 1))), prec=prec)
 
 
 def piecewise_weight_integral(config: NodeConfig, mu: Sequence, probe: FunctionProbe,

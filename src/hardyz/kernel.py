@@ -9,13 +9,14 @@ divided differences of a smooth transfer function.
 
 Between consecutive knots (-a, the nodes and a) each kernel is one
 polynomial in x; compile_psi builds those polynomials once per weight vector
-so the interior of [-a, a] costs one short Horner pass per point.  psi, the
-direct Bernoulli sum for one order, stays the reference route.  psi_orders
-gives the kernels of every order 1..m at one point from one set of Bernoulli
-arguments and weights, bit for bit what psi gives order by order; the
-boundary sum and the identities read the boundary values a and -a that way.
-Each order's Bernoulli polynomial is one Horner pass, which polynomials.horner
-runs on mpmath's libmp tuples when everything is an mpf.
+so the interior of [-a, a] costs one short Horner pass per point.  The
+direct Bernoulli sum lives once, in psi_orders: any list of orders at one
+point from one set of Bernoulli arguments and weights, one Horner pass per
+order and argument (polynomials.horner, on libmp tuples when everything is
+an mpf); psi is its one-order form.  compile_psi and the Chebyshev series
+are the independent routes.  Only this module asks whether a configuration
+is strict: psi_star_boundary and interior_kernel choose the route for the
+boundary values and for the interior.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .divided_diff import NodeMultiset, divided_difference_data, node_product
-from .polynomials import (bernoulli_poly, bernoulli_poly_mpf, chebyshev,
-                          chebyshev_derivatives, horner)
+# bernoulli_poly is unused here, but perfbench's tracer patches
+# kernel.bernoulli_poly
+from .polynomials import (bernoulli_poly, bernoulli_poly_mpf,  # noqa: F401
+                          chebyshev, chebyshev_derivatives, horner)
 from .precision import DEFAULT_PREC, held, working_precision
 # unused here, but perfbench's tracer patches kernel.tail_weight_constant
 from .sequences import tail_weight_constant  # noqa: F401
@@ -132,46 +135,25 @@ def _coefficients(n: int, a, nodes: Tuple, prec: int) -> KernelCoefficients:
 
 def psi(config: NodeConfig, l: int, x, weights: Sequence,
         prec: int = DEFAULT_PREC) -> mpf:
-    """Direct Bernoulli-sum evaluation of the order-(2l-1) kernel at x, the
-    reference route for one order.
+    """The order-(2l-1) kernel at x: psi_orders for the one order l."""
+    return psi_orders(config, [l], x, weights, prec=prec)[0]
+
+
+def psi_orders(config: NodeConfig, orders: Sequence[int], x, weights: Sequence,
+               prec: int = DEFAULT_PREC) -> List[mpf]:
+    """The order-(2l-1) kernels at x for each l in orders, in that order:
+    (4a)^(2l-1)/(2l)! sum_k w_k (B_2l(u_k) + B_2l(v_k)).
 
     weights is any zero-sum weight vector: the Lemma-style mu of
     coefficients(config, prec), or arbitrary ones as verify_key_identity
-    passes.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    mu = list(weights)
-    with working_precision(prec):
-        a = config.a
-        xm = mp.mpf(x)
-        two_l = 2 * l
-        pref = (4 * a) ** (two_l - 1) / mp.factorial(two_l)
-        total = mp.mpf(0)
-        for i, m_k in enumerate(mu):
-            m_k = mp.mpf(m_k)
-            if m_k == 0:
-                continue
-            xk = config.nodes[i]
-            u = mp.mpf(0.5) + (xm + xk) / (4 * a)
-            v = (xm - xk) / (4 * a)
-            v = v - mp.floor(v)
-            total += m_k * (bernoulli_poly(two_l, u, prec=prec + TERM_GUARD_BITS)
-                            + bernoulli_poly(two_l, v, prec=prec + TERM_GUARD_BITS))
-        return pref * total
-
-
-def psi_orders(config: NodeConfig, m: int, x, weights: Sequence,
-               prec: int = DEFAULT_PREC) -> List[mpf]:
-    """[psi(config, l, x, weights, prec) for l = 1..m], bit for bit.
-
-    The Bernoulli arguments u_k = 1/2 + (x + x_k)/4a and v_k =
+    passes.  The Bernoulli arguments u_k = 1/2 + (x + x_k)/4a and v_k =
     {(x - x_k)/4a} and the rounded weights do not depend on the order, so
     they are computed once; each order then costs its two Horner passes per
-    node, at the TERM_GUARD_BITS more that psi gives them.
+    node, at TERM_GUARD_BITS more.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    orders = list(orders)
+    if any(l < 1 for l in orders):
+        raise ValueError("orders must be >= 1")
     with working_precision(prec):
         a = config.a
         xm = mp.mpf(x)
@@ -182,7 +164,7 @@ def psi_orders(config: NodeConfig, m: int, x, weights: Sequence,
                 v = (xm - xk) / (4 * a)
                 terms.append((m_k, mp.mpf(0.5) + (xm + xk) / (4 * a), v - mp.floor(v)))
         values = []
-        for l in range(1, m + 1):
+        for l in orders:
             two_l = 2 * l
             pref = (4 * a) ** (two_l - 1) / mp.factorial(two_l)
             with mp.extraprec(TERM_GUARD_BITS):
@@ -326,31 +308,47 @@ def _boundary_transfer(l: int, a, sign: int) -> Callable:
     return h
 
 
-def psi_star_boundary(config: NodeConfig, l: int, sign: int,
-                      prec: int = DEFAULT_PREC) -> mpf:
-    """Continuous extension of the kernel boundary value at x = sign*a.
+def psi_star_boundary(config: NodeConfig, orders: Sequence[int], sign: int,
+                      prec: int = DEFAULT_PREC) -> List[mpf]:
+    """Continuous extension of the kernel boundary values at x = sign*a, one
+    per order l in orders, in that order.
 
-    For strict configurations this equals psi(config, l, sign*a), over the
+    For strict configurations these are psi_orders at sign*a, over the
     weights coefficients() keeps for the configuration.  Coincident nodes go
-    through the confluent divided difference of the transfer function at
-    twice the caller precision, with derivatives by mp.diff.
+    order by order through the confluent divided difference of the transfer
+    function over the sine-transformed nodes, at twice the caller precision,
+    with derivatives by mp.diff.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    orders = list(orders)
+    if any(l < 1 for l in orders):
+        raise ValueError("orders must be >= 1")
     with working_precision(prec):
         if config.is_strict():
-            return psi(config, l, sign * config.a, coefficients(config, prec=prec).mu,
-                       prec=prec)
+            return psi_orders(config, orders, sign * config.a,
+                              coefficients(config, prec=prec).mu, prec=prec)
         with mp.extraprec(prec):
             t = config.sine_nodes(2 * prec + TERM_GUARD_BITS)
-            h = _boundary_transfer(l, config.a, sign)
-            dd = divided_difference_data(NodeMultiset(list(t)),
-                                         lambda y, i: mp.diff(h, y, i),
-                                         prec=2 * prec + TERM_GUARD_BITS)
-            value = dd * node_product(t, config.n)  # dd / alpha_0
-        return +value
+            nodes = NodeMultiset(list(t))
+            inv_alpha0 = node_product(t, config.n)
+            values = []
+            for l in orders:
+                h = _boundary_transfer(l, config.a, sign)
+                dd = divided_difference_data(nodes, lambda y, i: mp.diff(h, y, i),
+                                             prec=2 * prec + TERM_GUARD_BITS)
+                values.append(dd * inv_alpha0)
+        return [+v for v in values]
+
+
+def interior_kernel(config: NodeConfig, l: int, prec: int = DEFAULT_PREC) -> Callable:
+    """x -> Psi*_{2l-1}(x) on [-a, a]: compile_psi over the weights
+    coefficients() keeps for strict configurations, the Chebyshev series
+    for weakly ordered ones (l >= n+1)."""
+    if config.is_strict():
+        return compile_psi(config, l, prec=prec)
+    # choose J so the j^(-2l) decay pushes the tail below working accuracy
+    return chebyshev_psi(config, l, max(40, int(2 * prec / (2 * l - 1))), prec=prec)
 
 
 def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC) -> mpf:
@@ -489,12 +487,14 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
 
     lhs = sum_{k=1..m} (-1)^(n+k+1) [Psi*_{2k-1}(a) + Psi*_{2k-1}(-a)] c^(2k-1);
     rhs = sine_product(config) * divided_bound_direct(config, c).  The
-    configuration is strict, so Psi* is psi over the mu of coefficients(),
-    and psi_orders reads all m orders at a and at -a.
+    configuration is strict, and psi_star_boundary reads all m orders at a
+    and at -a.
     Contract: lhs <= rhs for 0 < c a < n pi with c a off the multiples of pi.
     """
     if not config.is_strict():
         raise DuplicateNodeError("boundary_sum_bound requires a strict configuration")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     n = config.n
     with working_precision(prec):
         cm = mp.mpf(c)
@@ -506,8 +506,7 @@ def boundary_sum_bound(config: NodeConfig, c, m: int,
             if abs(ca - j * mp.pi) < tol:
                 raise SingularParameterError(
                     f"c*a within tolerance of {j}*pi (removable singularity; refused)")
-        mu = coefficients(config, prec=prec).mu
-        at_a, at_minus_a = (psi_orders(config, m, sign * config.a, mu, prec=prec)
+        at_a, at_minus_a = (psi_star_boundary(config, range(1, m + 1), sign, prec=prec)
                             for sign in (1, -1))
         lhs = mp.mpf(0)
         for k, (plus, minus) in enumerate(zip(at_a, at_minus_a), 1):

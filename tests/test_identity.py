@@ -11,7 +11,8 @@ from hardyz.identity import (NodeNotZeroError, WeightContractError,
                              piecewise_weight_integral, reconstruct_f0,
                              verify_key_identity)
 from hardyz.kernel import (NodeConfig, chebyshev_psi, coefficients,
-                           kernel_knots, psi, psi_star_boundary, random_config)
+                           interior_kernel, kernel_knots, psi, psi_star_boundary,
+                           random_config)
 from hardyz.precision import working_precision
 from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
@@ -163,7 +164,7 @@ def test_low_degree_probe_skips_the_kernel(monkeypatch):
         raise AssertionError("kernel built for a vanishing integrand")
 
     monkeypatch.setattr(identity, "compile_psi", refuse)
-    monkeypatch.setattr(identity, "_interior_kernel", refuse)
+    monkeypatch.setattr(identity, "interior_kernel", refuse)
     monkeypatch.setattr(identity, "_integrate", refuse)
     rng = random.Random(71)
     cfg = random_config(rng, 2, prec=PREC)
@@ -208,7 +209,7 @@ def test_weak_interior_kernel_is_the_chebyshev_series():
     cfg = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
     l = cfg.n + 1
     J = max(40, int(2 * PREC / (2 * l - 1)))
-    kern = identity._interior_kernel(cfg, l, PREC)
+    kern = interior_kernel(cfg, l, prec=PREC)
     series = chebyshev_psi(cfg, l, J, prec=PREC)
     for x in ("-3.1", "0.4", "1.7", "3.9"):
         assert kern(mp.mpf(x))._mpf_ == series(mp.mpf(x))._mpf_
@@ -268,5 +269,5 @@ def test_reconstruction_boundary_terms_equal_per_order_psi_star_boundary():
         res = reconstruct_f0(cfg, cardinal_probe(cfg, prec=PREC), m=m, prec=PREC)
         want = _per_order_boundary_terms(
             cardinal_probe(cfg, prec=PREC), cfg.a, m,
-            lambda k, sign: psi_star_boundary(cfg, k, sign, prec=PREC))
+            lambda k, sign: psi_star_boundary(cfg, [k], sign, prec=PREC)[0])
         assert _bits(res.boundary_terms) == _bits(want)

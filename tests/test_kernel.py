@@ -93,7 +93,7 @@ def test_boundary_matches_direct_for_strict():
     for sign in (1, -1):
         direct = psi(cfg, 3, sign * mp.mpf(cfg.a), coefficients(cfg, prec=PREC).mu,
                      prec=PREC)
-        ext = psi_star_boundary(cfg, 3, sign, prec=PREC)
+        ext = psi_star_boundary(cfg, [3], sign, prec=PREC)[0]
         assert abs(direct - ext) < mp.mpf(2) ** (-(PREC - 60))
 
 
@@ -102,13 +102,13 @@ def test_confluent_boundary_extension_is_continuous():
     a = 4
     base = [-2.5, -1.0, 0, 1.5, 1.5]
     cfg = NodeConfig(n=2, a=a, nodes=base, strict=False)
-    ext = psi_star_boundary(cfg, 4, 1, prec=PREC)
+    ext = psi_star_boundary(cfg, [4], 1, prec=PREC)[0]
     with working_precision(PREC):
         eps = mp.mpf(2) ** -50
         near = NodeConfig(n=2, a=a,
                           nodes=[-2.5, -1.0, 0, mp.mpf(1.5) - eps, mp.mpf(1.5) + eps],
                           strict=True)
-        val = psi_star_boundary(near, 4, 1, prec=PREC)
+        val = psi_star_boundary(near, [4], 1, prec=PREC)[0]
         assert abs(ext - val) < mp.mpf(2) ** -40
 
 
@@ -119,7 +119,7 @@ def test_boundary_sign_property_sample():
         cfg = random_config(rng, n, prec=PREC)
         l = rng.randint(1, 6)
         for sign in (1, -1):
-            v = psi_star_boundary(cfg, l, sign, prec=PREC)
+            v = psi_star_boundary(cfg, [l], sign, prec=PREC)[0]
             assert (-1) ** (n + l + 1) * v > 0
 
 
@@ -207,7 +207,7 @@ def test_boundary_weights_pass_through_bit_identical():
         for sign in (1, -1):
             with working_precision(PREC):
                 x = sign * mp.mpf(cfg.a)
-            assert psi_star_boundary(cfg, l, sign, prec=PREC)._mpf_ \
+            assert psi_star_boundary(cfg, [l], sign, prec=PREC)[0]._mpf_ \
                 == psi(cfg, l, x, prec=PREC, weights=mu)._mpf_
 
 
@@ -290,9 +290,9 @@ def test_boundary_value_does_not_depend_on_the_callers_precision():
     with working_precision(PREC):
         a = +mp.pi
         cfg = NodeConfig(n=1, a=a, nodes=[-a / 3, 0, a / 2])
-    outside = psi_star_boundary(cfg, 2, 1, prec=PREC)
+    outside = psi_star_boundary(cfg, [2], 1, prec=PREC)[0]
     with working_precision(PREC):
-        inside = psi_star_boundary(cfg, 2, 1, prec=PREC)
+        inside = psi_star_boundary(cfg, [2], 1, prec=PREC)[0]
     assert outside._mpf_ == inside._mpf_
 
 
@@ -322,8 +322,8 @@ def _per_order_boundary_sum(config, c, m, prec):
         cm = mp.mpf(c)
         lhs = mp.mpf(0)
         for k in range(1, m + 1):
-            s = psi_star_boundary(config, k, 1, prec=prec) \
-                + psi_star_boundary(config, k, -1, prec=prec)
+            s = psi_star_boundary(config, [k], 1, prec=prec)[0] \
+                + psi_star_boundary(config, [k], -1, prec=prec)[0]
             lhs += (-1) ** (n + k + 1) * s * cm ** (2 * k - 1)
         rhs = kernel.sine_product(config, prec=prec) \
             * divided_bound_direct(config, c, prec=prec)
@@ -367,7 +367,20 @@ def test_psi_orders_equals_psi_order_by_order():
         weights = [w[0], 0, w[1], w[2], w[3], 0, w[4]]
         weights[3] = -mp.fsum(weights[:3] + weights[4:])
         xs = [config.a, -config.a, config.nodes[1], config.a * mp.mpf(rng.uniform(-1, 1))]
-    for x in xs:
-        values = psi_orders(config, 9, x, weights, prec=PREC)
-        assert [v._mpf_ for v in values] \
-            == [psi(config, l, x, weights, prec=PREC)._mpf_ for l in range(1, 10)]
+    for orders in (range(1, 10), [5, 2, 9]):
+        for x in xs:
+            values = psi_orders(config, orders, x, weights, prec=PREC)
+            assert [v._mpf_ for v in values] \
+                == [psi(config, l, x, weights, prec=PREC)._mpf_ for l in orders]
+
+
+def test_an_order_below_one_is_refused():
+    strict = _simple_config()
+    weak = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
+    mu = coefficients(strict, prec=PREC).mu
+    for orders in ([0], [2, 0, 3], [-1]):
+        with pytest.raises(ValueError):
+            psi_orders(strict, orders, 1, mu, prec=PREC)
+        for cfg in (strict, weak):
+            with pytest.raises(ValueError):
+                psi_star_boundary(cfg, orders, 1, prec=PREC)

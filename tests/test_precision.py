@@ -314,6 +314,15 @@ def test_siegelz_is_only_the_derivative_oracle():
     assert owners == {"hardy.z_derivative_fd"}
 
 
+def test_only_the_kernel_asks_whether_a_configuration_is_strict():
+    # psi_star_boundary and interior_kernel choose between the strict and
+    # the weakly ordered route for every caller
+    callers = {path.stem for path in SRC.glob("*.py")
+               if any(_calls(ast.parse(path.read_text(), filename=str(path)),
+                             "is_strict"))}
+    assert callers == {"kernel"}
+
+
 def test_working_precision_takes_only_prec():
     assert list(inspect.signature(working_precision).parameters) == ["prec"]
     with working_precision(100):

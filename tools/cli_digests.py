@@ -40,6 +40,9 @@ COMMANDS = [
     for probe in ("cosine", "polynomial", "gaussian-cosine", "cardinal")
 ] + [
     "--seed 3 --precision-bits 128 identity --n 4 --m 5 --probe cardinal",
+    # m is raised to n + 1; nine boundary orders per end
+    "--seed 3 --precision-bits 192 identity --n 1 --m 1 --probe cardinal",
+    "--seed 3 --precision-bits 192 identity --n 5 --m 9 --probe cardinal",
     "zeros 10 100",
     "--precision-bits 128 zeros 14.1 14.2",
     "--precision-bits 128 zeros 10 40",
