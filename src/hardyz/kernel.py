@@ -11,12 +11,13 @@ Between consecutive knots (-a, the nodes and a) each kernel is one
 polynomial in x; compile_psi builds those polynomials once per weight vector
 so the interior of [-a, a] costs one short Horner pass per point.  The
 direct Bernoulli sum lives once, in psi_orders: any list of orders at one
-point from one set of Bernoulli arguments and weights, one Horner pass per
-order and argument (polynomials.horner, on libmp tuples when everything is
-an mpf); psi is its one-order form.  compile_psi and the Chebyshev series
-are the independent routes.  Only this module asks whether a configuration
-is strict: psi_star_boundary and interior_kernel choose the route for the
-boundary values and for the interior.
+point from one pass over the nodes.  B_2l is even about 1/2, so that pass
+forms the even moments sum_k mu_k (u_k - 1/2)^(2j), and each order is a
+short sum of them against B_2l's coefficients about 1/2, within the
+rounding bound its docstring states; psi is its one-order form.  compile_psi
+and the Chebyshev series are the independent routes.  Only this module asks
+whether a configuration is strict: psi_star_boundary and interior_kernel
+choose the route for the boundary values and for the interior.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import fhalf, fzero, mpf_add, mpf_mul, mpf_sub
 
 from .divided_diff import NodeMultiset, divided_difference_data, node_product
 # bernoulli_poly is unused here, but perfbench's tracer patches
 # kernel.bernoulli_poly
-from .polynomials import (bernoulli_poly, bernoulli_poly_mpf,  # noqa: F401
-                          chebyshev, chebyshev_derivatives, horner)
+from .polynomials import (bernoulli_centered_mpf, bernoulli_poly,  # noqa: F401
+                          bernoulli_poly_mpf, chebyshev, chebyshev_derivatives,
+                          horner)
 from .precision import DEFAULT_PREC, held, working_precision
 # unused here, but perfbench's tracer patches kernel.tail_weight_constant
 from .sequences import tail_weight_constant  # noqa: F401
@@ -142,14 +145,26 @@ def psi(config: NodeConfig, l: int, x, weights: Sequence,
 def psi_orders(config: NodeConfig, orders: Sequence[int], x, weights: Sequence,
                prec: int = DEFAULT_PREC) -> List[mpf]:
     """The order-(2l-1) kernels at x for each l in orders, in that order:
-    (4a)^(2l-1)/(2l)! sum_k w_k (B_2l(u_k) + B_2l(v_k)).
+    pref_l sum_k mu_k (B_2l(u_k) + B_2l(v_k)), pref_l = (4a)^(2l-1)/(2l)!,
+    u_k = 1/2 + (x + x_k)/4a and v_k = {(x - x_k)/4a}.
 
     weights is any zero-sum weight vector: the Lemma-style mu of
     coefficients(config, prec), or arbitrary ones as verify_key_identity
-    passes.  The Bernoulli arguments u_k = 1/2 + (x + x_k)/4a and v_k =
-    {(x - x_k)/4a} and the rounded weights do not depend on the order, so
-    they are computed once; each order then costs its two Horner passes per
-    node, at TERM_GUARD_BITS more.
+    passes.  With B_2l(1/2 + y) = sum_j beta_{l,j} y^(2j)
+    (polynomials.bernoulli_centered_mpf), every order reads the same even
+    moments P_j = sum_k mu_k (w_{u,k}^j + w_{v,k}^j), j = 0..max(orders), of
+    w = (u - 1/2)^2: u_k, v_k and mu_k are rounded at the working precision
+    p = prec + GUARD_BITS, w is exact, and one libmp pass over the nodes
+    forms the moments at TERM_GUARD_BITS more.  Each order is
+    pref_l sum_j beta_{l,j} P_j, its sum at those bits too and the product
+    with pref_l at p.
+
+    Rounding bound, for |x| <= a, where every w <= 1/4: with S = sum |mu_k|,
+    K the number of nonzero weights, eps = 2^-(p + TERM_GUARD_BITS) (round
+    to nearest) and N = K + 2l + 4, each value lies within
+    |pref_l| 2S sum_j |beta_{l,j}| 4^-j N eps/(1 - N eps) + 2^(1-p) |value|
+    of pref_l sum_k mu_k (B_2l(u_k) + B_2l(v_k)), taken exactly over the
+    rounded u_k, v_k and mu_k, with pref_l as rounded.
     """
     orders = list(orders)
     if any(l < 1 for l in orders):
@@ -157,24 +172,33 @@ def psi_orders(config: NodeConfig, orders: Sequence[int], x, weights: Sequence,
     with working_precision(prec):
         a = config.a
         xm = mp.mpf(x)
-        terms = []
+        squares = []  # (mu_k, w_u, w_v) as libmp tuples, w exact
         for m_k, xk in zip(weights, config.nodes):
             m_k = mp.mpf(m_k)
             if m_k != 0:
                 v = (xm - xk) / (4 * a)
-                terms.append((m_k, mp.mpf(0.5) + (xm + xk) / (4 * a), v - mp.floor(v)))
-        values = []
-        for l in orders:
-            two_l = 2 * l
-            pref = (4 * a) ** (two_l - 1) / mp.factorial(two_l)
-            with mp.extraprec(TERM_GUARD_BITS):
-                b = bernoulli_poly_mpf(two_l)
-                sums = [(m_k, horner(b, u), horner(b, v)) for m_k, u, v in terms]
-            total = mp.mpf(0)
-            for m_k, bu, bv in sums:
-                total += m_k * (bu + bv)
-            values.append(pref * total)
-        return values
+                u = mp.mpf(0.5) + (xm + xk) / (4 * a)
+                y_u = mpf_sub(u._mpf_, fhalf)
+                y_v = mpf_sub((v - mp.floor(v))._mpf_, fhalf)
+                squares.append((m_k._mpf_, mpf_mul(y_u, y_u), mpf_mul(y_v, y_v)))
+        with mp.extraprec(TERM_GUARD_BITS):
+            wp, rnd = mp._prec_rounding  # what mpf's operators round at
+            moments = [fzero] * (max(orders, default=0) + 1)
+            for m_k, w_u, w_v in squares:
+                p_u = p_v = m_k
+                for j in range(len(moments)):
+                    moments[j] = mpf_add(moments[j], mpf_add(p_u, p_v, wp, rnd),
+                                         wp, rnd)
+                    p_u = mpf_mul(p_u, w_u, wp, rnd)
+                    p_v = mpf_mul(p_v, w_v, wp, rnd)
+            totals = []
+            for l in orders:
+                total = fzero
+                for b, p_j in zip(bernoulli_centered_mpf(l), moments):
+                    total = mpf_add(total, mpf_mul(b._mpf_, p_j, wp, rnd), wp, rnd)
+                totals.append(mp.make_mpf(total))
+        return [(4 * a) ** (2 * l - 1) / mp.factorial(2 * l) * total
+                for l, total in zip(orders, totals)]
 
 
 def kernel_knots(config: NodeConfig, prec: int = DEFAULT_PREC) -> List[mpf]:

@@ -46,6 +46,22 @@ def bernoulli_poly_coeffs(n: int) -> Tuple[Fraction, ...]:
     return tuple(comb(n, k) * B[n - k] for k in range(n + 1))
 
 
+@functools.cache
+def bernoulli_centered_coeffs(l: int) -> Tuple[Fraction, ...]:
+    """Exact (beta_0, ..., beta_l) of B_2l(1/2 + y) = sum beta_j y^(2j).
+
+    B_2l is even about 1/2, so Taylor's theorem at 1/2 (DLMF 24.4) leaves
+    beta_j = binom(2l, 2j) B_{2l-2j}(1/2), with B_n(1/2) = -(1 - 2^(1-n)) B_n.
+    """
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    if 2 * l > MAX_DEGREE:
+        raise DegreeOverflowError(f"degree {2 * l} exceeds maximum {MAX_DEGREE}")
+    B = bernoulli_numbers(2 * l)
+    return tuple(comb(2 * l, 2 * j) * (Fraction(2) ** (1 - 2 * l + 2 * j) - 1)
+                 * B[2 * l - 2 * j] for j in range(l + 1))
+
+
 def bernoulli_poly_mpf(n: int) -> Tuple[mpf, ...]:
     """Coefficients of B_n(x) rounded at the ambient precision.
 
@@ -53,13 +69,19 @@ def bernoulli_poly_mpf(n: int) -> Tuple[mpf, ...]:
     Horner pass always converted them; cached per (n, mp.prec), so a cached
     vector is bit-identical to a fresh conversion.
     """
-    return _bernoulli_poly_mpf(n, mp.prec)
+    return _rounded(bernoulli_poly_coeffs, n, mp.prec)
+
+
+def bernoulli_centered_mpf(l: int) -> Tuple[mpf, ...]:
+    """bernoulli_centered_coeffs(l) rounded and cached as bernoulli_poly_mpf
+    rounds and caches its coefficients."""
+    return _rounded(bernoulli_centered_coeffs, l, mp.prec)
 
 
 @functools.cache
-def _bernoulli_poly_mpf(n: int, prec: int) -> Tuple[mpf, ...]:
-    return tuple(mpf(c.numerator) / mpf(c.denominator)
-                 for c in bernoulli_poly_coeffs(n))
+def _rounded(exact, n: int, prec: int) -> Tuple[mpf, ...]:
+    """exact(n)'s Fractions at the ambient precision prec."""
+    return tuple(mpf(c.numerator) / mpf(c.denominator) for c in exact(n))
 
 
 def horner(coeffs, x):

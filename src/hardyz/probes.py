@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from mpmath import mp
+from mpmath.libmp import mpf_mul, mpf_sub
 
 from .divided_diff import FunctionProbe
 from .polynomials import horner
@@ -92,8 +93,11 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
         qp = [ib, mp.mpc(-1 / w2, 0)]  # q'(x) = ib - x/w^2
 
     @functools.cache
-    def poly_for(k):
-        # complex coefficient lists of P_k, at the probe's working precision
+    def parts_for(k):
+        # real and imaginary coefficients of P_k, at the probe's working
+        # precision.  The leading one, (-1/w^2)^k, has imaginary part 0, so
+        # the real Horner pass over the imaginary parts, whose first step
+        # rounds that 0, gives the bits of a complex pass, which keeps it
         P = [mp.mpc(1)]
         for _ in range(k):
             dP = [i * c for i, c in enumerate(P)][1:] or [mp.mpc(0)]
@@ -104,14 +108,20 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
             n = max(len(dP), len(prod))
             P = [(dP[i] if i < len(dP) else 0) + (prod[i] if i < len(prod) else 0)
                  for i in range(n)]
-        return P
+        return [c.real for c in P], [c.imag for c in P]
 
     def deriv(x, k):
         with working_precision(prec):
-            P = poly_for(k)
+            re, im = parts_for(k)
             xm = mp.mpf(x)
             q = -xm ** 2 / (2 * w2) + ib * xm
-            return (horner(P, xm) * mp.exp(q)).real
+            # Re(P_k(x) e^q) as mpc's product forms it: both real Horner
+            # passes round as the complex one, the products are exact and
+            # the difference is rounded once
+            e_re, e_im = mp.exp(q)._mpc_
+            return mp.make_mpf(mpf_sub(mpf_mul(horner(re, xm)._mpf_, e_re),
+                                       mpf_mul(horner(im, xm)._mpf_, e_im),
+                                       *mp._prec_rounding))
 
     return FunctionProbe(deriv=deriv)
 

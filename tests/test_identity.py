@@ -13,6 +13,7 @@ from hardyz.identity import (NodeNotZeroError, WeightContractError,
 from hardyz.kernel import (NodeConfig, chebyshev_psi, coefficients,
                            interior_kernel, kernel_knots, psi, psi_star_boundary,
                            random_config)
+from hardyz.polynomials import horner
 from hardyz.precision import working_precision
 from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
@@ -50,6 +51,46 @@ def test_key_identity_gaussian_cosine_probe():
     probe = gaussian_cosine_probe(0.8, 2.0, prec=PREC)
     rep = verify_key_identity(cfg, mu, probe, m=3, prec=PREC)
     assert rep.passed
+
+
+def _complex_horner_deriv(b, width, prec):
+    """The gaussian-cosine derivative as one complex Horner pass,
+    Re(P_k(x) exp(q(x))), with P_k from the probe's recurrence."""
+    with working_precision(prec):
+        w2 = mp.mpf(width) ** 2
+        ib = mp.mpc(0, b)
+        qp = [ib, mp.mpc(-1 / w2, 0)]
+
+    def deriv(x, k):
+        with working_precision(prec):
+            P = [mp.mpc(1)]
+            for _ in range(k):
+                dP = [i * c for i, c in enumerate(P)][1:] or [mp.mpc(0)]
+                prod = [mp.mpc(0)] * (len(P) + 1)
+                for i, c in enumerate(P):
+                    prod[i] += qp[0] * c
+                    prod[i + 1] += qp[1] * c
+                size = max(len(dP), len(prod))
+                P = [(dP[i] if i < len(dP) else 0) + (prod[i] if i < len(prod) else 0)
+                     for i in range(size)]
+            xm = mp.mpf(x)
+            q = -xm ** 2 / (2 * w2) + ib * xm
+            return (horner(P, xm) * mp.exp(q)).real
+
+    return deriv
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_gaussian_cosine_derivative_equals_the_complex_horner_pass(prec):
+    rng = random.Random(prec)
+    for b, width in ((0.8, 2.0), (rng.uniform(0.3, 1.0), rng.uniform(1.0, 3.0))):
+        probe = gaussian_cosine_probe(b, width, prec=prec)
+        want = _complex_horner_deriv(b, width, prec)
+        for _ in range(110):
+            x, k = rng.uniform(-4, 4), rng.randint(0, 24)
+            with working_precision(prec):
+                x = mp.mpf(x) / 3
+            assert probe.deriv(x, k)._mpf_ == want(x, k)._mpf_
 
 
 def test_weight_contract_enforced():

@@ -1,6 +1,7 @@
 """Unit tests for the node-configuration kernels."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -8,12 +9,14 @@ from mpmath import mp
 from hardyz import kernel
 from hardyz.extremal import (ExtremalParams, equal_angle_nodes, equal_angle_weights,
                              extremal_config, sine_product)
-from hardyz.kernel import (DuplicateNodeError, NodeConfig, SingularParameterError,
-                           boundary_sum_bound, chebyshev_moment, coefficients,
-                           compile_psi, divided_bound_direct, kernel_knots, psi,
+from hardyz.kernel import (TERM_GUARD_BITS, DuplicateNodeError, NodeConfig,
+                           SingularParameterError, boundary_sum_bound,
+                           chebyshev_moment, coefficients, compile_psi,
+                           divided_bound_direct, kernel_knots, psi,
                            psi_chebyshev_series, psi_orders, psi_star_boundary,
                            random_config)
-from hardyz.precision import working_precision
+from hardyz.polynomials import bernoulli_centered_coeffs, bernoulli_poly_mpf, horner
+from hardyz.precision import GUARD_BITS, working_precision
 
 PREC = 192
 TOL = mp.mpf(2) ** (-(PREC - 60))
@@ -372,6 +375,103 @@ def test_psi_orders_equals_psi_order_by_order():
             values = psi_orders(config, orders, x, weights, prec=PREC)
             assert [v._mpf_ for v in values] \
                 == [psi(config, l, x, weights, prec=PREC)._mpf_ for l in orders]
+
+
+# ---------------------------------------------------------------------------
+# psi_orders' moment route against the direct Horner sum it replaced
+
+
+def _direct_terms(config, x, weights, prec):
+    """(mu_k, u_k, v_k) for each nonzero weight, rounded as psi_orders
+    rounds them."""
+    with working_precision(prec):
+        a, xm = config.a, mp.mpf(x)
+        terms = []
+        for m_k, xk in zip(weights, config.nodes):
+            m_k = mp.mpf(m_k)
+            if m_k != 0:
+                v = (xm - xk) / (4 * a)
+                terms.append((m_k, mp.mpf(0.5) + (xm + xk) / (4 * a), v - mp.floor(v)))
+        return terms
+
+
+def _pref(config, l, prec):
+    with working_precision(prec):
+        return (4 * config.a) ** (2 * l - 1) / mp.factorial(2 * l)
+
+
+def _horner_reference(config, l, terms, prec, ref_prec):
+    """pref_l sum_k mu_k (B_2l(u_k) + B_2l(v_k)) by Horner at ref_prec over
+    the given rounded terms, pref_l as psi_orders rounds it, and a bound on
+    this evaluation's own rounding error."""
+    pref = _pref(config, l, prec)
+    with working_precision(ref_prec):
+        b = bernoulli_poly_mpf(2 * l)
+        total = mp.mpf(0)
+        for m_k, u, v in terms:
+            total += m_k * (horner(b, u) + horner(b, v))
+        value = pref * total
+        s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
+        # |u|, |v| <= 1: each Horner value, its rounded coefficients
+        # included, errs by at most 4l + 3 units of 2^-p times sum |b_i|;
+        # the sums and products over the K terms add K + 2 more, and the
+        # unit is taken twice over
+        n_ops = 4 * l + len(terms) + 5
+        own = abs(pref) * 2 * s * mp.fsum(abs(c) for c in b) \
+            * n_ops * mp.mpf(2) ** -(mp.prec - 1)
+        return value, own
+
+
+def _rounding_bound(config, l, terms, value, prec):
+    """psi_orders' docstring bound on its distance from the exact sum."""
+    p = prec + GUARD_BITS
+    with working_precision(prec):
+        s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
+        beta_sum = sum(abs(c) / Fraction(4) ** j
+                       for j, c in enumerate(bernoulli_centered_coeffs(l)))
+        eps = mp.mpf(2) ** -(p + TERM_GUARD_BITS)
+        n_ops = len(terms) + 2 * l + 4
+        return abs(_pref(config, l, prec)) * 2 * s \
+            * mp.mpf(beta_sum.numerator) / beta_sum.denominator \
+            * n_ops * eps / (1 - n_ops * eps) + mp.mpf(2) ** (1 - p) * abs(value)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_psi_orders_is_within_its_rounding_bound_of_the_horner_sum(prec):
+    rng = random.Random(prec + 7)
+    for n in range(1, 17):
+        config = random_config(rng, n, prec=prec)
+        with working_precision(prec):
+            a = config.a
+            xs = [a, -a, a * mp.mpf(rng.uniform(-1, 1)),
+                  config.nodes[rng.randrange(2 * n + 1)]]
+        mu = coefficients(config, prec=prec).mu
+        orders = rng.sample(range(1, 41), 4) + [40]
+        for x in xs:
+            values = psi_orders(config, orders, x, mu, prec=prec)
+            terms = _direct_terms(config, x, mu, prec)
+            for l, value in zip(orders, values):
+                want, own = _horner_reference(config, l, terms, prec, 2 * prec)
+                with working_precision(2 * prec):
+                    gap = abs(value - want)
+                    assert gap <= _rounding_bound(config, l, terms, value, prec) + own
+
+
+def test_psi_orders_makes_no_horner_pass(monkeypatch):
+    def no_horner(*args):
+        raise AssertionError("a Horner pass ran")
+
+    monkeypatch.setattr(kernel, "horner", no_horner)
+    rng = random.Random(113)
+    for n in (1, 4, 12):
+        config = random_config(rng, n, prec=PREC)
+        mu = coefficients(config, prec=PREC).mu
+        with working_precision(PREC):
+            xs = [config.a, -config.a, config.a * mp.mpf(rng.uniform(-1, 1))]
+            c = mp.mpf(rng.uniform(0.05, 0.95)) * mp.pi / config.a
+        for x in xs:
+            psi_orders(config, range(1, 13), x, mu, prec=PREC)
+        boundary_sum_bound(config, c, 12, prec=PREC)
 
 
 def test_an_order_below_one_is_refused():

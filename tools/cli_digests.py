@@ -31,6 +31,8 @@ COMMANDS = [
     "--precision-bits 128 extremal 20 0.974 0.3 60",
     "--precision-bits 192 extremal 14 0.95 0.07 40",
     "--precision-bits 192 extremal 16 0.935086 0.066081 45",
+    # an early exit at 128 bits
+    "--precision-bits 128 extremal 16 0.935086 0.066081 45",
     "--precision-bits 64 explore 100 0.3 2",
     "--precision-bits 64 explore 57.5 0.3 2",
     "--precision-bits 128 explore 57.5 0.3 2",
@@ -43,6 +45,8 @@ COMMANDS = [
     # m is raised to n + 1; nine boundary orders per end
     "--seed 3 --precision-bits 192 identity --n 1 --m 1 --probe cardinal",
     "--seed 3 --precision-bits 192 identity --n 5 --m 9 --probe cardinal",
+    # ten boundary orders per end over arbitrary zero-sum weights
+    "--seed 3 --precision-bits 192 identity --n 4 --m 10 --probe cosine",
     "zeros 10 100",
     "--precision-bits 128 zeros 14.1 14.2",
     "--precision-bits 128 zeros 10 40",
