@@ -204,11 +204,9 @@ def _suite_divided_diff(rng: random.Random, prec: int) -> List[Dict]:
     probe = probes.cosine_probe(1.3, prec=prec)
     nodes = divided_diff.NodeMultiset([mp.mpf(v) for v in (-1, 0, 1)])
     dd = divided_diff.divided_difference(probe, nodes, prec=prec)
-    mc = divided_diff.divided_difference_mc(probe, nodes,
-                                           seed=rng.randrange(2 ** 30),
-                                           prec=prec)
-    gap = abs(dd - mc)
-    out.append(_check("monte-carlo-oracle", gap < mp.mpf("0.01"), gap, prec))
+    gap = abs(dd - divided_diff.divided_difference_simplex(probe, nodes, prec=prec))
+    out.append(_check("hermite-genocchi-oracle",
+                      gap < mp.mpf(2) ** (-(prec - 48)), gap, prec))
     return out
 
 

@@ -8,7 +8,6 @@ must pass exactly equal nodes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -17,8 +16,6 @@ from typing import Callable, List, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .precision import DEFAULT_PREC, held, working_precision
-
-MC_SAMPLES = 20000  # divided_difference_mc's draws: its callers accept a 1% error
 
 
 @dataclass
@@ -139,26 +136,35 @@ def hermite_weights(nodes: NodeMultiset, prec: int = DEFAULT_PREC
     return out
 
 
-def divided_difference_mc(probe: FunctionProbe, nodes: NodeMultiset,
-                          seed: int = 0, prec: int = DEFAULT_PREC) -> mpf:
-    """Monte Carlo estimate via the iterated-integral (simplex) representation.
-
-    dd = integral over the ordered simplex of f^(N-1) at the barycentric
-    point, averaged over MC_SAMPLES points drawn with random.Random(seed);
-    low-accuracy cross-check oracle only.  The nodes are used as held and
-    their gaps are taken at the working precision, so the result does not
-    depend on the caller's.
+def divided_difference_simplex(probe: FunctionProbe, nodes: NodeMultiset,
+                               prec: int = DEFAULT_PREC) -> mpf:
+    """The triangle's cross-check, sharing no code with it: the
+    Hermite-Genocchi integral of f^(d)(z_0 + sum_i t_i (z_i - z_(i-1))) over
+    1 >= t_1 >= .. >= t_d >= 0, in collapsed coordinates t_1 = s_1,
+    t_(i+1) = t_i s_(i+1) on the unit cube (Jacobian t_1 .. t_(d-1)), by one
+    Gauss-Legendre mp.quad.  The integrand is analytic, so the rule converges
+    geometrically in its degree (Trefethen, SIAM Review 50, 2008, Thm 4.5).
+    mp.quad runs at prec bits, GUARD_BITS below the probes' working
+    precision, so its stopping test stands above their rounding (at the
+    working precision a polynomial ran to mp.quad's largest degree).  The
+    gaps are taken from the held nodes at the working precision, so the
+    result does not depend on the caller's.  Orders 1 and 2 only: a tensor
+    rule of order 3 takes seconds.
     """
     order = len(nodes) - 1
-    rng = random.Random(seed)
+    if not 1 <= order <= 2:
+        raise ValueError("divided_difference_simplex takes two or three nodes")
     with working_precision(prec):
         z = nodes.nodes
-        diffs = [z[i + 1] - z[i] for i in range(order)]
-        total = mp.mpf(0)
-        for _ in range(MC_SAMPLES):
-            taus = sorted((rng.random() for _ in range(order)), reverse=True)
-            x = z[0]
-            for t, d in zip(taus, diffs):
-                x += t * d
-            total += mp.mpf(probe.deriv(x, order))
-        return total / MC_SAMPLES / mp.factorial(order)
+        gaps = [z[i + 1] - z[i] for i in range(order)]
+
+        def integrand(*s):
+            t, x, jacobian = 1, z[0], 1
+            for si, gap in zip(s, gaps):
+                jacobian *= t
+                t *= si
+                x += t * gap
+            return jacobian * probe.deriv(x, order)
+
+        with mp.workprec(prec):
+            return mp.quad(integrand, *[[0, 1]] * order, method="gauss-legendre")

@@ -11,8 +11,9 @@ sigma >= 1/2, is sampled with _zeta_em, and Schwarz reflection fills the
 other.
 _TaylorPatches is the one place that builds such circles and keeps their
 series: z_derivatives_batch reads one patch at its centre, and
-theorem1_explore reads every point of its window from seven.  Finite
-differences of mpmath's Z^(4) cross-check the contour route.
+theorem1_explore reads every point of its window from seven.  The tests
+cross-check the contour route against mpmath's Z^(k) and its finite
+differences (tests/derivative_oracle.py).
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ COS_SIN_ULPS = 2  # assumed error of libmp.mpf_cos_sin (see _zeta_em)
 EXP_ULPS = 2  # assumed error of libmp.mpf_exp (see _zeta_em)
 CONTOUR_RADIUS = 2  # Cauchy circles; z_derivatives_batch shrinks it to |t|/2 + 1/4 near 0
 SAMPLE_ULPS = 16  # assumed error of a contour sample (see _TaylorPatches)
-SIEGELZ_MAX_DERIVATIVE = 4  # mp.siegelz(t, derivative=k) takes k <= 4
-FD_BITS_PER_ORDER = 12  # z_derivative_fd: a difference of order j loses bits with j
-FD_GUARD_BITS = 24  # z_derivative_fd: bits above the working precision, on top of those
 
 
 class CapacityError(ValueError):
@@ -378,20 +376,6 @@ def _z_taylor(centre, radius, M: int, count: int, bits: int) -> List[mpf]:
             acc += (f_re[0] + (-1) ** n * f_re[half]) << bits
             coeffs.append(mp.ldexp(acc, -2 * bits) / (M * r ** n))
         return coeffs
-
-
-def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
-    """Cross-check path for the contour derivatives, sharing no code with
-    them: mpmath's own Z^(k) for k <= 4 (mp.siegelz(t, derivative=k), which
-    combines zeta's derivatives with theta's), and above that finite
-    differences of order k - 4 of mpmath's Z^(4), at elevated precision."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    with working_precision(prec):
-        top = min(k, SIEGELZ_MAX_DERIVATIVE)
-        with mp.extraprec(FD_BITS_PER_ORDER * (k - top) + FD_GUARD_BITS):
-            d = mp.diff(lambda u: mp.siegelz(u, derivative=top), mp.mpf(t), k - top)
-        return +d
 
 
 def z_derivatives_batch(t, orders: Sequence[int],

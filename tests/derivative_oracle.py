@@ -1,0 +1,24 @@
+"""The tests' reference for Z^(k), read by tests/test_hardy.py and by
+criterion 11 against the contour derivatives of hardyz.hardy."""
+
+from mpmath import mp, mpf
+
+from hardyz.precision import DEFAULT_PREC, working_precision
+
+SIEGELZ_MAX_DERIVATIVE = 4  # mp.siegelz(t, derivative=k) takes k <= 4
+FD_BITS_PER_ORDER = 12  # z_derivative_fd: a difference of order j loses bits with j
+FD_GUARD_BITS = 24  # z_derivative_fd: bits above the working precision, on top of those
+
+
+def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:
+    """Cross-check path for the contour derivatives, sharing no code with
+    them: mpmath's own Z^(k) for k <= 4 (mp.siegelz(t, derivative=k), which
+    combines zeta's derivatives with theta's), and above that finite
+    differences of order k - 4 of mpmath's Z^(4), at elevated precision."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    with working_precision(prec):
+        top = min(k, SIEGELZ_MAX_DERIVATIVE)
+        with mp.extraprec(FD_BITS_PER_ORDER * (k - top) + FD_GUARD_BITS):
+            d = mp.diff(lambda u: mp.siegelz(u, derivative=top), mp.mpf(t), k - top)
+        return +d

@@ -2,13 +2,14 @@
 
 from math import factorial
 
+import pytest
 from mpmath import mp
 
 from hardyz.divided_diff import (FunctionProbe, NodeMultiset, divided_difference,
-                                 divided_difference_data, divided_difference_mc,
+                                 divided_difference_data, divided_difference_simplex,
                                  hermite_weights)
 from hardyz.precision import working_precision
-from hardyz.probes import monomial_probe, polynomial_probe
+from hardyz.probes import cosine_probe, monomial_probe, polynomial_probe
 
 PREC = 192
 TOL = mp.mpf(2) ** (-(PREC - 40))
@@ -95,24 +96,49 @@ def test_mean_value_bracket():
         assert mp.exp(0) <= w <= mp.exp(1)
 
 
-def test_monte_carlo_oracle_agrees():
-    probe = exp_probe(prec=64)
-    nodes = NodeMultiset([0, 0.5, 1])
-    exact = divided_difference(probe, nodes, prec=64)
-    approx = divided_difference_mc(probe, nodes, seed=3, prec=64)
-    assert abs(exact - approx) < 0.01 * abs(exact)
+ORACLE_PROBES = {"exp": exp_probe, "cosine": lambda prec: cosine_probe(1.3, prec=prec),
+                 "monomial": lambda prec: monomial_probe(3, prec=prec)}
 
 
-def test_monte_carlo_rounds_its_nodes_at_its_own_precision():
+def _oracle_tol(prec):
+    # the check verify-lemmas makes of the oracle
+    return mp.mpf(2) ** -(prec - 48)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+@pytest.mark.parametrize("probe", ORACLE_PROBES)
+def test_simplex_oracle_agrees(probe, prec):
+    f = ORACLE_PROBES[probe](prec)
+    for nodes in (NodeMultiset([0, 0.5, 1]), NodeMultiset([-1, 0.25])):
+        exact = divided_difference(f, nodes, prec=prec)
+        assert abs(exact - divided_difference_simplex(f, nodes, prec=prec)) \
+            < _oracle_tol(prec)
+
+
+def test_simplex_oracle_rounds_its_nodes_at_its_own_precision():
     # nodes held at 192 bits: rounding them at the 53 bits a library caller
-    # runs at would move the barycentric points by ~1e-17
+    # runs at would move the integrand's points by ~1e-17
     with working_precision(PREC):
         nodes = NodeMultiset([mp.mpf(1) / 3, mp.mpf(2) / 3, mp.mpf(5) / 7])
     probe = monomial_probe(3, prec=PREC)
-    outside = divided_difference_mc(probe, nodes, seed=3, prec=PREC)
+    outside = divided_difference_simplex(probe, nodes, prec=PREC)
     with working_precision(PREC):
-        inside = divided_difference_mc(probe, nodes, seed=3, prec=PREC)
+        inside = divided_difference_simplex(probe, nodes, prec=PREC)
     assert outside == inside
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_simplex_oracle_sees_a_node_moved_by_2_to_the_minus_40(prec):
+    probe = exp_probe(prec)
+    exact = divided_difference(probe, NodeMultiset([0, 0.5, 1]), prec=prec)
+    moved = NodeMultiset([0, 0.5, 1 + mp.mpf(2) ** -40])
+    assert abs(exact - divided_difference_simplex(probe, moved, prec=prec)) \
+        > _oracle_tol(prec)
+
+
+def test_simplex_oracle_refuses_order_3():
+    with pytest.raises(ValueError):
+        divided_difference_simplex(exp_probe(64), NodeMultiset([0, 0.25, 0.5, 1]), prec=64)
 
 
 def test_multiset_sorts_its_nodes_exactly():

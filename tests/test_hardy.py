@@ -14,9 +14,11 @@ from hardyz.enclose import z_rs
 from hardyz.hardy import (ZERO_HALF_WIDTH_BITS, CapacityError,
                           UnconfirmedSignChangeError, count_stats,
                           expected_zero_count, find_zeros, n_main,
-                          theorem1_explore, theta, theta_prime, z_derivative_fd,
+                          theorem1_explore, theta, theta_prime,
                           z_derivatives_batch, z_eval)
 from hardyz.precision import GUARD_BITS, working_precision
+
+from derivative_oracle import z_derivative_fd
 
 PREC = 128
 

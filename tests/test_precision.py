@@ -2,6 +2,7 @@
 the public surface."""
 
 import ast
+import importlib.util
 import inspect
 import json
 from dataclasses import dataclass
@@ -158,9 +159,11 @@ def test_precision_policy_holds_in_the_source():
 
 # ---------------------------------------------------------------------------
 # one public surface: every public function, class and method is used by the
-# program itself.  The dual derivative route stays as the contour oracle.
+# program itself.
 
-SURFACE_ALLOWED_UNUSED = {"hardy.z_derivative_fd", "hardy.z_derivatives_batch"}
+# perfbench's tracer patches hardy.z_derivatives_batch by name, and perfbench
+# changes only with the benchmark
+SURFACE_ALLOWED_UNUSED = {"hardy.z_derivatives_batch"}
 
 
 def _public_defs(tree, module):
@@ -217,6 +220,24 @@ def test_every_public_name_is_used_in_the_source():
     assert _unused_public_names(SRC, keep=SURFACE_ALLOWED_UNUSED) == []
 
 
+def test_the_benchmark_tracer_finds_every_name_it_patches():
+    # install() reads each name with getattr, so a name gone from src makes
+    # perfbench/run.py --trace 1 raise AttributeError
+    from hardyz import hardy
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", SRC.parent.parent / "perfbench" / "tracer.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    batch = hardy.z_derivatives_batch
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert hardy.z_derivatives_batch is not batch
+    finally:
+        tracer.restore()
+    assert hardy.z_derivatives_batch is batch
+
+
 # ---------------------------------------------------------------------------
 # a run is one process: no module starts another, so counters and results
 # never have to be merged across processes
@@ -224,8 +245,8 @@ def test_every_public_name_is_used_in_the_source():
 PROCESS_MODULES = {"concurrent.futures", "multiprocessing", "subprocess"}
 
 
-def _process_imports(src: Path) -> List[str]:
-    """'module:line' for each import of a module that starts processes."""
+def _imports(src: Path, modules) -> List[str]:
+    """'module:line' for each import of one of the modules or of a submodule."""
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -236,14 +257,22 @@ def _process_imports(src: Path) -> List[str]:
                                          for alias in node.names]
             else:
                 continue
-            if any(name in PROCESS_MODULES or name.startswith(m + ".")
-                   for name in names for m in PROCESS_MODULES):
+            if any(name in modules or name.startswith(m + ".")
+                   for name in names for m in modules):
                 found.append(f"{path.stem}:{node.lineno}")
     return found
 
 
 def test_a_run_is_one_process():
-    assert _process_imports(SRC) == []
+    assert _imports(SRC, PROCESS_MODULES) == []
+
+
+# ---------------------------------------------------------------------------
+# one source of random numbers: each verify-lemmas suite draws from its own
+# seeded substream, and kernel.random_config takes that stream as an argument
+
+def test_only_the_cli_draws_random_numbers():
+    assert {use.split(":")[0] for use in _imports(SRC, {"random"})} == {"cli"}
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +336,10 @@ def test_zeta_has_one_route():
     assert _library_uses(SRC, "zeta") == []
 
 
-def test_siegelz_is_only_the_derivative_oracle():
-    # find_zeros and z_eval read Z from the program's own routes; mpmath's Z
-    # cross-checks the contour derivatives and nothing else
-    owners = {use.split(":")[0] for use in _library_uses(SRC, "siegelz")}
-    assert owners == {"hardy.z_derivative_fd"}
+def test_siegelz_is_the_tests_oracle_only():
+    # find_zeros, z_eval and the contours read Z from the program's own
+    # routes; mpmath's Z is what the tests compare them with
+    assert _library_uses(SRC, "siegelz") == []
 
 
 def test_only_the_kernel_asks_whether_a_configuration_is_strict():

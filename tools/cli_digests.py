@@ -26,6 +26,7 @@ COMMANDS = [
     "--seed 7 --precision-bits 192 verify-lemmas all",
     "--seed 7 --precision-bits 128 verify-lemmas all",
     "--seed 7 --precision-bits 64 verify-lemmas kernel",
+    "--seed 7 --precision-bits 64 verify-lemmas divided_diff",
     "--precision-bits 128 extremal 12 0.95 0.65 30",
     "--precision-bits 192 extremal 12 0.95 0.65 30",
     "--precision-bits 128 extremal 20 0.974 0.3 60",
