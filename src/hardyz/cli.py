@@ -202,7 +202,7 @@ def _suite_divided_diff(rng: random.Random, prec: int) -> List[Dict]:
                       worst < mp.mpf(2) ** (-(prec - 48)), worst, prec))
 
     probe = probes.cosine_probe(1.3, prec=prec)
-    nodes = divided_diff.NodeMultiset([mp.mpf(v) for v in (-1, 0, 1)])
+    nodes = divided_diff.NodeMultiset([mp.mpf(v) for v in (-1, 0.25, 1)])
     dd = divided_diff.divided_difference(probe, nodes, prec=prec)
     gap = abs(dd - divided_diff.divided_difference_simplex(probe, nodes, prec=prec))
     out.append(_check("hermite-genocchi-oracle",

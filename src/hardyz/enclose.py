@@ -30,6 +30,11 @@ z_log_majorant(c, R) bounds |Z| on the circle of radius R about a real c,
 off the real line: hardy._TaylorPatches sizes its Cauchy contours from it.
 It sums no zeta and no loggamma: Stirling's formula bounds the phase and an
 Euler-Maclaurin majorant bounds zeta (see its docstring).
+
+h_float(delta, gap) encloses the Clausen difference h(delta) of Theorem 2's
+admissible range in floats, with the Bernoulli series of extremal._clausen:
+extremal.find_c_eps decides each sign of its delta search from it where its
+bound proves one.
 """
 
 from __future__ import annotations
@@ -41,19 +46,22 @@ from typing import List, Tuple
 
 from mpmath import mp
 
-from .polynomials import horner
+from .polynomials import bernoulli_numbers, horner
 
 RS_MIN_T = 200  # Gabcke's remainder bound holds from t = 200 on
 GABCKE_D1 = 0.053  # |R(t)| <= GABCKE_D1 tau^-5/2 (see z_rs)
 PSI_TERMS = 40  # a_0..a_39; the truncated tails are below 2^-49 (see z_rs)
 PSI_SERIES_BITS = 4 * PSI_TERMS + 96  # the series division loses 4 bits a term
-ROUNDING_ALLOWANCE = 2.0 ** -40  # per unit of the magnitudes named in z_rs
+ROUNDING_ALLOWANCE = 2.0 ** -40  # per unit of the magnitudes named in z_rs and h_float
 # log Gamma's Stirling sum keeps B_2..B_8; B_10 = 5/66 bounds its remainder.
 # z_log_majorant's Euler-Maclaurin majorant of zeta uses B_2..B_8 too.
 STIRLING_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30)
 STIRLING_NEXT_BERNOULLI = 5 / 66
 EPS = 2.0 ** -53  # unit roundoff of a float
 LOG_2PI = math.log(2 * math.pi)
+CLAUSEN_TERMS = 15  # c_1..c_15 leave 2^-62 of Cl_2 up to pi/2 (see h_float)
+CLAUSEN_TAIL = 2.0 ** -62
+H_MIN_ETA = 2.0 ** -1000  # below it h_float proves nothing (see h_float)
 
 
 @lru_cache(maxsize=1)
@@ -184,6 +192,94 @@ def z_rs(t) -> Tuple[float, float]:
     bound = (GABCKE_D1 * tau ** -2.5 + sum_scale * stirling
              + ROUNDING_ALLOWANCE * (sum_scale * x * math.log(x) + 8 * (tau + 1)))
     return value, bound
+
+
+@lru_cache(maxsize=1)
+def _clausen_floats() -> List[float]:
+    """(c_1, ..., c_CLAUSEN_TERMS), c_k = |B_2k|/(2k (2k+1)!), the series of
+    extremal._clausen, each the float nearest its exact rational."""
+    B = bernoulli_numbers(2 * CLAUSEN_TERMS)
+    return [float(abs(B[2 * k]) / (2 * k * math.factorial(2 * k + 1)))
+            for k in range(1, CLAUSEN_TERMS + 1)]
+
+
+def _clausen_float(a: float) -> Tuple[float, float]:
+    """(Cl_2(a), m(a)) for 0 < a <= pi/2 in floats, with
+    Cl_2(a) = a - a log a + a^3 sum_k c_k a^(2k-2) and
+    m(a) = a + a |log a| + a^3 sum_k c_k a^(2k-2), the magnitude h_float's
+    bound scales with."""
+    log_a = math.log(a)
+    a2 = a * a
+    series = a * a2 * horner(_clausen_floats(), a2)
+    return a - a * log_a + series, a + a * abs(log_a) + series
+
+
+def h_float(delta, gap: float) -> Tuple[float, float]:
+    """(value, bound) with |h(delta) - value| <= bound, where
+
+        h(delta) = [Cl_2(pi eta) - Cl_2(theta) + Cl_2(2 theta)/2]/pi,
+
+    eta = gap delta/|log delta| and theta = pi (delta - eta): the h of
+    extremal.g_and_h with gap = log 2 - eps.  The caller rounds gap to a
+    float once, from its working precision; h is h at the gap it rounded.
+    The value is the formula in floats, each Cl_2 summed over the first
+    CLAUSEN_TERMS coefficients.  With M = [m(pi eta) + m(theta)
+    + m(2 theta)/2]/pi (m as in _clausen_float, and m(a) >= Cl_2(a) > 0),
+    the bound is (CLAUSEN_TAIL + ROUNDING_ALLOWANCE) M.
+
+    For 0 < delta < 1/4 and 0 < gap < 1, |log delta| > log 4 > 4/3 puts eta
+    below 3 delta/4, so theta > pi delta/4 and every argument a lies in
+    (0, pi/2].  The bound adds up three things.
+
+    1. The truncation.  Lewin's bound, as extremal._clausen states it: the
+       terms after the K-th are below 4 x^(2K+2) Cl_2(a) with
+       x = a/(2pi) <= 1/4, which is 2^-62 Cl_2(a) for K = CLAUSEN_TERMS.
+    2. The evaluation, with e = EPS, to first order in e, taking +, -, *
+       and / as correctly rounded and log as within one ulp (2e relative).
+       Each c_k is the float nearest a rational.  The series term is at
+       most a^3/70 <= a/28, so even the 60e of its 15-term Horner pass
+       over positive terms is below 3e m(a).  a log a is within
+       3e a |log a|, and the two additions add e m(a) each, so each Cl_2
+       is within 8e m(a).  The combination and the division by pi, a float
+       within e, add 4e M: the evaluation is within 12e M.
+    3. The arguments.  float(delta) is within one ulp, 2e delta (exact for
+       the dyadic delta extremal.find_c_eps reads), and the float gap is
+       within e of the gap it rounds.  L = -log x is within 4e L (2e/L
+       from x, 2e from log), so eta = gap x/L is within 9e eta and
+       pi eta within 11e.  delta - eta > delta/4 magnifies the errors of
+       x and eta at most four times, and with the subtraction's own
+       rounding delta - eta is within 4 (2e + 9e 3/4) + e = 36e; pi and
+       the product add 2e to theta and 2 theta.  Since
+       |Cl_2'(a)| = |log(2 sin(a/2))| <= |log a| + 0.11 on (0, pi/2], an
+       argument within r a moves Cl_2(a) by at most r m(a): together the
+       arguments move h by at most 38e M.
+    The allowance 2^-40 = 2^13 e per unit of M is over 150 times the 50e M
+    of 2 and 3, which leaves room for the second-order terms and for a
+    libm that errs by several ulps; the bound is itself computed in floats,
+    and its own rounding is far below that room.  A sign the bound proves
+    is the sign of an h at least 2^-41 M away from 0.
+
+    Where nothing is proved the result is (0, inf): for delta outside
+    (0, 1/4), gap outside (0, 1) and eta below H_MIN_ETA.  Above it x, eta
+    and the arguments are normal floats with the errors above (a^2 may
+    underflow, which moves Cl_2(a) by less than a 2^-1000).  Below it lie
+    the deltas near or under the end of the float range, such as the
+    2^-(prec+1) of find_c_eps' k search at prec >= 1074, where float(delta)
+    is 0.
+    """
+    x = float(delta)
+    if not (0 < x < 0.25 and 0 < gap < 1):
+        return 0.0, math.inf
+    eta = gap * x / -math.log(x)
+    if eta < H_MIN_ETA:
+        return 0.0, math.inf
+    theta = math.pi * (x - eta)
+    near, m_near = _clausen_float(math.pi * eta)
+    far, m_far = _clausen_float(theta)
+    far2, m_far2 = _clausen_float(2 * theta)
+    value = (near - (far - far2 / 2)) / math.pi
+    magnitude = (m_near + m_far + m_far2 / 2) / math.pi
+    return value, (CLAUSEN_TAIL + ROUNDING_ALLOWANCE) * magnitude
 
 
 def _log_z_box(s0: float, s1: float, x0: float, x1: float) -> float:

@@ -11,7 +11,10 @@ difference of Clausen values Cl_2, computed by its Bernoulli series
 (_clausen) with a proved bound on the omitted terms; mp.clsin and the
 quadrature log_sine_integral are the routes the tests check it against.
 find_c_eps refines the edge delta_eps = 1 - c_eps with the sign-change
-finder find_zeros uses, precision.refine_sign_change.
+finder find_zeros uses, precision.refine_sign_change.  Its search reads h
+by one rule: enclose.h_float's float value wherever it exceeds h_float's
+proved bound, which proves the sign there, and g_and_h everywhere else and
+at the two ends of the bracket it refines.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .divided_diff import node_product
+from .enclose import h_float
 # also reached through this module: coefficients, divided_bound_direct, sine_product
 from .kernel import (NodeConfig, boundary_sum_bound, coefficients,  # noqa: F401
                      divided_bound_direct, sine_product)
@@ -196,6 +200,17 @@ def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
     refined by precision.refine_sign_change to width 2^-prec, one unit in
     the last place of a prec-bit c_eps.  Results are cached per (eps at
     working precision, prec) by _c_eps.
+
+    Each sign of the walk and of the k search is read from
+    enclose.h_float(delta, gap), with gap = log 2 - eps rounded to a float
+    once, where |value| exceeds bound, and from g_and_h everywhere else.  A
+    sign h_float proves is that of an h at least 2^-41 of h_float's
+    magnitudes away from 0, far above g_and_h's rounding at any precision
+    working_precision allows (mp.prec >= 80), so g_and_h reads the same
+    sign and c_eps is the one an all-g_and_h search finds.  At eps 0.65
+    the walk reads all 1023 grid points in floats and calls g_and_h at
+    none of them.  refine_sign_change starts from g_and_h at both ends of
+    the bracket and reads only g_and_h.
     """
     with working_precision(prec):
         return _c_eps(mp.mpf(eps), prec)
@@ -204,34 +219,39 @@ def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
 @functools.cache
 def _c_eps(eps: mpf, prec: int) -> mpf:
     h_at = lambda d: g_and_h(d, eps, prec=prec)[1]
+    gap = float(mp.log(2) - eps)
+
+    def negative(d) -> bool:  # h(d) < 0, from h_float where its bound proves it
+        value, bound = h_float(d, gap)
+        return value < 0 if abs(value) > bound else h_at(d) < 0
+
     k = FIND_C_EPS_RESOLUTION_BITS
     step = mp.mpf(2) ** -k
-    lo, h_lo = step, h_at(step)
-    if h_lo < 0:  # walk the grid to the first delta with h >= 0
+    if negative(step):  # walk the grid to the first delta with h >= 0
+        lo = step
         while True:
             hi = lo + step
             if hi >= mp.mpf(1) / 4:
                 return 1 - mp.mpf(1) / 4
-            h_hi = h_at(hi)
-            if h_hi >= 0:
+            if not negative(hi):
                 break
-            lo, h_lo = hi, h_hi
+            lo = hi
     else:  # delta_eps < 2^-k: search on k for h(2^-j) >= 0 > h(2^-k), j = k - 1
-        while h_lo >= 0:
+        while True:
             if k == prec + 1:
                 return mp.mpf(1)
-            j, h_hi = k, h_lo
-            k = min(2 * k, prec + 1)
-            h_lo = h_at(mp.mpf(2) ** -k)
+            j, k = k, min(2 * k, prec + 1)
+            if negative(mp.mpf(2) ** -k):
+                break
         while k - j > 1:
             mid = (j + k) // 2
-            h_mid = h_at(mp.mpf(2) ** -mid)
-            if h_mid < 0:
-                k, h_lo = mid, h_mid
+            if negative(mp.mpf(2) ** -mid):
+                k = mid
             else:
-                j, h_hi = mid, h_mid
+                j = mid
         lo, hi = mp.mpf(2) ** -k, mp.mpf(2) ** -j
-    lo, _ = refine_sign_change(h_at, lo, hi, h_lo, h_hi, mp.mpf(2) ** -(prec + 1))
+    lo, _ = refine_sign_change(h_at, lo, hi, h_at(lo), h_at(hi),
+                               mp.mpf(2) ** -(prec + 1))
     return 1 - lo
 
 

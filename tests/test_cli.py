@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mp
 
-from hardyz import extremal, hardy, identity, kernel, probes
+from hardyz import divided_diff, extremal, hardy, identity, kernel, probes
 from hardyz.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _suite_rng,
                         build_parser, main, run_suites)
 from hardyz.precision import working_precision
@@ -51,6 +51,24 @@ def test_suite_runs_deterministic():
     a = run_suites(["divided_diff", "sequences"], seed=3, prec=128)
     b = run_suites(["divided_diff", "sequences"], seed=3, prec=128)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+@pytest.mark.parametrize("moved", [0, 1, 2])
+def test_hermite_genocchi_check_sees_any_node_moved_by_2_to_the_minus_40(
+        monkeypatch, prec, moved):
+    simplex = divided_diff.divided_difference_simplex
+
+    def off_by_2_to_the_minus_40(probe, nodes, prec):
+        shifted = list(nodes.nodes)
+        shifted[moved] += mp.mpf(2) ** -40
+        return simplex(probe, divided_diff.NodeMultiset(shifted), prec=prec)
+
+    monkeypatch.setattr(divided_diff, "divided_difference_simplex",
+                        off_by_2_to_the_minus_40)
+    checks = run_suites(["divided_diff"], seed=7, prec=prec)["suites"][0]["checks"]
+    failed = [c["name"] for c in checks if not c["passed"]]
+    assert failed == ["hermite-genocchi-oracle"]
 
 
 def test_identity_cardinal(capsys):

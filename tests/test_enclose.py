@@ -1,5 +1,5 @@
-"""The Riemann-Siegel enclosure of Hardy's Z, and the majorant of |Z| on a
-circle."""
+"""The Riemann-Siegel enclosure of Hardy's Z, the majorant of |Z| on a
+circle, and the float enclosure of Theorem 2's h."""
 
 import math
 import random
@@ -7,8 +7,9 @@ import random
 import pytest
 from mpmath import mp
 
-from hardyz import hardy
-from hardyz.enclose import RS_MIN_T, _c0_c1, z_log_majorant, z_rs
+from hardyz import extremal, hardy
+from hardyz.enclose import RS_MIN_T, _c0_c1, h_float, z_log_majorant, z_rs
+from hardyz.precision import working_precision
 
 # siegelz at twice a float's 53 bits is exact next to any bound z_rs gives
 REFERENCE_BITS = 106
@@ -92,3 +93,57 @@ def test_z_log_majorant_refuses_a_circle_through_a_singularity():
     for centre, radius in ((0.5, math.sqrt(0.5)), (60, 61), (3, 0), (3, -1)):
         with pytest.raises(ValueError):
             z_log_majorant(centre, radius)
+
+
+# h_float's gap is rounded from this working precision; g_and_h at twice it
+# is the reference
+H_PREC = 64
+H_EPS = (0.05, 0.1, 0.3, 0.4, 0.5, 0.65, 0.69)
+
+
+def _h_enclosed(eps, deltas):
+    """Assert |h - value| <= bound at each delta against g_and_h at 2 H_PREC;
+    return the largest |h - value|/bound."""
+    with working_precision(H_PREC):
+        eps = mp.mpf(eps)
+        gap = float(mp.log(2) - eps)
+    worst = 0.0
+    for d in deltas:
+        value, bound = h_float(d, gap)
+        reference = extremal.g_and_h(d, eps, prec=2 * H_PREC)[1]
+        assert math.isfinite(bound)
+        assert abs(reference - value) <= bound, d
+        worst = max(worst, float(abs(reference - value)) / bound)
+    return worst
+
+
+@pytest.mark.parametrize("eps", H_EPS)
+def test_h_float_encloses_h_on_the_grid_and_below_it(eps):
+    with mp.workprec(2 * H_PREC):
+        step = mp.mpf(2) ** -extremal.FIND_C_EPS_RESOLUTION_BITS
+        grid = [j * step for j in range(1, 1024)]
+        powers = [mp.mpf(2) ** -k for k in range(12, 194)]
+    # the room the docstring claims: errors far below the 2^-40 allowance
+    assert _h_enclosed(eps, grid + powers) < 1e-3
+
+
+def test_h_float_encloses_h_around_the_crossing_at_eps_0_4():
+    # delta_eps(0.4) = 0.1757862... lies between the grid points 720 and 721
+    # of 2^-12, where h_float's value is all rounding
+    with mp.workprec(2 * H_PREC):
+        edge = 1 - extremal.find_c_eps(0.4, prec=H_PREC)
+        cluster = [edge + j * mp.mpf(2) ** -44 for j in range(-64, 65)]
+        cluster += [mp.mpf(720) / 4096, mp.mpf(721) / 4096]
+    _h_enclosed(0.4, cluster)
+    value, bound = h_float(edge, float(mp.log(2) - mp.mpf(0.4)))
+    assert abs(value) <= bound  # no sign is claimed at the edge
+
+
+def test_h_float_proves_nothing_outside_its_range():
+    gap = math.log(2) - 0.3
+    with mp.workprec(128):
+        deltas = [mp.mpf(2) ** -1100, 0, -0.1, 0.25, 0.3]
+    for d in deltas:
+        assert h_float(d, gap) == (0.0, math.inf), d
+    for bad_gap in (0.0, -0.1, 1.0):
+        assert h_float(0.01, bad_gap) == (0.0, math.inf)

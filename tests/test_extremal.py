@@ -1,6 +1,7 @@
 """Unit tests for the extremal configuration and certificate chain."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -13,7 +14,7 @@ from hardyz.extremal import (ExtremalParams, divided_bound, divided_bound_direct
                              log_sine_integral, log_sine_integral_closed,
                              phi, sine_product, theorem2_certificate)
 from hardyz.divided_diff import NodeMultiset, divided_difference
-from hardyz.precision import serialize, working_precision
+from hardyz.precision import refine_sign_change, serialize, working_precision
 from hardyz.probes import polynomial_probe
 from hardyz.sequences import tail_weight_constant
 
@@ -105,28 +106,95 @@ def test_c_eps_bisects_to_the_working_resolution(eps):
 
 
 def _counted_c_eps(monkeypatch, eps, prec):
-    """(c_eps, g_and_h calls) of an uncached find_c_eps."""
-    calls = []
-    g_and_h_exact = extremal.g_and_h
+    """(c_eps, g_and_h calls, h_float reads) of an uncached find_c_eps."""
+    calls, reads = [], []
+    g_and_h_exact, h_float = extremal.g_and_h, extremal.h_float
 
     def counted(*args, **kwargs):
         calls.append(args)
         return g_and_h_exact(*args, **kwargs)
 
+    def read(*args):
+        reads.append(args)
+        return h_float(*args)
+
     extremal._c_eps.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(extremal, "g_and_h", counted)
+        patch.setattr(extremal, "h_float", read)
         c_eps = find_c_eps(eps, prec=prec)
     extremal._c_eps.cache_clear()
-    return c_eps, len(calls)
+    return c_eps, len(calls), len(reads)
 
 
-@pytest.mark.parametrize("eps", [0.05, 0.1, 0.25, 0.65])
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.25, 0.5, 0.65])
 def test_c_eps_g_and_h_budget(monkeypatch, eps):
-    # a bisection to 2^-192 took 199 calls at eps 0.25; eps 0.65 scans the
-    # whole grid, whose 1023 points stay
-    _, calls = _counted_c_eps(monkeypatch, eps, PREC)
-    assert calls == 1023 if eps == 0.65 else calls <= 40
+    # h_float proves every sign of the walk at eps 0.5 and 0.65; elsewhere
+    # g_and_h reads the signs h_float leaves open, the bracket's two ends
+    # and the refine
+    _, calls, reads = _counted_c_eps(monkeypatch, eps, PREC)
+    if eps >= 0.5:
+        assert calls == 0
+    else:
+        assert calls <= 16
+    if eps == 0.65:
+        assert reads == 1023  # the whole grid is still read
+
+
+def _c_eps_through_g_and_h(eps, prec):
+    """find_c_eps' search with every sign read from g_and_h, the oracle of
+    the float reads: the same walk, k search and refine."""
+    with working_precision(prec):
+        eps = mp.mpf(eps)
+        h_at = lambda d: g_and_h(d, eps, prec=prec)[1]
+        k = extremal.FIND_C_EPS_RESOLUTION_BITS
+        step = mp.mpf(2) ** -k
+        lo, h_lo = step, h_at(step)
+        if h_lo < 0:
+            while True:
+                hi = lo + step
+                if hi >= mp.mpf(1) / 4:
+                    return 1 - mp.mpf(1) / 4
+                h_hi = h_at(hi)
+                if h_hi >= 0:
+                    break
+                lo, h_lo = hi, h_hi
+        else:
+            while h_lo >= 0:
+                if k == prec + 1:
+                    return mp.mpf(1)
+                j, h_hi = k, h_lo
+                k = min(2 * k, prec + 1)
+                h_lo = h_at(mp.mpf(2) ** -k)
+            while k - j > 1:
+                mid = (j + k) // 2
+                h_mid = h_at(mp.mpf(2) ** -mid)
+                if h_mid < 0:
+                    k, h_lo = mid, h_mid
+                else:
+                    j, h_hi = mid, h_mid
+            lo, hi = mp.mpf(2) ** -k, mp.mpf(2) ** -j
+        lo, _ = refine_sign_change(h_at, lo, hi, h_lo, h_hi, mp.mpf(2) ** -(prec + 1))
+        return 1 - lo
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_c_eps_is_the_g_and_h_walk_bit_for_bit(prec):
+    for eps in (0.05, 0.051, 0.066081, 0.07, 0.0812, 0.1, 0.2, 0.3, 0.4, 0.45,
+                0.5, 0.6, 0.65, 0.69, 0.693):
+        extremal._c_eps.cache_clear()
+        fast = find_c_eps(eps, prec=prec)
+        extremal._c_eps.cache_clear()
+        assert fast._mpf_ == _c_eps_through_g_and_h(eps, prec)._mpf_, eps
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.65])
+def test_c_eps_reads_g_and_h_where_h_float_proves_nothing(monkeypatch, eps):
+    monkeypatch.setattr(extremal, "h_float", lambda d, gap: (0.0, math.inf))
+    c_eps, calls, _ = _counted_c_eps(monkeypatch, eps, PREC)
+    assert c_eps._mpf_ == _c_eps_through_g_and_h(eps, PREC)._mpf_
+    if eps == 0.65:
+        assert calls == 1023  # every grid point read from g_and_h
 
 
 @pytest.mark.parametrize("eps, first_k", [(0.05, 97), (0.1, 37), (0.2, 13)])
@@ -142,7 +210,7 @@ def test_c_eps_brackets_below_the_grid_at_the_first_negative_k(monkeypatch, eps,
     assert k == first_k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        c_eps, _ = _counted_c_eps(monkeypatch, eps, PREC)
+        c_eps, _, _ = _counted_c_eps(monkeypatch, eps, PREC)
     with working_precision(PREC):
         assert mp.mpf(2) ** -k <= 1 - c_eps <= mp.mpf(2) ** -(k - 1)
 

@@ -32,6 +32,8 @@ COMMANDS = [
     "--precision-bits 128 extremal 20 0.974 0.3 60",
     "--precision-bits 192 extremal 14 0.95 0.07 40",
     "--precision-bits 192 extremal 16 0.935086 0.066081 45",
+    # a refine after a crossing on the delta grid, at 192 bits
+    "--precision-bits 192 extremal 12 0.95 0.4 30",
     # an early exit at 128 bits
     "--precision-bits 128 extremal 16 0.935086 0.066081 45",
     "--precision-bits 64 explore 100 0.3 2",
