@@ -8,6 +8,8 @@ identifiers appear.  identity, zeros, explore and extremal emit their
 library report plus a command/seed/precision_bits envelope.
 
 Formats: verify-lemmas json or text, zeros json or csv, the others json.
+Every report is serialized by precision.serialize, and laid out here: JSON in
+_emit_json, verify-lemmas' text in cmd_verify_lemmas, zeros' CSV in cmd_zeros.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (explore's
 T included, when Z(T) is indistinguishable from zero), 2 usage error, 3 z_eval
@@ -19,7 +21,9 @@ directory, before any command runs.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import random
@@ -570,11 +574,16 @@ def cmd_zeros(args) -> int:
         scan_lo = mp.mpf(0) if lo <= 15 else lo
         found = hardy.find_zeros(scan_lo, hi, prec=prec)
         visible = dataclasses.replace(
-            found, t_lo=lo, zeros=[z for z in found.zeros if z.gamma > lo])
+            found, t_lo=lo, zeros=[z for z in found.zeros if z.t > lo])
+        body = serialize(visible, prec)
         if args.format == "csv":
-            _emit(visible.to_csv(prec), args.out)
+            buf = io.StringIO()
+            rows = csv.writer(buf)
+            rows.writerow(["index", "t", "bracket_half_width"])
+            rows.writerows([i, z["t"], z["half_width"]]
+                           for i, z in enumerate(body["zeros"], start=1))
+            _emit(buf.getvalue(), args.out)
             return EXIT_OK
-        body = visible.serialize(prec)
         if hi >= 10 and scan_lo == 0:
             body["count_stats"] = serialize(
                 hardy.count_stats(hi, found, prec=prec), prec)

@@ -46,7 +46,7 @@ from typing import List, Tuple
 
 from mpmath import mp
 
-from .polynomials import bernoulli_numbers, horner
+from .polynomials import clausen_coeffs, horner
 
 RS_MIN_T = 200  # Gabcke's remainder bound holds from t = 200 on
 GABCKE_D1 = 0.053  # |R(t)| <= GABCKE_D1 tau^-5/2 (see z_rs)
@@ -196,11 +196,9 @@ def z_rs(t) -> Tuple[float, float]:
 
 @lru_cache(maxsize=1)
 def _clausen_floats() -> List[float]:
-    """(c_1, ..., c_CLAUSEN_TERMS), c_k = |B_2k|/(2k (2k+1)!), the series of
+    """polynomials.clausen_coeffs(CLAUSEN_TERMS), the series of
     extremal._clausen, each the float nearest its exact rational."""
-    B = bernoulli_numbers(2 * CLAUSEN_TERMS)
-    return [float(abs(B[2 * k]) / (2 * k * math.factorial(2 * k + 1)))
-            for k in range(1, CLAUSEN_TERMS + 1)]
+    return [float(c) for c in clausen_coeffs(CLAUSEN_TERMS)]
 
 
 def _clausen_float(a: float) -> Tuple[float, float]:

@@ -31,7 +31,7 @@ from .enclose import h_float
 # also reached through this module: coefficients, divided_bound_direct, sine_product
 from .kernel import (NodeConfig, boundary_sum_bound, coefficients,  # noqa: F401
                      divided_bound_direct, sine_product)
-from .polynomials import bernoulli_numbers, horner
+from .polynomials import _rounded, clausen_coeffs, horner
 from .precision import DEFAULT_PREC, refine_sign_change, working_precision
 from .sequences import tail_weight_constant
 
@@ -56,11 +56,9 @@ class ExtremalParams:
     def __post_init__(self):
         with working_precision(self.prec):
             c = self.c = mp.mpf(self.c)
-            eps = self.eps = mp.mpf(self.eps)
             if not 0 < c < 1:
                 raise ValueError("c must lie in (0, 1)")
-            if not 0 < eps < mp.log(2):
-                raise ValueError("eps must lie in (0, log 2)")
+            eps = self.eps = _checked_eps(self.eps)
             if self.n < 1:
                 raise ValueError("n must be >= 1")
             self.delta = 1 - c
@@ -118,9 +116,9 @@ def _clausen(theta) -> mpf:
     """Cl_2(theta) for 0 <= theta <= pi, to 2^-(mp.prec+1) relative.
 
     Cl_2(theta) = theta - theta log theta + sum_k c_k theta^(2k+1) with
-    c_k = |B_2k| / (2k (2k+1)!) (Lewin, Polylogarithms and Associated
-    Functions, 1981).  |B_2k| <= 2 zeta(2) (2k)!/(2 pi)^(2k) bounds the terms
-    after the K-th by zeta(2) theta x^(2K+2) / ((K+1)(2K+3)(1 - x^2)) with
+    c_k = |B_2k| / (2k (2k+1)!) (polynomials.clausen_coeffs).  |B_2k| <=
+    2 zeta(2) (2k)!/(2 pi)^(2k) bounds the terms after the K-th by
+    zeta(2) theta x^(2K+2) / ((K+1)(2K+3)(1 - x^2)) with
     x = theta/(2 pi).  For theta <= 2 pi/3, where x <= 1/3 and
     Cl_2(theta) >= theta/4, that is below 4 x^(2K+2) Cl_2(theta), and K is
     the smallest count that puts it under 2^-(mp.prec+1) Cl_2(theta).  Above
@@ -136,23 +134,19 @@ def _clausen(theta) -> mpf:
     log_theta = mp.log(theta)
     bits_per_term = 2 * (math.log(2 * math.pi) - float(log_theta)) / math.log(2)
     terms = math.ceil((mp.prec + 4) / bits_per_term) - 1  # 1 bit spare for the floats
-    coeffs = _clausen_coefficients(mp.prec)[:terms]
+    table = math.ceil((mp.prec + 4) / (2 * math.log2(3)))  # one more than 2 pi/3 uses
+    coeffs = _rounded(clausen_coeffs, table, mp.prec)[:terms]
     theta2 = theta * theta
     return theta - theta * log_theta + theta * theta2 * horner(coeffs, theta2)
 
 
-@functools.cache
-def _clausen_coefficients(prec: int) -> Tuple[mpf, ...]:
-    """(c_1, c_2, ...) rounded at prec bits: one more than _clausen uses at
-    theta = 2 pi/3 (x = 1/3), so a float rounding in its count never runs
-    off the end."""
-    terms = math.ceil((prec + 4) / (2 * math.log2(3)))
-    B = bernoulli_numbers(2 * terms)
-    out = []
-    for k in range(1, terms + 1):
-        c = abs(B[2 * k]) / (2 * k * math.factorial(2 * k + 1))
-        out.append(mpf(c.numerator) / mpf(c.denominator))
-    return tuple(out)
+def _checked_eps(eps) -> mpf:
+    """eps at the ambient precision, or ValueError outside 0 < eps < log 2,
+    where Theorem 2 takes it."""
+    eps = mp.mpf(eps)
+    if not 0 < eps < mp.log(2):
+        raise ValueError("eps must lie in (0, log 2)")
+    return eps
 
 
 def _eta(delta, eps) -> mpf:
@@ -175,7 +169,7 @@ def g_and_h(delta, eps, prec: int = DEFAULT_PREC) -> Tuple[Tuple[mpf, mpf], mpf]
         d = mp.mpf(delta)
         if not 0 < d < mp.mpf(1) / 4:
             raise ValueError("delta must lie in (0, 1/4)")
-        eta = _eta(d, eps)
+        eta = _eta(d, _checked_eps(eps))
         theta = mp.pi * (d - eta)
         cl_near = _clausen(mp.pi * eta)
         cl_far = _clausen(theta) - _clausen(2 * theta) / 2
@@ -213,7 +207,7 @@ def find_c_eps(eps, prec: int = DEFAULT_PREC) -> mpf:
     the bracket and reads only g_and_h.
     """
     with working_precision(prec):
-        return _c_eps(mp.mpf(eps), prec)
+        return _c_eps(_checked_eps(eps), prec)
 
 
 @functools.cache

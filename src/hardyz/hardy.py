@@ -18,9 +18,7 @@ differences (tests/derivative_oracle.py).
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,10 +27,11 @@ from mpmath import libmp, mp, mpf
 
 from .enclose import RS_MIN_T, z_log_majorant, z_rs
 from .polynomials import bernoulli_numbers, horner
-from .precision import DEFAULT_PREC, digits_for, refine_sign_change, working_precision
+from .precision import DEFAULT_PREC, refine_sign_change, working_precision
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
+HALF_WIDTH_DIGITS = 6  # a zero's bracket half-width prints with 6 digits at any precision
 MAX_RESCANS = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
 EM_GUARD_BITS = 8  # _zeta_em rounds its fixed-point result once, 2^-8 of z_eval's rounding
@@ -406,8 +405,8 @@ def z_derivatives_batch(t, orders: Sequence[int],
 
 @dataclass
 class Zero:
-    gamma: mpf
-    half_width: mpf
+    t: mpf
+    half_width: mpf = field(metadata={"digits": HALF_WIDTH_DIGITS})
 
 
 @dataclass
@@ -417,32 +416,13 @@ class ZeroList:
     zeros: List[Zero]
     rescans: int
     suspected_missing: bool
+    count: int = field(init=False)
+
+    def __post_init__(self):
+        self.count = len(self.zeros)
 
     def __len__(self) -> int:
         return len(self.zeros)
-
-    def serialize(self, prec: int = DEFAULT_PREC) -> Dict:
-        """The zeros shape of both the JSON and the CSV output: each zero
-        is its t to digits_for(prec) digits and a 6-digit half-width."""
-        d = digits_for(prec)
-        return {
-            "t_lo": mp.nstr(self.t_lo, d),
-            "t_hi": mp.nstr(self.t_hi, d),
-            "count": len(self.zeros),
-            "rescans": self.rescans,
-            "suspected_missing": self.suspected_missing,
-            "zeros": [{"t": mp.nstr(z.gamma, d),
-                       "half_width": mp.nstr(z.half_width, 6)}
-                      for z in self.zeros],
-        }
-
-    def to_csv(self, prec: int = DEFAULT_PREC) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["index", "t", "bracket_half_width"])
-        for i, z in enumerate(self.serialize(prec)["zeros"], start=1):
-            w.writerow([i, z["t"], z["half_width"]])
-        return buf.getvalue()
 
 
 def _scan_step(t, prec: int) -> mpf:
@@ -479,8 +459,8 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     proves Z's sign there; everywhere else z_eval's value.  The scan's
     values seed the refinement.
     What is proved about a zero is the Euler-Maclaurin sign check that
-    follows: z_eval has opposite signs at gamma - 2^-46 and gamma + 2^-46
-    (or, after one retry, at gamma +- 2^-38), each value larger than its
+    follows: z_eval has opposite signs at t - 2^-46 and t + 2^-46
+    (or, after one retry, at t +- 2^-38), each value larger than its
     error estimate.  The signs at the ends of the 2^-48 bracket come from
     z_rs, which proves them, or from a z_eval value whose estimate is not
     compared.
@@ -522,14 +502,14 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         for (a, b, fa, fb) in brackets:
             zlo, zhi = refine_sign_change(z_sign, a, b, fa, fb,
                                           mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS))
-            zeros.append(Zero(gamma=(zlo + zhi) / 2, half_width=(zhi - zlo) / 2))
+            zeros.append(Zero(t=(zlo + zhi) / 2, half_width=(zhi - zlo) / 2))
         w = mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS + 2)
         for z in zeros:
             # widen once; a second failure means the sign change is not proved
-            if not (_certified_sign_change(z.gamma, w, prec)
-                    or _certified_sign_change(z.gamma, w * 256, prec)):
+            if not (_certified_sign_change(z.t, w, prec)
+                    or _certified_sign_change(z.t, w * 256, prec)):
                 raise UnconfirmedSignChangeError(
-                    f"could not certify sign change at t = {mp.nstr(z.gamma, 20)}")
+                    f"could not certify sign change at t = {mp.nstr(z.t, 20)}")
         return ZeroList(t_lo=lo, t_hi=hi, zeros=zeros, rescans=rescans,
                         suspected_missing=bool(expected - len(zeros) >= 2))
 

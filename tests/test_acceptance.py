@@ -262,7 +262,7 @@ def test_criterion_11_hardy_engine():
     zl = hardy.find_zeros(0, 100, prec=prec)
     count_ok = len(zl) == 29
     with working_precision(prec):
-        gamma1_ok = bool(abs(zl.zeros[0].gamma
+        gamma1_ok = bool(abs(zl.zeros[0].t
                              - mp.mpf("14.134725141734693790")) < mp.mpf(10) ** -6)
     rng = random.Random(1111)
     dual_ok = True

@@ -1,5 +1,7 @@
 """CLI-level tests: exit codes, output formats, determinism."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -136,6 +138,20 @@ def test_zeros_csv_count(capsys):
     assert len(lines) - 1 == 29
     first = float(lines[1].split(",")[1])
     assert abs(first - 14.134725) < 1e-5
+
+
+def test_zeros_csv_rows_are_the_json_zeros(capsys):
+    argv = ["--precision-bits", "128", "zeros", "480", "500"]
+    code, out = _run(capsys, argv)
+    assert code == EXIT_OK
+    zeros = json.loads(out)["zeros"]
+    code, out = _run(capsys, ["--format", "csv"] + argv)
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["index", "t", "bracket_half_width"]
+    assert len(zeros) == 13
+    assert rows[1:] == [[str(i), z["t"], z["half_width"]]
+                        for i, z in enumerate(zeros, start=1)]
 
 
 def test_zeros_json_includes_count_stats(capsys):

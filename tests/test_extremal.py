@@ -380,3 +380,14 @@ def test_find_c_eps_cache_keys_on_the_working_precision_value():
     extremal._c_eps.cache_clear()
     find_c_eps(mp.mpf(0.3), prec=prec)
     assert find_c_eps(eps, prec=prec) == fresh
+
+
+@pytest.mark.parametrize("eps", [0.7, 0.0, -0.1])
+def test_eps_outside_zero_to_log_2_is_refused(eps):
+    # find_c_eps and g_and_h once raised a TypeError inside _clausen at 0.7,
+    # and find_c_eps returned c_eps = 1 at 0.0 and -0.1
+    for call in (lambda: find_c_eps(eps, prec=64),
+                 lambda: g_and_h(0.1, eps, prec=64),
+                 lambda: ExtremalParams(n=12, c=0.95, eps=eps, prec=64)):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, log 2\)"):
+            call()

@@ -310,7 +310,7 @@ def test_first_zero_and_count_to_100():
     zl = find_zeros(0, 100, prec=PREC)
     assert len(zl) == 29
     with working_precision(PREC):
-        assert abs(zl.zeros[0].gamma - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -6
+        assert abs(zl.zeros[0].t - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -6
     exp = expected_zero_count(0, 100, prec=PREC)
     assert abs(exp - 29) < 2
 
@@ -321,9 +321,9 @@ def test_zeros_to_100_match_zetazero_inside_sign_change_brackets():
     with working_precision(PREC):
         for k, z in enumerate(zl.zeros, start=1):
             assert 0 < z.half_width <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
-            assert abs(z.gamma - mp.zetazero(k).imag) < mp.mpf(10) ** -12
-            assert (mp.siegelz(z.gamma - z.half_width) > 0) \
-                != (mp.siegelz(z.gamma + z.half_width) > 0)
+            assert abs(z.t - mp.zetazero(k).imag) < mp.mpf(10) ** -12
+            assert (mp.siegelz(z.t - z.half_width) > 0) \
+                != (mp.siegelz(z.t + z.half_width) > 0)
 
 
 def test_zeros_to_100_siegelz_budget(monkeypatch):
@@ -365,10 +365,10 @@ def _assert_zetazeros_in_siegelz_brackets(zl, lo, hi):
         assert len(zl) == int(mp.nzeros(hi)) - first + 1
         for k, z in enumerate(zl.zeros, start=first):
             assert 0 < z.half_width <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
-            assert (mp.siegelz(z.gamma - z.half_width) > 0) \
-                != (mp.siegelz(z.gamma + z.half_width) > 0)
+            assert (mp.siegelz(z.t - z.half_width) > 0) \
+                != (mp.siegelz(z.t + z.half_width) > 0)
             with mp.workdps(20):
-                assert abs(z.gamma - mp.zetazero(k).imag) < mp.mpf(10) ** -12
+                assert abs(z.t - mp.zetazero(k).imag) < mp.mpf(10) ** -12
 
 
 def test_zeros_480_to_500_match_zetazero_inside_sign_change_brackets(

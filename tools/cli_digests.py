@@ -55,6 +55,10 @@ COMMANDS = [
     "--precision-bits 128 zeros 10 40",
     "--seed 7 --format text verify-lemmas identity",
     "--precision-bits 128 --format csv zeros 10 40",
+    # a CSV off the count_stats path, at 64 bits
+    "--precision-bits 64 --format csv zeros 480 500",
+    # a CSV at the default 192 bits: the scan starts at 0 and is filtered
+    "--format csv zeros 14.1 14.2",
     "--precision-bits 128 zeros 480 500",
     "--precision-bits 64 zeros 480 500",
     "zeros 195 215",
