@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -23,10 +23,14 @@ class FunctionProbe:
     """f together with its derivatives of every order.
 
     ``deriv(x, k)`` must return f^(k)(x) for every k >= 0; the built-in
-    probes compute it analytically.
+    probes compute it analytically.  ``majorant(k, height)``, where given,
+    is the log of a bound on |f^(k)(z)| for every complex z with
+    |Im z| <= height, computed in floats; identity's Gauss-Legendre rule
+    needs it to choose its degree and to bound its error.
     """
 
     deriv: Callable[[object, int], object]
+    majorant: Optional[Callable[[int, float], float]] = None
 
     def value(self, x):
         return self.deriv(x, 0)

@@ -35,6 +35,10 @@ h_float(delta, gap) encloses the Clausen difference h(delta) of Theorem 2's
 admissible range in floats, with the Bernoulli series of extremal._clausen:
 extremal.find_c_eps decides each sign of its delta search from it where its
 bound proves one.
+
+log_add is the float log of a sum of exponentials that these bounds, the
+contour bounds of hardy._TaylorPatches and identity's quadrature bound add
+their terms with.
 """
 
 from __future__ import annotations
@@ -62,6 +66,14 @@ LOG_2PI = math.log(2 * math.pi)
 CLAUSEN_TERMS = 15  # c_1..c_15 leave 2^-62 of Cl_2 up to pi/2 (see h_float)
 CLAUSEN_TAIL = 2.0 ** -62
 H_MIN_ETA = 2.0 ** -1000  # below it h_float proves nothing (see h_float)
+
+
+def log_add(*logs: float) -> float:
+    """log(sum e^x) for the given logs, in floats."""
+    top = max(logs)
+    if top in (-math.inf, math.inf):
+        return top
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
 @lru_cache(maxsize=1)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath import libmp, mp, mpf
 
-from .enclose import RS_MIN_T, z_log_majorant, z_rs
+from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
 from .polynomials import bernoulli_numbers, horner
 from .precision import DEFAULT_PREC, refine_sign_change, working_precision
 
@@ -581,14 +581,6 @@ class ExploreReport:
         "margins are raw data", init=False)
 
 
-def _log_add(*logs: float) -> float:
-    """log(sum e^x) for the given logs."""
-    top = max(logs)
-    if top in (-math.inf, math.inf):
-        return top
-    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
-
-
 class _TaylorPatches:
     """Z^(k) on [lo, hi] from truncated Taylor series of Z, one contour
     each; the only code that builds a contour.
@@ -706,7 +698,7 @@ class _TaylorPatches:
             trunc = math.inf if rho >= 1 else (
                 log_a - k * math.log(R) + math.lgamma(N + 1) - math.lgamma(N + 1 - k)
                 + (N - k) * math.log(x) - math.log1p(-rho))
-        return _log_add(alias, trunc)
+        return log_add(alias, trunc)
 
     def _log_gain(self, k: int) -> float:
         """log of k! r/(r - d)^(k+1), which turns a sample error into one of
@@ -757,7 +749,7 @@ class _TaylorPatches:
             size = max(mp.fsum(abs(b) * d ** n for n, b in enumerate(patch[k]))
                        for patch in self.series)
             log_size = float(mp.log(size)) if size else -math.inf
-            worst = max(worst, _log_add(self._log_series(k, self.M, R, log_a),
+            worst = max(worst, log_add(self._log_series(k, self.M, R, log_a),
                                         log_delta + self._log_gain(k),
                                         log_arithmetic + log_size,
                                         log_output + log_size))

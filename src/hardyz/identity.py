@@ -9,27 +9,45 @@ The integral term runs against the compiled kernel (kernel.compile_psi),
 one polynomial per panel between the knots -a, x_k, a.  For a polynomial
 probe the integrand is a polynomial on every panel, so the integral is taken
 in closed form and carries no quadrature error; when deg f < 2m it is zero
-and the kernel is never built.  Other probes use composite Gauss-Legendre
-over the same panels.  reconstruct_f0 takes its kernels from
+and the kernel is never built.  Other probes give a majorant of |f^(2m)| off
+the real line, and each panel gets one Gauss-Legendre rule, of the least
+degree whose proved error bound (Bernstein ellipses, see _panel_rule) is at
+most mp.eps; quadrature_error_estimate is the sum of those bounds and a
+rounding allowance.  reconstruct_f0 takes its kernels from
 kernel.psi_star_boundary and kernel.interior_kernel, which choose between
 strict and weakly ordered configurations (the Chebyshev series for these).
+Only a polynomial integrand of degree < 2m, which vanishes, runs against the
+Chebyshev series: every other integrand over it is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .divided_diff import FunctionProbe
+from .enclose import log_add
 # coefficients and psi are unused here, but perfbench's tracer patches
 # identity.coefficients and identity.psi
 from .kernel import (CompiledPsi, NodeConfig, coefficients,  # noqa: F401
-                     compile_psi, interior_kernel, kernel_knots, psi, psi_orders,
+                     compile_psi, interior_kernel, psi, psi_orders,
                      psi_star_boundary)
+from .polynomials import horner
 from .precision import DEFAULT_PREC, working_precision
 from .probes import PolynomialProbe
+
+# mpmath's Gauss-Legendre nodes at precision P stop Newton's iteration once a
+# step is below 2^-(P+8); assumed: every node within 2^-(P+NODE_BITS) of the
+# true one and every weight within 2^-(P+NODE_BITS-2) (see _panel_rule)
+NODE_BITS = 8
+# assumed: a probe's f^(k) at a real point is within PROBE_ULPS units of 2^-P
+# of its majorant (see _panel_rule)
+PROBE_ULPS = 256
+RHO_STEPS = 40  # the Bernstein ellipses tried: rho = 2^(j/4), j = 1..40
+BOUND_SLACK = 2.0 ** -20  # added to each panel's float log bound (see _panel_rule)
 
 
 class WeightContractError(ValueError):
@@ -46,34 +64,145 @@ class IdentityReport:
     boundary_terms: List[mpf]  # 2m values: m at +a then m at -a
     integral_term: mpf
     residual: mpf
-    quadrature_error_estimate: mpf
+    quadrature_error_estimate: mpf  # a proved bound (_panel_rule); 0 in closed form
     residual_budget: mpf
     passed: bool  # residual <= residual_budget
 
 
-def _integrate(f: Callable, points: Sequence[mpf], prec: int) -> Tuple[mpf, mpf]:
-    """Composite Gauss-Legendre over the panel points, with error estimate,
-    at the ambient precision.  prec is unused; perfbench's tracer passes it
-    positionally."""
-    return mp.quad(f, points, method="gauss-legendre", error=True)
+def _integrate(f: Callable, points: Sequence[Tuple[mpf, mpf]], prec: int) -> mpf:
+    """sum w f(x) over the (x, w) pairs of a Gauss-Legendre rule, each
+    product exact and the sum rounded once (mp.fdot) at the ambient
+    precision: the one place the integral term's quadrature sum runs.  prec
+    is unused; perfbench's tracer passes it positionally."""
+    return mp.fdot((w, f(x)) for x, w in points)
 
 
-def _integral_term(config: NodeConfig, probe: FunctionProbe, m: int,
-                   kernel: Callable[[], Callable], prec: int) -> Tuple[mpf, mpf]:
-    """int_{-a}^{a} f^(2m) Psi_{2m-1} dx and its error estimate.
+def _log_abs(x: mpf) -> float:
+    """log |x| in floats, from x's mantissa and exponent, so that no size of
+    x overflows; -inf at 0."""
+    _, man, exp, _ = x._mpf_
+    return math.log(man) + exp * math.log(2) if man else -math.inf
 
-    kernel() builds Psi_{2m-1}; it is not called when f^(2m) vanishes.
+
+def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
+                k: int) -> Tuple[int, float]:
+    """(degree, log bound) of the Gauss-Legendre rule for the integral of
+    g(x) = f^(k)(x) q(x - c) over the panel [c - r, c + r], computed in
+    floats before any integrand call.  q holds the panel's kernel
+    coefficients, c is |centre| and majorant is the probe's.  The degree is
+    mpmath's, N = 3 2^(degree-1) nodes: the least one whose truncation bound
+    is at most mp.eps, or mpmath's top degree for mp.prec if none is.
+
+    Truncation.  On the Bernstein ellipse E_rho about the panel (foci
+    c -+ r, semi-axes r A and r B, A = (rho + 1/rho)/2, B = (rho - 1/rho)/2)
+    |g| <= M(rho) = sum_j |q_j| (r A)^j exp(majorant(k, r B)): E_rho lies in
+    the disc |x - c| <= r A and in the strip |Im x| <= r B.  An N-point
+    Gauss rule is Trefethen's (n+1)-point one with n = N - 1
+    (Approximation Theory and Approximation Practice, SIAM 2013,
+    Thm 19.3), so its error is at most
+    T = r (64/15) M(rho) rho^(-2N)/(1 - rho^-2); the least T over the
+    RHO_STEPS ellipses is taken.
+
+    Rounding, with P = mp.prec and u = 2^-P, for any rho of the grid, to
+    first order in u (the constants below are rounded up to cover the
+    rest).  The sum runs over h_i = r t_i and weights r w_i, and evaluates
+    f at x_i = c + h_i and q at h_i.
+    1. The domain.  The kernel's centre is within u |c| of the panel's
+       midpoint, and r = (hi - lo)/2 rounds once, so each end of the rule's
+       interval is within u (|c| + r) of the panel's: 2 u (|c| + r) M.
+    2. The nodes and weights, as NODE_BITS assumes: the weights move the sum
+       by r N 2^-(NODE_BITS-2) u M (r N u M/64).
+    3. The points.  With the nodes' error, h_i is within r (1 + 2^-8) u of
+       r t_i and x_i within (|c| + (2 + 2^-8) r) u of c + r t_i.  The disc
+       of radius r (A - 1) about a point of the panel lies in E_rho (on it
+       |x - c - r| + |x - c + r| <= 2 r A), so Cauchy's estimate bounds
+       each factor's derivative by its bound on E_rho over r (A - 1): the
+       points move the sum by at most 2 r M u (|c|/r + 4)/(A - 1).
+    4. The values.  Horner's pass over the 2m + 1 = k + 1 coefficients of
+       q, with |h| <= r, is within (2k + 1) u sum_j |q_j| r^j; f^(k) is
+       within PROBE_ULPS u of its majorant, as assumed; the product rounds
+       once: 2 r M u (2k + 2 + PROBE_ULPS).
+    5. The sums.  Each r w_i rounds once, mp.fdot forms the products
+       exactly and rounds the sum once (mpf_sum drops only terms below
+       2^-2P of its running sum), and the sum over the panels rounds once:
+       6 r M u.
+    The allowance is the least over the grid of
+    r M u (N 2^-(NODE_BITS-2) + 2 (|c|/r + 4)/(A - 1) + 2 |c|/r + 4 k
+    + 2 PROBE_ULPS + 12).
+
+    The bound is T plus the allowance, as a float log plus BOUND_SLACK.
+    While its logs stay below 2^16 in size (2 N log rho < 2^16 for
+    N <= 3 2^10, mpmath's top degree below 1920 bits), each float operation
+    moves them by less than 2^-36, and the c and the majorant's b and width
+    that enter as floats are within 2^-52 relative (r is rounded up): all
+    of it stays far below the slack.  The assumed errors of 2 and 4 are
+    checked by the tests.
+    """
+    P = mp.prec
+    log_q = [_log_abs(v) for v in q]
+    ellipses = []  # (log M(rho), log rho, A)
+    for j in range(1, RHO_STEPS + 1):
+        rho = 2.0 ** (j / 4)
+        A, B = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+        log_ra = math.log(r * A)
+        log_m = log_add(*(lq + i * log_ra for i, lq in enumerate(log_q))) \
+            + majorant(k, r * B)
+        ellipses.append((log_m, math.log(rho), A))
+    log_scale = math.log(r * 64 / 15)
+    log_eps = (1 - P) * math.log(2)
+    top = mp._gauss_legendre.guess_degree(P)
+    for degree in range(1, top + 1):
+        N = 3 << (degree - 1)
+        log_trunc = min(log_m + log_scale - 2 * N * log_rho
+                        - math.log(1 - math.exp(-2 * log_rho))
+                        for log_m, log_rho, _ in ellipses)
+        if log_trunc <= log_eps:
+            break
+    terms = N * 2.0 ** (2 - NODE_BITS) + 2 * c / r + 4 * k + 2 * PROBE_ULPS + 12
+    log_round = min(log_m + math.log(r * (terms + 2 * (c / r + 4) / (A - 1)))
+                    for log_m, _, A in ellipses) - P * math.log(2)
+    return degree, log_add(log_trunc, log_round) + BOUND_SLACK
+
+
+def _integral_term(probe: FunctionProbe, m: int, kernel: Callable[[], Callable],
+                   prec: int) -> Tuple[mpf, mpf]:
+    """int_{-a}^{a} f^(2m) Psi_{2m-1} dx and a proved bound on its error.
+
+    kernel() builds Psi_{2m-1}; it is not called when f^(2m) vanishes.  A
+    polynomial probe's integral is closed-form; any other probe is
+    integrated panel by panel, each panel by the one Gauss-Legendre rule
+    _panel_rule chooses, and the bound is the sum of the panels' bounds.
+    The integrand reads each panel's kernel coefficients directly.
     """
     if isinstance(probe, PolynomialProbe) and probe.degree < 2 * m:
         return mp.mpf(0), mp.mpf(0)
     kern = kernel()
-    if isinstance(probe, PolynomialProbe) and isinstance(kern, CompiledPsi):
+    if not isinstance(kern, CompiledPsi):
+        raise ValueError(
+            f"the interior kernel is a {type(kern).__name__}, not a CompiledPsi "
+            "(the Chebyshev series of a weakly ordered configuration): the "
+            "integral term has no rule over it for a non-vanishing integrand")
+    if isinstance(probe, PolynomialProbe):
         return kern.integrate_polynomial(probe.derivative_coeffs(2 * m)), mp.mpf(0)
+    if probe.majorant is None:
+        raise ValueError("the probe has no majorant of |f^(2m)| off the real line: "
+                         "the Gauss-Legendre rule chooses its degree and bounds "
+                         "its error from one")
+    k = 2 * m
+    values, bounds = [], []
+    for lo, hi, c, q in zip(kern.knots, kern.knots[1:], kern.centers, kern.coeffs):
+        r = (hi - lo) / 2
+        r_up = float(r) * (1 + 2.0 ** -52)
+        degree, log_bound = _panel_rule(q, r_up, abs(float(c)), probe.majorant, k)
+        points = [(r * t, r * w) for t, w in
+                  mp._gauss_legendre.get_nodes(-1, 1, degree, mp.prec)]
 
-    def integrand(x):
-        return mp.mpf(probe.deriv(x, 2 * m)) * kern(x)
+        def integrand(h):
+            return mp.mpf(probe.deriv(c + h, k)) * horner(q, h)
 
-    return _integrate(integrand, kernel_knots(config, prec), prec)
+        values.append(_integrate(integrand, points, prec))
+        bounds.append(mp.exp(log_bound))
+    return mp.fsum(values), mp.fsum(bounds)
 
 
 def _boundary_terms(probe: FunctionProbe, a: mpf,
@@ -118,7 +247,7 @@ def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
             probe, a,
             lambda sign: psi_orders(config, range(1, m + 1), sign * a, mu_m, prec=prec))
         integral, quad_err = _integral_term(
-            config, probe, m, lambda: compile_psi(config, m, mu_m, prec=prec), prec)
+            probe, m, lambda: compile_psi(config, m, mu_m, prec=prec), prec)
         rhs = mp.fsum(boundary) - integral
         residual = abs(lhs - rhs)
         budget = _residual_budget(quad_err, boundary + [lhs, integral], prec)
@@ -165,7 +294,7 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
             probe, a,
             lambda sign: psi_star_boundary(config, range(1, m + 1), sign, prec=prec))
         integral, quad_err = _integral_term(
-            config, probe, m, lambda: interior_kernel(config, m, prec=prec), prec)
+            probe, m, lambda: interior_kernel(config, m, prec=prec), prec)
         value = mp.fsum(boundary) - integral
         budget = _residual_budget(quad_err, boundary + [integral], prec)
         error = abs(value - mp.mpf(probe.value(0)))

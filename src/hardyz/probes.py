@@ -1,12 +1,16 @@
 """Built-in smooth test functions with exact derivatives of any order.
 
 Each factory returns a FunctionProbe whose deriv(x, k) is computed
-analytically (coefficient manipulation), never by finite differences.
+analytically (coefficient manipulation), never by finite differences.  The
+cosine and gaussian-cosine probes also give a majorant of |f^(k)| off the
+real line, which identity's Gauss-Legendre rule reads; a polynomial probe
+needs none, because its integral term is taken in closed form.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,16 +72,26 @@ def monomial_probe(k: int, prec: int = DEFAULT_PREC) -> PolynomialProbe:
 
 def cosine_probe(b, prec: int = DEFAULT_PREC) -> FunctionProbe:
     """f(x) = cos(b x), with b held as an mpf from construction, rounded at
-    the probe's working precision."""
+    the probe's working precision.
+
+    Its majorant: f^(k)(z) = b^k cos(b z + k pi/2) and |cos w| <= e^|Im w|,
+    so |f^(k)(z)| <= |b|^k e^(|b| height) where |Im z| <= height.
+    """
     with working_precision(prec):
         bm = mp.mpf(b)
+    b_abs = abs(float(bm))
 
     def deriv(x, k):
         with working_precision(prec):
             phase = mp.mpf(k) * mp.pi / 2
             return bm ** k * mp.cos(bm * mp.mpf(x) + phase)
 
-    return FunctionProbe(deriv=deriv)
+    def majorant(k, height):
+        if k == 0:
+            return b_abs * height
+        return k * math.log(b_abs) + b_abs * height if b_abs else -math.inf
+
+    return FunctionProbe(deriv=deriv, majorant=majorant)
 
 
 def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
@@ -86,11 +100,20 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
     Derivatives via the polynomial recurrence P_{k+1} = P_k' + q' P_k with
     f^(k) = Re[P_k exp(q)].  b, width^2 and q' are held from construction,
     rounded at the probe's working precision.
+
+    Its majorant: with z = x + iy, |exp(-z^2/(2 width^2))| =
+    exp((y^2 - x^2)/(2 width^2)) and |cos(b z)| <= e^(|b y|), so
+    |f(z)| <= exp(y^2/(2 width^2) + |b y|) whatever x.  Cauchy's estimate on
+    the circle of radius R about z, where |Im| <= height + R, gives
+    |f^(k)(z)| <= k! R^-k exp((height + R)^2/(2 width^2) + |b| (height + R))
+    for every R > 0 (R = 0 when k = 0).  The R taken sets the derivative of
+    the log in R to zero: R^2 + (height + |b| width^2) R - k width^2 = 0.
     """
     with working_precision(prec):
         w2 = mp.mpf(width) ** 2
         ib = mp.mpc(0, b)
         qp = [ib, mp.mpc(-1 / w2, 0)]  # q'(x) = ib - x/w^2
+    b_abs, w2_float = abs(float(ib.imag)), float(w2)
 
     @functools.cache
     def parts_for(k):
@@ -123,7 +146,17 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
                                        mpf_mul(horner(im, xm)._mpf_, e_im),
                                        *mp._prec_rounding))
 
-    return FunctionProbe(deriv=deriv)
+    def majorant(k, height):
+        if k == 0:
+            return height * height / (2 * w2_float) + b_abs * height
+        p = height + b_abs * w2_float
+        # the positive root, in the form that does not cancel
+        R = 2 * k * w2_float / (p + math.sqrt(p * p + 4 * k * w2_float))
+        reach = height + R
+        return (math.lgamma(k + 1) - k * math.log(R)
+                + reach * reach / (2 * w2_float) + b_abs * reach)
+
+    return FunctionProbe(deriv=deriv, majorant=majorant)
 
 
 def cardinal_probe(config, prec: int = DEFAULT_PREC) -> PolynomialProbe:

@@ -1,5 +1,7 @@
 """Unit tests for the key identity and the reconstruction path."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -7,16 +9,19 @@ import pytest
 from mpmath import mp
 
 from hardyz import identity
-from hardyz.identity import (NodeNotZeroError, WeightContractError,
-                             piecewise_weight_integral, reconstruct_f0,
-                             verify_key_identity)
-from hardyz.kernel import (NodeConfig, chebyshev_psi, coefficients,
+from hardyz.divided_diff import FunctionProbe
+from hardyz.identity import (NODE_BITS, PROBE_ULPS, NodeNotZeroError,
+                             WeightContractError, piecewise_weight_integral,
+                             reconstruct_f0, verify_key_identity)
+from hardyz.kernel import (NodeConfig, chebyshev_psi, coefficients, compile_psi,
                            interior_kernel, kernel_knots, psi, psi_star_boundary,
                            random_config)
 from hardyz.polynomials import horner
-from hardyz.precision import working_precision
+from hardyz.precision import GUARD_BITS, working_precision
 from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
+
+from quadrature_oracle import fixed_degree, ladder
 
 PREC = 192
 
@@ -179,9 +184,12 @@ def test_closed_form_integral_matches_quadrature():
             return mp.mpf(probe.deriv(x, 2 * m)) \
                 * psi(cfg, m, x, prec=PREC, weights=mu_m)
 
-        quad, err = identity._integrate(integrand, kernel_knots(cfg, PREC), PREC)
+        # f^(4) Psi_3 has degree 3 + 4 on each panel, and degree 2's six
+        # nodes integrate degree 11 exactly: the reference has no
+        # truncation error
+        quad = fixed_degree(integrand, kernel_knots(cfg, PREC), 2)
         gap = abs(rep.integral_term - quad)
-        assert gap <= err + mp.mpf(2) ** (-(PREC - 40)) * _magnitude(rep)
+        assert gap <= mp.mpf(2) ** (-(PREC - 40)) * _magnitude(rep)
 
 
 def test_closed_form_integral_exact_rational_coefficients():
@@ -312,3 +320,151 @@ def test_reconstruction_boundary_terms_equal_per_order_psi_star_boundary():
             cardinal_probe(cfg, prec=PREC), cfg.a, m,
             lambda k, sign: psi_star_boundary(cfg, [k], sign, prec=PREC)[0])
         assert _bits(res.boundary_terms) == _bits(want)
+
+
+# ---------------------------------------------------------------------------
+# the integral term of a smooth probe: one Gauss-Legendre rule per panel, of
+# the degree its proved bound chooses, against mp.quad's ladder
+
+def _criterion01_smooth_cases(prec):
+    """(config, weights, m, make_probe, probe arguments) for each of criterion
+    01's 33 cosine and gaussian-cosine cases, drawn as criterion 01 draws
+    them, at prec."""
+    rng = random.Random(101)
+    for case in range(50):
+        n, m = rng.randint(1, 4), rng.randint(1, 10)
+        cfg = random_config(rng, n, prec=prec)
+        with working_precision(prec):
+            w = [mp.mpf(rng.uniform(-1, 1)) for _ in range(2 * n)]
+            mu = w + [-mp.fsum(w)]
+        if case % 3 == 0:
+            [rng.uniform(-1, 1) for _ in range(rng.randint(3, 2 * m + 3))]
+        elif case % 3 == 1:
+            yield cfg, mu, m, cosine_probe, (rng.uniform(0.2, 1.5),)
+        else:
+            yield cfg, mu, m, gaussian_cosine_probe, (rng.uniform(0.3, 1.0),
+                                                      rng.uniform(2, 5))
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_integral_term_is_enclosed_by_its_estimate(prec, monkeypatch):
+    # the reference integrates the same integrand, the probe's f^(2m) times
+    # the kernel polynomials as compiled at prec, at twice the precision,
+    # each panel one degree above where mp.quad's ladder stopped at prec:
+    # twice the nodes, which squares the error the ladder's stop guessed
+    rules = []  # the node count of each panel's rule
+    integrate = identity._integrate
+
+    def recorded(f, points, p):
+        rules.append(len(points))
+        return integrate(f, points, p)
+
+    monkeypatch.setattr(identity, "_integrate", recorded)
+    calls = ladder_calls = 0
+    for cfg, mu, m, make_probe, args in _criterion01_smooth_cases(prec):
+        rules.clear()
+        rep = verify_key_identity(cfg, mu, make_probe(*args, prec=prec), m, prec=prec)
+        with working_precision(prec):
+            kern = compile_psi(cfg, m, mu, prec=prec)
+            probe = make_probe(*args, prec=prec)
+            degrees, count = ladder(
+                lambda x: mp.mpf(probe.deriv(x, 2 * m)) * kern(x), kern.knots)
+        with working_precision(2 * prec):
+            fine_kern = dataclasses.replace(kern, prec=2 * prec)
+            fine = make_probe(*args, prec=2 * prec)
+            reference = mp.fsum(
+                fixed_degree(lambda x: mp.mpf(fine.deriv(x, 2 * m)) * fine_kern(x),
+                             [lo, hi], d + 1)
+                for lo, hi, d in zip(kern.knots, kern.knots[1:], degrees))
+            assert abs(rep.integral_term - reference) <= rep.quadrature_error_estimate
+        # N = 3 2^(d-1) nodes at mpmath's degree d
+        assert len(rules) == len(degrees)
+        assert all((n // 3).bit_length() <= d for n, d in zip(rules, degrees))
+        calls += sum(rules)
+        ladder_calls += count
+    assert 2 * calls <= ladder_calls
+
+
+def _exact_derivative(make_probe, args, k, z):
+    """f^(k)(z) at a complex z from mpmath's complex cos and exp.  For the
+    gaussian cosine, f(z + h) = sum over s = -+1 of
+    exp(phi_s(z)) exp(phi_s'(z) h - h^2/(2 w^2))/2 with
+    phi_s(z) = -z^2/(2 w^2) + i s b z, and the h^k coefficient of
+    exp(alpha h + beta h^2) is sum_j alpha^(k-2j) beta^j/((k-2j)! j!)."""
+    b = mp.mpf(args[0])
+    if make_probe is cosine_probe:
+        return b ** k * mp.cos(b * z + k * mp.pi / 2)
+    w2 = mp.mpf(args[1]) ** 2
+    beta = -1 / (2 * w2)
+    total = 0
+    for s in (1, -1):
+        alpha = -z / w2 + 1j * s * b
+        coeff = mp.fsum(alpha ** (k - 2 * j) * beta ** j
+                        / (mp.factorial(k - 2 * j) * mp.factorial(j))
+                        for j in range(k // 2 + 1))
+        total += mp.exp(-z ** 2 / (2 * w2) + 1j * s * b * z) * coeff
+    return mp.factorial(k) * total / 2
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_majorants_bound_the_derivatives_off_the_real_line(prec):
+    # b and the width across criterion 01's ranges, z on the edge of the
+    # strip |Im z| <= height; at real points, each value within the
+    # PROBE_ULPS units of 2^-P of its majorant that the rule assumes
+    rng = random.Random(prec + 7)
+    ulp = 2.0 ** -(prec + GUARD_BITS)
+    for make_probe, ranges in ((cosine_probe, [(0.2, 1.5)]),
+                               (gaussian_cosine_probe, [(0.3, 1.0), (2, 5)])):
+        for _ in range(6):
+            args = tuple(rng.uniform(lo, hi) for lo, hi in ranges)
+            probe = make_probe(*args, prec=prec)
+            for _ in range(12):
+                k, height = rng.randint(0, 20), rng.uniform(0, 8)
+                x = rng.uniform(-6, 6)
+                with working_precision(2 * prec):
+                    z = mp.mpc(x, rng.choice((-1, 1)) * height)
+                    value = abs(_exact_derivative(make_probe, args, k, z))
+                    assert value <= mp.exp(probe.majorant(k, height))
+                    with working_precision(prec):
+                        real = probe.deriv(mp.mpf(x), k)
+                    gap = abs(real - _exact_derivative(make_probe, args, k, mp.mpf(x)))
+                    assert gap <= PROBE_ULPS * ulp * math.exp(probe.majorant(k, 0))
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_gauss_legendre_nodes_within_the_assumed_accuracy(prec):
+    # the nodes and weights the rule reads at P bits, against those mpmath
+    # computes at 2P
+    P = prec + GUARD_BITS
+    for degree in range(1, 7):
+        coarse = mp._gauss_legendre.get_nodes(-1, 1, degree, P)
+        fine = mp._gauss_legendre.get_nodes(-1, 1, degree, 2 * P)
+        with working_precision(2 * prec):
+            for (t, w), (t_ref, w_ref) in zip(coarse, fine):
+                assert abs(t - t_ref) <= mp.mpf(2) ** -(P + NODE_BITS)
+                assert abs(w - w_ref) <= mp.mpf(2) ** -(P + NODE_BITS - 2)
+
+
+def test_integral_term_refuses_a_probe_without_a_majorant():
+    rng = random.Random(9)
+    cfg = random_config(rng, 2, prec=PREC)
+    mu = _zero_sum_weights(rng, 5)
+    bare = FunctionProbe(deriv=cosine_probe(1.3, prec=PREC).deriv)
+    with pytest.raises(ValueError, match="no majorant"):
+        verify_key_identity(cfg, mu, bare, m=3, prec=PREC)
+
+
+def test_integral_term_refuses_the_chebyshev_series():
+    # a polynomial that vanishes at the nodes of a weakly ordered
+    # configuration, of degree 2n + 3 >= 2m: the interior kernel is the
+    # Chebyshev series, and the integrand does not vanish
+    cfg = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
+    card = cardinal_probe(cfg, prec=PREC).coeffs
+    with working_precision(PREC):
+        factor = [mp.mpf(1), 0, mp.mpf(1) / 7, -mp.mpf(1) / 5]
+        coeffs = [mp.fsum(card[i] * factor[k - i] for i in range(len(card))
+                          if 0 <= k - i < len(factor))
+                  for k in range(len(card) + len(factor) - 1)]
+    with pytest.raises(ValueError, match="Chebyshev series"):
+        reconstruct_f0(cfg, polynomial_probe(coeffs, prec=PREC), m=cfg.n + 1,
+                       prec=PREC)

@@ -343,6 +343,13 @@ def test_siegelz_is_the_tests_oracle_only():
     assert _library_uses(SRC, "siegelz") == []
 
 
+def test_the_identity_runs_no_quadrature_ladder():
+    # each panel of the integral term gets one Gauss-Legendre rule, of the
+    # degree its proved bound chooses; mp.quad's ladder is the tests' reference
+    assert [use for use in _library_uses(SRC, "quad")
+            if use.startswith("identity")] == []
+
+
 def test_only_the_kernel_asks_whether_a_configuration_is_strict():
     # psi_star_boundary and interior_kernel choose between the strict and
     # the weakly ordered route for every caller

@@ -50,6 +50,8 @@ COMMANDS = [
     "--seed 3 --precision-bits 192 identity --n 5 --m 9 --probe cardinal",
     # ten boundary orders per end over arbitrary zero-sum weights
     "--seed 3 --precision-bits 192 identity --n 4 --m 10 --probe cosine",
+    # the gaussian cosine's majorant at k = 18, at 128 bits
+    "--precision-bits 128 identity --n 4 --m 9 --probe gaussian-cosine",
     "zeros 10 100",
     "--precision-bits 128 zeros 14.1 14.2",
     "--precision-bits 128 zeros 10 40",
