@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -610,6 +611,7 @@ def cmd_extremal(args) -> int:
 # argument parsing
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hardyz",

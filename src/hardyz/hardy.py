@@ -425,10 +425,15 @@ class ZeroList:
         return len(self.zeros)
 
 
-def _scan_step(t, prec: int) -> mpf:
-    """pi/(4 theta'(max(t, 20))): theta' is small or negative below ~18, and
-    rises from theta'(20) = 0.579."""
-    return mp.pi / (4 * theta_prime(max(mp.mpf(t), mp.mpf(20)), prec=prec))
+def _scan_step(t) -> mpf:
+    """pi/(4 theta'(x)), x = max(t, 20), as the exact mpf of a float: theta'
+    is small or negative below ~18, and rises from theta'(20) = 0.579.  The
+    step is a heuristic, so theta' is read in floats from its Stirling
+    series 1/2 log(x/2pi) - 1/(48 x^2) - 7/(1920 x^4), whose first omitted
+    term, 31/(16128 x^6), is at most 3.1e-11 from x = 20 on."""
+    x = max(float(t), 20.0)
+    slope = 0.5 * math.log(x / (2 * math.pi)) - 1 / (48 * x * x) - 7 / (1920 * x ** 4)
+    return mp.mpf(math.pi / (4 * slope))
 
 
 def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
@@ -441,7 +446,8 @@ def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
 
 def _certified_sign_change(t, w, prec: int) -> bool:
     """Euler-Maclaurin Z has opposite signs at t - w and t + w, and each
-    value exceeds its own error estimate."""
+    value exceeds its own error estimate.  find_zeros' fallback, for a
+    bracket whose own ends do not prove the sign change."""
     za, ea = z_eval(t - w, prec=prec)
     zb, eb = z_eval(t + w, prec=prec)
     return (za > 0) != (zb > 0) and abs(za) > ea and abs(zb) > eb
@@ -451,19 +457,21 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     """All sign-change zeros of Z in (t_lo, t_hi], each the midpoint of a
     bracket of half-width <= 2^-48 refined by Illinois regula falsi.
 
-    Scans a finite window at step pi/(4 theta'); the count is cross-checked
-    against the smooth theta-based estimate and the scan is repeated at half
-    step (up to MAX_RESCANS times) when a missed close pair is suspected.
+    Scans a finite window at step pi/(4 theta'), theta' read in floats
+    (_scan_step); the count is cross-checked against the smooth theta-based
+    estimate and the scan is repeated at half step (up to MAX_RESCANS times)
+    when a missed close pair is suspected.
     The scan and the refinement read Z by one rule at every height: from
-    t = 200 on, enclose.z_rs's value wherever it exceeds z_rs's bound, which
-    proves Z's sign there; everywhere else z_eval's value.  The scan's
-    values seed the refinement.
-    What is proved about a zero is the Euler-Maclaurin sign check that
-    follows: z_eval has opposite signs at t - 2^-46 and t + 2^-46
-    (or, after one retry, at t +- 2^-38), each value larger than its
-    error estimate.  The signs at the ends of the 2^-48 bracket come from
-    z_rs, which proves them, or from a z_eval value whose estimate is not
-    compared.
+    t = 200 on, enclose.z_rs's value wherever it exceeds z_rs's bound;
+    everywhere else z_eval's value.  Each read records whether it proves
+    Z's sign: z_rs's does, and a z_eval value does when it is larger than
+    its error estimate.  The scan's values seed the refinement.
+    What is proved about a zero: Z changes sign across the reported bracket
+    itself, by the two reads at its ends, when both prove their signs.
+    Otherwise, and at an exact zero (a bracket of width 0), the fallback
+    _certified_sign_change must find z_eval's signs opposite at
+    t - 2^-46 and t + 2^-46 (or, after one retry, at t +- 2^-38), each value
+    larger than its error estimate; if it cannot, UnconfirmedSignChangeError.
     """
     with working_precision(prec):
         lo = mp.mpf(t_lo)
@@ -471,13 +479,19 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         if not (hi > lo >= 0 and mp.isfinite(hi)):
             raise ValueError("need finite t_hi > t_lo >= 0")
 
+        proved = set()  # the points whose sign z_sign has proved
+
         def z_sign(t):
-            """Z(t) by find_zeros' rule."""
+            """Z(t) by find_zeros' rule; t joins `proved` if its sign is."""
             if t >= RS_MIN_T:
                 value, bound = z_rs(t)
                 if abs(value) > bound:
+                    proved.add(t)
                     return mp.mpf(value)
-            return z_eval(t, prec=prec)[0]
+            value, error = z_eval(t, prec=prec)
+            if abs(value) > error:
+                proved.add(t)
+            return value
 
         expected = expected_zero_count(lo, hi, prec=prec)
         rescans = 0
@@ -487,7 +501,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             u = lo
             fu = z_sign(u) if u > 0 else None
             while u < hi:
-                v = min(u + _scan_step(u, prec) * step_scale, hi)
+                v = min(u + _scan_step(u) * step_scale, hi)
                 fv = z_sign(v)
                 if fu is not None and fu != 0 and (fu > 0) != (fv > 0):
                     brackets.append((u, v, fu, fv))
@@ -499,17 +513,19 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             rescans += 1
             step_scale /= 2
         zeros = []
+        w = mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS + 2)
         for (a, b, fa, fb) in brackets:
             zlo, zhi = refine_sign_change(z_sign, a, b, fa, fb,
                                           mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS))
-            zeros.append(Zero(t=(zlo + zhi) / 2, half_width=(zhi - zlo) / 2))
-        w = mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS + 2)
-        for z in zeros:
-            # widen once; a second failure means the sign change is not proved
-            if not (_certified_sign_change(z.t, w, prec)
-                    or _certified_sign_change(z.t, w * 256, prec)):
+            t = (zlo + zhi) / 2
+            # the bracket's own ends, else the fallback at t +- w, widened
+            # once; a second failure means the sign change is not proved
+            if not (zlo != zhi and zlo in proved and zhi in proved
+                    or _certified_sign_change(t, w, prec)
+                    or _certified_sign_change(t, w * 256, prec)):
                 raise UnconfirmedSignChangeError(
-                    f"could not certify sign change at t = {mp.nstr(z.t, 20)}")
+                    f"could not certify sign change at t = {mp.nstr(t, 20)}")
+            zeros.append(Zero(t=t, half_width=(zhi - zlo) / 2))
         return ZeroList(t_lo=lo, t_hi=hi, zeros=zeros, rescans=rescans,
                         suspected_missing=bool(expected - len(zeros) >= 2))
 

@@ -332,9 +332,11 @@ def test_zeros_to_100_siegelz_budget(monkeypatch):
     monkeypatch.undo()
     assert not calls["siegelz"]
     # the scan and the refinement: 356 reads (bisecting every bracket to
-    # 2^-48 took 1521 siegelz calls); the sign check adds 58
-    scan = [t for t, caller in calls["z_eval"] if caller != "_certified_sign_change"]
-    assert len(scan) <= 400
+    # 2^-48 took 1521 siegelz calls); their reads at each bracket's ends
+    # prove every sign change, so the fallback check reads nothing
+    callers = [caller for _, caller in calls["z_eval"]]
+    assert "_certified_sign_change" not in callers
+    assert len(callers) <= 400
 
 
 @pytest.fixture(scope="module")
@@ -381,9 +383,9 @@ def test_zeros_480_to_500_match_zetazero_inside_sign_change_brackets(
 def test_zeros_480_to_500_siegelz_budget(zeros_480_to_500):
     zl, calls = zeros_480_to_500
     # above t = 200, Z is read from z_rs where it proves the sign and from
-    # z_eval elsewhere: 96 z_eval calls, 7.4 a zero, two of them the check
+    # z_eval elsewhere: 70 z_eval calls, 5.4 a zero, and no fallback check
     assert calls["siegelz"] == 0
-    assert calls["z_eval"] <= 8 * len(zl)
+    assert calls["z_eval"] <= 6 * len(zl)
 
 
 def _recorded_siegelz_and_z_eval(monkeypatch):
@@ -451,6 +453,34 @@ def test_sign_change_within_error_estimate_is_not_certified(monkeypatch):
     monkeypatch.setattr(hardy, "z_eval", unsure)
     with pytest.raises(UnconfirmedSignChangeError):
         find_zeros(14, 15, prec=PREC)
+
+
+def test_unproved_bracket_ends_fall_back_to_the_sign_check(monkeypatch):
+    # z_sign's reads prove no sign, so each zero is certified by
+    # _certified_sign_change's reads, which see the true estimates
+    z_eval_exact = hardy.z_eval
+    callers = []
+
+    def unsure_in_z_sign(t, prec=PREC):
+        value, error = z_eval_exact(t, prec=prec)
+        caller = sys._getframe(1).f_code.co_name
+        callers.append(caller)
+        return (value, 2 * abs(value)) if caller == "z_sign" else (value, error)
+
+    monkeypatch.setattr(hardy, "z_eval", unsure_in_z_sign)
+    zl = find_zeros(14, 15, prec=PREC)
+    monkeypatch.undo()
+    assert len(zl) == 1
+    with working_precision(PREC):
+        assert abs(zl.zeros[0].t - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -12
+    assert callers.count("_certified_sign_change") == 2
+
+
+@pytest.mark.parametrize("t", [0, 14, 20, 100, 500, 10 ** 4, 10 ** 6])
+def test_scan_step_matches_theta_prime(t):
+    with working_precision(PREC):
+        exact = mp.pi / (4 * theta_prime(max(t, 20), prec=PREC))
+        assert abs(hardy._scan_step(t) / exact - 1) < mp.mpf(10) ** -8
 
 
 def test_count_stats_main_term():

@@ -68,6 +68,8 @@ COMMANDS = [
     "--precision-bits 192 zeros 900 905",
     "--precision-bits 64 zeros 90 110",
     "--precision-bits 128 zeros 160 170",
+    # the 269 zeros below 500 and their count_stats
+    "--precision-bits 128 zeros 0 500",
 ]
 
 ENTRY = "import sys; from hardyz.cli import main; sys.exit(main(sys.argv[1:]))"
