@@ -413,9 +413,13 @@ def _suite_sequences(rng: random.Random, prec: int) -> List[Dict]:
                 worst = max(worst, w - w10)
     out.append(_check("tail-weight-dominated-by-n10", ok, worst, prec))
 
-    partial, tail = sequences.tail_weight_sum(10, 4000, prec=prec)
-    out.append(_check("tail-weight-sum-converged", tail < mp.mpf("1e-3"),
-                      tail, prec))
+    # the mpf route against the float C*: at or below it, within 2^-38
+    partial, tail = sequences.tail_weight_sum(
+        sequences.TAIL_WEIGHT_MIN_N, sequences.TAIL_WEIGHT_DEFAULT_LMAX, prec=prec)
+    c_star = sequences.tail_weight_constant()
+    gap = (c_star - (partial + tail)) / c_star
+    out.append(_check("tail-weight-constant-bounds-the-sum",
+                      0 <= gap <= mp.mpf(2) ** -38, gap, prec))
     return out
 
 

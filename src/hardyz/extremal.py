@@ -381,7 +381,7 @@ def theorem2_certificate(n: int, c, eps, m: int,
         D = divided_bound(config, params, prec=prec)
         product = P * D
         integral_bound = mp.mpf(2) ** (2 * n) * abs(P) \
-            * (1 - mp.mpf(1) / (2 * n)) ** (2 * m) * tail_weight_constant(prec=prec)
+            * (1 - mp.mpf(1) / (2 * n)) ** (2 * m) * tail_weight_constant()
         total = product + integral_bound
         lhs, rhs = boundary_sum_bound(config, params.c, min(m, 12), prec=prec)
         return CertificateReport(

@@ -468,7 +468,12 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     its error estimate.  The scan's values seed the refinement.
     What is proved about a zero: Z changes sign across the reported bracket
     itself, by the two reads at its ends, when both prove their signs.
-    Otherwise, and at an exact zero (a bracket of width 0), the fallback
+    When only one end's read is unproved (a secant step landed within its
+    error estimate of the zero), that end steps outward past it by four
+    times its error estimate over the bracket's secant slope.  The stepped
+    bracket is kept when the new read proves the sign opposite the other
+    end's and the half-width stays within 2^-48.  Otherwise, and at an
+    exact zero (a bracket of width 0), the fallback
     _certified_sign_change must find z_eval's signs opposite at
     t - 2^-46 and t + 2^-46 (or, after one retry, at t +- 2^-38), each value
     larger than its error estimate; if it cannot, UnconfirmedSignChangeError.
@@ -479,19 +484,34 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         if not (hi > lo >= 0 and mp.isfinite(hi)):
             raise ValueError("need finite t_hi > t_lo >= 0")
 
-        proved = set()  # the points whose sign z_sign has proved
+        reads = {}  # t -> (value, error) of every read z_sign made
 
         def z_sign(t):
-            """Z(t) by find_zeros' rule; t joins `proved` if its sign is."""
+            """Z(t) by find_zeros' rule, recorded in `reads`."""
             if t >= RS_MIN_T:
                 value, bound = z_rs(t)
                 if abs(value) > bound:
-                    proved.add(t)
-                    return mp.mpf(value)
-            value, error = z_eval(t, prec=prec)
-            if abs(value) > error:
-                proved.add(t)
-            return value
+                    reads[t] = (mp.mpf(value), bound)
+                    return reads[t][0]
+            reads[t] = z_eval(t, prec=prec)
+            return reads[t][0]
+
+        def proved(t):
+            value, error = reads[t]
+            return abs(value) > error
+
+        def step_past(zlo, zhi):
+            """The bracket with its one unproved end stepped past the zero,
+            or (zlo, zhi) when the step proves nothing (see the docstring)."""
+            near, far = (zhi, zlo) if proved(zlo) else (zlo, zhi)
+            value, error = reads[near]
+            slope = abs(reads[far][0] - value) / abs(far - near)
+            x = near + mp.sign(near - far) * 4 * error / slope
+            fx = z_sign(x)
+            if proved(x) and (fx > 0) != (reads[far][0] > 0) \
+                    and abs(x - far) <= 2 * half_width:
+                return min(x, far), max(x, far)
+            return zlo, zhi
 
         expected = expected_zero_count(lo, hi, prec=prec)
         rescans = 0
@@ -513,14 +533,16 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             rescans += 1
             step_scale /= 2
         zeros = []
-        w = mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS + 2)
+        half_width = mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
+        w = 4 * half_width
         for (a, b, fa, fb) in brackets:
-            zlo, zhi = refine_sign_change(z_sign, a, b, fa, fb,
-                                          mp.mpf(2) ** (-ZERO_HALF_WIDTH_BITS))
+            zlo, zhi = refine_sign_change(z_sign, a, b, fa, fb, half_width)
+            if zlo != zhi and proved(zlo) != proved(zhi):
+                zlo, zhi = step_past(zlo, zhi)
             t = (zlo + zhi) / 2
             # the bracket's own ends, else the fallback at t +- w, widened
             # once; a second failure means the sign change is not proved
-            if not (zlo != zhi and zlo in proved and zhi in proved
+            if not (zlo != zhi and proved(zlo) and proved(zhi)
                     or _certified_sign_change(t, w, prec)
                     or _certified_sign_change(t, w * 256, prec)):
                 raise UnconfirmedSignChangeError(

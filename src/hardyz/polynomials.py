@@ -26,13 +26,41 @@ class DegreeOverflowError(ValueError):
     """Requested degree exceeds the configured maximum."""
 
 
+_bernoulli: Tuple[Fraction, ...] = ()  # B_0..B_N for the largest N asked for
+
+
 @functools.cache
 def bernoulli_numbers(n: int) -> Tuple[Fraction, ...]:
-    """Bernoulli numbers B_0..B_n as exact Fractions (B_1 = -1/2), from
-    mpmath's exact bernfrac; cached per n."""
+    """Bernoulli numbers B_0..B_n as exact Fractions (B_1 = -1/2).
+
+    They are read from one table, which _tangent_bernoulli recomputes to at
+    least twice its length when n passes its end, so a run that asks for
+    ever larger n pays a bounded multiple of the last table.  The tuple for
+    each n is kept too, so a repeated call returns the same object."""
+    global _bernoulli
     if n < 0:
         raise ValueError("n must be >= 0")
-    return tuple(Fraction(*mp.bernfrac(k)) for k in range(n + 1))
+    if n >= len(_bernoulli):
+        _bernoulli = _tangent_bernoulli(max(n, 2 * len(_bernoulli)))
+    return _bernoulli[:n + 1]
+
+
+def _tangent_bernoulli(n: int) -> Tuple[Fraction, ...]:
+    """B_0..B_n from the tangent numbers T_1..T_K, K = n // 2, with
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  The T_k are exact integers
+    from Brent & Harvey's algorithm TangentNumbers ("Fast computation of
+    Bernoulli, tangent and secant numbers", 2013), O(K^2) integer steps."""
+    K = n // 2
+    T = [0, 1] + [0] * (K - 1)
+    for k in range(2, K + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    B = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+    for k in range(1, K + 1):
+        B[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * T[k], 4 ** k * (4 ** k - 1))
+    return tuple(B[:n + 1])
 
 
 @functools.cache

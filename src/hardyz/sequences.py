@@ -4,8 +4,10 @@ Covers the arcsin-power coefficient table b_{k,l}, its normalized limits
 d_{k,l} (partial sums of the multiple zeta value zeta({2}_{k-1})), the
 positivity chain f/g/e for the composed Bernoulli expansion, and the
 binomial tail weights behind the certificate's integral_bound.  Their sum at
-n = 10, the constant C*, is an exact partial sum plus a tail bound proved by
-AM-GM and an integral comparison, so C* is an upper bound, not an estimate.
+n = 10, the constant C*, is a float partial sum with a derived rounding
+allowance plus a tail bound proved by AM-GM and an integral comparison, so
+C* is an upper bound, not an estimate.  tail_weight_sum sums the same terms
+in mpf at any precision: it is the route the tests check C* against.
 
 f_{m,l} and g_{m,l} are kept symbolic as polynomials in pi^2 with rational
 coefficients (class PiSquarePoly); signs are decided by one high-precision
@@ -16,11 +18,13 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, exp, factorial, fsum, log
 from typing import Dict, List, Tuple
 
 from mpmath import iv, mp, mpf
+from mpmath.libmp import from_float, mpf_add, round_ceiling
 
+from .enclose import ROUNDING_ALLOWANCE
 from .polynomials import bernoulli_poly_exact
 from .precision import DEFAULT_PREC, working_precision
 
@@ -214,20 +218,50 @@ def _tail_bound(n: int, L: int) -> mpf:
         iv.prec = old
 
 
-def tail_weight_constant(prec: int = DEFAULT_PREC) -> mpf:
-    """C*, an upper bound on the uniform tail-sum constant sum_l tail_weight(10, l).
-
-    The exact partial sum of tail_weight_sum(10, TAIL_WEIGHT_DEFAULT_LMAX)
-    plus its proved tail bound; the integral_bound of
-    extremal.theorem2_certificate uses this number.  Computed once per prec
-    by _tail_weight_constant.
-    """
-    with working_precision(prec):
-        return _tail_weight_constant(prec)
-
-
 @functools.cache
-def _tail_weight_constant(prec: int) -> mpf:
-    partial, tail = tail_weight_sum(TAIL_WEIGHT_MIN_N, TAIL_WEIGHT_DEFAULT_LMAX,
-                                    prec=prec)
-    return partial + tail
+def tail_weight_constant() -> mpf:
+    """C*, a proved upper bound on the uniform tail-sum constant
+
+        sum_{l>=0} tail_weight(10, l) = sum_l q_l^E binom(39+l, l),
+
+    q_l = 20/(20+l), E = 20 log 10 - 1: the integral_bound of
+    extremal.theorem2_certificate uses this number.  It is one 53-bit mpf,
+    the same at every precision, computed on the first call.
+
+    The terms l <= TAIL_WEIGHT_DEFAULT_LMAX are summed in floats, each as
+    exp(E log q_l) times the float of its exact integer binomial, and added
+    by math.fsum.  With u = enclose.EPS, to first order in u, taking +, -,
+    *, / (int / int too) and int -> float as correctly rounded and log and
+    exp as within one ulp (2u relative), as enclose.h_float does:
+    - E in floats, 20 log 10 rounded twice and 1 subtracted, is within
+      183u < 5uE of E.
+    - q_l in floats is within u q_l, so its log is within u(1 + 2 lam) of
+      log q_l, lam = |log q_l| <= log 251 < 5.53.  The product with E is
+      then within uE(1 + 8 lam) of E log q_l, which exp turns into a
+      relative error, plus 2u of its own.
+    - The binomial's float and the product add u each.
+    So each term is within u(E(1 + 8 lam) + 4) < 2043u of its value
+    (relative), the terms are positive, and fsum's result is within
+    2044u S of their sum S.  exp's factor is above 1e-109 and each binomial
+    below 1e99, so every factor and term is a normal float.  The allowance
+    enclose.ROUNDING_ALLOWANCE S = 8192u S is four times that, which leaves
+    room for the second-order terms and for a libm whose log and exp err by
+    up to 13 ulps each.  C* is fsum's result plus the allowance plus
+    _tail_bound's bound on the terms after TAIL_WEIGHT_DEFAULT_LMAX, taken
+    in mpmath.iv at 53 bits; both additions round up.  The tests and
+    verify-lemmas check it against the mpf route tail_weight_sum.
+    """
+    n, L = TAIL_WEIGHT_MIN_N, TAIL_WEIGHT_DEFAULT_LMAX
+    expo = 2 * n * log(n) - 1
+    terms = []
+    binom = 1  # binom(4n-1, 0)
+    for l in range(L + 1):
+        if l > 0:
+            binom = binom * (4 * n + l - 1) // l
+        terms.append(exp(expo * log(2 * n / (2 * n + l))) * float(binom))
+    partial = fsum(terms)
+    with mp.workprec(53):
+        tail = _tail_bound(n, L)
+    upper = mpf_add(from_float(partial), from_float(ROUNDING_ALLOWANCE * partial),
+                    53, round_ceiling)
+    return mp.make_mpf(mpf_add(upper, tail._mpf_, 53, round_ceiling))

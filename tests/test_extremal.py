@@ -341,7 +341,7 @@ def _kernel_sup_bound(n, m, a, alpha0):
     """The paper's bound 2^(2n-1)/(|alpha_0| a) (a/(n pi))^(2m) C* on the
     order-(2m-1) kernel, in the regime n >= 10, m >= n log n."""
     return mp.mpf(2) ** (2 * n - 1) / (abs(alpha0) * a) \
-        * (a / (n * mp.pi)) ** (2 * m) * tail_weight_constant(prec=PREC)
+        * (a / (n * mp.pi)) ** (2 * m) * tail_weight_constant()
 
 
 @pytest.mark.parametrize("n, c, eps, m", [(12, 0.95, 0.65, 30), (20, 0.974, 0.3, 60)])

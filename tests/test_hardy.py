@@ -339,6 +339,18 @@ def test_zeros_to_100_siegelz_budget(monkeypatch):
     assert len(callers) <= 400
 
 
+def test_zeros_to_100_at_64_bits_are_proved_by_their_bracket_ends(monkeypatch):
+    # at 64 bits a secant step can land within z_eval's error estimate of a
+    # zero; that end steps past it, and no zero takes the fallback check
+    calls = _recorded_siegelz_and_z_eval(monkeypatch)
+    zl = find_zeros(0, 100, prec=64)
+    monkeypatch.undo()
+    assert len(zl) == 29
+    assert all(0 < z.half_width <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
+               for z in zl.zeros)
+    assert "_certified_sign_change" not in [c for _, c in calls["z_eval"]]
+
+
 @pytest.fixture(scope="module")
 def zeros_480_to_500():
     """find_zeros(480, 500] at PREC and the numbers of mp.siegelz and z_eval

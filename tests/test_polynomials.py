@@ -121,6 +121,18 @@ def test_bernoulli_numbers_match_the_akiyama_tanigawa_recurrence():
     assert list(P.bernoulli_numbers(256)) == _akiyama_tanigawa(256)
 
 
+def test_bernoulli_numbers_match_bernfrac_to_the_maximum_degree():
+    assert list(P.bernoulli_numbers(P.MAX_DEGREE)) == \
+        [Fraction(*mp.bernfrac(k)) for k in range(P.MAX_DEGREE + 1)]
+
+
+def test_bernoulli_numbers_of_every_small_n_read_one_table():
+    # ascending and descending n both give B_0..B_n of the full table
+    full = P._tangent_bernoulli(40)
+    for n in list(range(41)) + list(range(40, -1, -1)):
+        assert P.bernoulli_numbers(n) == full[:n + 1]
+
+
 def test_bernoulli_numbers_are_computed_once():
     assert P.bernoulli_numbers(40) is P.bernoulli_numbers(40)
 

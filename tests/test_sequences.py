@@ -1,12 +1,15 @@
 """Unit tests for the exact sequence tables and tail weights."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import mpf_pow
 
-from hardyz import sequences
 from hardyz.sequences import (TAIL_WEIGHT_DEFAULT_LMAX, b_table, d_limit_check,
                               d_value, e_coefficients, f_poly, g_closed_form_sum,
                               g_poly, tail_weight, tail_weight_constant,
@@ -125,18 +128,62 @@ def test_tail_weight_constant_is_not_below_the_geometric_estimate():
     # the value C* had before it carried a proved tail bound
     with working_precision(PREC):
         geometric = mp.mpf("2473.28454851525574581320501900219388319193422430866")
-        assert tail_weight_constant(PREC) >= geometric
+        assert tail_weight_constant() >= geometric
+
+
+def test_tail_weight_constant_bounds_the_400_bit_sum_closely():
+    # the float sum with its allowance, against the mpf route at 400 bits
+    partial, tail = tail_weight_sum(10, TAIL_WEIGHT_DEFAULT_LMAX, prec=400)
+    with working_precision(400):
+        oracle = partial + tail
+        assert tail_weight_constant() >= oracle
+        assert tail_weight_constant() - oracle <= mp.mpf(2) ** -38 * oracle
 
 
 def test_tail_weight_constant_does_not_depend_on_the_first_caller():
-    # the value is cached per prec, so it must not take the ambient
-    # precision of whichever call computed it first
-    sequences._tail_weight_constant.cache_clear()
-    outside = tail_weight_constant(PREC)
-    sequences._tail_weight_constant.cache_clear()
-    with working_precision(PREC):
-        inside = tail_weight_constant(PREC)
-    assert outside == inside
+    # the value is cached once per process, so it must be the same mpf
+    # whatever the ambient precision of the call that computed it first
+    tail_weight_constant.cache_clear()
+    outside = tail_weight_constant()
+    for prec in (64, 128, PREC):
+        tail_weight_constant.cache_clear()
+        with working_precision(prec):
+            inside = tail_weight_constant()
+        assert inside == outside
+        assert inside._mpf_ == outside._mpf_
+
+
+def _mpf_pow_calls(fn):
+    """The number of calls of mpmath.libmp's mpf_pow while fn runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is mpf_pow.__code__:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_tail_weight_constant_makes_no_mpf_pow_call():
+    # the counter sees the mpf route's powers, one a term
+    assert _mpf_pow_calls(lambda: tail_weight_sum(10, 20, prec=64)) == 21
+    tail_weight_constant.cache_clear()
+    assert _mpf_pow_calls(tail_weight_constant) == 0
+
+
+def test_importing_hardyz_does_not_compute_the_tail_weight_constant():
+    code = ("import hardyz, hardyz.cli, hardyz.extremal, hardyz.kernel; "
+            "from hardyz.sequences import tail_weight_constant; "
+            "print(tail_weight_constant.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.strip() == "0"
 
 
 def test_regime_guards():
