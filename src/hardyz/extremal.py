@@ -8,8 +8,11 @@ the tail constant C*, forms the certificate total that must stay below 1.
 
 The configuration is admissible for c > c_eps, where h(delta) < 0.  h is a
 difference of Clausen values Cl_2, computed by its Bernoulli series
-(_clausen) with a proved bound on the omitted terms; mp.clsin and the
-quadrature log_sine_integral are the routes the tests check it against.
+(_clausen) with a proved bound on the omitted terms; mp.clsin and
+log_sine_integral are the routes the tests check it against.  The latter
+takes G(t) = t log(pi t/2) - t + integral_0^t log sinc(pi tau/2) d tau by
+the one Gauss-Legendre rule of quadrature, whose degree a proved bound
+chooses (_log_sine_rule).
 find_c_eps refines the edge delta_eps = 1 - c_eps with the sign-change
 finder find_zeros uses, precision.refine_sign_change.  Its search reads h
 by one rule: enclose.h_float's float value wherever it exceeds h_float's
@@ -33,6 +36,7 @@ from .kernel import (NodeConfig, boundary_sum_bound, coefficients,  # noqa: F401
                      divided_bound_direct, sine_product)
 from .polynomials import _rounded, clausen_coeffs, horner
 from .precision import DEFAULT_PREC, refine_sign_change, working_precision
+from .quadrature import BOUND_SLACK, ELLIPSES, least_degree, nodes
 from .sequences import tail_weight_constant
 
 FIND_C_EPS_RESOLUTION_BITS = 12
@@ -72,10 +76,10 @@ class ExtremalParams:
 
 
 def log_sine_integral(t, prec: int = DEFAULT_PREC) -> mpf:
-    """G(t) = integral_0^t log sin(pi tau/2) d tau by quadrature.
-
-    The log singularity at 0 is handled by the substitution tau = exp(-u) on
-    an initial segment; the remainder uses Gauss-Legendre.
+    """G(t) = integral_0^t log sin(pi tau/2) d tau by quadrature, for t in
+    [0, 1]: G(t) = t log(pi t/2) - t + integral_0^t log sinc(pi tau/2) d tau,
+    whose integrand is analytic on [0, t], by the one Gauss-Legendre rule
+    _log_sine_rule chooses.  The test oracle of log_sine_integral_closed.
     """
     with working_precision(prec):
         tm = mp.mpf(t)
@@ -83,19 +87,42 @@ def log_sine_integral(t, prec: int = DEFAULT_PREC) -> mpf:
             return mp.mpf(0)
         if tm < 0 or tm > 1:
             raise ValueError("t must lie in [0, 1]")
-        cut = min(tm, mp.mpf(1) / 8)
+        degree, _ = _log_sine_rule(float(tm))
+        half = tm / 2
+        body = mp.fdot((half * w, mp.log(mp.sinc(mp.pi * (half + half * x) / 2)))
+                       for x, w in nodes(degree))
+        return tm * mp.log(mp.pi * tm / 2) - tm + body
 
-        def g_exp(u):
-            tau = mp.e ** (-u)
-            return mp.log(mp.sin(mp.pi * tau / 2)) * tau
 
-        head = mp.quad(g_exp, [-mp.log(cut), mp.inf])
-        if tm > cut:
-            body = mp.quad(lambda tau: mp.log(mp.sin(mp.pi * tau / 2)),
-                           [cut, tm], method="gauss-legendre")
-        else:
-            body = mp.mpf(0)
-        return head + body
+def _log_sine_rule(t: float) -> Tuple[int, float]:
+    """(degree, log bound) of log_sine_integral's rule for
+    integral_0^t log sinc(pi tau/2) d tau, in floats at the ambient
+    precision.
+
+    sinc w = prod_n (1 - w^2/(n pi)^2), and |log(1 - x)| <= -log(1 - |x|)
+    for |x| < 1, so |log sinc w| <= -log sinc |w| = log(|w|/sin |w|) for
+    |w| < pi.  On the ellipse E_rho about [0, t] (half-width r = t/2,
+    semi-axes r A and r B of quadrature.ELLIPSES), |tau| <= r (1 + A), so
+    |w| <= (pi/2) r (1 + A); an ellipse that takes |w| above 3 gets no
+    bound.  Below 2^-8 the bound read is (w^2/6)/(1 - (w/pi)^2), which is
+    larger (-log(1 - x) <= x/(1 - x) and sum_n 1/n^2 = pi^2/6), because
+    log(w/sin w) loses its digits to cancellation there.  Up to w = 3 the
+    float logs are within 2^-30 relative, and t and r (rounded up) within
+    2^-52: all far below quadrature.BOUND_SLACK.  The bound grows with t,
+    so a t below 2^-60, which a float may not hold, takes 2^-60's.
+    """
+    r = max(t, 2.0 ** -60) / 2 * (1 + 2.0 ** -52)
+
+    def log_majorant(w):
+        if w > 3:
+            return math.inf
+        if w < 2.0 ** -8:
+            return math.log(w * w / 6 / (1 - (w / math.pi) ** 2))
+        return math.log(math.log(w / math.sin(w)))
+
+    degree, log_trunc = least_degree(
+        r, [log_majorant(math.pi / 2 * r * (1 + A)) for _, A, _ in ELLIPSES])
+    return degree, log_trunc + BOUND_SLACK
 
 
 def log_sine_integral_closed(t, prec: int = DEFAULT_PREC) -> mpf:

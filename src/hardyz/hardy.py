@@ -818,6 +818,9 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
     with working_precision(prec):
         Tm = mp.mpf(T)
         Cm = mp.mpf(C)
+        for name, value in (("T", Tm), ("C", Cm)):
+            if not mp.isfinite(value):
+                raise ValueError(f"explore requires a finite {name}, got {value}")
         if Tm < 30:
             raise ValueError("explore requires T >= 30 (loglog scale)")
         if m_cap < 1:

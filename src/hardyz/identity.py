@@ -38,16 +38,11 @@ from .kernel import (CompiledPsi, NodeConfig, coefficients,  # noqa: F401
 from .polynomials import horner
 from .precision import DEFAULT_PREC, working_precision
 from .probes import PolynomialProbe
+from .quadrature import BOUND_SLACK, ELLIPSES, NODE_BITS, least_degree, nodes
 
-# mpmath's Gauss-Legendre nodes at precision P stop Newton's iteration once a
-# step is below 2^-(P+8); assumed: every node within 2^-(P+NODE_BITS) of the
-# true one and every weight within 2^-(P+NODE_BITS-2) (see _panel_rule)
-NODE_BITS = 8
 # assumed: a probe's f^(k) at a real point is within PROBE_ULPS units of 2^-P
 # of its majorant (see _panel_rule)
 PROBE_ULPS = 256
-RHO_STEPS = 40  # the Bernstein ellipses tried: rho = 2^(j/4), j = 1..40
-BOUND_SLACK = 2.0 ** -20  # added to each panel's float log bound (see _panel_rule)
 
 
 class WeightContractError(ValueError):
@@ -90,18 +85,14 @@ def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
     g(x) = f^(k)(x) q(x - c) over the panel [c - r, c + r], computed in
     floats before any integrand call.  q holds the panel's kernel
     coefficients, c is |centre| and majorant is the probe's.  The degree is
-    mpmath's, N = 3 2^(degree-1) nodes: the least one whose truncation bound
-    is at most mp.eps, or mpmath's top degree for mp.prec if none is.
+    quadrature.least_degree's, N = 3 2^(degree-1) nodes.
 
     Truncation.  On the Bernstein ellipse E_rho about the panel (foci
-    c -+ r, semi-axes r A and r B, A = (rho + 1/rho)/2, B = (rho - 1/rho)/2)
+    c -+ r, semi-axes r A and r B of quadrature.ELLIPSES)
     |g| <= M(rho) = sum_j |q_j| (r A)^j exp(majorant(k, r B)): E_rho lies in
-    the disc |x - c| <= r A and in the strip |Im x| <= r B.  An N-point
-    Gauss rule is Trefethen's (n+1)-point one with n = N - 1
-    (Approximation Theory and Approximation Practice, SIAM 2013,
-    Thm 19.3), so its error is at most
-    T = r (64/15) M(rho) rho^(-2N)/(1 - rho^-2); the least T over the
-    RHO_STEPS ellipses is taken.
+    the disc |x - c| <= r A and in the strip |Im x| <= r B.  least_degree
+    bounds the error by T = r (64/15) M(rho) rho^(-2N)/(1 - rho^-2), the
+    least over the ellipses.
 
     Rounding, with P = mp.prec and u = 2^-P, for any rho of the grid, to
     first order in u (the constants below are rounded up to cover the
@@ -110,8 +101,8 @@ def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
     1. The domain.  The kernel's centre is within u |c| of the panel's
        midpoint, and r = (hi - lo)/2 rounds once, so each end of the rule's
        interval is within u (|c| + r) of the panel's: 2 u (|c| + r) M.
-    2. The nodes and weights, as NODE_BITS assumes: the weights move the sum
-       by r N 2^-(NODE_BITS-2) u M (r N u M/64).
+    2. The nodes and weights, as quadrature.NODE_BITS assumes: the weights
+       move the sum by r N 2^-(NODE_BITS-2) u M (r N u M/64).
     3. The points.  With the nodes' error, h_i is within r (1 + 2^-8) u of
        r t_i and x_i within (|c| + (2 + 2^-8) r) u of c + r t_i.  The disc
        of radius r (A - 1) about a point of the panel lies in E_rho (on it
@@ -138,29 +129,20 @@ def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
     of it stays far below the slack.  The assumed errors of 2 and 4 are
     checked by the tests.
     """
-    P = mp.prec
     log_q = [_log_abs(v) for v in q]
-    ellipses = []  # (log M(rho), log rho, A)
-    for j in range(1, RHO_STEPS + 1):
-        rho = 2.0 ** (j / 4)
-        A, B = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+
+    def log_bound_on(A, B):  # log M(rho)
         log_ra = math.log(r * A)
-        log_m = log_add(*(lq + i * log_ra for i, lq in enumerate(log_q))) \
+        return log_add(*(lq + i * log_ra for i, lq in enumerate(log_q))) \
             + majorant(k, r * B)
-        ellipses.append((log_m, math.log(rho), A))
-    log_scale = math.log(r * 64 / 15)
-    log_eps = (1 - P) * math.log(2)
-    top = mp._gauss_legendre.guess_degree(P)
-    for degree in range(1, top + 1):
-        N = 3 << (degree - 1)
-        log_trunc = min(log_m + log_scale - 2 * N * log_rho
-                        - math.log(1 - math.exp(-2 * log_rho))
-                        for log_m, log_rho, _ in ellipses)
-        if log_trunc <= log_eps:
-            break
+
+    log_ms = [log_bound_on(A, B) for _, A, B in ELLIPSES]
+    degree, log_trunc = least_degree(r, log_ms)
+    N = 3 << (degree - 1)
     terms = N * 2.0 ** (2 - NODE_BITS) + 2 * c / r + 4 * k + 2 * PROBE_ULPS + 12
     log_round = min(log_m + math.log(r * (terms + 2 * (c / r + 4) / (A - 1)))
-                    for log_m, _, A in ellipses) - P * math.log(2)
+                    for log_m, (_, A, _) in zip(log_ms, ELLIPSES)) \
+        - mp.prec * math.log(2)
     return degree, log_add(log_trunc, log_round) + BOUND_SLACK
 
 
@@ -194,8 +176,7 @@ def _integral_term(probe: FunctionProbe, m: int, kernel: Callable[[], Callable],
         r = (hi - lo) / 2
         r_up = float(r) * (1 + 2.0 ** -52)
         degree, log_bound = _panel_rule(q, r_up, abs(float(c)), probe.majorant, k)
-        points = [(r * t, r * w) for t, w in
-                  mp._gauss_legendre.get_nodes(-1, 1, degree, mp.prec)]
+        points = [(r * t, r * w) for t, w in nodes(degree)]
 
         def integrand(h):
             return mp.mpf(probe.deriv(c + h, k)) * horner(q, h)

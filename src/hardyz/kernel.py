@@ -547,6 +547,8 @@ def random_config(rng, n: int, prec: int = DEFAULT_PREC) -> NodeConfig:
     rng is a random.Random; node fractions keep a relative gap of
     MIN_NODE_GAP so the weight products stay well conditioned.
     """
+    if n < 1:
+        raise ValueError(f"a configuration needs n >= 1, got n = {n}")
     with working_precision(prec):
         am = mp.mpf(2 + 4 * rng.random())
         pos = sorted(rng.uniform(MIN_NODE_GAP, 0.95) for _ in range(n))

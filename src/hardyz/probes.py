@@ -3,8 +3,9 @@
 Each factory returns a FunctionProbe whose deriv(x, k) is computed
 analytically (coefficient manipulation), never by finite differences.  The
 cosine and gaussian-cosine probes also give a majorant of |f^(k)| off the
-real line, which identity's Gauss-Legendre rule reads; a polynomial probe
-needs none, because its integral term is taken in closed form.
+real line, which the Gauss-Legendre rules of identity's integral term and
+of divided_difference_simplex read; a polynomial probe needs none, because
+its integral term is taken in closed form and its simplex rule is exact.
 """
 
 from __future__ import annotations

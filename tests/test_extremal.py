@@ -35,6 +35,31 @@ def test_log_sine_dual_route():
             assert abs(quad - closed) < mp.mpf(2) ** -120
 
 
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_log_sine_integral_is_within_its_bound_of_the_closed_form(prec):
+    # the closed form at twice the precision; the rule's own rounding, of
+    # the log-sinc values, their sum and t log(pi t/2) - t, adds a few units
+    # of 2^-P to its truncation bound (2^-(P-4) allowed)
+    for t in ("0.05", "0.3", "0.37", "0.5", "0.75", "1"):
+        with working_precision(prec):
+            tm = mp.mpf(t)
+            _, log_bound = extremal._log_sine_rule(float(tm))
+            allowance = mp.mpf(2) ** -(mp.prec - 4)
+        value = log_sine_integral(tm, prec=prec)
+        closed = log_sine_integral_closed(tm, prec=2 * prec)
+        with working_precision(2 * prec):
+            assert abs(value - closed) <= mp.exp(log_bound) + allowance, t
+
+
+def test_log_sine_integral_takes_a_t_no_float_holds():
+    # 1e-170 squares below the float range, and 1e-400 is no float at all
+    for t in ("1e-170", "1e-400"):
+        with working_precision(PREC):
+            value = log_sine_integral(mp.mpf(t), prec=PREC)
+            closed = log_sine_integral_closed(mp.mpf(t), prec=PREC)
+            assert abs(value - closed) <= mp.mpf(2) ** -(PREC - 8) * abs(closed)
+
+
 def test_log_sine_integral_closed_range():
     with working_precision(PREC):
         assert log_sine_integral_closed(0, prec=PREC) == 0

@@ -10,9 +10,9 @@ from mpmath import mp
 
 from hardyz import identity
 from hardyz.divided_diff import FunctionProbe
-from hardyz.identity import (NODE_BITS, PROBE_ULPS, NodeNotZeroError,
-                             WeightContractError, piecewise_weight_integral,
-                             reconstruct_f0, verify_key_identity)
+from hardyz.identity import (PROBE_ULPS, NodeNotZeroError, WeightContractError,
+                             piecewise_weight_integral, reconstruct_f0,
+                             verify_key_identity)
 from hardyz.kernel import (NodeConfig, chebyshev_psi, coefficients, compile_psi,
                            interior_kernel, kernel_knots, psi, psi_star_boundary,
                            random_config)
@@ -20,6 +20,7 @@ from hardyz.polynomials import horner
 from hardyz.precision import GUARD_BITS, working_precision
 from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
+from hardyz.quadrature import NODE_BITS
 
 from quadrature_oracle import fixed_degree, ladder
 
@@ -346,12 +347,38 @@ def _criterion01_smooth_cases(prec):
                                                       rng.uniform(2, 5))
 
 
+def _cosine_reference(b: float, k: int, kern) -> mp.mpf:
+    """int f^(k) times the kernel polynomials over their panels, f = cos(b x),
+    in closed form at the ambient precision.  On the panel with centre c,
+    f^(k)(c + h) = b^k cos(b h + psi) with psi = b c + k pi/2, and repeated
+    integration by parts gives the antiderivative
+    sum_j (-1)^j q^(j)(h) b^-(j+1) cos(b h + psi - (j+1) pi/2)."""
+    b = mp.mpf(b)
+    panels = []
+    for lo, hi, c, q in zip(kern.knots, kern.knots[1:], kern.centers, kern.coeffs):
+        psi_c = b * c + k * mp.pi / 2
+        derivatives = [list(q)]
+        while len(derivatives[-1]) > 1:
+            derivatives.append([i * v for i, v in enumerate(derivatives[-1])][1:])
+
+        def antiderivative(h):
+            cos, sin = mp.cos(b * h + psi_c), mp.sin(b * h + psi_c)
+            # cos(theta - j pi/2) for j = 0, 1, 2, 3
+            shifted = (cos, sin, -cos, -sin)
+            return mp.fsum((-1) ** j * horner(dq, h) * shifted[(j + 1) % 4]
+                           / b ** (j + 1) for j, dq in enumerate(derivatives))
+
+        panels.append(antiderivative(hi - c) - antiderivative(lo - c))
+    return b ** k * mp.fsum(panels)
+
+
 @pytest.mark.parametrize("prec", [128, 192])
 def test_integral_term_is_enclosed_by_its_estimate(prec, monkeypatch):
     # the reference integrates the same integrand, the probe's f^(2m) times
-    # the kernel polynomials as compiled at prec, at twice the precision,
-    # each panel one degree above where mp.quad's ladder stopped at prec:
-    # twice the nodes, which squares the error the ladder's stop guessed
+    # the kernel polynomials as compiled at prec, at twice the precision: in
+    # closed form for the cosine, and for the gaussian cosine each panel one
+    # degree above where mp.quad's ladder stopped at prec, twice the nodes,
+    # which squares the error the ladder's stop guessed
     rules = []  # the node count of each panel's rule
     integrate = identity._integrate
 
@@ -370,12 +397,15 @@ def test_integral_term_is_enclosed_by_its_estimate(prec, monkeypatch):
             degrees, count = ladder(
                 lambda x: mp.mpf(probe.deriv(x, 2 * m)) * kern(x), kern.knots)
         with working_precision(2 * prec):
-            fine_kern = dataclasses.replace(kern, prec=2 * prec)
-            fine = make_probe(*args, prec=2 * prec)
-            reference = mp.fsum(
-                fixed_degree(lambda x: mp.mpf(fine.deriv(x, 2 * m)) * fine_kern(x),
-                             [lo, hi], d + 1)
-                for lo, hi, d in zip(kern.knots, kern.knots[1:], degrees))
+            if make_probe is cosine_probe:
+                reference = _cosine_reference(*args, 2 * m, kern)
+            else:
+                fine_kern = dataclasses.replace(kern, prec=2 * prec)
+                fine = make_probe(*args, prec=2 * prec)
+                reference = mp.fsum(
+                    fixed_degree(lambda x: mp.mpf(fine.deriv(x, 2 * m)) * fine_kern(x),
+                                 [lo, hi], d + 1)
+                    for lo, hi, d in zip(kern.knots, kern.knots[1:], degrees))
             assert abs(rep.integral_term - reference) <= rep.quadrature_error_estimate
         # N = 3 2^(d-1) nodes at mpmath's degree d
         assert len(rules) == len(degrees)

@@ -343,11 +343,13 @@ def test_siegelz_is_the_tests_oracle_only():
     assert _library_uses(SRC, "siegelz") == []
 
 
-def test_the_identity_runs_no_quadrature_ladder():
-    # each panel of the integral term gets one Gauss-Legendre rule, of the
-    # degree its proved bound chooses; mp.quad's ladder is the tests' reference
-    assert [use for use in _library_uses(SRC, "quad")
-            if use.startswith("identity")] == []
+def test_src_calls_mp_quad_nowhere():
+    # every integral of the program takes one Gauss-Legendre rule, of the
+    # degree its proved bound chooses, and only quadrature picks the degree
+    # and fetches the nodes; mp.quad's ladder is the tests' reference
+    assert _library_uses(SRC, "quad") == []
+    assert {use.split(".")[0] for use in _library_uses(SRC, "_gauss_legendre")} \
+        == {"quadrature"}
 
 
 def test_only_the_kernel_asks_whether_a_configuration_is_strict():

@@ -27,6 +27,8 @@ COMMANDS = [
     "--seed 7 --precision-bits 128 verify-lemmas all",
     "--seed 7 --precision-bits 64 verify-lemmas kernel",
     "--seed 7 --precision-bits 64 verify-lemmas divided_diff",
+    # the log-sine integral's rule at 64 bits
+    "--seed 7 --precision-bits 64 verify-lemmas extremal",
     "--precision-bits 128 extremal 12 0.95 0.65 30",
     "--precision-bits 192 extremal 12 0.95 0.65 30",
     # C* is one value at every precision; this pins it at a third
