@@ -27,7 +27,8 @@ cos(2pi Re x) > cos(0.127) > 0.99.  Hence |Psi| < cosh(2pi)/0.99 < 271
 there, and Cauchy's estimates give |a_j| < 271 and the bounds z_rs uses.
 
 z_log_majorant(c, R) bounds |Z| on the circle of radius R about a real c,
-off the real line: hardy._TaylorPatches sizes its Cauchy contours from it.
+off the real line: hardy._TaylorPatches sizes its Cauchy contours from it,
+and hardy.find_zeros bounds Z'' with it.
 It sums no zeta and no loggamma: Stirling's formula bounds the phase and an
 Euler-Maclaurin majorant bounds zeta (see its docstring).
 
@@ -48,14 +49,14 @@ import math
 from functools import lru_cache
 from typing import List, Tuple
 
-from mpmath import mp
+from mpmath import libmp
 
 from .polynomials import clausen_coeffs, horner
 
 RS_MIN_T = 200  # Gabcke's remainder bound holds from t = 200 on
 GABCKE_D1 = 0.053  # |R(t)| <= GABCKE_D1 tau^-5/2 (see z_rs)
 PSI_TERMS = 40  # a_0..a_39; the truncated tails are below 2^-49 (see z_rs)
-PSI_SERIES_BITS = 4 * PSI_TERMS + 96  # the series division loses 4 bits a term
+PSI_SERIES_BITS = 5 * PSI_TERMS + 128  # the series division loses under 5 bits a term
 ROUNDING_ALLOWANCE = 2.0 ** -40  # per unit of the magnitudes named in z_rs and h_float
 # log Gamma's Stirling sum keeps B_2..B_8; B_10 = 5/66 bounds its remainder.
 # z_log_majorant's Euler-Maclaurin majorant of zeta uses B_2..B_8 too.
@@ -79,31 +80,43 @@ def log_add(*logs: float) -> float:
 @lru_cache(maxsize=1)
 def _psi_series() -> Tuple[List[float], List[float]]:
     """(a, b): Psi = sum_j a_j y^j and C1 = x sum_j b_j y^j, as floats,
-    computed once at PSI_SERIES_BITS.
+    computed once in fixed point (Python ints with PSI_SERIES_BITS fraction
+    bits), each rounded once to the nearest float.
 
     a is the power-series quotient of -cos(2pi y - 5pi/8) by cos(2pi x) in
-    y.  The quotient's recursion amplifies rounding by about 16 a term,
-    since sec(2pi x) has radius 1/4 in x and so 1/16 in y, hence the 4 bits
-    a term.  Psi''' = x sum_j a_(j+2) (2j+4)(2j+3)(2j+2) y^j gives b.
+    y: with n_j and d_j the y^j coefficients of the numerator and of
+    cos(2pi x) = sum_j (-1)^j (2pi)^(2j)/(2j)! y^j, d_0 = 1,
+    a_j = n_j - sum_(i<j) a_i d_(j-i).  Psi''' = x sum_j a_(j+2)
+    (2j+4)(2j+3)(2j+2) y^j gives b.  Each step adds a few units of rounding
+    of its own, and passes on the errors of the earlier a_i weighted by
+    |d_k|.  sum_(k>=1) |d_k| z^k = cosh(2pi sqrt z) - 1 reaches 1 at
+    z = 0.0439, so the errors grow by less than 23 (4.6 bits) a term: over
+    the 42 terms, to some 2^194 units of 2^-PSI_SERIES_BITS, 2^-134.  The
+    smallest coefficient read, a_40 (b_38 is formed from it), is about
+    2^-71, so every coefficient is known to 2^-63 of itself, and its float
+    is the nearest one unless the coefficient lies that close to a rounding
+    tie.  The tests compare all
+    80 floats with tests/psi_series_oracle.py, the same recursion in mpf.
     """
-    with mp.workprec(PSI_SERIES_BITS):
-        two_pi = 2 * mp.pi
-        shift = 5 * mp.pi / 8
-        phase = (mp.cos(shift), mp.sin(shift))
-        num, den = [], []
-        for j in range(PSI_TERMS + 2):
-            # cos(2pi y - s) = cos(2pi y) cos s + sin(2pi y) sin s, term y^j
-            num.append(-(-1) ** (j // 2) * two_pi ** j / mp.factorial(j)
-                       * phase[j % 2])
-            den.append((-1) ** j * two_pi ** (2 * j) / mp.factorial(2 * j))
-        a = []
-        for j in range(PSI_TERMS + 2):
-            a.append((num[j] - mp.fsum(a[i] * den[j - i] for i in range(j)))
-                     / den[0])
-        scale = -1 / (96 * mp.pi ** 2)
-        b = [a[j + 2] * (2 * j + 4) * (2 * j + 3) * (2 * j + 2) * scale
-             for j in range(PSI_TERMS)]
-        return [float(v) for v in a[:PSI_TERMS]], [float(v) for v in b]
+    bits = PSI_SERIES_BITS
+    one = 1 << bits
+    pi = libmp.pi_fixed(bits)
+    shift = libmp.mpf_mul(libmp.mpf_pi(bits + 8), libmp.from_rational(5, 8, bits + 8),
+                          bits + 8)
+    phase = [libmp.to_fixed(v, bits) for v in libmp.mpf_cos_sin(shift, bits + 8)]
+    powers = [one]  # (2pi)^k/k!
+    for k in range(1, 2 * PSI_TERMS + 3):
+        powers.append((powers[-1] * 2 * pi >> bits) // k)
+    a = []
+    for j in range(PSI_TERMS + 2):
+        # cos(2pi y - s) = cos(2pi y) cos s + sin(2pi y) sin s, term y^j
+        num = -(-1) ** (j // 2) * (powers[j] * phase[j % 2] >> bits)
+        a.append(num - (sum((-1) ** (j - i) * a[i] * powers[2 * (j - i)]
+                            for i in range(j)) >> bits))
+    scale = 96 * (pi * pi >> bits)  # 96 pi^2
+    b = [-(a[j + 2] * (2 * j + 4) * (2 * j + 3) * (2 * j + 2) << bits) // scale
+         for j in range(PSI_TERMS)]
+    return [v / one for v in a[:PSI_TERMS]], [v / one for v in b]
 
 
 def _c0_c1(p: float) -> Tuple[float, float]:

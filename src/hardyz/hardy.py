@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath import libmp, mp, mpf
+from mpmath import iv, libmp, mp, mpf
 
 from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
 from .polynomials import bernoulli_numbers, horner
@@ -42,6 +42,8 @@ COS_SIN_ULPS = 2  # assumed error of libmp.mpf_cos_sin (see _zeta_em)
 EXP_ULPS = 2  # assumed error of libmp.mpf_exp (see _zeta_em)
 CONTOUR_RADIUS = 2  # Cauchy circles; z_derivatives_batch shrinks it to |t|/2 + 1/4 near 0
 SAMPLE_ULPS = 16  # assumed error of a contour sample (see _TaylorPatches)
+MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
+MODEL_READS = 6  # z_eval reads find_zeros' secant model takes before its fallback
 
 
 class CapacityError(ValueError):
@@ -453,30 +455,108 @@ def _certified_sign_change(t, w, prec: int) -> bool:
     return (za > 0) != (zb > 0) and abs(za) > ea and abs(zb) > eb
 
 
+def _second_derivative_bound(lo, hi) -> mpf:
+    """M2 with |Z''| <= M2 on [lo, hi]: Cauchy's integral formula
+    on the circle of radius MODEL_RADIUS about c, the float nearest the
+    midpoint (see find_zeros), in mpmath.iv at the ambient precision.  M2
+    is inf where [lo, hi] reaches the circle."""
+    old = iv.prec
+    iv.prec = mp.prec
+    try:
+        c = float((lo + hi) / 2)
+        centre, rho = iv.mpf(c), iv.mpf(MODEL_RADIUS)
+        d = max((iv.mpf(hi) - centre).b, (centre - iv.mpf(lo)).b)
+        if not d < rho:
+            return mp.inf
+        m2 = 2 * iv.exp(z_log_majorant(c, MODEL_RADIUS)) * rho / (rho - d) ** 3
+        return mp.mpf(m2.b)
+    finally:
+        iv.prec = old
+
+
+def _line_proves(read_i, read_j, root, w, box) -> bool:
+    """Z has opposite signs at root - w and root + w, by the line through
+    two reads of Z (see find_zeros).  read_i and read_j are (t, value,
+    error); box is (lo, hi, M2), M2 from _second_derivative_bound(lo, hi),
+    and both points must lie in [lo, hi].  It runs in mpmath.iv at the ambient precision,
+    where a comparison is True only when it holds for every point of the
+    intervals, so it needs no rounding allowance."""
+    old = iv.prec
+    iv.prec = mp.prec
+    try:
+        (ti, vi, ei), (tj, vj, ej) = [[iv.mpf(v) for v in read] for read in (read_i, read_j)]
+        lo, hi, m2 = (iv.mpf(v) for v in box)
+        span = tj - ti
+        slope = (vj - vi) / span
+        signs = []
+        root, w = iv.mpf(root), iv.mpf(w)
+        for x in (root - w, root + w):
+            line = vi + slope * (x - ti)
+            remainder = (m2 / 2 * abs(x - ti) * abs(x - tj)
+                         + (ei * abs(x - tj) + ej * abs(x - ti)) / abs(span))
+            if not (lo <= x and x <= hi and abs(line) > remainder):
+                return False
+            signs.append(line > 0)
+        return signs[0] != signs[1]
+    finally:
+        iv.prec = old
+
+
 def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
-    """All sign-change zeros of Z in (t_lo, t_hi], each the midpoint of a
-    bracket of half-width <= 2^-48 refined by Illinois regula falsi.
+    """All sign-change zeros of Z in (t_lo, t_hi], each proved to lie within
+    a half-width of at most 2^-48 about its reported t.
 
     Scans a finite window at step pi/(4 theta'), theta' read in floats
     (_scan_step); the count is cross-checked against the smooth theta-based
     estimate and the scan is repeated at half step (up to MAX_RESCANS times)
     when a missed close pair is suspected.
-    The scan and the refinement read Z by one rule at every height: from
-    t = 200 on, enclose.z_rs's value wherever it exceeds z_rs's bound;
-    everywhere else z_eval's value.  Each read records whether it proves
-    Z's sign: z_rs's does, and a z_eval value does when it is larger than
-    its error estimate.  The scan's values seed the refinement.
-    What is proved about a zero: Z changes sign across the reported bracket
-    itself, by the two reads at its ends, when both prove their signs.
-    When only one end's read is unproved (a secant step landed within its
-    error estimate of the zero), that end steps outward past it by four
-    times its error estimate over the bracket's secant slope.  The stepped
-    bracket is kept when the new read proves the sign opposite the other
-    end's and the half-width stays within 2^-48.  Otherwise, and at an
-    exact zero (a bracket of width 0), the fallback
-    _certified_sign_change must find z_eval's signs opposite at
-    t - 2^-46 and t + 2^-46 (or, after one retry, at t +- 2^-38), each value
-    larger than its error estimate; if it cannot, UnconfirmedSignChangeError.
+    Z is read by one rule at every height (z_sign): from t = 200 on,
+    enclose.z_rs's value wherever it exceeds z_rs's bound; everywhere else
+    z_eval's value.  Each read records (t, value, error), and it proves Z's
+    sign when |value| > error: z_rs's always does, and a z_eval value does
+    when it is larger than its error estimate.  The scan's values seed the
+    refinement of each bracket, in three stages.
+
+    1. Illinois regula falsi (precision.refine_sign_change) on z_rs, for as
+       long as z_rs proves the signs; it stops at its first z_eval read.
+       Below t = 200 that is its first step.
+    2. The secant model.  From that read on, each step reads z_eval at the
+       root of the line through the two latest reads, held inside the
+       bracket of proved reads; the first z_eval read pairs with the
+       bracket's end on the other side of the zero.  After every read the
+       line L through (t_i, v_i) and (t_j, v_j), with root t*, is tried as
+       a proof: Z(x) has the sign of L(x) at x = t* - w and x = t* + w,
+       w = 2^-ZERO_HALF_WIDTH_BITS, when at both
+
+           |L(x)| > (M2/2) |x - t_i| |x - t_j|
+                    + (e_i |x - t_j| + e_j |x - t_i|)/|t_i - t_j|.
+
+       The first term bounds Z(x) - P(x), P the line through the exact
+       values of Z at t_i and t_j (Z(x) - P(x) = Z''(xi)/2 (x - t_i)(x - t_j)
+       for some xi between the three points); the second bounds P(x) - L(x),
+       since Z(t_i) is within e_i of v_i.  M2 bounds |Z''| on the bracket
+       [lo, hi] stage 2 starts from, which holds every point: with c the
+       float nearest its midpoint, d = max(hi - c, c - lo),
+       rho = MODEL_RADIUS and A = exp(enclose.z_log_majorant(c, rho)) a
+       bound on |Z| over |w - c| = rho, Cauchy's integral formula gives
+       |Z''(x)| <= 2 A rho/(rho - d)^3 for |x - c| <= d.  Z is analytic
+       there, since rho < sqrt(c^2 + 1/4) for c > 0.87 and Z changes sign
+       nowhere below t = 14, and d < rho, since no bracket is wider than
+       the largest scan step, pi/(4 theta'(20)) < 1.36.  The check runs in mpmath.iv
+       (_line_proves), so it needs no rounding allowance.  A zero it proves
+       is reported as t* with half-width exactly w.  The model costs one
+       majorant call a zero.
+    3. The fallback, when MODEL_READS z_eval reads have proved nothing (a
+       line with no root, a root that repeats a read, or reads too far from
+       the zero or too imprecise): Illinois on z_sign from the bracket of
+       proved reads down to a half-width of 2^-48, and the zero is the
+       bracket's midpoint.  What is proved: Z changes sign across the
+       bracket itself, by the two reads at its ends, when both prove their
+       signs.  Otherwise, and at an exact zero (a bracket of width 0),
+       _certified_sign_change must find z_eval's signs opposite at
+       t - 2^-46 and t + 2^-46 (or, after one retry, at t +- 2^-38), each
+       value larger than its error estimate; if it cannot,
+       UnconfirmedSignChangeError.
     """
     with working_precision(prec):
         lo = mp.mpf(t_lo)
@@ -485,6 +565,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             raise ValueError("need finite t_hi > t_lo >= 0")
 
         reads = {}  # t -> (value, error) of every read z_sign made
+        em_reads = []  # the t of every z_eval read, in order
 
         def z_sign(t):
             """Z(t) by find_zeros' rule, recorded in `reads`."""
@@ -494,24 +575,43 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
                     reads[t] = (mp.mpf(value), bound)
                     return reads[t][0]
             reads[t] = z_eval(t, prec=prec)
+            em_reads.append(t)
             return reads[t][0]
+
+        def rs_sign(t):
+            """z_sign(t), or None, which ends stage 1, once it read z_eval."""
+            count = len(em_reads)
+            value = z_sign(t)
+            return value if len(em_reads) == count else None
 
         def proved(t):
             value, error = reads[t]
             return abs(value) > error
 
-        def step_past(zlo, zhi):
-            """The bracket with its one unproved end stepped past the zero,
-            or (zlo, zhi) when the step proves nothing (see the docstring)."""
-            near, far = (zhi, zlo) if proved(zlo) else (zlo, zhi)
-            value, error = reads[near]
-            slope = abs(reads[far][0] - value) / abs(far - near)
-            x = near + mp.sign(near - far) * 4 * error / slope
-            fx = z_sign(x)
-            if proved(x) and (fx > 0) != (reads[far][0] > 0) \
-                    and abs(x - far) <= 2 * half_width:
-                return min(x, far), max(x, far)
-            return zlo, zhi
+        def secant_zero(zlo, zhi):
+            """(t*, zlo, zhi): t* the zero stage 2 proves, or None; (zlo,
+            zhi) the bracket of its proved reads."""
+            box = (zlo, zhi, _second_derivative_bound(zlo, zhi))
+            j = em_reads[-1]
+            i = zhi if (reads[j][0] > 0) == (reads[zlo][0] > 0) else zlo
+            for count in range(1, MODEL_READS + 1):
+                if proved(j):
+                    if (reads[j][0] > 0) == (reads[zlo][0] > 0):
+                        zlo = j
+                    else:
+                        zhi = j
+                (vi, ei), (vj, ej) = reads[i], reads[j]
+                if vi == vj:
+                    break
+                root = i - vi * (j - i) / (vj - vi)
+                if _line_proves((i, vi, ei), (j, vj, ej), root, half_width, box):
+                    return root, zlo, zhi
+                x = min(max(root, zlo + half_width), zhi - half_width)
+                if count == MODEL_READS or x in reads:
+                    break
+                z_sign(x)
+                i, j = j, x
+            return None, zlo, zhi
 
         expected = expected_zero_count(lo, hi, prec=prec)
         rescans = 0
@@ -536,9 +636,15 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         half_width = mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
         w = 4 * half_width
         for (a, b, fa, fb) in brackets:
-            zlo, zhi = refine_sign_change(z_sign, a, b, fa, fb, half_width)
-            if zlo != zhi and proved(zlo) != proved(zhi):
-                zlo, zhi = step_past(zlo, zhi)
+            em_before = len(em_reads)
+            zlo, zhi = refine_sign_change(rs_sign, a, b, fa, fb, half_width)
+            if len(em_reads) > em_before:
+                t, zlo, zhi = secant_zero(zlo, zhi)
+                if t is not None:
+                    zeros.append(Zero(t=t, half_width=half_width))
+                    continue
+                zlo, zhi = refine_sign_change(z_sign, zlo, zhi, reads[zlo][0],
+                                              reads[zhi][0], half_width)
             t = (zlo + zhi) / 2
             # the bracket's own ends, else the fallback at t +- w, widened
             # once; a second failure means the sign change is not proved

@@ -18,8 +18,8 @@ because callers use them outside any working precision.  A number is rounded
 once, where it is stored: value objects hold theirs as mpf from construction
 (held), readers use them as stored, and only arguments coming in are rounded
 at the working precision.  enclose computes in floats, whatever the
-caller's precision; its one mpmath computation, the Psi series it rounds to
-floats, runs at its own PSI_SERIES_BITS.
+caller's precision; the Psi series it rounds to floats is summed in Python
+ints with its own PSI_SERIES_BITS fraction bits.
 
 Reports are serialized here as well, by one rule: an mpf prints with
 digits_for(prec) significant digits of its own bits, or with the digits its
@@ -99,7 +99,9 @@ def serialize(value, prec: int):
 
 def refine_sign_change(f: Callable, lo, hi, flo, fhi, half_width) -> Tuple[mpf, mpf]:
     """The final (lo, hi) of a sign-change bracket of f inside [lo, hi] with
-    (hi - lo)/2 <= half_width, or (x, x) at an exact zero x.
+    (hi - lo)/2 <= half_width, or (x, x) at an exact zero x.  An f that
+    returns None at x ends the refinement early: the result is then the
+    bracket before x, whatever its width.
 
     flo = f(lo) and fhi = f(hi) have opposite signs.  Illinois regula falsi
     (Dowell & Jarratt, BIT 11, 1971): each step evaluates the secant point,
@@ -121,6 +123,8 @@ def refine_sign_change(f: Callable, lo, hi, flo, fhi, half_width) -> Tuple[mpf, 
             x = min(max(x, lo + half_width), hi - half_width)
         widths = widths[1:] + [hi - lo]
         fx = f(x)
+        if fx is None:
+            break
         if fx == 0:
             return x, x
         if (fx > 0) == (flo > 0):

@@ -8,8 +8,11 @@ import pytest
 from mpmath import mp
 
 from hardyz import extremal, hardy
-from hardyz.enclose import RS_MIN_T, _c0_c1, h_float, z_log_majorant, z_rs
+from hardyz.enclose import (PSI_SERIES_BITS, RS_MIN_T, _c0_c1, _psi_series, h_float,
+                            z_log_majorant, z_rs)
 from hardyz.precision import working_precision
+
+from psi_series_oracle import psi_series_mpf
 
 # siegelz at twice a float's 53 bits is exact next to any bound z_rs gives
 REFERENCE_BITS = 106
@@ -25,6 +28,13 @@ def _enclosure_points():
         points += [200 + 1800 * mp.mpf(rng.getrandbits(120)) / 2 ** 120
                    for _ in range(ENCLOSURE_POINTS // 2)]
     return points
+
+
+def test_psi_series_is_the_mpf_recursion_float_for_float():
+    # all 80 floats of a and b, against the mpf recursion at twice the bits
+    a, b = _psi_series()
+    assert len(a) == len(b) == 40
+    assert (a, b) == psi_series_mpf(2 * PSI_SERIES_BITS)
 
 
 def test_z_rs_encloses_siegelz():

@@ -306,8 +306,18 @@ def test_derivative_capacity_guard():
         theorem1_explore(60, 100, m_cap=33, prec=PREC)
 
 
-def test_first_zero_and_count_to_100():
-    zl = find_zeros(0, 100, prec=PREC)
+@pytest.fixture(scope="module")
+def zeros_to_100():
+    """find_zeros(0, 100] at PREC, and the (t, calling function) of each
+    mp.siegelz and z_eval call it made."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _recorded_siegelz_and_z_eval(patch)
+        zl = find_zeros(0, 100, prec=PREC)
+    return zl, calls
+
+
+def test_first_zero_and_count_to_100(zeros_to_100):
+    zl, _ = zeros_to_100
     assert len(zl) == 29
     with working_precision(PREC):
         assert abs(zl.zeros[0].t - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -6
@@ -315,8 +325,8 @@ def test_first_zero_and_count_to_100():
     assert abs(exp - 29) < 2
 
 
-def test_zeros_to_100_match_zetazero_inside_sign_change_brackets():
-    zl = find_zeros(0, 100, prec=PREC)
+def test_zeros_to_100_match_zetazero_inside_sign_change_brackets(zeros_to_100):
+    zl, _ = zeros_to_100
     assert len(zl) == 29
     with working_precision(PREC):
         for k, z in enumerate(zl.zeros, start=1):
@@ -326,22 +336,21 @@ def test_zeros_to_100_match_zetazero_inside_sign_change_brackets():
                 != (mp.siegelz(z.t + z.half_width) > 0)
 
 
-def test_zeros_to_100_siegelz_budget(monkeypatch):
-    calls = _recorded_siegelz_and_z_eval(monkeypatch)
-    assert len(find_zeros(0, 100, prec=PREC)) == 29
-    monkeypatch.undo()
+def test_zeros_to_100_siegelz_budget(zeros_to_100):
+    zl, calls = zeros_to_100
+    assert len(zl) == 29
     assert not calls["siegelz"]
-    # the scan and the refinement: 356 reads (bisecting every bracket to
-    # 2^-48 took 1521 siegelz calls); their reads at each bracket's ends
-    # prove every sign change, so the fallback check reads nothing
+    # the scan and the refinement: 267 reads (356 when each bracket was
+    # refined to 2^-48, 1521 when it was bisected); the secant model
+    # proves every zero, so the fallback check reads nothing
     callers = [caller for _, caller in calls["z_eval"]]
     assert "_certified_sign_change" not in callers
-    assert len(callers) <= 400
+    assert len(callers) <= 290
 
 
 def test_zeros_to_100_at_64_bits_are_proved_by_their_bracket_ends(monkeypatch):
-    # at 64 bits a secant step can land within z_eval's error estimate of a
-    # zero; that end steps past it, and no zero takes the fallback check
+    # z_eval's error estimates are widest at 64 bits; the secant model
+    # still proves every zero, and no zero takes the fallback check
     calls = _recorded_siegelz_and_z_eval(monkeypatch)
     zl = find_zeros(0, 100, prec=64)
     monkeypatch.undo()
@@ -395,9 +404,73 @@ def test_zeros_480_to_500_match_zetazero_inside_sign_change_brackets(
 def test_zeros_480_to_500_siegelz_budget(zeros_480_to_500):
     zl, calls = zeros_480_to_500
     # above t = 200, Z is read from z_rs where it proves the sign and from
-    # z_eval elsewhere: 70 z_eval calls, 5.4 a zero, and no fallback check
+    # z_eval elsewhere: 38 z_eval calls, 2.9 a zero (70 before the secant
+    # model), and no fallback check
     assert calls["siegelz"] == 0
-    assert calls["z_eval"] <= 6 * len(zl)
+    assert calls["z_eval"] <= 3 * len(zl)
+
+
+def test_zeros_the_model_cannot_prove_come_from_the_fallback(monkeypatch,
+                                                              zeros_480_to_500):
+    # a majorant of e^1000 makes M2 so large that no line proves a zero: the
+    # fallback refines each bracket to 2^-48 instead, and its zeros are the
+    # model's within the sum of the two half-widths
+    model_zeros, _ = zeros_480_to_500
+    line_proves = hardy._line_proves
+    proofs = []
+
+    def recorded_line_proves(*args):
+        proofs.append(line_proves(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(hardy, "z_log_majorant", lambda centre, radius: 1000.0)
+    monkeypatch.setattr(hardy, "_line_proves", recorded_line_proves)
+    zl = find_zeros(480, 500, prec=PREC)
+    monkeypatch.undo()
+    assert proofs and not any(proofs)
+    assert len(zl) == len(model_zeros) == 13
+    with working_precision(PREC):
+        for z, m in zip(zl.zeros, model_zeros.zeros):
+            assert 0 < z.half_width <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
+            assert abs(z.t - m.t) <= z.half_width + m.half_width
+
+
+# one Gram interval holding one zero in each of the 11 height strata,
+# [200 + 800 i/11, 200 + 800 (i+1)/11], of the benchmark's zeros workload
+STRATA_WINDOWS = [("235.1203", "236.8532"), ("308.5633", "310.1757"),
+                  ("380.7682", "382.2984"), ("454.1589", "455.6262"),
+                  ("529.115", "530.5319"), ("598.9806", "600.359"),
+                  ("672.4787", "673.823"), ("744.2914", "745.6071"),
+                  ("817.2601", "818.5505"), ("890.1802", "891.4484"),
+                  ("964.409", "965.6571")]
+
+
+@pytest.fixture(scope="module")
+def strata_counts():
+    """mp.nzeros(hi) - mp.nzeros(lo) for each of STRATA_WINDOWS."""
+    with mp.workdps(25):
+        return [int(mp.nzeros(mp.mpf(hi))) - int(mp.nzeros(mp.mpf(lo)))
+                for lo, hi in STRATA_WINDOWS]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_each_stratum_zero_is_proved_by_the_model_in_three_reads(monkeypatch, prec,
+                                                                 strata_counts):
+    calls = _recorded_siegelz_and_z_eval(monkeypatch)
+    found = []
+    for lo, hi in STRATA_WINDOWS:
+        before = len(calls["z_eval"])
+        zl = find_zeros(lo, hi, prec=prec)
+        found.append((zl, len(calls["z_eval"]) - before))
+    monkeypatch.undo()
+    for (zl, reads), count in zip(found, strata_counts):
+        assert len(zl) == count
+        assert reads <= 3 * count
+        with mp.workprec(2 * prec):
+            for z in zl.zeros:
+                assert z.half_width == mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
+                assert (mp.siegelz(z.t - z.half_width) > 0) \
+                    != (mp.siegelz(z.t + z.half_width) > 0)
 
 
 def _recorded_siegelz_and_z_eval(monkeypatch):
@@ -495,10 +568,10 @@ def test_scan_step_matches_theta_prime(t):
         assert abs(hardy._scan_step(t) / exact - 1) < mp.mpf(10) ** -8
 
 
-def test_count_stats_main_term():
+def test_count_stats_main_term(zeros_to_100):
     with working_precision(PREC):
         assert abs(n_main(100, prec=PREC) - mp.mpf("28.127")) < 0.01
-    zl = find_zeros(0, 100, prec=PREC)
+    zl, _ = zeros_to_100
     cs = count_stats(100, zl, prec=PREC)
     assert cs.n_counted == 29
     with working_precision(PREC):

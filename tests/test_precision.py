@@ -93,6 +93,23 @@ def test_refine_returns_an_exact_zero_at_the_secant_point(prec, width_bits, bise
     assert (x, hw, n) == (mp.mpf(0.25), 0, 1)
 
 
+def test_refine_ends_with_the_bracket_so_far_where_f_returns_none():
+    # f reads (x - 0.3)^3 at both ends and twice inside, then returns None:
+    # the bracket of those reads comes back, however wide, without the fifth
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return (x - mp.mpf(0.3)) ** 3 if len(seen) <= 4 else None
+
+    with working_precision(128):
+        lo, hi = refine_sign_change(f, mp.mpf(0), mp.mpf(1), f(mp.mpf(0)),
+                                    f(mp.mpf(1)), mp.mpf(2) ** -48)
+        assert len(seen) == 5
+        assert lo < mp.mpf(0.3) < hi and hi - lo > 2 ** -47
+        assert {lo, hi} <= set(seen[:4]) and seen[4] not in (lo, hi)
+
+
 # 1/3 at more bits than any working precision here: no point the finder
 # tries is the root, so the sign of f is the sign of x - THIRD and the
 # bracket is never closed by an exact zero

@@ -72,6 +72,8 @@ COMMANDS = [
     "--precision-bits 192 zeros 900 905",
     "--precision-bits 64 zeros 90 110",
     "--precision-bits 128 zeros 160 170",
+    # the top height stratum of the benchmark's zeros workload
+    "--precision-bits 128 zeros 949 951",
     # the 269 zeros below 500 and their count_stats
     "--precision-bits 128 zeros 0 500",
 ]
