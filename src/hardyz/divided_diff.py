@@ -60,14 +60,6 @@ class NodeMultiset:
     def __len__(self):
         return len(self.nodes)
 
-    def max_multiplicity(self) -> int:
-        best = 1
-        run = 1
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            run = run + 1 if a == b else 1
-            best = max(best, run)
-        return best
-
     def grouped(self) -> List[Tuple[object, int]]:
         """Distinct nodes with multiplicities, in increasing order."""
         out: List[Tuple[object, int]] = []

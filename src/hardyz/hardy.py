@@ -523,10 +523,11 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     2. The secant model.  From that read on, each step reads z_eval at the
        root of the line through the two latest reads, held inside the
        bracket of proved reads; the first z_eval read pairs with the
-       bracket's end on the other side of the zero.  After every read the
-       line L through (t_i, v_i) and (t_j, v_j), with root t*, is tried as
-       a proof: Z(x) has the sign of L(x) at x = t* - w and x = t* + w,
-       w = 2^-ZERO_HALF_WIDTH_BITS, when at both
+       bracket's end on the other side of the zero.  After every read of
+       stage 2 the line L through (t_i, v_i) and (t_j, v_j), with root t*,
+       is tried as a proof (not the first, whose bracket end's z_rs bound or
+       distance from the zero is too large): Z(x) has the sign of L(x) at
+       x = t* - w and x = t* + w, w = 2^-ZERO_HALF_WIDTH_BITS, when at both
 
            |L(x)| > (M2/2) |x - t_i| |x - t_j|
                     + (e_i |x - t_j| + e_j |x - t_i|)/|t_i - t_j|.
@@ -604,7 +605,9 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
                 if vi == vj:
                     break
                 root = i - vi * (j - i) / (vj - vi)
-                if _line_proves((i, vi, ei), (j, vj, ej), root, half_width, box):
+                # not the first line: its bracket end is too imprecise or too far
+                if count > 1 and _line_proves((i, vi, ei), (j, vj, ej), root,
+                                              half_width, box):
                     return root, zlo, zhi
                 x = min(max(root, zlo + half_width), zhi - half_width)
                 if count == MODEL_READS or x in reads:

@@ -13,18 +13,19 @@ and the kernel is never built.  Other probes give a majorant of |f^(2m)| off
 the real line, and each panel gets one Gauss-Legendre rule, of the least
 degree whose proved error bound (Bernstein ellipses, see _panel_rule) is at
 most mp.eps; quadrature_error_estimate is the sum of those bounds and a
-rounding allowance.  reconstruct_f0 takes its kernels from
-kernel.psi_star_boundary and kernel.interior_kernel, which choose between
-strict and weakly ordered configurations (the Chebyshev series for these).
-Only a polynomial integrand of degree < 2m, which vanishes, runs against the
-Chebyshev series: every other integrand over it is refused.
+rounding allowance.  reconstruct_f0 takes its boundary values from
+kernel.psi_star_boundary, which extends them to weakly ordered
+configurations, and its interior kernel from compile_psi over the weights
+kernel.coefficients keeps.  Those weights need distinct nodes, so on a weakly
+ordered configuration only an integrand that vanishes (a polynomial of
+degree < 2m) is taken: any other is refused with DuplicateNodeError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -32,9 +33,8 @@ from .divided_diff import FunctionProbe
 from .enclose import log_add
 # coefficients and psi are unused here, but perfbench's tracer patches
 # identity.coefficients and identity.psi
-from .kernel import (CompiledPsi, NodeConfig, coefficients,  # noqa: F401
-                     compile_psi, interior_kernel, psi, psi_orders,
-                     psi_star_boundary)
+from .kernel import (NodeConfig, coefficients, compile_psi,  # noqa: F401
+                     psi, psi_orders, psi_star_boundary)
 from .polynomials import horner
 from .precision import DEFAULT_PREC, working_precision
 from .probes import PolynomialProbe
@@ -146,11 +146,13 @@ def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
     return degree, log_add(log_trunc, log_round) + BOUND_SLACK
 
 
-def _integral_term(probe: FunctionProbe, m: int, kernel: Callable[[], Callable],
-                   prec: int) -> Tuple[mpf, mpf]:
+def _integral_term(probe: FunctionProbe, m: int, config: NodeConfig,
+                   weights: Optional[Sequence], prec: int) -> Tuple[mpf, mpf]:
     """int_{-a}^{a} f^(2m) Psi_{2m-1} dx and a proved bound on its error.
 
-    kernel() builds Psi_{2m-1}; it is not called when f^(2m) vanishes.  A
+    Psi_{2m-1} is compile_psi(config, m, weights), weights None meaning the
+    mu of kernel.coefficients, which refuses a weakly ordered configuration
+    (DuplicateNodeError); it is not built when f^(2m) vanishes.  A
     polynomial probe's integral is closed-form; any other probe is
     integrated panel by panel, each panel by the one Gauss-Legendre rule
     _panel_rule chooses, and the bound is the sum of the panels' bounds.
@@ -158,12 +160,7 @@ def _integral_term(probe: FunctionProbe, m: int, kernel: Callable[[], Callable],
     """
     if isinstance(probe, PolynomialProbe) and probe.degree < 2 * m:
         return mp.mpf(0), mp.mpf(0)
-    kern = kernel()
-    if not isinstance(kern, CompiledPsi):
-        raise ValueError(
-            f"the interior kernel is a {type(kern).__name__}, not a CompiledPsi "
-            "(the Chebyshev series of a weakly ordered configuration): the "
-            "integral term has no rule over it for a non-vanishing integrand")
+    kern = compile_psi(config, m, weights, prec=prec)
     if isinstance(probe, PolynomialProbe):
         return kern.integrate_polynomial(probe.derivative_coeffs(2 * m)), mp.mpf(0)
     if probe.majorant is None:
@@ -227,8 +224,7 @@ def verify_key_identity(config: NodeConfig, mu: Sequence, probe: FunctionProbe,
         boundary = _boundary_terms(
             probe, a,
             lambda sign: psi_orders(config, range(1, m + 1), sign * a, mu_m, prec=prec))
-        integral, quad_err = _integral_term(
-            probe, m, lambda: compile_psi(config, m, mu_m, prec=prec), prec)
+        integral, quad_err = _integral_term(probe, m, config, mu_m, prec)
         rhs = mp.fsum(boundary) - integral
         residual = abs(lhs - rhs)
         budget = _residual_budget(quad_err, boundary + [lhs, integral], prec)
@@ -256,8 +252,10 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
     Requires m >= n+1 and that f vanishes at every configuration node (with
     multiplicity, for weakly ordered configurations).  The boundary values
     of all m orders come from one kernel.psi_star_boundary call per end, and
-    the interior kernel from kernel.interior_kernel; for a strict
-    configuration both read the weights kernel.coefficients keeps for it.
+    the interior kernel is compile_psi's; for a strict configuration both
+    read the weights kernel.coefficients keeps for it.  A weakly ordered
+    configuration has no such weights: its integral term must vanish
+    (deg f < 2m), and any other probe raises DuplicateNodeError.
     """
     n = config.n
     if m < n + 1:
@@ -274,8 +272,7 @@ def reconstruct_f0(config: NodeConfig, probe: FunctionProbe, m: int,
         boundary = _boundary_terms(
             probe, a,
             lambda sign: psi_star_boundary(config, range(1, m + 1), sign, prec=prec))
-        integral, quad_err = _integral_term(
-            probe, m, lambda: interior_kernel(config, m, prec=prec), prec)
+        integral, quad_err = _integral_term(probe, m, config, None, prec)
         value = mp.fsum(boundary) - integral
         budget = _residual_budget(quad_err, boundary + [integral], prec)
         error = abs(value - mp.mpf(probe.value(0)))

@@ -15,9 +15,11 @@ point from one pass over the nodes.  B_2l is even about 1/2, so that pass
 forms the even moments sum_k mu_k (u_k - 1/2)^(2j), and each order is a
 short sum of them against B_2l's coefficients about 1/2, within the
 rounding bound its docstring states; psi is its one-order form.  compile_psi
-and the Chebyshev series are the independent routes.  Only this module asks
-whether a configuration is strict: psi_star_boundary and interior_kernel
-choose the route for the boundary values and for the interior.
+and the Chebyshev series (psi_chebyshev_series, strict configurations only)
+are the independent routes.  Only this module asks whether a configuration
+is strict: psi_star_boundary chooses the route for the boundary values, and
+the interior kernel is compile_psi's, whose weights (coefficients) refuse a
+weakly ordered configuration.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from .divided_diff import NodeMultiset, divided_difference_data, node_product
 # bernoulli_poly is unused here, but perfbench's tracer patches
 # kernel.bernoulli_poly
 from .polynomials import (bernoulli_centered_mpf, bernoulli_poly,  # noqa: F401
-                          bernoulli_poly_mpf, chebyshev, chebyshev_derivatives,
-                          horner)
+                          bernoulli_poly_mpf, chebyshev, horner)
 from .precision import DEFAULT_PREC, held, working_precision
 # unused here, but perfbench's tracer patches kernel.tail_weight_constant
 from .sequences import tail_weight_constant  # noqa: F401
@@ -45,8 +46,8 @@ from .sequences import tail_weight_constant  # noqa: F401
 MIN_NODE_GAP = 0.05
 TERM_GUARD_BITS = 16  # zero-sum node sums cancel: nodes and terms get these bits more
 COMPILE_BITS_PER_ORDER = 2  # compile_psi's Taylor sums cancel ~binom(2l, l) ~ 4^l more
-# weight vectors coefficients keeps: chebyshev_psi needs two (prec and
-# prec + TERM_GUARD_BITS), every other caller one
+# weight vectors coefficients keeps: psi_chebyshev_series needs two (prec
+# and prec + TERM_GUARD_BITS), every other caller one
 COEFFICIENTS_CACHE_SIZE = 2
 
 
@@ -365,76 +366,33 @@ def psi_star_boundary(config: NodeConfig, orders: Sequence[int], sign: int,
         return [+v for v in values]
 
 
-def interior_kernel(config: NodeConfig, l: int, prec: int = DEFAULT_PREC) -> Callable:
-    """x -> Psi*_{2l-1}(x) on [-a, a]: compile_psi over the weights
-    coefficients() keeps for strict configurations, the Chebyshev series
-    for weakly ordered ones (l >= n+1)."""
-    if config.is_strict():
-        return compile_psi(config, l, prec=prec)
-    # choose J so the j^(-2l) decay pushes the tail below working accuracy
-    return chebyshev_psi(config, l, max(40, int(2 * prec / (2 * l - 1))), prec=prec)
-
-
 def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC) -> mpf:
-    """S_j = sum_k alpha_k (-1)^j T_j(t_k), confluent-safe.
-
-    For strict configurations alpha is coefficients(config, prec).alpha; for
-    weakly ordered ones S_j is the confluent divided difference of
-    (-1)^j T_j over the sine-transformed nodes.  Vanishes for j = 1..2n-1.
-    """
+    """S_j = sum_k alpha_k (-1)^j T_j(t_k), alpha = coefficients(config,
+    prec).alpha, so a weakly ordered configuration is refused
+    (DuplicateNodeError).  Vanishes for j = 1..2n-1."""
     term_prec = prec + TERM_GUARD_BITS
     with working_precision(prec):
         t = config.sine_nodes(term_prec)
-        if config.is_strict():
-            total = mp.mpf(0)
-            for al, tk in zip(coefficients(config, prec=prec).alpha, t):
-                total += al * chebyshev(j, tk, prec=term_prec)
-            return (-1) ** j * total
-        nm = NodeMultiset(list(t))
-        need = nm.max_multiplicity() - 1
-
-        # here the confluent triangle is the sum, and its data are the terms
-        data_prec = term_prec + TERM_GUARD_BITS
-
-        def data(y, i):
-            return chebyshev_derivatives(j, y, need, prec=data_prec)[i] \
-                if i > 0 else chebyshev(j, y, prec=data_prec)
-
-        dd = divided_difference_data(nm, data, prec=term_prec)
-        return (-1) ** j * dd
+        total = mp.mpf(0)
+        for al, tk in zip(coefficients(config, prec=prec).alpha, t):
+            total += al * chebyshev(j, tk, prec=term_prec)
+        return (-1) ** j * total
 
 
-@dataclass
-class ChebyshevPsi:
-    """The order-(2l-1) kernel as its Chebyshev series through j = 2n+J:
-    pref * sum_j S_j cos(j pi (1/2 + x/2a)) / j^(2l) over the moments
-    (j, S_j)."""
+def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
+                         prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
+    """Chebyshev-series evaluation of the kernel with analytic tail bound.
 
-    a: mpf
-    l: int
-    pref: mpf
-    moments: List[Tuple[int, mpf]]
-    prec: int
-
-    def __call__(self, x) -> mpf:
-        with working_precision(self.prec):
-            xm = mp.mpf(x)
-            total = mp.mpf(0)
-            for j, s_j in self.moments:
-                total += s_j * mp.cos(j * mp.pi * (mp.mpf(0.5) + xm / (2 * self.a))) \
-                    / mp.mpf(j) ** (2 * self.l)
-            return self.pref * total
-
-
-def chebyshev_psi(config: NodeConfig, l: int, J: int,
-                  prec: int = DEFAULT_PREC) -> ChebyshevPsi:
-    """The Chebyshev-series kernel, with alpha_0, the prefactor
-    (-1)^(l+1) 2 (2a)^(2l-1) / (alpha_0 pi^(2l)) and the moments S_j for
-    j = 2n..2n+J computed once.  Strict configurations take alpha_0 from
-    coefficients() at prec and the moments' weights at prec +
-    TERM_GUARD_BITS, the moments' own precision.  Valid for l >= n+1, where
-    it is also the continuous extension of the kernel to weakly ordered
-    configurations for interior x."""
+    Returns (pref sum_j S_j cos(j pi (1/2 + x/2a)) / j^(2l) over
+    j = 2n..2n+J, bound on the terms j > 2n+J), with the prefactor
+    pref = (-1)^(l+1) 2 (2a)^(2l-1) / (alpha_0 pi^(2l)), alpha_0 from
+    coefficients() at prec and the moments S_j at prec + TERM_GUARD_BITS.
+    Valid for l >= n+1.  The bound needs distinct nodes, so a weak
+    configuration is refused.
+    """
+    if not config.is_strict():
+        raise DuplicateNodeError(
+            "psi_chebyshev_series requires a strict configuration")
     n = config.n
     if l < n + 1:
         raise ValueError("series representation requires l >= n+1")
@@ -442,36 +400,19 @@ def chebyshev_psi(config: NodeConfig, l: int, J: int,
         raise ValueError("J must be >= 0")
     with working_precision(prec):
         a = config.a
-        if config.is_strict():
-            alpha0 = coefficients(config, prec=prec).alpha[n]
-        else:
-            alpha0 = 1 / node_product(config.sine_nodes(prec + TERM_GUARD_BITS), n)
-        pref = (-1) ** (l + 1) * 2 * (2 * a) ** (2 * l - 1) / (alpha0 * mp.pi ** (2 * l))
-        moments = [(j, chebyshev_moment(config, j, prec=prec + TERM_GUARD_BITS))
-                   for j in range(2 * n, 2 * n + J + 1)]
-    return ChebyshevPsi(a=a, l=l, pref=pref, moments=moments, prec=prec)
-
-
-def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
-                         prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
-    """Chebyshev-series evaluation of the kernel with analytic tail bound.
-
-    Returns (chebyshev_psi(config, l, J)(x), bound on the terms j > 2n+J).
-    The bound needs distinct nodes; a weak configuration has no tail bound.
-    """
-    if not config.is_strict():
-        raise DuplicateNodeError(
-            "psi_chebyshev_series requires a strict configuration")
-    kern = chebyshev_psi(config, l, J, prec=prec)
-    n = config.n
-    with working_precision(prec):
-        value = kern(x)
+        alpha = coefficients(config, prec=prec).alpha
+        pref = (-1) ** (l + 1) * 2 * (2 * a) ** (2 * l - 1) / (alpha[n] * mp.pi ** (2 * l))
+        xm = mp.mpf(x)
+        total = mp.mpf(0)
+        for j in range(2 * n, 2 * n + J + 1):
+            s_j = chebyshev_moment(config, j, prec=prec + TERM_GUARD_BITS)
+            total += s_j * mp.cos(j * mp.pi * (mp.mpf(0.5) + xm / (2 * a))) \
+                / mp.mpf(j) ** (2 * l)
         M = 2 * n + J
         # |S_j| <= max|alpha_k| (2n+1); sum_{j>M} j^(-2l) <= M^(1-2l)/(2l-1)
-        alpha = coefficients(config, prec=prec).alpha
         s_bound = max(abs(v) for v in alpha) * (2 * n + 1)
-        tail = abs(kern.pref) * s_bound * mp.mpf(M) ** (1 - 2 * l) / (2 * l - 1)
-        return value, tail
+        tail = abs(pref) * s_bound * mp.mpf(M) ** (1 - 2 * l) / (2 * l - 1)
+        return pref * total, tail
 
 
 def divided_bound_direct(config: NodeConfig, c, prec: int = DEFAULT_PREC) -> mpf:

@@ -177,7 +177,7 @@ def test_multiset_sorts_its_nodes_exactly():
         ref = NodeMultiset([1, 1, above])
     nodes = NodeMultiset([1, above, 1])
     assert nodes.nodes == [1, 1, above]
-    assert nodes.max_multiplicity() == 2
+    assert nodes.grouped() == [(1, 2), (above, 1)]
     data = lambda y, i: mp.exp(y)
     assert divided_difference_data(nodes, data, prec=PREC) \
         == divided_difference_data(ref, data, prec=PREC)

@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from hardyz import identity
+from hardyz import identity, kernel
 from hardyz.divided_diff import FunctionProbe
 from hardyz.identity import (PROBE_ULPS, NodeNotZeroError, WeightContractError,
                              piecewise_weight_integral, reconstruct_f0,
                              verify_key_identity)
-from hardyz.kernel import (NodeConfig, chebyshev_psi, coefficients, compile_psi,
-                           interior_kernel, kernel_knots, psi, psi_star_boundary,
+from hardyz.kernel import (DuplicateNodeError, NodeConfig, coefficients,
+                           compile_psi, kernel_knots, psi, psi_star_boundary,
                            random_config)
 from hardyz.polynomials import horner
 from hardyz.precision import GUARD_BITS, working_precision
@@ -214,7 +214,6 @@ def test_low_degree_probe_skips_the_kernel(monkeypatch):
         raise AssertionError("kernel built for a vanishing integrand")
 
     monkeypatch.setattr(identity, "compile_psi", refuse)
-    monkeypatch.setattr(identity, "interior_kernel", refuse)
     monkeypatch.setattr(identity, "_integrate", refuse)
     rng = random.Random(71)
     cfg = random_config(rng, 2, prec=PREC)
@@ -238,31 +237,25 @@ def test_key_identity_with_zero_weights():
     assert rep.passed
 
 
-def test_reconstruction_with_closed_form_integral():
-    # cardinal polynomial times 1 + x^2/7 - x^3/5: still zero at the nodes
-    # and 1 at 0, of degree 2n + 3 >= 2m, so the integral term is non-zero
-    rng = random.Random(79)
-    cfg = random_config(rng, 2, prec=PREC)
+def _vanishing_at_the_nodes(cfg):
+    """The cardinal polynomial times 1 + x^2/7 - x^3/5: still zero at the
+    nodes (with multiplicity) and 1 at 0, of degree 2n + 3 >= 2m for
+    m = n + 1, so its integral term does not vanish."""
     card = cardinal_probe(cfg, prec=PREC).coeffs
     with working_precision(PREC):
         factor = [mp.mpf(1), 0, mp.mpf(1) / 7, -mp.mpf(1) / 5]
         coeffs = [mp.fsum(card[i] * factor[k - i] for i in range(len(card))
                           if 0 <= k - i < len(factor))
                   for k in range(len(card) + len(factor) - 1)]
-    res = reconstruct_f0(cfg, polynomial_probe(coeffs, prec=PREC), m=cfg.n + 1,
-                         prec=PREC)
+    return polynomial_probe(coeffs, prec=PREC)
+
+
+def test_reconstruction_with_closed_form_integral():
+    rng = random.Random(79)
+    cfg = random_config(rng, 2, prec=PREC)
+    res = reconstruct_f0(cfg, _vanishing_at_the_nodes(cfg), m=cfg.n + 1, prec=PREC)
     assert res.integral_term != 0 and res.quadrature_error_estimate == 0
     assert abs(res.value - 1) < mp.mpf(2) ** -120
-
-
-def test_weak_interior_kernel_is_the_chebyshev_series():
-    cfg = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
-    l = cfg.n + 1
-    J = max(40, int(2 * PREC / (2 * l - 1)))
-    kern = interior_kernel(cfg, l, prec=PREC)
-    series = chebyshev_psi(cfg, l, J, prec=PREC)
-    for x in ("-3.1", "0.4", "1.7", "3.9"):
-        assert kern(mp.mpf(x))._mpf_ == series(mp.mpf(x))._mpf_
 
 
 def test_polynomial_probe_cached_derivatives_are_bit_identical():
@@ -484,17 +477,14 @@ def test_integral_term_refuses_a_probe_without_a_majorant():
         verify_key_identity(cfg, mu, bare, m=3, prec=PREC)
 
 
-def test_integral_term_refuses_the_chebyshev_series():
-    # a polynomial that vanishes at the nodes of a weakly ordered
-    # configuration, of degree 2n + 3 >= 2m: the interior kernel is the
-    # Chebyshev series, and the integrand does not vanish
+def test_integral_term_refuses_a_weak_configuration(monkeypatch):
+    # the integrand does not vanish, and a weakly ordered configuration has
+    # no kernel weights to compile the interior kernel over: it is refused
+    # before any Chebyshev polynomial is evaluated
+    def refuse(*args, **kwargs):
+        raise AssertionError("Chebyshev polynomial evaluated")
+
+    monkeypatch.setattr(kernel, "chebyshev", refuse)
     cfg = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
-    card = cardinal_probe(cfg, prec=PREC).coeffs
-    with working_precision(PREC):
-        factor = [mp.mpf(1), 0, mp.mpf(1) / 7, -mp.mpf(1) / 5]
-        coeffs = [mp.fsum(card[i] * factor[k - i] for i in range(len(card))
-                          if 0 <= k - i < len(factor))
-                  for k in range(len(card) + len(factor) - 1)]
-    with pytest.raises(ValueError, match="Chebyshev series"):
-        reconstruct_f0(cfg, polynomial_probe(coeffs, prec=PREC), m=cfg.n + 1,
-                       prec=PREC)
+    with pytest.raises(DuplicateNodeError):
+        reconstruct_f0(cfg, _vanishing_at_the_nodes(cfg), m=cfg.n + 1, prec=PREC)

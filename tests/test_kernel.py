@@ -70,6 +70,13 @@ def test_vanishing_chebyshev_moments():
     assert abs(chebyshev_moment(cfg, 2 * cfg.n, prec=PREC)) > 0
 
 
+def test_chebyshev_moment_refuses_weak_configurations():
+    # its weights are coefficients', which need distinct nodes
+    cfg = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
+    with pytest.raises(DuplicateNodeError):
+        chebyshev_moment(cfg, 2 * cfg.n, prec=PREC)
+
+
 def test_series_matches_direct_evaluation():
     rng = random.Random(5)
     cfg = random_config(rng, 2, prec=PREC)
@@ -84,7 +91,7 @@ def test_series_matches_direct_evaluation():
 
 def test_series_tail_bound_refuses_weak_configurations():
     # the tail bound rests on |S_j| <= max|alpha_k| (2n+1), which needs
-    # distinct nodes; chebyshev_psi evaluates the weak series without one
+    # distinct nodes
     cfg = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
     with pytest.raises(DuplicateNodeError):
         psi_chebyshev_series(cfg, 3, mp.mpf("0.4"), 40, prec=PREC)

@@ -370,8 +370,9 @@ def test_src_calls_mp_quad_nowhere():
 
 
 def test_only_the_kernel_asks_whether_a_configuration_is_strict():
-    # psi_star_boundary and interior_kernel choose between the strict and
-    # the weakly ordered route for every caller
+    # psi_star_boundary chooses between the strict and the weakly ordered
+    # route for the boundary values, and coefficients refuses a weakly
+    # ordered configuration for every other caller
     callers = {path.stem for path in SRC.glob("*.py")
                if any(_calls(ast.parse(path.read_text(), filename=str(path)),
                              "is_strict"))}
