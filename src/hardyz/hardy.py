@@ -27,7 +27,8 @@ from mpmath import iv, libmp, mp, mpf
 
 from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
 from .polynomials import bernoulli_numbers, horner
-from .precision import DEFAULT_PREC, refine_sign_change, working_precision
+from .precision import (DEFAULT_PREC, interval_precision, refine_sign_change,
+                        working_precision)
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
@@ -460,9 +461,7 @@ def _second_derivative_bound(lo, hi) -> mpf:
     on the circle of radius MODEL_RADIUS about c, the float nearest the
     midpoint (see find_zeros), in mpmath.iv at the ambient precision.  M2
     is inf where [lo, hi] reaches the circle."""
-    old = iv.prec
-    iv.prec = mp.prec
-    try:
+    with interval_precision():
         c = float((lo + hi) / 2)
         centre, rho = iv.mpf(c), iv.mpf(MODEL_RADIUS)
         d = max((iv.mpf(hi) - centre).b, (centre - iv.mpf(lo)).b)
@@ -470,8 +469,6 @@ def _second_derivative_bound(lo, hi) -> mpf:
             return mp.inf
         m2 = 2 * iv.exp(z_log_majorant(c, MODEL_RADIUS)) * rho / (rho - d) ** 3
         return mp.mpf(m2.b)
-    finally:
-        iv.prec = old
 
 
 def _line_proves(read_i, read_j, root, w, box) -> bool:
@@ -481,9 +478,7 @@ def _line_proves(read_i, read_j, root, w, box) -> bool:
     and both points must lie in [lo, hi].  It runs in mpmath.iv at the ambient precision,
     where a comparison is True only when it holds for every point of the
     intervals, so it needs no rounding allowance."""
-    old = iv.prec
-    iv.prec = mp.prec
-    try:
+    with interval_precision():
         (ti, vi, ei), (tj, vj, ej) = [[iv.mpf(v) for v in read] for read in (read_i, read_j)]
         lo, hi, m2 = (iv.mpf(v) for v in box)
         span = tj - ti
@@ -498,13 +493,12 @@ def _line_proves(read_i, read_j, root, w, box) -> bool:
                 return False
             signs.append(line > 0)
         return signs[0] != signs[1]
-    finally:
-        iv.prec = old
 
 
 def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     """All sign-change zeros of Z in (t_lo, t_hi], each proved to lie within
-    a half-width of at most 2^-48 about its reported t.
+    its reported half-width of its reported t: at most 2^-48, or 2^-46 or
+    2^-38 where the fallback's sign check proves it.
 
     Scans a finite window at step pi/(4 theta'), theta' read in floats
     (_scan_step); the count is cross-checked against the smooth theta-based
@@ -556,8 +550,8 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
        signs.  Otherwise, and at an exact zero (a bracket of width 0),
        _certified_sign_change must find z_eval's signs opposite at
        t - 2^-46 and t + 2^-46 (or, after one retry, at t +- 2^-38), each
-       value larger than its error estimate; if it cannot,
-       UnconfirmedSignChangeError.
+       value larger than its error estimate, and that w is the reported
+       half-width; if it cannot, UnconfirmedSignChangeError.
     """
     with working_precision(prec):
         lo = mp.mpf(t_lo)
@@ -651,12 +645,13 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             t = (zlo + zhi) / 2
             # the bracket's own ends, else the fallback at t +- w, widened
             # once; a second failure means the sign change is not proved
-            if not (zlo != zhi and proved(zlo) and proved(zhi)
-                    or _certified_sign_change(t, w, prec)
-                    or _certified_sign_change(t, w * 256, prec)):
+            proof = (zhi - zlo) / 2 if zlo != zhi and proved(zlo) and proved(zhi) \
+                else next((v for v in (w, w * 256)
+                           if _certified_sign_change(t, v, prec)), None)
+            if proof is None:
                 raise UnconfirmedSignChangeError(
                     f"could not certify sign change at t = {mp.nstr(t, 20)}")
-            zeros.append(Zero(t=t, half_width=(zhi - zlo) / 2))
+            zeros.append(Zero(t=t, half_width=proof))
         return ZeroList(t_lo=lo, t_hi=hi, zeros=zeros, rescans=rescans,
                         suspected_missing=bool(expected - len(zeros) >= 2))
 

@@ -5,20 +5,20 @@ boundary derivatives and one integral against the kernel; the reconstruction
 identity specializes the weights so the node sum collapses to f(0) when the
 nodes are zeros of f.
 
-The integral term runs against the compiled kernel (kernel.compile_psi),
-one polynomial per panel between the knots -a, x_k, a.  For a polynomial
-probe the integrand is a polynomial on every panel, so the integral is taken
-in closed form and carries no quadrature error; when deg f < 2m it is zero
-and the kernel is never built.  Other probes give a majorant of |f^(2m)| off
+The integral term runs against kernel.compile_psi, the Taylor form of the
+boundary values' Bernoulli sum, one polynomial per panel between the knots
+-a, x_k, a.  For a polynomial probe the integrand is a polynomial on every
+panel, so the integral is taken in closed form and carries no quadrature
+error; when deg f < 2m it is zero and the kernel is never built.  Other probes give a majorant of |f^(2m)| off
 the real line, and each panel gets one Gauss-Legendre rule, of the least
 degree whose proved error bound (Bernstein ellipses, see _panel_rule) is at
 most mp.eps; quadrature_error_estimate is the sum of those bounds and a
 rounding allowance.  reconstruct_f0 takes its boundary values from
 kernel.psi_star_boundary, which extends them to weakly ordered
 configurations, and its interior kernel from compile_psi over the weights
-kernel.coefficients keeps.  Those weights need distinct nodes, so on a weakly
-ordered configuration only an integrand that vanishes (a polynomial of
-degree < 2m) is taken: any other is refused with DuplicateNodeError.
+kernel.coefficients keeps: those need distinct nodes, so on a weakly ordered
+configuration only a vanishing integrand (deg f < 2m) is taken, and any
+other is refused with DuplicateNodeError.
 """
 
 from __future__ import annotations

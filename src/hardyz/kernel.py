@@ -7,28 +7,24 @@ kernel weights are reciprocal sine-difference products; boundary values of
 the kernels extend continuously to coincident nodes through confluent
 divided differences of a smooth transfer function.
 
-Between consecutive knots (-a, the nodes and a) each kernel is one
-polynomial in x; compile_psi builds those polynomials once per weight vector
-so the interior of [-a, a] costs one short Horner pass per point.  The
-direct Bernoulli sum lives once, in psi_orders: any list of orders at one
-point from one pass over the nodes.  B_2l is even about 1/2, so that pass
-forms the even moments sum_k mu_k (u_k - 1/2)^(2j), and each order is a
-short sum of them against B_2l's coefficients about 1/2, within the
-rounding bound its docstring states; psi is its one-order form.  compile_psi
-and the Chebyshev series (psi_chebyshev_series, strict configurations only)
-are the independent routes.  Only this module asks whether a configuration
-is strict: psi_star_boundary chooses the route for the boundary values, and
-the interior kernel is compile_psi's, whose weights (coefficients) refuse a
-weakly ordered configuration.
+The direct Bernoulli sum lives once, in _bernoulli_sums: one pass over the
+nodes forms the moments sum_k mu_k (u_k - 1/2)^i, and degree n is a short
+sum of them against B_n's coefficients about 1/2.  psi_orders reads the
+degrees 2l at one point (psi is its one-order form), and compile_psi, its
+Taylor form, every degree up to 2l at each centre of the panels between the
+knots -a, the nodes and a; both state their rounding bounds.  The Chebyshev
+series (psi_chebyshev_series, strict configurations only) is the
+independent interior route.  Only this module asks whether a configuration
+is strict: psi_star_boundary chooses the boundary values' route, and the
+interior kernel's weights (coefficients) refuse a weakly ordered one.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
@@ -45,7 +41,6 @@ from .sequences import tail_weight_constant  # noqa: F401
 
 MIN_NODE_GAP = 0.05
 TERM_GUARD_BITS = 16  # zero-sum node sums cancel: nodes and terms get these bits more
-COMPILE_BITS_PER_ORDER = 2  # compile_psi's Taylor sums cancel ~binom(2l, l) ~ 4^l more
 # weight vectors coefficients keeps: psi_chebyshev_series needs two (prec
 # and prec + TERM_GUARD_BITS), every other caller one
 COEFFICIENTS_CACHE_SIZE = 2
@@ -151,19 +146,14 @@ def psi_orders(config: NodeConfig, orders: Sequence[int], x, weights: Sequence,
 
     weights is any zero-sum weight vector: the Lemma-style mu of
     coefficients(config, prec), or arbitrary ones as verify_key_identity
-    passes.  With B_2l(1/2 + y) = sum_j beta_{l,j} y^(2j)
-    (polynomials.bernoulli_centered_mpf), every order reads the same even
-    moments P_j = sum_k mu_k (w_{u,k}^j + w_{v,k}^j), j = 0..max(orders), of
-    w = (u - 1/2)^2: u_k, v_k and mu_k are rounded at the working precision
-    p = prec + GUARD_BITS, w is exact, and one libmp pass over the nodes
-    forms the moments at TERM_GUARD_BITS more.  Each order is
-    pref_l sum_j beta_{l,j} P_j, its sum at those bits too and the product
-    with pref_l at p.
+    passes.  The sums are _bernoulli_sums' at the degrees 2l, which read only
+    the even moments; each is multiplied by pref_l at the working precision
+    p = prec + GUARD_BITS.
 
-    Rounding bound, for |x| <= a, where every w <= 1/4: with S = sum |mu_k|,
-    K the number of nonzero weights, eps = 2^-(p + TERM_GUARD_BITS) (round
-    to nearest) and N = K + 2l + 4, each value lies within
-    |pref_l| 2S sum_j |beta_{l,j}| 4^-j N eps/(1 - N eps) + 2^(1-p) |value|
+    Rounding bound, for |x| <= a: with S = sum |mu_k|, K the number of
+    nonzero weights, eps = 2^-(p + TERM_GUARD_BITS) and N = K + 2l + 4,
+    each value lies within
+    |pref_l| 2S sum_j |beta_{2l,2j}| 4^-j N eps/(1 - N eps) + 2^(1-p) |value|
     of pref_l sum_k mu_k (B_2l(u_k) + B_2l(v_k)), taken exactly over the
     rounded u_k, v_k and mu_k, with pref_l as rounded.
     """
@@ -172,34 +162,61 @@ def psi_orders(config: NodeConfig, orders: Sequence[int], x, weights: Sequence,
         raise ValueError("orders must be >= 1")
     with working_precision(prec):
         a = config.a
-        xm = mp.mpf(x)
-        squares = []  # (mu_k, w_u, w_v) as libmp tuples, w exact
-        for m_k, xk in zip(weights, config.nodes):
-            m_k = mp.mpf(m_k)
-            if m_k != 0:
-                v = (xm - xk) / (4 * a)
-                u = mp.mpf(0.5) + (xm + xk) / (4 * a)
-                y_u = mpf_sub(u._mpf_, fhalf)
-                y_v = mpf_sub((v - mp.floor(v))._mpf_, fhalf)
-                squares.append((m_k._mpf_, mpf_mul(y_u, y_u), mpf_mul(y_v, y_v)))
-        with mp.extraprec(TERM_GUARD_BITS):
-            wp, rnd = mp._prec_rounding  # what mpf's operators round at
-            moments = [fzero] * (max(orders, default=0) + 1)
-            for m_k, w_u, w_v in squares:
-                p_u = p_v = m_k
+        totals = _bernoulli_sums(config, x, weights, [2 * l for l in orders])
+        return [(4 * a) ** (2 * l - 1) / mp.factorial(2 * l) * total
+                for l, total in zip(orders, totals)]
+
+
+def _bernoulli_sums(config: NodeConfig, x, weights: Sequence,
+                    degrees: Sequence[int]) -> List[mpf]:
+    """sum_k mu_k (B_n(u_k) + B_n(v_k)) for each n in degrees, u_k and v_k
+    as in psi_orders, from one libmp pass over the nodes.
+
+    u_k, v_k and mu_k round at the ambient precision p, and y = u - 1/2 is
+    exact.  B_n(1/2 + y) = sum_i beta_{n,i} y^i over the i of n's parity
+    (polynomials.bernoulli_centered_mpf), so degree n reads the moments
+    M_i = sum_k mu_k (y_{u,k}^i + y_{v,k}^i) of its parity: even ones by the
+    chain mu_k w^j, w = y^2 exact, odd ones, only when asked for, by
+    (mu_k y) w^j, all at TERM_GUARD_BITS more (eps).  For n <= 2l a term
+    rounds at most l times in its chain, K in the sums over the nodes, 3 in
+    beta and l + 1 in the sum over i, and |y| <= 1/2 where |x| <= a: sum n
+    is within 2S sum_i |beta_{n,i}| 2^-i N eps/(1 - N eps) of its exact
+    value over the rounded arguments (S, K and N as in psi_orders).
+    """
+    a = config.a
+    xm = mp.mpf(x)
+    rows = []  # (mu_k, y_u, y_v) as libmp tuples, y exact
+    for m_k, xk in zip(weights, config.nodes):
+        m_k = mp.mpf(m_k)
+        if m_k != 0:
+            v = (xm - xk) / (4 * a)
+            u = mp.mpf(0.5) + (xm + xk) / (4 * a)
+            rows.append((m_k._mpf_, mpf_sub(u._mpf_, fhalf),
+                         mpf_sub((v - mp.floor(v))._mpf_, fhalf)))
+    top = max(degrees, default=0)
+    with mp.extraprec(TERM_GUARD_BITS):
+        wp, rnd = mp._prec_rounding  # what mpf's operators round at
+        even = [fzero] * (top // 2 + 1)  # M_0, M_2, ...
+        odd = [fzero] * ((top + 1) // 2 if any(n % 2 for n in degrees) else 0)
+        for m_k, y_u, y_v in rows:
+            w_u, w_v = mpf_mul(y_u, y_u), mpf_mul(y_v, y_v)
+            chains = [(even, m_k, m_k)]
+            if odd:
+                chains.append((odd, mpf_mul(m_k, y_u, wp, rnd),
+                               mpf_mul(m_k, y_v, wp, rnd)))
+            for moments, p_u, p_v in chains:
                 for j in range(len(moments)):
                     moments[j] = mpf_add(moments[j], mpf_add(p_u, p_v, wp, rnd),
                                          wp, rnd)
                     p_u = mpf_mul(p_u, w_u, wp, rnd)
                     p_v = mpf_mul(p_v, w_v, wp, rnd)
-            totals = []
-            for l in orders:
-                total = fzero
-                for b, p_j in zip(bernoulli_centered_mpf(l), moments):
-                    total = mpf_add(total, mpf_mul(b._mpf_, p_j, wp, rnd), wp, rnd)
-                totals.append(mp.make_mpf(total))
-        return [(4 * a) ** (2 * l - 1) / mp.factorial(2 * l) * total
-                for l, total in zip(orders, totals)]
+        sums = []
+        for n in degrees:
+            total = fzero
+            for b, m_i in zip(bernoulli_centered_mpf(n), odd if n % 2 else even):
+                total = mpf_add(total, mpf_mul(b._mpf_, m_i, wp, rnd), wp, rnd)
+            sums.append(mp.make_mpf(total))
+        return sums
 
 
 def kernel_knots(config: NodeConfig, prec: int = DEFAULT_PREC) -> List[mpf]:
@@ -215,22 +232,13 @@ def kernel_knots(config: NodeConfig, prec: int = DEFAULT_PREC) -> List[mpf]:
 
 @dataclass
 class CompiledPsi:
-    """The order-(2l-1) kernel on [-a, a], one polynomial per panel.
-
-    Panel i is [knots[i], knots[i+1]]; on it the kernel equals
-    sum_j coeffs[i][j] (x - centers[i])^j.
-    """
+    """The order-(2l-1) kernel on [-a, a], one polynomial per panel: on
+    [knots[i], knots[i+1]] it is sum_j coeffs[i][j] (x - centers[i])^j."""
 
     knots: List[mpf]
     centers: List[mpf]
     coeffs: List[List[mpf]]
     prec: int
-
-    def __call__(self, x) -> mpf:
-        with working_precision(self.prec):
-            xm = mp.mpf(x)
-            i = min(max(bisect_right(self.knots, xm) - 1, 0), len(self.coeffs) - 1)
-            return horner(self.coeffs[i], xm - self.centers[i])
 
     def integrate_polynomial(self, poly: Sequence) -> mpf:
         """Closed-form integral over [-a, a] of p(x) times the kernel.
@@ -270,49 +278,37 @@ def _taylor_shift(p: List[mpf], c: mpf) -> List[mpf]:
 
 def compile_psi(config: NodeConfig, l: int, weights: Optional[Sequence] = None,
                 prec: int = DEFAULT_PREC) -> CompiledPsi:
-    """The order-(2l-1) kernel as one polynomial per panel between knots.
+    """The order-(2l-1) kernel as one polynomial per panel between knots,
+    the Taylor form of psi_orders' sum.  weights as in psi_orders, by
+    default the mu of coefficients().
 
-    On a panel with centre c, every Bernoulli argument of psi is z + h/(4a)
-    with z fixed and h = x - c: u_k = 1/2 + (x + x_k)/4a never leaves (0, 1)
-    and v_k = {(x - x_k)/4a} wraps only at x_k.  Taylor's theorem with
-    B_2l^(j)/j! = binom(2l, j) B_{2l-j} gives the coefficient of h^j as
-    (4a)^-j sum_i b_i binom(i, j) P_{i-j}, with b_i the coefficients of
-    B_2l and P_p = sum_k mu_k (u_k^p + v_k^p) at h = 0.  weights as in psi,
-    by default the mu of coefficients().
+    On a panel with centre c, u_k = z + h/4a, h = x - c, never leaves (0, 1)
+    and v_k wraps only at x_k, so B_2l^(j)/j! = binom(2l, j) B_{2l-j} makes
+    the coefficient of h^j q_j = s_j sum_k mu_k (B_{2l-j}(u_k) + B_{2l-j}(v_k))
+    at c, s_j = (4a)^(2l-1-j)/(j! (2l-j)!): _bernoulli_sums' sums times s_j,
+    formed at TERM_GUARD_BITS more, rounded at the working precision p.
+
+    Rounding bound, psi_orders' extended to the odd moments: q_j lies within
+    |s_j| 2S sum_i |beta_{2l-j,i}| 2^-i N eps/(1 - N eps) + 2^(1-p) |q_j|
+    of that sum taken exactly over the rounded u_k, v_k and mu_k, with s_j
+    exact; the last term covers the product's rounding and s_j's, which is
+    within (2l + 3) eps relative.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     mu = list(weights) if weights is not None else coefficients(config, prec=prec).mu
     knots = kernel_knots(config, prec)
     two_l = 2 * l
-    with working_precision(prec), mp.extraprec(COMPILE_BITS_PER_ORDER * l):
-        beta = 1 / (4 * config.a)
-        pref = (4 * config.a) ** (two_l - 1) / mp.factorial(two_l)
-        b = bernoulli_poly_mpf(two_l)
-        terms = [(m_k, xk) for m_k, xk in zip(map(mp.mpf, mu), config.nodes)
-                 if m_k != 0]
+    with working_precision(prec):
+        with mp.extraprec(TERM_GUARD_BITS):
+            scales = [(4 * config.a) ** (two_l - 1 - j)
+                      / (factorial(j) * factorial(two_l - j)) for j in range(two_l + 1)]
         centers, coeffs = [], []
         for lo, hi in zip(knots, knots[1:]):
             c = (lo + hi) / 2
-            power_sums = [mp.mpf(0)] * (two_l + 1)
-            for m_k, xk in terms:
-                u = mp.mpf(0.5) + (c + xk) * beta
-                v = (c - xk) * beta
-                if v < 0:
-                    v += 1  # c lies strictly between knots, never on x_k
-                pu = pv = m_k
-                for e in range(two_l + 1):
-                    power_sums[e] += pu + pv
-                    pu *= u
-                    pv *= v
-            q = []
-            scale = pref
-            for j in range(two_l + 1):
-                q.append(scale * mp.fsum(b[i] * comb(i, j) * power_sums[i - j]
-                                         for i in range(j, two_l + 1)))
-                scale *= beta
+            sums = _bernoulli_sums(config, c, mu, range(two_l, -1, -1))
             centers.append(c)
-            coeffs.append(q)
+            coeffs.append([s_j * total for s_j, total in zip(scales, sums)])
     return CompiledPsi(knots=knots, centers=centers, coeffs=coeffs, prec=prec)
 
 

@@ -75,19 +75,18 @@ def bernoulli_poly_coeffs(n: int) -> Tuple[Fraction, ...]:
 
 
 @functools.cache
-def bernoulli_centered_coeffs(l: int) -> Tuple[Fraction, ...]:
-    """Exact (beta_0, ..., beta_l) of B_2l(1/2 + y) = sum beta_j y^(2j).
-
-    B_2l is even about 1/2, so Taylor's theorem at 1/2 (DLMF 24.4) leaves
-    beta_j = binom(2l, 2j) B_{2l-2j}(1/2), with B_n(1/2) = -(1 - 2^(1-n)) B_n.
-    """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if 2 * l > MAX_DEGREE:
-        raise DegreeOverflowError(f"degree {2 * l} exceeds maximum {MAX_DEGREE}")
-    B = bernoulli_numbers(2 * l)
-    return tuple(comb(2 * l, 2 * j) * (Fraction(2) ** (1 - 2 * l + 2 * j) - 1)
-                 * B[2 * l - 2 * j] for j in range(l + 1))
+def bernoulli_centered_coeffs(n: int) -> Tuple[Fraction, ...]:
+    """Exact beta_{n,i} of B_n(1/2 + y) = sum_i beta_{n,i} y^i for the
+    i = n mod 2, n mod 2 + 2, ..., n, in that order: Taylor's theorem at 1/2
+    (DLMF 24.4) gives beta_{n,i} = binom(n, i) B_{n-i}(1/2), and
+    B_k(1/2) = -(1 - 2^(1-k)) B_k vanishes for odd k."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > MAX_DEGREE:
+        raise DegreeOverflowError(f"degree {n} exceeds maximum {MAX_DEGREE}")
+    B = bernoulli_numbers(n)
+    return tuple(comb(n, i) * (Fraction(2) ** (1 - n + i) - 1) * B[n - i]
+                 for i in range(n % 2, n + 1, 2))
 
 
 @functools.cache
@@ -110,10 +109,10 @@ def bernoulli_poly_mpf(n: int) -> Tuple[mpf, ...]:
     return _rounded(bernoulli_poly_coeffs, n, mp.prec)
 
 
-def bernoulli_centered_mpf(l: int) -> Tuple[mpf, ...]:
-    """bernoulli_centered_coeffs(l) rounded and cached as bernoulli_poly_mpf
+def bernoulli_centered_mpf(n: int) -> Tuple[mpf, ...]:
+    """bernoulli_centered_coeffs(n) rounded and cached as bernoulli_poly_mpf
     rounds and caches its coefficients."""
-    return _rounded(bernoulli_centered_coeffs, l, mp.prec)
+    return _rounded(bernoulli_centered_coeffs, n, mp.prec)
 
 
 @functools.cache

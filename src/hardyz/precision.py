@@ -12,9 +12,10 @@ zeta of the program (z_eval's on the critical line, the contour samples'
 off it), which sums in Python ints with hardy.EM_FIXED_BITS fraction bits
 above the ambient precision and rounds t log p (and sigma log p off the
 line) at hardy.PHASE_GUARD_BITS above those; both bound the rounding they
-leave.  Objects that keep their own
-``prec`` (compiled kernels, probes, ExtremalParams) are entry points too,
-because callers use them outside any working precision.  A number is rounded
+leave.  mpmath.iv runs at the ambient precision too, through
+interval_precision.  Objects that keep their own ``prec`` (compiled
+kernels, probes, ExtremalParams) are entry points too, because callers use
+them outside any working precision.  A number is rounded
 once, where it is stored: value objects hold theirs as mpf from construction
 (held), readers use them as stored, and only arguments coming in are rounded
 at the working precision.  enclose computes in floats, whatever the
@@ -34,7 +35,7 @@ from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from typing import Callable, Tuple
 
-from mpmath import libmp, mp, mpf
+from mpmath import iv, libmp, mp, mpf
 
 DEFAULT_PREC = 192
 GUARD_BITS = 16  # working_precision(prec) runs above prec, so rounding adds no error
@@ -56,6 +57,18 @@ def working_precision(prec: int):
         yield mp
     finally:
         mp.prec = old
+
+
+@contextmanager
+def interval_precision():
+    """mpmath.iv at the ambient mp.prec for the duration: the one iv
+    precision, for the enclosures hardy and sequences take in iv."""
+    old = iv.prec
+    iv.prec = mp.prec
+    try:
+        yield iv
+    finally:
+        iv.prec = old
 
 
 def held(v) -> mpf:

@@ -26,7 +26,7 @@ from mpmath.libmp import from_float, mpf_add, round_ceiling
 
 from .enclose import ROUNDING_ALLOWANCE
 from .polynomials import bernoulli_poly_exact
-from .precision import DEFAULT_PREC, working_precision
+from .precision import DEFAULT_PREC, interval_precision, working_precision
 
 TAIL_WEIGHT_MIN_N = 10
 TAIL_WEIGHT_DEFAULT_LMAX = 5000
@@ -207,15 +207,11 @@ def tail_weight_sum(n: int, L: int, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]
 def _tail_bound(n: int, L: int) -> mpf:
     """Upper end of K (L+2n)^-s / s, the tail_weight_sum bound, enclosed in
     mpmath.iv at the ambient precision."""
-    old = iv.prec
-    iv.prec = mp.prec
-    try:
+    with interval_precision():
         e = 2 * n * iv.log(n) - 1
         s = e - 4 * n
         K = iv.exp(e * iv.log(2 * n)) / factorial(4 * n - 1)
         return mp.mpf((K * iv.exp(-s * iv.log(L + 2 * n)) / s).b)
-    finally:
-        iv.prec = old
 
 
 @functools.cache

@@ -11,7 +11,7 @@ from mpmath import mp
 
 from hardyz import hardy
 from hardyz.enclose import z_rs
-from hardyz.hardy import (ZERO_HALF_WIDTH_BITS, CapacityError,
+from hardyz.hardy import (MAX_RESCANS, ZERO_HALF_WIDTH_BITS, CapacityError,
                           UnconfirmedSignChangeError, count_stats,
                           expected_zero_count, find_zeros, n_main,
                           theorem1_explore, theta, theta_prime,
@@ -556,9 +556,26 @@ def test_unproved_bracket_ends_fall_back_to_the_sign_check(monkeypatch):
     zl = find_zeros(14, 15, prec=PREC)
     monkeypatch.undo()
     assert len(zl) == 1
+    zero = zl.zeros[0]
     with working_precision(PREC):
-        assert abs(zl.zeros[0].t - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -12
+        assert abs(zero.t - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -12
+        # the reported half-width is the w the sign check proved
+        assert zero.half_width == mp.mpf(2) ** (2 - ZERO_HALF_WIDTH_BITS)
+        assert mp.siegelz(zero.t - zero.half_width) \
+            * mp.siegelz(zero.t + zero.half_width) < 0
     assert callers.count("_certified_sign_change") == 2
+
+
+@pytest.mark.parametrize("scale, rescans, count", [(8, 1, 29), (200, MAX_RESCANS, 6)])
+def test_a_short_count_rescans_at_half_step(monkeypatch, scale, rescans, count):
+    # a scan step too long for the zeros' spacing misses close pairs, and
+    # the smooth count sends the scan back at half step
+    scan_step = hardy._scan_step
+    monkeypatch.setattr(hardy, "_scan_step", lambda t: scale * scan_step(t))
+    zl = find_zeros(0, 100, prec=64)
+    assert zl.rescans == rescans
+    assert len(zl) == count
+    assert zl.suspected_missing is (rescans == MAX_RESCANS)
 
 
 @pytest.mark.parametrize("t", [0, 14, 20, 100, 500, 10 ** 4, 10 ** 6])

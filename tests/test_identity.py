@@ -22,6 +22,7 @@ from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
 from hardyz.quadrature import NODE_BITS
 
+from panel_values import panel_value
 from quadrature_oracle import fixed_degree, ladder
 
 PREC = 192
@@ -388,7 +389,8 @@ def test_integral_term_is_enclosed_by_its_estimate(prec, monkeypatch):
             kern = compile_psi(cfg, m, mu, prec=prec)
             probe = make_probe(*args, prec=prec)
             degrees, count = ladder(
-                lambda x: mp.mpf(probe.deriv(x, 2 * m)) * kern(x), kern.knots)
+                lambda x: mp.mpf(probe.deriv(x, 2 * m)) * panel_value(kern, x),
+                kern.knots)
         with working_precision(2 * prec):
             if make_probe is cosine_probe:
                 reference = _cosine_reference(*args, 2 * m, kern)
@@ -396,8 +398,8 @@ def test_integral_term_is_enclosed_by_its_estimate(prec, monkeypatch):
                 fine_kern = dataclasses.replace(kern, prec=2 * prec)
                 fine = make_probe(*args, prec=2 * prec)
                 reference = mp.fsum(
-                    fixed_degree(lambda x: mp.mpf(fine.deriv(x, 2 * m)) * fine_kern(x),
-                                 [lo, hi], d + 1)
+                    fixed_degree(lambda x: mp.mpf(fine.deriv(x, 2 * m))
+                                 * panel_value(fine_kern, x), [lo, hi], d + 1)
                     for lo, hi, d in zip(kern.knots, kern.knots[1:], degrees))
             assert abs(rep.integral_term - reference) <= rep.quadrature_error_estimate
         # N = 3 2^(d-1) nodes at mpmath's degree d

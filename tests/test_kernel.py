@@ -1,5 +1,6 @@
 """Unit tests for the node-configuration kernels."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from hardyz.kernel import (TERM_GUARD_BITS, DuplicateNodeError, NodeConfig,
                            random_config)
 from hardyz.polynomials import bernoulli_centered_coeffs, bernoulli_poly_mpf, horner
 from hardyz.precision import GUARD_BITS, working_precision
+
+from panel_values import panel_value
 
 PREC = 192
 TOL = mp.mpf(2) ** (-(PREC - 60))
@@ -171,10 +174,10 @@ def _assert_compiled_matches_direct(cfg, l, weights, rng):
                   lo + (hi - lo) * mp.mpf(rng.random())]
             for x in xs:
                 direct = psi(cfg, l, x, prec=PREC, weights=weights)
-                assert abs(comp(x) - direct) <= TOL * max(1, abs(direct))
+                assert abs(panel_value(comp, x) - direct) <= TOL * max(1, abs(direct))
         for x in (knots[0], knots[-1]):
             direct = psi(cfg, l, x, prec=PREC, weights=weights)
-            assert abs(comp(x) - direct) <= TOL * max(1, abs(direct))
+            assert abs(panel_value(comp, x) - direct) <= TOL * max(1, abs(direct))
 
 
 def test_compiled_kernel_matches_direct_in_every_panel():
@@ -206,7 +209,7 @@ def test_compiled_kernel_defaults_to_lemma_weights():
     with working_precision(PREC):
         x = mp.mpf(cfg.a) * mp.mpf("0.37")
         direct = psi(cfg, 4, x, coefficients(cfg, prec=PREC).mu, prec=PREC)
-        assert abs(comp(x) - direct) <= TOL * max(1, abs(direct))
+        assert abs(panel_value(comp, x) - direct) <= TOL * max(1, abs(direct))
 
 
 def test_boundary_weights_pass_through_bit_identical():
@@ -435,7 +438,7 @@ def _rounding_bound(config, l, terms, value, prec):
     with working_precision(prec):
         s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
         beta_sum = sum(abs(c) / Fraction(4) ** j
-                       for j, c in enumerate(bernoulli_centered_coeffs(l)))
+                       for j, c in enumerate(bernoulli_centered_coeffs(2 * l)))
         eps = mp.mpf(2) ** -(p + TERM_GUARD_BITS)
         n_ops = len(terms) + 2 * l + 4
         return abs(_pref(config, l, prec)) * 2 * s \
@@ -462,6 +465,56 @@ def test_psi_orders_is_within_its_rounding_bound_of_the_horner_sum(prec):
                 with working_precision(2 * prec):
                     gap = abs(value - want)
                     assert gap <= _rounding_bound(config, l, terms, value, prec) + own
+
+
+def _coefficient_reference(config, l, j, terms, prec, ref_prec):
+    """compile_psi's q_j at a centre whose rounded terms are given:
+    s_j sum_k mu_k (B_{2l-j}(u_k) + B_{2l-j}(v_k)) by Horner at ref_prec,
+    s_j = (4a)^(2l-1-j)/(j! (2l-j)!), and a bound on this evaluation's own
+    rounding error, as _horner_reference's with 2l + 3 more units for s_j."""
+    with working_precision(ref_prec):
+        scale = (4 * config.a) ** (2 * l - 1 - j) \
+            / (math.factorial(j) * math.factorial(2 * l - j))
+        b = bernoulli_poly_mpf(2 * l - j)
+        total = mp.fsum(m_k * (horner(b, u) + horner(b, v)) for m_k, u, v in terms)
+        s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
+        n_ops = 6 * l + len(terms) + 8
+        own = abs(scale) * 2 * s * mp.fsum(abs(c) for c in b) \
+            * n_ops * mp.mpf(2) ** -(mp.prec - 1)
+        return scale * total, scale, own
+
+
+def _coefficient_bound(l, j, terms, scale, value, prec):
+    """compile_psi's docstring bound on q_j's distance from the exact sum."""
+    p = prec + GUARD_BITS
+    with working_precision(2 * prec):
+        n = 2 * l - j
+        s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
+        beta_sum = sum(abs(c) / Fraction(2) ** i for c, i in
+                       zip(bernoulli_centered_coeffs(n), range(n % 2, n + 1, 2)))
+        eps = mp.mpf(2) ** -(p + TERM_GUARD_BITS)
+        n_ops = len(terms) + 2 * l + 4
+        return abs(scale) * 2 * s * mp.mpf(beta_sum.numerator) / beta_sum.denominator \
+            * n_ops * eps / (1 - n_ops * eps) + mp.mpf(2) ** (1 - p) * abs(value)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_compiled_coefficients_are_within_their_rounding_bound(prec):
+    rng = random.Random(prec + 11)
+    for n in range(1, 5):
+        config = random_config(rng, n, prec=prec)
+        mu = coefficients(config, prec=prec).mu
+        for l in (1, 2, 4, 6, 8, 10):
+            comp = compile_psi(config, l, mu, prec=prec)
+            for c, q in zip(comp.centers, comp.coeffs):
+                terms = _direct_terms(config, c, mu, prec)
+                for j, q_j in enumerate(q):
+                    want, scale, own = _coefficient_reference(
+                        config, l, j, terms, prec, 2 * prec + 64)
+                    with working_precision(2 * prec + 64):
+                        gap = abs(q_j - want)
+                        assert gap <= _coefficient_bound(l, j, terms, scale, q_j,
+                                                         prec) + own
 
 
 def test_psi_orders_makes_no_horner_pass(monkeypatch):

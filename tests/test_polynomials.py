@@ -150,37 +150,49 @@ def test_cached_mpf_coefficients_are_bit_identical():
         assert P.bernoulli_poly_mpf(14) != low
 
 
+CENTERED_XS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(-2, 7),
+               Fraction(9, 4), Fraction(12345, 67891)]
+
+
 def test_centered_coefficients_expand_b2l_about_one_half():
-    # sum_j beta_{l,j} (x - 1/2)^(2j) = B_2l(x), exactly
-    xs = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(-2, 7),
-          Fraction(9, 4), Fraction(12345, 67891)]
+    # sum_j beta_{2l,2j} (x - 1/2)^(2j) = B_2l(x), exactly
     for l in range(41):
-        beta = P.bernoulli_centered_coeffs(l)
+        beta = P.bernoulli_centered_coeffs(2 * l)
         assert len(beta) == l + 1
-        for x in xs:
+        for x in CENTERED_XS:
             w = (x - Fraction(1, 2)) ** 2
             assert P.horner(beta, w) == P.bernoulli_poly_exact(2 * l, x)
+
+
+def test_centered_coefficients_expand_odd_degrees_about_one_half():
+    # sum_j beta_{n,2j+1} (x - 1/2)^(2j+1) = B_n(x) for odd n, exactly
+    for n in range(1, 82, 2):
+        beta = P.bernoulli_centered_coeffs(n)
+        assert len(beta) == (n + 1) // 2
+        for x in CENTERED_XS:
+            y = x - Fraction(1, 2)
+            assert y * P.horner(beta, y * y) == P.bernoulli_poly_exact(n, x)
 
 
 def test_centered_coefficients_refuse_what_the_polynomials_refuse():
     with pytest.raises(ValueError):
         P.bernoulli_centered_coeffs(-1)
     with pytest.raises(P.DegreeOverflowError):
-        P.bernoulli_centered_coeffs(P.MAX_DEGREE // 2 + 1)
+        P.bernoulli_centered_coeffs(P.MAX_DEGREE + 1)
 
 
 def test_cached_centered_coefficients_are_bit_identical():
     for prec in (128, 192):
         with working_precision(prec):
             fresh = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                     for c in P.bernoulli_centered_coeffs(12)]
-            cached = P.bernoulli_centered_mpf(12)
+                     for c in P.bernoulli_centered_coeffs(24)]
+            cached = P.bernoulli_centered_mpf(24)
             assert [c._mpf_ for c in cached] == [c._mpf_ for c in fresh]
-            assert P.bernoulli_centered_mpf(12) is cached
+            assert P.bernoulli_centered_mpf(24) is cached
     with working_precision(128):
-        low = P.bernoulli_centered_mpf(12)
+        low = P.bernoulli_centered_mpf(24)
     with working_precision(192):
-        assert P.bernoulli_centered_mpf(12) != low
+        assert P.bernoulli_centered_mpf(24) != low
 
 
 def _zero_start_horner(coeffs, x, zero):

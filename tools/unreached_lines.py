@@ -17,10 +17,13 @@ reached by the first.
 
 Unreached does not mean dead.  The CLI lines exercise the program's
 normal paths, so input guards and error raises show up, as do routes that
-only the tests or the benchmark reach: find_zeros' fallback and rescan
-loop, _certified_sign_change, hardy.z_derivatives_batch and
-kernel.sine_product(log_domain) all stay.  A range is worth a look when
-nothing in tests/ or perfbench/ reaches it either.
+only the tests or the benchmark reach: find_zeros' fallback (with
+_certified_sign_change) and rescan loop, hardy.z_derivatives_batch,
+kernel.sine_product(log_domain), the polynomial probe's exact rule in
+divided_diff (quadrature.exact_degree) and precision.held's int and float
+branches all stay.  A range is worth a look when nothing in tests/ or
+perfbench/ reaches it either; unreached_ranges is tested on a synthetic
+module by tests/test_tools.py.
 
 Uses the standard library only.  Tracing makes the list take about twice
 as long as cli_digests.py's untraced runs.
