@@ -110,19 +110,6 @@ def _suite_polynomials(rng: random.Random, prec: int) -> List[Dict]:
     out.append(_check("bernoulli-poly-symmetry", worst < mp.mpf(2) ** (-(prec - 24)),
                       worst, prec))
 
-    worst = mp.mpf(0)
-    for j in range(2, 13):
-        x = mp.mpf(rng.uniform(-0.8, 0.8))
-        ode = polynomials.chebyshev_derivatives(j, x, 4, prec=prec)
-        cs = [Fraction(c) for c in polynomials.chebyshev_coeffs(j)]
-        for k in range(5):
-            acc = polynomials.horner(
-                [mp.mpf(c.numerator) / c.denominator for c in cs], x)
-            worst = max(worst, abs(ode[k] - acc))
-            cs = [i * c for i, c in enumerate(cs)][1:] or [Fraction(0)]
-    out.append(_check("chebyshev-ode-vs-coefficients",
-                      worst < mp.mpf(2) ** (-(prec - 32)), worst, prec))
-
     exact_ok = True
     for n in range(1, 4):
         for j in range(2 * n, 13):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Tuple
+from typing import Tuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_add, mpf_mul
@@ -19,7 +19,6 @@ from mpmath.libmp import fzero, mpf_add, mpf_mul
 from .precision import DEFAULT_PREC, working_precision
 
 MAX_DEGREE = 256
-CHEBYSHEV_SEED_GUARD_BITS = 16  # the derivative recurrence divides by 1 - x^2
 
 
 class DegreeOverflowError(ValueError):
@@ -186,38 +185,6 @@ def chebyshev_coeffs(j: int) -> Tuple[int, ...]:
             nxt[i] -= c
         prev, cur = cur, nxt
     return tuple(cur)
-
-
-def chebyshev_derivatives(j: int, x, kmax: int, prec: int = DEFAULT_PREC) -> List[mpf]:
-    """[T_j(x), T_j'(x), ..., T_j^(kmax)(x)] for |x| < 1.
-
-    Uses the differentiated Chebyshev ODE
-    (1-x^2) y^(k+2) = (2k+1) x y^(k+1) + (k^2 - j^2) y^(k),
-    seeded with T_j and T_j' = j*U_{j-1}.
-    """
-    with working_precision(prec):
-        xm = mp.mpf(x)
-        if abs(xm) >= 1:
-            raise ValueError("chebyshev_derivatives requires |x| < 1")
-        vals = [chebyshev(j, xm, prec=prec + CHEBYSHEV_SEED_GUARD_BITS)]
-        if kmax >= 1:
-            # U_{j-1} via its own recurrence
-            if j == 0:
-                up = mp.mpf(0)
-            else:
-                u_prev, u_cur = mp.mpf(1), 2 * xm
-                if j - 1 == 0:
-                    up = u_prev
-                else:
-                    for _ in range(j - 2):
-                        u_prev, u_cur = u_cur, 2 * xm * u_cur - u_prev
-                    up = u_cur
-            vals.append(j * up)
-        one_minus = 1 - xm * xm
-        for k in range(kmax - 1):
-            nxt = ((2 * k + 1) * xm * vals[k + 1] + (k * k - j * j) * vals[k]) / one_minus
-            vals.append(nxt)
-        return vals[: kmax + 1]
 
 
 def chebyshev_deriv_at_one(j: int, n: int) -> int:

@@ -7,15 +7,12 @@ set a precision of their own.  Extra bits come only from named module-level
 constants, each with its reason, added relative to the ambient precision
 (mp.extraprec) or to the caller's ``prec``.  Two helpers size bits of
 their own: hardy._TaylorPatches, which sizes its contour bits from its
-proved error bound on the caller's ``prec``, and hardy._zeta_em, the one
-zeta of the program (z_eval's on the critical line, the contour samples'
-off it), which sums in Python ints with hardy.EM_FIXED_BITS fraction bits
-above the ambient precision and rounds t log p (and sigma log p off the
-line) at hardy.PHASE_GUARD_BITS above those; both bound the rounding they
-leave.  mpmath.iv runs at the ambient precision too, through
-interval_precision.  Objects that keep their own ``prec`` (compiled
-kernels, probes, ExtremalParams) are entry points too, because callers use
-them outside any working precision.  A number is rounded
+proved error bound on the caller's ``prec``, and zeta._zeta_em, the one
+zeta of the program, whose fixed-point bits and rounding bound module zeta
+states; both bound the rounding they leave.  mpmath.iv runs at the ambient
+precision too, through interval_precision.  Objects that keep their own
+``prec`` (compiled kernels, probes, ExtremalParams) are entry points too,
+because callers use them outside any working precision.  A number is rounded
 once, where it is stored: value objects hold theirs as mpf from construction
 (held), readers use them as stored, and only arguments coming in are rounded
 at the working precision.  enclose computes in floats, whatever the

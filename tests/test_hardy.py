@@ -3,7 +3,6 @@
 Kept at 128 bits so the whole file stays inside a desk-scale budget.
 """
 
-import random
 import sys
 
 import pytest
@@ -91,73 +90,6 @@ def test_z_eval_within_its_estimate_of_siegelz(prec):
     with mp.workprec(2 * prec + 30):
         for t, value, estimate in samples:
             assert abs(value - mp.siegelz(t)) <= estimate, t
-
-
-# the critical line, three points inside explore's circles (sigma up to
-# 1/2 + CONTOUR_RADIUS) and the far side of test_enclose's (60, 16) circle
-TABLE_SIGMAS = ("0.5", "0.75", "1.5", "2.5", "16.5")
-
-
-# N = 16 is the smallest N of _zeta_em (prec//4 at 64 bits), 251 a prime,
-# 252 a prime plus one and 243 = 3^5; t < 0 is the lower half of a circle
-# about a centre below 0
-@pytest.mark.parametrize("t, N, prec", [("30.5", 16, 64), ("500.3", 251, 128),
-                                        ("503.1", 252, 128), ("485.7", 243, 192),
-                                        ("-4.25", 16, 64)])
-def test_dirichlet_table_within_its_bound(t, N, prec):
-    bits = prec + 40
-    for sigma in TABLE_SIGMAS:
-        with working_precision(prec):
-            sm, tm = mp.mpf(sigma), mp.mpf(t)
-            re, im = hardy._dirichlet_table(sm, tm, N, bits)
-        B = hardy._entry_units(sm, tm, N)
-        with mp.workprec(2 * prec):
-            s = mp.mpc(sm, tm)
-            exact = [mp.power(n, -s) for n in range(1, N + 1)]
-            unit = mp.ldexp(1, -bits)
-            worst = max(abs(mp.mpc(re[n], im[n]) * unit - exact[n - 1])
-                        for n in range(1, N + 1))
-            assert worst <= B * unit, sigma
-            total = mp.mpc(sum(re[1:N]), sum(im[1:N])) * unit
-            assert abs(total - mp.fsum(exact[:N - 1])) <= (N - 2) * B * unit, sigma
-            # the bound is not vacuous: the entries are good to within 2^-(prec+30)
-            assert worst < mp.ldexp(1, -(prec + 30)), sigma
-
-
-def _zeta_points():
-    """(sigma, t): 100 seeded points with sigma in [1/2, 17] and t in
-    [-5, 1010], denser near sigma = 1/2 and small t, where the contours
-    sample, and 12 about the pole, |s - 1| from 0.017 (the (0.5, 0.69)
-    circle's nearest approach) to 0.25."""
-    rng = random.Random(20261019)
-    points = [(0.5 + 16.5 * rng.random() ** 3, -5 + 1015 * rng.random() ** 3)
-              for _ in range(100)]
-    with mp.workprec(64):
-        for rho in ("0.017", "0.06", "0.25"):
-            for j in (-3, -1, 0, 2):
-                s = 1 + mp.mpf(rho) * mp.expjpi(mp.mpf(j) / 4)
-                points.append((s.real, s.imag))
-    return points
-
-
-@pytest.mark.parametrize("prec", [64, 128, 192])
-def test_zeta_em_encloses_the_library_zeta(prec):
-    for sigma, t in _zeta_points():
-        with working_precision(prec):
-            sm, tm = mp.mpf(sigma), mp.mpf(t)
-            value, bound = hardy._zeta_em(sm, tm, prec)
-        with mp.workprec(2 * prec + 30):
-            exact = mp.zeta(mp.mpc(sm, tm))
-            assert abs(value - exact) <= bound, (sigma, t)
-            # and the bound is near the precision asked for
-            assert bound <= mp.ldexp(max(1, abs(exact)), 4 - prec), (sigma, t)
-
-
-def test_zeta_em_refuses_sigma_below_one_half_and_the_pole():
-    with working_precision(64):
-        for sigma, t in (("0.4999", "10"), ("-1", "0"), ("1", "0")):
-            with pytest.raises(ValueError):
-                hardy._zeta_em(mp.mpf(sigma), mp.mpf(t), 64)
 
 
 @pytest.mark.parametrize("prec", [64, 128])

@@ -74,20 +74,6 @@ def test_chebyshev_deriv_at_one_small_cases():
         P.chebyshev_deriv_at_one(1, 1)
 
 
-def test_chebyshev_derivatives_match_coefficients():
-    with working_precision(PREC):
-        x = mp.mpf("0.41")
-        for j in range(0, 13):
-            vals = P.chebyshev_derivatives(j, x, 4, prec=PREC)
-            cs = [Fraction(c) for c in P.chebyshev_coeffs(j)]
-            for k in range(5):
-                acc = mp.mpf(0)
-                for c in reversed(cs):
-                    acc = acc * x + mp.mpf(c.numerator) / c.denominator
-                assert abs(vals[k] - acc) < TOL
-                cs = [i * c for i, c in enumerate(cs)][1:] or [Fraction(0)]
-
-
 def test_fourier_partial_sum_within_tail():
     with working_precision(PREC):
         for l in (1, 2, 3):

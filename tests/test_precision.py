@@ -321,7 +321,7 @@ def test_a_run_is_its_argv():
 
 
 # ---------------------------------------------------------------------------
-# one zeta route: the program sums zeta itself (hardy._zeta_em, with a proved
+# one zeta route: the program sums zeta itself (zeta._zeta_em, with a proved
 # bound), on the critical line and off it; the library zeta is the tests'
 # oracle only
 
