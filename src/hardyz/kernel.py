@@ -8,15 +8,19 @@ the kernels extend continuously to coincident nodes through confluent
 divided differences of a smooth transfer function.
 
 The direct Bernoulli sum lives once, in _bernoulli_sums: one pass over the
-nodes forms the moments sum_k mu_k (u_k - 1/2)^i, and degree n is a short
-sum of them against B_n's coefficients about 1/2.  psi_orders reads the
-degrees 2l at one point (psi is its one-order form), and compile_psi, its
-Taylor form, every degree up to 2l at each centre of the panels between the
-knots -a, the nodes and a; both state their rounding bounds.  The Chebyshev
-series (psi_chebyshev_series, strict configurations only) is the
-independent interior route.  Only this module asks whether a configuration
-is strict: psi_star_boundary chooses the boundary values' route, and the
-interior kernel's weights (coefficients) refuse a weakly ordered one.
+nodes in Python ints forms the moments sum_k mu_k ((2u_k - 1)^i +
+(2v_k - 1)^i), u_k and v_k in fixed point from the stored nodes and a, and
+degree n is one exact integer dot product of them with B_n's coefficients
+about 1/2, rounded once.  psi_orders reads the degrees 2l at one point (psi
+is its one-order form), and compile_psi, its Taylor form, every degree up
+to 2l at each centre of the panels between the knots -a, the nodes and a;
+both bound their distance from the exact kernel at the stored nodes, a and
+weights.  coefficients forms the weights' sine-difference products in
+Python ints too.  The Chebyshev series (psi_chebyshev_series, strict
+configurations only) is the independent interior route.  Only this module
+asks whether a configuration is strict: psi_star_boundary chooses the
+boundary values' route, and the interior kernel's weights (coefficients)
+refuse a weakly ordered one.
 """
 
 from __future__ import annotations
@@ -24,16 +28,16 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import fhalf, fzero, mpf_add, mpf_mul, mpf_sub
+from mpmath.libmp import fone, from_int, from_man_exp, mpf_div, to_fixed
 
 from .divided_diff import NodeMultiset, divided_difference_data, node_product
 # bernoulli_poly is unused here, but perfbench's tracer patches
 # kernel.bernoulli_poly
-from .polynomials import (bernoulli_centered_mpf, bernoulli_poly,  # noqa: F401
+from .polynomials import (bernoulli_centered_coeffs, bernoulli_poly,  # noqa: F401
                           bernoulli_poly_mpf, chebyshev, horner)
 from .precision import DEFAULT_PREC, held, working_precision
 # unused here, but perfbench's tracer patches kernel.tail_weight_constant
@@ -41,6 +45,9 @@ from .sequences import tail_weight_constant  # noqa: F401
 
 MIN_NODE_GAP = 0.05
 TERM_GUARD_BITS = 16  # zero-sum node sums cancel: nodes and terms get these bits more
+# _bernoulli_sums' fraction bits above mp.prec: 16 over TERM_GUARD_BITS keep
+# a degree-i moment's 8 (i + 1) units under 2^-(mp.prec + TERM_GUARD_BITS)
+MOMENT_FIXED_BITS = TERM_GUARD_BITS + 16
 # weight vectors coefficients keeps: psi_chebyshev_series needs two (prec
 # and prec + TERM_GUARD_BITS), every other caller one
 COEFFICIENTS_CACHE_SIZE = 2
@@ -109,10 +116,14 @@ def coefficients(config: NodeConfig, prec: int = DEFAULT_PREC) -> KernelCoeffici
     """Weights alpha_k = 1/prod_{j!=k}(t_k - t_j) over the sine-transformed
     nodes, and mu_k = alpha_k/alpha_0.
 
-    Computed at twice the caller precision (the products cancel badly for
-    clustered nodes), once per node configuration and prec: the last
-    COEFFICIENTS_CACHE_SIZE results are kept, and a repeated call returns
-    the stored object, which callers must not change.
+    The differences of clustered sines lose their leading bits, so the
+    sines are taken at 2 prec + TERM_GUARD_BITS and truncated once to as
+    many fraction bits as they carry: every difference t_k - t_j is then
+    exact.  The products do not cancel: each is an int mantissa kept to
+    that many bits, and alpha_k and mu_k = prod_0/prod_k are each rounded
+    once at the working precision.  Computed once per node configuration
+    and prec: the last COEFFICIENTS_CACHE_SIZE results are kept, and a
+    repeated call returns the stored object, which callers must not change.
     """
     with working_precision(prec):
         return _coefficients(config.n, config.a, tuple(config.nodes), prec)
@@ -125,11 +136,23 @@ def _coefficients(n: int, a, nodes: Tuple, prec: int) -> KernelCoefficients:
     config = NodeConfig(n=n, a=a, nodes=list(nodes), strict=False)
     if not config.is_strict():
         raise DuplicateNodeError("coefficients requires pairwise distinct nodes")
-    with mp.extraprec(prec):
-        t = config.sine_nodes(2 * prec + TERM_GUARD_BITS)
-        alpha = [1 / node_product(t, k) for k in range(len(t))]
-        mu = [v / alpha[n] for v in alpha]
-    return KernelCoefficients(alpha=[+v for v in alpha], mu=[+v for v in mu])
+    bits = mp.prec + prec + TERM_GUARD_BITS  # the sines' own precision
+    t = [to_fixed(v._mpf_, bits)
+         for v in config.sine_nodes(2 * prec + TERM_GUARD_BITS)]
+    products = []
+    for k, t_k in enumerate(t):
+        man, exp = 1, -2 * n * bits
+        for j, t_j in enumerate(t):
+            if j != k:
+                man *= t_k - t_j
+                drop = max(man.bit_length() - bits, 0)
+                man >>= drop
+                exp += drop
+        products.append(from_man_exp(man, exp))
+    wp, rnd = mp._prec_rounding
+    return KernelCoefficients(
+        alpha=[mp.make_mpf(mpf_div(fone, p, wp, rnd)) for p in products],
+        mu=[mp.make_mpf(mpf_div(products[n], p, wp, rnd)) for p in products])
 
 
 def psi(config: NodeConfig, l: int, x, weights: Sequence,
@@ -150,12 +173,12 @@ def psi_orders(config: NodeConfig, orders: Sequence[int], x, weights: Sequence,
     the even moments; each is multiplied by pref_l at the working precision
     p = prec + GUARD_BITS.
 
-    Rounding bound, for |x| <= a: with S = sum |mu_k|, K the number of
-    nonzero weights, eps = 2^-(p + TERM_GUARD_BITS) and N = K + 2l + 4,
-    each value lies within
-    |pref_l| 2S sum_j |beta_{2l,2j}| 4^-j N eps/(1 - N eps) + 2^(1-p) |value|
-    of pref_l sum_k mu_k (B_2l(u_k) + B_2l(v_k)), taken exactly over the
-    rounded u_k, v_k and mu_k, with pref_l as rounded.
+    Rounding bound, for |x| <= a: with S = sum |mu_k| and
+    F = p + MOMENT_FIXED_BITS, each value lies within
+    |pref_l| 8S 2^-F sum_j (2j + 1) |beta_{2l,2j}| 4^-j + 2^(3-p) |value|
+    of pref_l sum_k mu_k (B_2l(u_k) + B_2l(v_k)) taken exactly at the stored
+    x_k and a, with x and the weights as rounded at p and pref_l exact; the
+    last term covers the sum's rounding, pref_l's and the product's.
     """
     orders = list(orders)
     if any(l < 1 for l in orders):
@@ -170,53 +193,79 @@ def psi_orders(config: NodeConfig, orders: Sequence[int], x, weights: Sequence,
 def _bernoulli_sums(config: NodeConfig, x, weights: Sequence,
                     degrees: Sequence[int]) -> List[mpf]:
     """sum_k mu_k (B_n(u_k) + B_n(v_k)) for each n in degrees, u_k and v_k
-    as in psi_orders, from one libmp pass over the nodes.
+    as in psi_orders, from one pass over the nodes in Python ints.
 
-    u_k, v_k and mu_k round at the ambient precision p, and y = u - 1/2 is
-    exact.  B_n(1/2 + y) = sum_i beta_{n,i} y^i over the i of n's parity
-    (polynomials.bernoulli_centered_mpf), so degree n reads the moments
-    M_i = sum_k mu_k (y_{u,k}^i + y_{v,k}^i) of its parity: even ones by the
-    chain mu_k w^j, w = y^2 exact, odd ones, only when asked for, by
-    (mu_k y) w^j, all at TERM_GUARD_BITS more (eps).  For n <= 2l a term
-    rounds at most l times in its chain, K in the sums over the nodes, 3 in
-    beta and l + 1 in the sum over i, and |y| <= 1/2 where |x| <= a: sum n
-    is within 2S sum_i |beta_{n,i}| 2^-i N eps/(1 - N eps) of its exact
-    value over the rounded arguments (S, K and N as in psi_orders).
+    With F = p + MOMENT_FIXED_BITS fraction bits, p = mp.prec, s = x/4a and
+    r_k = x_k/4a are rounded to the nearest unit of 2^-F from the stored x,
+    x_k and a; y_u = s + r_k, y_v = ((s - r_k) mod 1) - 1/2, the wrap
+    decided exactly by x < x_k, and at x = +-a, s = +-1/4 and y_v = -y_u.
+    B_n(1/2 + y) = sum_i beta_{n,i} 2^-i z^i with z = 2y over the i of n's
+    parity (polynomials.bernoulli_centered_coeffs), so degree n is one exact
+    integer dot product of the rationals beta_{n,i} 2^-i with the moments
+    M_i = sum_k mu_k (z_{u,k}^i + z_{v,k}^i), rounded once at
+    p + TERM_GUARD_BITS.  The moments sum the chains mu_k w^j, w = z^2, and,
+    only when an odd degree is asked for, (mu_k z) w^j, each mu_k exact and
+    each product truncated in one unit: 2^-F times the power of two just
+    above the smallest |mu_k|.  At x = +-a the even chain runs once per
+    node, doubled.  For |x| <= a, |z| <= 1, z errs by at most 2 units of
+    2^-F, w by 5 and the term mu_k z^i by 4i |mu_k| 2^-F, so sum n lies within
+    8S 2^-F sum_i (i + 1) |beta_{n,i}| 2^-i + 2^-(p + TERM_GUARD_BITS) |sum n|
+    of its exact value at the stored arguments and weights, S = sum |mu_k|.
     """
-    a = config.a
+    bits = mp.prec + MOMENT_FIXED_BITS
+    one, half = 1 << bits, 1 << (bits - 1)
     xm = mp.mpf(x)
-    rows = []  # (mu_k, y_u, y_v) as libmp tuples, y exact
+    s = _over_4a(xm._mpf_, config.a._mpf_, bits)
+    rows = []  # (mu_k as sign, man, exp, bc; z_u; z_v), z in units of 2^-bits
     for m_k, xk in zip(weights, config.nodes):
-        m_k = mp.mpf(m_k)
-        if m_k != 0:
-            v = (xm - xk) / (4 * a)
-            u = mp.mpf(0.5) + (xm + xk) / (4 * a)
-            rows.append((m_k._mpf_, mpf_sub(u._mpf_, fhalf),
-                         mpf_sub((v - mp.floor(v))._mpf_, fhalf)))
+        m_k = mp.mpf(m_k)._mpf_
+        if m_k[1]:
+            r = _over_4a(xk._mpf_, config.a._mpf_, bits)
+            below = xm < xk
+            rows.append((m_k, 2 * (s + r), 2 * ((s - r - below) % one + below - half)))
+    low = min((exp + bc for (_, _, exp, bc), _, _ in rows), default=0) - bits
     top = max(degrees, default=0)
-    with mp.extraprec(TERM_GUARD_BITS):
-        wp, rnd = mp._prec_rounding  # what mpf's operators round at
-        even = [fzero] * (top // 2 + 1)  # M_0, M_2, ...
-        odd = [fzero] * ((top + 1) // 2 if any(n % 2 for n in degrees) else 0)
-        for m_k, y_u, y_v in rows:
-            w_u, w_v = mpf_mul(y_u, y_u), mpf_mul(y_v, y_v)
-            chains = [(even, m_k, m_k)]
-            if odd:
-                chains.append((odd, mpf_mul(m_k, y_u, wp, rnd),
-                               mpf_mul(m_k, y_v, wp, rnd)))
-            for moments, p_u, p_v in chains:
-                for j in range(len(moments)):
-                    moments[j] = mpf_add(moments[j], mpf_add(p_u, p_v, wp, rnd),
-                                         wp, rnd)
-                    p_u = mpf_mul(p_u, w_u, wp, rnd)
-                    p_v = mpf_mul(p_v, w_v, wp, rnd)
-        sums = []
-        for n in degrees:
-            total = fzero
-            for b, m_i in zip(bernoulli_centered_mpf(n), odd if n % 2 else even):
-                total = mpf_add(total, mpf_mul(b._mpf_, m_i, wp, rnd), wp, rnd)
-            sums.append(mp.make_mpf(total))
-        return sums
+    even = [0] * (top // 2 + 1)  # M_0, M_2, ... in units of 2^low
+    odd = [0] * ((top + 1) // 2 if any(n % 2 for n in degrees) else 0)
+    for (sign, man, exp, _), z_u, z_v in rows:
+        m_k = (-man if sign else man) << (exp - low)
+        w_u, w_v = z_u * z_u >> bits, z_v * z_v >> bits
+        chains = [(even, 2 * m_k, w_u)] if z_v == -z_u \
+            else [(even, m_k, w_u), (even, m_k, w_v)]
+        if odd:
+            chains += [(odd, m_k * z_u >> bits, w_u), (odd, m_k * z_v >> bits, w_v)]
+        for moments, term, w in chains:
+            for j in range(len(moments)):
+                moments[j] += term
+                term = term * w >> bits
+    wp, rnd = mp._prec_rounding  # what mpf's operators round at
+    sums = []
+    for n in degrees:
+        nums, den = _centered_ratios(n)
+        total = sum(c * m_i for c, m_i in zip(nums, odd if n % 2 else even))
+        sums.append(mp.make_mpf(mpf_div(from_man_exp(total, low), den,
+                                        wp + TERM_GUARD_BITS, rnd)))
+    return sums
+
+
+def _over_4a(v: tuple, a: tuple, bits: int) -> int:
+    """v/4a rounded to the nearest unit of 2^-bits (half units away from
+    zero), for libmp tuples v and a > 0: an int, from exact integers."""
+    (sign, man, exp, _), (_, man_a, exp_a, _) = v, a
+    shift = exp - exp_a - 2 + bits
+    num, den = (man << shift, man_a) if shift >= 0 else (man, man_a << -shift)
+    q = (2 * num + den) // (2 * den)
+    return -q if sign else q
+
+
+@functools.cache
+def _centered_ratios(n: int) -> Tuple[List[int], tuple]:
+    """(c, d), d least and a libmp tuple: c[j]/d = beta_{n,i} 2^-i exactly
+    for the i = n mod 2 + 2j of polynomials.bernoulli_centered_coeffs(n)."""
+    ratios = [b / 2 ** i for b, i in
+              zip(bernoulli_centered_coeffs(n), range(n % 2, n + 1, 2))]
+    den = lcm(*(r.denominator for r in ratios))
+    return [r.numerator * (den // r.denominator) for r in ratios], from_int(den)
 
 
 def kernel_knots(config: NodeConfig, prec: int = DEFAULT_PREC) -> List[mpf]:
@@ -289,10 +338,10 @@ def compile_psi(config: NodeConfig, l: int, weights: Optional[Sequence] = None,
     formed at TERM_GUARD_BITS more, rounded at the working precision p.
 
     Rounding bound, psi_orders' extended to the odd moments: q_j lies within
-    |s_j| 2S sum_i |beta_{2l-j,i}| 2^-i N eps/(1 - N eps) + 2^(1-p) |q_j|
-    of that sum taken exactly over the rounded u_k, v_k and mu_k, with s_j
-    exact; the last term covers the product's rounding and s_j's, which is
-    within (2l + 3) eps relative.
+    |s_j| 8S 2^-F sum_i (i + 1) |beta_{2l-j,i}| 2^-i + 2^(1-p) |q_j|
+    of that sum taken exactly at the stored x_k, a and c, with s_j exact;
+    the last term covers the product's rounding, the sum's and s_j's, which
+    is within (2l + 3) 2^-(p + TERM_GUARD_BITS) relative.
     """
     if l < 1:
         raise ValueError("l must be >= 1")

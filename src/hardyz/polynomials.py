@@ -108,12 +108,6 @@ def bernoulli_poly_mpf(n: int) -> Tuple[mpf, ...]:
     return _rounded(bernoulli_poly_coeffs, n, mp.prec)
 
 
-def bernoulli_centered_mpf(n: int) -> Tuple[mpf, ...]:
-    """bernoulli_centered_coeffs(n) rounded and cached as bernoulli_poly_mpf
-    rounds and caches its coefficients."""
-    return _rounded(bernoulli_centered_coeffs, n, mp.prec)
-
-
 @functools.cache
 def _rounded(exact, n: int, prec: int) -> Tuple[mpf, ...]:
     """exact(n)'s Fractions at the ambient precision prec."""

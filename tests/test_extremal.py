@@ -384,8 +384,9 @@ def test_integral_bound_is_the_scaled_kernel_sup_bound(n, c, eps, m):
 
 @pytest.mark.parametrize("prec", [128, 192])
 def test_boundary_verdict_survives_cancellation(prec):
-    # the zero-sum Bernoulli sums behind boundary_lhs lose over 100 bits on
-    # the paper's configuration, so lhs is good to far fewer digits than it
+    # boundary_lhs is a zero-sum sum of Bernoulli values, and the rounding
+    # of mu_k at the working precision costs it about 83 bits on the
+    # paper's configuration, so lhs is good to far fewer digits than it
     # prints; the verdict lhs <= rhs must not rest on those digits
     params = ExtremalParams(n=12, c=mp.mpf(0.95), eps=mp.mpf(0.65), prec=prec)
     cfg = extremal_config(params)

@@ -10,7 +10,7 @@ from mpmath import mp
 from hardyz import kernel
 from hardyz.extremal import (ExtremalParams, equal_angle_nodes, equal_angle_weights,
                              extremal_config, sine_product)
-from hardyz.kernel import (TERM_GUARD_BITS, DuplicateNodeError, NodeConfig,
+from hardyz.kernel import (MOMENT_FIXED_BITS, DuplicateNodeError, NodeConfig,
                            SingularParameterError, boundary_sum_bound,
                            chebyshev_moment, coefficients, compile_psi,
                            divided_bound_direct, kernel_knots, psi,
@@ -256,16 +256,29 @@ def _explicit_weights(t):
     return out
 
 
+def _certificate_configs(prec):
+    """The extremal configurations of the certificate digests, at prec."""
+    return [extremal_config(ExtremalParams(n=n, c=c, eps=eps, prec=prec), prec=prec)
+            for n, c, eps in ((12, 0.95, 0.65), (14, 0.95, 0.07),
+                              (16, 0.935086, 0.066081), (20, 0.974, 0.3))]
+
+
 def test_coefficients_equal_an_explicit_product_loop():
-    cfg = random_config(random.Random(41), 3, prec=PREC)
-    with working_precision(2 * PREC):
-        alpha = _explicit_weights(cfg.sine_nodes(prec=mp.prec))
-        mu = [v / alpha[cfg.n] for v in alpha]
-    with working_precision(PREC):
-        alpha, mu = [+v for v in alpha], [+v for v in mu]
-    co = coefficients(cfg, prec=PREC)
-    assert [v._mpf_ for v in co.alpha] == [v._mpf_ for v in alpha]
-    assert [v._mpf_ for v in co.mu] == [v._mpf_ for v in mu]
+    # the integer products against the mpf loop they replaced, at twice prec
+    cases = [(random_config(random.Random(41), 3, prec=PREC), PREC)]
+    for prec in (64, 128, 192):
+        rng = random.Random(prec + 13)
+        cases += [(cfg, prec) for cfg in _certificate_configs(prec)
+                  + [random_config(rng, n, prec=prec) for n in range(1, 7)]]
+    for cfg, prec in cases:
+        with working_precision(2 * prec):
+            alpha = _explicit_weights(cfg.sine_nodes(prec=mp.prec))
+            mu = [v / alpha[cfg.n] for v in alpha]
+        with working_precision(prec):
+            alpha, mu = [+v for v in alpha], [+v for v in mu]
+        co = coefficients(cfg, prec=prec)
+        assert [v._mpf_ for v in co.alpha] == [v._mpf_ for v in alpha]
+        assert [v._mpf_ for v in co.mu] == [v._mpf_ for v in mu]
 
 
 def test_equal_angle_weights_equal_an_explicit_product_loop():
@@ -360,6 +373,27 @@ def test_boundary_sum_equals_the_per_order_loop_on_certificates(n, c, eps, m, pr
     _assert_boundary_sum_is_per_order(config, params.c, min(m, 12), prec)
 
 
+@pytest.mark.parametrize("n, c, eps, prec, lost",
+                         [(12, 0.95, 0.65, 128, 88), (12, 0.95, 0.65, 192, 88),
+                          (16, 0.935086, 0.066081, 128, 88),
+                          (16, 0.935086, 0.066081, 192, 88), (20, 0.974, 0.3, 128, 100)],
+                         ids=["paper-128", "paper-192", "early-exit-128",
+                              "early-exit-192", "n20-128"])
+def test_boundary_lhs_is_close_to_a_640_bit_evaluation(n, c, eps, prec, lost):
+    # the same stored configuration at 640 bits.  The rounding of mu_k at
+    # the working precision now sets lhs' error: measured within
+    # 2^-(prec - 84) of lhs for n = 12 and 16, and 2^-(prec - 96) for
+    # n = 20.  Rounding u_k and v_k at the working precision, as the moment
+    # pass once did, lost 90 to 111 bits
+    params = ExtremalParams(n=n, c=c, eps=eps, prec=prec)
+    config = extremal_config(params, prec=prec)
+    lhs, _ = boundary_sum_bound(config, params.c, 12, prec=prec)
+    kernel._coefficients.cache_clear()
+    fine, _ = boundary_sum_bound(config, params.c, 12, prec=640)
+    with mp.workprec(640):
+        assert abs(lhs - fine) <= mp.mpf(2) ** (lost - prec) * abs(fine)
+
+
 def test_boundary_sum_equals_the_per_order_loop_on_random_configurations():
     rng = random.Random(97)
     for _ in range(30):
@@ -391,31 +425,45 @@ def test_psi_orders_equals_psi_order_by_order():
 # psi_orders' moment route against the direct Horner sum it replaced
 
 
-def _direct_terms(config, x, weights, prec):
-    """(mu_k, u_k, v_k) for each nonzero weight, rounded as psi_orders
-    rounds them."""
+def _direct_terms(config, x, weights, prec, ref_prec):
+    """(mu_k, u_k, v_k) for each nonzero weight: mu_k and x rounded as
+    psi_orders rounds them, u_k and v_k formed at ref_prec from those and
+    the stored x_k and a, each within 3 units of 2^-ref_prec."""
     with working_precision(prec):
-        a, xm = config.a, mp.mpf(x)
+        xm = mp.mpf(x)
+        mus = [mp.mpf(m_k) for m_k in weights]
+    with working_precision(ref_prec):
+        a = config.a
         terms = []
-        for m_k, xk in zip(weights, config.nodes):
-            m_k = mp.mpf(m_k)
+        for m_k, xk in zip(mus, config.nodes):
             if m_k != 0:
                 v = (xm - xk) / (4 * a)
                 terms.append((m_k, mp.mpf(0.5) + (xm + xk) / (4 * a), v - mp.floor(v)))
         return terms
 
 
-def _pref(config, l, prec):
-    with working_precision(prec):
-        return (4 * config.a) ** (2 * l - 1) / mp.factorial(2 * l)
+def _beta_sum(n):
+    """sum_i (i + 1) |beta_{n,i}| 2^-i, the degree-n factor of the bounds
+    of _bernoulli_sums, as an mpf at the ambient precision."""
+    total = sum((i + 1) * abs(c) / Fraction(2) ** i for c, i in
+                zip(bernoulli_centered_coeffs(n), range(n % 2, n + 1, 2)))
+    return mp.mpf(total.numerator) / total.denominator
 
 
-def _horner_reference(config, l, terms, prec, ref_prec):
+def _moment_bound(terms, n, prec):
+    """_bernoulli_sums' bound on degree n's moment route before its final
+    rounding: 8 S 2^-F sum_i (i + 1) |beta_{n,i}| 2^-i."""
+    fixed = prec + GUARD_BITS + MOMENT_FIXED_BITS
+    s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
+    return 8 * s * mp.mpf(2) ** -fixed * _beta_sum(n)
+
+
+def _horner_reference(config, l, terms, ref_prec):
     """pref_l sum_k mu_k (B_2l(u_k) + B_2l(v_k)) by Horner at ref_prec over
-    the given rounded terms, pref_l as psi_orders rounds it, and a bound on
-    this evaluation's own rounding error."""
-    pref = _pref(config, l, prec)
+    the given terms, pref_l at ref_prec, and a bound on this evaluation's
+    own error."""
     with working_precision(ref_prec):
+        pref = (4 * config.a) ** (2 * l - 1) / mp.factorial(2 * l)
         b = bernoulli_poly_mpf(2 * l)
         total = mp.mpf(0)
         for m_k, u, v in terms:
@@ -423,10 +471,11 @@ def _horner_reference(config, l, terms, prec, ref_prec):
         value = pref * total
         s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
         # |u|, |v| <= 1: each Horner value, its rounded coefficients
-        # included, errs by at most 4l + 3 units of 2^-p times sum |b_i|;
-        # the sums and products over the K terms add K + 2 more, and the
-        # unit is taken twice over
-        n_ops = 4 * l + len(terms) + 5
+        # included, errs by at most 4l + 3 units of 2^-p times sum |b_i|,
+        # and u's and v's 3 units move B_2l by 6l more, its slope being at
+        # most 2l sum |b_i|; the sums, pref and the products over the K
+        # terms add K + 5 more, and the unit is taken twice over
+        n_ops = 10 * l + len(terms) + 8
         own = abs(pref) * 2 * s * mp.fsum(abs(c) for c in b) \
             * n_ops * mp.mpf(2) ** -(mp.prec - 1)
         return value, own
@@ -434,20 +483,16 @@ def _horner_reference(config, l, terms, prec, ref_prec):
 
 def _rounding_bound(config, l, terms, value, prec):
     """psi_orders' docstring bound on its distance from the exact sum."""
-    p = prec + GUARD_BITS
-    with working_precision(prec):
-        s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
-        beta_sum = sum(abs(c) / Fraction(4) ** j
-                       for j, c in enumerate(bernoulli_centered_coeffs(2 * l)))
-        eps = mp.mpf(2) ** -(p + TERM_GUARD_BITS)
-        n_ops = len(terms) + 2 * l + 4
-        return abs(_pref(config, l, prec)) * 2 * s \
-            * mp.mpf(beta_sum.numerator) / beta_sum.denominator \
-            * n_ops * eps / (1 - n_ops * eps) + mp.mpf(2) ** (1 - p) * abs(value)
+    with working_precision(2 * prec):
+        pref = (4 * config.a) ** (2 * l - 1) / mp.factorial(2 * l)
+        return abs(pref) * _moment_bound(terms, 2 * l, prec) \
+            + mp.mpf(2) ** (3 - prec - GUARD_BITS) * abs(value)
 
 
 @pytest.mark.parametrize("prec", [64, 128, 192])
 def test_psi_orders_is_within_its_rounding_bound_of_the_horner_sum(prec):
+    # the reference forms u_k and v_k from the stored x_k and a at 2 prec,
+    # so the bound covers the rounding of the arguments too
     rng = random.Random(prec + 7)
     for n in range(1, 17):
         config = random_config(rng, n, prec=prec)
@@ -459,26 +504,26 @@ def test_psi_orders_is_within_its_rounding_bound_of_the_horner_sum(prec):
         orders = rng.sample(range(1, 41), 4) + [40]
         for x in xs:
             values = psi_orders(config, orders, x, mu, prec=prec)
-            terms = _direct_terms(config, x, mu, prec)
+            terms = _direct_terms(config, x, mu, prec, 2 * prec)
             for l, value in zip(orders, values):
-                want, own = _horner_reference(config, l, terms, prec, 2 * prec)
+                want, own = _horner_reference(config, l, terms, 2 * prec)
                 with working_precision(2 * prec):
                     gap = abs(value - want)
                     assert gap <= _rounding_bound(config, l, terms, value, prec) + own
 
 
-def _coefficient_reference(config, l, j, terms, prec, ref_prec):
-    """compile_psi's q_j at a centre whose rounded terms are given:
+def _coefficient_reference(config, l, j, terms, ref_prec):
+    """compile_psi's q_j at a centre whose terms are given:
     s_j sum_k mu_k (B_{2l-j}(u_k) + B_{2l-j}(v_k)) by Horner at ref_prec,
     s_j = (4a)^(2l-1-j)/(j! (2l-j)!), and a bound on this evaluation's own
-    rounding error, as _horner_reference's with 2l + 3 more units for s_j."""
+    error, as _horner_reference's with 2l + 3 more units for s_j."""
     with working_precision(ref_prec):
         scale = (4 * config.a) ** (2 * l - 1 - j) \
             / (math.factorial(j) * math.factorial(2 * l - j))
         b = bernoulli_poly_mpf(2 * l - j)
         total = mp.fsum(m_k * (horner(b, u) + horner(b, v)) for m_k, u, v in terms)
         s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
-        n_ops = 6 * l + len(terms) + 8
+        n_ops = 12 * l + len(terms) + 8
         own = abs(scale) * 2 * s * mp.fsum(abs(c) for c in b) \
             * n_ops * mp.mpf(2) ** -(mp.prec - 1)
         return scale * total, scale, own
@@ -486,16 +531,9 @@ def _coefficient_reference(config, l, j, terms, prec, ref_prec):
 
 def _coefficient_bound(l, j, terms, scale, value, prec):
     """compile_psi's docstring bound on q_j's distance from the exact sum."""
-    p = prec + GUARD_BITS
     with working_precision(2 * prec):
-        n = 2 * l - j
-        s = mp.fsum(abs(m_k) for m_k, _, _ in terms)
-        beta_sum = sum(abs(c) / Fraction(2) ** i for c, i in
-                       zip(bernoulli_centered_coeffs(n), range(n % 2, n + 1, 2)))
-        eps = mp.mpf(2) ** -(p + TERM_GUARD_BITS)
-        n_ops = len(terms) + 2 * l + 4
-        return abs(scale) * 2 * s * mp.mpf(beta_sum.numerator) / beta_sum.denominator \
-            * n_ops * eps / (1 - n_ops * eps) + mp.mpf(2) ** (1 - p) * abs(value)
+        return abs(scale) * _moment_bound(terms, 2 * l - j, prec) \
+            + mp.mpf(2) ** (1 - prec - GUARD_BITS) * abs(value)
 
 
 @pytest.mark.parametrize("prec", [64, 128, 192])
@@ -507,10 +545,10 @@ def test_compiled_coefficients_are_within_their_rounding_bound(prec):
         for l in (1, 2, 4, 6, 8, 10):
             comp = compile_psi(config, l, mu, prec=prec)
             for c, q in zip(comp.centers, comp.coeffs):
-                terms = _direct_terms(config, c, mu, prec)
+                terms = _direct_terms(config, c, mu, prec, 2 * prec + 64)
                 for j, q_j in enumerate(q):
                     want, scale, own = _coefficient_reference(
-                        config, l, j, terms, prec, 2 * prec + 64)
+                        config, l, j, terms, 2 * prec + 64)
                     with working_precision(2 * prec + 64):
                         gap = abs(q_j - want)
                         assert gap <= _coefficient_bound(l, j, terms, scale, q_j,

@@ -167,20 +167,6 @@ def test_centered_coefficients_refuse_what_the_polynomials_refuse():
         P.bernoulli_centered_coeffs(P.MAX_DEGREE + 1)
 
 
-def test_cached_centered_coefficients_are_bit_identical():
-    for prec in (128, 192):
-        with working_precision(prec):
-            fresh = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                     for c in P.bernoulli_centered_coeffs(24)]
-            cached = P.bernoulli_centered_mpf(24)
-            assert [c._mpf_ for c in cached] == [c._mpf_ for c in fresh]
-            assert P.bernoulli_centered_mpf(24) is cached
-    with working_precision(128):
-        low = P.bernoulli_centered_mpf(24)
-    with working_precision(192):
-        assert P.bernoulli_centered_mpf(24) != low
-
-
 def _zero_start_horner(coeffs, x, zero):
     acc = zero
     for c in reversed(coeffs):
