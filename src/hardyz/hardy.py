@@ -11,7 +11,8 @@ sigma >= 1/2, is sampled with _zeta_em, and Schwarz reflection fills the
 other.
 _TaylorPatches is the one place that builds such circles and keeps their
 series: z_derivatives_batch reads one patch at its centre, and
-theorem1_explore reads every point of its window from seven.  The tests
+theorem1_explore reads every point of its window from the fewest patches
+its error bound allows (one up to T = 104).  The tests
 cross-check the contour route against mpmath's Z^(k) and its finite
 differences (tests/derivative_oracle.py).
 """
@@ -26,8 +27,8 @@ from mpmath import iv, mp, mpf
 
 from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
 from .polynomials import horner
-from .precision import (DEFAULT_PREC, interval_precision, refine_sign_change,
-                        working_precision)
+from .precision import (DEFAULT_PREC, GUARD_BITS, interval_precision,
+                        refine_sign_change, working_precision)
 from .zeta import _zeta_em
 
 MAX_DERIVATIVE_ORDER = 64
@@ -35,7 +36,7 @@ ZERO_HALF_WIDTH_BITS = 48
 HALF_WIDTH_DIGITS = 6  # a zero's bracket half-width prints with 6 digits at any precision
 MAX_RESCANS = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
-CONTOUR_RADIUS = 2  # Cauchy circles; z_derivatives_batch shrinks it to |t|/2 + 1/4 near 0
+CONTOUR_RADIUS = 2  # z_derivatives_batch's circle, shrunk to |t|/2 + 1/4 near 0
 SAMPLE_ULPS = 16  # assumed error of a contour sample (see _TaylorPatches)
 MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
 MODEL_READS = 6  # z_eval reads find_zeros' secant model takes before its fallback
@@ -177,7 +178,7 @@ def z_derivatives_batch(t, orders: Sequence[int],
     with working_precision(prec):
         tm = mp.mpf(t)
         radius = min(mp.mpf(CONTOUR_RADIUS), abs(tm) / 2 + mp.mpf(0.25))
-        patch = _TaylorPatches(tm, tm, radius, orders, prec)
+        patch = _TaylorPatches(tm, tm, orders, prec, radius)
         return {k: patch.derivative(tm, k) for k in orders}
 
 
@@ -509,12 +510,23 @@ class _TaylorPatches:
     """Z^(k) on [lo, hi] from truncated Taylor series of Z, one contour
     each; the only code that builds a contour.
 
-    count = ceil((hi - lo)/r) patches (at least one) of width
-    (hi - lo)/count <= r tile the interval, and a point is read by Horner
-    from the series about its nearest centre, at most d = width/2 away.
-    Every circle has the given radius r, the same number M of points and
-    the same sample bits, and each series keeps a_n for n < N = M - 1, or
-    for n <= kmax on a width-0 window, which is read only at its centre.
+    count patches of width (hi - lo)/count tile the interval, and a point
+    is read by Horner from the series about its nearest centre, at most
+    d = width/2 away.  Every circle has radius r = width (on a width-0
+    window, which is read only at its centre, the radius given), the same
+    number M of points and the same sample bits, and each series keeps a_n
+    for n < N = M - 1, or for n <= kmax on a width-0 window.
+
+    The count is the fewest the error bound below allows, found by trial
+    from an estimate.  Rounding the read costs 2^-mp.prec S, and S grows
+    like e^(omega d), omega = log(hi/2pi)/2 the largest local frequency of
+    Z on the window.  Against the budget below that asks for
+    omega d <= (GUARD_BITS - 3) log 2, and the first count tried is the
+    fewest with such a d: 1, 1, 2 and 3 for the 4pi window about
+    T = 57.5, 100, 1000 and 10^4.  Nothing rests on that estimate: if
+    series_error misses the budget the window is tiled and sampled again
+    at the next count, up to twice the first count or the tiling of radius
+    CONTOUR_RADIUS, whichever is more.
 
     The error of a read is bounded from A, an upper bound on |Z| over the
     circles of a larger radius R about the centres (enclose.z_log_majorant;
@@ -545,7 +557,7 @@ class _TaylorPatches:
 
     M, N and the bits come from one budget: 2^-prec times the largest
     |Z^(k)| read at the centres over the orders, taken as 1 until the
-    circles are sampled.  M is the smallest even M whose aliasing and
+    circles are first sampled.  M is the smallest even M whose aliasing and
     truncation take at most a quarter of it at every order, with R the
     radius that allows the smallest M (tried at r (R_max/r)^(j/16),
     j = 1..15, about the centre farthest from 0, R_max the reach above);
@@ -553,49 +565,68 @@ class _TaylorPatches:
     S <= (m + 1) k! r/(r - d)^(k+1), takes at most an eighth.  If
     series_error then exceeds the budget the reads set (where the largest
     read is below 1; it counts as at least 2^-prec), the circles are sized
-    for that budget and sampled once more.
+    for that budget and sampled once more before the next count.
     """
 
-    def __init__(self, lo, hi, radius, orders: Sequence[int], prec: int):
+    def __init__(self, lo, hi, orders: Sequence[int], prec: int, radius=None):
         kmax = max(orders)
         if kmax > MAX_DERIVATIVE_ORDER:
             raise CapacityError(f"order {kmax} exceeds {MAX_DERIVATIVE_ORDER}")
         self.lo = lo
-        r = mp.mpf(radius)
-        self.count = max(1, int(mp.ceil((hi - lo) / r)))
-        self.width = (hi - lo) / self.count
-        self.centres = [lo + (i + mp.mpf(0.5)) * self.width for i in range(self.count)]
-        self.series: List[Dict[int, List[mpf]]] = []  # per patch and order
         self._orders = sorted(orders)
-        self._r, self._d = float(r), float(self.width) / 2
+        self._log_majorants: Dict[Tuple[float, float], float] = {}
+        unit = prec * math.log(2)
+        log_budget = -unit  # 2^-prec times a largest |Z^(k)| of 1, until one is read
+        count = last = 1
+        if hi > lo:
+            count = self._first_count(lo, hi)
+            last = max(2 * count, math.ceil((hi - lo) / CONTOUR_RADIUS))
+        while True:
+            self._tile(lo, hi, count, radius)
+            for _ in range(2):
+                M, bits, R = self._size(log_budget)
+                if M > self.M or bits > self.bits:
+                    self.M, self.bits = max(M, self.M), max(bits, self.bits)
+                    self._sample()
+                log_error = self._log_error(R)
+                read = max(abs(patch[k][0]) for patch in self.series for k in orders)
+                log_budget = max(float(mp.log(read)) if read else -unit, -unit) - unit
+                if log_error <= log_budget:
+                    break
+            if log_error <= log_budget or count >= last:
+                break
+            count += 1
+        self.series_error = mp.exp(log_error)
+
+    @staticmethod
+    def _first_count(lo, hi) -> int:
+        """The fewest patches of [lo, hi] with omega d <= (GUARD_BITS - 3) log 2."""
+        omega = math.log(float(hi) / (2 * math.pi)) / 2
+        d = (GUARD_BITS - 3) * math.log(2) / omega if omega > 0 else math.inf
+        return max(1, math.ceil(float(hi - lo) / (2 * d)))
+
+    def _tile(self, lo, hi, count: int, radius) -> None:
+        """Place count patches on [lo, hi], not yet sampled."""
+        self.count = count
+        self.width = (hi - lo) / count
+        self.radius = self.width or mp.mpf(radius)
+        self.centres = [lo + (i + mp.mpf(0.5)) * self.width for i in range(count)]
+        self.series: List[Dict[int, List[mpf]]] = []  # per patch and order
+        self.M = self.bits = 0
+        self._r, self._d = float(self.radius), float(self.width) / 2
         self._centres = [float(c) for c in self.centres]
         self._far = max(abs(c) for c in self._centres)
         self._reach = min(math.hypot(c, 0.5) for c in self._centres)
-        self._m = math.exp(max(z_log_majorant(c, self._r) for c in self._centres))
+        self._m = math.exp(self._majorant(self._r))
         w = self._far + self._r
         self._ulps = SAMPLE_ULPS * (1 + w * math.log(2 + w))
-        self._majorants: Dict[float, float] = {}
-        unit = prec * math.log(2)
-        log_budget = -unit  # 2^-prec times a largest |Z^(k)| of 1, until one is read
-        self.M = self.bits = 0
-        for _ in range(2):
-            M, bits, R = self._size(log_budget)
-            if M > self.M or bits > self.bits:
-                self.M, self.bits = max(M, self.M), max(bits, self.bits)
-                self._sample(r)
-            log_error = self._log_error(R)
-            read = max(abs(patch[k][0]) for patch in self.series for k in orders)
-            log_budget = max(float(mp.log(read)) if read else -unit, -unit) - unit
-            if log_error <= log_budget:
-                break
-        self.series_error = mp.exp(log_error)
 
-    def _sample(self, r) -> None:
+    def _sample(self) -> None:
         """Sample every circle at the current M and bits and keep the series."""
         N = self._terms(self.M)
         self.series = []
         for c in self.centres:
-            a = _z_taylor(c, r, self.M, N, self.bits)
+            a = _z_taylor(c, self.radius, self.M, N, self.bits)
             with mp.workprec(self.bits):
                 self.series.append({k: [a[n] * math.perm(n, k) for n in range(k, N)]
                                     for k in self._orders})
@@ -603,12 +634,17 @@ class _TaylorPatches:
     def _terms(self, M: int) -> int:
         return M - 1 if self.width else self._orders[-1] + 1
 
+    def _log_majorant(self, c: float, R: float) -> float:
+        """z_log_majorant(c, R), computed once for each |c| and R."""
+        key = (abs(c), R)
+        if key not in self._log_majorants:
+            self._log_majorants[key] = z_log_majorant(c, R)
+        return self._log_majorants[key]
+
     def _majorant(self, R: float) -> float:
         """log A: z_log_majorant's bound at radius R, the largest over the
         centres."""
-        if R not in self._majorants:
-            self._majorants[R] = max(z_log_majorant(c, R) for c in self._centres)
-        return self._majorants[R]
+        return max(self._log_majorant(c, R) for c in self._centres)
 
     def _log_series(self, k: int, M: int, R: float, log_a: float) -> float:
         """log of the aliasing plus truncation bound on Z^(k)."""
@@ -634,7 +670,7 @@ class _TaylorPatches:
         best, worse = None, 0
         for j in range(1, 16):
             R = self._r * (self._reach / self._r) ** (j / 16)
-            M = self._points(log_budget, R, z_log_majorant(self._far, R))
+            M = self._points(log_budget, R, self._log_majorant(self._far, R))
             if best is None or M < best[0]:
                 best, worse = (M, R), 0
             else:
@@ -694,8 +730,10 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
     m = min(floor(C log T loglog T), m_cap); the grid step is
     pi/(8 theta'(T)) with local refinement around each running maximum.  A
     witness is any k whose grid maximum meets its bound.  Every value is
-    read from Taylor patches: contours = ceil(4 pi/CONTOUR_RADIUS) = 7
-    circles of M/2 + 1 zeta samples each (16 at 64 bits for T in [55, 65]),
+    read from Taylor patches: contours is the fewest patches whose rounding
+    fits the budget (see _TaylorPatches), 1, 1, 2 and 3 at T = 57.5, 100,
+    1000 and 10^4, each a circle of radius 4 pi/contours and M/2 + 1 zeta
+    samples (one circle of at most 40 at 64 bits for T in [55, 65]),
     instead of one full circle per point.  series_error is the patches'
     proved bound on the error of every value read, from truncation,
     aliasing and rounding (see _TaylorPatches).  Explicitly exploratory
@@ -723,8 +761,7 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
         while u <= Tm + 2 * mp.pi:
             grid.append(u)
             u += step
-        patches = _TaylorPatches(Tm - 2 * mp.pi, Tm + 2 * mp.pi, CONTOUR_RADIUS,
-                                 orders, prec)
+        patches = _TaylorPatches(Tm - 2 * mp.pi, Tm + 2 * mp.pi, orders, prec)
         maxima: Dict[int, Tuple[mpf, mpf]] = {k: (mp.mpf(-1), Tm) for k in orders}
         for u in grid:
             for k in orders:

@@ -92,23 +92,28 @@ def test_z_eval_within_its_estimate_of_siegelz(prec):
             assert abs(value - mp.siegelz(t)) <= estimate, t
 
 
+def _explore_patches(T, orders, prec):
+    """The patches theorem1_explore reads the window about T from."""
+    return hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi, orders, prec)
+
+
 @pytest.mark.parametrize("prec", [64, 128])
 def test_contour_zeta_stays_inside_the_sample_allowance(prec):
     # _TaylorPatches assumes each sample within SAMPLE_ULPS (1 + W log(2 + W))
     # 2^-bits m of Z; the zeta half of that is _zeta_em's bound times
-    # |e^(i theta)|, on every point of explore's circles
+    # |e^(i theta)|, on every point of explore's circles, which reach
+    # sigma = 1/2 + 4 pi with one patch
     for T in (55, 60, 65):
         with working_precision(prec):
             T = mp.mpf(T)
-            patches = hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi,
-                                           hardy.CONTOUR_RADIUS, (1, 3, 4), prec)
+            patches = _explore_patches(T, (1, 3, 4), prec)
             allowance = patches._ulps * patches._m * mp.ldexp(1, -patches.bits)
             worst = 0
             with mp.workprec(patches.bits):
                 roots = mp.unitroots(patches.M)
                 for c in patches.centres:
                     for j in range(patches.M // 2 + 1):
-                        w = c + hardy.CONTOUR_RADIUS * mp.conj(roots[j])
+                        w = c + patches.radius * mp.conj(roots[j])
                         _, bound = hardy._zeta_em(mp.mpf(0.5) - w.imag, w.real, mp.prec)
                         phase = abs(mp.e ** (1j * hardy._theta_complex(w)))
                         worst = max(worst, bound * phase)
@@ -140,21 +145,57 @@ def test_series_error_bounds_every_read(T, prec):
     orders = (1, 2, 3, 4)
     with working_precision(prec):
         T = mp.mpf(T)
-        patches = hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi,
-                                       hardy.CONTOUR_RADIUS, orders, prec)
-        # the grid of explore T
-        step = mp.pi / (8 * theta_prime(T, prec=prec))
-        grid, u = [], T - 2 * mp.pi
-        while u <= T + 2 * mp.pi:
-            grid.append(u)
-            u += step
-        read = {(u, k): patches.derivative(u, k) for u in grid for k in orders}
+        patches = _explore_patches(T, orders, prec)
+        read = _explore_reads(patches, T, orders, prec)
         bound = patches.series_error
     with mp.workprec(2 * prec):
         # the same bits as mp.diff(mp.siegelz, u, k) here, at under half its cost
         worst = max(abs(v - mp.siegelz(u, derivative=k)) for (u, k), v in read.items())
     assert worst <= bound
     assert bound <= mp.mpf(2) ** -prec * max(abs(v) for v in read.values())
+
+
+def _explore_reads(patches, T, orders, prec):
+    """{(u, k): Z^(k)(u)} from the patches over the grid of explore T."""
+    step = mp.pi / (8 * theta_prime(T, prec=prec))
+    grid, u = [], T - 2 * mp.pi
+    while u <= T + 2 * mp.pi:
+        grid.append(u)
+        u += step
+    return {(u, k): patches.derivative(u, k) for u in grid for k in orders}
+
+
+def test_series_error_meets_its_budget_on_several_patches():
+    # at T = 1000 one patch rounds its reads to 3e-14 against a budget of
+    # 7e-17, so the window takes more; no siegelz reference, for time
+    orders, prec = (1, 3, 5, 7, 8), 64
+    with working_precision(prec):
+        T = mp.mpf(1000)
+        patches = _explore_patches(T, orders, prec)
+        read = _explore_reads(patches, T, orders, prec)
+    assert patches.count > 1
+    assert patches.series_error <= mp.mpf(2) ** -prec * max(abs(v) for v in read.values())
+
+
+def test_a_count_that_misses_the_budget_is_followed_by_the_next(monkeypatch):
+    # the count estimate forced to one patch at T = 1000: its sampled bound
+    # misses the budget, and the window is sampled again at two
+    tiled, orders, prec = [], (1, 2), 64
+    tile = hardy._TaylorPatches._tile
+
+    def recorded(self, lo, hi, count, radius):
+        tiled.append(count)
+        tile(self, lo, hi, count, radius)
+
+    monkeypatch.setattr(hardy._TaylorPatches, "_first_count",
+                        staticmethod(lambda lo, hi: 1))
+    monkeypatch.setattr(hardy._TaylorPatches, "_tile", recorded)
+    with working_precision(prec):
+        T = mp.mpf(1000)
+        patches = _explore_patches(T, orders, prec)
+        read = _explore_reads(patches, T, orders, prec)
+    assert tiled == [1, 2] and patches.count == 2
+    assert patches.series_error <= mp.mpf(2) ** -prec * max(abs(v) for v in read.values())
 
 
 def test_batch_matches_single():
@@ -186,8 +227,7 @@ def test_patches_match_the_per_point_contour():
     prec = 64
     with working_precision(prec):
         T = mp.mpf(60)
-        patches = hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi,
-                                       hardy.CONTOUR_RADIUS, [1, 2], prec)
+        patches = _explore_patches(T, [1, 2], prec)
         step = mp.pi / (8 * theta_prime(T, prec=prec))
         # grid points of explore 60; the window's ends sit farthest from a centre
         grid = [T - 2 * mp.pi + j * step for j in (0, 12, 24, 36)]
@@ -199,9 +239,10 @@ def test_patches_match_the_per_point_contour():
 
 
 @pytest.mark.parametrize("run, patches, samples", [
-    # 37 grid and 4 refinement contours of 128 samples took 5248, and 7
-    # patches of 65 samples (M = 128) 455; the error bound sizes M = 30
-    (lambda: theorem1_explore("60", "0.3", 2, prec=64), 7, 16),
+    # 37 grid and 4 refinement contours of 128 samples took 5248, 7 patches
+    # of 65 samples (M = 128) 455 and 7 of 16 (M = 30) 112; one patch, of
+    # radius 4 pi, takes M = 76
+    (lambda: theorem1_explore("60", "0.3", 2, prec=64), 1, 40),
     # the full circle took 128 and the half circle 65; M = 30
     (lambda: z_derivatives_batch(60, [1, 2], prec=64), 1, 16),
 ], ids=["explore", "batch"])

@@ -9,9 +9,10 @@ from mpmath import libmp, mp
 from hardyz import zeta
 from hardyz.precision import GUARD_BITS, working_precision
 
-# the critical line, three points inside explore's circles (sigma up to
-# 1/2 + CONTOUR_RADIUS) and the far side of test_enclose's (60, 16) circle
-TABLE_SIGMAS = ("0.5", "0.75", "1.5", "2.5", "16.5")
+# the critical line, points inside explore's circles (sigma up to 1/2 + 4 pi
+# for one patch of the 4 pi window) up to near that circle's far side, and the
+# far side of test_enclose's (60, 16) circle
+TABLE_SIGMAS = ("0.5", "0.75", "1.5", "2.5", "13.05", "16.5")
 
 
 # N = 16 is the smallest N of _zeta_em (prec//4 at 64 bits), 251 a prime,
