@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from mpmath import iv, mp, mpf
 
 from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
-from .polynomials import horner
 from .precision import (DEFAULT_PREC, GUARD_BITS, interval_precision,
                         refine_sign_change, working_precision)
 from .zeta import _zeta_em
@@ -38,6 +37,8 @@ MAX_RESCANS = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
 CONTOUR_RADIUS = 2  # z_derivatives_batch's circle, shrunk to |t|/2 + 1/4 near 0
 SAMPLE_ULPS = 16  # assumed error of a contour sample (see _TaylorPatches)
+READ_GUARD_BITS = 8  # a Taylor patch's fixed-point series carry bits + 8 fraction bits
+CENTRE_READ_BITS = 4  # a width-0 patch's first pass is sized for a read of 2^-4
 MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
 MODEL_READS = 6  # z_eval reads find_zeros' secant model takes before its fallback
 
@@ -125,39 +126,38 @@ def _z_complex(w):
 # derivatives
 
 
-def _z_taylor(centre, radius, M: int, count: int, bits: int) -> List[mpf]:
-    """[a_0, .., a_(count-1)], count <= M: Taylor coefficients of Z about the
-    real point centre, from one circle of M points, all at the given bits.
+def _z_taylor(centre, radius, M: int, count: int, bits: int) -> List[int]:
+    """[s_0, .., s_(count-1)], count <= M: the trapezoid sums of Z about the
+    real point centre on one circle of M points, radius r an mpf of at most
+    `bits` bits, as exact Python ints: s_n = 2^(2 bits) M r^n a~_n, a~_n the
+    sum's estimate of the Taylor coefficient a_n.
 
     Only the M/2 + 1 points with Im w <= 0 are sampled, where zeta sits at
     sigma >= 1/2.  The Schwarz reflection Z(conj w) = conj Z(w) fills the
     other half: Z is real on the real axis, and theta's principal loggamma
-    commutes with conjugation away from its cut.  a_n r^n is then the
+    commutes with conjugation away from its cut.  a~_n r^n is then the
     trapezoid sum (Re f_0 + (-1)^n Re f_{M/2} + 2 sum_{0<j<M/2} Re(f_j u^(nj)))/M
     over one table of M-th roots of unity u^j, with f_j = Z(centre + r u^-j).
     For every n < M that sum is a_n plus the aliases a_(n+jM) r^(jM), j >= 1.
-    The sums run in fixed point with `bits` fraction bits: the integer
-    products are exact, so each input is truncated once and each sum
-    rounded once.
+    The sums run in fixed point with `bits` fraction bits: each input is
+    truncated once and the integer products are exact.
     """
     half = M // 2
     with mp.workprec(bits):
-        r = mp.mpf(radius)
         roots = mp.unitroots(M)
-        samples = [_z_complex(centre + r * mp.conj(roots[j])) for j in range(half + 1)]
+        samples = [_z_complex(centre + radius * mp.conj(roots[j])) for j in range(half + 1)]
 
         def fixed(xs):
             return [int(mp.ldexp(x, bits)) for x in xs]
 
         f_re, f_im = fixed(f.real for f in samples), fixed(f.imag for f in samples)
         u_re, u_im = fixed(u.real for u in roots), fixed(u.imag for u in roots)
-        coeffs = []
-        for n in range(count):
-            acc = 2 * sum(f_re[j] * u_re[n * j % M] - f_im[j] * u_im[n * j % M]
-                          for j in range(1, half))
-            acc += (f_re[0] + (-1) ** n * f_re[half]) << bits
-            coeffs.append(mp.ldexp(acc, -2 * bits) / (M * r ** n))
-        return coeffs
+    sums = []
+    for n in range(count):
+        acc = 2 * sum(f_re[j] * u_re[n * j % M] - f_im[j] * u_im[n * j % M]
+                      for j in range(1, half))
+        sums.append(acc + ((f_re[0] + (-1) ** n * f_re[half]) << bits))
+    return sums
 
 
 def z_derivatives_batch(t, orders: Sequence[int],
@@ -506,16 +506,21 @@ class ExploreReport:
         "margins are raw data", init=False)
 
 
+def _floor_shifted(num: int, den: int, shift: int) -> int:
+    """floor(num 2^shift/den), den > 0, exactly."""
+    return (num << shift) // den if shift >= 0 else num // (den << -shift)
+
+
 class _TaylorPatches:
     """Z^(k) on [lo, hi] from truncated Taylor series of Z, one contour
     each; the only code that builds a contour.
 
     count patches of width (hi - lo)/count tile the interval, and a point
-    is read by Horner from the series about its nearest centre, at most
-    d = width/2 away.  Every circle has radius r = width (on a width-0
-    window, which is read only at its centre, the radius given), the same
-    number M of points and the same sample bits, and each series keeps a_n
-    for n < N = M - 1, or for n <= kmax on a width-0 window.
+    is read from the series about its nearest centre, at most d = width/2
+    away.  Every circle has radius r = width (on a width-0 window, which is
+    read only at its centre, the radius given), the same number M of points
+    and the same sample bits, and each series keeps a_n for n < N = M - 1,
+    or for n <= kmax on a width-0 window.
 
     The count is the fewest the error bound below allows, found by trial
     from an estimate.  Rounding the read costs 2^-mp.prec S, and S grows
@@ -527,6 +532,14 @@ class _TaylorPatches:
     series_error misses the budget the window is tiled and sampled again
     at the next count, up to twice the first count or the tiling of radius
     CONTOUR_RADIUS, whichever is more.
+
+    Each patch keeps its order-k series in fixed point, as Python ints
+    with F = bits + READ_GUARD_BITS fraction bits (read_bits): b_n =
+    a_(n+k) (n+k)!/n! d^n for n < N' = N - k (N' = 1 at width 0), so that
+    Z^(k)(u) = sum_n b_n x^n with x = (u - centre)/d and |x| <= 1.  With
+    d = r/2 both the scaling and r^k are exact, so each b_n is one floor of
+    an exact quotient of _z_taylor's integer sums.  A read is one integer
+    Horner pass in x, rounded once to the working precision.
 
     The error of a read is bounded from A, an upper bound on |Z| over the
     circles of a larger radius R about the centres (enclose.z_log_majorant;
@@ -547,25 +560,37 @@ class _TaylorPatches:
       is the size of theta(w), whose ulps become Z's relative error, and
       measured errors stay below 1.4 such units.  The fixed-point sums add
       2 (m + 2) 2^-bits a sample, and a sample error delta moves Z^(k) by
-      at most delta k! r/(r - d)^(k+1).  Forming the coefficients, the
-      Horner pass and rounding h = u - centre add (3N + 6) 2^-bits S, and
-      rounding the read to the working precision 2^-mp.prec S, with
-      S = max sum_n |a_n| n!/(n-k)! d^(n-k) over the patches.
+      at most delta k! r/(r - d)^(k+1).  The read then adds, in units of
+      2^-F: under 1 for each b_n's floor, N' in all since |x| <= 1; under
+      S1 = sum_n n |b_n| for the floor of x, by the mean value theorem; and
+      under 1 for each of the N' - 1 floors of the Horner steps, which
+      |x| <= 1 keeps from growing.  That is 2^-F (2N' + S1), and rounding
+      the read to the working precision adds 2^-mp.prec S, with
+      S = sum_n |b_n|, both the largest over the patches.  The bound counts
+      the fixed-point read as (3N + 6) 2^-bits S, or as 2^-F (2N' + S1)
+      where that is larger: S1 <= (N' - 1) S, so the first is the larger
+      wherever S >= 2^-7, as on explore's windows, and there series_error
+      does not depend on F.  The centres and width are rounded at the
+      working precision, so |x| may exceed 1 by some 4 |u|/d units of
+      2^-mp.prec, which scales x^n, n < N, by under 1 + 2^-50 for explore
+      up to T = 10^4 at 64 bits.
     series_error is the largest sum of the three over the orders, doubled,
     which covers the second-order rounding terms and the floats the bound is
     computed in.
 
     M, N and the bits come from one budget: 2^-prec times the largest
     |Z^(k)| read at the centres over the orders, taken as 1 until the
-    circles are first sampled.  M is the smallest even M whose aliasing and
-    truncation take at most a quarter of it at every order, with R the
-    radius that allows the smallest M (tried at r (R_max/r)^(j/16),
-    j = 1..15, about the centre farthest from 0, R_max the reach above);
-    the bits are the fewest whose rounding, with
-    S <= (m + 1) k! r/(r - d)^(k+1), takes at most an eighth.  If
-    series_error then exceeds the budget the reads set (where the largest
-    read is below 1; it counts as at least 2^-prec), the circles are sized
-    for that budget and sampled once more before the next count.
+    circles are first sampled, or as 2^-CENTRE_READ_BITS on a width-0
+    window, whose one read can be small.  M is the smallest even M whose
+    aliasing and truncation take at most a quarter of it at every order
+    (_points), with R the radius among R_j = r (R_max/r)^(j/16),
+    j = 1..15, about the centre farthest from 0 that allows the smallest M
+    (_radius), R_max the reach above; the bits are the fewest whose
+    rounding, with S <= (m + 1) k! r/(r - d)^(k+1), takes at most an
+    eighth.  If series_error then exceeds the budget the reads set (where
+    the largest read is below 1; it counts as at least 2^-prec), the
+    circles are sized for that budget and sampled once more before the
+    next count.
     """
 
     def __init__(self, lo, hi, orders: Sequence[int], prec: int, radius=None):
@@ -576,7 +601,9 @@ class _TaylorPatches:
         self._orders = sorted(orders)
         self._log_majorants: Dict[Tuple[float, float], float] = {}
         unit = prec * math.log(2)
-        log_budget = -unit  # 2^-prec times a largest |Z^(k)| of 1, until one is read
+        # 2^-prec times a largest |Z^(k)| of 1 (2^-CENTRE_READ_BITS at width 0),
+        # until one is read
+        log_budget = -unit if hi > lo else -unit - CENTRE_READ_BITS * math.log(2)
         count = last = 1
         if hi > lo:
             count = self._first_count(lo, hi)
@@ -590,6 +617,7 @@ class _TaylorPatches:
                     self._sample()
                 log_error = self._log_error(R)
                 read = max(abs(patch[k][0]) for patch in self.series for k in orders)
+                read = mp.ldexp(read, -self.read_bits)
                 log_budget = max(float(mp.log(read)) if read else -unit, -unit) - unit
                 if log_error <= log_budget:
                     break
@@ -611,7 +639,7 @@ class _TaylorPatches:
         self.width = (hi - lo) / count
         self.radius = self.width or mp.mpf(radius)
         self.centres = [lo + (i + mp.mpf(0.5)) * self.width for i in range(count)]
-        self.series: List[Dict[int, List[mpf]]] = []  # per patch and order
+        self.series: List[Dict[int, List[int]]] = []  # per patch and order
         self.M = self.bits = 0
         self._r, self._d = float(self.radius), float(self.width) / 2
         self._centres = [float(c) for c in self.centres]
@@ -622,14 +650,22 @@ class _TaylorPatches:
         self._ulps = SAMPLE_ULPS * (1 + w * math.log(2 + w))
 
     def _sample(self) -> None:
-        """Sample every circle at the current M and bits and keep the series."""
+        """Sample every circle at the current M and bits and keep each
+        order's series in fixed point (b_n above)."""
         N = self._terms(self.M)
+        self.read_bits = F = self.bits + READ_GUARD_BITS
+        with mp.workprec(self.bits):
+            r = +self.radius  # the radius sampled, exact as man 2^exp
+        self._radius_bits = man, exp = r.man, r.exp
         self.series = []
         for c in self.centres:
-            a = _z_taylor(c, self.radius, self.M, N, self.bits)
-            with mp.workprec(self.bits):
-                self.series.append({k: [a[n] * math.perm(n, k) for n in range(k, N)]
-                                    for k in self._orders})
+            sums = _z_taylor(c, r, self.M, N, self.bits)
+            # b_n 2^F = s_(n+k) (n+k)!/n! 2^(F - 2 bits - n)/(M r^k), as d^n = r^n 2^-n
+            self.series.append({k: [_floor_shifted(sums[n + k] * math.perm(n + k, k),
+                                                   self.M * man ** k,
+                                                   F - 2 * self.bits - n - k * exp)
+                                    for n in range(N - k if self.width else 1)]
+                                for k in self._orders})
 
     def _terms(self, M: int) -> int:
         return M - 1 if self.width else self._orders[-1] + 1
@@ -667,17 +703,7 @@ class _TaylorPatches:
 
     def _size(self, log_budget: float) -> Tuple[int, int, float]:
         """(M, bits, R) for the error budget e^log_budget on every Z^(k)."""
-        best, worse = None, 0
-        for j in range(1, 16):
-            R = self._r * (self._reach / self._r) ** (j / 16)
-            M = self._points(log_budget, R, self._log_majorant(self._far, R))
-            if best is None or M < best[0]:
-                best, worse = (M, R), 0
-            else:
-                worse += 1
-                if worse == 2:
-                    break
-        R = best[1]
+        R = self._radius(log_budget)
         M = self._points(log_budget, R, self._majorant(R))
         N = self._terms(M)
         log_unit = math.log((self._ulps + 3 * N + 8) * (self._m + 2))
@@ -685,15 +711,66 @@ class _TaylorPatches:
                               - log_budget) / math.log(2)) for k in self._orders)
         return M, bits, R
 
+    def _radius(self, log_budget: float) -> float:
+        """The R_j = r (R_max/r)^(j/16), j = 1..15, that allows the least M
+        about the centre farthest from 0, at its smallest j.
+
+        A z_log_majorant call costs more the larger R (more arcs, each
+        summing more terms): at T = 10^4 about 10 ms at j = 1 and 5 s at
+        j = 15.  So the search starts at _first_radius, a model's guess, and
+        moves only towards a smaller (M, j): up while M falls, else down
+        while it does not rise, and stops at the first step that fails.
+        M(j) falls and then rises with j (q^M falls and A grows with R), so
+        that is the least M at its smallest j.  Nothing rests on the model
+        or on that shape: any R_j gives a proved bound, only a larger M.
+        """
+        radii = [self._r * (self._reach / self._r) ** (j / 16) for j in range(1, 16)]
+        points: Dict[int, int] = {}
+
+        def key(i: int) -> Tuple[int, int]:
+            if i not in points:
+                R = radii[i]
+                points[i] = self._points(log_budget, R, self._log_majorant(self._far, R))
+            return points[i], i
+
+        i, last = self._first_radius(log_budget, radii), len(radii) - 1
+        step = 1 if i < last and key(i + 1) < key(i) else -1
+        while 0 <= i + step <= last and key(i + step) < key(i):
+            i += step
+        return radii[i]
+
+    def _first_radius(self, log_budget: float, radii: List[float]) -> int:
+        """The index of the first radius whose M is least under the model
+        log A(R) ~ log A(r) + theta' (R - r), theta' = log(c/2pi)/2 at the
+        far centre c (at least 0): below the real line |e^(i theta(w))|
+        grows like e^(theta' |Im w|), and zeta tends to 1."""
+        log_a = self._log_majorant(self._far, self._r)
+        slope = math.log(max(self._far, 2 * math.pi) / (2 * math.pi)) / 2
+        model = [self._points(log_budget, R, log_a + slope * (R - self._r)) for R in radii]
+        return model.index(min(model))
+
     def _points(self, log_budget: float, R: float, log_a: float) -> int:
         """The smallest even M > kmax + 1 whose aliasing and truncation take a
-        quarter of the budget."""
+        quarter of the budget: doubled from the first candidate until one
+        fits, then bisected over the even M between.  While the truncation
+        ratio rho is at least 1 _log_series counts the truncation as
+        infinite and no M fits; once rho < 1 both terms fall as M grows
+        (q^M/(1 - q^M), and the truncation's first term by rho a step with
+        rho itself falling), so the M that fit are all those from one on."""
         kmax = self._orders[-1]
-        M = kmax + 2 + kmax % 2
-        while any(self._log_series(k, M, R, log_a) > log_budget - 2 * math.log(2)
-                  for k in self._orders):
-            M += 2
-        return M
+        target = log_budget - 2 * math.log(2)
+
+        def fits(M: int) -> bool:
+            return all(self._log_series(k, M, R, log_a) <= target for k in self._orders)
+
+        low = kmax + kmax % 2  # even, below every candidate
+        high = low + 2
+        while not fits(high):
+            low, high = high, 2 * high
+        while high - low > 2:
+            mid = (low + high) // 4 * 2
+            low, high = (low, mid) if fits(mid) else (mid, high)
+        return high
 
     def _log_error(self, R: float) -> float:
         """log of series_error for the circles as sampled."""
@@ -701,26 +778,40 @@ class _TaylorPatches:
         log_a = self._majorant(R)
         m = self._m
         log_delta = math.log(self._ulps * m + 2 * (m + 2)) - self.bits * math.log(2)
-        log_arithmetic = math.log(3 * N + 6) - self.bits * math.log(2)
+        log_allowance = math.log(3 * N + 6) - self.bits * math.log(2)
         log_output = -mp.prec * math.log(2)
-        d = self.width / 2
+        F = self.read_bits
         worst = -math.inf
         for k in self._orders:
-            size = max(mp.fsum(abs(b) * d ** n for n, b in enumerate(patch[k]))
-                       for patch in self.series)
-            log_size = float(mp.log(size)) if size else -math.inf
+            size = max(sum(abs(b) for b in patch[k]) for patch in self.series)
+            log_size = float(mp.log(mp.ldexp(size, -F))) if size else -math.inf
+            # 2^-F (2N' + S1) = 2^-2F (2N' 2^F + sum n |B_n|)
+            log_read = max(math.log((2 * len(patch[k]) << F)
+                                    + sum(n * abs(b) for n, b in enumerate(patch[k])))
+                           for patch in self.series) - 2 * F * math.log(2)
             worst = max(worst, log_add(self._log_series(k, self.M, R, log_a),
                                         log_delta + self._log_gain(k),
-                                        log_arithmetic + log_size,
+                                        max(log_allowance + log_size, log_read),
                                         log_output + log_size))
         return worst + math.log(2)
 
     def derivative(self, u, k: int) -> mpf:
-        """Z^(k)(u) from the nearest patch, rounded to the ambient precision."""
+        """Z^(k)(u) from the nearest patch by the fixed-point Horner pass,
+        rounded once to the ambient precision."""
         i = min(int((u - self.lo) / self.width), self.count - 1) if self.width else 0
-        with mp.workprec(self.bits):
-            v = horner(self.series[i][k], u - self.centres[i])
-        return +v
+        x = self._fixed_x(u, self.centres[i]) if self.width else 0
+        F, acc = self.read_bits, 0
+        for b in reversed(self.series[i][k]):
+            acc = (acc * x >> F) + b
+        return mp.ldexp(acc, -F)
+
+    def _fixed_x(self, u, centre) -> int:
+        """floor(2^F (u - centre)/d), d = r/2 for the radius sampled, from
+        the exact difference."""
+        sign, h, h_exp, _ = mp.fsub(u, centre, exact=True)._mpf_
+        h = -h if sign else h
+        man, exp = self._radius_bits
+        return _floor_shifted(h, man, h_exp + self.read_bits + 1 - exp)
 
 
 def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> ExploreReport:
@@ -734,7 +825,8 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
     fits the budget (see _TaylorPatches), 1, 1, 2 and 3 at T = 57.5, 100,
     1000 and 10^4, each a circle of radius 4 pi/contours and M/2 + 1 zeta
     samples (one circle of at most 40 at 64 bits for T in [55, 65]),
-    instead of one full circle per point.  series_error is the patches'
+    instead of one full circle per point; a value is one integer Horner
+    pass over its patch's fixed-point series.  series_error is the patches'
     proved bound on the error of every value read, from truncation,
     aliasing and rounding (see _TaylorPatches).  Explicitly exploratory
     output.

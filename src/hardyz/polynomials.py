@@ -115,7 +115,9 @@ def _rounded(exact, n: int, prec: int) -> Tuple[mpf, ...]:
 
 
 def horner(coeffs, x):
-    """sum_k coeffs[k] x^k, the package's one Horner pass.  Starting at the
+    """sum_k coeffs[k] x^k, the package's one Horner pass over exact or mpf
+    values (hardy._TaylorPatches reads its fixed-point series with its own
+    integer loop, which shifts after every product).  Starting at the
     integer 0 keeps Fractions exact and rounds an mpf leading coefficient as
     an mp.mpf(0) start does; an mpc one keeps its imaginary bits in that
     step, so mpc coefficients should be at the ambient precision.

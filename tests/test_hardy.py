@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from hardyz import hardy
-from hardyz.enclose import z_rs
+from hardyz.enclose import z_log_majorant, z_rs
 from hardyz.hardy import (MAX_RESCANS, ZERO_HALF_WIDTH_BITS, CapacityError,
                           UnconfirmedSignChangeError, count_stats,
                           expected_zero_count, find_zeros, n_main,
@@ -18,6 +18,7 @@ from hardyz.hardy import (MAX_RESCANS, ZERO_HALF_WIDTH_BITS, CapacityError,
 from hardyz.precision import GUARD_BITS, working_precision
 
 from derivative_oracle import z_derivative_fd
+from patch_size_oracle import walk_size
 
 PREC = 128
 
@@ -155,14 +156,19 @@ def test_series_error_bounds_every_read(T, prec):
     assert bound <= mp.mpf(2) ** -prec * max(abs(v) for v in read.values())
 
 
-def _explore_reads(patches, T, orders, prec):
-    """{(u, k): Z^(k)(u)} from the patches over the grid of explore T."""
+def _explore_grid(T, prec):
+    """The grid of explore T, at the ambient precision."""
     step = mp.pi / (8 * theta_prime(T, prec=prec))
     grid, u = [], T - 2 * mp.pi
     while u <= T + 2 * mp.pi:
         grid.append(u)
         u += step
-    return {(u, k): patches.derivative(u, k) for u in grid for k in orders}
+    return grid
+
+
+def _explore_reads(patches, T, orders, prec):
+    """{(u, k): Z^(k)(u)} from the patches over the grid of explore T."""
+    return {(u, k): patches.derivative(u, k) for u in _explore_grid(T, prec) for k in orders}
 
 
 def test_series_error_meets_its_budget_on_several_patches():
@@ -196,6 +202,111 @@ def test_a_count_that_misses_the_budget_is_followed_by_the_next(monkeypatch):
         read = _explore_reads(patches, T, orders, prec)
     assert tiled == [1, 2] and patches.count == 2
     assert patches.series_error <= mp.mpf(2) ** -prec * max(abs(v) for v in read.values())
+
+
+class _SizedBothWays(hardy._TaylorPatches):
+    """_TaylorPatches that also sizes every pass by the walk of
+    tests/patch_size_oracle.py: sizes holds (search, walk) for each _size
+    call, and walk_majorants the z_log_majorant keys the walk would have
+    computed, on top of each tiling's radius-r bounds."""
+
+    def __init__(self, *args):
+        self.sizes, self.walk_majorants = [], set()
+        super().__init__(*args)
+
+    def _size(self, log_budget):
+        self.walk_majorants.update((abs(c), self._r) for c in self._centres)
+
+        def log_majorant(c, R):
+            self.walk_majorants.add((abs(c), R))
+            known = self._log_majorants.get((abs(c), R))
+            return z_log_majorant(c, R) if known is None else known
+
+        size = super()._size(log_budget)
+        self.sizes.append((size, walk_size(self, log_budget, log_majorant)))
+        return size
+
+
+def _explore_orders(T):
+    """The orders theorem1_explore(T, 0.3, 2) reads."""
+    m = int(mp.floor(mp.mpf("0.3") * mp.log(T) * mp.log(mp.log(T))))
+    m = max(1, min(m, 2))
+    return list(range(1, 2 * m, 2)) + [2 * m]
+
+
+@pytest.fixture(scope="module")
+def sized_patches():
+    """(T, prec) -> the _SizedBothWays patches of explore T at prec, each
+    built once."""
+    built = {}
+
+    def build(T, prec):
+        if (T, prec) not in built:
+            with working_precision(prec):
+                Tm = mp.mpf(T)
+                built[T, prec] = _SizedBothWays(Tm - 2 * mp.pi, Tm + 2 * mp.pi,
+                                                _explore_orders(Tm), prec)
+        return built[T, prec]
+
+    return build
+
+
+@pytest.mark.parametrize("T, prec, most_majorants", [
+    (55, 64, None), (57.5, 64, None), (60, 64, 10), (62.5, 64, None), (65, 64, None),
+    (100, 64, None), (300, 64, "walk"), (1000, 64, "walk"), (3000, 64, "walk"),
+    (10000, 64, "walk"), (57.5, 128, None)])
+def test_size_search_finds_the_walks_points_and_bits(sized_patches, T, prec, most_majorants):
+    # the walk computed 16 majorants at T = 60: 15 radii and the r-circle.
+    # The same R too, the first of any radii that tie on M, keeps
+    # series_error as the walk had it
+    patches = sized_patches(T, prec)
+    assert patches.sizes
+    for size, walk in patches.sizes:
+        assert size == walk
+    calls = len(patches._log_majorants)
+    if most_majorants == "walk":
+        assert calls <= len(patches.walk_majorants)
+    elif most_majorants is not None:
+        assert calls <= most_majorants
+
+
+@pytest.mark.parametrize("T, start", [(60, 0), (1000, 14)])
+def test_size_search_finds_the_walks_points_from_either_end(monkeypatch, T, start):
+    # the model starts explore 60 at j = 15 and explore 1000 at j = 5, by
+    # their least M; from the far end the search must step the whole way
+    monkeypatch.setattr(_SizedBothWays, "_first_radius", lambda self, budget, radii: start)
+    with working_precision(64):
+        T = mp.mpf(T)
+        patches = _SizedBothWays(T - 2 * mp.pi, T + 2 * mp.pi, _explore_orders(T), 64)
+    assert patches.sizes
+    for size, walk in patches.sizes:
+        assert size == walk
+
+
+@pytest.mark.parametrize("T", [60, 1000])
+def test_fixed_point_read_is_within_its_rounding_term(sized_patches, T):
+    # every grid read of explore T and the window's two ends (|x| = 1),
+    # read exactly (the ambient precision holds every fixed-point bit),
+    # against mpf Horner at 2 x bits over the same stored series
+    prec = 64
+    patches = sized_patches(T, prec)
+    F, (man, exp) = patches.read_bits, patches._radius_bits
+    with working_precision(prec):
+        T = mp.mpf(T)
+        points = _explore_grid(T, prec) + [T - 2 * mp.pi, T + 2 * mp.pi]
+    with mp.workprec(2 * patches.bits):
+        d = mp.ldexp(man, exp - 1)
+        for u in points:
+            i = min(int((u - patches.lo) / patches.width), patches.count - 1)
+            x = (u - patches.centres[i]) / d
+            assert abs(x) <= 1 + mp.mpf(2) ** -60
+            for k in patches._orders:
+                b = [mp.ldexp(c, -F) for c in patches.series[i][k]]
+                exact = mp.mpf(0)
+                for c in reversed(b):
+                    exact = exact * x + c
+                term = mp.ldexp(2 * len(b) + sum(n * abs(c) for n, c in enumerate(b)), -F)
+                assert abs(patches.derivative(u, k) - exact) <= term, (u, k)
 
 
 def test_batch_matches_single():
@@ -245,7 +356,10 @@ def test_patches_match_the_per_point_contour():
     (lambda: theorem1_explore("60", "0.3", 2, prec=64), 1, 40),
     # the full circle took 128 and the half circle 65; M = 30
     (lambda: z_derivatives_batch(60, [1, 2], prec=64), 1, 16),
-], ids=["explore", "batch"])
+    # |Z'(60)| = 0.27: a first pass sized for a read of 1 was sampled again
+    # at more bits, 32 samples in all; M = 30
+    (lambda: z_derivatives_batch(60, [1], prec=64), 1, 16),
+], ids=["explore", "batch", "batch-small-read"])
 def test_contour_zeta_budget(monkeypatch, run, patches, samples):
     # a sample is one _zeta_em call from _z_complex; explore's z_eval(T)
     # calls it too, on the line, and is not a sample

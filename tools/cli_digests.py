@@ -44,6 +44,10 @@ COMMANDS = [
     "--precision-bits 64 explore 57.5 0.3 2",
     "--precision-bits 128 explore 57.5 0.3 2",
     "--precision-bits 64 explore 1000 0.3 4",
+    # the centre of the benchmark's explore heights
+    "--precision-bits 64 explore 60 0.3 2",
+    # three patches, where the majorant radius is smallest
+    "--precision-bits 64 explore 10000 0.3 2",
 ] + [
     f"--seed 3 --precision-bits 192 identity --n 3 --m 5 --probe {probe}"
     for probe in ("cosine", "polynomial", "gaussian-cosine", "cardinal")
