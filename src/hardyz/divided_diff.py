@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .precision import DEFAULT_PREC, held, working_precision
-from .quadrature import BOUND_SLACK, ELLIPSES, exact_degree, least_degree
+from .quadrature import BOUND_SLACK, ELLIPSES, exact_count, least_count
 from .quadrature import nodes as gl_nodes
 
 
@@ -31,8 +31,9 @@ class FunctionProbe:
     is the log of a bound on |f^(k)(z)| for every complex z with
     |Im z| <= height, computed in floats.  Its two readers, identity's
     integral term and divided_difference_simplex, choose their
-    Gauss-Legendre rule's degree and bound its error from it, and refuse a
-    probe without one unless it is a polynomial (degree is not None).
+    Gauss-Legendre rule's node count and bound its error from it, and
+    refuse a probe without one unless it is a polynomial (degree is not
+    None).
     """
 
     deriv: Callable[[object, int], object]
@@ -149,9 +150,9 @@ def divided_difference_simplex(probe: FunctionProbe, nodes: NodeMultiset,
     Hermite-Genocchi integral of f^(d)(z_0 + sum_i t_i (z_i - z_(i-1))) over
     1 >= t_1 >= .. >= t_d >= 0, in collapsed coordinates t_1 = s_1,
     t_(i+1) = t_i s_(i+1) on the unit cube (Jacobian t_1 .. t_(d-1)), by
-    the tensor product of one Gauss-Legendre rule on [0, 1], of the degree
-    _simplex_rule chooses.  The gaps are taken from the held nodes at the
-    working precision, so the result does not depend on the caller's.
+    the tensor product of one Gauss-Legendre rule on [0, 1], of the node
+    count _simplex_rule chooses.  The gaps are taken from the held nodes at
+    the working precision, so the result does not depend on the caller's.
     Orders 1 and 2 only: a tensor rule of order 3 takes seconds.
     """
     order = len(nodes) - 1
@@ -160,8 +161,8 @@ def divided_difference_simplex(probe: FunctionProbe, nodes: NodeMultiset,
     with working_precision(prec):
         z = nodes.nodes
         gaps = [z[i + 1] - z[i] for i in range(order)]
-        degree, _ = _simplex_rule(probe, float(z[-1] - z[0]), order)
-        points = [((1 + t) / 2, w / 2) for t, w in gl_nodes(degree)]
+        N, _ = _simplex_rule(probe, float(z[-1] - z[0]), order)
+        points = [((1 + t) / 2, w / 2) for t, w in gl_nodes(N)]
 
         def integrand(*s):
             t, x, jacobian = 1, z[0], 1
@@ -177,12 +178,13 @@ def divided_difference_simplex(probe: FunctionProbe, nodes: NodeMultiset,
 
 
 def _simplex_rule(probe: FunctionProbe, span: float, order: int) -> Tuple[int, float]:
-    """(degree, log bound) of divided_difference_simplex's tensor rule, for
-    nodes spanning z_d - z_0 = span, in floats at the ambient precision.
+    """(N, log bound) of divided_difference_simplex's tensor rule of
+    N-point factors, for nodes spanning z_d - z_0 = span, in floats at the
+    ambient precision.
 
     A polynomial probe of degree p makes the integrand a polynomial of
-    degree at most p - 1 in each s_i, and gets the least degree that
-    integrates it exactly (bound 0).  Any other probe needs a majorant.  The
+    degree at most p - 1 in each s_i, and gets the fewest nodes that
+    integrate it exactly (bound 0).  Any other probe needs a majorant.  The
     rule's error is at most the sum of the d one-dimensional errors, in
     each s_i with the others real in [0, 1], because each rule's weights
     are positive and sum to 1.  With s_i on the ellipse E_rho about [0, 1]
@@ -190,18 +192,18 @@ def _simplex_rule(probe: FunctionProbe, span: float, order: int) -> Tuple[int, f
     [0, 1], the point moves off the real line by at most B span/2, and the
     Jacobian s_1 is at most (1 + A)/2: each one-dimensional integrand is at
     most M(rho) = ((1 + A)/2)^(d-1) exp(majorant(d, B span/2)), so the
-    bound is quadrature.least_degree's for d M(rho), at r = 1/2.  span is
+    bound is quadrature.least_count's for d M(rho), at r = 1/2.  span is
     rounded up, and the bound's floats are covered by BOUND_SLACK as in
     identity._panel_rule.
     """
     if probe.degree is not None:
-        return exact_degree(probe.degree - 1), -math.inf
+        return exact_count(probe.degree - 1), -math.inf
     if probe.majorant is None:
         raise ValueError("the probe has no majorant of |f^(d)| off the real line: "
-                         "the Gauss-Legendre rule chooses its degree and bounds "
+                         "the Gauss-Legendre rule chooses its node count and bounds "
                          "its error from one")
     height = span * (1 + 2.0 ** -52) / 2
     log_ms = [math.log(order) + (order - 1) * math.log((1 + A) / 2)
               + probe.majorant(order, B * height) for _, A, B in ELLIPSES]
-    degree, log_trunc = least_degree(0.5, log_ms)
-    return degree, log_trunc + BOUND_SLACK
+    N, log_trunc = least_count(0.5, log_ms)
+    return N, log_trunc + BOUND_SLACK

@@ -11,7 +11,7 @@ difference of Clausen values Cl_2, computed by its Bernoulli series
 (_clausen) with a proved bound on the omitted terms; mp.clsin and
 log_sine_integral are the routes the tests check it against.  The latter
 takes G(t) = t log(pi t/2) - t + integral_0^t log sinc(pi tau/2) d tau by
-the one Gauss-Legendre rule of quadrature, whose degree a proved bound
+the one Gauss-Legendre rule of quadrature, whose node count a proved bound
 chooses (_log_sine_rule).
 find_c_eps refines the edge delta_eps = 1 - c_eps with the sign-change
 finder find_zeros uses, precision.refine_sign_change.  Its search reads h
@@ -36,7 +36,7 @@ from .kernel import (NodeConfig, boundary_sum_bound, coefficients,  # noqa: F401
                      divided_bound_direct, sine_product)
 from .polynomials import _rounded, clausen_coeffs, horner
 from .precision import DEFAULT_PREC, refine_sign_change, working_precision
-from .quadrature import BOUND_SLACK, ELLIPSES, least_degree, nodes
+from .quadrature import BOUND_SLACK, ELLIPSES, least_count, nodes
 from .sequences import tail_weight_constant
 
 FIND_C_EPS_RESOLUTION_BITS = 12
@@ -87,15 +87,15 @@ def log_sine_integral(t, prec: int = DEFAULT_PREC) -> mpf:
             return mp.mpf(0)
         if tm < 0 or tm > 1:
             raise ValueError("t must lie in [0, 1]")
-        degree, _ = _log_sine_rule(float(tm))
+        N, _ = _log_sine_rule(float(tm))
         half = tm / 2
         body = mp.fdot((half * w, mp.log(mp.sinc(mp.pi * (half + half * x) / 2)))
-                       for x, w in nodes(degree))
+                       for x, w in nodes(N))
         return tm * mp.log(mp.pi * tm / 2) - tm + body
 
 
 def _log_sine_rule(t: float) -> Tuple[int, float]:
-    """(degree, log bound) of log_sine_integral's rule for
+    """(N, log bound) of log_sine_integral's N-point rule for
     integral_0^t log sinc(pi tau/2) d tau, in floats at the ambient
     precision.
 
@@ -120,9 +120,9 @@ def _log_sine_rule(t: float) -> Tuple[int, float]:
             return math.log(w * w / 6 / (1 - (w / math.pi) ** 2))
         return math.log(math.log(w / math.sin(w)))
 
-    degree, log_trunc = least_degree(
+    N, log_trunc = least_count(
         r, [log_majorant(math.pi / 2 * r * (1 + A)) for _, A, _ in ELLIPSES])
-    return degree, log_trunc + BOUND_SLACK
+    return N, log_trunc + BOUND_SLACK
 
 
 def log_sine_integral_closed(t, prec: int = DEFAULT_PREC) -> mpf:

@@ -10,8 +10,8 @@ boundary values' Bernoulli sum, one polynomial per panel between the knots
 -a, x_k, a.  For a polynomial probe the integrand is a polynomial on every
 panel, so the integral is taken in closed form and carries no quadrature
 error; when deg f < 2m it is zero and the kernel is never built.  Other probes give a majorant of |f^(2m)| off
-the real line, and each panel gets one Gauss-Legendre rule, of the least
-degree whose proved error bound (Bernstein ellipses, see _panel_rule) is at
+the real line, and each panel gets one Gauss-Legendre rule, of the fewest
+nodes whose proved error bound (Bernstein ellipses, see _panel_rule) is at
 most mp.eps; quadrature_error_estimate is the sum of those bounds and a
 rounding allowance.  reconstruct_f0 takes its boundary values from
 kernel.psi_star_boundary, which extends them to weakly ordered
@@ -38,7 +38,7 @@ from .kernel import (NodeConfig, coefficients, compile_psi,  # noqa: F401
 from .polynomials import horner
 from .precision import DEFAULT_PREC, working_precision
 from .probes import PolynomialProbe
-from .quadrature import BOUND_SLACK, ELLIPSES, NODE_BITS, least_degree, nodes
+from .quadrature import BOUND_SLACK, ELLIPSES, NODE_BITS, least_count, nodes
 
 # assumed: a probe's f^(k) at a real point is within PROBE_ULPS units of 2^-P
 # of its majorant (see _panel_rule)
@@ -81,16 +81,16 @@ def _log_abs(x: mpf) -> float:
 
 def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
                 k: int) -> Tuple[int, float]:
-    """(degree, log bound) of the Gauss-Legendre rule for the integral of
-    g(x) = f^(k)(x) q(x - c) over the panel [c - r, c + r], computed in
+    """(N, log bound) of the N-point Gauss-Legendre rule for the integral
+    of g(x) = f^(k)(x) q(x - c) over the panel [c - r, c + r], computed in
     floats before any integrand call.  q holds the panel's kernel
-    coefficients, c is |centre| and majorant is the probe's.  The degree is
-    quadrature.least_degree's, N = 3 2^(degree-1) nodes.
+    coefficients, c is |centre| and majorant is the probe's.  N is
+    quadrature.least_count's.
 
     Truncation.  On the Bernstein ellipse E_rho about the panel (foci
     c -+ r, semi-axes r A and r B of quadrature.ELLIPSES)
     |g| <= M(rho) = sum_j |q_j| (r A)^j exp(majorant(k, r B)): E_rho lies in
-    the disc |x - c| <= r A and in the strip |Im x| <= r B.  least_degree
+    the disc |x - c| <= r A and in the strip |Im x| <= r B.  least_count
     bounds the error by T = r (64/15) M(rho) rho^(-2N)/(1 - rho^-2), the
     least over the ellipses.
 
@@ -101,8 +101,10 @@ def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
     1. The domain.  The kernel's centre is within u |c| of the panel's
        midpoint, and r = (hi - lo)/2 rounds once, so each end of the rule's
        interval is within u (|c| + r) of the panel's: 2 u (|c| + r) M.
-    2. The nodes and weights, as quadrature.NODE_BITS assumes: the weights
-       move the sum by r N 2^-(NODE_BITS-2) u M (r N u M/64).
+    2. The nodes and weights, as quadrature.nodes checks them: each node
+       within 2^-NODE_BITS u of a root of P_N, each weight within
+       2^-(NODE_BITS-2) u of the root's.  The weights move the sum by
+       r N 2^-(NODE_BITS-2) u M (r N u M/64); the nodes enter at 3.
     3. The points.  With the nodes' error, h_i is within r (1 + 2^-8) u of
        r t_i and x_i within (|c| + (2 + 2^-8) r) u of c + r t_i.  The disc
        of radius r (A - 1) about a point of the panel lies in E_rho (on it
@@ -122,12 +124,13 @@ def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
     + 2 PROBE_ULPS + 12).
 
     The bound is T plus the allowance, as a float log plus BOUND_SLACK.
-    While its logs stay below 2^16 in size (2 N log rho < 2^16 for
-    N <= 3 2^10, mpmath's top degree below 1920 bits), each float operation
-    moves them by less than 2^-36, and the c and the majorant's b and width
-    that enter as floats are within 2^-52 relative (r is rounded up): all
-    of it stays far below the slack.  The assumed errors of 2 and 4 are
-    checked by the tests.
+    While its logs stay below 2^20 in size (2 N log rho < 2^20 for
+    N <= 4 P, quadrature.least_count's cap, below 18000 bits), each float
+    operation moves them by less than 2^-32, and the c and the majorant's
+    b and width that enter as floats are within 2^-52 relative (r is
+    rounded up): all of it stays far below the slack.  The nodes' and weights' errors of 2
+    are checked when the rule is built, and the assumed error of 4 by the
+    tests.
     """
     log_q = [_log_abs(v) for v in q]
 
@@ -137,13 +140,12 @@ def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
             + majorant(k, r * B)
 
     log_ms = [log_bound_on(A, B) for _, A, B in ELLIPSES]
-    degree, log_trunc = least_degree(r, log_ms)
-    N = 3 << (degree - 1)
+    N, log_trunc = least_count(r, log_ms)
     terms = N * 2.0 ** (2 - NODE_BITS) + 2 * c / r + 4 * k + 2 * PROBE_ULPS + 12
     log_round = min(log_m + math.log(r * (terms + 2 * (c / r + 4) / (A - 1)))
                     for log_m, (_, A, _) in zip(log_ms, ELLIPSES)) \
         - mp.prec * math.log(2)
-    return degree, log_add(log_trunc, log_round) + BOUND_SLACK
+    return N, log_add(log_trunc, log_round) + BOUND_SLACK
 
 
 def _integral_term(probe: FunctionProbe, m: int, config: NodeConfig,
@@ -165,15 +167,15 @@ def _integral_term(probe: FunctionProbe, m: int, config: NodeConfig,
         return kern.integrate_polynomial(probe.derivative_coeffs(2 * m)), mp.mpf(0)
     if probe.majorant is None:
         raise ValueError("the probe has no majorant of |f^(2m)| off the real line: "
-                         "the Gauss-Legendre rule chooses its degree and bounds "
+                         "the Gauss-Legendre rule chooses its node count and bounds "
                          "its error from one")
     k = 2 * m
     values, bounds = [], []
     for lo, hi, c, q in zip(kern.knots, kern.knots[1:], kern.centers, kern.coeffs):
         r = (hi - lo) / 2
         r_up = float(r) * (1 + 2.0 ** -52)
-        degree, log_bound = _panel_rule(q, r_up, abs(float(c)), probe.majorant, k)
-        points = [(r * t, r * w) for t, w in nodes(degree)]
+        N, log_bound = _panel_rule(q, r_up, abs(float(c)), probe.majorant, k)
+        points = [(r * t, r * w) for t, w in nodes(N)]
 
         def integrand(h):
             return mp.mpf(probe.deriv(c + h, k)) * horner(q, h)

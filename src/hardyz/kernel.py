@@ -38,7 +38,7 @@ from .divided_diff import NodeMultiset, divided_difference_data, node_product
 # bernoulli_poly is unused here, but perfbench's tracer patches
 # kernel.bernoulli_poly
 from .polynomials import (bernoulli_centered_coeffs, bernoulli_poly,  # noqa: F401
-                          bernoulli_poly_mpf, chebyshev, horner)
+                          bernoulli_poly_mpf, chebyshev, chebyshev_rows, horner)
 from .precision import DEFAULT_PREC, held, working_precision
 # unused here, but perfbench's tracer patches kernel.tail_weight_constant
 from .sequences import tail_weight_constant  # noqa: F401
@@ -417,11 +417,17 @@ def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC) -> mp
     (DuplicateNodeError).  Vanishes for j = 1..2n-1."""
     term_prec = prec + TERM_GUARD_BITS
     with working_precision(prec):
-        t = config.sine_nodes(term_prec)
-        total = mp.mpf(0)
-        for al, tk in zip(coefficients(config, prec=prec).alpha, t):
-            total += al * chebyshev(j, tk, prec=term_prec)
-        return (-1) ** j * total
+        row = [chebyshev(j, tk, prec=term_prec) for tk in config.sine_nodes(term_prec)]
+        return _moment(coefficients(config, prec=prec).alpha, row, j)
+
+
+def _moment(alpha: Sequence[mpf], row: Sequence[mpf], j: int) -> mpf:
+    """(-1)^j sum_k alpha_k T_j(t_k) from the row T_j(t_k), summed in
+    order at the ambient precision."""
+    total = mp.mpf(0)
+    for al, tj in zip(alpha, row):
+        total += al * tj
+    return (-1) ** j * total
 
 
 def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
@@ -431,9 +437,12 @@ def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
     Returns (pref sum_j S_j cos(j pi (1/2 + x/2a)) / j^(2l) over
     j = 2n..2n+J, bound on the terms j > 2n+J), with the prefactor
     pref = (-1)^(l+1) 2 (2a)^(2l-1) / (alpha_0 pi^(2l)), alpha_0 from
-    coefficients() at prec and the moments S_j at prec + TERM_GUARD_BITS.
-    Valid for l >= n+1.  The bound needs distinct nodes, so a weak
-    configuration is refused.
+    coefficients() at prec and the moments S_j as chebyshev_moment forms
+    them at prec + TERM_GUARD_BITS, with T_j(t_k) carried from one j to the
+    next (chebyshev_rows at chebyshev_moment's precision), so the J + 1
+    moments cost O((n + J) n) steps, not O((n + J)^2 n).  Valid for
+    l >= n+1.  The bound needs distinct nodes, so a weak configuration is
+    refused.
     """
     if not config.is_strict():
         raise DuplicateNodeError(
@@ -448,9 +457,14 @@ def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
         alpha = coefficients(config, prec=prec).alpha
         pref = (-1) ** (l + 1) * 2 * (2 * a) ** (2 * l - 1) / (alpha[n] * mp.pi ** (2 * l))
         xm = mp.mpf(x)
+        moment_prec = prec + TERM_GUARD_BITS
+        alpha_m = coefficients(config, prec=moment_prec).alpha
+        term_prec = moment_prec + TERM_GUARD_BITS
+        rows = chebyshev_rows(config.sine_nodes(term_prec), 2 * n + J, prec=term_prec)
+        with working_precision(moment_prec):
+            moments = [_moment(alpha_m, rows[j], j) for j in range(2 * n, 2 * n + J + 1)]
         total = mp.mpf(0)
-        for j in range(2 * n, 2 * n + J + 1):
-            s_j = chebyshev_moment(config, j, prec=prec + TERM_GUARD_BITS)
+        for j, s_j in enumerate(moments, 2 * n):
             total += s_j * mp.cos(j * mp.pi * (mp.mpf(0.5) + xm / (2 * a))) \
                 / mp.mpf(j) ** (2 * l)
         M = 2 * n + J

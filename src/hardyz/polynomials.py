@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import comb, factorial
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_add, mpf_mul
@@ -150,8 +150,9 @@ def bernoulli_poly_exact(n: int, x: Fraction) -> Fraction:
     return horner(bernoulli_poly_coeffs(n), x)
 
 
-def chebyshev(j: int, x, prec: int = DEFAULT_PREC) -> mpf:
-    """Chebyshev polynomial T_j(x) by the three-term recurrence.
+def chebyshev_rows(xs: Sequence, j: int, prec: int = DEFAULT_PREC) -> List[List[mpf]]:
+    """[T_i(x) for x in xs] for i = 0..j, by the three-term recurrence
+    T_(i+1) = 2 x T_i - T_(i-1), each row formed from the two before it.
 
     The recurrence stays valid for |x| slightly above 1, unlike the
     cos(j*arccos x) route.
@@ -159,13 +160,17 @@ def chebyshev(j: int, x, prec: int = DEFAULT_PREC) -> mpf:
     if j < 0:
         raise ValueError("j must be >= 0")
     with working_precision(prec):
-        xm = mp.mpf(x)
-        if j == 0:
-            return mp.mpf(1)
-        t_prev, t_cur = mp.mpf(1), xm
+        xm = [mp.mpf(x) for x in xs]
+        rows = [[mp.mpf(1)] * len(xm), xm]
         for _ in range(j - 1):
-            t_prev, t_cur = t_cur, 2 * xm * t_cur - t_prev
-        return t_cur
+            rows.append([2 * x * t_cur - t_prev
+                         for x, t_cur, t_prev in zip(xm, rows[-1], rows[-2])])
+        return rows[:j + 1]
+
+
+def chebyshev(j: int, x, prec: int = DEFAULT_PREC) -> mpf:
+    """Chebyshev polynomial T_j(x), chebyshev_rows' row j at one point."""
+    return chebyshev_rows([x], j, prec)[j][0]
 
 
 def chebyshev_coeffs(j: int) -> Tuple[int, ...]:

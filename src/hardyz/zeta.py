@@ -133,8 +133,9 @@ def _zeta_em(sigma, t, prec: int) -> Tuple[object, mpf]:
         Q_k = c_k s(s+1)..(s+2k-2)/N^2k,  c_k = B_2k/(2k)!.
 
     prec is the caller's requested bits, which set the term counts:
-    N = max(ceil(|t|/2), prec/4, 10), so the correction terms decay by
-    several bits each, and K <= K_cap = max(prec/2, 20).  Terms
+    N = max(ceil(|t|/2), prec/4, 10, ceil((sigma + 2)/5.9)), so the
+    correction terms decay by several bits each, and
+    K <= K_cap = max(prec/2, 20).  Terms
     T_k = N^(1-s) Q_k are added up to and including the first below
     2^-(prec+10), or up to K_cap.  The truncation bound is Edwards'
     |s+2K+1|/(sigma+2K+1) multiple of the first omitted term T_(K+1), K the
@@ -151,11 +152,11 @@ def _zeta_em(sigma, t, prec: int) -> Tuple[object, mpf]:
     N^(1-sigma), which falls with sigma, is below (3.7/12) N^(-1.7 N)
     < 2^-(4N+13) <= 2^-(prec+10), since 1.7 N log2 N + 1.7 > 4N + 13 for
     N >= 10; there |T_2| <= |T_1| while sigma + 2 <= 2 sqrt(pi^2 - 1) N,
-    about 5.96 N.  In fixed point a step adds under 3 units of 2^-bits (the
-    32.5 q + sqrt 2 below, with q < 0.04), while a term the loop steps from
-    is above the tolerance, at least 2^14 N^(sigma-1) units; the ratio is
-    below 0.6 where sigma < 1, so the computed terms fall too while
-    N < 4 10^6.
+    about 5.96 N, which the last term of N's maximum ensures.  In fixed
+    point a step adds under 3 units of 2^-bits (the 32.5 q + sqrt 2 below,
+    with q < 0.04), while a term the loop steps from is above the
+    tolerance, at least 2^14 N^(sigma-1) units; the ratio is below 0.6
+    where sigma < 1, so the computed terms fall too while N < 4 10^6.
 
     All of it is summed in fixed point, Python ints with bits = mp.prec +
     EM_FIXED_BITS fraction bits (more if sigma or t needs them to be
@@ -205,6 +206,8 @@ def _zeta_em(sigma, t, prec: int) -> Tuple[object, mpf]:
     """
     with mp.extraprec(EM_GUARD_BITS):
         N = int(max(mp.ceil(abs(t) / 2), prec // 4, 10))
+        if sigma + 2 > 5.9 * N:
+            N = int(mp.ceil((sigma + 2) / 5.9))
         bits = max(mp.prec + EM_FIXED_BITS, -t._mpf_[2], -sigma._mpf_[2])
         T = libmp.to_fixed(t._mpf_, bits)
         T2 = T * T

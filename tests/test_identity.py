@@ -20,7 +20,6 @@ from hardyz.polynomials import horner
 from hardyz.precision import GUARD_BITS, working_precision
 from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
                            polynomial_probe)
-from hardyz.quadrature import NODE_BITS
 
 from panel_values import panel_value
 from quadrature_oracle import fixed_degree, ladder
@@ -454,20 +453,6 @@ def test_majorants_bound_the_derivatives_off_the_real_line(prec):
                         real = probe.deriv(mp.mpf(x), k)
                     gap = abs(real - _exact_derivative(make_probe, args, k, mp.mpf(x)))
                     assert gap <= PROBE_ULPS * ulp * math.exp(probe.majorant(k, 0))
-
-
-@pytest.mark.parametrize("prec", [128, 192])
-def test_gauss_legendre_nodes_within_the_assumed_accuracy(prec):
-    # the nodes and weights the rule reads at P bits, against those mpmath
-    # computes at 2P
-    P = prec + GUARD_BITS
-    for degree in range(1, 7):
-        coarse = mp._gauss_legendre.get_nodes(-1, 1, degree, P)
-        fine = mp._gauss_legendre.get_nodes(-1, 1, degree, 2 * P)
-        with working_precision(2 * prec):
-            for (t, w), (t_ref, w_ref) in zip(coarse, fine):
-                assert abs(t - t_ref) <= mp.mpf(2) ** -(P + NODE_BITS)
-                assert abs(w - w_ref) <= mp.mpf(2) ** -(P + NODE_BITS - 2)
 
 
 def test_integral_term_refuses_a_probe_without_a_majorant():

@@ -362,11 +362,11 @@ def test_siegelz_is_the_tests_oracle_only():
 
 def test_src_calls_mp_quad_nowhere():
     # every integral of the program takes one Gauss-Legendre rule, of the
-    # degree its proved bound chooses, and only quadrature picks the degree
-    # and fetches the nodes; mp.quad's ladder is the tests' reference
+    # node count its proved bound chooses, and quadrature computes the
+    # nodes itself; mp.quad's ladder and mpmath's nodes are the tests'
+    # references
     assert _library_uses(SRC, "quad") == []
-    assert {use.split(".")[0] for use in _library_uses(SRC, "_gauss_legendre")} \
-        == {"quadrature"}
+    assert _library_uses(SRC, "_gauss_legendre") == []
 
 
 def test_only_the_kernel_asks_whether_a_configuration_is_strict():

@@ -70,6 +70,22 @@ def test_zeta_em_encloses_the_library_zeta(prec):
             assert bound <= mp.ldexp(max(1, abs(exact)), 4 - prec), (sigma, t)
 
 
+@pytest.mark.parametrize("prec", [64, 128])
+def test_zeta_em_encloses_the_library_zeta_far_right(prec):
+    # sigma + 2 above 5.96 N for N = max(ceil(|t|/2), prec/4, 10) alone,
+    # where the truncation bound's |T_1| would stand in for a larger |T_2|
+    # unless N also covers sigma
+    for sigma in ("60", "100", "300"):
+        for t in ("0.25", "21.5", "-7"):
+            with working_precision(prec):
+                sm, tm = mp.mpf(sigma), mp.mpf(t)
+                value, bound = zeta._zeta_em(sm, tm, prec)
+            with mp.workprec(3 * prec):
+                exact = mp.zeta(mp.mpc(sm, tm))
+                assert abs(value - exact) <= bound, (sigma, t)
+                assert bound <= mp.ldexp(1, 4 - prec), (sigma, t)
+
+
 def test_zeta_em_refuses_sigma_below_one_half_and_the_pole():
     with working_precision(64):
         for sigma, t in (("0.4999", "10"), ("-1", "0"), ("1", "0")):

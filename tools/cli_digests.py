@@ -60,6 +60,9 @@ COMMANDS = [
     "--seed 3 --precision-bits 192 identity --n 4 --m 10 --probe cosine",
     # the gaussian cosine's majorant at k = 18, at 128 bits
     "--precision-bits 128 identity --n 4 --m 9 --probe gaussian-cosine",
+    # the integral term's Gauss-Legendre rules at 192 and 128 bits; this pins
+    # them at a third
+    "--seed 3 --precision-bits 64 identity --n 3 --m 5 --probe gaussian-cosine",
     "zeros 10 100",
     "--precision-bits 128 zeros 14.1 14.2",
     "--precision-bits 128 zeros 10 40",

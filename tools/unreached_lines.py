@@ -22,7 +22,7 @@ _certified_sign_change) and rescan loop, hardy.z_derivatives_batch,
 hardy._TaylorPatches' step to the next count (tests/test_hardy.py forces
 a low count estimate; at every digest height the estimate holds),
 kernel.sine_product(log_domain), the polynomial probe's exact rule in
-divided_diff (quadrature.exact_degree) and precision.held's int and float
+divided_diff (quadrature.exact_count) and precision.held's int and float
 branches all stay.  A range is worth a look when nothing in tests/ or
 perfbench/ reaches it either; unreached_ranges is tested on a synthetic
 module by tests/test_tools.py.
