@@ -8,8 +8,8 @@ import pytest
 from mpmath import mp
 
 from hardyz import divided_diff, extremal, hardy, identity, kernel, probes
-from hardyz.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _suite_rng,
-                        build_parser, main, run_suites)
+from hardyz.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from hardyz.lemmas import _suite_rng, run_suites
 from hardyz.precision import working_precision
 
 PREC = 128
@@ -298,6 +298,20 @@ def test_out_file_writes(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(target.read_text())
     assert payload["all_passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "7", "verify-lemmas", "sequences"],
+    ["--format", "csv", "zeros", "14.1", "14.2"],
+], ids=["json", "csv"])
+def test_out_file_holds_the_bytes_stdout_prints(tmp_path, capsys, argv):
+    target = tmp_path / "report"
+    argv = ["--precision-bits", "128", *argv]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert main(["--out", str(target), *argv]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
 
 
 def test_an_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):

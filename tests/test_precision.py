@@ -289,8 +289,8 @@ def test_a_run_is_one_process():
 # one source of random numbers: each verify-lemmas suite draws from its own
 # seeded substream, and kernel.random_config takes that stream as an argument
 
-def test_only_the_cli_draws_random_numbers():
-    assert {use.split(":")[0] for use in _imports(SRC, {"random"})} == {"cli"}
+def test_only_the_lemmas_draw_random_numbers():
+    assert {use.split(":")[0] for use in _imports(SRC, {"random"})} == {"lemmas"}
 
 
 # ---------------------------------------------------------------------------

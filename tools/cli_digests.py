@@ -25,6 +25,10 @@ from pathlib import Path
 COMMANDS = [
     "--seed 7 --precision-bits 192 verify-lemmas all",
     "--seed 7 --precision-bits 128 verify-lemmas all",
+    # a second seed and a fourth precision for every suite
+    "--seed 11 --precision-bits 80 verify-lemmas all",
+    # the text layout of every suite
+    "--seed 11 --format text verify-lemmas all",
     "--seed 7 --precision-bits 64 verify-lemmas kernel",
     "--seed 7 --precision-bits 64 verify-lemmas divided_diff",
     # the log-sine integral's rule at 64 bits
