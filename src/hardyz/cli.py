@@ -104,7 +104,8 @@ def cmd_zeros(args) -> int:
     with working_precision(prec):
         lo = mp.mpf(args.t_lo)
         hi = mp.mpf(args.t_hi)
-        scan_lo = mp.mpf(0) if lo <= 15 else lo
+        # only a window find_zeros accepts scans from 0; it checks the others
+        scan_lo = mp.mpf(0) if 0 <= lo <= 15 and lo < hi else lo
         found = hardy.find_zeros(scan_lo, hi, prec=prec)
         visible = dataclasses.replace(
             found, t_lo=lo, zeros=[z for z in found.zeros if z.t > lo])

@@ -96,8 +96,10 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
     The error estimate is _zeta_em's bound at sigma = 1/2, its truncation
     plus the proved rounding of its fixed-point sums, plus the imaginary
     residue of the complex product; the contour samples (_z_complex) read
-    the same sum off the line.  The tests check the value against z_rs's
-    enclosure from t = 200 on and against mp.siegelz at every height.
+    the same sum off the line.  Its one reader is find_zeros (theorem1_explore
+    reads Z(T) from its own Taylor patches).  The tests check the value
+    against z_rs's enclosure from t = 200 on and against mp.siegelz at
+    every height.
     """
     with working_precision(prec):
         tm = mp.mpf(t)
@@ -824,12 +826,14 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
     read from Taylor patches: contours is the fewest patches whose rounding
     fits the budget (see _TaylorPatches), 1, 1, 2 and 3 at T = 57.5, 100,
     1000 and 10^4, each a circle of radius 4 pi/contours and M/2 + 1 zeta
-    samples (one circle of at most 40 at 64 bits for T in [55, 65]),
+    samples (one circle of at most 41 at 64 bits for T in [55, 65]),
     instead of one full circle per point; a value is one integer Horner
-    pass over its patch's fixed-point series.  series_error is the patches'
-    proved bound on the error of every value read, from truncation,
-    aliasing and rounding (see _TaylorPatches).  Explicitly exploratory
-    output.
+    pass over its patch's fixed-point series.  The patches keep order 0
+    too, and z_at_T is their order-0 value at T.  series_error is the
+    patches' proved bound on the error of every value read, z_at_T
+    included, from truncation, aliasing and rounding (see _TaylorPatches).
+    T is rejected (RejectedPointError) when |z_at_T| <= 4 series_error.
+    Explicitly exploratory output.
     """
     with working_precision(prec):
         Tm = mp.mpf(T)
@@ -841,19 +845,19 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
             raise ValueError("explore requires T >= 30 (loglog scale)")
         if m_cap < 1:
             raise ValueError("m_cap must be >= 1")
-        z_T, z_T_error = z_eval(Tm, prec=prec)
-        if abs(z_T) <= 4 * z_T_error:
-            raise RejectedPointError("Z(T) indistinguishable from zero")
         m_theorem = int(mp.floor(Cm * mp.log(Tm) * mp.log(mp.log(Tm))))
         m_used = max(1, min(m_theorem, m_cap))
         orders = list(range(1, 2 * m_used, 2)) + [2 * m_used]
+        patches = _TaylorPatches(Tm - 2 * mp.pi, Tm + 2 * mp.pi, [0] + orders, prec)
+        z_T = patches.derivative(Tm, 0)
+        if abs(z_T) <= 4 * patches.series_error:
+            raise RejectedPointError("Z(T) indistinguishable from zero")
         step = mp.pi / (8 * theta_prime(Tm, prec=prec))  # theta'(30) = 0.78
         grid = []
         u = Tm - 2 * mp.pi
         while u <= Tm + 2 * mp.pi:
             grid.append(u)
             u += step
-        patches = _TaylorPatches(Tm - 2 * mp.pi, Tm + 2 * mp.pi, orders, prec)
         maxima: Dict[int, Tuple[mpf, mpf]] = {k: (mp.mpf(-1), Tm) for k in orders}
         for u in grid:
             for k in orders:

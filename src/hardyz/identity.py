@@ -37,7 +37,6 @@ from .kernel import (NodeConfig, coefficients, compile_psi,  # noqa: F401
                      psi, psi_orders, psi_star_boundary)
 from .polynomials import horner
 from .precision import DEFAULT_PREC, working_precision
-from .probes import PolynomialProbe
 from .quadrature import BOUND_SLACK, ELLIPSES, NODE_BITS, least_count, nodes
 
 # assumed: a probe's f^(k) at a real point is within PROBE_ULPS units of 2^-P
@@ -160,10 +159,10 @@ def _integral_term(probe: FunctionProbe, m: int, config: NodeConfig,
     _panel_rule chooses, and the bound is the sum of the panels' bounds.
     The integrand reads each panel's kernel coefficients directly.
     """
-    if isinstance(probe, PolynomialProbe) and probe.degree < 2 * m:
+    if probe.degree is not None and probe.degree < 2 * m:
         return mp.mpf(0), mp.mpf(0)
     kern = compile_psi(config, m, weights, prec=prec)
-    if isinstance(probe, PolynomialProbe):
+    if probe.degree is not None:
         return kern.integrate_polynomial(probe.derivative_coeffs(2 * m)), mp.mpf(0)
     if probe.majorant is None:
         raise ValueError("the probe has no majorant of |f^(2m)| off the real line: "

@@ -38,7 +38,7 @@ from .divided_diff import NodeMultiset, divided_difference_data, node_product
 # bernoulli_poly is unused here, but perfbench's tracer patches
 # kernel.bernoulli_poly
 from .polynomials import (bernoulli_centered_coeffs, bernoulli_poly,  # noqa: F401
-                          bernoulli_poly_mpf, chebyshev, chebyshev_rows, horner)
+                          bernoulli_poly_mpf, chebyshev_rows, horner)
 from .precision import DEFAULT_PREC, held, working_precision
 # unused here, but perfbench's tracer patches kernel.tail_weight_constant
 from .sequences import tail_weight_constant  # noqa: F401
@@ -411,23 +411,24 @@ def psi_star_boundary(config: NodeConfig, orders: Sequence[int], sign: int,
         return [+v for v in values]
 
 
-def chebyshev_moment(config: NodeConfig, j: int, prec: int = DEFAULT_PREC) -> mpf:
-    """S_j = sum_k alpha_k (-1)^j T_j(t_k), alpha = coefficients(config,
-    prec).alpha, so a weakly ordered configuration is refused
-    (DuplicateNodeError).  Vanishes for j = 1..2n-1."""
+def chebyshev_moments(config: NodeConfig, lo: int, hi: int,
+                      prec: int = DEFAULT_PREC) -> List[mpf]:
+    """[S_lo, .., S_hi], S_j = (-1)^j sum_k alpha_k T_j(t_k) with alpha =
+    coefficients(config, prec).alpha, so a weakly ordered configuration is
+    refused (DuplicateNodeError), and T_j(t_k) from one chebyshev_rows table
+    at prec + TERM_GUARD_BITS; each sum runs in order at prec.  S_j vanishes
+    for j = 1..2n-1."""
     term_prec = prec + TERM_GUARD_BITS
     with working_precision(prec):
-        row = [chebyshev(j, tk, prec=term_prec) for tk in config.sine_nodes(term_prec)]
-        return _moment(coefficients(config, prec=prec).alpha, row, j)
-
-
-def _moment(alpha: Sequence[mpf], row: Sequence[mpf], j: int) -> mpf:
-    """(-1)^j sum_k alpha_k T_j(t_k) from the row T_j(t_k), summed in
-    order at the ambient precision."""
-    total = mp.mpf(0)
-    for al, tj in zip(alpha, row):
-        total += al * tj
-    return (-1) ** j * total
+        alpha = coefficients(config, prec=prec).alpha
+        rows = chebyshev_rows(config.sine_nodes(term_prec), hi, prec=term_prec)
+        moments = []
+        for j in range(lo, hi + 1):
+            total = mp.mpf(0)
+            for al, tj in zip(alpha, rows[j]):
+                total += al * tj
+            moments.append((-1) ** j * total)
+        return moments
 
 
 def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
@@ -437,12 +438,11 @@ def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
     Returns (pref sum_j S_j cos(j pi (1/2 + x/2a)) / j^(2l) over
     j = 2n..2n+J, bound on the terms j > 2n+J), with the prefactor
     pref = (-1)^(l+1) 2 (2a)^(2l-1) / (alpha_0 pi^(2l)), alpha_0 from
-    coefficients() at prec and the moments S_j as chebyshev_moment forms
-    them at prec + TERM_GUARD_BITS, with T_j(t_k) carried from one j to the
-    next (chebyshev_rows at chebyshev_moment's precision), so the J + 1
-    moments cost O((n + J) n) steps, not O((n + J)^2 n).  Valid for
-    l >= n+1.  The bound needs distinct nodes, so a weak configuration is
-    refused.
+    coefficients() at prec and the moments S_j from chebyshev_moments at
+    prec + TERM_GUARD_BITS, whose one table carries T_j(t_k) from one j to
+    the next, so the J + 1 moments cost O((n + J) n) steps, not
+    O((n + J)^2 n).  Valid for l >= n+1.  The bound needs distinct nodes,
+    so a weak configuration is refused.
     """
     if not config.is_strict():
         raise DuplicateNodeError(
@@ -457,12 +457,7 @@ def psi_chebyshev_series(config: NodeConfig, l: int, x, J: int,
         alpha = coefficients(config, prec=prec).alpha
         pref = (-1) ** (l + 1) * 2 * (2 * a) ** (2 * l - 1) / (alpha[n] * mp.pi ** (2 * l))
         xm = mp.mpf(x)
-        moment_prec = prec + TERM_GUARD_BITS
-        alpha_m = coefficients(config, prec=moment_prec).alpha
-        term_prec = moment_prec + TERM_GUARD_BITS
-        rows = chebyshev_rows(config.sine_nodes(term_prec), 2 * n + J, prec=term_prec)
-        with working_precision(moment_prec):
-            moments = [_moment(alpha_m, rows[j], j) for j in range(2 * n, 2 * n + J + 1)]
+        moments = chebyshev_moments(config, 2 * n, 2 * n + J, prec=prec + TERM_GUARD_BITS)
         total = mp.mpf(0)
         for j, s_j in enumerate(moments, 2 * n):
             total += s_j * mp.cos(j * mp.pi * (mp.mpf(0.5) + xm / (2 * a))) \

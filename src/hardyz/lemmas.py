@@ -3,8 +3,9 @@
 Each suite draws from its own substream of the seed (_suite_rng), so a suite
 is reproducible alone, and runs inside run_suites' working precision; its
 prec is the requested bits for tolerances and library calls.  A check is a
-dict of name, passed and margin.  Three pass rules have one helper each:
+dict of name, passed and margin.  Four pass rules have one helper each:
 _below (the largest gap is below a tolerance; the margin is that gap),
+_within (each gap is within its own bound; the margin is the largest gap),
 _no_violations (the margin is their count) and _exact (the margin is 0).
 The other checks state their rule through _check.
 
@@ -65,6 +66,14 @@ def _below(name: str, gaps: Iterable, tol, prec: int) -> Dict:
     return _check(name, worst < tol, worst, prec)
 
 
+def _within(name: str, pairs: Iterable, prec: int) -> Dict:
+    """pairs holds one (gap, bound) a case; passes when every gap is within
+    its own bound, and the margin is the largest of 0 and the gaps."""
+    pairs = list(pairs)
+    return _check(name, all(gap <= bound for gap, bound in pairs),
+                  max([mp.mpf(0), *(gap for gap, _ in pairs)]), prec)
+
+
 def _no_violations(name: str, violated: Iterable[bool], prec: int) -> Dict:
     """violated holds one truth value a case, true where the case fails."""
     count = sum(map(bool, violated))
@@ -101,12 +110,18 @@ def _suite_polynomials(rng: random.Random, prec: int) -> List[Dict]:
         return abs(polynomials.bernoulli_poly(n, 1 - x, prec=prec)
                    - (-1) ** n * polynomials.bernoulli_poly(n, x, prec=prec))
 
+    def fourier_gap():
+        l = rng.randrange(1, 5)
+        x = mp.mpf(rng.uniform(0, 1))
+        val, tail = polynomials.bernoulli_fourier_partial(l, x, 400, prec=prec)
+        return abs(val - polynomials.bernoulli_poly(2 * l, x, prec=prec)), tail
+
     def high_derivative_at_one(j, n):
         """T_j^(2n)(1) from T_j's exact coefficients."""
         return sum(c * perm(i, 2 * n)
                    for i, c in enumerate(polynomials.chebyshev_coeffs(j)))
 
-    out = [
+    return [
         _exact("bernoulli-number-values",
                [bern[k] == v for k, v in known.items()]
                + [s == 0 for s in recurrence], prec),
@@ -115,18 +130,9 @@ def _suite_polynomials(rng: random.Random, prec: int) -> List[Dict]:
         _exact("chebyshev-high-derivative-at-one",
                (high_derivative_at_one(j, n)
                 == polynomials.chebyshev_deriv_at_one(j, n)
-                for n in range(1, 4) for j in range(2 * n, 13)), prec)]
-
-    gaps, ok = [], True
-    for _ in range(5):
-        l = rng.randrange(1, 5)
-        x = mp.mpf(rng.uniform(0, 1))
-        val, tail = polynomials.bernoulli_fourier_partial(l, x, 400, prec=prec)
-        gaps.append(abs(val - polynomials.bernoulli_poly(2 * l, x, prec=prec)))
-        ok = ok and gaps[-1] <= tail
-    out.append(_check("bernoulli-fourier-partial-sum", ok,
-                      max([mp.mpf(0), *gaps]), prec))
-    return out
+                for n in range(1, 4) for j in range(2 * n, 13)), prec),
+        _within("bernoulli-fourier-partial-sum",
+                (fourier_gap() for _ in range(5)), prec)]
 
 
 def _suite_divided_diff(rng: random.Random, prec: int) -> List[Dict]:
@@ -199,8 +205,18 @@ def _suite_kernel(rng: random.Random, prec: int) -> List[Dict]:
     def largest_moment():
         cfg = draw_config()
         scale = max(abs(v) for v in kernel.coefficients(cfg, prec=prec).alpha)
-        return max(abs(kernel.chebyshev_moment(cfg, j, prec=prec)) / scale
-                   for j in range(1, 2 * cfg.n))
+        return max(abs(s) / scale
+                   for s in kernel.chebyshev_moments(cfg, 1, 2 * cfg.n - 1, prec=prec))
+
+    def series_gap():
+        n = rng.randrange(1, 4)
+        cfg = kernel.random_config(rng, n, prec=prec)
+        l = n + 1 + rng.randrange(0, 3)
+        x = cfg.a * mp.mpf(rng.uniform(-0.9, 0.9))
+        direct = kernel.psi(cfg, l, x, kernel.coefficients(cfg, prec=prec).mu,
+                            prec=prec)
+        series, tail = kernel.psi_chebyshev_series(cfg, l, x, 60, prec=prec)
+        return abs(direct - series), tail + slack
 
     def boundary_signs_violated():
         n = rng.randrange(1, 7)
@@ -258,26 +274,12 @@ def _suite_kernel(rng: random.Random, prec: int) -> List[Dict]:
             checked += 1
             yield not lhs <= rhs + slack
 
-    out = [
+    return [
         _below("alpha-zero-sum", (alpha_sum() for _ in range(10)),
                mp.mpf(2) ** (-(prec - 32)), prec),
         _below("vanishing-moments", (largest_moment() for _ in range(6)),
-               mp.mpf(2) ** (-(prec - 40)), prec)]
-
-    gaps, ok = [], True
-    for _ in range(4):
-        n = rng.randrange(1, 4)
-        cfg = kernel.random_config(rng, n, prec=prec)
-        l = n + 1 + rng.randrange(0, 3)
-        x = cfg.a * mp.mpf(rng.uniform(-0.9, 0.9))
-        direct = kernel.psi(cfg, l, x, kernel.coefficients(cfg, prec=prec).mu,
-                            prec=prec)
-        series, tail = kernel.psi_chebyshev_series(cfg, l, x, 60, prec=prec)
-        gaps.append(abs(direct - series))
-        ok = ok and gaps[-1] <= tail + slack
-    out.append(_check("series-vs-direct", ok, max([mp.mpf(0), *gaps]), prec))
-
-    return out + [
+               mp.mpf(2) ** (-(prec - 40)), prec),
+        _within("series-vs-direct", (series_gap() for _ in range(4)), prec),
         _no_violations("boundary-sign-property",
                        (v for _ in range(200) for v in boundary_signs_violated()),
                        prec),

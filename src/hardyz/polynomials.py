@@ -168,11 +168,6 @@ def chebyshev_rows(xs: Sequence, j: int, prec: int = DEFAULT_PREC) -> List[List[
         return rows[:j + 1]
 
 
-def chebyshev(j: int, x, prec: int = DEFAULT_PREC) -> mpf:
-    """Chebyshev polynomial T_j(x), chebyshev_rows' row j at one point."""
-    return chebyshev_rows([x], j, prec)[j][0]
-
-
 def chebyshev_coeffs(j: int) -> Tuple[int, ...]:
     """Exact integer coefficients of T_j(x)."""
     if j < 0:

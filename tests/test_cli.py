@@ -278,16 +278,34 @@ def test_a_rejected_explore_point_exits_1(capsys):
         ("", "error: Z(T) indistinguishable from zero\n")
 
 
+def test_explore_reads_z_at_t_from_its_patches(monkeypatch, capsys):
+    # neither z_eval nor theta runs on explore's path: Z(T) and the
+    # rejection of T come from the patches' order-0 series
+    def refuse(*args, **kwargs):
+        raise AssertionError("explore read Z(T) off its patches")
+
+    monkeypatch.setattr(hardy, "z_eval", refuse)
+    monkeypatch.setattr(hardy, "theta", refuse)
+    rep = hardy.theorem1_explore("60", "0.3", 2, prec=64)
+    assert rep.z_at_T > 4 * rep.series_error
+    test_a_rejected_explore_point_exits_1(capsys)
+
+
 def test_jobs_is_not_listed_in_the_help():
     assert "--jobs" not in build_parser().format_help()
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["frobnicate"])
     # math-level validation errors map to the usage exit code
     assert main(["--precision-bits", "128", "zeros", "50", "40"]) == EXIT_USAGE
+    # a window reaching below 15 is refused like any other; Z(-t) = Z(t), so
+    # a negative t_lo would hold the mirrored zeros too
+    for window in (["14.5", "14.2"], ["--", "-20", "30"]):
+        assert main(["--precision-bits", "64", "zeros", *window]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 def test_out_file_writes(tmp_path, capsys):

@@ -143,11 +143,13 @@ def test_derivative_dual_path():
 
 @pytest.mark.parametrize("T, prec", [(55, 64), (60, 64), (65, 64), (60, PREC)])
 def test_series_error_bounds_every_read(T, prec):
-    orders = (1, 2, 3, 4)
+    # order 0 too, and Z(T) itself, which explore reports and rejects T by
+    orders = (0, 1, 2, 3, 4)
     with working_precision(prec):
         T = mp.mpf(T)
         patches = _explore_patches(T, orders, prec)
         read = _explore_reads(patches, T, orders, prec)
+        read[T, 0] = patches.derivative(T, 0)
         bound = patches.series_error
     with mp.workprec(2 * prec):
         # the same bits as mp.diff(mp.siegelz, u, k) here, at under half its cost
@@ -352,7 +354,7 @@ def test_patches_match_the_per_point_contour():
 @pytest.mark.parametrize("run, patches, samples", [
     # 37 grid and 4 refinement contours of 128 samples took 5248, 7 patches
     # of 65 samples (M = 128) 455 and 7 of 16 (M = 30) 112; one patch, of
-    # radius 4 pi, takes M = 76
+    # radius 4 pi, took M = 76, and M = 78 once it kept order 0 for Z(T)
     (lambda: theorem1_explore("60", "0.3", 2, prec=64), 1, 40),
     # the full circle took 128 and the half circle 65; M = 30
     (lambda: z_derivatives_batch(60, [1, 2], prec=64), 1, 16),
@@ -361,8 +363,8 @@ def test_patches_match_the_per_point_contour():
     (lambda: z_derivatives_batch(60, [1], prec=64), 1, 16),
 ], ids=["explore", "batch", "batch-small-read"])
 def test_contour_zeta_budget(monkeypatch, run, patches, samples):
-    # a sample is one _zeta_em call from _z_complex; explore's z_eval(T)
-    # calls it too, on the line, and is not a sample
+    # a sample is one _zeta_em call from _z_complex; explore reads Z(T)
+    # from its patch, so on explore's path every _zeta_em call is a sample
     calls, built, library = [], [], []
     zeta_em, patches_class = hardy._zeta_em, hardy._TaylorPatches
 

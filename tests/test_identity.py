@@ -471,7 +471,7 @@ def test_integral_term_refuses_a_weak_configuration(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Chebyshev polynomial evaluated")
 
-    monkeypatch.setattr(kernel, "chebyshev", refuse)
+    monkeypatch.setattr(kernel, "chebyshev_rows", refuse)
     cfg = NodeConfig(n=2, a=4, nodes=[-2.2, -1.1, 0, 1.7, 1.7], strict=False)
     with pytest.raises(DuplicateNodeError):
         reconstruct_f0(cfg, _vanishing_at_the_nodes(cfg), m=cfg.n + 1, prec=PREC)

@@ -1,11 +1,16 @@
 """Tests for tools/unreached_lines.py on a synthetic module, with a
-hand-made set of executed lines, so that no digest command runs."""
+hand-made set of executed lines, and for tools/cli_digests.py's command
+list, parsed only, so that no digest command runs."""
 
+import shlex
 import sys
 import textwrap
 from pathlib import Path
 
+from hardyz.cli import build_parser
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from cli_digests import COMMANDS  # noqa: E402
 from unreached_lines import unreached_ranges  # noqa: E402
 
 MODULE = textwrap.dedent('''\
@@ -47,3 +52,12 @@ def test_docstrings_never_count(tmp_path):
     # running leaves nothing unreached
     assert _ranges(tmp_path, set()) == [(4, 17)]
     assert _ranges(tmp_path, {4, 6, 7, 8, 9, 10, 11, 12, 15, 17}) == []
+
+
+def test_every_digest_command_parses():
+    # a mistyped command would digest the same usage error on both trees
+    parser = build_parser()
+    for command in COMMANDS:
+        args = parser.parse_args(shlex.split(command))
+        assert args.format in args.formats, command
+    assert len(set(COMMANDS)) == len(COMMANDS)

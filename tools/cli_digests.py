@@ -52,6 +52,8 @@ COMMANDS = [
     "--precision-bits 64 explore 60 0.3 2",
     # three patches, where the majorant radius is smallest
     "--precision-bits 64 explore 10000 0.3 2",
+    # T = gamma_5, where Z(T) is rejected: exit 1 and no stdout
+    "--precision-bits 64 explore 32.935061587739189690662368964074903488812715603517039 0.3 2",
 ] + [
     f"--seed 3 --precision-bits 192 identity --n 3 --m 5 --probe {probe}"
     for probe in ("cosine", "polynomial", "gaussian-cosine", "cardinal")
@@ -69,6 +71,8 @@ COMMANDS = [
     "--seed 3 --precision-bits 64 identity --n 3 --m 5 --probe gaussian-cosine",
     "zeros 10 100",
     "--precision-bits 128 zeros 14.1 14.2",
+    # t_lo > t_hi below 15: refused like any other such window
+    "--precision-bits 64 zeros 14.5 14.2",
     "--precision-bits 128 zeros 10 40",
     "--seed 7 --format text verify-lemmas identity",
     "--precision-bits 128 --format csv zeros 10 40",
