@@ -7,8 +7,11 @@ on the critical line and the contour samples' off it.
 find_zeros states how the zero finder reads Z and what it proves.
 Derivatives come from the Taylor coefficients of the analytic continuation
 of Z on a Cauchy circle: the half with Im w <= 0, where zeta sits at
-sigma >= 1/2, is sampled with _zeta_em, and Schwarz reflection fills the
-other.
+sigma >= 1/2, is sampled with _zeta_em and with theta from one Taylor jet
+a circle (theta.ThetaJet), and Schwarz reflection fills the other.  Each
+sample's proved error is checked against the allowance the circle was
+sized for.  mpmath's loggamma serves theta(t) alone, for z_eval and the
+smooth zero count.
 _TaylorPatches is the one place that builds such circles and keeps their
 series: z_derivatives_batch reads one patch at its centre, and
 theorem1_explore reads every point of its window from the fewest patches
@@ -23,12 +26,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath import iv, mp, mpf
+from mpmath import iv, libmp, mp, mpf
 
 from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
 from .precision import (DEFAULT_PREC, GUARD_BITS, interval_precision,
                         refine_sign_change, working_precision)
-from .zeta import _zeta_em
+from .theta import ThetaJet
+from .zeta import COS_SIN_ULPS, EXP_ULPS, _zeta_em
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
@@ -36,7 +40,7 @@ HALF_WIDTH_DIGITS = 6  # a zero's bracket half-width prints with 6 digits at any
 MAX_RESCANS = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
 CONTOUR_RADIUS = 2  # z_derivatives_batch's circle, shrunk to |t|/2 + 1/4 near 0
-SAMPLE_ULPS = 16  # assumed error of a contour sample (see _TaylorPatches)
+SAMPLE_ULPS = 16  # a contour sample's allowance, checked against its proved error (see _TaylorPatches)
 READ_GUARD_BITS = 8  # a Taylor patch's fixed-point series carry bits + 8 fraction bits
 CENTRE_READ_BITS = 4  # a width-0 patch's first pass is sized for a read of 2^-4
 MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
@@ -77,14 +81,6 @@ def theta_prime(t, prec: int = DEFAULT_PREC) -> mpf:
         return mp.digamma(mp.mpf(0.25) + 0.5j * tm).real / 2 - mp.log(mp.pi) / 2
 
 
-def _theta_complex(w):
-    """Analytic continuation of theta, real on the real axis."""
-    wm = mp.mpc(w)
-    lg = (mp.loggamma(mp.mpf(0.25) + 0.5j * wm)
-          - mp.loggamma(mp.mpf(0.25) - 0.5j * wm)) / 2j
-    return lg - wm / 2 * mp.log(mp.pi)
-
-
 # ---------------------------------------------------------------------------
 # Z evaluation
 
@@ -95,7 +91,7 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
 
     The error estimate is _zeta_em's bound at sigma = 1/2, its truncation
     plus the proved rounding of its fixed-point sums, plus the imaginary
-    residue of the complex product; the contour samples (_z_complex) read
+    residue of the complex product; the contour samples (_z_sample) read
     the same sum off the line.  Its one reader is find_zeros (theorem1_explore
     reads Z(T) from its own Taylor patches).  The tests check the value
     against z_rs's enclosure from t = 200 on and against mp.siegelz at
@@ -111,55 +107,102 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
         return zc.real, +(zeta_err + abs(zc.imag))
 
 
-def _z_complex(w):
-    """Analytic continuation Z(w) = e^{i theta(w)} zeta(1/2 + iw) at
-    Im w <= 0, a contour sample: zeta from _zeta_em at sigma = 1/2 - Im w
-    (rounded at the ambient precision) and t = Re w, with the ambient
-    precision as its requested bits, and theta from the library loggamma.
-    _zeta_em refuses Im w > 0, where sigma < 1/2 and _dirichlet_table's
-    bound does not hold; the contours fill that half by reflection.  The
-    pole of zeta sits at w = -i/2."""
-    wm = mp.mpc(w)
-    zeta_val, _ = _zeta_em(mp.mpf(0.5) - wm.imag, wm.real, mp.prec)
-    return mp.e ** (1j * _theta_complex(wm)) * zeta_val
+def _z_sample(centre, jet: ThetaJet, point: Tuple[int, int],
+              bits: int) -> Tuple[int, int, float]:
+    """A contour sample: Z(w) = e^(i theta(w)) zeta(1/2 + iw) at
+    w = centre + (x + iv) 2^-jet.point_bits, Im w <= 0, as (re, im) floored
+    to `bits` fraction bits, and a proved bound on its error before that
+    floor.  zeta comes from _zeta_em at sigma = 1/2 - Im w and t = Re w,
+    both exact, with `bits` as its requested bits; _zeta_em refuses
+    Im w > 0, where sigma < 1/2 and _dirichlet_table's bound does not
+    hold, and the contours fill that half by reflection.  The pole of zeta
+    sits at w = -i/2.  theta comes from the jet about centre, read at the
+    same point, and e^(i theta) from libmp's exp and cos_sin at the jet's
+    F fraction bits; the product is one exact integer product of
+    fixed-point factors.
+
+    With E~ the fixed-point e^(i theta~), theta~ the jet's read (within
+    eps_theta of theta(w)), zeta~ _zeta_em's value (within eps_zeta of
+    zeta(w)) and its fixed point within sqrt 2 units of 2^-F, the sample
+    errs by at most
+        |E~| (sqrt 2 2^-F + eps_zeta)
+        + (|zeta~| + eps_zeta) (eps_E + |e^(i theta~)| (e^eps_theta - 1)),
+    eps_E the error of E~: exp is taken within zeta.EXP_ULPS ulps, cos and
+    sin within zeta.COS_SIN_ULPS units of 2^-F, and each is floored to F
+    fraction bits.  The last term is |Z| times the jet's theta bound, up
+    to second order.
+    """
+    x, v = point
+    P, F = jet.point_bits, jet.bits
+    t = mp.make_mpf(libmp.mpf_add(centre._mpf_, libmp.from_man_exp(x, -P)))
+    sigma = mp.make_mpf(libmp.from_man_exp((1 << (P - 1)) - v, -P))
+    with mp.workprec(bits):
+        zeta_val, zeta_err = _zeta_em(sigma, t, mp.prec)
+    alpha, beta = jet.read(x, v)
+    cos, sin = (libmp.to_fixed(y, F) for y in libmp.mpf_cos_sin(libmp.from_man_exp(alpha, -F), F))
+    modulus = libmp.to_fixed(libmp.mpf_exp(libmp.from_man_exp(-beta, -F), F), F)
+    zr, zi = (libmp.to_fixed(y._mpf_, F) for y in (zeta_val.real, zeta_val.imag))
+    shift = 3 * F - bits
+    re = modulus * (cos * zr - sin * zi) >> shift
+    im = modulus * (cos * zi + sin * zr) >> shift
+    unit = 2.0 ** -F
+    phase_err = math.sqrt(2) * (COS_SIN_ULPS + 1) * unit
+    phase = (modulus + 1) * unit / (1 - 2 * EXP_ULPS * unit)  # >= |e^(i theta~)|
+    modulus_err = 2 * EXP_ULPS * unit * phase + unit
+    e_size = modulus * unit * math.hypot(cos, sin) * unit
+    e_err = modulus_err * (1 + phase_err) + phase * phase_err
+    zeta_err = float(zeta_err)
+    size = abs(zeta_val) + zeta_err
+    error = (e_size * (math.sqrt(2) * unit + zeta_err)
+             + float(size) * (e_err + phase * math.expm1(jet.error)))
+    return re, im, error
 
 
 # ---------------------------------------------------------------------------
 # derivatives
 
 
-def _z_taylor(centre, radius, M: int, count: int, bits: int) -> List[int]:
-    """[s_0, .., s_(count-1)], count <= M: the trapezoid sums of Z about the
-    real point centre on one circle of M points, radius r an mpf of at most
-    `bits` bits, as exact Python ints: s_n = 2^(2 bits) M r^n a~_n, a~_n the
-    sum's estimate of the Taylor coefficient a_n.
+def _z_taylor(centre, radius, M: int, count: int, bits: int,
+              jet: ThetaJet) -> Tuple[List[int], float]:
+    """([s_0, .., s_(count-1)], delta), count <= M: the trapezoid sums of Z
+    about the real point centre on one circle of M points, radius r an mpf
+    of at most `bits` bits, as exact Python ints: s_n = 2^(2 bits) M r^n
+    a~_n, a~_n the sum's estimate of the Taylor coefficient a_n; and delta,
+    the largest proved sample error (_z_sample).
 
     Only the M/2 + 1 points with Im w <= 0 are sampled, where zeta sits at
-    sigma >= 1/2.  The Schwarz reflection Z(conj w) = conj Z(w) fills the
-    other half: Z is real on the real axis, and theta's principal loggamma
-    commutes with conjugation away from its cut.  a~_n r^n is then the
-    trapezoid sum (Re f_0 + (-1)^n Re f_{M/2} + 2 sum_{0<j<M/2} Re(f_j u^(nj)))/M
-    over one table of M-th roots of unity u^j, with f_j = Z(centre + r u^-j).
+    sigma >= 1/2, each with theta from jet, a ThetaJet about centre that
+    covers the circle.  The Schwarz reflection Z(conj w) = conj Z(w) fills
+    the other half: Z is real on the real axis, and so are theta's Taylor
+    coefficients.  a~_n r^n is then the trapezoid sum
+    (Re f_0 + (-1)^n Re f_{M/2} + 2 sum_{0<j<M/2} Re(f_j u^(nj)))/M over one
+    table of M-th roots of unity u^j, with f_j = Z(centre + r u^-j).
     For every n < M that sum is a_n plus the aliases a_(n+jM) r^(jM), j >= 1.
     The sums run in fixed point with `bits` fraction bits: each input is
-    truncated once and the integer products are exact.
+    truncated once and the integer products are exact.  The sample points
+    are r u^-j floored to the jet's point_bits, from roots mpmath computes
+    8 bits finer, so each is within 2^-point_bits (2 + r/16) of its exact
+    place (taking mpmath's roots within an ulp); _TaylorPatches bounds what
+    that moves Z.
     """
     half = M // 2
-    with mp.workprec(bits):
+    P = jet.point_bits
+    with mp.workprec(P + 8):
         roots = mp.unitroots(M)
-        samples = [_z_complex(centre + radius * mp.conj(roots[j])) for j in range(half + 1)]
-
-        def fixed(xs):
-            return [int(mp.ldexp(x, bits)) for x in xs]
-
-        f_re, f_im = fixed(f.real for f in samples), fixed(f.imag for f in samples)
-        u_re, u_im = fixed(u.real for u in roots), fixed(u.imag for u in roots)
+        points = [radius * mp.conj(roots[j]) for j in range(half + 1)]
+        points = [(libmp.to_fixed(h.real._mpf_, P), libmp.to_fixed(h.imag._mpf_, P))
+                  for h in points]
+        u_re = [int(mp.ldexp(u.real, bits)) for u in roots]
+        u_im = [int(mp.ldexp(u.imag, bits)) for u in roots]
+    samples = [_z_sample(centre, jet, point, bits) for point in points]
+    f_re = [f[0] for f in samples]
+    f_im = [f[1] for f in samples]
     sums = []
     for n in range(count):
         acc = 2 * sum(f_re[j] * u_re[n * j % M] - f_im[j] * u_im[n * j % M]
                       for j in range(1, half))
         sums.append(acc + ((f_re[0] + (-1) ** n * f_re[half]) << bits))
-    return sums
+    return sums, max(f[2] for f in samples)
 
 
 def z_derivatives_batch(t, orders: Sequence[int],
@@ -553,14 +596,24 @@ class _TaylorPatches:
     - truncation is at most A R^-k sum_{n>=N} n!/(n-k)! (d/R)^(n-k),
       bounded by its first term over 1 - rho, rho the ratio of its first
       two terms (the ratios fall with n); it is 0 at width 0;
-    - rounding: each sample is assumed within
-      SAMPLE_ULPS (1 + W log(2 + W)) 2^-bits m of Z at its exact point, W the
-      largest |w| sampled and m = z_log_majorant's bound on the r-circles.
-      Zeta comes from _zeta_em with a proved bound, which times
-      |e^(i theta)| the tests check stays inside that allowance on
-      explore's circles; mpmath guarantees nothing for loggamma.  W log W
-      is the size of theta(w), whose ulps become Z's relative error, and
-      measured errors stay below 1.4 such units.  The fixed-point sums add
+    - rounding: each sample is allowed an error of
+      SAMPLE_ULPS (1 + W log(2 + W)) 2^-bits m from Z at its exact point, W
+      the largest |w| sampled and m = z_log_majorant's bound on the
+      r-circles, and _sample checks that it keeps to it, or raises
+      ArithmeticError.  A sample's proved error (_z_sample) is zeta's
+      proved bound times |e^(i theta)|, plus |Z| times the bound of the
+      ThetaJet it reads theta from, sized to an eighth of the allowance
+      over m (W log W is the size of theta(w), whose error becomes Z's
+      relative error), plus the rounding of the product; and its place,
+      within shift = 2^-P (2 + r/16) of the exact one (P the jet's
+      point_bits), moves Z by at most shift max|Z'|.  Hadamard's
+      three-circle theorem bounds |Z| on |w - c| = r + x, 0 <= x <= R - r,
+      by m e^(slope x), slope = log(A/m)/(r log(R/r)), so Cauchy on a
+      circle of radius eps about any point between the two places gives
+      |Z'| <= m e^(slope (shift + eps))/eps, with eps = min(1/slope,
+      R - r - shift).  The check compares twice the sum, in floats, with
+      the allowance; it holds by a wide margin on every circle the tests
+      run.  The fixed-point sums add
       2 (m + 2) 2^-bits a sample, and a sample error delta moves Z^(k) by
       at most delta k! r/(r - d)^(k+1).  The read then adds, in units of
       2^-F: under 1 for each b_n's floor, N' in all since |x| <= 1; under
@@ -616,7 +669,7 @@ class _TaylorPatches:
                 M, bits, R = self._size(log_budget)
                 if M > self.M or bits > self.bits:
                     self.M, self.bits = max(M, self.M), max(bits, self.bits)
-                    self._sample()
+                    self._sample(R)
                 log_error = self._log_error(R)
                 read = max(abs(patch[k][0]) for patch in self.series for k in orders)
                 read = mp.ldexp(read, -self.read_bits)
@@ -643,6 +696,7 @@ class _TaylorPatches:
         self.centres = [lo + (i + mp.mpf(0.5)) * self.width for i in range(count)]
         self.series: List[Dict[int, List[int]]] = []  # per patch and order
         self.M = self.bits = 0
+        self._jets: Dict[int, List[ThetaJet]] = {}  # per sample bits, one a centre
         self._r, self._d = float(self.radius), float(self.width) / 2
         self._centres = [float(c) for c in self.centres]
         self._far = max(abs(c) for c in self._centres)
@@ -651,17 +705,36 @@ class _TaylorPatches:
         w = self._far + self._r
         self._ulps = SAMPLE_ULPS * (1 + w * math.log(2 + w))
 
-    def _sample(self) -> None:
-        """Sample every circle at the current M and bits and keep each
-        order's series in fixed point (b_n above)."""
+    def _sample(self, R: float) -> None:
+        """Sample every circle at the current M and bits, check each sample
+        against its allowance, and keep each order's series in fixed point
+        (b_n above).  R is the majorant radius the bits were sized at."""
         N = self._terms(self.M)
         self.read_bits = F = self.bits + READ_GUARD_BITS
         with mp.workprec(self.bits):
             r = +self.radius  # the radius sampled, exact as man 2^exp
         self._radius_bits = man, exp = r.man, r.exp
+        allowance = self._ulps * self._m * 2.0 ** -self.bits
+        if self.bits not in self._jets:
+            # theta's error becomes Z's times |Z|: an eighth of the allowance;
+            # every sample lies within r + shift < cover of its centre
+            budget = self._ulps * 2.0 ** -self.bits / 8
+            cover = self._r * (1 + 2.0 ** -16)
+            self._jets[self.bits] = [ThetaJet(c, cover, budget) for c in self.centres]
+        log_m = self._majorant(self._r)
+        slope = max(self._majorant(R) - log_m, 0) / (self._r * math.log(R / self._r))
         self.series = []
-        for c in self.centres:
-            sums = _z_taylor(c, r, self.M, N, self.bits)
+        for c, jet in zip(self.centres, self._jets[self.bits]):
+            sums, delta = _z_taylor(c, r, self.M, N, self.bits, jet)
+            # a sample's place moves Z by at most shift max|Z'|, |Z'| by Cauchy
+            # on a circle of radius eps inside |w - c| <= r + shift + eps
+            shift = 2.0 ** -jet.point_bits * (2 + self._r / 16)
+            eps = min(1 / slope if slope else math.inf, R - self._r - shift)
+            delta += shift * math.exp(log_m + slope * (shift + eps)) / eps
+            if not 2 * delta <= allowance:
+                raise ArithmeticError(
+                    f"a contour sample about {mp.nstr(c, 8)} errs by up to {2 * delta:.3g},"
+                    f" over its allowance {allowance:.3g}")
             # b_n 2^F = s_(n+k) (n+k)!/n! 2^(F - 2 bits - n)/(M r^k), as d^n = r^n 2^-n
             self.series.append({k: [_floor_shifted(sums[n + k] * math.perm(n + k, k),
                                                    self.M * man ** k,

@@ -1,5 +1,7 @@
-"""The tests' reference for Z^(k), read by tests/test_hardy.py and by
-criterion 11 against the contour derivatives of hardyz.hardy."""
+"""The tests' references for Z^(k), read by tests/test_hardy.py and by
+criterion 11 against the contour derivatives of hardyz.hardy, and for theta
+and Z off the real line, from mpmath's loggamma and zeta, read against the
+contour samples and hardyz.theta's jets."""
 
 from mpmath import mp, mpf
 
@@ -8,6 +10,22 @@ from hardyz.precision import DEFAULT_PREC, working_precision
 SIEGELZ_MAX_DERIVATIVE = 4  # mp.siegelz(t, derivative=k) takes k <= 4
 FD_BITS_PER_ORDER = 12  # z_derivative_fd: a difference of order j loses bits with j
 FD_GUARD_BITS = 24  # z_derivative_fd: bits above the working precision, on top of those
+
+
+def theta_complex(w):
+    """Analytic continuation of theta, real on the real axis, from mpmath's
+    loggamma at the ambient precision."""
+    wm = mp.mpc(w)
+    lg = (mp.loggamma(mp.mpf(0.25) + 0.5j * wm)
+          - mp.loggamma(mp.mpf(0.25) - 0.5j * wm)) / 2j
+    return lg - wm / 2 * mp.log(mp.pi)
+
+
+def z_complex(w):
+    """Z(w) = e^(i theta(w)) zeta(1/2 + iw) off the real line, from
+    mpmath's loggamma and zeta at the ambient precision."""
+    wm = mp.mpc(w)
+    return mp.e ** (1j * theta_complex(wm)) * mp.zeta(0.5 + 1j * wm)
 
 
 def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:

@@ -7,11 +7,12 @@ import random
 import pytest
 from mpmath import mp
 
-from hardyz import extremal, hardy
+from hardyz import extremal
 from hardyz.enclose import (PSI_SERIES_BITS, RS_MIN_T, _c0_c1, _psi_series, h_float,
                             z_log_majorant, z_rs)
 from hardyz.precision import working_precision
 
+from derivative_oracle import z_complex
 from psi_series_oracle import psi_series_mpf
 
 # siegelz at twice a float's 53 bits is exact next to any bound z_rs gives
@@ -92,7 +93,7 @@ def test_z_log_majorant_bounds_z_on_the_circle(centre, radius):
     with mp.workprec(64):
         # the lower half-circle; Schwarz reflection gives the upper
         points = [mp.mpf(centre) + radius * mp.expjpi(-mp.mpf(j) / 64) for j in range(65)]
-        largest = max(abs(hardy._z_complex(w)) for w in points)
+        largest = max(abs(z_complex(w)) for w in points)
     bound = math.exp(z_log_majorant(centre, radius))
     assert largest <= bound
     # tight enough to size contours: a factor 2^6 costs 6 bits

@@ -8,7 +8,7 @@ import sys
 import pytest
 from mpmath import mp
 
-from hardyz import hardy
+from hardyz import cli, hardy
 from hardyz.enclose import z_log_majorant, z_rs
 from hardyz.hardy import (MAX_RESCANS, ZERO_HALF_WIDTH_BITS, CapacityError,
                           UnconfirmedSignChangeError, count_stats,
@@ -16,8 +16,9 @@ from hardyz.hardy import (MAX_RESCANS, ZERO_HALF_WIDTH_BITS, CapacityError,
                           theorem1_explore, theta, theta_prime,
                           z_derivatives_batch, z_eval)
 from hardyz.precision import GUARD_BITS, working_precision
+from hardyz.theta import ThetaJet
 
-from derivative_oracle import z_derivative_fd
+from derivative_oracle import theta_complex, z_derivative_fd
 from patch_size_oracle import walk_size
 
 PREC = 128
@@ -100,7 +101,7 @@ def _explore_patches(T, orders, prec):
 
 @pytest.mark.parametrize("prec", [64, 128])
 def test_contour_zeta_stays_inside_the_sample_allowance(prec):
-    # _TaylorPatches assumes each sample within SAMPLE_ULPS (1 + W log(2 + W))
+    # _TaylorPatches checks each sample within SAMPLE_ULPS (1 + W log(2 + W))
     # 2^-bits m of Z; the zeta half of that is _zeta_em's bound times
     # |e^(i theta)|, on every point of explore's circles, which reach
     # sigma = 1/2 + 4 pi with one patch
@@ -116,7 +117,7 @@ def test_contour_zeta_stays_inside_the_sample_allowance(prec):
                     for j in range(patches.M // 2 + 1):
                         w = c + patches.radius * mp.conj(roots[j])
                         _, bound = hardy._zeta_em(mp.mpf(0.5) - w.imag, w.real, mp.prec)
-                        phase = abs(mp.e ** (1j * hardy._theta_complex(w)))
+                        phase = abs(mp.e ** (1j * theta_complex(w)))
                         worst = max(worst, bound * phase)
             assert worst <= allowance, T
 
@@ -318,22 +319,35 @@ def test_batch_matches_single():
         assert abs(vals[k] - single) < mp.mpf(10) ** -25 * max(1, abs(single))
 
 
+def _program_sample(centre, w):
+    """The contour sample hardy takes at w, Im w <= 0, with theta from a jet
+    about the real centre covering radius 2, at the ambient precision."""
+    bits = mp.prec
+    jet = ThetaJet(centre, 2 * (1 + 2 ** -16), 2.0 ** -bits)
+    P = jet.point_bits
+    h = w - centre
+    point = (int(mp.floor(mp.ldexp(h.real, P))), int(mp.floor(mp.ldexp(h.imag, P))))
+    re, im, _ = hardy._z_sample(centre, jet, point, bits)
+    return mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
+
+
 @pytest.mark.parametrize("centre", [60, 1000])
 def test_z_reflects_across_the_real_axis(centre):
     # the contour samples Im w <= 0 only and fills the rest by reflection;
     # the upper half comes from the library zeta and loggamma, which share
-    # no code with _zeta_em
+    # no code with _zeta_em or the theta jet
     with working_precision(PREC):
+        centre = mp.mpf(centre)
         for j in range(4):
             w = centre + 2 * mp.expjpi(-mp.mpf(2 * j + 1) / 8)
-            zw = hardy._z_complex(w)
+            zw = _program_sample(centre, w)
             up = mp.conj(w)
-            library = mp.e ** (1j * hardy._theta_complex(up)) * mp.zeta(0.5 + 1j * up)
+            library = mp.e ** (1j * theta_complex(up)) * mp.zeta(0.5 + 1j * up)
             gap = abs(library - mp.conj(zw))
             assert gap <= mp.mpf(2) ** -(PREC - 8) * max(1, abs(zw))
             # sigma = 1/2 - Im w < 1/2 there, outside _dirichlet_table's bound
             with pytest.raises(ValueError):
-                hardy._z_complex(up)
+                _program_sample(centre, up)
 
 
 def test_patches_match_the_per_point_contour():
@@ -363,13 +377,13 @@ def test_patches_match_the_per_point_contour():
     (lambda: z_derivatives_batch(60, [1], prec=64), 1, 16),
 ], ids=["explore", "batch", "batch-small-read"])
 def test_contour_zeta_budget(monkeypatch, run, patches, samples):
-    # a sample is one _zeta_em call from _z_complex; explore reads Z(T)
+    # a sample is one _zeta_em call from _z_sample; explore reads Z(T)
     # from its patch, so on explore's path every _zeta_em call is a sample
     calls, built, library = [], [], []
     zeta_em, patches_class = hardy._zeta_em, hardy._TaylorPatches
 
     def counted(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_z_complex":
+        if sys._getframe(1).f_code.co_name == "_z_sample":
             calls.append(args)
         return zeta_em(*args, **kwargs)
 
@@ -386,6 +400,26 @@ def test_contour_zeta_budget(monkeypatch, run, patches, samples):
     assert [p.count for p in built] == [patches]
     assert len(calls) == patches * (built[0].M // 2 + 1) <= patches * samples
     assert library == []
+
+
+def test_the_contours_call_no_loggamma(monkeypatch, capsys):
+    # explore and z_derivatives_batch read theta from hardyz.theta's jets;
+    # only hardy.theta, for z_eval and the zero count, calls loggamma
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.loggamma on the contour path")
+
+    monkeypatch.setattr(mp, "loggamma", refuse)
+    assert cli.main(["--precision-bits", "64", "explore", "60", "0.3", "2"]) == 0
+    assert '"contours": 1' in capsys.readouterr().out
+    assert z_derivatives_batch(3, [3], prec=128)[3] != 0
+
+
+def test_a_sample_over_its_allowance_is_refused(monkeypatch):
+    # every sample's proved error is checked against the allowance that
+    # sized the bits; shrinking the allowance 2^44 times trips the check
+    monkeypatch.setattr(hardy, "SAMPLE_ULPS", 2.0 ** -40)
+    with pytest.raises(ArithmeticError, match="allowance"):
+        z_derivatives_batch(60, [1], prec=64)
 
 
 def test_derivative_capacity_guard():

@@ -354,6 +354,12 @@ def test_zeta_has_one_route():
     assert _library_uses(SRC, "zeta") == []
 
 
+def test_loggamma_stays_off_the_contour_path():
+    # the contour samples read theta from hardyz.theta's jets; hardy.theta,
+    # for z_eval and the smooth zero count, is the one caller left
+    assert {use.split(":")[0] for use in _library_uses(SRC, "loggamma")} == {"hardy.theta"}
+
+
 def test_siegelz_is_the_tests_oracle_only():
     # find_zeros, z_eval and the contours read Z from the program's own
     # routes; mpmath's Z is what the tests compare them with
