@@ -27,7 +27,7 @@ cos(2pi Re x) > cos(0.127) > 0.99.  Hence |Psi| < cosh(2pi)/0.99 < 271
 there, and Cauchy's estimates give |a_j| < 271 and the bounds z_rs uses.
 
 z_log_majorant(c, R) bounds |Z| on the circle of radius R about a real c,
-off the real line: hardy._TaylorPatches sizes its Cauchy contours from it,
+off the real line: hardy._TaylorPatches sizes its Taylor series from it,
 and hardy.find_zeros bounds Z'' with it.
 It sums no zeta and no loggamma: Stirling's formula bounds the phase and an
 Euler-Maclaurin majorant bounds zeta (see its docstring).
@@ -38,7 +38,7 @@ extremal.find_c_eps decides each sign of its delta search from it where its
 bound proves one.
 
 log_add is the float log of a sum of exponentials that these bounds, the
-contour bounds of hardy._TaylorPatches and identity's quadrature bound add
+series bounds of hardy._TaylorPatches and identity's quadrature bound add
 their terms with.
 """
 

@@ -1,28 +1,22 @@
 """Hardy Z function engine: evaluation, derivatives, zeros, counting.
 
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Every zeta the
-program reads comes from zeta._zeta_em, one Euler-Maclaurin sum in fixed
-point with an explicit bound on its truncation and its rounding: z_eval's
-on the critical line and the contour samples' off it.
-find_zeros states how the zero finder reads Z and what it proves.
-Derivatives come from the Taylor coefficients of the analytic continuation
-of Z on a Cauchy circle: the half with Im w <= 0, where zeta sits at
-sigma >= 1/2, is sampled with _zeta_em and with theta from one Taylor jet
-a circle (theta.ThetaJet), and Schwarz reflection fills the other.  Each
-sample's proved error is checked against the allowance the circle was
-sized for.  mpmath's loggamma serves theta(t) alone, for z_eval and the
-smooth zero count.
-_TaylorPatches is the one place that builds such circles and keeps their
-series: z_derivatives_batch reads one patch at its centre, and
-theorem1_explore reads every point of its window from the fewest patches
-its error bound allows (one up to T = 104).  The tests
-cross-check the contour route against mpmath's Z^(k) and its finite
-differences (tests/derivative_oracle.py).
+program reads is an Euler-Maclaurin sum of module zeta with a proved bound:
+z_eval's at one point of the critical line, and the Taylor patches' as a
+series about one.  find_zeros states how the zero finder reads Z and what
+it proves.  _TaylorPatches builds and keeps Z's Taylor series about real
+centres (_z_series: zeta's series from one Dirichlet table, theta's from a
+theta.ThetaJet, one exp recurrence and one product): z_derivatives_batch
+reads one at its centre, and theorem1_explore reads its window from the
+fewest its bound allows.  mpmath's loggamma serves theta(t) alone, for
+z_eval and the smooth zero count; the tests' references are in
+tests/derivative_oracle.py.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +26,8 @@ from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
 from .precision import (DEFAULT_PREC, GUARD_BITS, interval_precision,
                         refine_sign_change, working_precision)
 from .theta import ThetaJet
-from .zeta import COS_SIN_ULPS, EXP_ULPS, _zeta_em
+from .zeta import (COS_SIN_ULPS, PHASE_GUARD_BITS, _em_size, _product_bound, _zeta_em,
+                   _zeta_series, _zeta_series_bound)
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
@@ -40,9 +35,8 @@ HALF_WIDTH_DIGITS = 6  # a zero's bracket half-width prints with 6 digits at any
 MAX_RESCANS = 4
 THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
 CONTOUR_RADIUS = 2  # z_derivatives_batch's circle, shrunk to |t|/2 + 1/4 near 0
-SAMPLE_ULPS = 16  # a contour sample's allowance, checked against its proved error (see _TaylorPatches)
 READ_GUARD_BITS = 8  # a Taylor patch's fixed-point series carry bits + 8 fraction bits
-CENTRE_READ_BITS = 4  # a width-0 patch's first pass is sized for a read of 2^-4
+SHAPE_BITS = 24  # the jets that size a patch's bits need theta's shape only
 MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
 MODEL_READS = 6  # z_eval reads find_zeros' secant model takes before its fallback
 
@@ -89,10 +83,9 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
     """(value, error estimate) for Z(t) = e^{i theta(t)} zeta(1/2 + it) by
     Euler-Maclaurin, the (value, bound) shape of enclose.z_rs.
 
-    The error estimate is _zeta_em's bound at sigma = 1/2, its truncation
-    plus the proved rounding of its fixed-point sums, plus the imaginary
-    residue of the complex product; the contour samples (_z_sample) read
-    the same sum off the line.  Its one reader is find_zeros (theorem1_explore
+    The error estimate is _zeta_em's bound, its truncation plus the
+    proved rounding of its fixed-point sums, plus the imaginary residue of
+    the complex product.  Its one reader is find_zeros (theorem1_explore
     reads Z(T) from its own Taylor patches).  The tests check the value
     against z_rs's enclosure from t = 200 on and against mp.siegelz at
     every height.
@@ -101,119 +94,87 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
         tm = mp.mpf(t)
         if tm < 0:
             raise ValueError("t must be >= 0")
-        zeta_val, zeta_err = _zeta_em(mp.mpf(0.5), tm, prec)
+        zeta_val, zeta_err = _zeta_em(tm, prec)
         phase = mp.e ** (1j * theta(tm, prec=prec + THETA_GUARD_BITS))
         zc = phase * zeta_val
         return zc.real, +(zeta_err + abs(zc.imag))
 
 
-def _z_sample(centre, jet: ThetaJet, point: Tuple[int, int],
-              bits: int) -> Tuple[int, int, float]:
-    """A contour sample: Z(w) = e^(i theta(w)) zeta(1/2 + iw) at
-    w = centre + (x + iv) 2^-jet.point_bits, Im w <= 0, as (re, im) floored
-    to `bits` fraction bits, and a proved bound on its error before that
-    floor.  zeta comes from _zeta_em at sigma = 1/2 - Im w and t = Re w,
-    both exact, with `bits` as its requested bits; _zeta_em refuses
-    Im w > 0, where sigma < 1/2 and _dirichlet_table's bound does not
-    hold, and the contours fill that half by reflection.  The pole of zeta
-    sits at w = -i/2.  theta comes from the jet about centre, read at the
-    same point, and e^(i theta) from libmp's exp and cos_sin at the jet's
-    F fraction bits; the product is one exact integer product of
-    fixed-point factors.
-
-    With E~ the fixed-point e^(i theta~), theta~ the jet's read (within
-    eps_theta of theta(w)), zeta~ _zeta_em's value (within eps_zeta of
-    zeta(w)) and its fixed point within sqrt 2 units of 2^-F, the sample
-    errs by at most
-        |E~| (sqrt 2 2^-F + eps_zeta)
-        + (|zeta~| + eps_zeta) (eps_E + |e^(i theta~)| (e^eps_theta - 1)),
-    eps_E the error of E~: exp is taken within zeta.EXP_ULPS ulps, cos and
-    sin within zeta.COS_SIN_ULPS units of 2^-F, and each is floored to F
-    fraction bits.  The last term is |Z| times the jet's theta bound, up
-    to second order.
+def _z_series(centre, half, jet: ThetaJet, J: int, N: int, K: int,
+              bits: int) -> Tuple[List[int], int]:
+    """(a, B): Z's Taylor coefficients a_j, j < J, about the real centre c
+    in y = (w - c)/half, with B >= bits fraction bits that make c and half
+    exact: the real parts of e^(i theta~) zeta~, zeta~ from
+    zeta._zeta_series and theta~ the jet's polynomial rescaled to y and
+    floored.  f = e^(i theta~) has f_0 from libmp's cos_sin at
+    B + PHASE_GUARD_BITS and f_n = (i/n) sum_(k<=n) k theta~_k f_(n-k),
+    each floored.  Z's coefficients are real, so dropping a computed one's
+    imaginary part moves it no further from Z's; _series_plan bounds the
+    error.
     """
-    x, v = point
-    P, F = jet.point_bits, jet.bits
-    t = mp.make_mpf(libmp.mpf_add(centre._mpf_, libmp.from_man_exp(x, -P)))
-    sigma = mp.make_mpf(libmp.from_man_exp((1 << (P - 1)) - v, -P))
-    with mp.workprec(bits):
-        zeta_val, zeta_err = _zeta_em(sigma, t, mp.prec)
-    alpha, beta = jet.read(x, v)
-    cos, sin = (libmp.to_fixed(y, F) for y in libmp.mpf_cos_sin(libmp.from_man_exp(alpha, -F), F))
-    modulus = libmp.to_fixed(libmp.mpf_exp(libmp.from_man_exp(-beta, -F), F), F)
-    zr, zi = (libmp.to_fixed(y._mpf_, F) for y in (zeta_val.real, zeta_val.imag))
-    shift = 3 * F - bits
-    re = modulus * (cos * zr - sin * zi) >> shift
-    im = modulus * (cos * zi + sin * zr) >> shift
-    unit = 2.0 ** -F
-    phase_err = math.sqrt(2) * (COS_SIN_ULPS + 1) * unit
-    phase = (modulus + 1) * unit / (1 - 2 * EXP_ULPS * unit)  # >= |e^(i theta~)|
-    modulus_err = 2 * EXP_ULPS * unit * phase + unit
-    e_size = modulus * unit * math.hypot(cos, sin) * unit
-    e_err = modulus_err * (1 + phase_err) + phase * phase_err
-    zeta_err = float(zeta_err)
-    size = abs(zeta_val) + zeta_err
-    error = (e_size * (math.sqrt(2) * unit + zeta_err)
-             + float(size) * (e_err + phase * math.expm1(jet.error)))
-    return re, im, error
+    B = max(bits, -half._mpf_[2], -centre._mpf_[2])
+    F, man, exp = jet.bits, half.man, half.exp
+    weights = [k * _floor_shifted(t * man ** k, 1, k * (exp - jet.scale) + B - F)
+               for k, t in enumerate(jet.coefficients)]
+    z_re, z_im = _zeta_series(centre, half, J, N, K, B)
+    cos, sin = libmp.mpf_cos_sin(libmp.from_man_exp(jet.coefficients[0], -F),
+                                 B + PHASE_GUARD_BITS)
+    f_re, f_im = [libmp.to_fixed(cos, B)], [libmp.to_fixed(sin, B)]
+    for n in range(1, J):
+        w = weights[min(n, len(weights) - 1):0:-1]  # k theta~_k, k from min(n, deg) down to 1
+        ar = sum(map(operator.mul, w, f_re[n - len(w):n]))
+        ai = sum(map(operator.mul, w, f_im[n - len(w):n]))
+        f_re.append((-ai >> B) // n)
+        f_im.append((ar >> B) // n)
+    return [sum(map(operator.mul, f_re[:j + 1], z_re[j::-1]))
+            - sum(map(operator.mul, f_im[:j + 1], z_im[j::-1])) >> B for j in range(J)], B
 
 
-# ---------------------------------------------------------------------------
-# derivatives
+def _series_plan(centre: float, r: float, jet: ThetaJet, eps: float, J: int,
+                 bits: int, log_m: float) -> Tuple[int, int, float, List[float]]:
+    """(N, K, log E, errors) for _z_series about centre at bits, half =
+    r/2: the Euler-Maclaurin sizes, a bound E on |Z - e^(i theta~) zeta~|
+    on the circle |h| = r, and each coefficient's rounding in units of
+    2^-bits; eps bounds the jet's error, and e^log_m |Z| on the circle.
 
-
-def _z_taylor(centre, radius, M: int, count: int, bits: int,
-              jet: ThetaJet) -> Tuple[List[int], float]:
-    """([s_0, .., s_(count-1)], delta), count <= M: the trapezoid sums of Z
-    about the real point centre on one circle of M points, radius r an mpf
-    of at most `bits` bits, as exact Python ints: s_n = 2^(2 bits) M r^n
-    a~_n, a~_n the sum's estimate of the Taylor coefficient a_n; and delta,
-    the largest proved sample error (_z_sample).
-
-    Only the M/2 + 1 points with Im w <= 0 are sampled, where zeta sits at
-    sigma >= 1/2, each with theta from jet, a ThetaJet about centre that
-    covers the circle.  The Schwarz reflection Z(conj w) = conj Z(w) fills
-    the other half: Z is real on the real axis, and so are theta's Taylor
-    coefficients.  a~_n r^n is then the trapezoid sum
-    (Re f_0 + (-1)^n Re f_{M/2} + 2 sum_{0<j<M/2} Re(f_j u^(nj)))/M over one
-    table of M-th roots of unity u^j, with f_j = Z(centre + r u^-j).
-    For every n < M that sum is a_n plus the aliases a_(n+jM) r^(jM), j >= 1.
-    The sums run in fixed point with `bits` fraction bits: each input is
-    truncated once and the integer products are exact.  The sample points
-    are r u^-j floored to the jet's point_bits, from roots mpmath computes
-    8 bits finer, so each is within 2^-point_bits (2 + r/16) of its exact
-    place (taking mpmath's roots within an ulp); _TaylorPatches bounds what
-    that moves Z.
+    With theta~ = sum_j theta_j h^j and h = u + iv, |e^(i theta)| <=
+    e^(-theta_1 v + S + eps), S = sum_(j>=2) |theta_j| r^j, and
+    zeta._em_size makes e^(-theta_1 v) |R_K| <= m 2^-bits e^-(S + eps).
+    The difference is D = e^(i theta) R_K + Z~ (e^(i(theta - theta~)) - 1),
+    Z~ = e^(i theta~) zeta~, |Z~| <= m + |D|, so |D| <= (|e^(i theta) R_K|
+    + m (e^eps - 1))/(2 - e^eps) = E, and D's coefficients in y are at
+    most E 2^-j (Cauchy).  The rounding: zeta~'s from
+    zeta._zeta_series_bound; with phi_k = |theta_k| half^k and theta~_k
+    within a unit, |f_0| = 1, |f_n| <= (1/n) sum_k k phi_k |f_(n-k)|, and
+    f_n errs by (1/n) sum_k k ((phi_k + 2^-bits) e_(n-k) + |f_(n-k)|)
+    + sqrt 2, e_0 = sqrt 2 (1 + COS_SIN_ULPS 2^-PHASE_GUARD_BITS); the
+    product's from zeta._product_bound.
     """
-    half = M // 2
-    P = jet.point_bits
-    with mp.workprec(P + 8):
-        roots = mp.unitroots(M)
-        points = [radius * mp.conj(roots[j]) for j in range(half + 1)]
-        points = [(libmp.to_fixed(h.real._mpf_, P), libmp.to_fixed(h.imag._mpf_, P))
-                  for h in points]
-        u_re = [int(mp.ldexp(u.real, bits)) for u in roots]
-        u_im = [int(mp.ldexp(u.imag, bits)) for u in roots]
-    samples = [_z_sample(centre, jet, point, bits) for point in points]
-    f_re = [f[0] for f in samples]
-    f_im = [f[1] for f in samples]
-    sums = []
-    for n in range(count):
-        acc = 2 * sum(f_re[j] * u_re[n * j % M] - f_im[j] * u_im[n * j % M]
-                      for j in range(1, half))
-        sums.append(acc + ((f_re[0] + (-1) ** n * f_re[half]) << bits))
-    return sums, max(f[2] for f in samples)
+    theta = [t * 2.0 ** -jet.bits / 2.0 ** (jet.scale * k) for k, t in enumerate(jet.coefficients)]
+    spread = sum(abs(t) * r ** k for k, t in enumerate(theta) if k >= 2)
+    N, K, log_em = _em_size(centre, r, -theta[1], log_m - bits * math.log(2) - spread - eps)
+    growth = math.expm1(eps)
+    log_circle = log_add(log_em + spread + eps, log_m + math.log(growth)) - math.log1p(-growth)
+    half, unit = r / 2, 2.0 ** -bits
+    z_sizes, z_errors = _zeta_series_bound(centre, half, J, N, K, bits)
+    phi = [abs(t) * half ** k for k, t in enumerate(theta)]
+    f_sizes, f_errors = [1.0], [math.sqrt(2) * (1 + COS_SIN_ULPS * 2.0 ** -PHASE_GUARD_BITS)]
+    for n in range(1, J):
+        ks = range(1, min(n, len(phi) - 1) + 1)
+        f_sizes.append(sum(k * phi[k] * f_sizes[n - k] for k in ks) / n)
+        f_errors.append(sum(k * ((phi[k] + unit) * f_errors[n - k] + f_sizes[n - k])
+                            for k in ks) / n + math.sqrt(2))
+    return N, K, log_circle, _product_bound(f_sizes, f_errors, z_sizes, z_errors, bits)[1]
 
 
 def z_derivatives_batch(t, orders: Sequence[int],
                         prec: int = DEFAULT_PREC) -> Dict[int, mpf]:
-    """All requested derivative orders from a single contour about t: the
-    centre read of one Taylor patch (_TaylorPatches over the width-0 window
-    [t, t]) of radius min(CONTOUR_RADIUS, |t|/2 + 1/4), which keeps the
-    circle inside the disc where Z is analytic: its nearest singularities
-    are at w = +-i/2.  _TaylorPatches sizes M and the sample bits from its
-    proved error bound, so near t = 0, where that disc is small, the circle
-    gets more points, not fewer bits.
+    """All requested derivative orders from one Taylor series about t:
+    the centre read of one Taylor patch (_TaylorPatches over the width-0
+    window [t, t]) with its bound on the circle of radius
+    min(CONTOUR_RADIUS, |t|/2 + 1/4), inside the disc where Z is analytic
+    (its nearest singularities are at w = +-i/2).  The series stops at the
+    largest order, so it has no truncation error.
     """
     orders = sorted(set(int(k) for k in orders))
     if not orders:
@@ -557,95 +518,53 @@ def _floor_shifted(num: int, den: int, shift: int) -> int:
 
 
 class _TaylorPatches:
-    """Z^(k) on [lo, hi] from truncated Taylor series of Z, one contour
-    each; the only code that builds a contour.
+    """Z^(k) on [lo, hi] from truncated Taylor series of Z, one a patch;
+    the only code that builds Z's series.
 
     count patches of width (hi - lo)/count tile the interval, and a point
     is read from the series about its nearest centre, at most d = width/2
-    away.  Every circle has radius r = width (on a width-0 window, which is
-    read only at its centre, the radius given), the same number M of points
-    and the same sample bits, and each series keeps a_n for n < N = M - 1,
-    or for n <= kmax on a width-0 window.
+    away.  Each patch has a circle of radius r = width (on a width-0
+    window, read only at its centre, the radius given), and its series
+    (_z_series) keeps a_n for n < J, J and the bits the same for every
+    patch (J = kmax + 1 at width 0).  The count is the fewest the bound
+    allows, tried from _first_count up to twice that or the tiling of
+    radius CONTOUR_RADIUS, whichever is more.  Each order's series is kept
+    as Python ints with F = bits + READ_GUARD_BITS fraction bits
+    (read_bits), b_n = a_(n+k) (n+k)!/n! d^n for n < J - k (1 term at
+    width 0), so Z^(k)(u) = sum_n b_n x^n, x = (u - centre)/d, |x| <= 1, is
+    one integer Horner pass rounded once.  The series is built in
+    y = h/d', d' = r/2 (d but for width 0), r rounded to bits bits, so d'^k
+    is exact and each b_n one floor of an exact quotient.
 
-    The count is the fewest the error bound below allows, found by trial
-    from an estimate.  Rounding the read costs 2^-mp.prec S, and S grows
-    like e^(omega d), omega = log(hi/2pi)/2 the largest local frequency of
-    Z on the window.  Against the budget below that asks for
-    omega d <= (GUARD_BITS - 3) log 2, and the first count tried is the
-    fewest with such a d: 1, 1, 2 and 3 for the 4pi window about
-    T = 57.5, 100, 1000 and 10^4.  Nothing rests on that estimate: if
-    series_error misses the budget the window is tiled and sampled again
-    at the next count, up to twice the first count or the tiling of radius
-    CONTOUR_RADIUS, whichever is more.
+    series_error is the largest over the orders, doubled to cover
+    second-order terms and the floats it is computed in, of the sum of
+    these bounds on Z^(k) at distance <= d, each the largest over patches:
+    - truncation after J terms: with A >= |Z| on the circles of a larger
+      radius R < sqrt(c^2 + 1/4), the distance to Z's singularities +-i/2
+      (enclose.z_log_majorant), Cauchy's |a_n| <= A R^-n bounds it by
+      A R^-k sum_{n>=J} n!/(n-k)! (d/R)^(n-k), at most its first term over
+      1 - rho, rho its first ratio (the ratios fall); 0 at width 0;
+    - the series' own error E on the r-circle (_series_plan), which Cauchy
+      turns into E k! r/(r - d)^(k+1) (_log_gain), truncated series too;
+    - the coefficients' rounding: e_j units of 2^-B on a_j d'^j add
+      2^-B sum_(j>=k) e_j j!/(j-k)!/d'^k (e_k k!/d'^k at width 0);
+    - the read: 2^-F (2N' + S1) for N' = J - k floors of b_n, N' - 1 of
+      Horner steps (|x| <= 1 keeps them from growing) and the floor of x
+      (S1 = sum n |b_n|), counted as (3J + 6) 2^-bits S where larger (where
+      S = sum |b_n| >= 2^-7), and 2^-mp.prec S for the final rounding; the
+      rounded centres let |x| pass 1 by some 4 |u|/d units of 2^-mp.prec,
+      under 1 + 2^-50 on x^n for explore up to T = 10^4 at 64 bits.
 
-    Each patch keeps its order-k series in fixed point, as Python ints
-    with F = bits + READ_GUARD_BITS fraction bits (read_bits): b_n =
-    a_(n+k) (n+k)!/n! d^n for n < N' = N - k (N' = 1 at width 0), so that
-    Z^(k)(u) = sum_n b_n x^n with x = (u - centre)/d and |x| <= 1.  With
-    d = r/2 both the scaling and r^k are exact, so each b_n is one floor of
-    an exact quotient of _z_taylor's integer sums.  A read is one integer
-    Horner pass in x, rounded once to the working precision.
-
-    The error of a read is bounded from A, an upper bound on |Z| over the
-    circles of a larger radius R about the centres (enclose.z_log_majorant;
-    R < sqrt(c^2 + 1/4), the distance to the singularities +-i/2), through
-    Cauchy's estimate |a_n| <= A R^-n.  The M-point sum returns a_n plus
-    sum_{j>=1} a_(n+jM) r^(jM) (Trefethen and Weideman, SIAM Review 56,
-    2014), so for Z^(k) at distance <= d from a centre, with q = r/R:
-    - aliasing is at most A q^M/(1 - q^M) k! R/(R - d)^(k+1);
-    - truncation is at most A R^-k sum_{n>=N} n!/(n-k)! (d/R)^(n-k),
-      bounded by its first term over 1 - rho, rho the ratio of its first
-      two terms (the ratios fall with n); it is 0 at width 0;
-    - rounding: each sample is allowed an error of
-      SAMPLE_ULPS (1 + W log(2 + W)) 2^-bits m from Z at its exact point, W
-      the largest |w| sampled and m = z_log_majorant's bound on the
-      r-circles, and _sample checks that it keeps to it, or raises
-      ArithmeticError.  A sample's proved error (_z_sample) is zeta's
-      proved bound times |e^(i theta)|, plus |Z| times the bound of the
-      ThetaJet it reads theta from, sized to an eighth of the allowance
-      over m (W log W is the size of theta(w), whose error becomes Z's
-      relative error), plus the rounding of the product; and its place,
-      within shift = 2^-P (2 + r/16) of the exact one (P the jet's
-      point_bits), moves Z by at most shift max|Z'|.  Hadamard's
-      three-circle theorem bounds |Z| on |w - c| = r + x, 0 <= x <= R - r,
-      by m e^(slope x), slope = log(A/m)/(r log(R/r)), so Cauchy on a
-      circle of radius eps about any point between the two places gives
-      |Z'| <= m e^(slope (shift + eps))/eps, with eps = min(1/slope,
-      R - r - shift).  The check compares twice the sum, in floats, with
-      the allowance; it holds by a wide margin on every circle the tests
-      run.  The fixed-point sums add
-      2 (m + 2) 2^-bits a sample, and a sample error delta moves Z^(k) by
-      at most delta k! r/(r - d)^(k+1).  The read then adds, in units of
-      2^-F: under 1 for each b_n's floor, N' in all since |x| <= 1; under
-      S1 = sum_n n |b_n| for the floor of x, by the mean value theorem; and
-      under 1 for each of the N' - 1 floors of the Horner steps, which
-      |x| <= 1 keeps from growing.  That is 2^-F (2N' + S1), and rounding
-      the read to the working precision adds 2^-mp.prec S, with
-      S = sum_n |b_n|, both the largest over the patches.  The bound counts
-      the fixed-point read as (3N + 6) 2^-bits S, or as 2^-F (2N' + S1)
-      where that is larger: S1 <= (N' - 1) S, so the first is the larger
-      wherever S >= 2^-7, as on explore's windows, and there series_error
-      does not depend on F.  The centres and width are rounded at the
-      working precision, so |x| may exceed 1 by some 4 |u|/d units of
-      2^-mp.prec, which scales x^n, n < N, by under 1 + 2^-50 for explore
-      up to T = 10^4 at 64 bits.
-    series_error is the largest sum of the three over the orders, doubled,
-    which covers the second-order rounding terms and the floats the bound is
-    computed in.
-
-    M, N and the bits come from one budget: 2^-prec times the largest
-    |Z^(k)| read at the centres over the orders, taken as 1 until the
-    circles are first sampled, or as 2^-CENTRE_READ_BITS on a width-0
-    window, whose one read can be small.  M is the smallest even M whose
-    aliasing and truncation take at most a quarter of it at every order
-    (_points), with R the radius among R_j = r (R_max/r)^(j/16),
-    j = 1..15, about the centre farthest from 0 that allows the smallest M
-    (_radius), R_max the reach above; the bits are the fewest whose
-    rounding, with S <= (m + 1) k! r/(r - d)^(k+1), takes at most an
-    eighth.  If series_error then exceeds the budget the reads set (where
-    the largest read is below 1; it counts as at least 2^-prec), the
-    circles are sized for that budget and sampled once more before the
-    next count.
+    J, R and the bits come from one budget, 2^-prec times the largest
+    |Z^(k)| read at the centres (1 until one is read).  J is the least
+    J > kmax whose truncation takes at most a quarter of it (_terms), at the
+    R_j = r (R_max/r)^(j/16), j = 1..15, R_max the reach above, that allows
+    the least J (_radius).  The jets are sized for 2^-bits and N and K for
+    E <= about 1.5 m 2^-bits, m = z_log_majorant's bound on the r-circles;
+    the bits are the fewest for which E and the rounding, with
+    S <= (m + 1) k! r/(r - d)^(k+1), take at most an eighth (_bits).  If
+    series_error misses the budget the reads set (at least 2^-2prec), the
+    series are sized for it and built once more before the next count.
     """
 
     def __init__(self, lo, hi, orders: Sequence[int], prec: int, radius=None):
@@ -656,9 +575,7 @@ class _TaylorPatches:
         self._orders = sorted(orders)
         self._log_majorants: Dict[Tuple[float, float], float] = {}
         unit = prec * math.log(2)
-        # 2^-prec times a largest |Z^(k)| of 1 (2^-CENTRE_READ_BITS at width 0),
-        # until one is read
-        log_budget = -unit if hi > lo else -unit - CENTRE_READ_BITS * math.log(2)
+        log_budget = -unit  # 2^-prec times a largest |Z^(k)| of 1, until one is read
         count = last = 1
         if hi > lo:
             count = self._first_count(lo, hi)
@@ -666,10 +583,10 @@ class _TaylorPatches:
         while True:
             self._tile(lo, hi, count, radius)
             for _ in range(2):
-                M, bits, R = self._size(log_budget)
-                if M > self.M or bits > self.bits:
-                    self.M, self.bits = max(M, self.M), max(bits, self.bits)
-                    self._sample(R)
+                J, bits, R = self._size(log_budget)
+                if J > self.J or bits > self.bits:
+                    self.J, self.bits = max(J, self.J), max(bits, self.bits)
+                    self._build()
                 log_error = self._log_error(R)
                 read = max(abs(patch[k][0]) for patch in self.series for k in orders)
                 read = mp.ldexp(read, -self.read_bits)
@@ -683,67 +600,60 @@ class _TaylorPatches:
 
     @staticmethod
     def _first_count(lo, hi) -> int:
-        """The fewest patches of [lo, hi] with omega d <= (GUARD_BITS - 3) log 2."""
+        """The fewest patches with omega d <= (GUARD_BITS - 3) log 2, omega =
+        log(hi/2pi)/2: rounding a read costs 2^-mp.prec S, S ~ e^(omega d).
+        1, 1, 2 and 3 about T = 57.5, 100, 1000 and 10^4; nothing rests on it."""
         omega = math.log(float(hi) / (2 * math.pi)) / 2
         d = (GUARD_BITS - 3) * math.log(2) / omega if omega > 0 else math.inf
         return max(1, math.ceil(float(hi - lo) / (2 * d)))
 
     def _tile(self, lo, hi, count: int, radius) -> None:
-        """Place count patches on [lo, hi], not yet sampled."""
+        """Place count patches on [lo, hi], not yet built."""
         self.count = count
         self.width = (hi - lo) / count
         self.radius = self.width or mp.mpf(radius)
         self.centres = [lo + (i + mp.mpf(0.5)) * self.width for i in range(count)]
         self.series: List[Dict[int, List[int]]] = []  # per patch and order
-        self.M = self.bits = 0
-        self._jets: Dict[int, List[ThetaJet]] = {}  # per sample bits, one a centre
+        self.J = self.bits = 0
         self._r, self._d = float(self.radius), float(self.width) / 2
         self._centres = [float(c) for c in self.centres]
         self._far = max(abs(c) for c in self._centres)
         self._reach = min(math.hypot(c, 0.5) for c in self._centres)
-        self._m = math.exp(self._majorant(self._r))
-        w = self._far + self._r
-        self._ulps = SAMPLE_ULPS * (1 + w * math.log(2 + w))
+        self._log_m = self._majorant(self._r)
+        self._cover = self._r * (1 + 2.0 ** -16)  # the jets' radius, past the circle
+        # theta's shape for sizing, from a jet good to 2^-SHAPE_BITS
+        self._shapes = [ThetaJet(c, self._cover, 2.0 ** -SHAPE_BITS) for c in self.centres]
 
-    def _sample(self, R: float) -> None:
-        """Sample every circle at the current M and bits, check each sample
-        against its allowance, and keep each order's series in fixed point
-        (b_n above).  R is the majorant radius the bits were sized at."""
-        N = self._terms(self.M)
+    def _build(self) -> None:
+        """Build every patch's series at J and bits, each order's b_n, and
+        the logs of E and of each order's coefficient rounding."""
         self.read_bits = F = self.bits + READ_GUARD_BITS
         with mp.workprec(self.bits):
-            r = +self.radius  # the radius sampled, exact as man 2^exp
+            r = +self.radius  # the radius built on, exact as man 2^exp
         self._radius_bits = man, exp = r.man, r.exp
-        allowance = self._ulps * self._m * 2.0 ** -self.bits
-        if self.bits not in self._jets:
-            # theta's error becomes Z's times |Z|: an eighth of the allowance;
-            # every sample lies within r + shift < cover of its centre
-            budget = self._ulps * 2.0 ** -self.bits / 8
-            cover = self._r * (1 + 2.0 ** -16)
-            self._jets[self.bits] = [ThetaJet(c, cover, budget) for c in self.centres]
-        log_m = self._majorant(self._r)
-        slope = max(self._majorant(R) - log_m, 0) / (self._r * math.log(R / self._r))
-        self.series = []
-        for c, jet in zip(self.centres, self._jets[self.bits]):
-            sums, delta = _z_taylor(c, r, self.M, N, self.bits, jet)
-            # a sample's place moves Z by at most shift max|Z'|, |Z'| by Cauchy
-            # on a circle of radius eps inside |w - c| <= r + shift + eps
-            shift = 2.0 ** -jet.point_bits * (2 + self._r / 16)
-            eps = min(1 / slope if slope else math.inf, R - self._r - shift)
-            delta += shift * math.exp(log_m + slope * (shift + eps)) / eps
-            if not 2 * delta <= allowance:
-                raise ArithmeticError(
-                    f"a contour sample about {mp.nstr(c, 8)} errs by up to {2 * delta:.3g},"
-                    f" over its allowance {allowance:.3g}")
-            # b_n 2^F = s_(n+k) (n+k)!/n! 2^(F - 2 bits - n)/(M r^k), as d^n = r^n 2^-n
-            self.series.append({k: [_floor_shifted(sums[n + k] * math.perm(n + k, k),
-                                                   self.M * man ** k,
-                                                   F - 2 * self.bits - n - k * exp)
-                                    for n in range(N - k if self.width else 1)]
+        half = mp.make_mpf(libmp.from_man_exp(man, exp - 1))
+        self.series, self._log_circle = [], -math.inf
+        self._log_rounding = {k: -math.inf for k in self._orders}
+        for c in self.centres:
+            jet = ThetaJet(c, self._cover, 2.0 ** -self.bits)
+            N, K, log_circle, errors = _series_plan(float(c), float(r), jet, jet.error,
+                                                    self.J, self.bits, self._log_m)
+            a, B = _z_series(c, half, jet, self.J, N, K, self.bits)
+            self._log_circle = max(self._log_circle, log_circle)
+            for k, units in self._read_units(errors, float(half)).items():
+                self._log_rounding[k] = max(self._log_rounding[k], units - B * math.log(2))
+            # b_n 2^F = a_(n+k) (n+k)!/n! 2^(F - B)/d'^k, d'^k = man^k 2^(k (exp - 1))
+            self.series.append({k: [_floor_shifted(a[n + k] * math.perm(n + k, k), man ** k,
+                                                   F - B - k * (exp - 1))
+                                    for n in range(self.J - k if self.width else 1)]
                                 for k in self._orders})
 
-    def _terms(self, M: int) -> int:
-        return M - 1 if self.width else self._orders[-1] + 1
+    def _read_units(self, errors: List[float], half: float) -> Dict[int, float]:
+        """log of each order's coefficient rounding from the bounds e_j:
+        sum_(j>=k) e_j j!/(j-k)!/half^k, or e_k k!/half^k at width 0."""
+        return {k: math.log(sum(e * math.perm(j, k) for j, e in enumerate(errors) if j >= k)
+                            if self.width else errors[k] * math.factorial(k))
+                - k * math.log(half) for k in self._orders}
 
     def _log_majorant(self, c: float, R: float) -> float:
         """z_log_majorant(c, R), computed once for each |c| and R."""
@@ -757,56 +667,64 @@ class _TaylorPatches:
         centres."""
         return max(self._log_majorant(c, R) for c in self._centres)
 
-    def _log_series(self, k: int, M: int, R: float, log_a: float) -> float:
-        """log of the aliasing plus truncation bound on Z^(k)."""
-        q, N = self._r / R, self._terms(M)
-        alias = (log_a + M * math.log(q) - math.log1p(-q ** M) + math.lgamma(k + 1)
-                 + math.log(R) - (k + 1) * math.log(R - self._d))
-        trunc = -math.inf
-        if self._d:
-            x = self._d / R
-            rho = x * (N + 1) / (N + 1 - k)
-            trunc = math.inf if rho >= 1 else (
-                log_a - k * math.log(R) + math.lgamma(N + 1) - math.lgamma(N + 1 - k)
-                + (N - k) * math.log(x) - math.log1p(-rho))
-        return log_add(alias, trunc)
+    def _log_truncation(self, k: int, J: int, R: float, log_a: float) -> float:
+        """log of the truncation bound on Z^(k) after J terms."""
+        if not self._d:
+            return -math.inf
+        x = self._d / R
+        rho = x * (J + 1) / (J + 1 - k)
+        return math.inf if rho >= 1 else (
+            log_a - k * math.log(R) + math.lgamma(J + 1) - math.lgamma(J + 1 - k)
+            + (J - k) * math.log(x) - math.log1p(-rho))
 
     def _log_gain(self, k: int) -> float:
-        """log of k! r/(r - d)^(k+1), which turns a sample error into one of
-        Z^(k)."""
+        """log of k! r/(r - d)^(k+1), which turns a bound on the r-circle
+        into one on Z^(k) at distance d."""
         return math.lgamma(k + 1) + math.log(self._r) - (k + 1) * math.log(self._r - self._d)
 
     def _size(self, log_budget: float) -> Tuple[int, int, float]:
-        """(M, bits, R) for the error budget e^log_budget on every Z^(k)."""
-        R = self._radius(log_budget)
-        M = self._points(log_budget, R, self._majorant(R))
-        N = self._terms(M)
-        log_unit = math.log((self._ulps + 3 * N + 8) * (self._m + 2))
-        bits = max(math.ceil((self._log_gain(k) + log_unit + 3 * math.log(2)
-                              - log_budget) / math.log(2)) for k in self._orders)
-        return M, bits, R
+        """(J, bits, R) for the error budget e^log_budget on every Z^(k)."""
+        if self.width:
+            R = self._radius(log_budget)
+            J = self._terms(log_budget, R, self._majorant(R))
+        else:
+            R, J = None, self._orders[-1] + 1
+        return J, self._bits(log_budget, J), R
+
+    def _bits(self, log_budget: float, J: int) -> int:
+        """The fewest bits whose share takes an eighth of the budget, the
+        rounding sized from theta's shape and a jet error of 2^-bits; it grows
+        with the bits through N, so they are raised until they cover it."""
+        m = math.exp(self._log_m)
+        log_unit = math.log(1.5 * m + (3 * J + 8) * (m + 2))
+        units = {k: -math.inf for k in self._orders}
+        bits = 0
+        while True:
+            need = max(math.ceil((log_add(self._log_gain(k) + log_unit, units[k])
+                                  + 3 * math.log(2) - log_budget) / math.log(2))
+                       for k in self._orders)
+            if need <= bits:
+                return bits
+            bits = need
+            for c, jet in zip(self._centres, self._shapes):
+                errors = _series_plan(c, self._r, jet, 2.0 ** -bits, J, bits, self._log_m)[3]
+                for k, v in self._read_units(errors, self._r / 2).items():
+                    units[k] = max(units[k], v)
 
     def _radius(self, log_budget: float) -> float:
-        """The R_j = r (R_max/r)^(j/16), j = 1..15, that allows the least M
-        about the centre farthest from 0, at its smallest j.
-
-        A z_log_majorant call costs more the larger R (more arcs, each
-        summing more terms): at T = 10^4 about 10 ms at j = 1 and 5 s at
-        j = 15.  So the search starts at _first_radius, a model's guess, and
-        moves only towards a smaller (M, j): up while M falls, else down
-        while it does not rise, and stops at the first step that fails.
-        M(j) falls and then rises with j (q^M falls and A grows with R), so
-        that is the least M at its smallest j.  Nothing rests on the model
-        or on that shape: any R_j gives a proved bound, only a larger M.
-        """
+        """The R_j = r (R_max/r)^(j/16), j = 1..15, with the least J about the
+        farthest centre, at its smallest j.  A majorant costs more the larger
+        R (at T = 10^4, 10 ms at j = 1, 5 s at j = 15), so the search starts
+        at _first_radius' guess and steps towards a smaller (J, j) while it
+        can; J(j) falls and then rises, and any R_j gives a proved bound."""
         radii = [self._r * (self._reach / self._r) ** (j / 16) for j in range(1, 16)]
-        points: Dict[int, int] = {}
+        terms: Dict[int, int] = {}
 
         def key(i: int) -> Tuple[int, int]:
-            if i not in points:
+            if i not in terms:
                 R = radii[i]
-                points[i] = self._points(log_budget, R, self._log_majorant(self._far, R))
-            return points[i], i
+                terms[i] = self._terms(log_budget, R, self._log_majorant(self._far, R))
+            return terms[i], i
 
         i, last = self._first_radius(log_budget, radii), len(radii) - 1
         step = 1 if i < last and key(i + 1) < key(i) else -1
@@ -815,45 +733,38 @@ class _TaylorPatches:
         return radii[i]
 
     def _first_radius(self, log_budget: float, radii: List[float]) -> int:
-        """The index of the first radius whose M is least under the model
+        """The index of the first radius whose J is least under the model
         log A(R) ~ log A(r) + theta' (R - r), theta' = log(c/2pi)/2 at the
         far centre c (at least 0): below the real line |e^(i theta(w))|
         grows like e^(theta' |Im w|), and zeta tends to 1."""
         log_a = self._log_majorant(self._far, self._r)
         slope = math.log(max(self._far, 2 * math.pi) / (2 * math.pi)) / 2
-        model = [self._points(log_budget, R, log_a + slope * (R - self._r)) for R in radii]
+        model = [self._terms(log_budget, R, log_a + slope * (R - self._r)) for R in radii]
         return model.index(min(model))
 
-    def _points(self, log_budget: float, R: float, log_a: float) -> int:
-        """The smallest even M > kmax + 1 whose aliasing and truncation take a
-        quarter of the budget: doubled from the first candidate until one
-        fits, then bisected over the even M between.  While the truncation
-        ratio rho is at least 1 _log_series counts the truncation as
-        infinite and no M fits; once rho < 1 both terms fall as M grows
-        (q^M/(1 - q^M), and the truncation's first term by rho a step with
-        rho itself falling), so the M that fit are all those from one on."""
+    def _terms(self, log_budget: float, R: float, log_a: float) -> int:
+        """The least J > kmax whose truncation takes a quarter of the
+        budget: doubled from kmax + 1 until one fits, then bisected.  The
+        truncation is infinite while its ratio rho >= 1 and then falls with
+        J, so the J that fit are all those from one on."""
         kmax = self._orders[-1]
         target = log_budget - 2 * math.log(2)
 
-        def fits(M: int) -> bool:
-            return all(self._log_series(k, M, R, log_a) <= target for k in self._orders)
+        def fits(J: int) -> bool:
+            return all(self._log_truncation(k, J, R, log_a) <= target for k in self._orders)
 
-        low = kmax + kmax % 2  # even, below every candidate
-        high = low + 2
+        low, high = kmax, kmax + 1  # low below every candidate
         while not fits(high):
             low, high = high, 2 * high
-        while high - low > 2:
-            mid = (low + high) // 4 * 2
+        while high - low > 1:
+            mid = (low + high) // 2
             low, high = (low, mid) if fits(mid) else (mid, high)
         return high
 
-    def _log_error(self, R: float) -> float:
-        """log of series_error for the circles as sampled."""
-        N = self._terms(self.M)
-        log_a = self._majorant(R)
-        m = self._m
-        log_delta = math.log(self._ulps * m + 2 * (m + 2)) - self.bits * math.log(2)
-        log_allowance = math.log(3 * N + 6) - self.bits * math.log(2)
+    def _log_error(self, R: Optional[float]) -> float:
+        """log of series_error for the series as built."""
+        log_a = self._majorant(R) if self.width else 0.0
+        log_allowance = math.log(3 * self.J + 6) - self.bits * math.log(2)
         log_output = -mp.prec * math.log(2)
         F = self.read_bits
         worst = -math.inf
@@ -864,8 +775,9 @@ class _TaylorPatches:
             log_read = max(math.log((2 * len(patch[k]) << F)
                                     + sum(n * abs(b) for n, b in enumerate(patch[k])))
                            for patch in self.series) - 2 * F * math.log(2)
-            worst = max(worst, log_add(self._log_series(k, self.M, R, log_a),
-                                        log_delta + self._log_gain(k),
+            worst = max(worst, log_add(self._log_truncation(k, self.J, R, log_a),
+                                        self._log_circle + self._log_gain(k),
+                                        self._log_rounding[k],
                                         max(log_allowance + log_size, log_read),
                                         log_output + log_size))
         return worst + math.log(2)
@@ -881,7 +793,7 @@ class _TaylorPatches:
         return mp.ldexp(acc, -F)
 
     def _fixed_x(self, u, centre) -> int:
-        """floor(2^F (u - centre)/d), d = r/2 for the radius sampled, from
+        """floor(2^F (u - centre)/d), d = r/2 for the radius built on, from
         the exact difference."""
         sign, h, h_exp, _ = mp.fsub(u, centre, exact=True)._mpf_
         h = -h if sign else h
@@ -895,16 +807,14 @@ def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> Explore
 
     m = min(floor(C log T loglog T), m_cap); the grid step is
     pi/(8 theta'(T)) with local refinement around each running maximum.  A
-    witness is any k whose grid maximum meets its bound.  Every value is
-    read from Taylor patches: contours is the fewest patches whose rounding
-    fits the budget (see _TaylorPatches), 1, 1, 2 and 3 at T = 57.5, 100,
-    1000 and 10^4, each a circle of radius 4 pi/contours and M/2 + 1 zeta
-    samples (one circle of at most 41 at 64 bits for T in [55, 65]),
-    instead of one full circle per point; a value is one integer Horner
-    pass over its patch's fixed-point series.  The patches keep order 0
-    too, and z_at_T is their order-0 value at T.  series_error is the
-    patches' proved bound on the error of every value read, z_at_T
-    included, from truncation, aliasing and rounding (see _TaylorPatches).
+    witness is any k whose grid maximum meets its bound.  Every value,
+    z_at_T (order 0 at T) included, is one integer Horner pass over the
+    fixed-point series of a Taylor patch, each built from one Dirichlet
+    table: contours is the fewest patches whose bound fits the budget (see
+    _TaylorPatches), 1, 1, 2 and 3 at T = 57.5, 100, 1000 and 10^4.
+    series_error is the patches' proved bound on the error of every value
+    read, from truncation, the Euler-Maclaurin and theta remainders and
+    rounding.
     T is rejected (RejectedPointError) when |z_at_T| <= 4 series_error.
     Explicitly exploratory output.
     """

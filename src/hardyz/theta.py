@@ -15,9 +15,9 @@ L_j comes from Stirling's series with Stieltjes' bound on its remainder
 5.11.ii), at z0 + m after m shifts log Gamma(z) = log Gamma(z + m)
 - sum_(k<m) log(z + k), where |z| is too small for the sum to reach the
 budget.
-ThetaJet computes the coefficients in Python ints and reads the series at
-any point of its disc; its docstring states the bound.  hardy's contour
-samples read theta from it, and nothing of it calls mpmath's loggamma.
+ThetaJet computes the coefficients in Python ints, with one bound on the
+series over its disc; its docstring states it.  hardy's Taylor patches
+take theta's series from it, and nothing of it calls mpmath's loggamma.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ def _log_binomial(n: int, k: int) -> float:
 
 
 class ThetaJet:
-    """theta(centre + h) for complex |h| <= radius, read from
-    sum_(j<=J) t_j y^j with y = h/rho, rho = 2^e twice the least power of
-    two above the radius, so |y| <= lam = radius/rho < 1/2.  The t_j are
-    kept in fixed point, Python ints with F = bits fraction bits, and
-    `error` bounds |theta(centre + h) - read(h)| for every such h; it is
-    at most about half the budget it was sized for.  A point is given as
-    ints (x, v), h = (x + iv) 2^-(F - e) (point_bits = F - e), so that
-    y = (x + iv) 2^-F exactly.
+    """theta(centre + h) for complex |h| <= radius as the polynomial
+    sum_(j<=J) t_j y^j with y = h/rho, rho = 2^scale twice the least power
+    of two above the radius, so |y| <= lam = radius/rho < 1/2.  The t_j
+    are kept in fixed point, Python ints with F = bits fraction bits
+    (`coefficients`), and `error` bounds |theta(centre + h) - sum_j t_j
+    2^-F y^j| for every such h; it is at most about half the budget it was
+    sized for.
 
     With a = z0 + m and u = i rho y/2, s = u/(a y) = i rho/(2a) and
     s_k = i rho/(2(z0 + k)), the coefficients of log Gamma(z0 + u) in y are
@@ -98,11 +97,8 @@ class ThetaJet:
       floor of an exact rational in them, so it errs by the bound that the
       step carries plus 1.  That of s^j enters times |1/(2j) + G_j| lam^j,
       and sum_j |G_j| lam^j <= sum_k |b_k| (1 - lam)^(1-2k), which
-      lam < 1/2 keeps moderate where K is large against |a|.  A read
-      sum_j t_j y^j by Horner's rule in complex fixed point floors J
-      products, each under sqrt 2 units and not grown by |y| <= 1.  So the
-      read errs by sum_j e_j lam^j + sqrt 2 J units, e_j the bound carried
-      for t_j.
+      lam < 1/2 keeps moderate where K is large against |a|.  So the
+      polynomial errs by sum_j e_j lam^j units, e_j the bound on t_j.
     """
 
     def __init__(self, centre, radius: float, budget: float):
@@ -110,11 +106,10 @@ class ThetaJet:
         reach = math.hypot(c, 0.5)
         if not 0 < radius < reach:
             raise ValueError(f"a theta jet about {c} needs 0 < radius < {reach}")
-        e = math.frexp(radius)[1] + 1  # radius < 2^(e-1)
+        self.scale = e = math.frexp(radius)[1] + 1  # radius < 2^(e-1)
         rho = math.ldexp(1, e)
         lam = radius / rho
         self.bits = F = math.ceil(-math.log2(budget)) + JET_GUARD_BITS
-        self.point_bits = F - e
         log_part = math.log(budget / 8)
         half = radius / 2  # |u| on the disc
         m, K, log_rem = self._stirling_size(c, half, log_part)
@@ -170,8 +165,7 @@ class ThetaJet:
                           + sum(p[2] for p in shift_powers) / j + 1)
         self.coefficients: List[int] = t
         self.shifts = m
-        rounding = (sum(err * lam ** j for j, err in enumerate(errors))
-                    + math.sqrt(2) * J) * unit
+        rounding = sum(err * lam ** j for j, err in enumerate(errors)) * unit
         tails = math.exp(self._log_tails(J, q, q_shift, log_b, half))
         self.error = 2 * (math.exp(log_rem) + tails + rounding)
 
@@ -265,14 +259,3 @@ class ThetaJet:
             return (fixed(s, F), [fixed(x, F) for x in s_shift],
                     [fixed(x, F + E) for x in b],
                     libmp.to_fixed(t0._mpf_, F), libmp.to_fixed(t1._mpf_, F))
-
-    def read(self, x: int, v: int) -> Tuple[int, int]:
-        """theta(centre + h) in fixed point with F fraction bits, (re, im),
-        at h = (x + iv) 2^-point_bits, |h| <= radius, by one Horner pass in
-        y = (x + iv) 2^-F; within `error` of the exact value."""
-        F = self.bits
-        coefficients = self.coefficients
-        ar, ai = coefficients[-1], 0
-        for t in reversed(coefficients[:-1]):
-            ar, ai = ((ar * x - ai * v) >> F) + t, (ar * v + ai * x) >> F
-        return ar, ai

@@ -1,7 +1,8 @@
 """The tests' references for Z^(k), read by tests/test_hardy.py and by
-criterion 11 against the contour derivatives of hardyz.hardy, and for theta
-and Z off the real line, from mpmath's loggamma and zeta, read against the
-contour samples and hardyz.theta's jets."""
+criterion 11 against the Taylor patches of hardyz.hardy; for theta and Z
+off the real line, from mpmath's loggamma and zeta, read against
+hardyz.theta's jets; and for Z's Taylor coefficients, the trapezoid sums of
+Z on a full circle, read against the patches' series."""
 
 from mpmath import mp, mpf
 
@@ -26,6 +27,18 @@ def z_complex(w):
     mpmath's loggamma and zeta at the ambient precision."""
     wm = mp.mpc(w)
     return mp.e ** (1j * theta_complex(wm)) * mp.zeta(0.5 + 1j * wm)
+
+
+def z_trapezoid(centre, radius, M: int):
+    """[s_0, .., s_(M-1)], s_n = (1/M) sum_m Z(w_m) u^(-mn) over the M
+    points w_m = centre + radius u^m of the full circle, u = e^(2 pi i/M),
+    Z from z_complex at the ambient precision.  s_n is a_n radius^n plus
+    the aliases a_(n+lM) radius^(n+lM), l >= 1, a_n Z's Taylor
+    coefficients about centre (Trefethen and Weideman, SIAM Review 56,
+    2014)."""
+    roots = [mp.expjpi(mp.mpf(2 * m) / M) for m in range(M)]
+    values = [z_complex(centre + radius * u) for u in roots]
+    return [mp.fsum(v * roots[-m * n % M] for m, v in enumerate(values)) / M for n in range(M)]
 
 
 def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:

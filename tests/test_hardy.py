@@ -8,7 +8,7 @@ import sys
 import pytest
 from mpmath import mp
 
-from hardyz import cli, hardy
+from hardyz import cli, hardy, zeta
 from hardyz.enclose import z_log_majorant, z_rs
 from hardyz.hardy import (MAX_RESCANS, ZERO_HALF_WIDTH_BITS, CapacityError,
                           UnconfirmedSignChangeError, count_stats,
@@ -18,7 +18,7 @@ from hardyz.hardy import (MAX_RESCANS, ZERO_HALF_WIDTH_BITS, CapacityError,
 from hardyz.precision import GUARD_BITS, working_precision
 from hardyz.theta import ThetaJet
 
-from derivative_oracle import theta_complex, z_derivative_fd
+from derivative_oracle import z_derivative_fd, z_trapezoid
 from patch_size_oracle import walk_size
 
 PREC = 128
@@ -99,29 +99,6 @@ def _explore_patches(T, orders, prec):
     return hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi, orders, prec)
 
 
-@pytest.mark.parametrize("prec", [64, 128])
-def test_contour_zeta_stays_inside_the_sample_allowance(prec):
-    # _TaylorPatches checks each sample within SAMPLE_ULPS (1 + W log(2 + W))
-    # 2^-bits m of Z; the zeta half of that is _zeta_em's bound times
-    # |e^(i theta)|, on every point of explore's circles, which reach
-    # sigma = 1/2 + 4 pi with one patch
-    for T in (55, 60, 65):
-        with working_precision(prec):
-            T = mp.mpf(T)
-            patches = _explore_patches(T, (1, 3, 4), prec)
-            allowance = patches._ulps * patches._m * mp.ldexp(1, -patches.bits)
-            worst = 0
-            with mp.workprec(patches.bits):
-                roots = mp.unitroots(patches.M)
-                for c in patches.centres:
-                    for j in range(patches.M // 2 + 1):
-                        w = c + patches.radius * mp.conj(roots[j])
-                        _, bound = hardy._zeta_em(mp.mpf(0.5) - w.imag, w.real, mp.prec)
-                        phase = abs(mp.e ** (1j * theta_complex(w)))
-                        worst = max(worst, bound * phase)
-            assert worst <= allowance, T
-
-
 def test_z_matches_zeta_modulus():
     with working_precision(PREC):
         t = mp.mpf(30)
@@ -136,13 +113,15 @@ def test_derivative_dual_path():
         a = z_derivatives_batch(t, [k], prec=PREC)[k]
         b = z_derivative_fd(t, k, prec=PREC)
         assert abs(a - b) < mp.mpf(10) ** -20 * max(1, abs(a))
-    # the last case keeps its bits: Z's singularities are 2^-1/2 from 0.5, and
-    # a fixed M = 128 aliased at (2^-1/2)^128 there, keeping about 64 of them
+    # the last case keeps its bits, though Z's singularities are only 2^-1/2
+    # from 0.5 and its circle has radius 1/2
     with mp.workprec(300):
         assert abs(a - mp.siegelz(mp.mpf(0.5), derivative=1)) < mp.mpf(2) ** -100
 
 
-@pytest.mark.parametrize("T, prec", [(55, 64), (60, 64), (65, 64), (60, PREC)])
+# at T = 30.5 the jet shifts its Stirling sum 15 times and sigma on the
+# circle reaches -12.1
+@pytest.mark.parametrize("T, prec", [(30.5, 64), (55, 64), (60, 64), (65, 64), (60, PREC)])
 def test_series_error_bounds_every_read(T, prec):
     # order 0 too, and Z(T) itself, which explore reports and rejects T by
     orders = (0, 1, 2, 3, 4)
@@ -157,6 +136,48 @@ def test_series_error_bounds_every_read(T, prec):
         worst = max(abs(v - mp.siegelz(u, derivative=k)) for (u, k), v in read.items())
     assert worst <= bound
     assert bound <= mp.mpf(2) ** -prec * max(abs(v) for v in read.values())
+
+
+@pytest.mark.parametrize("t", ["0", "0.5", "3", "20", "100"])
+def test_width_zero_reads_are_within_series_error(t):
+    # z_derivatives_batch's patch: one centre, J = kmax + 1 and no truncation
+    with working_precision(PREC):
+        tm = mp.mpf(t)
+        radius = min(mp.mpf(hardy.CONTOUR_RADIUS), abs(tm) / 2 + mp.mpf(0.25))
+        patches = hardy._TaylorPatches(tm, tm, range(5), PREC, radius)
+        read = {k: patches.derivative(tm, k) for k in range(5)}
+    with mp.workprec(2 * PREC):
+        for k, value in read.items():
+            assert abs(value - mp.siegelz(tm, derivative=k)) <= patches.series_error, (t, k)
+
+
+@pytest.mark.parametrize("T", [60, 1000])
+def test_series_coefficients_match_the_trapezoid_oracle(T):
+    # each patch's coefficients a_j d'^j, d' = r/2, rebuilt as the patches
+    # built them, against M-point trapezoid sums of mpmath's Z on the full
+    # r-circle at 2 prec: within the series' bound, E 2^-j from the circle
+    # and its rounding, plus the oracle's aliasing, at most A q^M/(1 - q^M)
+    # with A = exp(z_log_majorant) on the circle of radius R = 3r, q = r/R
+    prec, M = 64, 96
+    with working_precision(prec):
+        T = mp.mpf(T)
+        patches = _explore_patches(T, [0] + _explore_orders(T), prec)
+    man, exp = patches._radius_bits
+    half = mp.make_mpf((0, man, exp - 1, man.bit_length()))
+    r = 2 * float(half)
+    for c in patches.centres:
+        jet = ThetaJet(c, patches._cover, 2.0 ** -patches.bits)
+        N, K, log_circle, errors = hardy._series_plan(float(c), r, jet, jet.error, patches.J,
+                                                      patches.bits, patches._log_m)
+        a, B = hardy._z_series(c, half, jet, patches.J, N, K, patches.bits)
+        alias = mp.exp(z_log_majorant(float(c), 3 * r)) * 3.0 ** -M / (1 - 3.0 ** -M)
+        with mp.workprec(2 * prec):
+            sums = z_trapezoid(c, 2 * half, M)
+            for j, (value, error) in enumerate(zip(a, errors)):
+                bound = mp.exp(log_circle) / 2 ** j + mp.ldexp(error, -B) + alias
+                assert abs(mp.ldexp(value, -B) - sums[j] / 2 ** j) <= bound, (c, j)
+            # the bound is not vacuous
+            assert alias < mp.ldexp(1, -prec - 10)
 
 
 def _explore_grid(T, prec):
@@ -187,8 +208,8 @@ def test_series_error_meets_its_budget_on_several_patches():
 
 
 def test_a_count_that_misses_the_budget_is_followed_by_the_next(monkeypatch):
-    # the count estimate forced to one patch at T = 1000: its sampled bound
-    # misses the budget, and the window is sampled again at two
+    # the count estimate forced to one patch at T = 1000: its bound misses
+    # the budget, and the window is built again at two
     tiled, orders, prec = [], (1, 2), 64
     tile = hardy._TaylorPatches._tile
 
@@ -319,37 +340,6 @@ def test_batch_matches_single():
         assert abs(vals[k] - single) < mp.mpf(10) ** -25 * max(1, abs(single))
 
 
-def _program_sample(centre, w):
-    """The contour sample hardy takes at w, Im w <= 0, with theta from a jet
-    about the real centre covering radius 2, at the ambient precision."""
-    bits = mp.prec
-    jet = ThetaJet(centre, 2 * (1 + 2 ** -16), 2.0 ** -bits)
-    P = jet.point_bits
-    h = w - centre
-    point = (int(mp.floor(mp.ldexp(h.real, P))), int(mp.floor(mp.ldexp(h.imag, P))))
-    re, im, _ = hardy._z_sample(centre, jet, point, bits)
-    return mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
-
-
-@pytest.mark.parametrize("centre", [60, 1000])
-def test_z_reflects_across_the_real_axis(centre):
-    # the contour samples Im w <= 0 only and fills the rest by reflection;
-    # the upper half comes from the library zeta and loggamma, which share
-    # no code with _zeta_em or the theta jet
-    with working_precision(PREC):
-        centre = mp.mpf(centre)
-        for j in range(4):
-            w = centre + 2 * mp.expjpi(-mp.mpf(2 * j + 1) / 8)
-            zw = _program_sample(centre, w)
-            up = mp.conj(w)
-            library = mp.e ** (1j * theta_complex(up)) * mp.zeta(0.5 + 1j * up)
-            gap = abs(library - mp.conj(zw))
-            assert gap <= mp.mpf(2) ** -(PREC - 8) * max(1, abs(zw))
-            # sigma = 1/2 - Im w < 1/2 there, outside _dirichlet_table's bound
-            with pytest.raises(ValueError):
-                _program_sample(centre, up)
-
-
 def test_patches_match_the_per_point_contour():
     prec = 64
     with working_precision(prec):
@@ -365,41 +355,50 @@ def test_patches_match_the_per_point_contour():
             assert abs(vals[k] - ref[k]) <= mp.mpf(10) ** -20 * abs(ref[k])
 
 
-@pytest.mark.parametrize("run, patches, samples", [
-    # 37 grid and 4 refinement contours of 128 samples took 5248, 7 patches
-    # of 65 samples (M = 128) 455 and 7 of 16 (M = 30) 112; one patch, of
-    # radius 4 pi, took M = 76, and M = 78 once it kept order 0 for Z(T)
-    (lambda: theorem1_explore("60", "0.3", 2, prec=64), 1, 40),
-    # the full circle took 128 and the half circle 65; M = 30
-    (lambda: z_derivatives_batch(60, [1, 2], prec=64), 1, 16),
-    # |Z'(60)| = 0.27: a first pass sized for a read of 1 was sampled again
-    # at more bits, 32 samples in all; M = 30
-    (lambda: z_derivatives_batch(60, [1], prec=64), 1, 16),
-], ids=["explore", "batch", "batch-small-read"])
-def test_contour_zeta_budget(monkeypatch, run, patches, samples):
-    # a sample is one _zeta_em call from _z_sample; explore reads Z(T)
-    # from its patch, so on explore's path every _zeta_em call is a sample
-    calls, built, library = [], [], []
-    zeta_em, patches_class = hardy._zeta_em, hardy._TaylorPatches
+@pytest.mark.parametrize("run, patches, builds", [
+    # one patch of radius 4 pi, built once: J = 54 at 130 bits, N = 37
+    (lambda: theorem1_explore("60", "0.3", 2, prec=64), 1, 1),
+    (lambda: z_derivatives_batch(60, [1, 2], prec=64), 1, 1),
+    # |Z'(60)| = 0.27: the build sized for a read of 1 already meets the
+    # budget of the read
+    (lambda: z_derivatives_batch(60, [1], prec=64), 1, 1),
+    # |Z^(3)(3)| = 0.039: the build sized for a read of 1 misses the
+    # budget of the read, and the patch is built once more
+    (lambda: z_derivatives_batch(3, [3], prec=128), 1, 2),
+], ids=["explore", "batch", "batch-small-read", "batch-resized"])
+def test_contour_zeta_budget(monkeypatch, run, patches, builds):
+    # each build reads one Dirichlet table a patch, and nothing on the
+    # patches' path calls _zeta_em or the library zeta
+    tables, em_calls, built, library = [], [], [], []
+    dirichlet_table, zeta_em = zeta._dirichlet_table, hardy._zeta_em
+    patches_class = hardy._TaylorPatches
 
-    def counted(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_z_sample":
-            calls.append(args)
+    def counted_table(*args, **kwargs):
+        tables.append(args)
+        return dirichlet_table(*args, **kwargs)
+
+    def counted_em(*args, **kwargs):
+        em_calls.append(args)
         return zeta_em(*args, **kwargs)
 
     class Recorded(patches_class):
         def __init__(self, *args, **kwargs):
+            self.builds = 0
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(hardy, "_zeta_em", counted)
+        def _build(self):
+            self.builds += 1
+            super()._build()
+
+    monkeypatch.setattr(zeta, "_dirichlet_table", counted_table)
+    monkeypatch.setattr(hardy, "_zeta_em", counted_em)
     monkeypatch.setattr(mp, "zeta", lambda *args, **kwargs: library.append(args))
     monkeypatch.setattr(hardy, "_TaylorPatches", Recorded)
     run()
-    # one patch set sampled once: count circles of M/2 + 1 samples
-    assert [p.count for p in built] == [patches]
-    assert len(calls) == patches * (built[0].M // 2 + 1) <= patches * samples
-    assert library == []
+    assert [(p.count, p.builds) for p in built] == [(patches, builds)]
+    assert len(tables) == patches * builds
+    assert em_calls == [] and library == []
 
 
 def test_the_contours_call_no_loggamma(monkeypatch, capsys):
@@ -412,14 +411,6 @@ def test_the_contours_call_no_loggamma(monkeypatch, capsys):
     assert cli.main(["--precision-bits", "64", "explore", "60", "0.3", "2"]) == 0
     assert '"contours": 1' in capsys.readouterr().out
     assert z_derivatives_batch(3, [3], prec=128)[3] != 0
-
-
-def test_a_sample_over_its_allowance_is_refused(monkeypatch):
-    # every sample's proved error is checked against the allowance that
-    # sized the bits; shrinking the allowance 2^44 times trips the check
-    monkeypatch.setattr(hardy, "SAMPLE_ULPS", 2.0 ** -40)
-    with pytest.raises(ArithmeticError, match="allowance"):
-        z_derivatives_batch(60, [1], prec=64)
 
 
 def test_derivative_capacity_guard():

@@ -321,9 +321,9 @@ def test_a_run_is_its_argv():
 
 
 # ---------------------------------------------------------------------------
-# one zeta route: the program sums zeta itself (zeta._zeta_em, with a proved
-# bound), on the critical line and off it; the library zeta is the tests'
-# oracle only
+# one zeta route: the program sums zeta itself (zeta._zeta_em on the
+# critical line and zeta._zeta_series about it, each with a proved bound);
+# the library zeta is the tests' oracle only
 
 LIBRARY_OWNERS = {"mp", "mpmath"}
 
@@ -354,8 +354,24 @@ def test_zeta_has_one_route():
     assert _library_uses(SRC, "zeta") == []
 
 
+def test_zeta_em_serves_z_eval_alone():
+    # _zeta_em sums zeta at one point of the critical line; the Taylor
+    # patches take zeta's series from zeta._zeta_series
+    callers = [f"{path.stem}.{top.name}" for path in sorted(SRC.glob("*.py"))
+               for top in ast.parse(path.read_text(), filename=str(path)).body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+               and any(_calls(top, "_zeta_em"))]
+    assert callers == ["hardy.z_eval"]
+
+
+def test_the_taylor_patches_place_no_samples():
+    # Z's series come from series arithmetic about each centre, so no
+    # circle of sample points is placed, with mpmath's roots or otherwise
+    assert _library_uses(SRC, "unitroots") == []
+
+
 def test_loggamma_stays_off_the_contour_path():
-    # the contour samples read theta from hardyz.theta's jets; hardy.theta,
+    # the Taylor patches read theta from hardyz.theta's jets; hardy.theta,
     # for z_eval and the smooth zero count, is the one caller left
     assert {use.split(":")[0] for use in _library_uses(SRC, "loggamma")} == {"hardy.theta"}
 

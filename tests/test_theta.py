@@ -1,5 +1,6 @@
-"""Tests for hardyz.theta: every read of a theta jet lies within the jet's
-stated bound of mpmath's loggamma at twice the precision."""
+"""Tests for hardyz.theta: every value of a theta jet's polynomial lies
+within the jet's stated bound of mpmath's loggamma at twice the
+precision."""
 
 import math
 
@@ -21,23 +22,22 @@ BUDGET_BITS = 30  # the jets' budget, 2^-(prec + 30), about a sample's
 
 
 def _worst_read(centre, radius: float, prec: int) -> float:
-    """The largest |read - theta| over one circle as a fraction of the
-    jet's bound, the reference at 2 prec."""
+    """The largest |jet - theta| over one circle and its centre as a
+    fraction of the jet's bound, the jet's polynomial read by Horner's rule
+    and the reference taken at 2 prec."""
     cover = radius * (1 + 2.0 ** -16)
     jet = ThetaJet(centre, cover, 2.0 ** -(prec + BUDGET_BITS))
-    P, F = jet.point_bits, jet.bits
     assert jet.error <= 2.0 ** -(prec + BUDGET_BITS)
     worst = 0.0
-    with mp.workprec(P + 8):
+    with mp.workprec(2 * prec):
+        coefficients = [mp.ldexp(t, -jet.bits) for t in jet.coefficients]
         points = [radius * mp.expjpi(mp.mpf(2 * j) / POINTS) for j in range(POINTS)] + [0]
-        points = [(int(mp.floor(mp.ldexp(mp.re(h), P))), int(mp.floor(mp.ldexp(mp.im(h), P))))
-                  for h in points]
-    for x, v in points:
-        re, im = jet.read(x, v)
-        with mp.workprec(2 * prec):
-            w = centre + mp.mpc(mp.ldexp(x, -P), mp.ldexp(v, -P))
-            gap = abs(mp.mpc(mp.ldexp(re, -F), mp.ldexp(im, -F)) - theta_complex(w))
-        worst = max(worst, float(gap) / jet.error)
+        for h in points:
+            y, value = h * mp.ldexp(1, -jet.scale), 0
+            for t in reversed(coefficients):
+                value = value * y + t
+            gap = abs(value - theta_complex(centre + h))
+            worst = max(worst, float(gap) / jet.error)
     return worst
 
 

@@ -48,6 +48,8 @@ COMMANDS = [
     "--precision-bits 64 explore 57.5 0.3 2",
     "--precision-bits 128 explore 57.5 0.3 2",
     "--precision-bits 64 explore 1000 0.3 4",
+    # two patches at 128 bits: N and K sized on a circle at a second precision
+    "--precision-bits 128 explore 1000 0.3 4",
     # the centre of the benchmark's explore heights
     "--precision-bits 64 explore 60 0.3 2",
     # three patches, where the majorant radius is smallest
