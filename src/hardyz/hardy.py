@@ -1,9 +1,10 @@
 """Hardy Z function engine: evaluation, derivatives, zeros, counting.
 
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Every zeta the
-program reads is an Euler-Maclaurin sum of module zeta with a proved bound:
-z_eval's at one point of the critical line, and the Taylor patches' as a
-series about one.  find_zeros states how the zero finder reads Z and what
+program reads is zeta._zeta_series, one Euler-Maclaurin sum with a proved
+bound: the Taylor patches take it as a series about a point of the
+critical line, and z_eval its order-0 coefficient at the point
+(_zeta_on_line).  find_zeros states how the zero finder reads Z and what
 it proves.  _TaylorPatches builds and keeps Z's Taylor series about real
 centres (_z_series: zeta's series from one Dirichlet table, theta's from a
 theta.ThetaJet, one exp recurrence and one product): z_derivatives_batch
@@ -26,8 +27,8 @@ from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
 from .precision import (DEFAULT_PREC, GUARD_BITS, interval_precision,
                         refine_sign_change, working_precision)
 from .theta import ThetaJet
-from .zeta import (COS_SIN_ULPS, PHASE_GUARD_BITS, _em_size, _product_bound, _zeta_em,
-                   _zeta_series, _zeta_series_bound)
+from .zeta import (COS_SIN_ULPS, PHASE_GUARD_BITS, _em_size, _product_bound, _zeta_series,
+                   _zeta_series_bound)
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
@@ -83,21 +84,44 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
     """(value, error estimate) for Z(t) = e^{i theta(t)} zeta(1/2 + it) by
     Euler-Maclaurin, the (value, bound) shape of enclose.z_rs.
 
-    The error estimate is _zeta_em's bound, its truncation plus the
-    proved rounding of its fixed-point sums, plus the imaginary residue of
-    the complex product.  Its one reader is find_zeros (theorem1_explore
-    reads Z(T) from its own Taylor patches).  The tests check the value
-    against z_rs's enclosure from t = 200 on and against mp.siegelz at
-    every height.
+    zeta is _zeta_on_line's, with its proved bound; the error estimate is
+    that bound plus the imaginary residue of the complex product.  Its one
+    reader is find_zeros (theorem1_explore reads Z(T) from its own Taylor
+    patches).  The tests check the value against z_rs's enclosure from
+    t = 200 on and against mp.siegelz at every height.
     """
     with working_precision(prec):
         tm = mp.mpf(t)
         if tm < 0:
             raise ValueError("t must be >= 0")
-        zeta_val, zeta_err = _zeta_em(tm, prec)
-        phase = mp.e ** (1j * theta(tm, prec=prec + THETA_GUARD_BITS))
+        zeta_val, zeta_err = _zeta_on_line(tm, prec)
+        phase = mp.expj(theta(tm, prec=prec + THETA_GUARD_BITS))
         zc = phase * zeta_val
         return zc.real, +(zeta_err + abs(zc.imag))
+
+
+def _line_size(t, prec: int) -> Tuple[int, int, int, float, float]:
+    """(N, K, bits, log E, units) for zeta(1/2 + it) to 2^-prec:
+    zeta._em_size's N and K for a remainder E <= 2^-prec, and the fewest
+    bits that keep the rounding, zeta._zeta_series_bound's units of
+    2^-bits, under 2^-prec too, or more where t needs them to be exact.
+    The units are taken at prec bits; at more bits the bound is smaller."""
+    tf = float(t)
+    N, K, log_remainder = _em_size(tf, 0.0, 0.0, -prec * math.log(2))
+    units = _zeta_series_bound(tf, 0.0, 1, N, K, prec)[1][0]
+    bits = max(prec + math.ceil(math.log2(units)), -t._mpf_[2])
+    return N, K, bits, log_remainder, units
+
+
+def _zeta_on_line(t, prec: int) -> Tuple[object, mpf]:
+    """(zeta(1/2 + it), bound) for a real t: the order-0 coefficient of
+    zeta._zeta_series about t at d = 0, sized by _line_size.  The bound is
+    the remainder and the rounding, each at most 2^-prec, and
+    2^(1-mp.prec) |zeta| for the conversion to an mpc."""
+    N, K, bits, log_remainder, units = _line_size(t, prec)
+    (zr,), (zi,) = _zeta_series(t, mp.zero, 1, N, K, bits)
+    zeta = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
+    return zeta, math.exp(log_remainder) + mp.ldexp(units, -bits) + mp.ldexp(abs(zeta), 1 - mp.prec)
 
 
 def _z_series(centre, half, jet: ThetaJet, J: int, N: int, K: int,
@@ -150,14 +174,17 @@ def _series_plan(centre: float, r: float, jet: ThetaJet, eps: float, J: int,
     + sqrt 2, e_0 = sqrt 2 (1 + COS_SIN_ULPS 2^-PHASE_GUARD_BITS); the
     product's from zeta._product_bound.
     """
-    theta = [t * 2.0 ** -jet.bits / 2.0 ** (jet.scale * k) for k, t in enumerate(jet.coefficients)]
-    spread = sum(abs(t) * r ** k for k, t in enumerate(theta) if k >= 2)
-    N, K, log_em = _em_size(centre, r, -theta[1], log_m - bits * math.log(2) - spread - eps)
+    # theta_k h^k = t_k y^k, y = h/rho: the jet's floats t_k times powers of r/rho and
+    # half/rho, where theta_k = t_k/rho^k and r^k can leave the float range
+    rho = math.ldexp(1, jet.scale)
+    ts = [math.ldexp(t, -jet.bits) for t in jet.coefficients]
+    spread = sum(abs(t) * (r / rho) ** k for k, t in enumerate(ts) if k >= 2)
+    N, K, log_em = _em_size(centre, r, -ts[1] / rho, log_m - bits * math.log(2) - spread - eps)
     growth = math.expm1(eps)
     log_circle = log_add(log_em + spread + eps, log_m + math.log(growth)) - math.log1p(-growth)
     half, unit = r / 2, 2.0 ** -bits
     z_sizes, z_errors = _zeta_series_bound(centre, half, J, N, K, bits)
-    phi = [abs(t) * half ** k for k, t in enumerate(theta)]
+    phi = [abs(t) * (half / rho) ** k for k, t in enumerate(ts)]
     f_sizes, f_errors = [1.0], [math.sqrt(2) * (1 + COS_SIN_ULPS * 2.0 ** -PHASE_GUARD_BITS)]
     for n in range(1, J):
         ks = range(1, min(n, len(phi) - 1) + 1)
@@ -571,6 +598,7 @@ class _TaylorPatches:
         kmax = max(orders)
         if kmax > MAX_DERIVATIVE_ORDER:
             raise CapacityError(f"order {kmax} exceeds {MAX_DERIVATIVE_ORDER}")
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
         self.lo = lo
         self._orders = sorted(orders)
         self._log_majorants: Dict[Tuple[float, float], float] = {}

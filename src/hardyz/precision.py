@@ -7,10 +7,10 @@ set a precision of their own.  Extra bits come only from named module-level
 constants, each with its reason, added relative to the ambient precision
 (mp.extraprec) or to the caller's ``prec``.  Three helpers size bits of
 their own: hardy._TaylorPatches, which sizes its Taylor series' bits from
-its proved error bound on the caller's ``prec``; zeta._zeta_em, whose
-fixed-point bits and rounding bound module zeta states; and
-theta.ThetaJet, whose fraction bits come from the budget its caller
-gives; all three bound the rounding they leave.  mpmath.iv runs at the ambient
+its proved error bound on the caller's ``prec``; hardy._line_size, which
+sizes z_eval's fixed-point zeta from the rounding bound of module zeta
+for a 2^-prec target; and theta.ThetaJet, whose fraction bits come from
+the budget its caller gives; all three bound the rounding they leave.  mpmath.iv runs at the ambient
 precision too, through interval_precision.  Objects that keep their own
 ``prec`` (compiled kernels, probes, ExtremalParams) are entry points too,
 because callers use them outside any working precision.  A number is rounded

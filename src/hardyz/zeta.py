@@ -1,16 +1,18 @@
 """The zeta of the program, by Euler-Maclaurin summation in fixed point
 (Edwards, Riemann's Zeta Function, 1974, 6.4): zeta(s) = sum_{n<N} n^-s
 + N^-s/2 + N^(1-s)/(s-1) + N^(1-s) sum_{k<=K} Q_k + R_K, with
-Q_k = c_k s(s+1)..(s+2k-2)/N^2k and c_k = B_2k/(2k)!; at one point
-s = 1/2 + it for z_eval (_zeta_em), and as a Taylor series about 1/2 + ic
-for hardy's Taylor patches (_zeta_series, N and K from _em_size), each with
-a proved bound.  Both read one Dirichlet table of n^-1/2-it
+Q_k = c_k s(s+1)..(s+2k-2)/N^2k and c_k = B_2k/(2k)!, as a Taylor series
+about 1/2 + ic (_zeta_series, its rounding bounded by _zeta_series_bound
+and N and K from _em_size).  Its one reader is module hardy: the Taylor
+patches take the series, and z_eval the order-0 coefficient at one point
+of the critical line.  It reads one Dirichlet table of n^-1/2-it
 (_dirichlet_table) in Python ints: a prime costs a log and a cos_sin from
 mpmath's libmp, a composite one product.  The rounding bounds assume, at
 wp = bits + PHASE_GUARD_BITS and libmp's default rounding (towards zero),
 that mpf_log(p) is within LOG_ULPS ulps of log p and mpf_cos_sin(x), x the
-rounded t log p, gives cos x and sin x within COS_SIN_ULPS units of 2^-wp;
-tests/test_zeta.py measures both against the same calls at 2 wp.
+rounded t log p (or theta(c), for hardy._z_series), gives cos x and sin x
+within COS_SIN_ULPS units of 2^-wp; tests/test_zeta.py measures both
+against the same calls at 2 wp.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ import math
 import operator
 from typing import Dict, List, Tuple
 
-from mpmath import libmp, mp, mpf
+from mpmath import libmp
 
 from .polynomials import bernoulli_numbers
 
-EM_GUARD_BITS = 8  # _zeta_em rounds its fixed-point result once, 2^-8 of z_eval's rounding
-EM_FIXED_BITS = 16  # _zeta_em's fraction bits above mp.prec: its sum rounds by about 14 N units
 PHASE_GUARD_BITS = 20  # t log p for p^-s: keeps its rounding under a unit of 2^-bits to t = 10^4
 LOG_ULPS = 2  # assumed error of libmp.mpf_log (module docstring)
 COS_SIN_ULPS = 2  # assumed error of libmp.mpf_cos_sin (module docstring)
@@ -72,7 +72,7 @@ def _dirichlet_table(t, N: int, bits: int) -> Tuple[List[int], List[int]]:
     `bits` fraction bits (index 0 unused).  A prime p costs one cos_sin of
     t log p at bits + PHASE_GUARD_BITS, times the isqrt floor(2^bits p^-1/2);
     a composite n = p m, p its smallest prime factor, the floor of one
-    complex product of the entries of p and m.  _zeta_em bounds the
+    complex product of the entries of p and m.  _entry_units bounds the
     rounding."""
     spf = _PRIMES.factors(N)
     wp = bits + PHASE_GUARD_BITS
@@ -95,7 +95,17 @@ def _dirichlet_table(t, N: int, bits: int) -> Tuple[List[int], List[int]]:
 
 def _entry_units(t, N: int) -> float:
     """B: every entry of _dirichlet_table(t, N, bits) is within B units of
-    2^-bits of n^-s (derived in _zeta_em)."""
+    2^-bits of n^-s.
+
+    The rounding, in units of 2^-bits, as complex moduli: a floor of an
+    exact integer product or quotient, under sqrt 2; a prime's entry, with
+    the phase t log p within 2 |t| log N (LOG_ULPS + 1) 2^-wp, cos and sin
+    within a = 1 + 2^-PHASE_GUARD_BITS (2 |t| log N (LOG_ULPS + 1)
+    + 2 COS_SIN_ULPS) and the isqrt within 1, by P = a + 1 + sqrt 2; a
+    composite n = p m, m >= p >= 2, by E_p |m^-s| + |p^-s| E_m + E_p E_m
+    2^-bits plus a floor, |p^-s| = p^-1/2 < 1, so every entry is within
+    B = (P + 2)/(sqrt 2 - 1) + 1, about 14.
+    """
     phase = 2 * abs(float(t)) * math.log(N) * (LOG_ULPS + 1) + 2 * COS_SIN_ULPS
     a = 1 + phase / 2 ** PHASE_GUARD_BITS
     return (a + 3 + math.sqrt(2)) / (math.sqrt(2) - 1) + 1
@@ -115,99 +125,10 @@ def _log_table(N: int, bits: int) -> List[int]:
 
 
 @functools.cache
-def _bernoulli_ratios(count: int, bits: int) -> Tuple[int, ...]:
-    """round(2^bits c_(k+1)/c_k) for k = 1..count, c_k = B_2k/(2k)!."""
-    bern = bernoulli_numbers(2 * count + 2)
-    return tuple(round(bern[2 * k + 2] / (bern[2 * k] * (2 * k + 1) * (2 * k + 2)) * 2 ** bits)
-                 for k in range(1, count + 1))
-
-
-def _zeta_em(t, prec: int) -> Tuple[object, mpf]:
-    """(zeta(s), error bound), s = 1/2 + it, by the module's sum.
-
-    prec is the caller's requested bits: N = max(ceil(|t|/2), prec/4, 10),
-    and T_k = N^(1-s) Q_k are added up to the first below 2^-(prec+10), or
-    up to K_cap = max(prec/2, 20).  The truncation bound is Edwards'
-    |s+2K+1|/(2K+3/2) times the first omitted term, |T_K| = |Q_K| N^1/2
-    standing in for it.  That needs
-    |T_(K+1)| <= |T_K|: |c_(k+1)/c_k| < 1/(4 pi^2), so |Q_(k+1)/Q_k| <=
-    ((1/2+2k)^2 + t^2)/(4 pi^2 N^2) < 0.99 for N >= 10, prec <= 4N + 3,
-    |t| <= 2N and 2k <= 2 K_cap <= 4N + 2; in fixed point a step adds under
-    3 units, and a term the loop steps from is at least 2^14 N^-1/2 units,
-    so the computed terms fall too while N < 4 10^6.
-
-    It is summed in Python ints with bits = mp.prec + EM_FIXED_BITS
-    fraction bits (more if t needs them), mp.prec EM_GUARD_BITS above the
-    ambient precision: the table's entries, N^(1-s) = N N^-s, and
-    Q_(k+1) = Q_k (c_(k+1)/c_k) (s+2k-1)(s+2k)/N^2 with the ratios rounded
-    to bits fraction bits, (s+2k-1)(s+2k) = (16k^2 - 1)/4 - t^2 + 4ikt.
-    The rounding, in units of 2^-bits, as complex moduli: a floor of an
-    exact integer product or quotient, under sqrt 2; a prime's entry, with
-    the phase t log p within 2 |t| log N (LOG_ULPS + 1) 2^-wp, cos and sin
-    within a = 1 + 2^-PHASE_GUARD_BITS (2 |t| log N (LOG_ULPS + 1)
-    + 2 COS_SIN_ULPS) and the isqrt within 1, by P = a + 1 + sqrt 2; a
-    composite n = p m, m >= p >= 2, by E_p |m^-s| + |p^-s| E_m + E_p E_m
-    2^-bits plus a floor, |p^-s| = p^-1/2 < 1, so every entry is within
-    B = (P + 2)/(sqrt 2 - 1) + 1 (about 14; _entry_units).  So the sum
-    over n < N errs by (N - 2) B, N^-s/2 by B/2 and a floor, and
-    N^(1-s)/(s-1) = N N^-s conj(s-1)/|s-1|^2 by N B/max(|t|, 1/2) and a
-    floor.  Q_1 = s/(12 N^2) errs by sqrt 2; while the terms fall
-    |Q_k| <= |Q_1| = q and |c_(k+1)/c_k| > 1/65, so Q_k errs by e k,
-    e = max(2.5, 32.5 q + sqrt 2) = 2.5 as q < 1/58, their sum by
-    e K(K+1)/2, and its product with N^(1-s) by e K(K+1) N^1/2/2
-    + |sum Q_k| N B and a floor.  The conversion to an mpc adds
-    2^(1-mp.prec) |zeta|.  The bound is the truncation plus these, in
-    floats with B's unit of slack to spare.
-    """
-    with mp.extraprec(EM_GUARD_BITS):
-        N = int(max(mp.ceil(abs(t) / 2), prec // 4, 10))
-        bits = max(mp.prec + EM_FIXED_BITS, -t._mpf_[2])
-        T = libmp.to_fixed(t._mpf_, bits)
-        T2 = T * T
-        half = 1 << (bits - 1)
-        c = -half  # sigma - 1; conj(s-1) = c - iT
-        d = c * c + T2  # |s-1|^2 2^(2 bits)
-        re, im = _dirichlet_table(t, N, bits)
-        zr = sum(re[1:N]) + (re[N] >> 1)
-        zi = sum(im[1:N]) + (im[N] >> 1)
-        xr, xi = N * re[N], N * im[N]  # N^(1-s)
-        zr += ((xr * c + xi * T) << bits) // d
-        zi += ((xi * c - xr * T) << bits) // d
-        # correction terms N^(1-s) Q_k
-        K_cap = max(prec // 2, 20)
-        ratios = _bernoulli_ratios(K_cap, bits)
-        N2 = N * N
-        div = N2 << 3 * bits
-        qr, qi = half // (12 * N2), T // (12 * N2)
-        # |Q_k|^2 N < tol2: the term is below 2^-(prec+10)
-        tol2 = 1 << 2 * (bits - prec - 10)
-        sr = si = 0
-        k = 1
-        while k <= K_cap:
-            mag2 = qr * qr + qi * qi
-            sr, si = sr + qr, si + qi
-            if mag2 * N < tol2:
-                k += 1
-                break
-            # (s+2k-1)(s+2k), 2 bits fraction bits
-            a = ((16 * k * k - 1) << 2 * bits - 2) - T2
-            b = 4 * k * T << bits
-            qr, qi = ((qr * a - qi * b) * ratios[k - 1] // div,
-                      (qr * b + qi * a) * ratios[k - 1] // div)
-            k += 1
-        zr += (sr * xr - si * xi) >> bits
-        zi += (sr * xi + si * xr) >> bits
-        zeta = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
-        term_mag = mp.ldexp(mp.sqrt(mag2 * N), -bits)
-        truncation = abs(mp.mpc(0.5, t) + 2 * k - 1) / (2 * k - mp.mpf(0.5)) * term_mag
-
-        tf, K, B = float(t), k - 1, _entry_units(t, N)
-        step = max(2.5, 32.5 * math.hypot(0.5, tf) / (12 * N2) + math.sqrt(2))
-        q_sum = float(mp.ldexp(mp.hypot(sr, si), -bits))
-        units = ((N - 1.5 + N / max(abs(tf), 0.5) + q_sum * N) * B
-                 + step / 2 * K * (K + 1) * math.sqrt(N) + 4)
-        rounding = mp.ldexp(units, -bits) + mp.ldexp(abs(zeta), 1 - mp.prec)
-        return +zeta, +(truncation + rounding)
+def _bernoulli_ratio(k: int, bits: int) -> int:
+    """round(2^bits c_(k+1)/c_k), c_k = B_2k/(2k)!."""
+    bern = bernoulli_numbers(2 * k + 2)
+    return round(bern[2 * k + 2] / (bern[2 * k] * (2 * k + 1) * (2 * k + 2)) * 2 ** bits)
 
 
 @functools.cache
@@ -218,27 +139,32 @@ def _log_c(k: int) -> float:
 
 
 def _em_size(c: float, r: float, slope: float, log_target: float) -> Tuple[int, int, float]:
-    """(N, K, log E): the fewest N >= (|c| + r)/2, then K, with e^(slope v)
+    """(N, K, log E): the fewest N >= max((|c| + r)/2, b/4), b =
+    -log_target/log 2 the target's bits, then K, with e^(slope v)
     |R_K(s)| <= E <= e^log_target at every s = 1/2 + i(c + u + iv),
-    |u + iv| = r.  Edwards' |R_K| <= |s+2K+1|/(sigma+2K+1) |T_(K+1)|, T_(K+1)
+    |u + iv| = r (a point at r = 0).  Below b/4 the least N can need some
+    pi N corrections, each a step of _zeta_series dearer than a table
+    entry; from b/4 on K stays near b/8 at small |c|.  Edwards' |R_K| <= |s+2K+1|/(sigma+2K+1) |T_(K+1)|, T_(K+1)
     = N^(1-s) c_(K+1) s(s+1)..(s+2K)/N^(2K+2), holds for sigma = 1/2 - v >
     -(2K+1), as 2K + 3/2 > r; each factor at its largest on the circle:
     |s + j| <= |1/2 + ic + j| + r, sigma + 2K + 1 >= 2K + 3/2 - r,
     e^(slope v) |N^(1-s)| <= N^1/2 e^(r |log N + slope|)."""
-    def factor(j: int) -> float:  # log |s + j| at its largest on the circle
-        return math.log(math.hypot(0.5 + j, c) + r)
-
+    # log |s + j| at its largest on the circle, each computed once a call
+    factors = [math.log(math.hypot(0.5, c) + r)]
     k_min = max(1, math.floor((r - 1.5) / 2) + 1)
-    N = max(1, math.ceil((abs(c) + r) / 2))
+    N = max(1, math.ceil((abs(c) + r) / 2), math.ceil(-log_target / (4 * math.log(2))))
     while True:
         log_n = math.log(N)
         # log of N^1/2 e^(r |log N + slope|) prod_(j<=2K) (|s0 + j| + r)/N^(2K+2)
-        prod, last = 0.5 * log_n + r * abs(log_n + slope) + factor(0) - 2 * log_n, math.inf
+        prod, last = 0.5 * log_n + r * abs(log_n + slope) + factors[0] - 2 * log_n, math.inf
         for K in range(1, 4 * N + math.ceil(r) + 8):
-            prod += factor(2 * K - 1) + factor(2 * K) - 2 * log_n
+            if len(factors) <= 2 * K + 1:
+                factors += [math.log(math.hypot(0.5 + j, c) + r)
+                            for j in range(len(factors), 2 * K + 8)]
+            prod += factors[2 * K - 1] + factors[2 * K] - 2 * log_n
             if K < k_min:
                 continue
-            bound = prod + _log_c(K + 1) + factor(2 * K + 1) - math.log(2 * K + 1.5 - r)
+            bound = prod + _log_c(K + 1) + factors[2 * K + 1] - math.log(2 * K + 1.5 - r)
             if bound <= log_target:
                 return N, K, bound
             if bound > last:
@@ -250,19 +176,20 @@ def _em_size(c: float, r: float, slope: float, log_target: float) -> Tuple[int, 
 def _zeta_series(c, d, J: int, N: int, K: int, bits: int) -> Tuple[List[int], List[int]]:
     """(re, im): the coefficients in y of the sum with N terms and K
     corrections at s = 1/2 + i(c + d y), j < J, with `bits` fraction bits;
-    c and d > 0 are exact there and d < |s0 - 1|, s0 = 1/2 + ic.  J passes
-    P_n <- floor(P_n (-i d log n)/j) over the table (log n from _log_table)
-    give the sum's terms, and n = N's times N those of N^(1-s); 1/(s-1) is
-    a geometric series, and the Q_k polynomials in y, each step one exact
-    product with (u + idy)(u + 1 + idy), u = s0 + 2k - 1, times the rounded
-    ratio; N^(1-s) (1/(s-1) + sum Q_k) is one product.
+    c and d are exact there, d < |s0 - 1|, s0 = 1/2 + ic, and d > 0, or
+    d = 0 at J = 1 (zeta at s0 alone).  J passes P_n <- floor(P_n (-i d
+    log n)/j) over the table (log n from _log_table) give the sum's terms,
+    and n = N's times N those of N^(1-s); 1/(s-1) is a geometric series,
+    and the Q_k polynomials in y, each step one exact product with
+    (u + idy)(u + 1 + idy), u = s0 + 2k - 1, floored once, times the
+    rounded ratio; N^(1-s) (1/(s-1) + sum Q_k) is one product.
     _zeta_series_bound bounds the rounding.
     """
     one = 1 << bits
     half = one >> 1
     C, D = libmp.to_fixed(c._mpf_, bits), libmp.to_fixed(d._mpf_, bits)
     re, im = _dirichlet_table(c, N, bits)
-    ells = [D * x >> bits for x in _log_table(N, bits)[1:]]
+    ells = [D * x >> bits for x in _log_table(N, bits)[1:]] if J > 1 else []
     pr, pi = re[1:], im[1:]
     z_re, z_im, v_re, v_im = [], [], [], []
     for j in range(J):
@@ -280,20 +207,29 @@ def _zeta_series(c, d, J: int, N: int, K: int, bits: int) -> Tuple[List[int], Li
         gr, gi = g_re[-1], g_im[-1]
         g_re.append((gr * wr - gi * wi) // den)
         g_im.append((gr * wi + gi * wr) // den)
-    N2 = N * N
+    N2, C2, shift = N * N, C * C, 2 * bits
+    b1r, b2r = -2 * D * C, -D * D
     q_re, q_im = [half // (12 * N2), 0][:J], [C // (12 * N2), D // (12 * N2)][:J]
-    for k in range(1, K + 1):
-        g_re[:len(q_re)] = map(operator.add, g_re, q_re)
-        g_im[:len(q_im)] = map(operator.add, g_im, q_im)
-        if k == K:
-            break
+    g_re[:len(q_re)] = map(operator.add, g_re, q_re)
+    g_im[:len(q_im)] = map(operator.add, g_im, q_im)
+    for k in range(1, K):
+        # Q_(k+1) = Q_k (b0 + b1 y + b2 y^2) rho~_k/N^2, b2 = -D^2 real, each
+        # coefficient floored after the product and after rho~_k/(N^2 2^(2 bits))
         u = (4 * k - 1) << (bits - 1)  # Re u = 2k - 1/2, Im u = c
-        quad_re = [u * (u + one) - C * C, -2 * D * C, -D * D]
-        quad_im = [C * (2 * u + one), D * (2 * u + one), 0]
-        q_re, q_im = _product(q_re + [0, 0], q_im + [0, 0], quad_re, quad_im, bits,
-                              min(len(q_re) + 2, J))
-        ratio, div = _bernoulli_ratios(K, bits)[k - 1], N2 << 2 * bits
-        q_re, q_im = [x * ratio // div for x in q_re], [x * ratio // div for x in q_im]
+        w = 2 * u + one
+        b0r, b0i, b1i = u * (u + one) - C2, C * w, D * w
+        ratio = _bernoulli_ratio(k, bits)
+        ar, ai = [0, 0] + q_re + [0, 0], [0, 0] + q_im + [0, 0]
+        q_re, q_im = [], []
+        for j in range(min(len(ar) - 2, J)):
+            x = ((ar[j + 2] * b0r + ar[j + 1] * b1r + ar[j] * b2r
+                  - ai[j + 2] * b0i - ai[j + 1] * b1i >> bits) * ratio >> shift) // N2
+            y = ((ar[j + 2] * b0i + ar[j + 1] * b1i + ai[j + 2] * b0r + ai[j + 1] * b1r
+                  + ai[j] * b2r >> bits) * ratio >> shift) // N2
+            q_re.append(x)
+            q_im.append(y)
+            g_re[j] += x
+            g_im[j] += y
     c_re, c_im = _product(v_re, v_im, g_re, g_im, bits, J)
     return list(map(operator.add, z_re, c_re)), list(map(operator.add, z_im, c_im))
 
@@ -332,12 +268,14 @@ def _zeta_series_bound(c: float, d: float, J: int, N: int, K: int,
     pole = math.hypot(0.5, c)
     q = d / pole * (1 + 2.0 ** -40)
     norm, flat, e_q, e_sum = (pole + d) / (12 * N * N), 0.0, root2, 0.0
+    half_unit, log_c = 2.0 ** -(bits + 1), _log_c(1)
     for k in range(1, K + 1):
         flat, e_sum = flat + norm, e_sum + e_q
         s_k = (math.hypot(2 * k - 0.5, c) * math.hypot(2 * k + 0.5, c)
                + d * math.hypot(4 * k, 2 * c) + d * d) / (N * N)
-        rho = math.exp(_log_c(k + 1) - _log_c(k)) * (1 + 2.0 ** -40)
-        e_q = ((rho + 2.0 ** -(bits + 1)) * e_q + norm / 2) * s_k + 2
+        log_c, last_log_c = _log_c(k + 1), log_c
+        rho = math.exp(log_c - last_log_c) * (1 + 2.0 ** -40)
+        e_q = ((rho + half_unit) * e_q + norm / 2) * s_k + 2
         norm *= rho * s_k
     c_sizes, c_errors = _product_bound(v_sizes, v_errors, [q ** j / pole + flat for j in range(J)],
                                        [root2 / (1 - q) + e_sum] * J, bits)

@@ -8,8 +8,8 @@ import pytest
 from mpmath import mp
 
 from hardyz import extremal
-from hardyz.enclose import (PSI_SERIES_BITS, RS_MIN_T, _c0_c1, _psi_series, h_float,
-                            z_log_majorant, z_rs)
+from hardyz.enclose import (PSI_SERIES_BITS, RS_MIN_T, _c0_c1, _head_sum_bound, _psi_series,
+                            h_float, z_log_majorant, z_rs)
 from hardyz.precision import working_precision
 
 from derivative_oracle import z_complex
@@ -83,6 +83,22 @@ def test_c0_c1_match_the_derivatives_of_psi(p):
         ref1 = -mp.diff(_psi, pm, 3, singular=True) / (96 * mp.pi ** 2)
         assert abs(c0 - ref0) < 1e-15
         assert abs(c1 - ref1) < 1e-15
+
+
+@pytest.mark.parametrize("s0", [0.5, 0.75, 1, 1.5, 3])
+def test_head_sum_bound_is_at_least_the_sum(s0):
+    # the closed form z_log_majorant's boxes take for sum_(j<n) j^-s0, its
+    # log branch at s0 = 1 included, against the sum itself: mp.fsum up to
+    # n = 1000, then the harmonic number or Hurwitz's zeta
+    with mp.workprec(80):
+        for n in (2, 3, 10, 1000, 10 ** 5):
+            if n <= 1000:
+                exact = mp.fsum(mp.mpf(j) ** -s0 for j in range(1, n))
+            elif s0 == 1:
+                exact = mp.harmonic(n - 1)
+            else:
+                exact = mp.zeta(s0) - mp.zeta(s0, n)
+            assert _head_sum_bound(s0, n) >= exact, n
 
 
 @pytest.mark.parametrize("centre, radius", [

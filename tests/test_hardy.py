@@ -151,6 +151,22 @@ def test_width_zero_reads_are_within_series_error(t):
             assert abs(value - mp.siegelz(tm, derivative=k)) <= patches.series_error, (t, k)
 
 
+@pytest.mark.parametrize("lo, hi, orders", [(14, 100, (0, 1)), (14, 50, (0,))])
+def test_wide_low_windows_are_read_within_series_error(lo, hi, orders):
+    # a jet about 20.14 with r = 12.29 has 274 coefficients and scale 5, so
+    # theta_k = t_k/32^k and r^k leave the float range; the sizes take the
+    # powers of r/32 instead.  Every patch is read at its ends and centre
+    with working_precision(PREC):
+        patches = hardy._TaylorPatches(lo, hi, list(orders), PREC)
+        step = (patches.centres[0] - patches.lo) / 2
+        points = [patches.lo + j * step for j in range(4 * patches.count + 1)]
+        read = {(u, k): patches.derivative(u, k) for u in points for k in orders}
+    with mp.workprec(2 * PREC):
+        worst = max(abs(v - mp.siegelz(u, derivative=k)) for (u, k), v in read.items())
+    assert worst <= patches.series_error
+    assert patches.series_error <= mp.mpf(2) ** -PREC * max(abs(v) for v in read.values())
+
+
 @pytest.mark.parametrize("T", [60, 1000])
 def test_series_coefficients_match_the_trapezoid_oracle(T):
     # each patch's coefficients a_j d'^j, d' = r/2, rebuilt as the patches
@@ -368,18 +384,14 @@ def test_patches_match_the_per_point_contour():
 ], ids=["explore", "batch", "batch-small-read", "batch-resized"])
 def test_contour_zeta_budget(monkeypatch, run, patches, builds):
     # each build reads one Dirichlet table a patch, and nothing on the
-    # patches' path calls _zeta_em or the library zeta
-    tables, em_calls, built, library = [], [], [], []
-    dirichlet_table, zeta_em = zeta._dirichlet_table, hardy._zeta_em
+    # patches' path calls the library zeta
+    tables, built, library = [], [], []
+    dirichlet_table = zeta._dirichlet_table
     patches_class = hardy._TaylorPatches
 
     def counted_table(*args, **kwargs):
         tables.append(args)
         return dirichlet_table(*args, **kwargs)
-
-    def counted_em(*args, **kwargs):
-        em_calls.append(args)
-        return zeta_em(*args, **kwargs)
 
     class Recorded(patches_class):
         def __init__(self, *args, **kwargs):
@@ -392,13 +404,12 @@ def test_contour_zeta_budget(monkeypatch, run, patches, builds):
             super()._build()
 
     monkeypatch.setattr(zeta, "_dirichlet_table", counted_table)
-    monkeypatch.setattr(hardy, "_zeta_em", counted_em)
     monkeypatch.setattr(mp, "zeta", lambda *args, **kwargs: library.append(args))
     monkeypatch.setattr(hardy, "_TaylorPatches", Recorded)
     run()
     assert [(p.count, p.builds) for p in built] == [(patches, builds)]
     assert len(tables) == patches * builds
-    assert em_calls == [] and library == []
+    assert library == []
 
 
 def test_the_contours_call_no_loggamma(monkeypatch, capsys):

@@ -321,8 +321,8 @@ def test_a_run_is_its_argv():
 
 
 # ---------------------------------------------------------------------------
-# one zeta route: the program sums zeta itself (zeta._zeta_em on the
-# critical line and zeta._zeta_series about it, each with a proved bound);
+# one zeta route: the program sums zeta itself (zeta._zeta_series, about a
+# point of the critical line, or at it for z_eval, with a proved bound);
 # the library zeta is the tests' oracle only
 
 LIBRARY_OWNERS = {"mp", "mpmath"}
@@ -354,14 +354,14 @@ def test_zeta_has_one_route():
     assert _library_uses(SRC, "zeta") == []
 
 
-def test_zeta_em_serves_z_eval_alone():
-    # _zeta_em sums zeta at one point of the critical line; the Taylor
-    # patches take zeta's series from zeta._zeta_series
+def test_dirichlet_table_serves_zeta_series_alone():
+    # one Euler-Maclaurin sum: z_eval and the Taylor patches both read zeta
+    # from zeta._zeta_series, the one reader of the Dirichlet table
     callers = [f"{path.stem}.{top.name}" for path in sorted(SRC.glob("*.py"))
                for top in ast.parse(path.read_text(), filename=str(path)).body
                if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-               and any(_calls(top, "_zeta_em"))]
-    assert callers == ["hardy.z_eval"]
+               and any(_calls(top, "_dirichlet_table"))]
+    assert callers == ["zeta._zeta_series"]
 
 
 def test_the_taylor_patches_place_no_samples():

@@ -6,10 +6,11 @@ import random
 import pytest
 from mpmath import libmp, mp
 
-from hardyz import zeta
-from hardyz.precision import GUARD_BITS, working_precision
+from hardyz import hardy, zeta
+from hardyz.precision import working_precision
+from hardyz.theta import JET_GUARD_BITS
 
-# N = 16 is the smallest N of _zeta_em (prec//4 at 64 bits), 251 a prime,
+# N = 16 is the smallest N _em_size takes for a target of 2^-64, 251 a prime,
 # 252 a prime plus one and 243 = 3^5; t < 0 is the lower half of a circle
 # about a centre below 0
 @pytest.mark.parametrize("t, N, prec", [("30.5", 16, 64), ("500.3", 251, 128),
@@ -49,10 +50,11 @@ def _zeta_heights():
 
 @pytest.mark.parametrize("prec", [64, 128, 192])
 def test_zeta_em_encloses_the_library_zeta(prec):
+    # z_eval's zeta: the order-0 coefficient of zeta._zeta_series at t
     for t in _zeta_heights():
         with working_precision(prec):
             tm = mp.mpf(t)
-            value, bound = zeta._zeta_em(tm, prec)
+            value, bound = hardy._zeta_on_line(tm, prec)
         with mp.workprec(2 * prec + 30):
             exact = mp.zeta(mp.mpc(0.5, tm))
             assert abs(value - exact) <= bound, t
@@ -62,35 +64,48 @@ def test_zeta_em_encloses_the_library_zeta(prec):
 
 # near the first zero, at t = 500 and at the top of PHASE_GUARD_BITS' range
 ULPS_HEIGHTS = ("14.1", "500.3", "10000.3")
+# 40 centres spread geometrically over [14, 10^5]: theta(c) reaches 4.3e5
+THETA_CENTRES = [f"{14 * (10 ** 5 / 14) ** (i / 39):.4f}" for i in range(40)]
 
 
 def _measured_errors(prec):
-    """The largest error of each libmp call _dirichlet_table makes, over
-    every prime it tabulates at ULPS_HEIGHTS: log p in ulps at wp, cos
-    and sin of t log p in units of 2^-wp, each against the same call at
-    2 wp."""
-    bits = prec + GUARD_BITS + zeta.EM_GUARD_BITS + zeta.EM_FIXED_BITS  # prec + 40
-    wp = bits + zeta.PHASE_GUARD_BITS
-    with working_precision(prec):  # the arguments as _zeta_em receives them
+    """The largest error of each libmp call whose ulps the zeta's bounds
+    assume, each against the same call at 2 wp, wp = bits + PHASE_GUARD_BITS
+    with z_eval's table bits at each height (hardy._line_size): log p in
+    ulps at wp, and cos and sin in units of 2^-wp, of t log p for every
+    prime _dirichlet_table tabulates at ULPS_HEIGHTS, and of theta(c) with
+    a jet's bits + JET_GUARD_BITS fraction bits, as hardy._z_series takes
+    e^(i theta(c)), at THETA_CENTRES."""
+    with working_precision(prec):  # the arguments as z_eval receives them
         heights = [mp.mpf(t) for t in ULPS_HEIGHTS]
+        centres = [mp.mpf(c) for c in THETA_CENTRES]
+        sizes = {t: hardy._line_size(t, prec) for t in heights + centres}
     worst = {"log": 0.0, "cos_sin": 0.0}
 
     def note(name, got, ref, unit_exp):
         gap = abs(mp.make_mpf(got) - mp.make_mpf(ref))
         worst[name] = max(worst[name], float(mp.ldexp(gap, -unit_exp)))
 
-    with mp.workprec(4 * wp):
-        for t in heights:
-            N = int(max(mp.ceil(abs(t) / 2), prec // 4, 10))
+    def cos_sin(x, wp):
+        for got, ref in zip(libmp.mpf_cos_sin(x, wp), libmp.mpf_cos_sin(x, 2 * wp)):
+            note("cos_sin", got, ref, -wp)
+
+    for t in heights:
+        N, _, bits, _, _ = sizes[t]
+        wp = bits + zeta.PHASE_GUARD_BITS
+        with mp.workprec(4 * wp):
             spf = zeta._PRIMES.factors(N)
             for p in (n for n in range(2, N + 1) if spf[n] == n):
                 log_p = zeta._PRIMES.constant(p, bits)[0]
                 note("log", log_p, libmp.mpf_log(libmp.from_int(p), 2 * wp),
                      log_p[2] + log_p[3] - wp)
-                phase = libmp.mpf_mul(t._mpf_, log_p, wp)
-                for got, ref in zip(libmp.mpf_cos_sin(phase, wp),
-                                    libmp.mpf_cos_sin(phase, 2 * wp)):
-                    note("cos_sin", got, ref, -wp)
+                cos_sin(libmp.mpf_mul(t._mpf_, log_p, wp), wp)
+    for c in centres:
+        bits = sizes[c][2]
+        wp, F = bits + zeta.PHASE_GUARD_BITS, bits + JET_GUARD_BITS
+        with mp.workprec(4 * wp):
+            theta = int(mp.floor(mp.ldexp(mp.siegeltheta(c), F)))
+            cos_sin(libmp.from_man_exp(theta, -F), wp)
     return worst
 
 
