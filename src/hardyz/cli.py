@@ -12,9 +12,9 @@ Every report is serialized by precision.serialize, and laid out here: JSON in
 _emit_json, verify-lemmas' text in cmd_verify_lemmas, zeros' CSV in cmd_zeros.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (explore's
-T included, when Z(T) is indistinguishable from zero), 2 usage error, 3 z_eval
-could not confirm a zero's sign change, even with its bracket widened 256
-times.  main refuses an --out path whose directory is missing, or that is a
+T included, when Z(T) is indistinguishable from zero), 2 usage error, 3 find_zeros
+proved no zero in a sign-change bracket: no Newton read proved one, and
+its fallback's bracket ends did not prove their signs.  main refuses an --out path whose directory is missing, or that is a
 directory, before any command runs.
 """
 

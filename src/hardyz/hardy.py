@@ -3,29 +3,32 @@
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Every zeta the
 program reads is zeta._zeta_series, one Euler-Maclaurin sum with a proved
 bound: the Taylor patches take it as a series about a point of the
-critical line, and z_eval its order-0 coefficient at the point
-(_zeta_on_line).  find_zeros states how the zero finder reads Z and what
-it proves.  _TaylorPatches builds and keeps Z's Taylor series about real
-centres (_z_series: zeta's series from one Dirichlet table, theta's from a
-theta.ThetaJet, one exp recurrence and one product): z_derivatives_batch
-reads one at its centre, and theorem1_explore reads its window from the
-fewest its bound allows.  mpmath's loggamma serves theta(t) alone, for
-z_eval and the smooth zero count; the tests' references are in
+critical line, z_eval its order-0 coefficient at the point, and
+find_zeros' Newton read (_newton_read) its orders 0 and 1, zeta and its
+t-derivative, for Z and Z' (_zeta_on_line).  find_zeros states how the
+zero finder reads Z and what it proves: one rule, Kantorovich's for
+Newton's method, proves a zero from one read of Z and Z'.  _TaylorPatches
+builds and keeps Z's Taylor series about real centres (_z_series: zeta's
+series from one Dirichlet table, theta's from a theta.ThetaJet, one exp
+recurrence and one product): z_derivatives_batch reads one at its centre,
+and theorem1_explore reads its window from the fewest its bound allows.
+mpmath's loggamma serves theta(t) alone, for z_eval, the Newton read and
+the smooth zero count; the tests' references are in
 tests/derivative_oracle.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath import iv, libmp, mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
-from .precision import (DEFAULT_PREC, GUARD_BITS, interval_precision,
-                        refine_sign_change, working_precision)
+from .precision import DEFAULT_PREC, GUARD_BITS, refine_sign_change, working_precision
 from .theta import ThetaJet
 from .zeta import (COS_SIN_ULPS, PHASE_GUARD_BITS, _em_size, _product_bound, _zeta_series,
                    _zeta_series_bound)
@@ -39,7 +42,7 @@ CONTOUR_RADIUS = 2  # z_derivatives_batch's circle, shrunk to |t|/2 + 1/4 near 0
 READ_GUARD_BITS = 8  # a Taylor patch's fixed-point series carry bits + 8 fraction bits
 SHAPE_BITS = 24  # the jets that size a patch's bits need theta's shape only
 MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
-MODEL_READS = 6  # z_eval reads find_zeros' secant model takes before its fallback
+NEWTON_READS = 6  # (Z, Z') reads find_zeros' Newton steps take before its fallback
 
 
 class CapacityError(ValueError):
@@ -47,8 +50,8 @@ class CapacityError(ValueError):
 
 
 class UnconfirmedSignChangeError(ArithmeticError):
-    """z_eval could not confirm a zero's sign change, even with the bracket
-    widened 256 times."""
+    """find_zeros proved no zero in a sign-change bracket: no Newton read
+    proved one, and the fallback's bracket ends did not prove their signs."""
 
 
 class RejectedPointError(ValueError):
@@ -94,34 +97,73 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
         tm = mp.mpf(t)
         if tm < 0:
             raise ValueError("t must be >= 0")
-        zeta_val, zeta_err = _zeta_on_line(tm, prec)
+        (zeta_val,), (zeta_err,) = _zeta_on_line(tm, prec, 1)
         phase = mp.expj(theta(tm, prec=prec + THETA_GUARD_BITS))
         zc = phase * zeta_val
         return zc.real, +(zeta_err + abs(zc.imag))
 
 
-def _line_size(t, prec: int) -> Tuple[int, int, int, float, float]:
-    """(N, K, bits, log E, units) for zeta(1/2 + it) to 2^-prec:
-    zeta._em_size's N and K for a remainder E <= 2^-prec, and the fewest
-    bits that keep the rounding, zeta._zeta_series_bound's units of
-    2^-bits, under 2^-prec too, or more where t needs them to be exact.
-    The units are taken at prec bits; at more bits the bound is smaller."""
-    tf = float(t)
-    N, K, log_remainder = _em_size(tf, 0.0, 0.0, -prec * math.log(2))
-    units = _zeta_series_bound(tf, 0.0, 1, N, K, prec)[1][0]
-    bits = max(prec + math.ceil(math.log2(units)), -t._mpf_[2])
-    return N, K, bits, log_remainder, units
+def _line_size(t, prec: int, J: int) -> Tuple[int, int, int, float, List[float], float]:
+    """(N, K, bits, log E, units, r) for zeta(1/2 + it) and, at J = 2, its
+    t-derivative, each to 2^-prec.  r is the radius of the circle about t
+    on which the remainder is sized: 0 at J = 1 (the point alone), and 1/4
+    at J = 2, which keeps sigma near 1/2.  zeta._em_size's N and K give a
+    remainder E <= 2^-prec r^(J-1) on it, and the fewest bits keep the
+    rounding of order j, zeta._zeta_series_bound's units of 2^-bits in y
+    = (w - t)/r, under 2^-prec r^j too, or more where t needs them to be
+    exact.  The units are taken at prec bits; at more bits the bound is
+    smaller."""
+    tf, r = float(t), 0.25 if J > 1 else 0.0
+    log_target = -prec * math.log(2) + (math.log(r) if r else 0.0)
+    N, K, log_remainder = _em_size(tf, r, 0.0, log_target)
+    units = _zeta_series_bound(tf, r, J, N, K, prec)[1]
+    worst = max(u * r ** -j for j, u in enumerate(units))
+    bits = max(prec + math.ceil(math.log2(worst)), -t._mpf_[2])
+    return N, K, bits, log_remainder, units, r
 
 
-def _zeta_on_line(t, prec: int) -> Tuple[object, mpf]:
-    """(zeta(1/2 + it), bound) for a real t: the order-0 coefficient of
-    zeta._zeta_series about t at d = 0, sized by _line_size.  The bound is
-    the remainder and the rounding, each at most 2^-prec, and
-    2^(1-mp.prec) |zeta| for the conversion to an mpc."""
-    N, K, bits, log_remainder, units = _line_size(t, prec)
-    (zr,), (zi,) = _zeta_series(t, mp.zero, 1, N, K, bits)
-    zeta = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
-    return zeta, math.exp(log_remainder) + mp.ldexp(units, -bits) + mp.ldexp(abs(zeta), 1 - mp.prec)
+def _zeta_on_line(t, prec: int, J: int) -> Tuple[List[object], List[mpf]]:
+    """([zeta(1/2 + it), its t-derivative][:J], bounds) for a real t: the
+    coefficients of zeta._zeta_series about t with d = r, sized by
+    _line_size, times r^-j (exact, a power of 2).  Order j's bound is the
+    remainder's, by Cauchy's estimate E r^-j on the circle (the remainder
+    is analytic there, and E bounds it), the rounding, and
+    2^(1-mp.prec) |zeta^(j)| for the conversion to an mpc."""
+    N, K, bits, log_remainder, units, r = _line_size(t, prec, J)
+    re, im = _zeta_series(t, mp.mpf(r), J, N, K, bits)
+    values, bounds = [], []
+    for j in range(J):
+        scale = r ** -j
+        value = mp.mpc(mp.ldexp(re[j], -bits), mp.ldexp(im[j], -bits)) * scale
+        values.append(value)
+        bounds.append(math.exp(log_remainder) * scale + mp.ldexp(units[j] * scale, -bits)
+                      + mp.ldexp(abs(value), 1 - mp.prec))
+    return values, bounds
+
+
+def _newton_read(t, prec: int) -> Tuple[mpf, mpf, mpf, mpf]:
+    """(v, e, v', e'): Z(t) and Z'(t) for a real t >= 10, with estimates
+    |Z(t) - v| <= e and |Z'(t) - v'| <= e' of z_eval's kind; find_zeros'
+    Newton read.
+
+    zeta and its t-derivative zeta' come from one _zeta_on_line at J = 2,
+    theta as z_eval takes it, and theta' from _theta_slope.  Z' = e^(i
+    theta) W with W = zeta' + i theta' zeta is real, as Z is, so as in
+    z_eval each estimate is the bound on the complex factor plus the
+    imaginary residue of the product: e is z_eval's, and e' adds to
+    zeta''s bound |theta'~| bound(zeta) + b (|zeta~| + bound(zeta)), b
+    _theta_slope's bound, and 2^(2-mp.prec) |W~| for the products.  The b
+    term is generous: i theta' Z is imaginary, so theta''s error moves the
+    real part only through zeta's, and mostly lands in the residue.
+    """
+    (zeta, slope_zeta), (error, slope_error) = _zeta_on_line(t, prec, 2)
+    phase = mp.expj(theta(t, prec=prec + THETA_GUARD_BITS))
+    slope, slope_bound = _theta_slope(float(t))
+    z = phase * zeta
+    dz = phase * (slope_zeta + mp.mpc(0, slope) * zeta)
+    dz_error = (slope_error + abs(slope) * error + slope_bound * (abs(zeta) + error)
+                + abs(dz.imag) + mp.ldexp(abs(dz), 2 - mp.prec))
+    return z.real, +(error + abs(z.imag)), dz.real, +dz_error
 
 
 def _z_series(centre, half, jet: ThetaJet, J: int, N: int, K: int,
@@ -241,15 +283,23 @@ class ZeroList:
         return len(self.zeros)
 
 
+def _theta_slope(x: float) -> Tuple[float, float]:
+    """(theta'(x), bound) in floats for x >= 10, from theta's Stirling
+    series: 1/2 log(x/2pi) - 1/(48 x^2) - 7/(1920 x^4).  The omitted terms,
+    -31/(16128 x^6) - 127/(61440 x^8) - ..., have one sign and fall by
+    1.1/x^2 at the first step, so twice the first bounds them (it takes
+    1.01 of it at x = 10); 2^-50 (1 + |theta'|) bounds the floats' rounding,
+    a few ulps."""
+    slope = 0.5 * math.log(x / (2 * math.pi)) - 1 / (48 * x * x) - 7 / (1920 * x ** 4)
+    return slope, 62 / (16128 * x ** 6) + 2.0 ** -50 * (1 + abs(slope))
+
+
 def _scan_step(t) -> mpf:
     """pi/(4 theta'(x)), x = max(t, 20), as the exact mpf of a float: theta'
     is small or negative below ~18, and rises from theta'(20) = 0.579.  The
-    step is a heuristic, so theta' is read in floats from its Stirling
-    series 1/2 log(x/2pi) - 1/(48 x^2) - 7/(1920 x^4), whose first omitted
-    term, 31/(16128 x^6), is at most 3.1e-11 from x = 20 on."""
-    x = max(float(t), 20.0)
-    slope = 0.5 * math.log(x / (2 * math.pi)) - 1 / (48 * x * x) - 7 / (1920 * x ** 4)
-    return mp.mpf(math.pi / (4 * slope))
+    step is a heuristic, so theta' is _theta_slope's float, within 6.1e-11
+    from x = 20 on."""
+    return mp.mpf(math.pi / (4 * _theta_slope(max(float(t), 20.0))[0]))
 
 
 def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
@@ -260,111 +310,111 @@ def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
         return (theta(t_hi, prec=prec) - theta(lo, prec=prec)) / mp.pi
 
 
-def _certified_sign_change(t, w, prec: int) -> bool:
-    """Euler-Maclaurin Z has opposite signs at t - w and t + w, and each
-    value exceeds its own error estimate.  find_zeros' fallback, for a
-    bracket whose own ends do not prove the sign change."""
-    za, ea = z_eval(t - w, prec=prec)
-    zb, eb = z_eval(t + w, prec=prec)
-    return (za > 0) != (zb > 0) and abs(za) > ea and abs(zb) > eb
+def _log_gain(k: int, r: float, d: float) -> float:
+    """log of k! r/(r - d)^(k+1), Cauchy's estimate: it turns a bound on a
+    function on a circle of radius r into one on its k-th derivative at
+    distance d < r from the centre."""
+    return math.lgamma(k + 1) + math.log(r) - (k + 1) * math.log(r - d)
 
 
 def _second_derivative_bound(lo, hi) -> mpf:
-    """M2 with |Z''| <= M2 on [lo, hi]: Cauchy's integral formula
-    on the circle of radius MODEL_RADIUS about c, the float nearest the
-    midpoint (see find_zeros), in mpmath.iv at the ambient precision.  M2
-    is inf where [lo, hi] reaches the circle."""
-    with interval_precision():
-        c = float((lo + hi) / 2)
-        centre, rho = iv.mpf(c), iv.mpf(MODEL_RADIUS)
-        d = max((iv.mpf(hi) - centre).b, (centre - iv.mpf(lo)).b)
-        if not d < rho:
-            return mp.inf
-        m2 = 2 * iv.exp(z_log_majorant(c, MODEL_RADIUS)) * rho / (rho - d) ** 3
-        return mp.mpf(m2.b)
+    """M2 with |Z''| <= M2 on [lo, hi]: Cauchy's estimate 2 A rho/(rho -
+    d)^3 (_log_gain at k = 2) on the circle of radius rho = MODEL_RADIUS
+    about c, the float nearest the midpoint, with A = exp(
+    enclose.z_log_majorant(c, rho)) and d = max(hi - c, c - lo) rounded up
+    to a float.  It is summed in floats as logs, each within a few ulps,
+    so raising the sum by 2^-40 (|log A| + |log gain| + 1) covers their
+    rounding, and its 2^-40 alone covers mp.exp's, 2^-mp.prec relative.
+    M2 is inf where [lo, hi] reaches the circle."""
+    c = float((lo + hi) / 2)
+    d = math.nextafter(float(max(mp.fsub(hi, c, exact=True), mp.fsub(c, lo, exact=True))),
+                       math.inf)
+    if not d < MODEL_RADIUS:
+        return mp.inf
+    log_a, log_gain = z_log_majorant(c, MODEL_RADIUS), _log_gain(2, MODEL_RADIUS, d)
+    allowance = 2.0 ** -40 * (abs(log_a) + abs(log_gain) + 1)
+    return mp.exp(log_a + log_gain + allowance)
 
 
-def _line_proves(read_i, read_j, root, w, box) -> bool:
-    """Z has opposite signs at root - w and root + w, by the line through
-    two reads of Z (see find_zeros).  read_i and read_j are (t, value,
-    error); box is (lo, hi, M2), M2 from _second_derivative_bound(lo, hi),
-    and both points must lie in [lo, hi].  It runs in mpmath.iv at the ambient precision,
-    where a comparison is True only when it holds for every point of the
-    intervals, so it needs no rounding allowance."""
-    with interval_precision():
-        (ti, vi, ei), (tj, vj, ej) = [[iv.mpf(v) for v in read] for read in (read_i, read_j)]
-        lo, hi, m2 = (iv.mpf(v) for v in box)
-        span = tj - ti
-        slope = (vj - vi) / span
-        signs = []
-        root, w = iv.mpf(root), iv.mpf(w)
-        for x in (root - w, root + w):
-            line = vi + slope * (x - ti)
-            remainder = (m2 / 2 * abs(x - ti) * abs(x - tj)
-                         + (ei * abs(x - tj) + ej * abs(x - ti)) / abs(span))
-            if not (lo <= x and x <= hi and abs(line) > remainder):
-                return False
-            signs.append(line > 0)
-        return signs[0] != signs[1]
+def _newton_proves(x, t, read, w, box) -> bool:
+    """Z has opposite signs at t - w and t + w, by Kantorovich's rule on
+    one Newton read (v, e, v', e') at x (see find_zeros); both points must
+    lie in box = [lo, hi].  x - t and v - v'(x - t) are exact, and every
+    other term is a sum of products of bounds, so a relative slack of
+    2^(4-mp.prec) on each side covers its rounding.  M2 is sized on the
+    interval the Taylor remainder spans, and only for a read whose other
+    terms fit."""
+    v, e, dv, de = read
+    lo, hi = box
+    if not (mp.fsub(t, lo, exact=True) >= w and mp.fsub(hi, t, exact=True) >= w):
+        return False
+    step = mp.fsub(x, t, exact=True)
+    reach = abs(step) + w
+    residual = abs(mp.fsub(v, mp.fmul(dv, step, exact=True), exact=True))
+    slack = mp.ldexp(1, 4 - mp.prec)
+    have, rest = abs(dv) * w * (1 - slack), e + de * reach + residual
+    if not have > rest * (1 + slack):
+        return False
+    m2 = _second_derivative_bound(min(x, mp.fsub(t, w, exact=True)),
+                                  max(x, mp.fadd(t, w, exact=True)))
+    return have > (rest + m2 / 2 * reach ** 2) * (1 + slack)
 
 
 def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     """All sign-change zeros of Z in (t_lo, t_hi], each proved to lie within
-    its reported half-width of its reported t: at most 2^-48, or 2^-46 or
-    2^-38 where the fallback's sign check proves it.
+    its reported half-width, at most 2^-48, of its reported t.
 
     Scans a finite window at step pi/(4 theta'), theta' read in floats
     (_scan_step); the count is cross-checked against the smooth theta-based
     estimate and the scan is repeated at half step (up to MAX_RESCANS times)
     when a missed close pair is suspected.
-    Z is read by one rule at every height (z_sign): from t = 200 on,
+    The scan reads Z by one rule at every height (z_sign): from t = 200 on,
     enclose.z_rs's value wherever it exceeds z_rs's bound; everywhere else
     z_eval's value.  Each read records (t, value, error), and it proves Z's
     sign when |value| > error: z_rs's always does, and a z_eval value does
     when it is larger than its error estimate.  The scan's values seed the
-    refinement of each bracket, in three stages.
+    refinement of each bracket [lo, hi].
 
     1. Illinois regula falsi (precision.refine_sign_change) on z_rs, for as
-       long as z_rs proves the signs; it stops at its first z_eval read.
-       Below t = 200 that is its first step.
-    2. The secant model.  From that read on, each step reads z_eval at the
-       root of the line through the two latest reads, held inside the
-       bracket of proved reads; the first z_eval read pairs with the
-       bracket's end on the other side of the zero.  After every read of
-       stage 2 the line L through (t_i, v_i) and (t_j, v_j), with root t*,
-       is tried as a proof (not the first, whose bracket end's z_rs bound or
-       distance from the zero is too large): Z(x) has the sign of L(x) at
-       x = t* - w and x = t* + w, w = 2^-ZERO_HALF_WIDTH_BITS, when at both
+       long as z_rs proves the signs; it ends at the first point x where
+       z_rs does not (proved_sign).  Below t = 200 that is its first, the
+       secant root of the scan bracket.
+    2. Newton's method from x, each step one read of Z and Z' at x
+       (_newton_read: v, v' with estimates e, e'), proved by Kantorovich's
+       rule in one variable (Kantorovich 1948; Ortega & Rheinboldt,
+       Iterative Solution of Nonlinear Equations, 1970, 12.6).  With
+       t = x - v/v', delta = x - t and w = 2^-ZERO_HALF_WIDTH_BITS, Z has
+       opposite signs at t - w and t + w, so a zero within w of t, when
+       both points lie in [lo, hi] (the bracket stage 1 ends with) and
 
-           |L(x)| > (M2/2) |x - t_i| |x - t_j|
-                    + (e_i |x - t_j| + e_j |x - t_i|)/|t_i - t_j|.
+           |v'| w > (M2/2)(|delta| + w)^2 + e + e'(|delta| + w)
+                    + |v - v' delta|.
 
-       The first term bounds Z(x) - P(x), P the line through the exact
-       values of Z at t_i and t_j (Z(x) - P(x) = Z''(xi)/2 (x - t_i)(x - t_j)
-       for some xi between the three points); the second bounds P(x) - L(x),
-       since Z(t_i) is within e_i of v_i.  M2 bounds |Z''| on the bracket
-       [lo, hi] stage 2 starts from, which holds every point: with c the
-       float nearest its midpoint, d = max(hi - c, c - lo),
-       rho = MODEL_RADIUS and A = exp(enclose.z_log_majorant(c, rho)) a
-       bound on |Z| over |w - c| = rho, Cauchy's integral formula gives
-       |Z''(x)| <= 2 A rho/(rho - d)^3 for |x - c| <= d.  Z is analytic
+       For y = t -+ w, Taylor's theorem gives Z(y) = Z(x) + Z'(x)(y - x)
+       + Z''(xi)(y - x)^2/2 with xi between x and y, and
+       Z(x) + Z'(x)(y - x) = (v - v' delta) -+ v' w within
+       e + e'(|delta| + w).  M2 bounds |Z''| on I = [x, y] hull, of
+       half-width at most |delta| + w: with c the float nearest its
+       midpoint, d the largest distance from c to I, rho = MODEL_RADIUS
+       and A = exp(enclose.z_log_majorant(c, rho)) a bound on |Z| over
+       |u - c| = rho, Cauchy's integral formula gives |Z''| <=
+       2 A rho/(rho - d)^3 on I (_second_derivative_bound).  Z is analytic
        there, since rho < sqrt(c^2 + 1/4) for c > 0.87 and Z changes sign
-       nowhere below t = 14, and d < rho, since no bracket is wider than
-       the largest scan step, pi/(4 theta'(20)) < 1.36.  The check runs in mpmath.iv
-       (_line_proves), so it needs no rounding allowance.  A zero it proves
-       is reported as t* with half-width exactly w.  The model costs one
-       majorant call a zero.
-    3. The fallback, when MODEL_READS z_eval reads have proved nothing (a
-       line with no root, a root that repeats a read, or reads too far from
-       the zero or too imprecise): Illinois on z_sign from the bracket of
-       proved reads down to a half-width of 2^-48, and the zero is the
-       bracket's midpoint.  What is proved: Z changes sign across the
-       bracket itself, by the two reads at its ends, when both prove their
-       signs.  Otherwise, and at an exact zero (a bracket of width 0),
-       _certified_sign_change must find z_eval's signs opposite at
-       t - 2^-46 and t + 2^-46 (or, after one retry, at t +- 2^-38), each
-       value larger than its error estimate, and that w is the reported
-       half-width; if it cannot, UnconfirmedSignChangeError.
+       nowhere below t = 14.  The check runs in mpf with outward slack
+       (_newton_proves), and takes M2, one majorant call, only for a read
+       whose other terms fit; a zero it proves is reported as t with
+       half-width exactly w.  Otherwise the next read is at t, held at
+       least w inside the bracket of proved reads, or at the bracket's
+       midpoint where t leaves it (or v' = 0).
+    3. The fallback, after NEWTON_READS reads have proved nothing: stage 1
+       again from the bracket of proved reads, on z_rs and z_eval
+       (proved_sign), down to a half-width of 2^-48.  Where it meets a read
+       that proves no sign, Z is within that read's error of 0 there, and
+       stage 2 runs once more from it.  Otherwise the zero is the final bracket's
+       midpoint, and Z changes sign across the bracket by the two reads at
+       its ends, each proved.  A zero neither proves (after the second
+       stage 2, or where a scan read at a bracket end proves no sign)
+       raises UnconfirmedSignChangeError.
     """
     with working_precision(prec):
         lo = mp.mpf(t_lo)
@@ -372,55 +422,61 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         if not (hi > lo >= 0 and mp.isfinite(hi)):
             raise ValueError("need finite t_hi > t_lo >= 0")
 
-        reads = {}  # t -> (value, error) of every read z_sign made
-        em_reads = []  # the t of every z_eval read, in order
+        reads = {}  # t -> (value, error) of every read of Z
+        stops = []  # the t of every read that ended a refinement, in order
 
-        def z_sign(t):
-            """Z(t) by find_zeros' rule, recorded in `reads`."""
+        def z_read(t, em=True):
+            """(value, error) of Z at t: z_rs's from t = 200 on where it
+            proves Z's sign, else z_eval's, or None when em is False."""
             if t >= RS_MIN_T:
                 value, bound = z_rs(t)
                 if abs(value) > bound:
-                    reads[t] = (mp.mpf(value), bound)
-                    return reads[t][0]
-            reads[t] = z_eval(t, prec=prec)
-            em_reads.append(t)
+                    return mp.mpf(value), bound
+            return z_eval(t, prec=prec) if em else None
+
+        def z_sign(t):
+            """Z(t) by find_zeros' rule, recorded in `reads`: the scan's
+            reader."""
+            reads[t] = z_read(t)
             return reads[t][0]
 
-        def rs_sign(t):
-            """z_sign(t), or None, which ends stage 1, once it read z_eval."""
-            count = len(em_reads)
-            value = z_sign(t)
-            return value if len(em_reads) == count else None
+        def proved_sign(t, em):
+            """z_read(t, em)'s value where it proves Z's sign, recorded in
+            `reads`; else None, which ends the refinement at t (`stops`):
+            stage 1's reader with em False, the fallback's with em True."""
+            read = z_read(t, em)
+            if read is None or abs(read[0]) <= read[1]:
+                stops.append(t)
+                return None
+            reads[t] = read
+            return read[0]
 
         def proved(t):
             value, error = reads[t]
             return abs(value) > error
 
-        def secant_zero(zlo, zhi):
-            """(t*, zlo, zhi): t* the zero stage 2 proves, or None; (zlo,
-            zhi) the bracket of its proved reads."""
-            box = (zlo, zhi, _second_derivative_bound(zlo, zhi))
-            j = em_reads[-1]
-            i = zhi if (reads[j][0] > 0) == (reads[zlo][0] > 0) else zlo
-            for count in range(1, MODEL_READS + 1):
-                if proved(j):
-                    if (reads[j][0] > 0) == (reads[zlo][0] > 0):
-                        zlo = j
+        def newton_zero(x, zlo, zhi):
+            """(t, zlo, zhi): t the zero stage 2 proves from x, or None;
+            (zlo, zhi) the bracket of its proved reads."""
+            box = (zlo, zhi)
+            for _ in range(NEWTON_READS):
+                read = _newton_read(x, prec)
+                reads[x] = read[:2]
+                if proved(x):
+                    if (read[0] > 0) == (reads[zlo][0] > 0):
+                        zlo = x
                     else:
-                        zhi = j
-                (vi, ei), (vj, ej) = reads[i], reads[j]
-                if vi == vj:
+                        zhi = x
+                if read[2]:
+                    t = x - read[0] / read[2]
+                    if _newton_proves(x, t, read, half_width, box):
+                        return t, zlo, zhi
+                if read[2] and zlo < t < zhi:
+                    x = min(max(t, zlo + half_width), zhi - half_width)
+                else:
+                    x = (zlo + zhi) / 2
+                if x in reads:
                     break
-                root = i - vi * (j - i) / (vj - vi)
-                # not the first line: its bracket end is too imprecise or too far
-                if count > 1 and _line_proves((i, vi, ei), (j, vj, ej), root,
-                                              half_width, box):
-                    return root, zlo, zhi
-                x = min(max(root, zlo + half_width), zhi - half_width)
-                if count == MODEL_READS or x in reads:
-                    break
-                z_sign(x)
-                i, j = j, x
             return None, zlo, zhi
 
         expected = expected_zero_count(lo, hi, prec=prec)
@@ -434,7 +490,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
                 v = min(u + _scan_step(u) * step_scale, hi)
                 fv = z_sign(v)
                 if fu is not None and fu != 0 and (fu > 0) != (fv > 0):
-                    brackets.append((u, v, fu, fv))
+                    brackets.append((u, v))
                 u, fu = v, fv
             # the smooth estimate can be off by the fluctuation term, so only
             # a deficit of 2 or more triggers a rescan
@@ -444,27 +500,25 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             step_scale /= 2
         zeros = []
         half_width = mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
-        w = 4 * half_width
-        for (a, b, fa, fb) in brackets:
-            em_before = len(em_reads)
-            zlo, zhi = refine_sign_change(rs_sign, a, b, fa, fb, half_width)
-            if len(em_reads) > em_before:
-                t, zlo, zhi = secant_zero(zlo, zhi)
+        for zlo, zhi in brackets:
+            t = None
+            for em in (False, True):
+                count = len(stops)
+                zlo, zhi = refine_sign_change(functools.partial(proved_sign, em=em), zlo, zhi,
+                                              reads[zlo][0], reads[zhi][0], half_width)
+                if len(stops) == count:
+                    break
+                t, zlo, zhi = newton_zero(stops[-1], zlo, zhi)
                 if t is not None:
-                    zeros.append(Zero(t=t, half_width=half_width))
-                    continue
-                zlo, zhi = refine_sign_change(z_sign, zlo, zhi, reads[zlo][0],
-                                              reads[zhi][0], half_width)
+                    break
+            if t is not None:
+                zeros.append(Zero(t=t, half_width=half_width))
+                continue
             t = (zlo + zhi) / 2
-            # the bracket's own ends, else the fallback at t +- w, widened
-            # once; a second failure means the sign change is not proved
-            proof = (zhi - zlo) / 2 if zlo != zhi and proved(zlo) and proved(zhi) \
-                else next((v for v in (w, w * 256)
-                           if _certified_sign_change(t, v, prec)), None)
-            if proof is None:
+            if len(stops) > count or not (proved(zlo) and proved(zhi)):
                 raise UnconfirmedSignChangeError(
                     f"could not certify sign change at t = {mp.nstr(t, 20)}")
-            zeros.append(Zero(t=t, half_width=proof))
+            zeros.append(Zero(t=t, half_width=(zhi - zlo) / 2))
         return ZeroList(t_lo=lo, t_hi=hi, zeros=zeros, rescans=rescans,
                         suspected_missing=bool(expected - len(zeros) >= 2))
 
@@ -595,6 +649,9 @@ class _TaylorPatches:
     """
 
     def __init__(self, lo, hi, orders: Sequence[int], prec: int, radius=None):
+        if mp.prec < prec + GUARD_BITS:
+            raise ValueError(f"patches for {prec} bits need working_precision({prec}), "
+                             f"not mp.prec = {mp.prec}")
         kmax = max(orders)
         if kmax > MAX_DERIVATIVE_ORDER:
             raise CapacityError(f"order {kmax} exceeds {MAX_DERIVATIVE_ORDER}")
@@ -705,11 +762,6 @@ class _TaylorPatches:
             log_a - k * math.log(R) + math.lgamma(J + 1) - math.lgamma(J + 1 - k)
             + (J - k) * math.log(x) - math.log1p(-rho))
 
-    def _log_gain(self, k: int) -> float:
-        """log of k! r/(r - d)^(k+1), which turns a bound on the r-circle
-        into one on Z^(k) at distance d."""
-        return math.lgamma(k + 1) + math.log(self._r) - (k + 1) * math.log(self._r - self._d)
-
     def _size(self, log_budget: float) -> Tuple[int, int, float]:
         """(J, bits, R) for the error budget e^log_budget on every Z^(k)."""
         if self.width:
@@ -728,7 +780,7 @@ class _TaylorPatches:
         units = {k: -math.inf for k in self._orders}
         bits = 0
         while True:
-            need = max(math.ceil((log_add(self._log_gain(k) + log_unit, units[k])
+            need = max(math.ceil((log_add(_log_gain(k, self._r, self._d) + log_unit, units[k])
                                   + 3 * math.log(2) - log_budget) / math.log(2))
                        for k in self._orders)
             if need <= bits:
@@ -804,7 +856,7 @@ class _TaylorPatches:
                                     + sum(n * abs(b) for n, b in enumerate(patch[k])))
                            for patch in self.series) - 2 * F * math.log(2)
             worst = max(worst, log_add(self._log_truncation(k, self.J, R, log_a),
-                                        self._log_circle + self._log_gain(k),
+                                        self._log_circle + _log_gain(k, self._r, self._d),
                                         self._log_rounding[k],
                                         max(log_allowance + log_size, log_read),
                                         log_output + log_size))

@@ -8,10 +8,12 @@ constants, each with its reason, added relative to the ambient precision
 (mp.extraprec) or to the caller's ``prec``.  Three helpers size bits of
 their own: hardy._TaylorPatches, which sizes its Taylor series' bits from
 its proved error bound on the caller's ``prec``; hardy._line_size, which
-sizes z_eval's fixed-point zeta from the rounding bound of module zeta
-for a 2^-prec target; and theta.ThetaJet, whose fraction bits come from
-the budget its caller gives; all three bound the rounding they leave.  mpmath.iv runs at the ambient
-precision too, through interval_precision.  Objects that keep their own
+sizes the fixed-point zeta of z_eval and of find_zeros' Newton read from
+the rounding bound of module zeta for a 2^-prec target; and
+theta.ThetaJet, whose fraction bits come from the budget its caller
+gives; all three bound the rounding they leave.  mpmath.iv runs at the
+ambient precision too, through interval_precision; sequences' tail bound
+is its one reader.  Objects that keep their own
 ``prec`` (compiled kernels, probes, ExtremalParams) are entry points too,
 because callers use them outside any working precision.  A number is rounded
 once, where it is stored: value objects hold theirs as mpf from construction
@@ -60,7 +62,7 @@ def working_precision(prec: int):
 @contextmanager
 def interval_precision():
     """mpmath.iv at the ambient mp.prec for the duration: the one iv
-    precision, for the enclosures hardy and sequences take in iv."""
+    precision, for the enclosure sequences takes in iv."""
     old = iv.prec
     iv.prec = mp.prec
     try:

@@ -4,8 +4,8 @@
 Q_k = c_k s(s+1)..(s+2k-2)/N^2k and c_k = B_2k/(2k)!, as a Taylor series
 about 1/2 + ic (_zeta_series, its rounding bounded by _zeta_series_bound
 and N and K from _em_size).  Its one reader is module hardy: the Taylor
-patches take the series, and z_eval the order-0 coefficient at one point
-of the critical line.  It reads one Dirichlet table of n^-1/2-it
+patches take the series, z_eval the order-0 coefficient at one point
+of the critical line, and find_zeros' Newton read orders 0 and 1 there.  It reads one Dirichlet table of n^-1/2-it
 (_dirichlet_table) in Python ints: a prime costs a log and a cos_sin from
 mpmath's libmp, a composite one product.  The rounding bounds assume, at
 wp = bits + PHASE_GUARD_BITS and libmp's default rounding (towards zero),

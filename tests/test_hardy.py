@@ -94,6 +94,59 @@ def test_z_eval_within_its_estimate_of_siegelz(prec):
             assert abs(value - mp.siegelz(t)) <= estimate, t
 
 
+# 108 heights spread geometrically over [14, 2000], a third at each precision
+NEWTON_HEIGHTS = [f"{14 * (2000 / 14) ** (i / 107):.4f}" for i in range(108)]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_newton_read_is_within_its_estimates_of_siegelz(prec):
+    # Z from z_eval's route and Z' from the same zeta series at J = 2,
+    # against mpmath's Z and Z' at 2 prec
+    with working_precision(prec):
+        heights = [mp.mpf(t) for t in NEWTON_HEIGHTS[[64, 128, 192].index(prec)::3]]
+        samples = [(t, hardy._newton_read(t, prec)) for t in heights]
+    with mp.workprec(2 * prec):
+        for t, (value, error, slope, slope_error) in samples:
+            assert abs(value - mp.siegelz(t)) <= error, t
+            assert abs(slope - mp.siegelz(t, derivative=1)) <= slope_error, t
+            # Z's estimate is near the precision asked for; Z''s rests on
+            # theta' in floats, within 2.6e-10 at t = 14
+            assert error <= mp.ldexp(max(1, abs(value)), 4 - prec), t
+            assert slope_error <= 1e-9 * max(1, abs(slope)), t
+
+
+@pytest.mark.parametrize("t", [14, 20, 100, 500, 10 ** 4, 10 ** 6])
+def test_theta_slope_is_within_its_bound(t):
+    slope, bound = hardy._theta_slope(float(t))
+    with mp.workprec(2 * PREC):
+        assert abs(slope - theta_prime(t, prec=2 * PREC)) <= bound
+    assert bound <= 2 * 31 / (16128 * t ** 6) + 2.0 ** -47
+
+
+@pytest.mark.parametrize("lo, hi", [("14.0", "14.9"), ("99.5", "100.8"), ("480.1", "480.4")])
+def test_second_derivative_bound_covers_the_bracket(lo, hi):
+    with working_precision(PREC):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        m2 = hardy._second_derivative_bound(lo, hi)
+        points = [lo + (hi - lo) * j / 4 for j in range(5)]
+    with mp.workprec(2 * PREC):
+        assert max(abs(mp.siegelz(u, derivative=2)) for u in points) <= m2
+    # a bracket that reaches the circle has no bound
+    with working_precision(PREC):
+        assert hardy._second_derivative_bound(mp.mpf(100), mp.mpf(102)) == mp.inf
+
+
+def test_patches_refuse_a_precision_below_their_own():
+    # outside working_precision(128) the output rounding at mpmath's 53
+    # bits could never fit a 2^-128 budget; inside it, 7 patches fit
+    with pytest.raises(ValueError):
+        hardy._TaylorPatches(14, 100, [0, 1], 128)
+    with working_precision(128):
+        patches = hardy._TaylorPatches(14, 100, [0, 1], 128)
+    assert patches.count == 7
+    assert patches.series_error <= mp.mpf(2) ** -128
+
+
 def _explore_patches(T, orders, prec):
     """The patches theorem1_explore reads the window about T from."""
     return hardy._TaylorPatches(T - 2 * mp.pi, T + 2 * mp.pi, orders, prec)
@@ -433,10 +486,9 @@ def test_derivative_capacity_guard():
 
 @pytest.fixture(scope="module")
 def zeros_to_100():
-    """find_zeros(0, 100] at PREC, and the (t, calling function) of each
-    mp.siegelz and z_eval call it made."""
+    """find_zeros(0, 100] at PREC, and the reads it made (_recorded_reads)."""
     with pytest.MonkeyPatch.context() as patch:
-        calls = _recorded_siegelz_and_z_eval(patch)
+        calls = _recorded_reads(patch)
         zl = find_zeros(0, 100, prec=PREC)
     return zl, calls
 
@@ -465,44 +517,31 @@ def test_zeros_to_100_siegelz_budget(zeros_to_100):
     zl, calls = zeros_to_100
     assert len(zl) == 29
     assert not calls["siegelz"]
-    # the scan and the refinement: 267 reads (356 when each bracket was
-    # refined to 2^-48, 1521 when it was bisected); the secant model
-    # proves every zero, so the fallback check reads nothing
-    callers = [caller for _, caller in calls["z_eval"]]
-    assert "_certified_sign_change" not in callers
-    assert len(callers) <= 290
+    # the scan and the refinement: 221 point reads, 125 of them the scan's
+    # (267 z_eval reads with the secant model, 356 when each bracket was
+    # refined to 2^-48, 1521 when it was bisected); a Newton read proves
+    # every zero, so the fallback reads nothing
+    assert not _fallback_reads(calls)
+    assert len(_point_reads(calls)) <= 290
 
 
 def test_zeros_to_100_at_64_bits_are_proved_by_their_bracket_ends(monkeypatch):
-    # z_eval's error estimates are widest at 64 bits; the secant model
-    # still proves every zero, and no zero takes the fallback check
-    calls = _recorded_siegelz_and_z_eval(monkeypatch)
+    # the error estimates are widest at 64 bits; a Newton read still proves
+    # every zero, and no zero takes the fallback
+    calls = _recorded_reads(monkeypatch)
     zl = find_zeros(0, 100, prec=64)
     monkeypatch.undo()
     assert len(zl) == 29
     assert all(0 < z.half_width <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
                for z in zl.zeros)
-    assert "_certified_sign_change" not in [c for _, c in calls["z_eval"]]
+    assert not _fallback_reads(calls)
 
 
 @pytest.fixture(scope="module")
 def zeros_480_to_500():
-    """find_zeros(480, 500] at PREC and the numbers of mp.siegelz and z_eval
-    calls it made."""
-    calls = {"siegelz": 0, "z_eval": 0}
-    siegelz, z_eval_exact = mp.siegelz, hardy.z_eval
-
-    def counted_siegelz(*args, **kwargs):
-        calls["siegelz"] += 1
-        return siegelz(*args, **kwargs)
-
-    def counted_z_eval(*args, **kwargs):
-        calls["z_eval"] += 1
-        return z_eval_exact(*args, **kwargs)
-
+    """find_zeros(480, 500] at PREC, and the reads it made (_recorded_reads)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mp, "siegelz", counted_siegelz)
-        patch.setattr(hardy, "z_eval", counted_z_eval)
+        calls = _recorded_reads(patch)
         zl = find_zeros(480, 500, prec=PREC)
     return zl, calls
 
@@ -528,31 +567,44 @@ def test_zeros_480_to_500_match_zetazero_inside_sign_change_brackets(
 
 def test_zeros_480_to_500_siegelz_budget(zeros_480_to_500):
     zl, calls = zeros_480_to_500
-    # above t = 200, Z is read from z_rs where it proves the sign and from
-    # z_eval elsewhere: 38 z_eval calls, 2.9 a zero (70 before the secant
-    # model), and no fallback check
-    assert calls["siegelz"] == 0
-    assert calls["z_eval"] <= 3 * len(zl)
+    # above t = 200 the scan and stage 1 read z_rs where it proves the
+    # sign, and a zero takes two Newton reads: 26 point reads, 2.0 a zero
+    # (38 z_eval reads with the secant model, 70 before it), and no
+    # fallback read
+    assert not calls["siegelz"]
+    assert not _fallback_reads(calls)
+    assert len(_point_reads(calls)) <= 2.5 * len(zl)
 
 
 def test_zeros_the_model_cannot_prove_come_from_the_fallback(monkeypatch,
                                                               zeros_480_to_500):
-    # a majorant of e^1000 makes M2 so large that no line proves a zero: the
-    # fallback refines each bracket to 2^-48 instead, and its zeros are the
-    # model's within the sum of the two half-widths
+    # a majorant of e^1000 makes M2 so large that no Newton read proves a
+    # zero: the fallback refines each bracket to 2^-48 instead, proves it by
+    # its ends, and its zeros are Newton's within the sum of the two
+    # half-widths
     model_zeros, _ = zeros_480_to_500
-    line_proves = hardy._line_proves
+    newton_proves = hardy._newton_proves
     proofs = []
 
-    def recorded_line_proves(*args):
-        proofs.append(line_proves(*args))
+    def recorded_newton_proves(*args):
+        proofs.append(newton_proves(*args))
         return proofs[-1]
 
+    refine = hardy.refine_sign_change
+    readers = []
+
+    def recorded_refine(f, *args):
+        readers.append(f.keywords["em"])
+        return refine(f, *args)
+
     monkeypatch.setattr(hardy, "z_log_majorant", lambda centre, radius: 1000.0)
-    monkeypatch.setattr(hardy, "_line_proves", recorded_line_proves)
+    monkeypatch.setattr(hardy, "_newton_proves", recorded_newton_proves)
+    monkeypatch.setattr(hardy, "refine_sign_change", recorded_refine)
     zl = find_zeros(480, 500, prec=PREC)
     monkeypatch.undo()
     assert proofs and not any(proofs)
+    # the fallback, Illinois on z_rs and z_eval (em), refined every bracket
+    assert readers.count(True) == 13
     assert len(zl) == len(model_zeros) == 13
     with working_precision(PREC):
         for z, m in zip(zl.zeros, model_zeros.zeros):
@@ -581,16 +633,17 @@ def strata_counts():
 @pytest.mark.parametrize("prec", [64, 128, 192])
 def test_each_stratum_zero_is_proved_by_the_model_in_three_reads(monkeypatch, prec,
                                                                  strata_counts):
-    calls = _recorded_siegelz_and_z_eval(monkeypatch)
+    # two Newton reads a zero, the first where z_rs stops proving signs
+    calls = _recorded_reads(monkeypatch)
     found = []
     for lo, hi in STRATA_WINDOWS:
-        before = len(calls["z_eval"])
+        before = len(_point_reads(calls))
         zl = find_zeros(lo, hi, prec=prec)
-        found.append((zl, len(calls["z_eval"]) - before))
+        found.append((zl, len(_point_reads(calls)) - before))
     monkeypatch.undo()
     for (zl, reads), count in zip(found, strata_counts):
         assert len(zl) == count
-        assert reads <= 3 * count
+        assert reads <= 2 * count
         with mp.workprec(2 * prec):
             for z in zl.zeros:
                 assert z.half_width == mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
@@ -598,28 +651,58 @@ def test_each_stratum_zero_is_proved_by_the_model_in_three_reads(monkeypatch, pr
                     != (mp.siegelz(z.t + z.half_width) > 0)
 
 
-def _recorded_siegelz_and_z_eval(monkeypatch):
-    """Lists of (t, calling function) that mp.siegelz and hardy.z_eval fill."""
-    calls = {"siegelz": [], "z_eval": []}
-    siegelz, z_eval_exact = mp.siegelz, hardy.z_eval
+def _recorded_reads(monkeypatch):
+    """Lists of (t, stage) that mp.siegelz, hardy.z_eval and
+    hardy._newton_read fill; the stage is the reader that asked for the
+    read: z_sign for the scan's z_eval reads, proved_sign for the
+    fallback's, newton_zero for a Newton read."""
+    calls = {"siegelz": [], "z_eval": [], "newton": []}
+    siegelz, z_eval_exact, newton_read = mp.siegelz, hardy.z_eval, hardy._newton_read
 
     def recorded_siegelz(t, *args, **kwargs):
         calls["siegelz"].append((t, sys._getframe(1).f_code.co_name))
         return siegelz(t, *args, **kwargs)
 
     def recorded_z_eval(t, *args, **kwargs):
-        calls["z_eval"].append((t, sys._getframe(1).f_code.co_name))
+        calls["z_eval"].append((t, sys._getframe(2).f_code.co_name))
         return z_eval_exact(t, *args, **kwargs)
+
+    def recorded_newton_read(t, *args, **kwargs):
+        calls["newton"].append((t, sys._getframe(1).f_code.co_name))
+        return newton_read(t, *args, **kwargs)
 
     monkeypatch.setattr(mp, "siegelz", recorded_siegelz)
     monkeypatch.setattr(hardy, "z_eval", recorded_z_eval)
+    monkeypatch.setattr(hardy, "_newton_read", recorded_newton_read)
     return calls
+
+
+def _point_reads(calls):
+    """The t of every point read of Z, z_eval's and the Newton reads."""
+    return [t for t, _ in calls["z_eval"] + calls["newton"]]
+
+
+def _fallback_reads(calls):
+    """The t of every z_eval read the fallback's Illinois steps made."""
+    return [t for t, stage in calls["z_eval"] if stage == "proved_sign"]
+
+
+def test_zeros_to_200_take_at_most_three_and_a_half_reads_a_zero(monkeypatch):
+    # below t = 200 z_rs proves nothing, so Newton starts from the secant
+    # root of the scan bracket, up to 1.36 wide: 266 Newton reads for 79
+    # zeros, 3.37 a zero and at most 5 (4-6 with the secant model)
+    calls = _recorded_reads(monkeypatch)
+    zl = find_zeros(14, 200, prec=PREC)
+    monkeypatch.undo()
+    assert len(zl) == 79
+    refinement = [t for t, stage in calls["z_eval"] + calls["newton"] if stage != "z_sign"]
+    assert len(refinement) <= 3.5 * len(zl)
 
 
 def test_zeros_straddling_200_match_zetazero(monkeypatch):
     # the scan and the refinement read z_eval below t = 200 and z_rs or
     # z_eval from 200 on: no siegelz call
-    calls = _recorded_siegelz_and_z_eval(monkeypatch)
+    calls = _recorded_reads(monkeypatch)
     zl = find_zeros(196, 203, prec=PREC)
     monkeypatch.undo()
     assert len(zl) == 4
@@ -631,7 +714,7 @@ def test_zeros_straddling_200_match_zetazero(monkeypatch):
 def test_zeros_straddling_200_at_192_bits_read_siegelz_below_200_only(monkeypatch):
     # the same window at 192 bits, where mpmath's siegelz would still run
     # Borwein's algorithm below 200: no siegelz call either
-    calls = _recorded_siegelz_and_z_eval(monkeypatch)
+    calls = _recorded_reads(monkeypatch)
     zl = find_zeros(196, 203, prec=192)
     monkeypatch.undo()
     assert len(zl) == 4
@@ -644,7 +727,7 @@ def test_zeros_straddling_the_borwein_limit_match_zetazero(monkeypatch):
     # mpmath 1.3.0's siegelz runs Borwein's algorithm up to t = mp.prec + 21,
     # 165 at PREC; find_zeros reads z_eval on both sides of it
     limit = PREC + GUARD_BITS + 21
-    calls = _recorded_siegelz_and_z_eval(monkeypatch)
+    calls = _recorded_reads(monkeypatch)
     zl = find_zeros(160, 170, prec=PREC)
     monkeypatch.undo()
     assert not calls["siegelz"]
@@ -654,41 +737,22 @@ def test_zeros_straddling_the_borwein_limit_match_zetazero(monkeypatch):
 
 
 def test_sign_change_within_error_estimate_is_not_certified(monkeypatch):
-    z_eval_exact = hardy.z_eval
+    # every point read's estimate is twice its value, that of Z' too, so no
+    # Newton read proves a zero and no bracket end proves its sign
+    z_eval_exact, newton_read = hardy.z_eval, hardy._newton_read
 
     def unsure(t, prec=PREC):
         value, _ = z_eval_exact(t, prec=prec)
         return value, 2 * abs(value)
 
+    def unsure_newton(t, prec):
+        value, _, slope, _ = newton_read(t, prec)
+        return value, 2 * abs(value), slope, 2 * abs(slope)
+
     monkeypatch.setattr(hardy, "z_eval", unsure)
+    monkeypatch.setattr(hardy, "_newton_read", unsure_newton)
     with pytest.raises(UnconfirmedSignChangeError):
         find_zeros(14, 15, prec=PREC)
-
-
-def test_unproved_bracket_ends_fall_back_to_the_sign_check(monkeypatch):
-    # z_sign's reads prove no sign, so each zero is certified by
-    # _certified_sign_change's reads, which see the true estimates
-    z_eval_exact = hardy.z_eval
-    callers = []
-
-    def unsure_in_z_sign(t, prec=PREC):
-        value, error = z_eval_exact(t, prec=prec)
-        caller = sys._getframe(1).f_code.co_name
-        callers.append(caller)
-        return (value, 2 * abs(value)) if caller == "z_sign" else (value, error)
-
-    monkeypatch.setattr(hardy, "z_eval", unsure_in_z_sign)
-    zl = find_zeros(14, 15, prec=PREC)
-    monkeypatch.undo()
-    assert len(zl) == 1
-    zero = zl.zeros[0]
-    with working_precision(PREC):
-        assert abs(zero.t - mp.mpf(GAMMA_1)) < mp.mpf(10) ** -12
-        # the reported half-width is the w the sign check proved
-        assert zero.half_width == mp.mpf(2) ** (2 - ZERO_HALF_WIDTH_BITS)
-        assert mp.siegelz(zero.t - zero.half_width) \
-            * mp.siegelz(zero.t + zero.half_width) < 0
-    assert callers.count("_certified_sign_change") == 2
 
 
 @pytest.mark.parametrize("scale, rescans, count", [(8, 1, 29), (200, MAX_RESCANS, 6)])

@@ -294,6 +294,18 @@ def test_only_the_lemmas_draw_random_numbers():
 
 
 # ---------------------------------------------------------------------------
+# intervals in one place: hardy proves its zeros in mpf with outward slack,
+# and sequences._tail_bound is interval_precision's one reader
+
+def test_only_sequences_computes_in_intervals():
+    assert {use.split(":")[0] for use in _imports(SRC, {"mpmath.iv"})} \
+        == {"precision", "sequences"}
+    assert {path.stem for path in sorted(SRC.glob("*.py"))
+            if any(_calls(ast.parse(path.read_text()), "interval_precision"))} \
+        == {"sequences"}
+
+
+# ---------------------------------------------------------------------------
 # a run is its argv: no module reads the environment, so the flags alone fix
 # the printed bytes
 

@@ -54,7 +54,7 @@ def test_zeta_em_encloses_the_library_zeta(prec):
     for t in _zeta_heights():
         with working_precision(prec):
             tm = mp.mpf(t)
-            value, bound = hardy._zeta_on_line(tm, prec)
+            (value,), (bound,) = hardy._zeta_on_line(tm, prec, 1)
         with mp.workprec(2 * prec + 30):
             exact = mp.zeta(mp.mpc(0.5, tm))
             assert abs(value - exact) <= bound, t
@@ -71,7 +71,8 @@ THETA_CENTRES = [f"{14 * (10 ** 5 / 14) ** (i / 39):.4f}" for i in range(40)]
 def _measured_errors(prec):
     """The largest error of each libmp call whose ulps the zeta's bounds
     assume, each against the same call at 2 wp, wp = bits + PHASE_GUARD_BITS
-    with z_eval's table bits at each height (hardy._line_size): log p in
+    with the table bits of z_eval and of find_zeros' Newton read at each
+    height (hardy._line_size at J = 1 and 2): log p in
     ulps at wp, and cos and sin in units of 2^-wp, of t log p for every
     prime _dirichlet_table tabulates at ULPS_HEIGHTS, and of theta(c) with
     a jet's bits + JET_GUARD_BITS fraction bits, as hardy._z_series takes
@@ -79,7 +80,8 @@ def _measured_errors(prec):
     with working_precision(prec):  # the arguments as z_eval receives them
         heights = [mp.mpf(t) for t in ULPS_HEIGHTS]
         centres = [mp.mpf(c) for c in THETA_CENTRES]
-        sizes = {t: hardy._line_size(t, prec) for t in heights + centres}
+        tables = [(t, hardy._line_size(t, prec, J)) for t in heights for J in (1, 2)]
+        centre_bits = [hardy._line_size(c, prec, 1)[2] for c in centres]
     worst = {"log": 0.0, "cos_sin": 0.0}
 
     def note(name, got, ref, unit_exp):
@@ -90,8 +92,7 @@ def _measured_errors(prec):
         for got, ref in zip(libmp.mpf_cos_sin(x, wp), libmp.mpf_cos_sin(x, 2 * wp)):
             note("cos_sin", got, ref, -wp)
 
-    for t in heights:
-        N, _, bits, _, _ = sizes[t]
+    for t, (N, _, bits, _, _, _) in tables:
         wp = bits + zeta.PHASE_GUARD_BITS
         with mp.workprec(4 * wp):
             spf = zeta._PRIMES.factors(N)
@@ -100,8 +101,7 @@ def _measured_errors(prec):
                 note("log", log_p, libmp.mpf_log(libmp.from_int(p), 2 * wp),
                      log_p[2] + log_p[3] - wp)
                 cos_sin(libmp.mpf_mul(t._mpf_, log_p, wp), wp)
-    for c in centres:
-        bits = sizes[c][2]
+    for c, bits in zip(centres, centre_bits):
         wp, F = bits + zeta.PHASE_GUARD_BITS, bits + JET_GUARD_BITS
         with mp.workprec(4 * wp):
             theta = int(mp.floor(mp.ldexp(mp.siegeltheta(c), F)))

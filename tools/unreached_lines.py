@@ -17,8 +17,8 @@ reached by the first.
 
 Unreached does not mean dead.  The CLI lines exercise the program's
 normal paths, so input guards and error raises show up, as do routes that
-only the tests or the benchmark reach: find_zeros' fallback (with
-_certified_sign_change) and rescan loop, hardy.z_derivatives_batch with
+only the tests or the benchmark reach: find_zeros' fallback (Illinois
+proved by its bracket's ends, after NEWTON_READS reads) and rescan loop, hardy.z_derivatives_batch with
 the width-0 branches of hardy._TaylorPatches (no truncation, J = kmax + 1,
 a second build for a small read), hardy._TaylorPatches' step to the next
 count (tests/test_hardy.py forces a low count estimate; at every digest
