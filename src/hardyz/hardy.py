@@ -1,21 +1,18 @@
 """Hardy Z function engine: evaluation, derivatives, zeros, counting.
 
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Every zeta the
-program reads is zeta._zeta_series, one Euler-Maclaurin sum with a proved
-bound: the Taylor patches take it as a series about a point of the
-critical line, z_eval its order-0 coefficient at the point, and
-find_zeros' Newton read (_newton_read) its orders 0 and 1, zeta and its
-t-derivative, for Z and Z' (_zeta_on_line).  find_zeros states how the
-zero finder reads Z and what it proves: one rule, Kantorovich's for
-Newton's method, proves a zero from one read of Z and Z'.  _TaylorPatches
-builds and keeps Z's Taylor series about real centres (_z_series: zeta's
-series from one Dirichlet table, theta's from a theta.ThetaJet, one exp
-recurrence and one product): z_derivatives_batch reads one at its centre,
-and theorem1_explore reads its window from the fewest its bound allows.
-mpmath's loggamma serves theta(t) alone, for z_eval, the Newton read and
-the smooth zero count; the tests' references are in
-tests/derivative_oracle.py.
-"""
+program reads is zeta._zeta_series, one Euler-Maclaurin sum, and every
+theta module theta's Stirling series, each with a proved bound.  The point
+reads (_point_read, for z_eval and find_zeros' Newton reads of Z and Z')
+take zeta's orders 0 and 1 at a point of the critical line, and theta and
+theta' there from theta.theta_point, as theta and theta_prime do.
+find_zeros states how it reads Z and what it proves: Kantorovich's rule
+for Newton's method proves a zero from one read of Z and Z'.
+_TaylorPatches builds and keeps Z's Taylor series about real centres
+(_z_series: zeta's series from one Dirichlet table, theta's from a
+theta.ThetaJet, one exp recurrence and one product): z_derivatives_batch
+reads one at its centre, and theorem1_explore its window from the fewest
+its bound allows.  The tests' references are in tests/derivative_oracle.py."""
 
 from __future__ import annotations
 
@@ -29,7 +26,7 @@ from mpmath import libmp, mp, mpf
 
 from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
 from .precision import DEFAULT_PREC, GUARD_BITS, refine_sign_change, working_precision
-from .theta import ThetaJet
+from .theta import JET_GUARD_BITS, ThetaJet, _fewest, theta_point
 from .zeta import (COS_SIN_ULPS, PHASE_GUARD_BITS, _em_size, _product_bound, _zeta_series,
                    _zeta_series_bound)
 
@@ -37,7 +34,6 @@ MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
 HALF_WIDTH_DIGITS = 6  # a zero's bracket half-width prints with 6 digits at any precision
 MAX_RESCANS = 4
-THETA_GUARD_BITS = 16  # theta ~ t log t, and its absolute error is Z's relative error
 CONTOUR_RADIUS = 2  # z_derivatives_batch's circle, shrunk to |t|/2 + 1/4 near 0
 READ_GUARD_BITS = 8  # a Taylor patch's fixed-point series carry bits + 8 fraction bits
 SHAPE_BITS = 24  # the jets that size a patch's bits need theta's shape only
@@ -63,20 +59,16 @@ class RejectedPointError(ValueError):
 
 
 def theta(t, prec: int = DEFAULT_PREC) -> mpf:
-    """Riemann-Siegel theta via the log-Gamma branch.
-
-    theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi; exact for all real t.
-    """
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, theta.theta_point's
+    within 2^-(prec + GUARD_BITS), rounded to the working precision."""
     with working_precision(prec):
-        tm = mp.mpf(t)
-        return mp.loggamma(mp.mpf(0.25) + 0.5j * tm).imag - tm / 2 * mp.log(mp.pi)
+        return mp.ldexp(theta_point(mp.mpf(t), prec + GUARD_BITS)[0], -prec - GUARD_BITS)
 
 
 def theta_prime(t, prec: int = DEFAULT_PREC) -> mpf:
-    """theta'(t) = Re psi(1/4 + it/2)/2 - log(pi)/2."""
+    """theta'(t) = Re psi(1/4 + it/2)/2 - log(pi)/2, as theta takes theta."""
     with working_precision(prec):
-        tm = mp.mpf(t)
-        return mp.digamma(mp.mpf(0.25) + 0.5j * tm).real / 2 - mp.log(mp.pi) / 2
+        return mp.ldexp(theta_point(mp.mpf(t), prec + GUARD_BITS)[1], -prec - GUARD_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -84,35 +76,25 @@ def theta_prime(t, prec: int = DEFAULT_PREC) -> mpf:
 
 
 def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
-    """(value, error estimate) for Z(t) = e^{i theta(t)} zeta(1/2 + it) by
-    Euler-Maclaurin, the (value, bound) shape of enclose.z_rs.
-
-    zeta is _zeta_on_line's, with its proved bound; the error estimate is
-    that bound plus the imaginary residue of the complex product.  Its one
-    reader is find_zeros (theorem1_explore reads Z(T) from its own Taylor
-    patches).  The tests check the value against z_rs's enclosure from
-    t = 200 on and against mp.siegelz at every height.
-    """
+    """(value, error bound) for Z(t) = e^{i theta(t)} zeta(1/2 + it), the
+    shape of enclose.z_rs: _point_read's order 0, read by find_zeros.  The
+    tests check it against z_rs's enclosure from t = 200 on and against
+    mp.siegelz at every height."""
     with working_precision(prec):
         tm = mp.mpf(t)
         if tm < 0:
             raise ValueError("t must be >= 0")
-        (zeta_val,), (zeta_err,) = _zeta_on_line(tm, prec, 1)
-        phase = mp.expj(theta(tm, prec=prec + THETA_GUARD_BITS))
-        zc = phase * zeta_val
-        return zc.real, +(zeta_err + abs(zc.imag))
+        return _point_read(tm, prec, 1)
 
 
 def _line_size(t, prec: int, J: int) -> Tuple[int, int, int, float, List[float], float]:
-    """(N, K, bits, log E, units, r) for zeta(1/2 + it) and, at J = 2, its
-    t-derivative, each to 2^-prec.  r is the radius of the circle about t
-    on which the remainder is sized: 0 at J = 1 (the point alone), and 1/4
-    at J = 2, which keeps sigma near 1/2.  zeta._em_size's N and K give a
-    remainder E <= 2^-prec r^(J-1) on it, and the fewest bits keep the
-    rounding of order j, zeta._zeta_series_bound's units of 2^-bits in y
-    = (w - t)/r, under 2^-prec r^j too, or more where t needs them to be
-    exact.  The units are taken at prec bits; at more bits the bound is
-    smaller."""
+    """(N, K, bits, log E, units, r) for a point read of zeta(1/2 + it)
+    and, at J = 2, its t-derivative, each to 2^-prec.  The remainder is
+    sized on the circle of radius r about t, 0 at J = 1 (the point alone)
+    and 1/4 at J = 2, which keeps sigma near 1/2: zeta._em_size's N and K
+    give E <= 2^-prec r^(J-1) on it, and the fewest bits, or more where t
+    needs them to be exact, keep order j's rounding, _zeta_series_bound's
+    units of 2^-bits in y = (w - t)/r taken at prec bits, under 2^-prec r^j."""
     tf, r = float(t), 0.25 if J > 1 else 0.0
     log_target = -prec * math.log(2) + (math.log(r) if r else 0.0)
     N, K, log_remainder = _em_size(tf, r, 0.0, log_target)
@@ -122,48 +104,39 @@ def _line_size(t, prec: int, J: int) -> Tuple[int, int, int, float, List[float],
     return N, K, bits, log_remainder, units, r
 
 
-def _zeta_on_line(t, prec: int, J: int) -> Tuple[List[object], List[mpf]]:
-    """([zeta(1/2 + it), its t-derivative][:J], bounds) for a real t: the
-    coefficients of zeta._zeta_series about t with d = r, sized by
-    _line_size, times r^-j (exact, a power of 2).  Order j's bound is the
-    remainder's, by Cauchy's estimate E r^-j on the circle (the remainder
-    is analytic there, and E bounds it), the rounding, and
-    2^(1-mp.prec) |zeta^(j)| for the conversion to an mpc."""
+def _point_read(t, prec: int, J: int) -> Tuple[mpf, ...]:
+    """(v, e) at J = 1 and (v, e, v', e') at J = 2, |Z(t) - v| <= e and
+    |Z'(t) - v'| <= e', t real: z_eval's and find_zeros' Newton reads.
+    zeta~ and zeta~' are the coefficients of zeta._zeta_series about t with
+    d = r, sized by _line_size, times r^-j, with bits fraction bits, within
+    b_j: E r^-j (Cauchy on the circle, where E bounds the remainder) and
+    the rounding.  theta~ and theta'~ are theta.theta_point's at F = bits
+    + JET_GUARD_BITS, within d, and f = e^(i theta~) libmp's cos_sin at
+    bits + PHASE_GUARD_BITS floored, within e_f = sqrt 2 (1 + COS_SIN_ULPS
+    2^-PHASE_GUARD_BITS) units of 2^-bits.  As |e^(i theta) - e^(i theta~)|
+    <= d, v = Re(f zeta~) floored has |Z - v| <= b_0 + d (|zeta~| + b_0)
+    + (e_f |zeta~| + 1) 2^-bits.  Z' = Re(e^(i theta) W), W = zeta' + i
+    theta' zeta, and W~ = zeta~' + i theta'~ zeta~ (two floors) is within
+    b_1 + |theta'~| b_0 + d (|zeta~| + b_0) + sqrt 2 2^-bits of W, so e' is
+    e with W~ and that bound.  The values are exact mpfs; the bounds,
+    summed in floats, are raised by 2^-40 for their own rounding."""
     N, K, bits, log_remainder, units, r = _line_size(t, prec, J)
     re, im = _zeta_series(t, mp.mpf(r), J, N, K, bits)
-    values, bounds = [], []
-    for j in range(J):
-        scale = r ** -j
-        value = mp.mpc(mp.ldexp(re[j], -bits), mp.ldexp(im[j], -bits)) * scale
-        values.append(value)
-        bounds.append(math.exp(log_remainder) * scale + mp.ldexp(units[j] * scale, -bits)
-                      + mp.ldexp(abs(value), 1 - mp.prec))
-    return values, bounds
-
-
-def _newton_read(t, prec: int) -> Tuple[mpf, mpf, mpf, mpf]:
-    """(v, e, v', e'): Z(t) and Z'(t) for a real t >= 10, with estimates
-    |Z(t) - v| <= e and |Z'(t) - v'| <= e' of z_eval's kind; find_zeros'
-    Newton read.
-
-    zeta and its t-derivative zeta' come from one _zeta_on_line at J = 2,
-    theta as z_eval takes it, and theta' from _theta_slope.  Z' = e^(i
-    theta) W with W = zeta' + i theta' zeta is real, as Z is, so as in
-    z_eval each estimate is the bound on the complex factor plus the
-    imaginary residue of the product: e is z_eval's, and e' adds to
-    zeta''s bound |theta'~| bound(zeta) + b (|zeta~| + bound(zeta)), b
-    _theta_slope's bound, and 2^(2-mp.prec) |W~| for the products.  The b
-    term is generous: i theta' Z is imaginary, so theta''s error moves the
-    real part only through zeta's, and mostly lands in the residue.
-    """
-    (zeta, slope_zeta), (error, slope_error) = _zeta_on_line(t, prec, 2)
-    phase = mp.expj(theta(t, prec=prec + THETA_GUARD_BITS))
-    slope, slope_bound = _theta_slope(float(t))
-    z = phase * zeta
-    dz = phase * (slope_zeta + mp.mpc(0, slope) * zeta)
-    dz_error = (slope_error + abs(slope) * error + slope_bound * (abs(zeta) + error)
-                + abs(dz.imag) + mp.ldexp(abs(dz), 2 - mp.prec))
-    return z.real, +(error + abs(z.imag)), dz.real, +dz_error
+    F, unit = bits + JET_GUARD_BITS, 2.0 ** -bits
+    bounds = [(math.exp(log_remainder) + u * unit) * r ** -j for j, u in enumerate(units)]
+    angle, slope, d = theta_point(t, F)
+    cos, sin = libmp.mpf_cos_sin(libmp.from_man_exp(angle, -F), bits + PHASE_GUARD_BITS)
+    fr, fi = libmp.to_fixed(cos, bits), libmp.to_fixed(sin, bits)
+    e_f = math.sqrt(2) * (1 + COS_SIN_ULPS * 2.0 ** -PHASE_GUARD_BITS) * unit
+    size = math.hypot(re[0], im[0]) * unit
+    factors = [(re[0], im[0], size, bounds[0])]
+    if J > 1:  # zeta~' = r^-1 times the order-1 coefficient, r = 1/4
+        wr, wi = round(1 / r) * re[1] - (slope * im[0] >> F), round(1 / r) * im[1] + (slope * re[0] >> F)
+        factors.append((wr, wi, math.hypot(wr, wi) * unit, bounds[1] + abs(slope) * 2.0 ** -F
+                        * bounds[0] + d * (size + bounds[0]) + math.sqrt(2) * unit))
+    return tuple(x for xr, xi, x_size, x_bound in factors for x in (
+        mp.make_mpf(libmp.from_man_exp(fr * xr - fi * xi >> bits, -bits)),
+        mp.mpf((x_bound + d * (x_size + x_bound) + e_f * x_size + unit) * (1 + 2.0 ** -40))))
 
 
 def _z_series(centre, half, jet: ThetaJet, J: int, N: int, K: int,
@@ -283,23 +256,18 @@ class ZeroList:
         return len(self.zeros)
 
 
-def _theta_slope(x: float) -> Tuple[float, float]:
-    """(theta'(x), bound) in floats for x >= 10, from theta's Stirling
-    series: 1/2 log(x/2pi) - 1/(48 x^2) - 7/(1920 x^4).  The omitted terms,
-    -31/(16128 x^6) - 127/(61440 x^8) - ..., have one sign and fall by
-    1.1/x^2 at the first step, so twice the first bounds them (it takes
-    1.01 of it at x = 10); 2^-50 (1 + |theta'|) bounds the floats' rounding,
-    a few ulps."""
-    slope = 0.5 * math.log(x / (2 * math.pi)) - 1 / (48 * x * x) - 7 / (1920 * x ** 4)
-    return slope, 62 / (16128 * x ** 6) + 2.0 ** -50 * (1 + abs(slope))
+def _theta_slope(x: float) -> float:
+    """The scan step's theta'(x) in floats for x >= 10, from theta's Stirling
+    series 1/2 log(x/2pi) - 1/(48 x^2) - 7/(1920 x^4): within 6.1e-11 from
+    x = 20 on."""
+    return 0.5 * math.log(x / (2 * math.pi)) - 1 / (48 * x * x) - 7 / (1920 * x ** 4)
 
 
 def _scan_step(t) -> mpf:
     """pi/(4 theta'(x)), x = max(t, 20), as the exact mpf of a float: theta'
     is small or negative below ~18, and rises from theta'(20) = 0.579.  The
-    step is a heuristic, so theta' is _theta_slope's float, within 6.1e-11
-    from x = 20 on."""
-    return mp.mpf(math.pi / (4 * _theta_slope(max(float(t), 20.0))[0]))
+    step is a heuristic, so theta' is _theta_slope's float."""
+    return mp.mpf(math.pi / (4 * _theta_slope(max(float(t), 20.0))))
 
 
 def expected_zero_count(t_lo, t_hi, prec: int = DEFAULT_PREC) -> mpf:
@@ -372,7 +340,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
     enclose.z_rs's value wherever it exceeds z_rs's bound; everywhere else
     z_eval's value.  Each read records (t, value, error), and it proves Z's
     sign when |value| > error: z_rs's always does, and a z_eval value does
-    when it is larger than its error estimate.  The scan's values seed the
+    when it is larger than its error bound.  The scan's values seed the
     refinement of each bracket [lo, hi].
 
     1. Illinois regula falsi (precision.refine_sign_change) on z_rs, for as
@@ -380,7 +348,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
        z_rs does not (proved_sign).  Below t = 200 that is its first, the
        secant root of the scan bracket.
     2. Newton's method from x, each step one read of Z and Z' at x
-       (_newton_read: v, v' with estimates e, e'), proved by Kantorovich's
+       (_point_read: v, v' with bounds e, e'), proved by Kantorovich's
        rule in one variable (Kantorovich 1948; Ortega & Rheinboldt,
        Iterative Solution of Nonlinear Equations, 1970, 12.6).  With
        t = x - v/v', delta = x - t and w = 2^-ZERO_HALF_WIDTH_BITS, Z has
@@ -460,7 +428,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
             (zlo, zhi) the bracket of its proved reads."""
             box = (zlo, zhi)
             for _ in range(NEWTON_READS):
-                read = _newton_read(x, prec)
+                read = _point_read(x, prec, 2)
                 reads[x] = read[:2]
                 if proved(x):
                     if (read[0] > 0) == (reads[zlo][0] > 0):
@@ -824,22 +792,12 @@ class _TaylorPatches:
 
     def _terms(self, log_budget: float, R: float, log_a: float) -> int:
         """The least J > kmax whose truncation takes a quarter of the
-        budget: doubled from kmax + 1 until one fits, then bisected.  The
-        truncation is infinite while its ratio rho >= 1 and then falls with
-        J, so the J that fit are all those from one on."""
-        kmax = self._orders[-1]
-        target = log_budget - 2 * math.log(2)
-
-        def fits(J: int) -> bool:
-            return all(self._log_truncation(k, J, R, log_a) <= target for k in self._orders)
-
-        low, high = kmax, kmax + 1  # low below every candidate
-        while not fits(high):
-            low, high = high, 2 * high
-        while high - low > 1:
-            mid = (low + high) // 2
-            low, high = (low, mid) if fits(mid) else (mid, high)
-        return high
+        budget (theta._fewest): the truncation is infinite while its ratio
+        rho >= 1 and then falls with J, so the J that fit are all those from
+        one on."""
+        target, kmax = log_budget - 2 * math.log(2), self._orders[-1]
+        return _fewest(lambda J: all(self._log_truncation(k, J, R, log_a) <= target
+                                    for k in self._orders), kmax, kmax + 1)
 
     def _log_error(self, R: Optional[float]) -> float:
         """log of series_error for the series as built."""

@@ -5,15 +5,14 @@ One precision policy.  A public function (or a CLI command) takes a
 everything it calls runs at the ambient mp.prec, and private helpers never
 set a precision of their own.  Extra bits come only from named module-level
 constants, each with its reason, added relative to the ambient precision
-(mp.extraprec) or to the caller's ``prec``.  Three helpers size bits of
-their own: hardy._TaylorPatches, which sizes its Taylor series' bits from
-its proved error bound on the caller's ``prec``; hardy._line_size, which
-sizes the fixed-point zeta of z_eval and of find_zeros' Newton read from
-the rounding bound of module zeta for a 2^-prec target; and
-theta.ThetaJet, whose fraction bits come from the budget its caller
-gives; all three bound the rounding they leave.  mpmath.iv runs at the
-ambient precision too, through interval_precision; sequences' tail bound
-is its one reader.  Objects that keep their own
+(mp.extraprec) or to the caller's ``prec``.  Four helpers size bits of
+their own: hardy._TaylorPatches, its Taylor series' from its proved error
+bound on the caller's ``prec``; hardy._line_size, the point reads' zeta
+from module zeta's rounding bound for a 2^-prec target; theta.ThetaJet,
+from the budget its caller gives; and theta.StirlingSum, past the bits
+asked for, those its terms need; all four bound the rounding they leave.
+mpmath.iv runs at the ambient precision too, through interval_precision;
+sequences' tail bound is its one reader.  Objects that keep their own
 ``prec`` (compiled kernels, probes, ExtremalParams) are entry points too,
 because callers use them outside any working precision.  A number is rounded
 once, where it is stored: value objects hold theirs as mpf from construction

@@ -4,15 +4,15 @@
 Q_k = c_k s(s+1)..(s+2k-2)/N^2k and c_k = B_2k/(2k)!, as a Taylor series
 about 1/2 + ic (_zeta_series, its rounding bounded by _zeta_series_bound
 and N and K from _em_size).  Its one reader is module hardy: the Taylor
-patches take the series, z_eval the order-0 coefficient at one point
-of the critical line, and find_zeros' Newton read orders 0 and 1 there.  It reads one Dirichlet table of n^-1/2-it
+patches take the series, and the point reads its orders 0 and 1 at one
+point of the critical line.  It reads one Dirichlet table of n^-1/2-it
 (_dirichlet_table) in Python ints: a prime costs a log and a cos_sin from
 mpmath's libmp, a composite one product.  The rounding bounds assume, at
 wp = bits + PHASE_GUARD_BITS and libmp's default rounding (towards zero),
 that mpf_log(p) is within LOG_ULPS ulps of log p and mpf_cos_sin(x), x the
-rounded t log p (or theta(c), for hardy._z_series), gives cos x and sin x
-within COS_SIN_ULPS units of 2^-wp; tests/test_zeta.py measures both
-against the same calls at 2 wp.
+rounded t log p (or theta(c), for hardy's series and point reads), gives
+cos x and sin x within COS_SIN_ULPS units of 2^-wp; tests/test_zeta.py
+measures both against the same calls at 2 wp.
 """
 
 from __future__ import annotations

@@ -383,9 +383,10 @@ def test_the_taylor_patches_place_no_samples():
 
 
 def test_loggamma_stays_off_the_contour_path():
-    # the Taylor patches read theta from hardyz.theta's jets; hardy.theta,
-    # for z_eval and the smooth zero count, is the one caller left
-    assert {use.split(":")[0] for use in _library_uses(SRC, "loggamma")} == {"hardy.theta"}
+    # every theta and theta' of the program is hardyz.theta's Stirling sum,
+    # the jets' and the point reads' alike
+    assert _library_uses(SRC, "loggamma") == []
+    assert _library_uses(SRC, "digamma") == []
 
 
 def test_siegelz_is_the_tests_oracle_only():

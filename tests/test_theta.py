@@ -1,17 +1,20 @@
-"""Tests for hardyz.theta: every value of a theta jet's polynomial lies
-within the jet's stated bound of mpmath's loggamma at twice the
-precision."""
+"""Tests for hardyz.theta: every value of a theta jet's polynomial, and
+theta and theta' at a point, lies within its stated bound of mpmath's
+loggamma or digamma at twice the precision, and the libmp calls of the
+Stirling sum are within the ulps it assumes."""
 
 import math
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
+from hardyz import hardy, theta
 from hardyz.hardy import CONTOUR_RADIUS, _TaylorPatches
 from hardyz.precision import working_precision
-from hardyz.theta import ThetaJet
+from hardyz.theta import STIRLING_ULPS, ThetaJet, theta_point
 
 from derivative_oracle import theta_complex
+from test_hardy import NEWTON_HEIGHTS
 
 # explore's lowest height, the benchmark's range, and up to three patches
 EXPLORE_HEIGHTS = ["30.5", "55", "60", "65", "100", "1000", "10000"]
@@ -21,12 +24,33 @@ POINTS = 32  # read at these points of each circle, and at its centre
 BUDGET_BITS = 30  # the jets' budget, 2^-(prec + 30), about a sample's
 
 
+def _explore_circles(T, prec: int):
+    """(centre, radius) of each of explore's patches about T at prec."""
+    with working_precision(prec):
+        T = mp.mpf(T)
+        lo, hi = T - 2 * mp.pi, T + 2 * mp.pi
+        count = _TaylorPatches._first_count(lo, hi)
+        width = (hi - lo) / count
+        return [(lo + (i + mp.mpf(0.5)) * width, float(width)) for i in range(count)]
+
+
+def _batch_circle(t, prec: int):
+    """(centre, radius) of z_derivatives_batch's circle about t at prec."""
+    with working_precision(prec):
+        t = mp.mpf(t)
+        return t, float(min(mp.mpf(CONTOUR_RADIUS), abs(t) / 2 + mp.mpf(0.25)))
+
+
+def _jet(centre, radius: float, prec: int) -> ThetaJet:
+    """The jet covering the circle, for a budget of 2^-(prec + BUDGET_BITS)."""
+    return ThetaJet(centre, radius * (1 + 2.0 ** -16), 2.0 ** -(prec + BUDGET_BITS))
+
+
 def _worst_read(centre, radius: float, prec: int) -> float:
     """The largest |jet - theta| over one circle and its centre as a
     fraction of the jet's bound, the jet's polynomial read by Horner's rule
     and the reference taken at 2 prec."""
-    cover = radius * (1 + 2.0 ** -16)
-    jet = ThetaJet(centre, cover, 2.0 ** -(prec + BUDGET_BITS))
+    jet = _jet(centre, radius, prec)
     assert jet.error <= 2.0 ** -(prec + BUDGET_BITS)
     worst = 0.0
     with mp.workprec(2 * prec):
@@ -44,22 +68,13 @@ def _worst_read(centre, radius: float, prec: int) -> float:
 @pytest.mark.parametrize("prec", [64, 128])
 @pytest.mark.parametrize("T", EXPLORE_HEIGHTS)
 def test_jet_reads_on_explore_circles_are_within_the_bound(T, prec):
-    with working_precision(prec):
-        T = mp.mpf(T)
-        lo, hi = T - 2 * mp.pi, T + 2 * mp.pi
-        count = _TaylorPatches._first_count(lo, hi)
-        width = (hi - lo) / count
-        centres = [lo + (i + mp.mpf(0.5)) * width for i in range(count)]
-    for c in centres:
-        assert _worst_read(c, float(width), prec) <= 1, (T, c)
+    for c, radius in _explore_circles(T, prec):
+        assert _worst_read(c, radius, prec) <= 1, (T, c)
 
 
 @pytest.mark.parametrize("t", BATCH_HEIGHTS)
 def test_jet_reads_on_batch_circles_are_within_the_bound(t):
-    with working_precision(128):
-        t = mp.mpf(t)
-        radius = min(mp.mpf(CONTOUR_RADIUS), abs(t) / 2 + mp.mpf(0.25))
-    assert _worst_read(t, float(radius), 128) <= 1
+    assert _worst_read(*_batch_circle(t, 128), 128) <= 1
 
 
 def test_a_jet_refuses_a_disc_through_a_singularity():
@@ -74,3 +89,72 @@ def test_the_shift_rule_runs_where_stirling_alone_falls_short():
     low = ThetaJet(mp.mpf("30.5"), 4 * math.pi, 2.0 ** -110)
     high = ThetaJet(mp.mpf(10000), 4 * math.pi / 3, 2.0 ** -110)
     assert low.shifts > 0 and high.shifts == 0
+
+
+POINT_HEIGHTS = ["0", "0.5", "14.1", "20.5", "30.5", "100.3", "500.3", "10000.3", "100000.3",
+                 "1000000.3"]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_theta_point_is_within_its_bound(prec):
+    # theta from loggamma as derivative_oracle.theta_complex takes it, and
+    # theta' = Re psi(1/4 + it/2)/2 - log(pi)/2 from digamma, at 2 prec
+    for t in POINT_HEIGHTS:
+        with working_precision(prec):
+            tm = mp.mpf(t)
+        value, slope, bound = theta_point(tm, prec)
+        assert bound < 2.0 ** -prec, t
+        with mp.workprec(2 * prec):
+            exact = theta_complex(tm).real
+            exact_slope = mp.digamma(mp.mpf(0.25) + 0.5j * tm).real / 2 - mp.log(mp.pi) / 2
+            assert abs(mp.ldexp(value, -prec) - exact) <= bound, t
+            assert abs(mp.ldexp(slope, -prec) - exact_slope) <= bound, t
+
+
+class _Recorder:
+    """libmp for module theta, recording each mpf_log and mpf_atan2 call
+    as (name, arguments, wp)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(libmp, name)
+
+    def mpf_log(self, x, wp):
+        self.calls.append(("mpf_log", (x,), wp))
+        return libmp.mpf_log(x, wp)
+
+    def mpf_atan2(self, y, x, wp):
+        self.calls.append(("mpf_atan2", (y, x), wp))
+        return libmp.mpf_atan2(y, x, wp)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_stirling_libmp_calls_are_within_the_assumed_ulps(monkeypatch, prec):
+    # the calls of the jets test_jet_reads_on_explore_circles_are_within_
+    # the_bound and its batch sibling build, here at prec, and of the Newton
+    # reads at NEWTON_HEIGHTS, each against the same call at 2 wp: log
+    # |a|^2, atan2 of a and of the shifts' product, and pi and log pi at
+    # every wp seen, in ulps at wp
+    recorder = _Recorder()
+    monkeypatch.setattr(theta, "libmp", recorder)
+    circles = [c for T in EXPLORE_HEIGHTS for c in _explore_circles(T, prec)]
+    for centre, radius in circles + [_batch_circle(t, prec) for t in BATCH_HEIGHTS]:
+        _jet(centre, radius, prec)
+    with working_precision(prec):
+        for t in NEWTON_HEIGHTS:
+            hardy._point_read(mp.mpf(t), prec, 2)
+    monkeypatch.undo()
+    calls = recorder.calls + [(name, (), wp) for wp in {wp for _, _, wp in recorder.calls}
+                              for name in ("mpf_pi", "log_pi")]
+    assert {name for name, _, _ in calls} == {"mpf_log", "mpf_atan2", "mpf_pi", "log_pi"}
+    worst = 0.0
+    with mp.workprec(64):
+        for name, args, wp in calls:
+            call = (lambda p: libmp.mpf_log(libmp.mpf_pi(p), p)) if name == "log_pi" else (
+                lambda p: getattr(libmp, name)(*args, p))
+            got, ref = call(wp), call(2 * wp)
+            gap = abs(mp.make_mpf(got) - mp.make_mpf(ref))
+            worst = max(worst, float(mp.ldexp(gap, wp - got[2] - got[3])) if got[1] else float(gap))
+    assert worst <= STIRLING_ULPS, worst

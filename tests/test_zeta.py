@@ -1,6 +1,7 @@
 """Unit tests for the Euler-Maclaurin zeta, its Dirichlet table and the
 libmp error assumptions its rounding bound rests on."""
 
+import math
 import random
 
 import pytest
@@ -50,12 +51,16 @@ def _zeta_heights():
 
 @pytest.mark.parametrize("prec", [64, 128, 192])
 def test_zeta_em_encloses_the_library_zeta(prec):
-    # z_eval's zeta: the order-0 coefficient of zeta._zeta_series at t
+    # a point read's zeta: the order-0 coefficient of zeta._zeta_series at
+    # t, sized by hardy._line_size, and its remainder and rounding
     for t in _zeta_heights():
         with working_precision(prec):
             tm = mp.mpf(t)
-            (value,), (bound,) = hardy._zeta_on_line(tm, prec, 1)
+            N, K, bits, log_remainder, (units,), _ = hardy._line_size(tm, prec, 1)
+            (re,), (im,) = zeta._zeta_series(tm, mp.mpf(0), 1, N, K, bits)
+        bound = math.exp(log_remainder) + units * 2.0 ** -bits
         with mp.workprec(2 * prec + 30):
+            value = mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
             exact = mp.zeta(mp.mpc(0.5, tm))
             assert abs(value - exact) <= bound, t
             # and the bound is near the precision asked for

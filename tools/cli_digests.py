@@ -56,6 +56,9 @@ COMMANDS = [
     "--precision-bits 64 explore 10000 0.3 2",
     # explore's lowest height: the theta jet shifts its Stirling sum 15 times
     "--precision-bits 64 explore 30.5 0.3 2",
+    # the same at 192 bits: the jets' integer Stirling constants, with
+    # shifts, at the widest budget
+    "--precision-bits 192 explore 30.5 0.3 2",
     # T = gamma_5, where Z(T) is rejected: exit 1 and no stdout
     "--precision-bits 64 explore 32.935061587739189690662368964074903488812715603517039 0.3 2",
 ] + [
