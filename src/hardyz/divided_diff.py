@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -27,17 +27,17 @@ class FunctionProbe:
     """f together with its derivatives of every order.
 
     ``deriv(x, k)`` must return f^(k)(x) for every k >= 0; the built-in
-    probes compute it analytically.  ``majorant(k, height)``, where given,
-    is the log of a bound on |f^(k)(z)| for every complex z with
-    |Im z| <= height, computed in floats.  Its two readers, identity's
-    integral term and divided_difference_simplex, choose their
-    Gauss-Legendre rule's node count and bound its error from it, and
-    refuse a probe without one unless it is a polynomial (degree is not
-    None).
+    probes compute it analytically.  ``majorant(k, height)``, set by
+    probes.ExpQuadraticProbe and None otherwise, is the log of a bound on
+    |f^(k)(z)| for every complex z with |Im z| <= height, computed in
+    floats.  Its two readers, identity's integral term and
+    divided_difference_simplex, choose their Gauss-Legendre rule's node
+    count and bound its error from it, and refuse a probe without one
+    unless it is a polynomial (degree is not None).
     """
 
     deriv: Callable[[object, int], object]
-    majorant: Optional[Callable[[int, float], float]] = None
+    majorant: Optional[Callable[[int, float], float]] = field(default=None, init=False)
 
     @property
     def degree(self) -> Optional[int]:

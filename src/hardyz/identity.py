@@ -7,13 +7,20 @@ nodes are zeros of f.
 
 The integral term runs against kernel.compile_psi, the Taylor form of the
 boundary values' Bernoulli sum, one polynomial per panel between the knots
--a, x_k, a.  For a polynomial probe the integrand is a polynomial on every
-panel, so the integral is taken in closed form and carries no quadrature
-error; when deg f < 2m it is zero and the kernel is never built.  Other probes give a majorant of |f^(2m)| off
-the real line, and each panel gets one Gauss-Legendre rule, of the fewest
-nodes whose proved error bound (Bernstein ellipses, see _panel_rule) is at
-most mp.eps; quadrature_error_estimate is the sum of those bounds and a
-rounding allowance.  reconstruct_f0 takes its boundary values from
+-a, x_k, a, about the panel's exact midpoint.  For a polynomial probe the
+integrand is a polynomial on every panel, so the integral is taken in
+closed form and carries no quadrature error; when deg f < 2m it is zero and
+the kernel is never built.  An exp-quadratic probe (probes.ExpQuadraticProbe:
+the cosine and the gaussian cosine) gives a majorant of |f^(2m)| off the
+real line, and each panel gets one Gauss-Legendre rule over the panel
+itself, of the fewest nodes whose proved error bound (Bernstein ellipses,
+see _panel_rule) is at most mp.eps.  The rule's values come from one pass
+in Python ints per panel (_panel_pass): f^(2m) at each symmetric node pair
+from the probe's derivative_pairs and the kernel polynomial from
+polynomials.pair_values, each with a proved error; _integrate sums their
+exact products.  quadrature_error_estimate is the sum of the truncation
+bounds and of a rounding bound read from the sizes the pass computes at the
+nodes.  reconstruct_f0 takes its boundary values from
 kernel.psi_star_boundary, which extends them to weakly ordered
 configurations, and its interior kernel from compile_psi over the weights
 kernel.coefficients keeps: those need distinct nodes, so on a weakly ordered
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_neg, mpf_shift, mpf_sub, to_fixed
 
 from .divided_diff import FunctionProbe
 from .enclose import log_add
@@ -35,13 +43,10 @@ from .enclose import log_add
 # identity.coefficients and identity.psi
 from .kernel import (NodeConfig, coefficients, compile_psi,  # noqa: F401
                      psi, psi_orders, psi_star_boundary)
-from .polynomials import horner
+from .polynomials import pair_values, parity_split
 from .precision import DEFAULT_PREC, working_precision
+from .probes import PASS_GUARD_BITS, ExpQuadraticProbe
 from .quadrature import BOUND_SLACK, ELLIPSES, NODE_BITS, least_count, nodes
-
-# assumed: a probe's f^(k) at a real point is within PROBE_ULPS units of 2^-P
-# of its majorant (see _panel_rule)
-PROBE_ULPS = 256
 
 
 class WeightContractError(ValueError):
@@ -66,8 +71,10 @@ class IdentityReport:
 def _integrate(f: Callable, points: Sequence[Tuple[mpf, mpf]], prec: int) -> mpf:
     """sum w f(x) over the (x, w) pairs of a Gauss-Legendre rule, each
     product exact and the sum rounded once (mp.fdot) at the ambient
-    precision: the one place the integral term's quadrature sum runs.  prec
-    is unused; perfbench's tracer passes it positionally."""
+    precision: the one place the integral term's quadrature sum runs.  The
+    integral term calls it once per panel, with the exact points r t_i and
+    weights r w_i and f the lookup of _panel_pass's exact values.  prec is
+    unused; perfbench's tracer passes it positionally."""
     return mp.fdot((w, f(x)) for x, w in points)
 
 
@@ -78,12 +85,13 @@ def _log_abs(x: mpf) -> float:
     return math.log(man) + exp * math.log(2) if man else -math.inf
 
 
-def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
-                k: int) -> Tuple[int, float]:
-    """(N, log bound) of the N-point Gauss-Legendre rule for the integral
-    of g(x) = f^(k)(x) q(x - c) over the panel [c - r, c + r], computed in
-    floats before any integrand call.  q holds the panel's kernel
-    coefficients, c is |centre| and majorant is the probe's.  N is
+def _panel_rule(q: Sequence[mpf], r: float, majorant: Callable,
+                k: int) -> Tuple[int, float, float]:
+    """(N, log truncation bound, log rounding bound of item 3) of the
+    N-point Gauss-Legendre rule for the integral of g(x) = f^(k)(x) q(x - c)
+    over the panel [c - r, c + r], computed in floats before the panel's
+    integer pass.  q holds the panel's kernel coefficients about its centre
+    c, r is at least the half-width and majorant is the probe's.  N is
     quadrature.least_count's.
 
     Truncation.  On the Bernstein ellipse E_rho about the panel (foci
@@ -93,43 +101,43 @@ def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
     bounds the error by T = r (64/15) M(rho) rho^(-2N)/(1 - rho^-2), the
     least over the ellipses.
 
-    Rounding, with P = mp.prec and u = 2^-P, for any rho of the grid, to
-    first order in u (the constants below are rounded up to cover the
-    rest).  The sum runs over h_i = r t_i and weights r w_i, and evaluates
-    f at x_i = c + h_i and q at h_i.
-    1. The domain.  The kernel's centre is within u |c| of the panel's
-       midpoint, and r = (hi - lo)/2 rounds once, so each end of the rule's
-       interval is within u (|c| + r) of the panel's: 2 u (|c| + r) M.
-    2. The nodes and weights, as quadrature.nodes checks them: each node
-       within 2^-NODE_BITS u of a root of P_N, each weight within
-       2^-(NODE_BITS-2) u of the root's.  The weights move the sum by
-       r N 2^-(NODE_BITS-2) u M (r N u M/64); the nodes enter at 3.
-    3. The points.  With the nodes' error, h_i is within r (1 + 2^-8) u of
-       r t_i and x_i within (|c| + (2 + 2^-8) r) u of c + r t_i.  The disc
-       of radius r (A - 1) about a point of the panel lies in E_rho (on it
-       |x - c - r| + |x - c + r| <= 2 r A), so Cauchy's estimate bounds
-       each factor's derivative by its bound on E_rho over r (A - 1): the
-       points move the sum by at most 2 r M u (|c|/r + 4)/(A - 1).
-    4. The values.  Horner's pass over the 2m + 1 = k + 1 coefficients of
-       q, with |h| <= r, is within (2k + 1) u sum_j |q_j| r^j; f^(k) is
-       within PROBE_ULPS u of its majorant, as assumed; the product rounds
-       once: 2 r M u (2k + 2 + PROBE_ULPS).
-    5. The sums.  Each r w_i rounds once, mp.fdot forms the products
-       exactly and rounds the sum once (mpf_sum drops only terms below
-       2^-2P of its running sum), and the sum over the panels rounds once:
-       6 r M u.
-    The allowance is the least over the grid of
-    r M u (N 2^-(NODE_BITS-2) + 2 (|c|/r + 4)/(A - 1) + 2 |c|/r + 4 k
-    + 2 PROBE_ULPS + 12).
+    Rounding, with P = mp.prec and u = 2^-P, to first order in u: the
+    rest is below 2^-P of it, far inside BOUND_SLACK.  The sum runs over
+    the exact products x_i = r t_i and weights r w_i of the rule's nodes
+    and weights, and _panel_pass reads g at c + h_i, h_i = rho y_i 2^-F
+    with y_i = floor(x_i 2^F/rho), F = P + PASS_GUARD_BITS and
+    rho = 2^e > r.  On the real line |g'| <= L = e^majorant(k + 1, 0) S
+    + e^majorant(k, 0) S', S = sum_j |q_j| r^j and
+    S' = sum_j j |q_j| r^(j-1).
+    1. The domain.  The kernel's centre is the panel's exact midpoint
+       (kernel.compile_psi) and r = (hi - lo)/2 is exact, so the rule's
+       interval is the panel: nothing.
+    2. The weights, as quadrature.nodes checks them: each within
+       2^-(NODE_BITS-2) u of the root's, r N 2^-(NODE_BITS-2) u g_max, g_max
+       the largest |value| the pass gives; the nodes enter at 3.
+    3. The points.  Each node is within 2^-NODE_BITS u of its root and
+       y_i's floor moves h_i by at most rho 2^-F <= 2 r 2^-F, so h_i is
+       within r 2^-NODE_BITS u + 2 r 2^-F of r times the root, and f and q
+       are read at the same h_i: 2 r L (r 2^-NODE_BITS u + 2 r 2^-F).
+    4. The values.  The pass gives f^(k) within e_f units of 2^(s_f-F)
+       (ExpQuadraticProbe.derivative_pairs) and q within e_q = 2k + 1 units
+       of 2^(s_q-F): its k + 1 coefficients in y, q_j rho^j 2^-s_q, are
+       floored once each at F bits, and pair_values adds k units.  The
+       product is exact: 2 r (f_max e_q + q_max e_f + e_f e_q), f_max and
+       q_max the largest |values| of the pass, in units of 2^(s_f-F) and
+       2^(s_q-F).
+    5. The sums.  mp.fdot forms the exact products and rounds the sum once
+       (mpf_sum drops only terms below 2^-2P of its running sum), and the
+       sum over the panels rounds once: 4 r u g_max.
+    Item 3 is returned here, 2, 4 and 5 by _panel_pass.
 
-    The bound is T plus the allowance, as a float log plus BOUND_SLACK.
-    While its logs stay below 2^20 in size (2 N log rho < 2^20 for
-    N <= 4 P, quadrature.least_count's cap, below 18000 bits), each float
-    operation moves them by less than 2^-32, and the c and the majorant's
-    b and width that enter as floats are within 2^-52 relative (r is
-    rounded up): all of it stays far below the slack.  The nodes' and weights' errors of 2
-    are checked when the rule is built, and the assumed error of 4 by the
-    tests.
+    Each log gets BOUND_SLACK.  While its logs stay below 2^20 in size
+    (2 N log rho < 2^20 for N <= 4 P, quadrature.least_count's cap, below
+    18000 bits), each float operation moves them by less than 2^-32, and
+    the majorant's b and width that enter as floats are within 2^-52
+    relative (r is rounded up): all of it stays far below the slack.
+    The nodes' and weights' errors of 2 and 3 are checked when the rule is
+    built, and the libmp ulps the values of 4 assume by the tests.
     """
     log_q = [_log_abs(v) for v in q]
 
@@ -140,11 +148,67 @@ def _panel_rule(q: Sequence[mpf], r: float, c: float, majorant: Callable,
 
     log_ms = [log_bound_on(A, B) for _, A, B in ELLIPSES]
     N, log_trunc = least_count(r, log_ms)
-    terms = N * 2.0 ** (2 - NODE_BITS) + 2 * c / r + 4 * k + 2 * PROBE_ULPS + 12
-    log_round = min(log_m + math.log(r * (terms + 2 * (c / r + 4) / (A - 1)))
-                    for log_m, (_, A, _) in zip(log_ms, ELLIPSES)) \
-        - mp.prec * math.log(2)
-    return N, log_add(log_trunc, log_round) + BOUND_SLACK
+    P, log_r = mp.prec, math.log(r)
+    log_s = log_add(*(lq + j * log_r for j, lq in enumerate(log_q)))
+    log_ds = log_add(*(lq + math.log(j) + (j - 1) * log_r
+                       for j, lq in enumerate(log_q) if j))
+    log_lip = log_add(majorant(k + 1, 0.0) + log_s, majorant(k, 0.0) + log_ds)
+    shift = math.ldexp(r, -P - NODE_BITS) + math.ldexp(2 * r, -P - PASS_GUARD_BITS)
+    return N, log_trunc + BOUND_SLACK, math.log(2 * r * shift) + log_lip + BOUND_SLACK
+
+
+def _log_int(n: int) -> float:
+    """log |n| in floats for an integer of any size; -inf at 0."""
+    return math.log(abs(n)) if n else -math.inf
+
+
+def _panel_pass(probe: ExpQuadraticProbe, q: Sequence[mpf], c: mpf, r: mpf,
+                N: int, k: int) -> Tuple[list, dict, float]:
+    """(points, values, log rounding bound of items 2, 4 and 5) of the
+    panel [c - r, c + r]'s N-point rule (see _panel_rule): the rule's exact
+    (r t_i, r w_i) pairs; each x of them mapped to the exact mpf value of
+    f^(k)(c + h) q(h) that the integer pass gives at it; and the log of the
+    bound that its sizes give.
+
+    The pass runs in Python ints with F = mp.prec + PASS_GUARD_BITS
+    fraction bits, in y = h/rho, rho = 2^e > r: the rule's nodes are
+    symmetric, so each pair +-x_i, x_i = r t_i >= 0, is one y_i.
+    probe.derivative_pairs gives f^(k) at c +- rho y_i from one cos_sin (and
+    for the gaussian cosine two exps) per pair, and pair_values gives
+    q(+-rho y_i) from one Horner pass over the even and one over the odd
+    coefficients of q in y, in units of 2^(s_q-F) with
+    2^s_q > |q_j| rho^j for every j.
+    """
+    P = mp.prec
+    F = P + PASS_GUARD_BITS
+    rv = r._mpf_
+    e = rv[2] + rv[3]
+    points = [(mp.make_mpf(mpf_mul(rv, t._mpf_)), mp.make_mpf(mpf_mul(rv, w._mpf_)))
+              for t, w in nodes(N)]
+    half = [x for x, _ in points[N // 2:]]  # x >= 0
+    ys = [to_fixed(x._mpf_, F - e) for x in half]
+    s_f, plus, minus, e_f = probe.derivative_pairs(c, k, e, ys, F)
+    s_q = max((v[2] + v[3] + j * e for j, v in enumerate(x._mpf_ for x in q) if v[1]),
+              default=0)
+    even, odd = parity_split([to_fixed(v._mpf_, F - s_q + j * e) for j, v in enumerate(q)])
+    values, f_max, q_max, g_max = {}, 0, 0, 0
+    for x, y, fp, fm in zip(half, ys, plus, minus):
+        qp, qm = pair_values(even, odd, y, F)
+        gp, gm = fp * qp, fm * qm
+        values[x] = mp.make_mpf(from_man_exp(gp, s_f + s_q - 2 * F))
+        values[mp.make_mpf(mpf_neg(x._mpf_))] = mp.make_mpf(from_man_exp(gm, s_f + s_q - 2 * F))
+        f_max = max(f_max, abs(fp), abs(fm))
+        q_max = max(q_max, abs(qp), abs(qm))
+        g_max = max(g_max, abs(gp), abs(gm))
+    e_q = 2 * k + 1
+    rf = float(r)
+    log_values = math.log(2 * rf) + log_add(_log_int(f_max) + math.log(e_q),
+                                            _log_int(q_max) + math.log(e_f),
+                                            math.log(e_f * e_q))
+    log_sums = _log_int(g_max) + math.log(rf * (N * 2.0 ** (2 - NODE_BITS) + 4)) \
+        - P * math.log(2)
+    log_round = log_add(log_values, log_sums) + (s_f + s_q - 2 * F) * math.log(2)
+    return points, values, log_round + BOUND_SLACK
 
 
 def _integral_term(probe: FunctionProbe, m: int, config: NodeConfig,
@@ -154,34 +218,39 @@ def _integral_term(probe: FunctionProbe, m: int, config: NodeConfig,
     Psi_{2m-1} is compile_psi(config, m, weights), weights None meaning the
     mu of kernel.coefficients, which refuses a weakly ordered configuration
     (DuplicateNodeError); it is not built when f^(2m) vanishes.  A
-    polynomial probe's integral is closed-form; any other probe is
+    polynomial probe's integral is closed-form; an exp-quadratic probe is
     integrated panel by panel, each panel by the one Gauss-Legendre rule
-    _panel_rule chooses, and the bound is the sum of the panels' bounds.
-    The integrand reads each panel's kernel coefficients directly.
+    _panel_rule chooses, summed by _integrate over the values of one
+    integer pass (_panel_pass), and the bound is the sum of the panels'
+    truncation and rounding bounds.
     """
     if probe.degree is not None and probe.degree < 2 * m:
         return mp.mpf(0), mp.mpf(0)
     kern = compile_psi(config, m, weights, prec=prec)
     if probe.degree is not None:
         return kern.integrate_polynomial(probe.derivative_coeffs(2 * m)), mp.mpf(0)
-    if probe.majorant is None:
+    if not isinstance(probe, ExpQuadraticProbe):  # the one kind with a majorant
         raise ValueError("the probe has no majorant of |f^(2m)| off the real line: "
                          "the Gauss-Legendre rule chooses its node count and bounds "
                          "its error from one")
-    k = 2 * m
-    values, bounds = [], []
-    for lo, hi, c, q in zip(kern.knots, kern.knots[1:], kern.centers, kern.coeffs):
-        r = (hi - lo) / 2
-        r_up = float(r) * (1 + 2.0 ** -52)
-        N, log_bound = _panel_rule(q, r_up, abs(float(c)), probe.majorant, k)
-        points = [(r * t, r * w) for t, w in nodes(N)]
+    panels = [_panel(probe, lo, hi, c, q, 2 * m, prec) for lo, hi, c, q
+              in zip(kern.knots, kern.knots[1:], kern.centers, kern.coeffs)]
+    return (mp.fsum(value for value, _, _ in panels),
+            mp.fsum(mp.exp(log_add(*logs)) for _, *logs in panels))
 
-        def integrand(h):
-            return mp.mpf(probe.deriv(c + h, k)) * horner(q, h)
 
-        values.append(_integrate(integrand, points, prec))
-        bounds.append(mp.exp(log_bound))
-    return mp.fsum(values), mp.fsum(bounds)
+def _panel(probe: ExpQuadraticProbe, lo: mpf, hi: mpf, c: mpf, q: Sequence[mpf],
+           k: int, prec: int) -> Tuple[mpf, float, float]:
+    """(sum, log truncation bound, log rounding bound) of the panel
+    [lo, hi] with kernel centre c and coefficients q: the rule _panel_rule
+    chooses, summed by _integrate over _panel_pass's values, with r the
+    exact half-width."""
+    r = mp.make_mpf(mpf_shift(mpf_sub(hi._mpf_, lo._mpf_), -1))
+    N, log_trunc, log_points = _panel_rule(q, float(r) * (1 + 2.0 ** -52),
+                                           probe.majorant, k)
+    points, values, log_values = _panel_pass(probe, q, c, r, N, k)
+    return (_integrate(values.__getitem__, points, prec), log_trunc,
+            log_add(log_points, log_values))
 
 
 def _boundary_terms(probe: FunctionProbe, a: mpf,

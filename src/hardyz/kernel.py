@@ -32,7 +32,8 @@ from math import factorial, lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, from_int, from_man_exp, mpf_div, to_fixed
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_shift,
+                          to_fixed)
 
 from .divided_diff import NodeMultiset, divided_difference_data, node_product
 # bernoulli_poly is unused here, but perfbench's tracer patches
@@ -282,7 +283,8 @@ def kernel_knots(config: NodeConfig, prec: int = DEFAULT_PREC) -> List[mpf]:
 @dataclass
 class CompiledPsi:
     """The order-(2l-1) kernel on [-a, a], one polynomial per panel: on
-    [knots[i], knots[i+1]] it is sum_j coeffs[i][j] (x - centers[i])^j."""
+    [knots[i], knots[i+1]] it is sum_j coeffs[i][j] (x - centers[i])^j,
+    centers[i] the knots' exact midpoint."""
 
     knots: List[mpf]
     centers: List[mpf]
@@ -331,7 +333,9 @@ def compile_psi(config: NodeConfig, l: int, weights: Optional[Sequence] = None,
     the Taylor form of psi_orders' sum.  weights as in psi_orders, by
     default the mu of coefficients().
 
-    On a panel with centre c, u_k = z + h/4a, h = x - c, never leaves (0, 1)
+    On a panel with centre c, the exact midpoint of its knots (unrounded,
+    so that identity's rule integrates over the panel itself),
+    u_k = z + h/4a, h = x - c, never leaves (0, 1)
     and v_k wraps only at x_k, so B_2l^(j)/j! = binom(2l, j) B_{2l-j} makes
     the coefficient of h^j q_j = s_j sum_k mu_k (B_{2l-j}(u_k) + B_{2l-j}(v_k))
     at c, s_j = (4a)^(2l-1-j)/(j! (2l-j)!): _bernoulli_sums' sums times s_j,
@@ -354,7 +358,7 @@ def compile_psi(config: NodeConfig, l: int, weights: Optional[Sequence] = None,
                       / (factorial(j) * factorial(two_l - j)) for j in range(two_l + 1)]
         centers, coeffs = [], []
         for lo, hi in zip(knots, knots[1:]):
-            c = (lo + hi) / 2
+            c = mp.make_mpf(mpf_shift(mpf_add(lo._mpf_, hi._mpf_), -1))  # exact
             sums = _bernoulli_sums(config, c, mu, range(two_l, -1, -1))
             centers.append(c)
             coeffs.append([s_j * total for s_j, total in zip(scales, sums)])

@@ -117,7 +117,8 @@ def _rounded(exact, n: int, prec: int) -> Tuple[mpf, ...]:
 def horner(coeffs, x):
     """sum_k coeffs[k] x^k, the package's one Horner pass over exact or mpf
     values (hardy._TaylorPatches reads its fixed-point series with its own
-    integer loop, which shifts after every product).  Starting at the
+    integer loop, which shifts after every product, and pair_values is the
+    fixed-point pass at a symmetric pair +-y).  Starting at the
     integer 0 keeps Fractions exact and rounds an mpf leading coefficient as
     an mp.mpf(0) start does; an mpc one keeps its imaginary bits in that
     step, so mpc coefficients should be at the ambient precision.
@@ -137,6 +138,30 @@ def horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def parity_split(coeffs: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(even, odd): the coefficients of the even and of the odd powers,
+    highest power first, as pair_values reads them."""
+    return list(coeffs[::2])[::-1], list(coeffs[1::2])[::-1]
+
+
+def pair_values(even: Sequence[int], odd: Sequence[int], y: int, F: int) -> Tuple[int, int]:
+    """(p(y), p(-y)) in F-bit fixed point, p = sum_j c_j x^j with
+    (even, odd) = parity_split of the c_j in F-bit fixed point and
+    0 <= y <= 2^F: one Horner pass over each part in u = y^2, exact with 2F
+    fraction bits, each step floored once, and the odd part's product by y
+    floored once.  |u| <= 1 does not grow the error a step inherits, so
+    each value is within len(even) + len(odd) - 1 units of 2^-F of p at
+    the given c_j (the first step of each pass is exact)."""
+    u, bits = y * y, 2 * F
+    e = o = 0
+    for c in even:
+        e = (e * u >> bits) + c
+    for c in odd:
+        o = (o * u >> bits) + c
+    o = o * y >> F
+    return e + o, e - o
 
 
 def bernoulli_poly(n: int, x, prec: int = DEFAULT_PREC) -> mpf:

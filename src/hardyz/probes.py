@@ -1,26 +1,46 @@
 """Built-in smooth test functions with exact derivatives of any order.
 
 Each factory returns a FunctionProbe whose deriv(x, k) is computed
-analytically (coefficient manipulation), never by finite differences.  The
-cosine and gaussian-cosine probes also give a majorant of |f^(k)| off the
-real line, which the Gauss-Legendre rules of identity's integral term and
-of divided_difference_simplex read; a polynomial probe needs none, because
+analytically (coefficient manipulation), never by finite differences.  A
+polynomial probe differentiates its coefficients.  The cosine and the
+gaussian cosine are one ExpQuadraticProbe, f = Re e^q with q quadratic,
+whose f^(k) has one route: derivative_pairs, in Python ints, which
+identity's integral term reads at the symmetric node pairs of a panel and
+deriv at one point.  Both also give a majorant of |f^(k)| off the real
+line, which the Gauss-Legendre rules of identity's integral term and of
+divided_difference_simplex read; a polynomial probe needs none, because
 its integral term is taken in closed form and its simplex rule is exact.
+
+derivative_pairs' bound assumes, at wp bits and libmp's default rounding
+(towards zero), that mpf_exp is within EXP_ULPS ulps of e^x and that
+mpf_cos_sin gives cos x and sin x within zeta.COS_SIN_ULPS units of 2^-wp;
+tests/test_identity.py measures both at the evaluator's arguments against
+the same calls at 2 wp.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
-from typing import Sequence
+from math import comb
+from typing import Callable, List, Sequence, Tuple
 
 from mpmath import mp
-from mpmath.libmp import mpf_mul, mpf_sub
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_cos_sin, mpf_exp, mpf_mul,
+                          mpf_shift, mpf_sub, to_fixed, to_float)
 
 from .divided_diff import FunctionProbe
-from .polynomials import horner
+from .polynomials import horner, pair_values, parity_split
 from .precision import DEFAULT_PREC, working_precision
+from .zeta import COS_SIN_ULPS
+
+# derivative_pairs' values carry mp.prec + 16 fraction bits, in units of a
+# power of two at the majorant's size, in deriv and in identity's panel pass
+PASS_GUARD_BITS = 16
+EXP_ULPS = 2  # assumed error of libmp.mpf_exp, in ulps (module docstring)
+# the error of e^(q(c)) in units of 2^-W: the exp's 2 EXP_ULPS (relative,
+# e^(alpha c^2) <= 1), cos and sin's COS_SIN_ULPS each and the two floors
+_KAPPA = 2 * EXP_ULPS + math.sqrt(2) * (COS_SIN_ULPS + 1)
 
 
 class PolynomialProbe(FunctionProbe):
@@ -71,9 +91,185 @@ def monomial_probe(k: int, prec: int = DEFAULT_PREC) -> PolynomialProbe:
     return PolynomialProbe([0] * k + [1], prec=prec)
 
 
-def cosine_probe(b, prec: int = DEFAULT_PREC) -> FunctionProbe:
+def _shift(x: int, n: int) -> int:
+    """floor(x 2^-n) for an integer n of either sign."""
+    return x >> n if n >= 0 else x << -n
+
+
+def _exact_ints(*values: tuple) -> Tuple[List[int], int]:
+    """(ints, E): raw mpf values as exact signed integers times 2^E, E <= 0."""
+    E = min([v[2] for v in values if v[1]] + [0])
+    return [(-1) ** v[0] * (v[1] << (v[2] - E)) if v[1] else 0 for v in values], E
+
+
+class ExpQuadraticProbe(FunctionProbe):
+    """f(x) = Re e^(q(x)), q(x) = alpha x^2 + i b x with alpha <= 0, alpha
+    and b held as mpf from construction: the cosine (alpha = 0) and the
+    gaussian cosine.  f^(k) = Re P_k e^q with P_(k+1) = P_k' + q' P_k.
+
+    About a centre c, with beta = q'(c) = 2 alpha c + i b, the shift of P_k
+    is P_k(c + h) = sum_i binom(k, i) (2 alpha h)^i D_(k-i), D_n = P_n(c)
+    (P_n' = 2 alpha n P_(n-1)), from D_n = beta D_(n-1)
+    + 2 (n - 1) alpha D_(n-2), and e^(q(c + h)) = e^(q(c))
+    e^(alpha (h^2 + 2 c h)) e^(i b h).  derivative_pairs reads f^(k) at
+    c + h and c - h from one cos_sin of b h and, for alpha < 0, two real
+    exps; deriv(x, k) is its read at c = x, h = 0, rounded at the probe's
+    working precision.  majorant(k, height) is the factory's.
+    """
+
+    def __init__(self, alpha, b, majorant: Callable[[int, float], float],
+                 prec: int = DEFAULT_PREC):
+        super().__init__(deriv=self._deriv)
+        self.alpha, self.b, self.majorant, self.prec = alpha, b, majorant, prec
+
+    def _deriv(self, x, k: int):
+        with working_precision(self.prec):
+            F = mp.prec + PASS_GUARD_BITS
+            s, (value,), _, _ = self.derivative_pairs(mp.mpf(x), k, 0, [0], F)
+            return mp.make_mpf(from_man_exp(value, s - F, *mp._prec_rounding))
+
+    def derivative_pairs(self, c, k: int, e: int, ys: Sequence[int],
+                         F: int) -> Tuple[int, List[int], List[int], float]:
+        """(s, plus, minus, units): f^(k)(c + h) and f^(k)(c - h) at
+        h = 2^e y 2^-F for each y of ys (integers, 0 <= y <= 2^F) as
+        integers V, the values V 2^(s-F), each within units 2^(s-F) of the
+        exact value at the stored alpha and b; c is an mpf and
+        s = floor(majorant(k, 0)/log 2), so |f^(k)| < 2^(s+1) on the line.
+
+        The pass runs at G = F + g fraction bits over 2^s, g >= 0 chosen
+        from float sizes so that (l1 + 1) X_max 2^-g, with l1 and X_max
+        below, stays near 1: the reads of a pair are then as good as F bits
+        of its value, wherever the panel's coefficients or e^(alpha c^2)
+        make them larger or smaller than it.
+
+        The panel, with rho = 2^e and d = k (d = 0 when alpha = 0 or every
+        y is 0, where only i = 0 is read).  The coefficients of
+        A(y') = e^(q(c)) P_k(c + rho y') in y' = y 2^-F,
+        a_i = E Gamma_i binom(k, i) D_(k-i) with E = e^(q(c)) and
+        Gamma_i = gamma^i, gamma = 2 alpha rho, are formed in fixed point
+        with W fraction bits: beta, alpha, gamma and c exact; D_n by its
+        recurrence, each step one floor per part (for the cosine
+        D_k = (i b)^k, one floor of the exact power), so within sqrt2 T_n
+        units with T_n = |beta| T_(n-1) + 2 (n - 1) |alpha| T_(n-2) + 1
+        (T_0 = 0), and |D_n| <= m_n, the same recurrence without the 1
+        (m_0 = 1); Gamma_i one floor a step, within
+        tau_i = |gamma| tau_(i-1) + 1 units; E from mpf_exp and mpf_cos_sin
+        at W bits, each part floored, within _KAPPA units.  So
+        sum_i |E Gamma_i binom(k, i) D_(k-i)|'s error is at most
+        lambda 2^-W, lambda = sum_i binom(k, i) ((_KAPPA |gamma|^i + tau_i)
+        m_(k-i) + sqrt2 |gamma|^i T_(k-i)), to first order, and
+        W = G + max(0, ceil(log2 lambda) - s + 2) keeps it below a quarter
+        unit of 2^(s-G).  Each a_i is one floor of the exact product, at G
+        bits: each part of A(+-y') is within 2d + 2 units of 2^(s-G), the
+        floors of the a_i and pair_values' passes included.
+
+        A pair.  Z = Re(A(y') e^(i b rho y')) at +y' and Re(A(-y')
+        e^(-i b rho y')) at -y' from one mpf_cos_sin at G bits, floored, is
+        within dZ = 2 (2d + 2) + l1 (COS_SIN_ULPS + 1) + 2 units of
+        2^(s-G), l1 the sum of |Re a_i| + |Im a_i| over 2^(s-G), which
+        bounds |Re A| + |Im A|.  For alpha < 0 the value is Z X,
+        X = e^(alpha (h^2 +- 2 c h)) from mpf_exp at G bits, floored, so
+        within 2 EXP_ULPS X + 1 units of 2^-G, and
+        X <= X_max = e^(|alpha| (c^2 - max(|c| - h_max, 0)^2)), h_max the
+        largest h.  The product is floored to F bits:
+        units = 2^-g (dZ X_max + (l1 + 1)(2 EXP_ULPS X_max + 1)) + 2, and
+        2^-g dZ + 2 when alpha = 0 (X = 1).  At y = 0, e^(i b h) = X = 1 and
+        the value is Re A(0).  The + 2 terms and the quarter unit left cover
+        the final floor and the second order.
+        """
+        log_size = self.majorant(k, 0.0)
+        s = math.floor(log_size / math.log(2)) if log_size > -math.inf else 0
+        alpha, b, cm = self.alpha._mpf_, self.b._mpf_, c._mpf_
+        d = k if alpha[1] and any(ys) else 0
+        beta_re = mpf_mul(mpf_shift(alpha, 1), cm)  # 2 alpha c
+        gamma = mpf_shift(alpha, e + 1)  # 2 alpha rho
+
+        # g and W: the float sizes of the reads and of their first-order
+        # error, rounded up
+        up = 1 + 2.0 ** -40
+        beta_abs = (abs(to_float(beta_re)) + abs(to_float(b))) * up
+        alpha_abs, gamma_abs = abs(to_float(alpha)) * up, abs(to_float(gamma)) * up
+        T, M = [0.0, 0.0], [0.0, 1.0]  # from n = -1: T[n + 1], M[n + 1]
+        for n in range(1, k + 1):
+            T.append(beta_abs * T[-1] + 2 * (n - 1) * alpha_abs * T[-2] + 1)
+            M.append(beta_abs * M[-1] + 2 * (n - 1) * alpha_abs * M[-2])
+        lam, size, tau, power = 0.0, 0.0, 0.0, 1.0
+        for i in range(d + 1):
+            lam += comb(k, i) * ((_KAPPA * power + tau) * M[k - i + 1]
+                                 + math.sqrt(2) * power * T[k - i + 1])
+            size += comb(k, i) * power * M[k - i + 1]
+            tau, power = gamma_abs * tau + 1, power * gamma_abs
+        cf, h_max = abs(to_float(cm)), max(ys) / (1 << F) * 2.0 ** e
+        log2_x = alpha_abs * (cf * cf - max(cf - h_max, 0) ** 2) * up / math.log(2)
+        log2_l1 = (math.log2(math.sqrt(2) * size) - s - alpha_abs * cf * cf / math.log(2)
+                   if size else -math.inf)  # the float size of l1
+        g = max(0, math.ceil(max(log2_l1, 0) + 1 + log2_x))
+        G = F + g
+        W = G + max(0, math.ceil(math.log2(lam)) - s + 2)
+
+        if alpha[1]:  # D_0..D_k, D[-1 - i] = D_(k-i)
+            (Br, Bi, A), E0 = _exact_ints(beta_re, b, alpha)
+            D, back = [(1 << W, 0)], (0, 0)
+            for n in range(1, k + 1):
+                t, (pr, pi), (qr, qi) = 2 * (n - 1) * A, D[-1], back
+                back = D[-1]
+                D.append(((Br * pr - Bi * pi + t * qr) >> -E0,
+                          (Br * pi + Bi * pr + t * qi) >> -E0))
+        else:  # the cosine: D_k = (i b)^k, one floor of the exact power
+            (B,), Eb = _exact_ints(b)
+            p = _shift(B ** k, -k * Eb - W)
+            D = [((p, 0), (0, p), (-p, 0), (0, -p))[k % 4]]
+        (Gm,), Ge = _exact_ints(gamma)
+        powers = [1 << W]
+        for i in range(d):
+            powers.append(powers[-1] * Gm >> -Ge)
+        X = mpf_exp(mpf_mul(alpha, mpf_mul(cm, cm)), W)
+        cos, sin = mpf_cos_sin(mpf_mul(b, cm), W)
+        Er, Ei = to_fixed(mpf_mul(X, cos), W), to_fixed(mpf_mul(X, sin), W)
+        shift = 3 * W - G + s
+        re, im = [], []
+        for i in range(d + 1):
+            (dr, di), weight = D[-1 - i], comb(k, i) * powers[i]
+            re.append(_shift((Er * dr - Ei * di) * weight, shift))
+            im.append(_shift((Er * di + Ei * dr) * weight, shift))
+        l1 = sum(map(abs, re + im)) / (1 << G)
+        re_even, re_odd = parity_split(re)
+        im_even, im_odd = parity_split(im)
+
+        b_rho = mpf_shift(b, e)
+        if alpha[1]:
+            square, linear = mpf_shift(alpha, 2 * e), mpf_shift(beta_re, e)
+        plus, minus = [], []
+        for y in ys:
+            y <<= g
+            ap, am = pair_values(re_even, re_odd, y, G)
+            bp, bm = pair_values(im_even, im_odd, y, G)
+            if not y:  # e^(i b h) = X = 1
+                plus.append(ap >> g)
+                minus.append(am >> g)
+                continue
+            yv = from_man_exp(y, -G)
+            cos, sin = mpf_cos_sin(mpf_mul(b_rho, yv), G)
+            cos, sin = to_fixed(cos, G), to_fixed(sin, G)
+            zp, zm = (ap * cos - bp * sin) >> G, (am * cos + bm * sin) >> G
+            if alpha[1]:
+                even, odd = mpf_mul(square, mpf_mul(yv, yv)), mpf_mul(linear, yv)
+                plus.append(zp * to_fixed(mpf_exp(mpf_add(even, odd), G), G) >> (G + g))
+                minus.append(zm * to_fixed(mpf_exp(mpf_sub(even, odd), G), G) >> (G + g))
+            else:
+                plus.append(zp >> g)
+                minus.append(zm >> g)
+
+        dz = 2 * (2 * d + 2) + l1 * (COS_SIN_ULPS + 1) + 2
+        if not alpha[1]:
+            return s, plus, minus, dz / 2 ** g + 2
+        x_max = 2 ** log2_x * up
+        return s, plus, minus, (dz * x_max + (l1 + 1) * (2 * EXP_ULPS * x_max + 1)) / 2 ** g + 2
+
+
+def cosine_probe(b, prec: int = DEFAULT_PREC) -> ExpQuadraticProbe:
     """f(x) = cos(b x), with b held as an mpf from construction, rounded at
-    the probe's working precision.
+    the probe's working precision: the ExpQuadraticProbe with alpha = 0.
 
     Its majorant: f^(k)(z) = b^k cos(b z + k pi/2) and |cos w| <= e^|Im w|,
     so |f^(k)(z)| <= |b|^k e^(|b| height) where |Im z| <= height.
@@ -82,25 +278,19 @@ def cosine_probe(b, prec: int = DEFAULT_PREC) -> FunctionProbe:
         bm = mp.mpf(b)
     b_abs = abs(float(bm))
 
-    def deriv(x, k):
-        with working_precision(prec):
-            phase = mp.mpf(k) * mp.pi / 2
-            return bm ** k * mp.cos(bm * mp.mpf(x) + phase)
-
     def majorant(k, height):
         if k == 0:
             return b_abs * height
         return k * math.log(b_abs) + b_abs * height if b_abs else -math.inf
 
-    return FunctionProbe(deriv=deriv, majorant=majorant)
+    return ExpQuadraticProbe(mp.mpf(0), bm, majorant, prec=prec)
 
 
-def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
-    """f(x) = exp(-x^2/(2 width^2)) cos(b x) = Re exp(q(x)), q quadratic.
-
-    Derivatives via the polynomial recurrence P_{k+1} = P_k' + q' P_k with
-    f^(k) = Re[P_k exp(q)].  b, width^2 and q' are held from construction,
-    rounded at the probe's working precision.
+def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> ExpQuadraticProbe:
+    """f(x) = exp(-x^2/(2 width^2)) cos(b x) = Re exp(q(x)), q quadratic:
+    the ExpQuadraticProbe with alpha = -1/(2 width^2).  b, width^2 and
+    alpha are held from construction, rounded at the probe's working
+    precision; f is e^(alpha x^2) cos(b x) at that alpha.
 
     Its majorant: with z = x + iy, |exp(-z^2/(2 width^2))| =
     exp((y^2 - x^2)/(2 width^2)) and |cos(b z)| <= e^(|b y|), so
@@ -109,43 +299,13 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
     |f^(k)(z)| <= k! R^-k exp((height + R)^2/(2 width^2) + |b| (height + R))
     for every R > 0 (R = 0 when k = 0).  The R taken sets the derivative of
     the log in R to zero: R^2 + (height + |b| width^2) R - k width^2 = 0.
+    The width^2 it reads is within 2^-52 relative of -1/(2 alpha), which
+    the callers' BOUND_SLACK covers.
     """
     with working_precision(prec):
-        w2 = mp.mpf(width) ** 2
-        ib = mp.mpc(0, b)
-        qp = [ib, mp.mpc(-1 / w2, 0)]  # q'(x) = ib - x/w^2
-    b_abs, w2_float = abs(float(ib.imag)), float(w2)
-
-    @functools.cache
-    def parts_for(k):
-        # real and imaginary coefficients of P_k, at the probe's working
-        # precision.  The leading one, (-1/w^2)^k, has imaginary part 0, so
-        # the real Horner pass over the imaginary parts, whose first step
-        # rounds that 0, gives the bits of a complex pass, which keeps it
-        P = [mp.mpc(1)]
-        for _ in range(k):
-            dP = [i * c for i, c in enumerate(P)][1:] or [mp.mpc(0)]
-            prod = [mp.mpc(0)] * (len(P) + 1)
-            for i, c in enumerate(P):
-                prod[i] += qp[0] * c
-                prod[i + 1] += qp[1] * c
-            n = max(len(dP), len(prod))
-            P = [(dP[i] if i < len(dP) else 0) + (prod[i] if i < len(prod) else 0)
-                 for i in range(n)]
-        return [c.real for c in P], [c.imag for c in P]
-
-    def deriv(x, k):
-        with working_precision(prec):
-            re, im = parts_for(k)
-            xm = mp.mpf(x)
-            q = -xm ** 2 / (2 * w2) + ib * xm
-            # Re(P_k(x) e^q) as mpc's product forms it: both real Horner
-            # passes round as the complex one, the products are exact and
-            # the difference is rounded once
-            e_re, e_im = mp.exp(q)._mpc_
-            return mp.make_mpf(mpf_sub(mpf_mul(horner(re, xm)._mpf_, e_re),
-                                       mpf_mul(horner(im, xm)._mpf_, e_im),
-                                       *mp._prec_rounding))
+        bm, w2 = mp.mpf(b), mp.mpf(width) ** 2
+        alpha = -1 / (2 * w2)
+    b_abs, w2_float = abs(float(bm)), float(w2)
 
     def majorant(k, height):
         if k == 0:
@@ -157,7 +317,7 @@ def gaussian_cosine_probe(b, width, prec: int = DEFAULT_PREC) -> FunctionProbe:
         return (math.lgamma(k + 1) - k * math.log(R)
                 + reach * reach / (2 * w2_float) + b_abs * reach)
 
-    return FunctionProbe(deriv=deriv, majorant=majorant)
+    return ExpQuadraticProbe(alpha, bm, majorant, prec=prec)
 
 
 def cardinal_probe(config, prec: int = DEFAULT_PREC) -> PolynomialProbe:

@@ -1,25 +1,26 @@
 """Unit tests for the key identity and the reconstruction path."""
 
 import dataclasses
-import math
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
-from hardyz import identity, kernel
+from hardyz import identity, kernel, probes
 from hardyz.divided_diff import FunctionProbe
-from hardyz.identity import (PROBE_ULPS, NodeNotZeroError, WeightContractError,
+from hardyz.identity import (NodeNotZeroError, WeightContractError,
                              piecewise_weight_integral, reconstruct_f0,
                              verify_key_identity)
 from hardyz.kernel import (DuplicateNodeError, NodeConfig, coefficients,
                            compile_psi, kernel_knots, psi, psi_star_boundary,
                            random_config)
 from hardyz.polynomials import horner
-from hardyz.precision import GUARD_BITS, working_precision
-from hardyz.probes import (cardinal_probe, cosine_probe, gaussian_cosine_probe,
-                           polynomial_probe)
+from hardyz.precision import working_precision
+from hardyz.probes import (EXP_ULPS, PASS_GUARD_BITS, cardinal_probe, cosine_probe,
+                           gaussian_cosine_probe, polynomial_probe)
+from hardyz.quadrature import nodes
+from hardyz.zeta import COS_SIN_ULPS
 
 from panel_values import panel_value
 from quadrature_oracle import fixed_degree, ladder
@@ -57,46 +58,6 @@ def test_key_identity_gaussian_cosine_probe():
     probe = gaussian_cosine_probe(0.8, 2.0, prec=PREC)
     rep = verify_key_identity(cfg, mu, probe, m=3, prec=PREC)
     assert rep.passed
-
-
-def _complex_horner_deriv(b, width, prec):
-    """The gaussian-cosine derivative as one complex Horner pass,
-    Re(P_k(x) exp(q(x))), with P_k from the probe's recurrence."""
-    with working_precision(prec):
-        w2 = mp.mpf(width) ** 2
-        ib = mp.mpc(0, b)
-        qp = [ib, mp.mpc(-1 / w2, 0)]
-
-    def deriv(x, k):
-        with working_precision(prec):
-            P = [mp.mpc(1)]
-            for _ in range(k):
-                dP = [i * c for i, c in enumerate(P)][1:] or [mp.mpc(0)]
-                prod = [mp.mpc(0)] * (len(P) + 1)
-                for i, c in enumerate(P):
-                    prod[i] += qp[0] * c
-                    prod[i + 1] += qp[1] * c
-                size = max(len(dP), len(prod))
-                P = [(dP[i] if i < len(dP) else 0) + (prod[i] if i < len(prod) else 0)
-                     for i in range(size)]
-            xm = mp.mpf(x)
-            q = -xm ** 2 / (2 * w2) + ib * xm
-            return (horner(P, xm) * mp.exp(q)).real
-
-    return deriv
-
-
-@pytest.mark.parametrize("prec", [64, 128, 192])
-def test_gaussian_cosine_derivative_equals_the_complex_horner_pass(prec):
-    rng = random.Random(prec)
-    for b, width in ((0.8, 2.0), (rng.uniform(0.3, 1.0), rng.uniform(1.0, 3.0))):
-        probe = gaussian_cosine_probe(b, width, prec=prec)
-        want = _complex_horner_deriv(b, width, prec)
-        for _ in range(110):
-            x, k = rng.uniform(-4, 4), rng.randint(0, 24)
-            with working_precision(prec):
-                x = mp.mpf(x) / 3
-            assert probe.deriv(x, k)._mpf_ == want(x, k)._mpf_
 
 
 def test_weight_contract_enforced():
@@ -409,34 +370,41 @@ def test_integral_term_is_enclosed_by_its_estimate(prec, monkeypatch):
     assert 2 * calls <= ladder_calls
 
 
-def _exact_derivative(make_probe, args, k, z):
-    """f^(k)(z) at a complex z from mpmath's complex cos and exp.  For the
-    gaussian cosine, f(z + h) = sum over s = -+1 of
-    exp(phi_s(z)) exp(phi_s'(z) h - h^2/(2 w^2))/2 with
-    phi_s(z) = -z^2/(2 w^2) + i s b z, and the h^k coefficient of
-    exp(alpha h + beta h^2) is sum_j alpha^(k-2j) beta^j/((k-2j)! j!)."""
-    b = mp.mpf(args[0])
-    if make_probe is cosine_probe:
-        return b ** k * mp.cos(b * z + k * mp.pi / 2)
-    w2 = mp.mpf(args[1]) ** 2
-    beta = -1 / (2 * w2)
+def _exact_derivative(probe, k, z):
+    """f^(k)(z) at a complex z from mpmath's complex exp, at the probe's
+    stored alpha and b: f(z + h) = sum over s = -+1 of
+    exp(phi_s(z)) exp(phi_s'(z) h + alpha h^2)/2 with
+    phi_s(z) = alpha z^2 + i s b z, and the h^k coefficient of
+    exp(A h + alpha h^2) is sum_j A^(k-2j) alpha^j/((k-2j)! j!)."""
+    alpha, b = probe.alpha, probe.b
     total = 0
     for s in (1, -1):
-        alpha = -z / w2 + 1j * s * b
-        coeff = mp.fsum(alpha ** (k - 2 * j) * beta ** j
+        slope = 2 * alpha * z + 1j * s * b
+        powers = [1]
+        for _ in range(k):
+            powers.append(powers[-1] * slope)
+        coeff = mp.fsum(powers[k - 2 * j] * alpha ** j
                         / (mp.factorial(k - 2 * j) * mp.factorial(j))
                         for j in range(k // 2 + 1))
-        total += mp.exp(-z ** 2 / (2 * w2) + 1j * s * b * z) * coeff
+        total += mp.exp(alpha * z ** 2 + 1j * s * b * z) * coeff
     return mp.factorial(k) * total / 2
+
+
+def _deriv_bound(probe, x, k):
+    """The stated error of probe.deriv(x, k): derivative_pairs' units at the
+    one point, and the final rounding, at most 2^-P of the value."""
+    with working_precision(probe.prec):
+        F = mp.prec + PASS_GUARD_BITS
+        s, (value,), _, units = probe.derivative_pairs(mp.mpf(x), k, 0, [0], F)
+        return mp.ldexp(units, s - F) + mp.ldexp(abs(value), s - F - mp.prec)
 
 
 @pytest.mark.parametrize("prec", [128, 192])
 def test_majorants_bound_the_derivatives_off_the_real_line(prec):
     # b and the width across criterion 01's ranges, z on the edge of the
-    # strip |Im z| <= height; at real points, each value within the
-    # PROBE_ULPS units of 2^-P of its majorant that the rule assumes
+    # strip |Im z| <= height; at real points, each value within its proved
+    # bound (_deriv_bound) of the exact derivative
     rng = random.Random(prec + 7)
-    ulp = 2.0 ** -(prec + GUARD_BITS)
     for make_probe, ranges in ((cosine_probe, [(0.2, 1.5)]),
                                (gaussian_cosine_probe, [(0.3, 1.0), (2, 5)])):
         for _ in range(6):
@@ -447,12 +415,97 @@ def test_majorants_bound_the_derivatives_off_the_real_line(prec):
                 x = rng.uniform(-6, 6)
                 with working_precision(2 * prec):
                     z = mp.mpc(x, rng.choice((-1, 1)) * height)
-                    value = abs(_exact_derivative(make_probe, args, k, z))
+                    value = abs(_exact_derivative(probe, k, z))
                     assert value <= mp.exp(probe.majorant(k, height))
                     with working_precision(prec):
                         real = probe.deriv(mp.mpf(x), k)
-                    gap = abs(real - _exact_derivative(make_probe, args, k, mp.mpf(x)))
-                    assert gap <= PROBE_ULPS * ulp * math.exp(probe.majorant(k, 0))
+                    gap = abs(real - _exact_derivative(probe, k, mp.mpf(x)))
+                    assert gap <= _deriv_bound(probe, x, k)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_derivative_pairs_are_within_their_bound_of_the_exact_derivatives(prec):
+    # f^(k)(c +- h) at y = 0, 2^F and random y about random centres, on
+    # panels of rho = 2^-3 .. 2^2, and the scalar deriv, k = 0..24 and
+    # widths from 1, against mpmath's complex exp at 2 prec; the bound is
+    # below 2^16 units of 2^-(prec + GUARD_BITS + PASS_GUARD_BITS) of the
+    # scale 2^s
+    rng = random.Random(prec + 11)
+    for make_probe, ranges in ((cosine_probe, [(0.2, 1.5)]),
+                               (gaussian_cosine_probe, [(0.3, 1.0), (1, 5)])):
+        for _ in range(2):
+            probe = make_probe(*(rng.uniform(lo, hi) for lo, hi in ranges), prec=prec)
+            for k in range(25):
+                with working_precision(prec):
+                    c, e = mp.mpf(rng.uniform(-6, 6)), rng.randint(-3, 2)
+                    F = mp.prec + PASS_GUARD_BITS
+                    ys = [0, 1 << F] + [rng.randrange(1 << F) for _ in range(3)]
+                    s, plus, minus, units = probe.derivative_pairs(c, k, e, ys, F)
+                    x = mp.mpf(rng.uniform(-6, 6))
+                    value = probe.deriv(x, k)
+                assert units < 2 ** PASS_GUARD_BITS
+                bound = mp.ldexp(units, s - F)
+                with working_precision(2 * prec):
+                    for y, at_plus, at_minus in zip(ys, plus, minus):
+                        h = mp.ldexp(y, e - F)
+                        for v, point in ((at_plus, c + h), (at_minus, c - h)):
+                            exact = _exact_derivative(probe, k, point)
+                            assert abs(mp.ldexp(v, s - F) - exact) <= bound, (k, y)
+                    exact = _exact_derivative(probe, k, x)
+                    assert abs(value - exact) <= _deriv_bound(probe, x, k), k
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_panel_pass_is_within_its_rounding_bound_of_the_mpf_rule(prec):
+    # each panel's integer sum against the same N-point rule summed in mpf
+    # at 2 prec, f^(2m) from mpmath's complex exp and the kernel polynomial
+    # by Horner: within the rounding bound of _panel_rule and _panel_pass
+    for cfg, mu, m, make_probe, args in _criterion01_smooth_cases(prec):
+        probe, k = make_probe(*args, prec=prec), 2 * m
+        with working_precision(prec):
+            kern = compile_psi(cfg, m, mu, prec=prec)
+            for lo, hi, c, q in zip(kern.knots, kern.knots[1:], kern.centers, kern.coeffs):
+                got, _, log_round = identity._panel(probe, lo, hi, c, q, k, prec)
+                r = mp.make_mpf(libmp.mpf_shift(libmp.mpf_sub(hi._mpf_, lo._mpf_), -1))
+                N = identity._panel_rule(q, float(r) * (1 + 2.0 ** -52), probe.majorant, k)[0]
+                with mp.workprec(2 * mp.prec):
+                    reference = mp.fdot(
+                        (r * w, _exact_derivative(probe, k, c + r * t).real * horner(q, r * t))
+                        for t, w in nodes(N))
+                    assert abs(got - reference) <= mp.exp(log_round)
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_libmp_calls_of_the_pass_are_within_the_assumed_ulps(prec, monkeypatch):
+    # every mpf_exp and mpf_cos_sin call the probes make on criterion 01's
+    # smooth cases (integral term and boundary terms), against the same call
+    # at 2 wp: exp within EXP_ULPS ulps, cos and sin within COS_SIN_ULPS
+    # units of 2^-wp; the reference's own error, about 2^-2wp, is far below
+    calls = {"exp": [], "cos_sin": []}
+
+    def recorded(name, call):
+        def wrapper(x, wp):
+            calls[name].append((x, wp))
+            return call(x, wp)
+        return wrapper
+
+    monkeypatch.setattr(probes, "mpf_exp", recorded("exp", libmp.mpf_exp))
+    monkeypatch.setattr(probes, "mpf_cos_sin", recorded("cos_sin", libmp.mpf_cos_sin))
+    for cfg, mu, m, make_probe, args in _criterion01_smooth_cases(prec):
+        verify_key_identity(cfg, mu, make_probe(*args, prec=prec), m, prec=prec)
+    assert calls["exp"] and calls["cos_sin"]
+    worst = {"exp": 0.0, "cos_sin": 0.0}
+    with mp.workprec(4 * prec):
+        for x, wp in calls["exp"]:
+            got = libmp.mpf_exp(x, wp)
+            gap = abs(mp.make_mpf(got) - mp.make_mpf(libmp.mpf_exp(x, 2 * wp)))
+            worst["exp"] = max(worst["exp"], float(mp.ldexp(gap, wp - got[2] - got[3])))
+        for x, wp in calls["cos_sin"]:
+            for got, ref in zip(libmp.mpf_cos_sin(x, wp), libmp.mpf_cos_sin(x, 2 * wp)):
+                gap = abs(mp.make_mpf(got) - mp.make_mpf(ref))
+                worst["cos_sin"] = max(worst["cos_sin"], float(mp.ldexp(gap, wp)))
+    assert worst["exp"] <= EXP_ULPS, worst
+    assert worst["cos_sin"] <= COS_SIN_ULPS, worst
 
 
 def test_integral_term_refuses_a_probe_without_a_majorant():
