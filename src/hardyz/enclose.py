@@ -8,9 +8,9 @@ its first two correction terms,
 
 tau = sqrt(t/2pi), N = floor(tau), p = tau - N (Edwards, Riemann's Zeta
 Function, 1974, ch. 7), evaluated in floats.  It costs microseconds where
-the Euler-Maclaurin Z (hardy.z_eval) costs milliseconds (about 1.3 at
-t = 500 and 14 at t = 10^4, at 128 bits); hardy.find_zeros states where the
-zero finder reads which.
+the Euler-Maclaurin Z (hardy.z_eval) costs milliseconds (about 1.0 at
+t = 500.3 and 9 at t = 10^4 + 0.3, at 128 bits, warm); hardy.find_zeros
+states where the zero finder reads which.
 
 C0 = Psi and C1 = -Psi'''/(96 pi^2), with
 Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).  Psi is entire (the zeros of

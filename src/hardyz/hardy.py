@@ -25,10 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from mpmath import libmp, mp, mpf
 
 from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
-from .precision import DEFAULT_PREC, GUARD_BITS, refine_sign_change, working_precision
+from .precision import (DEFAULT_PREC, GUARD_BITS, LIBMP_ULPS, floor_shifted, refine_sign_change,
+                        working_precision)
 from .theta import JET_GUARD_BITS, ThetaJet, _fewest, theta_point
-from .zeta import (COS_SIN_ULPS, PHASE_GUARD_BITS, _em_size, _product_bound, _zeta_series,
-                   _zeta_series_bound)
+from .zeta import PHASE_GUARD_BITS, _em_size, _product_bound, _zeta_series, _zeta_series_bound
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
@@ -39,6 +39,8 @@ READ_GUARD_BITS = 8  # a Taylor patch's fixed-point series carry bits + 8 fracti
 SHAPE_BITS = 24  # the jets that size a patch's bits need theta's shape only
 MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
 NEWTON_READS = 6  # (Z, Z') reads find_zeros' Newton steps take before its fallback
+# |e^(i theta~) - f| in units of 2^-bits, f libmp's cos_sin at bits + PHASE_GUARD_BITS floored
+PHASE_UNITS = math.sqrt(2) * (1 + LIBMP_ULPS["mpf_cos_sin"] * 2.0 ** -PHASE_GUARD_BITS)
 
 
 class CapacityError(ValueError):
@@ -77,8 +79,9 @@ def theta_prime(t, prec: int = DEFAULT_PREC) -> mpf:
 
 def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
     """(value, error bound) for Z(t) = e^{i theta(t)} zeta(1/2 + it), the
-    shape of enclose.z_rs: _point_read's order 0, read by find_zeros.  The
-    tests check it against z_rs's enclosure from t = 200 on and against
+    shape of enclose.z_rs: _point_read's order 0, the public point reader of
+    Z, read by find_zeros' z_read and patched by name by perfbench's tracer.
+    The tests check it against z_rs's enclosure from t = 200 on and against
     mp.siegelz at every height."""
     with working_precision(prec):
         tm = mp.mpf(t)
@@ -112,14 +115,14 @@ def _point_read(t, prec: int, J: int) -> Tuple[mpf, ...]:
     b_j: E r^-j (Cauchy on the circle, where E bounds the remainder) and
     the rounding.  theta~ and theta'~ are theta.theta_point's at F = bits
     + JET_GUARD_BITS, within d, and f = e^(i theta~) libmp's cos_sin at
-    bits + PHASE_GUARD_BITS floored, within e_f = sqrt 2 (1 + COS_SIN_ULPS
-    2^-PHASE_GUARD_BITS) units of 2^-bits.  As |e^(i theta) - e^(i theta~)|
-    <= d, v = Re(f zeta~) floored has |Z - v| <= b_0 + d (|zeta~| + b_0)
-    + (e_f |zeta~| + 1) 2^-bits.  Z' = Re(e^(i theta) W), W = zeta' + i
-    theta' zeta, and W~ = zeta~' + i theta'~ zeta~ (two floors) is within
-    b_1 + |theta'~| b_0 + d (|zeta~| + b_0) + sqrt 2 2^-bits of W, so e' is
-    e with W~ and that bound.  The values are exact mpfs; the bounds,
-    summed in floats, are raised by 2^-40 for their own rounding."""
+    bits + PHASE_GUARD_BITS floored, within e_f = PHASE_UNITS units of
+    2^-bits.  As |e^(i theta) - e^(i theta~)| <= d, v = Re(f zeta~) floored
+    has |Z - v| <= b_0 + d (|zeta~| + b_0) + (e_f |zeta~| + 1) 2^-bits.
+    Z' = Re(e^(i theta) W), W = zeta' + i theta' zeta, and W~ = zeta~'
+    + i theta'~ zeta~ (two floors) is within b_1 + |theta'~| b_0 + d (|zeta~|
+    + b_0) + sqrt 2 2^-bits of W, so e' is e with W~ and that bound.  The
+    values are exact mpfs; the bounds, summed in floats, are raised by
+    2^-40 for their own rounding."""
     N, K, bits, log_remainder, units, r = _line_size(t, prec, J)
     re, im = _zeta_series(t, mp.mpf(r), J, N, K, bits)
     F, unit = bits + JET_GUARD_BITS, 2.0 ** -bits
@@ -127,7 +130,7 @@ def _point_read(t, prec: int, J: int) -> Tuple[mpf, ...]:
     angle, slope, d = theta_point(t, F)
     cos, sin = libmp.mpf_cos_sin(libmp.from_man_exp(angle, -F), bits + PHASE_GUARD_BITS)
     fr, fi = libmp.to_fixed(cos, bits), libmp.to_fixed(sin, bits)
-    e_f = math.sqrt(2) * (1 + COS_SIN_ULPS * 2.0 ** -PHASE_GUARD_BITS) * unit
+    e_f = PHASE_UNITS * unit
     size = math.hypot(re[0], im[0]) * unit
     factors = [(re[0], im[0], size, bounds[0])]
     if J > 1:  # zeta~' = r^-1 times the order-1 coefficient, r = 1/4
@@ -153,7 +156,7 @@ def _z_series(centre, half, jet: ThetaJet, J: int, N: int, K: int,
     """
     B = max(bits, -half._mpf_[2], -centre._mpf_[2])
     F, man, exp = jet.bits, half.man, half.exp
-    weights = [k * _floor_shifted(t * man ** k, 1, k * (exp - jet.scale) + B - F)
+    weights = [k * floor_shifted(t * man ** k, 1, k * (exp - jet.scale) + B - F)
                for k, t in enumerate(jet.coefficients)]
     z_re, z_im = _zeta_series(centre, half, J, N, K, B)
     cos, sin = libmp.mpf_cos_sin(libmp.from_man_exp(jet.coefficients[0], -F),
@@ -186,8 +189,7 @@ def _series_plan(centre: float, r: float, jet: ThetaJet, eps: float, J: int,
     zeta._zeta_series_bound; with phi_k = |theta_k| half^k and theta~_k
     within a unit, |f_0| = 1, |f_n| <= (1/n) sum_k k phi_k |f_(n-k)|, and
     f_n errs by (1/n) sum_k k ((phi_k + 2^-bits) e_(n-k) + |f_(n-k)|)
-    + sqrt 2, e_0 = sqrt 2 (1 + COS_SIN_ULPS 2^-PHASE_GUARD_BITS); the
-    product's from zeta._product_bound.
+    + sqrt 2, e_0 = PHASE_UNITS; the product's from zeta._product_bound.
     """
     # theta_k h^k = t_k y^k, y = h/rho: the jet's floats t_k times powers of r/rho and
     # half/rho, where theta_k = t_k/rho^k and r^k can leave the float range
@@ -200,7 +202,7 @@ def _series_plan(centre: float, r: float, jet: ThetaJet, eps: float, J: int,
     half, unit = r / 2, 2.0 ** -bits
     z_sizes, z_errors = _zeta_series_bound(centre, half, J, N, K, bits)
     phi = [abs(t) * (half / rho) ** k for k, t in enumerate(ts)]
-    f_sizes, f_errors = [1.0], [math.sqrt(2) * (1 + COS_SIN_ULPS * 2.0 ** -PHASE_GUARD_BITS)]
+    f_sizes, f_errors = [1.0], [PHASE_UNITS]
     for n in range(1, J):
         ks = range(1, min(n, len(phi) - 1) + 1)
         f_sizes.append(sum(k * phi[k] * f_sizes[n - k] for k in ks) / n)
@@ -561,11 +563,6 @@ class ExploreReport:
         "margins are raw data", init=False)
 
 
-def _floor_shifted(num: int, den: int, shift: int) -> int:
-    """floor(num 2^shift/den), den > 0, exactly."""
-    return (num << shift) // den if shift >= 0 else num // (den << -shift)
-
-
 class _TaylorPatches:
     """Z^(k) on [lo, hi] from truncated Taylor series of Z, one a patch;
     the only code that builds Z's series.
@@ -696,8 +693,8 @@ class _TaylorPatches:
             for k, units in self._read_units(errors, float(half)).items():
                 self._log_rounding[k] = max(self._log_rounding[k], units - B * math.log(2))
             # b_n 2^F = a_(n+k) (n+k)!/n! 2^(F - B)/d'^k, d'^k = man^k 2^(k (exp - 1))
-            self.series.append({k: [_floor_shifted(a[n + k] * math.perm(n + k, k), man ** k,
-                                                   F - B - k * (exp - 1))
+            self.series.append({k: [floor_shifted(a[n + k] * math.perm(n + k, k), man ** k,
+                                                  F - B - k * (exp - 1))
                                     for n in range(self.J - k if self.width else 1)]
                                 for k in self._orders})
 
@@ -836,7 +833,7 @@ class _TaylorPatches:
         sign, h, h_exp, _ = mp.fsub(u, centre, exact=True)._mpf_
         h = -h if sign else h
         man, exp = self._radius_bits
-        return _floor_shifted(h, man, h_exp + self.read_bits + 1 - exp)
+        return floor_shifted(h, man, h_exp + self.read_bits + 1 - exp)
 
 
 def theorem1_explore(T, C, m_cap: int = 16, prec: int = DEFAULT_PREC) -> ExploreReport:

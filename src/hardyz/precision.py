@@ -26,6 +26,13 @@ digits_for(prec) significant digits of its own bits, or with the digits its
 dataclass field declares in its metadata; cli only lays the strings out.
 The one sign-change finder, refine_sign_change, lives here too: find_zeros
 refines Z's zeros with it and find_c_eps the edge of the range where h < 0.
+
+LIBMP_ULPS is the one input the proved passes (zeta, theta, hardy, probes)
+assume instead of deriving: the error, at wp bits and libmp's default
+rounding, of each libmp function they call that is not exact or correctly
+rounded, in ulps at wp for mpf_log, mpf_exp, mpf_atan2 and mpf_pi, and in
+units of 2^-wp for each of mpf_cos_sin's cos and sin; tests/test_libmp.py
+measures it.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ DEFAULT_PREC = 192
 GUARD_BITS = 16  # working_precision(prec) runs above prec, so rounding adds no error
 
 MIN_PREC = 64
+LIBMP_ULPS = {"mpf_log": 2, "mpf_exp": 2, "mpf_atan2": 2, "mpf_pi": 2, "mpf_cos_sin": 2}
 
 
 @contextmanager
@@ -82,6 +90,13 @@ def held(v) -> mpf:
     if isinstance(v, float):
         return mp.make_mpf(libmp.from_float(v))
     raise TypeError(f"cannot hold {v!r} exactly: pass an mpf, an int or a float")
+
+
+def floor_shifted(num: int, den: int, shift: int) -> int:
+    """floor(num 2^shift/den) exactly, den > 0, shift of either sign."""
+    if den == 1:
+        return num << shift if shift >= 0 else num >> -shift
+    return (num << shift) // den if shift >= 0 else num // (den << -shift)
 
 
 def digits_for(prec: int) -> int:

@@ -10,12 +10,8 @@ deriv at one point.  Both also give a majorant of |f^(k)| off the real
 line, which the Gauss-Legendre rules of identity's integral term and of
 divided_difference_simplex read; a polynomial probe needs none, because
 its integral term is taken in closed form and its simplex rule is exact.
-
-derivative_pairs' bound assumes, at wp bits and libmp's default rounding
-(towards zero), that mpf_exp is within EXP_ULPS ulps of e^x and that
-mpf_cos_sin gives cos x and sin x within zeta.COS_SIN_ULPS units of 2^-wp;
-tests/test_identity.py measures both at the evaluator's arguments against
-the same calls at 2 wp.
+derivative_pairs takes libmp's errors from precision.LIBMP_ULPS: U_exp and
+U_cs are its exp and cos_sin entries.
 """
 
 from __future__ import annotations
@@ -25,22 +21,18 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, List, Sequence, Tuple
 
-from mpmath import mp
-from mpmath.libmp import (from_man_exp, mpf_add, mpf_cos_sin, mpf_exp, mpf_mul,
-                          mpf_shift, mpf_sub, to_fixed, to_float)
+from mpmath import libmp, mp
 
 from .divided_diff import FunctionProbe
 from .polynomials import horner, pair_values, parity_split
-from .precision import DEFAULT_PREC, working_precision
-from .zeta import COS_SIN_ULPS
+from .precision import DEFAULT_PREC, LIBMP_ULPS, floor_shifted, working_precision
 
 # derivative_pairs' values carry mp.prec + 16 fraction bits, in units of a
 # power of two at the majorant's size, in deriv and in identity's panel pass
 PASS_GUARD_BITS = 16
-EXP_ULPS = 2  # assumed error of libmp.mpf_exp, in ulps (module docstring)
-# the error of e^(q(c)) in units of 2^-W: the exp's 2 EXP_ULPS (relative,
-# e^(alpha c^2) <= 1), cos and sin's COS_SIN_ULPS each and the two floors
-_KAPPA = 2 * EXP_ULPS + math.sqrt(2) * (COS_SIN_ULPS + 1)
+# the error of e^(q(c)) in units of 2^-W: the exp's 2 U_exp (relative,
+# e^(alpha c^2) <= 1), cos and sin's U_cs each and the two floors
+_KAPPA = 2 * LIBMP_ULPS["mpf_exp"] + math.sqrt(2) * (LIBMP_ULPS["mpf_cos_sin"] + 1)
 
 
 class PolynomialProbe(FunctionProbe):
@@ -91,11 +83,6 @@ def monomial_probe(k: int, prec: int = DEFAULT_PREC) -> PolynomialProbe:
     return PolynomialProbe([0] * k + [1], prec=prec)
 
 
-def _shift(x: int, n: int) -> int:
-    """floor(x 2^-n) for an integer n of either sign."""
-    return x >> n if n >= 0 else x << -n
-
-
 def _exact_ints(*values: tuple) -> Tuple[List[int], int]:
     """(ints, E): raw mpf values as exact signed integers times 2^E, E <= 0."""
     E = min([v[2] for v in values if v[1]] + [0])
@@ -126,7 +113,7 @@ class ExpQuadraticProbe(FunctionProbe):
         with working_precision(self.prec):
             F = mp.prec + PASS_GUARD_BITS
             s, (value,), _, _ = self.derivative_pairs(mp.mpf(x), k, 0, [0], F)
-            return mp.make_mpf(from_man_exp(value, s - F, *mp._prec_rounding))
+            return mp.make_mpf(libmp.from_man_exp(value, s - F, *mp._prec_rounding))
 
     def derivative_pairs(self, c, k: int, e: int, ys: Sequence[int],
                          F: int) -> Tuple[int, List[int], List[int], float]:
@@ -165,14 +152,14 @@ class ExpQuadraticProbe(FunctionProbe):
 
         A pair.  Z = Re(A(y') e^(i b rho y')) at +y' and Re(A(-y')
         e^(-i b rho y')) at -y' from one mpf_cos_sin at G bits, floored, is
-        within dZ = 2 (2d + 2) + l1 (COS_SIN_ULPS + 1) + 2 units of
+        within dZ = 2 (2d + 2) + l1 (U_cs + 1) + 2 units of
         2^(s-G), l1 the sum of |Re a_i| + |Im a_i| over 2^(s-G), which
         bounds |Re A| + |Im A|.  For alpha < 0 the value is Z X,
         X = e^(alpha (h^2 +- 2 c h)) from mpf_exp at G bits, floored, so
-        within 2 EXP_ULPS X + 1 units of 2^-G, and
+        within 2 U_exp X + 1 units of 2^-G, and
         X <= X_max = e^(|alpha| (c^2 - max(|c| - h_max, 0)^2)), h_max the
         largest h.  The product is floored to F bits:
-        units = 2^-g (dZ X_max + (l1 + 1)(2 EXP_ULPS X_max + 1)) + 2, and
+        units = 2^-g (dZ X_max + (l1 + 1)(2 U_exp X_max + 1)) + 2, and
         2^-g dZ + 2 when alpha = 0 (X = 1).  At y = 0, e^(i b h) = X = 1 and
         the value is Re A(0).  The + 2 terms and the quarter unit left cover
         the final floor and the second order.
@@ -181,14 +168,14 @@ class ExpQuadraticProbe(FunctionProbe):
         s = math.floor(log_size / math.log(2)) if log_size > -math.inf else 0
         alpha, b, cm = self.alpha._mpf_, self.b._mpf_, c._mpf_
         d = k if alpha[1] and any(ys) else 0
-        beta_re = mpf_mul(mpf_shift(alpha, 1), cm)  # 2 alpha c
-        gamma = mpf_shift(alpha, e + 1)  # 2 alpha rho
+        beta_re = libmp.mpf_mul(libmp.mpf_shift(alpha, 1), cm)  # 2 alpha c
+        gamma = libmp.mpf_shift(alpha, e + 1)  # 2 alpha rho
 
         # g and W: the float sizes of the reads and of their first-order
         # error, rounded up
         up = 1 + 2.0 ** -40
-        beta_abs = (abs(to_float(beta_re)) + abs(to_float(b))) * up
-        alpha_abs, gamma_abs = abs(to_float(alpha)) * up, abs(to_float(gamma)) * up
+        beta_abs = (abs(libmp.to_float(beta_re)) + abs(libmp.to_float(b))) * up
+        alpha_abs, gamma_abs = abs(libmp.to_float(alpha)) * up, abs(libmp.to_float(gamma)) * up
         T, M = [0.0, 0.0], [0.0, 1.0]  # from n = -1: T[n + 1], M[n + 1]
         for n in range(1, k + 1):
             T.append(beta_abs * T[-1] + 2 * (n - 1) * alpha_abs * T[-2] + 1)
@@ -199,7 +186,7 @@ class ExpQuadraticProbe(FunctionProbe):
                                  + math.sqrt(2) * power * T[k - i + 1])
             size += comb(k, i) * power * M[k - i + 1]
             tau, power = gamma_abs * tau + 1, power * gamma_abs
-        cf, h_max = abs(to_float(cm)), max(ys) / (1 << F) * 2.0 ** e
+        cf, h_max = abs(libmp.to_float(cm)), max(ys) / (1 << F) * 2.0 ** e
         log2_x = alpha_abs * (cf * cf - max(cf - h_max, 0) ** 2) * up / math.log(2)
         log2_l1 = (math.log2(math.sqrt(2) * size) - s - alpha_abs * cf * cf / math.log(2)
                    if size else -math.inf)  # the float size of l1
@@ -217,28 +204,28 @@ class ExpQuadraticProbe(FunctionProbe):
                           (Br * pi + Bi * pr + t * qi) >> -E0))
         else:  # the cosine: D_k = (i b)^k, one floor of the exact power
             (B,), Eb = _exact_ints(b)
-            p = _shift(B ** k, -k * Eb - W)
+            p = floor_shifted(B ** k, 1, k * Eb + W)
             D = [((p, 0), (0, p), (-p, 0), (0, -p))[k % 4]]
         (Gm,), Ge = _exact_ints(gamma)
         powers = [1 << W]
         for i in range(d):
             powers.append(powers[-1] * Gm >> -Ge)
-        X = mpf_exp(mpf_mul(alpha, mpf_mul(cm, cm)), W)
-        cos, sin = mpf_cos_sin(mpf_mul(b, cm), W)
-        Er, Ei = to_fixed(mpf_mul(X, cos), W), to_fixed(mpf_mul(X, sin), W)
+        X = libmp.mpf_exp(libmp.mpf_mul(alpha, libmp.mpf_mul(cm, cm)), W)
+        cos, sin = libmp.mpf_cos_sin(libmp.mpf_mul(b, cm), W)
+        Er, Ei = libmp.to_fixed(libmp.mpf_mul(X, cos), W), libmp.to_fixed(libmp.mpf_mul(X, sin), W)
         shift = 3 * W - G + s
         re, im = [], []
         for i in range(d + 1):
             (dr, di), weight = D[-1 - i], comb(k, i) * powers[i]
-            re.append(_shift((Er * dr - Ei * di) * weight, shift))
-            im.append(_shift((Er * di + Ei * dr) * weight, shift))
+            re.append(floor_shifted((Er * dr - Ei * di) * weight, 1, -shift))
+            im.append(floor_shifted((Er * di + Ei * dr) * weight, 1, -shift))
         l1 = sum(map(abs, re + im)) / (1 << G)
         re_even, re_odd = parity_split(re)
         im_even, im_odd = parity_split(im)
 
-        b_rho = mpf_shift(b, e)
+        b_rho = libmp.mpf_shift(b, e)
         if alpha[1]:
-            square, linear = mpf_shift(alpha, 2 * e), mpf_shift(beta_re, e)
+            square, linear = libmp.mpf_shift(alpha, 2 * e), libmp.mpf_shift(beta_re, e)
         plus, minus = [], []
         for y in ys:
             y <<= g
@@ -248,23 +235,23 @@ class ExpQuadraticProbe(FunctionProbe):
                 plus.append(ap >> g)
                 minus.append(am >> g)
                 continue
-            yv = from_man_exp(y, -G)
-            cos, sin = mpf_cos_sin(mpf_mul(b_rho, yv), G)
-            cos, sin = to_fixed(cos, G), to_fixed(sin, G)
+            yv = libmp.from_man_exp(y, -G)
+            cos, sin = libmp.mpf_cos_sin(libmp.mpf_mul(b_rho, yv), G)
+            cos, sin = libmp.to_fixed(cos, G), libmp.to_fixed(sin, G)
             zp, zm = (ap * cos - bp * sin) >> G, (am * cos + bm * sin) >> G
             if alpha[1]:
-                even, odd = mpf_mul(square, mpf_mul(yv, yv)), mpf_mul(linear, yv)
-                plus.append(zp * to_fixed(mpf_exp(mpf_add(even, odd), G), G) >> (G + g))
-                minus.append(zm * to_fixed(mpf_exp(mpf_sub(even, odd), G), G) >> (G + g))
+                even, odd = libmp.mpf_mul(square, libmp.mpf_mul(yv, yv)), libmp.mpf_mul(linear, yv)
+                plus.append(zp * libmp.to_fixed(libmp.mpf_exp(libmp.mpf_add(even, odd), G), G) >> (G + g))
+                minus.append(zm * libmp.to_fixed(libmp.mpf_exp(libmp.mpf_sub(even, odd), G), G) >> (G + g))
             else:
                 plus.append(zp >> g)
                 minus.append(zm >> g)
 
-        dz = 2 * (2 * d + 2) + l1 * (COS_SIN_ULPS + 1) + 2
+        dz = 2 * (2 * d + 2) + l1 * (LIBMP_ULPS["mpf_cos_sin"] + 1) + 2
         if not alpha[1]:
             return s, plus, minus, dz / 2 ** g + 2
         x_max = 2 ** log2_x * up
-        return s, plus, minus, (dz * x_max + (l1 + 1) * (2 * EXP_ULPS * x_max + 1)) / 2 ** g + 2
+        return s, plus, minus, (dz * x_max + (l1 + 1) * (2 * LIBMP_ULPS["mpf_exp"] * x_max + 1)) / 2 ** g + 2
 
 
 def cosine_probe(b, prec: int = DEFAULT_PREC) -> ExpQuadraticProbe:

@@ -6,8 +6,8 @@ the series there (StirlingSum).  theta(t) = Im log Gamma(1/4 + it/2)
 - iw/2))/2i - (w/2) log pi, analytic off w = +-i/2.  Stieltjes bounds the
 remainder (Olver, Asymptotics and Special Functions, 1974, ch. 8, sec. 4;
 DLMF 5.11.ii) at z0 + m, z0 = 1/4 + ic/2, after m shifts log Gamma(z) =
-log Gamma(z + m) - sum_(k<m) log(z + k).  StirlingSum's libmp calls are
-assumed good to STIRLING_ULPS ulps; tests/test_theta.py measures them."""
+log Gamma(z + m) - sum_(k<m) log(z + k).  StirlingSum takes libmp's errors
+from precision.LIBMP_ULPS."""
 
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ from typing import List, Tuple
 from mpmath import libmp
 
 from .polynomials import bernoulli_numbers
+from .precision import LIBMP_ULPS
 
 JET_GUARD_BITS = 16  # a jet's bits above its budget's: a few units a term stay far under its rounding share
 STIRLING_GUARD_BITS = 8  # StirlingSum's bits above those its outputs and its terms' sizes need
-STIRLING_ULPS = 2  # assumed error of libmp's mpf_log, mpf_atan2 and mpf_pi (module docstring)
 MAX_SHIFTS = 512  # the shifts stop here, far past any disc the program asks for (31 near t = 0)
 
 
@@ -143,12 +143,13 @@ class StirlingSum:
             b_im, g_re, g_im = b_im + bi, g_re + (2 * k + 1) * br, g_im + (2 * k + 1) * bi
             e_b, e_g = e_b + e, e_g + (2 * k + 1) * e
 
-        def fixed(x, shift=0):  # x floored to W - shift fraction bits, and its error in units
-            return libmp.to_fixed(x, W - shift), STIRLING_ULPS * 2.0 ** (x[2] + x[3] - wp + W - shift) + 1
+        def fixed(x, name, shift=0):  # x, libmp's `name` at wp, floored to W - shift bits, and its error
+            return libmp.to_fixed(x, W - shift), LIBMP_ULPS[name] * 2.0 ** (x[2] + x[3] - wp + W - shift) + 1
 
-        log_abs, e_log = fixed(libmp.mpf_log(libmp.from_man_exp(norm, -2 * W), wp), 1)
-        arg, e_arg = fixed(libmp.mpf_atan2(libmp.from_man_exp(ai, -W), libmp.from_man_exp(ar, -W), wp))
-        (pi, e_pi), (log_pi, e_log_pi) = map(fixed, _pi_and_log_pi(wp))
+        log_abs, e_log = fixed(libmp.mpf_log(libmp.from_man_exp(norm, -2 * W), wp), "mpf_log", 1)
+        arg, e_arg = fixed(libmp.mpf_atan2(libmp.from_man_exp(ai, -W), libmp.from_man_exp(ar, -W), wp),
+                           "mpf_atan2")
+        (pi, e_pi), (log_pi, e_log_pi) = map(fixed, _pi_and_log_pi(wp), ("mpf_pi", "mpf_log"))
         e_log_pi += e_pi / 3  # pi's error through the log
         shifts, e_shifts, pr, pim = 0, 0.0, 1, 0
         if m:
@@ -159,7 +160,7 @@ class StirlingSum:
             product = libmp.mpf_atan2(libmp.from_int(pim), libmp.from_int(pr), wp)
             args = math.fsum(math.atan2(c / 2, k + 0.25) for k in range(m))
             wraps = round((args - libmp.to_float(product)) / (2 * math.pi))
-            shifts, e_shifts = fixed(product)
+            shifts, e_shifts = fixed(product, "mpf_atan2")
             shifts += 2 * wraps * pi
             e_shifts += 2 * abs(wraps) * e_pi + 1.01 * root2 * m * 2.0 ** (1 + W - wp)
         self.theta = ((4 * m - 1) * arg >> 2) + (ai * (log_abs - (1 << W) - log_pi) >> W) + b_im - shifts

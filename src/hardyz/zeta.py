@@ -7,12 +7,8 @@ and N and K from _em_size).  Its one reader is module hardy: the Taylor
 patches take the series, and the point reads its orders 0 and 1 at one
 point of the critical line.  It reads one Dirichlet table of n^-1/2-it
 (_dirichlet_table) in Python ints: a prime costs a log and a cos_sin from
-mpmath's libmp, a composite one product.  The rounding bounds assume, at
-wp = bits + PHASE_GUARD_BITS and libmp's default rounding (towards zero),
-that mpf_log(p) is within LOG_ULPS ulps of log p and mpf_cos_sin(x), x the
-rounded t log p (or theta(c), for hardy's series and point reads), gives
-cos x and sin x within COS_SIN_ULPS units of 2^-wp; tests/test_zeta.py
-measures both against the same calls at 2 wp.
+mpmath's libmp at wp = bits + PHASE_GUARD_BITS, a composite one product.
+The rounding bounds take libmp's errors from precision.LIBMP_ULPS.
 """
 
 from __future__ import annotations
@@ -25,10 +21,9 @@ from typing import Dict, List, Tuple
 from mpmath import libmp
 
 from .polynomials import bernoulli_numbers
+from .precision import LIBMP_ULPS
 
 PHASE_GUARD_BITS = 20  # t log p for p^-s: keeps its rounding under a unit of 2^-bits to t = 10^4
-LOG_ULPS = 2  # assumed error of libmp.mpf_log (module docstring)
-COS_SIN_ULPS = 2  # assumed error of libmp.mpf_cos_sin (module docstring)
 
 
 class _PrimeTable:
@@ -99,14 +94,15 @@ def _entry_units(t, N: int) -> float:
 
     The rounding, in units of 2^-bits, as complex moduli: a floor of an
     exact integer product or quotient, under sqrt 2; a prime's entry, with
-    the phase t log p within 2 |t| log N (LOG_ULPS + 1) 2^-wp, cos and sin
-    within a = 1 + 2^-PHASE_GUARD_BITS (2 |t| log N (LOG_ULPS + 1)
-    + 2 COS_SIN_ULPS) and the isqrt within 1, by P = a + 1 + sqrt 2; a
+    the phase t log p within 2 |t| log N (L + 1) 2^-wp, cos and sin
+    within a = 1 + 2^-PHASE_GUARD_BITS (2 |t| log N (L + 1) + 2 C) and the
+    isqrt within 1, by P = a + 1 + sqrt 2; a
     composite n = p m, m >= p >= 2, by E_p |m^-s| + |p^-s| E_m + E_p E_m
     2^-bits plus a floor, |p^-s| = p^-1/2 < 1, so every entry is within
-    B = (P + 2)/(sqrt 2 - 1) + 1, about 14.
+    B = (P + 2)/(sqrt 2 - 1) + 1, about 14; L and C are the mpf_log and
+    mpf_cos_sin entries of LIBMP_ULPS.
     """
-    phase = 2 * abs(float(t)) * math.log(N) * (LOG_ULPS + 1) + 2 * COS_SIN_ULPS
+    phase = 2 * abs(float(t)) * math.log(N) * (LIBMP_ULPS["mpf_log"] + 1) + 2 * LIBMP_ULPS["mpf_cos_sin"]
     a = 1 + phase / 2 ** PHASE_GUARD_BITS
     return (a + 3 + math.sqrt(2)) / (math.sqrt(2) - 1) + 1
 
@@ -114,7 +110,8 @@ def _entry_units(t, N: int) -> float:
 def _log_table(N: int, bits: int) -> List[int]:
     """log n, n <= N, with `bits` fraction bits: _PRIMES' log p floored for
     a prime, log p + log m for a composite p m (index 0 unused).  Entry n
-    is within log2(n) (1 + LOG_ULPS log N 2^(1-PHASE_GUARD_BITS)) units."""
+    is within log2(n) (1 + L log N 2^(1-PHASE_GUARD_BITS)) units, L the
+    mpf_log entry of LIBMP_ULPS."""
     spf = _PRIMES.factors(N)
     logs = [0] * (N + 1)
     for n in range(2, N + 1):
@@ -239,7 +236,7 @@ def _zeta_series_bound(c: float, d: float, J: int, N: int, K: int,
     """(sizes, errors): bounds on |z_j| of the exact sum and on the
     rounding of _zeta_series(c, d, J, N, K, bits) in units of 2^-bits.
     Entries err by B = _entry_units(c, N), d log n by delta = d log2(N)
-    (1 + LOG_ULPS log N 2^(1-PHASE_GUARD_BITS)) + 1, and with
+    (1 + L log N 2^(1-PHASE_GUARD_BITS)) + 1, L as in _log_table, and with
     X >= d log N pass j by E_j(n) <= X E_(j-1)(n)/j + delta n^-1/2
     X^(j-1)/j! + sqrt 2, E_0 = B, as |P_n^(j)| <= n^-1/2 X^j/j!; the sum
     takes sum n^-1/2 <= 2 sqrt N and sqrt 2 for a_N/2, N^(1-s) N E_j(N).
@@ -252,7 +249,7 @@ def _zeta_series_bound(c: float, d: float, J: int, N: int, K: int,
     """
     root2 = math.sqrt(2)
     X = d * math.log(N) * (1 + 2.0 ** -40)
-    delta = d * math.log2(N) * (1 + LOG_ULPS * math.log(N) * 2.0 ** (1 - PHASE_GUARD_BITS)) + 1
+    delta = d * math.log2(N) * (1 + LIBMP_ULPS["mpf_log"] * math.log(N) * 2.0 ** (1 - PHASE_GUARD_BITS)) + 1
     root_n, B = math.sqrt(N), _entry_units(c, N)
     term, total, last = 1.0, N * B, B  # X^j/j!, sum_n E_j(n), E_j(N)
     sizes, errors, v_sizes, v_errors = [], [], [], []

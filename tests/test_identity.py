@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import libmp, mp
 
-from hardyz import identity, kernel, probes
+from hardyz import identity, kernel
 from hardyz.divided_diff import FunctionProbe
 from hardyz.identity import (NodeNotZeroError, WeightContractError,
                              piecewise_weight_integral, reconstruct_f0,
@@ -17,10 +17,9 @@ from hardyz.kernel import (DuplicateNodeError, NodeConfig, coefficients,
                            random_config)
 from hardyz.polynomials import horner
 from hardyz.precision import working_precision
-from hardyz.probes import (EXP_ULPS, PASS_GUARD_BITS, cardinal_probe, cosine_probe,
+from hardyz.probes import (PASS_GUARD_BITS, cardinal_probe, cosine_probe,
                            gaussian_cosine_probe, polynomial_probe)
 from hardyz.quadrature import nodes
-from hardyz.zeta import COS_SIN_ULPS
 
 from panel_values import panel_value
 from quadrature_oracle import fixed_degree, ladder
@@ -473,39 +472,6 @@ def test_panel_pass_is_within_its_rounding_bound_of_the_mpf_rule(prec):
                         (r * w, _exact_derivative(probe, k, c + r * t).real * horner(q, r * t))
                         for t, w in nodes(N))
                     assert abs(got - reference) <= mp.exp(log_round)
-
-
-@pytest.mark.parametrize("prec", [128, 192])
-def test_libmp_calls_of_the_pass_are_within_the_assumed_ulps(prec, monkeypatch):
-    # every mpf_exp and mpf_cos_sin call the probes make on criterion 01's
-    # smooth cases (integral term and boundary terms), against the same call
-    # at 2 wp: exp within EXP_ULPS ulps, cos and sin within COS_SIN_ULPS
-    # units of 2^-wp; the reference's own error, about 2^-2wp, is far below
-    calls = {"exp": [], "cos_sin": []}
-
-    def recorded(name, call):
-        def wrapper(x, wp):
-            calls[name].append((x, wp))
-            return call(x, wp)
-        return wrapper
-
-    monkeypatch.setattr(probes, "mpf_exp", recorded("exp", libmp.mpf_exp))
-    monkeypatch.setattr(probes, "mpf_cos_sin", recorded("cos_sin", libmp.mpf_cos_sin))
-    for cfg, mu, m, make_probe, args in _criterion01_smooth_cases(prec):
-        verify_key_identity(cfg, mu, make_probe(*args, prec=prec), m, prec=prec)
-    assert calls["exp"] and calls["cos_sin"]
-    worst = {"exp": 0.0, "cos_sin": 0.0}
-    with mp.workprec(4 * prec):
-        for x, wp in calls["exp"]:
-            got = libmp.mpf_exp(x, wp)
-            gap = abs(mp.make_mpf(got) - mp.make_mpf(libmp.mpf_exp(x, 2 * wp)))
-            worst["exp"] = max(worst["exp"], float(mp.ldexp(gap, wp - got[2] - got[3])))
-        for x, wp in calls["cos_sin"]:
-            for got, ref in zip(libmp.mpf_cos_sin(x, wp), libmp.mpf_cos_sin(x, 2 * wp)):
-                gap = abs(mp.make_mpf(got) - mp.make_mpf(ref))
-                worst["cos_sin"] = max(worst["cos_sin"], float(mp.ldexp(gap, wp)))
-    assert worst["exp"] <= EXP_ULPS, worst
-    assert worst["cos_sin"] <= COS_SIN_ULPS, worst
 
 
 def test_integral_term_refuses_a_probe_without_a_majorant():

@@ -1,20 +1,17 @@
 """Tests for hardyz.theta: every value of a theta jet's polynomial, and
 theta and theta' at a point, lies within its stated bound of mpmath's
-loggamma or digamma at twice the precision, and the libmp calls of the
-Stirling sum are within the ulps it assumes."""
+loggamma or digamma at twice the precision."""
 
 import math
 
 import pytest
-from mpmath import libmp, mp
+from mpmath import mp
 
-from hardyz import hardy, theta
 from hardyz.hardy import CONTOUR_RADIUS, _TaylorPatches
 from hardyz.precision import working_precision
-from hardyz.theta import STIRLING_ULPS, ThetaJet, theta_point
+from hardyz.theta import ThetaJet, theta_point
 
 from derivative_oracle import theta_complex
-from test_hardy import NEWTON_HEIGHTS
 
 # explore's lowest height, the benchmark's range, and up to three patches
 EXPLORE_HEIGHTS = ["30.5", "55", "60", "65", "100", "1000", "10000"]
@@ -109,52 +106,3 @@ def test_theta_point_is_within_its_bound(prec):
             exact_slope = mp.digamma(mp.mpf(0.25) + 0.5j * tm).real / 2 - mp.log(mp.pi) / 2
             assert abs(mp.ldexp(value, -prec) - exact) <= bound, t
             assert abs(mp.ldexp(slope, -prec) - exact_slope) <= bound, t
-
-
-class _Recorder:
-    """libmp for module theta, recording each mpf_log and mpf_atan2 call
-    as (name, arguments, wp)."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __getattr__(self, name):
-        return getattr(libmp, name)
-
-    def mpf_log(self, x, wp):
-        self.calls.append(("mpf_log", (x,), wp))
-        return libmp.mpf_log(x, wp)
-
-    def mpf_atan2(self, y, x, wp):
-        self.calls.append(("mpf_atan2", (y, x), wp))
-        return libmp.mpf_atan2(y, x, wp)
-
-
-@pytest.mark.parametrize("prec", [64, 128, 192])
-def test_stirling_libmp_calls_are_within_the_assumed_ulps(monkeypatch, prec):
-    # the calls of the jets test_jet_reads_on_explore_circles_are_within_
-    # the_bound and its batch sibling build, here at prec, and of the Newton
-    # reads at NEWTON_HEIGHTS, each against the same call at 2 wp: log
-    # |a|^2, atan2 of a and of the shifts' product, and pi and log pi at
-    # every wp seen, in ulps at wp
-    recorder = _Recorder()
-    monkeypatch.setattr(theta, "libmp", recorder)
-    circles = [c for T in EXPLORE_HEIGHTS for c in _explore_circles(T, prec)]
-    for centre, radius in circles + [_batch_circle(t, prec) for t in BATCH_HEIGHTS]:
-        _jet(centre, radius, prec)
-    with working_precision(prec):
-        for t in NEWTON_HEIGHTS:
-            hardy._point_read(mp.mpf(t), prec, 2)
-    monkeypatch.undo()
-    calls = recorder.calls + [(name, (), wp) for wp in {wp for _, _, wp in recorder.calls}
-                              for name in ("mpf_pi", "log_pi")]
-    assert {name for name, _, _ in calls} == {"mpf_log", "mpf_atan2", "mpf_pi", "log_pi"}
-    worst = 0.0
-    with mp.workprec(64):
-        for name, args, wp in calls:
-            call = (lambda p: libmp.mpf_log(libmp.mpf_pi(p), p)) if name == "log_pi" else (
-                lambda p: getattr(libmp, name)(*args, p))
-            got, ref = call(wp), call(2 * wp)
-            gap = abs(mp.make_mpf(got) - mp.make_mpf(ref))
-            worst = max(worst, float(mp.ldexp(gap, wp - got[2] - got[3])) if got[1] else float(gap))
-    assert worst <= STIRLING_ULPS, worst
