@@ -31,8 +31,8 @@ LIBMP_ULPS is the one input the proved passes (zeta, theta, hardy, probes)
 assume instead of deriving: the error, at wp bits and libmp's default
 rounding, of each libmp function they call that is not exact or correctly
 rounded, in ulps at wp for mpf_log, mpf_exp, mpf_atan2 and mpf_pi, and in
-units of 2^-wp for each of mpf_cos_sin's cos and sin; tests/test_libmp.py
-measures it.
+units of 2^-wp for each of mpf_cos_sin's cos and sin; the recorder of
+tests/test_libmp.py measures it.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from hardyz.quadrature import nodes
 
 from panel_values import panel_value
 from quadrature_oracle import fixed_degree, ladder
+from test_libmp import measured_errors, over_assumed
 
 PREC = 192
 
@@ -472,6 +473,19 @@ def test_panel_pass_is_within_its_rounding_bound_of_the_mpf_rule(prec):
                         (r * w, _exact_derivative(probe, k, c + r * t).real * horner(q, r * t))
                         for t, w in nodes(N))
                     assert abs(got - reference) <= mp.exp(log_round)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_libmp_calls_of_the_pass_are_within_the_assumed_ulps(monkeypatch, prec):
+    # every mpf_exp and mpf_cos_sin call the probes make on criterion 01's
+    # smooth cases, integral term and boundary terms
+    def workload(recorder):
+        for cfg, mu, m, make_probe, args in _criterion01_smooth_cases(prec):
+            verify_key_identity(cfg, mu, make_probe(*args, prec=prec), m, prec=prec)
+
+    worst = measured_errors(monkeypatch, workload)
+    assert set(worst) == {"mpf_exp", "mpf_cos_sin"}, worst
+    assert not over_assumed(worst)
 
 
 def test_integral_term_refuses_a_probe_without_a_majorant():

@@ -1,34 +1,25 @@
 """The libmp calls of the proved passes (modules zeta, theta, hardy and
 probes): each libmp function the package uses is either assumed, with an
-entry in precision.LIBMP_ULPS, or exact or correctly rounded; and every call
-of an assumed function that the passes' workloads make is within its entry
-of the same call at 2 wp."""
+entry in precision.LIBMP_ULPS, or exact or correctly rounded; and the one
+harness, measured_errors, with which test_zeta, test_theta and test_identity
+measure every call of an assumed function their workloads make against the
+same call at 2 wp."""
 
 import ast
 import types
 from pathlib import Path
 
-import pytest
-from mpmath import libmp, mp
+from mpmath import libmp
 
 from hardyz import hardy, probes, theta, zeta
-from hardyz.identity import verify_key_identity
-from hardyz.precision import LIBMP_ULPS, working_precision
+from hardyz.precision import LIBMP_ULPS
 from hardyz.theta import JET_GUARD_BITS
-
-from test_hardy import NEWTON_HEIGHTS
-from test_identity import _criterion01_smooth_cases
-from test_theta import BATCH_HEIGHTS, EXPLORE_HEIGHTS, _batch_circle, _explore_circles, _jet
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hardyz"
 # libmp names that add no error of their own: constants, conversions, and
 # arithmetic rounded once in the direction asked
 EXACT = {"fone", "fzero", "round_ceiling", "from_float", "from_int", "from_man_exp", "to_fixed",
          "to_float", "mpf_add", "mpf_sub", "mpf_mul", "mpf_div", "mpf_neg", "mpf_shift"}
-# near the first zero, at t = 500 and at the top of PHASE_GUARD_BITS' range
-ULPS_HEIGHTS = ("14.1", "500.3", "10000.3")
-# 40 centres spread geometrically over [14, 10^5]: theta(c) reaches 4.3e5
-THETA_CENTRES = [f"{14 * (10 ** 5 / 14) ** (i / 39):.4f}" for i in range(40)]
 
 
 def _libmp_names(path: Path) -> set:
@@ -78,46 +69,35 @@ def _error(name: str, args: tuple, wp: int, got) -> float:
     return max(abs(libmp.to_float(libmp.mpf_shift(libmp.mpf_sub(g, r), shift))) for g, r in pairs)
 
 
-def _theta_read(recorder, t, prec: int, J: int) -> None:
+def theta_read(recorder, t, prec: int, J: int) -> None:
     """The theta half of hardy._point_read(t, prec, J): theta_point at the
-    read's F bits and e^(i theta) from cos_sin at its wp."""
+    read's F bits and e^(i theta) from cos_sin at its wp, through recorder."""
     bits = hardy._line_size(t, prec, J)[2]
     F = bits + JET_GUARD_BITS
     angle = theta.theta_point(t, F)[0]
     recorder.mpf_cos_sin(libmp.from_man_exp(angle, -F), bits + zeta.PHASE_GUARD_BITS)
 
 
-@pytest.mark.parametrize("prec", [64, 128, 192])
-def test_libmp_calls_are_within_the_assumed_ulps(monkeypatch, prec):
-    # the reference's own error, about 2^-2wp, is far below a unit at wp
+def measured_errors(monkeypatch, workload) -> dict:
+    """Run workload(recorder) with the libmp of zeta, theta, hardy and probes
+    replaced by one recorder (fresh zeta._PRIMES, theta._pi_and_log_pi's
+    cache cleared, so cached constants are computed again), and return the
+    largest error of each LIBMP_ULPS function it called, each distinct call
+    measured once; the reference's own error, about 2^-2wp, is far below a
+    unit at wp."""
     calls = {}
     recorder = _recorder(calls)
     for module in (zeta, theta, hardy, probes):
         monkeypatch.setattr(module, "libmp", recorder)
     monkeypatch.setattr(zeta, "_PRIMES", zeta._PrimeTable())  # log p is cached per table
     theta._pi_and_log_pi.cache_clear()
-    with working_precision(prec):  # the arguments as the entry points receive them
-        # z_eval's and find_zeros' Newton reads whole, the Dirichlet table's
-        # log p and t log p included
-        for t in ULPS_HEIGHTS:
-            for J in (1, 2):
-                hardy._point_read(mp.mpf(t), prec, J)
-        # theta and e^(i theta) of the Newton reads, and of z_eval up to
-        # theta(c) = 4.3e5
-        for t in NEWTON_HEIGHTS:
-            _theta_read(recorder, mp.mpf(t), prec, 2)
-        for c in THETA_CENTRES:
-            _theta_read(recorder, mp.mpf(c), prec, 1)
-    # the jets of explore's patches and of z_derivatives_batch's circles
-    circles = [c for T in EXPLORE_HEIGHTS for c in _explore_circles(T, prec)]
-    for centre, radius in circles + [_batch_circle(t, prec) for t in BATCH_HEIGHTS]:
-        _jet(centre, radius, prec)
-    # the probes' exps and cos_sins: criterion 01's smooth cases, integral
-    # term and boundary terms
-    for cfg, mu, m, make_probe, args in _criterion01_smooth_cases(prec):
-        verify_key_identity(cfg, mu, make_probe(*args, prec=prec), m, prec=prec)
-    worst = dict.fromkeys(LIBMP_ULPS, 0.0)
+    workload(recorder)
+    worst = {}
     for (name, args, wp), got in calls.items():
-        worst[name] = max(worst[name], _error(name, args, wp, got))
-    assert {name for name, _, _ in calls} == set(LIBMP_ULPS)
-    assert not {name: error for name, error in worst.items() if error > LIBMP_ULPS[name]}
+        worst[name] = max(worst.get(name, 0.0), _error(name, args, wp, got))
+    return worst
+
+
+def over_assumed(worst: dict) -> dict:
+    """The measured errors above their LIBMP_ULPS entries."""
+    return {name: error for name, error in worst.items() if error > LIBMP_ULPS[name]}

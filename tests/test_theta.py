@@ -1,6 +1,7 @@
 """Tests for hardyz.theta: every value of a theta jet's polynomial, and
 theta and theta' at a point, lies within its stated bound of mpmath's
-loggamma or digamma at twice the precision."""
+loggamma or digamma at twice the precision, and the libmp calls of the
+Stirling sum are within their assumed errors."""
 
 import math
 
@@ -12,6 +13,8 @@ from hardyz.precision import working_precision
 from hardyz.theta import ThetaJet, theta_point
 
 from derivative_oracle import theta_complex
+from test_hardy import NEWTON_HEIGHTS
+from test_libmp import measured_errors, over_assumed, theta_read
 
 # explore's lowest height, the benchmark's range, and up to three patches
 EXPLORE_HEIGHTS = ["30.5", "55", "60", "65", "100", "1000", "10000"]
@@ -106,3 +109,21 @@ def test_theta_point_is_within_its_bound(prec):
             exact_slope = mp.digamma(mp.mpf(0.25) + 0.5j * tm).real / 2 - mp.log(mp.pi) / 2
             assert abs(mp.ldexp(value, -prec) - exact) <= bound, t
             assert abs(mp.ldexp(slope, -prec) - exact_slope) <= bound, t
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_stirling_libmp_calls_are_within_the_assumed_ulps(monkeypatch, prec):
+    # the jets of explore's patches and of z_derivatives_batch's circles,
+    # as the jet tests above build them, here at prec, and theta and
+    # e^(i theta) of find_zeros' Newton reads (J = 2) at NEWTON_HEIGHTS
+    def workload(recorder):
+        circles = [c for T in EXPLORE_HEIGHTS for c in _explore_circles(T, prec)]
+        for centre, radius in circles + [_batch_circle(t, prec) for t in BATCH_HEIGHTS]:
+            _jet(centre, radius, prec)
+        with working_precision(prec):
+            for t in NEWTON_HEIGHTS:
+                theta_read(recorder, mp.mpf(t), prec, 2)
+
+    worst = measured_errors(monkeypatch, workload)
+    assert set(worst) == {"mpf_log", "mpf_cos_sin", "mpf_atan2", "mpf_pi"}, worst
+    assert not over_assumed(worst)

@@ -1,4 +1,5 @@
-"""Unit tests for the Euler-Maclaurin zeta and its Dirichlet table."""
+"""Unit tests for the Euler-Maclaurin zeta, its Dirichlet table and the
+libmp calls of its point reads."""
 
 import math
 import random
@@ -8,6 +9,8 @@ from mpmath import mp
 
 from hardyz import hardy, zeta
 from hardyz.precision import working_precision
+
+from test_libmp import measured_errors, over_assumed, theta_read
 
 # N = 16 is the smallest N _em_size takes for a target of 2^-64, 251 a prime,
 # 252 a prime plus one and 243 = 3^5; t < 0 is the lower half of a circle
@@ -63,3 +66,27 @@ def test_zeta_em_encloses_the_library_zeta(prec):
             assert abs(value - exact) <= bound, t
             # and the bound is near the precision asked for
             assert bound <= mp.ldexp(max(1, abs(exact)), 4 - prec), t
+
+
+# near the first zero, at t = 500 and at the top of PHASE_GUARD_BITS' range
+ULPS_HEIGHTS = ("14.1", "500.3", "10000.3")
+# 40 centres spread geometrically over [14, 10^5]: theta(c) reaches 4.3e5
+THETA_CENTRES = [f"{14 * (10 ** 5 / 14) ** (i / 39):.4f}" for i in range(40)]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_libmp_calls_are_within_the_assumed_ulps(monkeypatch, prec):
+    # z_eval's and find_zeros' Newton reads whole (J = 1 and 2) at
+    # ULPS_HEIGHTS, the Dirichlet table's log p and t log p included, and
+    # theta and e^(i theta) of z_eval's reads up to theta(c) = 4.3e5
+    def workload(recorder):
+        with working_precision(prec):  # the arguments as the entry points receive them
+            for t in ULPS_HEIGHTS:
+                for J in (1, 2):
+                    hardy._point_read(mp.mpf(t), prec, J)
+            for c in THETA_CENTRES:
+                theta_read(recorder, mp.mpf(c), prec, 1)
+
+    worst = measured_errors(monkeypatch, workload)
+    assert set(worst) == {"mpf_log", "mpf_cos_sin", "mpf_atan2", "mpf_pi"}, worst
+    assert not over_assumed(worst)
