@@ -2,17 +2,15 @@
 
 Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t.  Every zeta the
 program reads is zeta._zeta_series, one Euler-Maclaurin sum, and every
-theta module theta's Stirling series, each with a proved bound.  The point
-reads (_point_read, for z_eval and find_zeros' Newton reads of Z and Z')
-take zeta's orders 0 and 1 at a point of the critical line, and theta and
-theta' there from theta.theta_point, as theta and theta_prime do.
-find_zeros states how it reads Z and what it proves: Kantorovich's rule
-for Newton's method proves a zero from one read of Z and Z'.
-_TaylorPatches builds and keeps Z's Taylor series about real centres
-(_z_series: zeta's series from one Dirichlet table, theta's from a
-theta.ThetaJet, one exp recurrence and one product): z_derivatives_batch
-reads one at its centre, and theorem1_explore its window from the fewest
-its bound allows.  The tests' references are in tests/derivative_oracle.py."""
+theta module theta's Stirling series, each with a proved bound.  Every read
+of Z and its derivatives at a point is one _point_read: z_eval's, the
+Newton reads of find_zeros, which states how it reads Z and what it proves
+(Kantorovich's rule for Newton's method proves a zero from one read of Z
+and Z'), and z_derivatives_batch's.  _TaylorPatches builds and keeps Z's
+Taylor series about real centres (_z_series: zeta's series from one
+Dirichlet table, theta's from a theta.ThetaJet, one exp recurrence and one
+product): theorem1_explore reads its window from the fewest its bound
+allows.  The tests' references are in tests/derivative_oracle.py."""
 
 from __future__ import annotations
 
@@ -28,13 +26,13 @@ from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
 from .precision import (DEFAULT_PREC, GUARD_BITS, LIBMP_ULPS, floor_shifted, refine_sign_change,
                         working_precision)
 from .theta import JET_GUARD_BITS, ThetaJet, _fewest, theta_point
-from .zeta import PHASE_GUARD_BITS, _em_size, _product_bound, _zeta_series, _zeta_series_bound
+from .zeta import PHASE_GUARD_BITS, _em_size, _product, _product_bound, _zeta_series, _zeta_series_bound
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
 HALF_WIDTH_DIGITS = 6  # a zero's bracket half-width prints with 6 digits at any precision
 MAX_RESCANS = 4
-CONTOUR_RADIUS = 2  # z_derivatives_batch's circle, shrunk to |t|/2 + 1/4 near 0
+CONTOUR_RADIUS = 2  # a window is tried up to (hi - lo)/CONTOUR_RADIUS Taylor patches
 READ_GUARD_BITS = 8  # a Taylor patch's fixed-point series carry bits + 8 fraction bits
 SHAPE_BITS = 24  # the jets that size a patch's bits need theta's shape only
 MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
@@ -92,14 +90,14 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
 
 def _line_size(t, prec: int, J: int) -> Tuple[int, int, int, float, List[float], float]:
     """(N, K, bits, log E, units, r) for a point read of zeta(1/2 + it)
-    and, at J = 2, its t-derivative, each to 2^-prec.  The remainder is
+    and its t-derivatives below order J, each to 2^-prec.  The remainder is
     sized on the circle of radius r about t, 0 at J = 1 (the point alone)
-    and 1/4 at J = 2, which keeps sigma near 1/2: zeta._em_size's N and K
+    and 1/4 above, which keeps sigma near 1/2: zeta._em_size's N and K
     give E <= 2^-prec r^(J-1) on it, and the fewest bits, or more where t
     needs them to be exact, keep order j's rounding, _zeta_series_bound's
     units of 2^-bits in y = (w - t)/r taken at prec bits, under 2^-prec r^j."""
     tf, r = float(t), 0.25 if J > 1 else 0.0
-    log_target = -prec * math.log(2) + (math.log(r) if r else 0.0)
+    log_target = -prec * math.log(2) + ((J - 1) * math.log(r) if r else 0.0)
     N, K, log_remainder = _em_size(tf, r, 0.0, log_target)
     units = _zeta_series_bound(tf, r, J, N, K, prec)[1]
     worst = max(u * r ** -j for j, u in enumerate(units))
@@ -108,38 +106,57 @@ def _line_size(t, prec: int, J: int) -> Tuple[int, int, int, float, List[float],
 
 
 def _point_read(t, prec: int, J: int) -> Tuple[mpf, ...]:
-    """(v, e) at J = 1 and (v, e, v', e') at J = 2, |Z(t) - v| <= e and
-    |Z'(t) - v'| <= e', t real: z_eval's and find_zeros' Newton reads.
-    zeta~ and zeta~' are the coefficients of zeta._zeta_series about t with
-    d = r, sized by _line_size, times r^-j, with bits fraction bits, within
-    b_j: E r^-j (Cauchy on the circle, where E bounds the remainder) and
-    the rounding.  theta~ and theta'~ are theta.theta_point's at F = bits
-    + JET_GUARD_BITS, within d, and f = e^(i theta~) libmp's cos_sin at
-    bits + PHASE_GUARD_BITS floored, within e_f = PHASE_UNITS units of
-    2^-bits.  As |e^(i theta) - e^(i theta~)| <= d, v = Re(f zeta~) floored
-    has |Z - v| <= b_0 + d (|zeta~| + b_0) + (e_f |zeta~| + 1) 2^-bits.
-    Z' = Re(e^(i theta) W), W = zeta' + i theta' zeta, and W~ = zeta~'
-    + i theta'~ zeta~ (two floors) is within b_1 + |theta'~| b_0 + d (|zeta~|
-    + b_0) + sqrt 2 2^-bits of W, so e' is e with W~ and that bound.  The
-    values are exact mpfs; the bounds, summed in floats, are raised by
-    2^-40 for their own rounding."""
+    """(v_0, e_0, .., v_(J-1), e_(J-1)), |Z^(j)(t) - v_j| <= e_j, t real and
+    J <= MAX_DERIVATIVE_ORDER + 1.  In h = w - t: zeta~_j, 4^j = r^-j times
+    zeta._zeta_series' coefficient about t (d = r, sized by _line_size, bits
+    fraction bits), is within b_j, E r^-j (Cauchy; E bounds the remainder)
+    plus the rounding; theta~_0, theta~_1 are theta.theta_point's at F = bits
+    + JET_GUARD_BITS, within d_0 = d_1 = d, and theta~_k, k >= 2, those of
+    theta.ThetaJet(t, r, 2^-bits) (scale 0, F bits; 0 past its end), within
+    d_k = r^-k its error.  e^(i (theta(t + h) - theta_0)) = 1 + i sum q_n h^n,
+    q_1 = theta_1, q_n = theta_n + (i/n) sum_(k<n) k theta_k q_(n-k); q~_n
+    (parts floored) errs by e_n = d_n + sum_k k (d_k |q~_(n-k)| + (|theta~_k|
+    + d_k) e_(n-k))/n + sqrt 2 2^-F.  Z^(j)(t)/j! = Re(e^(i theta_0) W_j),
+    W_j = zeta_j + i sum_(a=1..j) q_a zeta_(j-a); W~_j (parts floored, then
+    turned by i) errs by w_j = b_j + sum_a (|q~_a| b_(j-a) + e_a (|zeta~_(j-a)|
+    + b_(j-a))) + sqrt 2 2^-bits, w_0 = b_0 (zeta._product_bound's rule).
+    f = e^(i theta~_0), cos_sin at bits + PHASE_GUARD_BITS floored, is within
+    e_f = PHASE_UNITS 2^-bits of it and d of e^(i theta_0), so v_j = j! Re(f
+    W~_j) floored errs by e_j = j! (w_j + d (|W~_j| + w_j) + e_f |W~_j| +
+    2^-bits).  Values are exact mpfs; float bounds are raised by 2^-40."""
     N, K, bits, log_remainder, units, r = _line_size(t, prec, J)
     re, im = _zeta_series(t, mp.mpf(r), J, N, K, bits)
-    F, unit = bits + JET_GUARD_BITS, 2.0 ** -bits
+    F, unit, root2 = bits + JET_GUARD_BITS, 2.0 ** -bits, math.sqrt(2)
     bounds = [(math.exp(log_remainder) + u * unit) * r ** -j for j, u in enumerate(units)]
+    z_re, z_im = [x << 2 * j for j, x in enumerate(re)], [x << 2 * j for j, x in enumerate(im)]
     angle, slope, d = theta_point(t, F)
+    thetas, d_theta = [angle, slope], [d, d]
+    if J > 2:
+        jet = ThetaJet(t, r, unit)
+        thetas += jet.coefficients[2:J] + [0] * (J - len(jet.coefficients))
+        d_theta += [jet.error * r ** -k for k in range(2, J)]
+    q_re, q_im, q_sizes, q_errors = [0, slope], [0, 0], [0.0, abs(slope) * 2.0 ** -F], [0.0, d]
+    for n in range(2, J):
+        ar, ai = (sum(k * thetas[k] * q[n - k] for k in range(1, n)) for q in (q_re, q_im))
+        q_re.append(thetas[n] + (-ai >> F) // n)
+        q_im.append((ar >> F) // n)
+        q_sizes.append(math.hypot(q_re[n], q_im[n]) * 2.0 ** -F)
+        q_errors.append(d_theta[n] + sum(k * (d_theta[k] * q_sizes[n - k] + (abs(thetas[k]) * 2.0 ** -F
+                        + d_theta[k]) * q_errors[n - k]) for k in range(1, n)) / n + root2 * 2.0 ** -F)
+    p_re, p_im = _product(q_re, q_im, z_re, z_im, F, J)  # sum_a q_a zeta~_(j-a), floored
     cos, sin = libmp.mpf_cos_sin(libmp.from_man_exp(angle, -F), bits + PHASE_GUARD_BITS)
     fr, fi = libmp.to_fixed(cos, bits), libmp.to_fixed(sin, bits)
-    e_f = PHASE_UNITS * unit
-    size = math.hypot(re[0], im[0]) * unit
-    factors = [(re[0], im[0], size, bounds[0])]
-    if J > 1:  # zeta~' = r^-1 times the order-1 coefficient, r = 1/4
-        wr, wi = round(1 / r) * re[1] - (slope * im[0] >> F), round(1 / r) * im[1] + (slope * re[0] >> F)
-        factors.append((wr, wi, math.hypot(wr, wi) * unit, bounds[1] + abs(slope) * 2.0 ** -F
-                        * bounds[0] + d * (size + bounds[0]) + math.sqrt(2) * unit))
-    return tuple(x for xr, xi, x_size, x_bound in factors for x in (
-        mp.make_mpf(libmp.from_man_exp(fr * xr - fi * xi >> bits, -bits)),
-        mp.mpf((x_bound + d * (x_size + x_bound) + e_f * x_size + unit) * (1 + 2.0 ** -40))))
+    e_f, read = PHASE_UNITS * unit, []
+    for j in range(J):
+        wr, wi, w_bound = z_re[j] - p_im[j], z_im[j] + p_re[j], bounds[j]
+        for a in range(1, j + 1):
+            w_bound += q_sizes[a] * bounds[j - a]
+            w_bound += q_errors[a] * (math.hypot(z_re[j - a], z_im[j - a]) * unit + bounds[j - a])
+        w_bound += root2 * unit if j else 0.0
+        w_size, scale = math.hypot(wr, wi) * unit, math.factorial(j)
+        read += [mp.make_mpf(libmp.from_man_exp((fr * wr - fi * wi >> bits) * scale, -bits)),
+                 mp.mpf((w_bound + d * (w_size + w_bound) + e_f * w_size + unit) * (1 + 2.0 ** -40) * scale)]
+    return tuple(read)
 
 
 def _z_series(centre, half, jet: ThetaJet, J: int, N: int, K: int,
@@ -213,23 +230,18 @@ def _series_plan(centre: float, r: float, jet: ThetaJet, eps: float, J: int,
 
 def z_derivatives_batch(t, orders: Sequence[int],
                         prec: int = DEFAULT_PREC) -> Dict[int, mpf]:
-    """All requested derivative orders from one Taylor series about t:
-    the centre read of one Taylor patch (_TaylorPatches over the width-0
-    window [t, t]) with its bound on the circle of radius
-    min(CONTOUR_RADIUS, |t|/2 + 1/4), inside the disc where Z is analytic
-    (its nearest singularities are at w = +-i/2).  The series stops at the
-    largest order, so it has no truncation error.
-    """
+    """Z^(k)(t), k in orders, from one _point_read at |t|: (-1)^k Z^(k)(|t|) below 0."""
     orders = sorted(set(int(k) for k in orders))
     if not orders:
         return {}
     if orders[0] < 0:
         raise ValueError("orders must be >= 0")
+    if orders[-1] > MAX_DERIVATIVE_ORDER:
+        raise CapacityError(f"order {orders[-1]} exceeds {MAX_DERIVATIVE_ORDER}")
     with working_precision(prec):
         tm = mp.mpf(t)
-        radius = min(mp.mpf(CONTOUR_RADIUS), abs(tm) / 2 + mp.mpf(0.25))
-        patch = _TaylorPatches(tm, tm, orders, prec, radius)
-        return {k: patch.derivative(tm, k) for k in orders}
+        read = _point_read(abs(tm), prec, orders[-1] + 1)
+        return {k: mp.fneg(read[2 * k], exact=True) if tm < 0 and k % 2 else read[2 * k] for k in orders}
 
 
 # ---------------------------------------------------------------------------
@@ -567,20 +579,17 @@ class _TaylorPatches:
     """Z^(k) on [lo, hi] from truncated Taylor series of Z, one a patch;
     the only code that builds Z's series.
 
-    count patches of width (hi - lo)/count tile the interval, and a point
-    is read from the series about its nearest centre, at most d = width/2
-    away.  Each patch has a circle of radius r = width (on a width-0
-    window, read only at its centre, the radius given), and its series
-    (_z_series) keeps a_n for n < J, J and the bits the same for every
-    patch (J = kmax + 1 at width 0).  The count is the fewest the bound
-    allows, tried from _first_count up to twice that or the tiling of
-    radius CONTOUR_RADIUS, whichever is more.  Each order's series is kept
-    as Python ints with F = bits + READ_GUARD_BITS fraction bits
-    (read_bits), b_n = a_(n+k) (n+k)!/n! d^n for n < J - k (1 term at
-    width 0), so Z^(k)(u) = sum_n b_n x^n, x = (u - centre)/d, |x| <= 1, is
-    one integer Horner pass rounded once.  The series is built in
-    y = h/d', d' = r/2 (d but for width 0), r rounded to bits bits, so d'^k
-    is exact and each b_n one floor of an exact quotient.
+    count patches of width (hi - lo)/count tile the interval, and a point is
+    read from the series about its nearest centre, at most d = width/2 away.
+    Each patch has a circle of radius r = width, and its series (_z_series)
+    keeps a_n for n < J, J and the bits the same for every patch.  The count
+    is the fewest the bound allows, tried from _first_count up to twice that
+    or the tiling of radius CONTOUR_RADIUS, whichever is more.  Each order's
+    series is kept as Python ints with F = bits + READ_GUARD_BITS fraction
+    bits (read_bits), b_n = a_(n+k) (n+k)!/n! d^n for n < J - k, so Z^(k)(u)
+    = sum_n b_n x^n, x = (u - centre)/d, |x| <= 1, is one integer Horner pass
+    rounded once.  The series is built in y = h/d', d' = r/2, r rounded to
+    bits bits, so d'^k is exact and each b_n one floor of an exact quotient.
 
     series_error is the largest over the orders, doubled to cover
     second-order terms and the floats it is computed in, of the sum of
@@ -589,11 +598,11 @@ class _TaylorPatches:
       radius R < sqrt(c^2 + 1/4), the distance to Z's singularities +-i/2
       (enclose.z_log_majorant), Cauchy's |a_n| <= A R^-n bounds it by
       A R^-k sum_{n>=J} n!/(n-k)! (d/R)^(n-k), at most its first term over
-      1 - rho, rho its first ratio (the ratios fall); 0 at width 0;
+      1 - rho, rho its first ratio (the ratios fall);
     - the series' own error E on the r-circle (_series_plan), which Cauchy
       turns into E k! r/(r - d)^(k+1) (_log_gain), truncated series too;
     - the coefficients' rounding: e_j units of 2^-B on a_j d'^j add
-      2^-B sum_(j>=k) e_j j!/(j-k)!/d'^k (e_k k!/d'^k at width 0);
+      2^-B sum_(j>=k) e_j j!/(j-k)!/d'^k;
     - the read: 2^-F (2N' + S1) for N' = J - k floors of b_n, N' - 1 of
       Horner steps (|x| <= 1 keeps them from growing) and the floor of x
       (S1 = sum n |b_n|), counted as (3J + 6) 2^-bits S where larger (where
@@ -613,7 +622,7 @@ class _TaylorPatches:
     series are sized for it and built once more before the next count.
     """
 
-    def __init__(self, lo, hi, orders: Sequence[int], prec: int, radius=None):
+    def __init__(self, lo, hi, orders: Sequence[int], prec: int):
         if mp.prec < prec + GUARD_BITS:
             raise ValueError(f"patches for {prec} bits need working_precision({prec}), "
                              f"not mp.prec = {mp.prec}")
@@ -626,12 +635,10 @@ class _TaylorPatches:
         self._log_majorants: Dict[Tuple[float, float], float] = {}
         unit = prec * math.log(2)
         log_budget = -unit  # 2^-prec times a largest |Z^(k)| of 1, until one is read
-        count = last = 1
-        if hi > lo:
-            count = self._first_count(lo, hi)
-            last = max(2 * count, math.ceil((hi - lo) / CONTOUR_RADIUS))
+        count = self._first_count(lo, hi)
+        last = max(2 * count, math.ceil((hi - lo) / CONTOUR_RADIUS))
         while True:
-            self._tile(lo, hi, count, radius)
+            self._tile(lo, hi, count)
             for _ in range(2):
                 J, bits, R = self._size(log_budget)
                 if J > self.J or bits > self.bits:
@@ -657,15 +664,14 @@ class _TaylorPatches:
         d = (GUARD_BITS - 3) * math.log(2) / omega if omega > 0 else math.inf
         return max(1, math.ceil(float(hi - lo) / (2 * d)))
 
-    def _tile(self, lo, hi, count: int, radius) -> None:
+    def _tile(self, lo, hi, count: int) -> None:
         """Place count patches on [lo, hi], not yet built."""
         self.count = count
         self.width = (hi - lo) / count
-        self.radius = self.width or mp.mpf(radius)
         self.centres = [lo + (i + mp.mpf(0.5)) * self.width for i in range(count)]
         self.series: List[Dict[int, List[int]]] = []  # per patch and order
         self.J = self.bits = 0
-        self._r, self._d = float(self.radius), float(self.width) / 2
+        self._r, self._d = float(self.width), float(self.width) / 2
         self._centres = [float(c) for c in self.centres]
         self._far = max(abs(c) for c in self._centres)
         self._reach = min(math.hypot(c, 0.5) for c in self._centres)
@@ -679,7 +685,7 @@ class _TaylorPatches:
         the logs of E and of each order's coefficient rounding."""
         self.read_bits = F = self.bits + READ_GUARD_BITS
         with mp.workprec(self.bits):
-            r = +self.radius  # the radius built on, exact as man 2^exp
+            r = +self.width  # the radius built on, exact as man 2^exp
         self._radius_bits = man, exp = r.man, r.exp
         half = mp.make_mpf(libmp.from_man_exp(man, exp - 1))
         self.series, self._log_circle = [], -math.inf
@@ -695,14 +701,13 @@ class _TaylorPatches:
             # b_n 2^F = a_(n+k) (n+k)!/n! 2^(F - B)/d'^k, d'^k = man^k 2^(k (exp - 1))
             self.series.append({k: [floor_shifted(a[n + k] * math.perm(n + k, k), man ** k,
                                                   F - B - k * (exp - 1))
-                                    for n in range(self.J - k if self.width else 1)]
+                                    for n in range(self.J - k)]
                                 for k in self._orders})
 
     def _read_units(self, errors: List[float], half: float) -> Dict[int, float]:
         """log of each order's coefficient rounding from the bounds e_j:
-        sum_(j>=k) e_j j!/(j-k)!/half^k, or e_k k!/half^k at width 0."""
-        return {k: math.log(sum(e * math.perm(j, k) for j, e in enumerate(errors) if j >= k)
-                            if self.width else errors[k] * math.factorial(k))
+        sum_(j>=k) e_j j!/(j-k)!/half^k."""
+        return {k: math.log(sum(e * math.perm(j, k) for j, e in enumerate(errors) if j >= k))
                 - k * math.log(half) for k in self._orders}
 
     def _log_majorant(self, c: float, R: float) -> float:
@@ -719,8 +724,6 @@ class _TaylorPatches:
 
     def _log_truncation(self, k: int, J: int, R: float, log_a: float) -> float:
         """log of the truncation bound on Z^(k) after J terms."""
-        if not self._d:
-            return -math.inf
         x = self._d / R
         rho = x * (J + 1) / (J + 1 - k)
         return math.inf if rho >= 1 else (
@@ -729,11 +732,8 @@ class _TaylorPatches:
 
     def _size(self, log_budget: float) -> Tuple[int, int, float]:
         """(J, bits, R) for the error budget e^log_budget on every Z^(k)."""
-        if self.width:
-            R = self._radius(log_budget)
-            J = self._terms(log_budget, R, self._majorant(R))
-        else:
-            R, J = None, self._orders[-1] + 1
+        R = self._radius(log_budget)
+        J = self._terms(log_budget, R, self._majorant(R))
         return J, self._bits(log_budget, J), R
 
     def _bits(self, log_budget: float, J: int) -> int:
@@ -796,9 +796,8 @@ class _TaylorPatches:
         return _fewest(lambda J: all(self._log_truncation(k, J, R, log_a) <= target
                                     for k in self._orders), kmax, kmax + 1)
 
-    def _log_error(self, R: Optional[float]) -> float:
+    def _log_error(self, R: float) -> float:
         """log of series_error for the series as built."""
-        log_a = self._majorant(R) if self.width else 0.0
         log_allowance = math.log(3 * self.J + 6) - self.bits * math.log(2)
         log_output = -mp.prec * math.log(2)
         F = self.read_bits
@@ -810,7 +809,7 @@ class _TaylorPatches:
             log_read = max(math.log((2 * len(patch[k]) << F)
                                     + sum(n * abs(b) for n, b in enumerate(patch[k])))
                            for patch in self.series) - 2 * F * math.log(2)
-            worst = max(worst, log_add(self._log_truncation(k, self.J, R, log_a),
+            worst = max(worst, log_add(self._log_truncation(k, self.J, R, self._majorant(R)),
                                         self._log_circle + _log_gain(k, self._r, self._d),
                                         self._log_rounding[k],
                                         max(log_allowance + log_size, log_read),
@@ -820,8 +819,8 @@ class _TaylorPatches:
     def derivative(self, u, k: int) -> mpf:
         """Z^(k)(u) from the nearest patch by the fixed-point Horner pass,
         rounded once to the ambient precision."""
-        i = min(int((u - self.lo) / self.width), self.count - 1) if self.width else 0
-        x = self._fixed_x(u, self.centres[i]) if self.width else 0
+        i = min(int((u - self.lo) / self.width), self.count - 1)
+        x = self._fixed_x(u, self.centres[i])
         F, acc = self.read_bits, 0
         for b in reversed(self.series[i][k]):
             acc = (acc * x >> F) + b

@@ -265,11 +265,12 @@ class ThetaJet:
             return ((pr * br - pi * bi) >> F, (pr * bi + pi * br) >> F,
                     base_size * err + math.hypot(pr, pi) * unit * s_err + math.sqrt(2))
 
+        binomials = [2 * k - 1 for k in range(1, K + 1)]  # C(2k-2+j, j) at j = 1, then stepped exactly
         for j in range(2, J + 1):
             last = powers[0]
             powers = [step(p, x, size) for p, x, size in zip(powers, bases, sizes)]
             (pr, pi, p_err), shift_powers = powers[0], powers[1:]
-            binomials = [math.comb(2 * k - 2 + j, j) for k in range(1, K + 1)]
+            binomials = [n * (2 * k - 2 + j) // j for k, n in enumerate(binomials, 1)]
             xr = half_unit // j + sum(b[0] * n for b, n in zip(B, binomials))
             xi = sum(b[1] * n for b, n in zip(B, binomials))
             x_err = (1 + sum(err * n for err, n in zip(b_errors, binomials))) * 2.0 ** -E

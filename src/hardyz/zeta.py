@@ -4,7 +4,7 @@
 Q_k = c_k s(s+1)..(s+2k-2)/N^2k and c_k = B_2k/(2k)!, as a Taylor series
 about 1/2 + ic (_zeta_series, its rounding bounded by _zeta_series_bound
 and N and K from _em_size).  Its one reader is module hardy: the Taylor
-patches take the series, and the point reads its orders 0 and 1 at one
+patches take the series, and the point reads its orders below J at one
 point of the critical line.  It reads one Dirichlet table of n^-1/2-it
 (_dirichlet_table) in Python ints: a prime costs a log and a cos_sin from
 mpmath's libmp at wp = bits + PHASE_GUARD_BITS, a composite one product.

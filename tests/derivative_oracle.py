@@ -1,8 +1,10 @@
 """The tests' references for Z^(k), read by tests/test_hardy.py and by
-criterion 11 against the Taylor patches of hardyz.hardy; for theta and Z
-off the real line, from mpmath's loggamma and zeta, read against
-hardyz.theta's jets; and for Z's Taylor coefficients, the trapezoid sums of
-Z on a full circle, read against the patches' series."""
+criterion 11 against hardyz.hardy's point reads and Taylor patches; for
+theta and Z off the real line, from mpmath's loggamma and zeta, read
+against hardyz.theta's jets; and for Z's Taylor coefficients, the
+trapezoid sums of Z on a full circle, read against the patches' series,
+and mpmath's derivatives of zeta and theta, read against the point
+reads."""
 
 from mpmath import mp, mpf
 
@@ -39,6 +41,23 @@ def z_trapezoid(centre, radius, M: int):
     roots = [mp.expjpi(mp.mpf(2 * m) / M) for m in range(M)]
     values = [z_complex(centre + radius * u) for u in roots]
     return [mp.fsum(v * roots[-m * n % M] for m, v in enumerate(values)) / M for n in range(M)]
+
+
+def z_derivatives_series(t, n: int):
+    """[Z(t), Z'(t), .., Z^(n-1)(t)] at the ambient precision from mpmath's
+    derivatives of zeta (mp.zeta(s, 1, k)) and of theta (mp.siegeltheta(t,
+    derivative=k)): mp.siegelz's own rule for k <= 4, carried to every k
+    by the series of e^(i theta(t + h)), f_m = (i/m) sum_k k theta_k
+    f_(m-k), times that of zeta(1/2 + i(t + h)).  Each order costs one zeta
+    derivative, where mp.siegelz's mp.diff above k = 4 costs seconds."""
+    t = mp.mpf(t)
+    zetas = [mp.zeta(mp.mpc(0.5, t), 1, k) * mp.j ** k / mp.factorial(k) for k in range(n)]
+    thetas = [mp.siegeltheta(t, derivative=k) / mp.factorial(k) for k in range(n)]
+    f = [mp.expj(thetas[0])]
+    for m in range(1, n):
+        f.append(mp.j * mp.fsum(k * thetas[k] * f[m - k] for k in range(1, m + 1)) / m)
+    return [mp.factorial(j) * mp.fsum(f[a] * zetas[j - a] for a in range(j + 1)).real
+            for j in range(n)]
 
 
 def z_derivative_fd(t, k: int, prec: int = DEFAULT_PREC) -> mpf:

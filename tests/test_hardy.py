@@ -18,7 +18,8 @@ from hardyz.hardy import (MAX_RESCANS, ZERO_HALF_WIDTH_BITS, CapacityError,
 from hardyz.precision import GUARD_BITS, working_precision
 from hardyz.theta import ThetaJet
 
-from derivative_oracle import z_derivative_fd, z_trapezoid
+from derivative_oracle import (SIEGELZ_MAX_DERIVATIVE, z_derivative_fd,
+                               z_derivatives_series, z_trapezoid)
 from patch_size_oracle import walk_size
 
 PREC = 128
@@ -152,13 +153,13 @@ def test_z_matches_zeta_modulus():
 
 
 def test_derivative_dual_path():
-    # below t = 3.5 the circle shrinks to radius t/2 + 1/4
-    for t, k in ((100, 3), (50, 5), (20, 2), (3, 3), (1, 2), (0.5, 1)):
+    # below t = 0 the read is at |t|, its odd orders negated
+    for t, k in ((100, 3), (50, 5), (20, 2), (3, 3), (1, 2), (-3, 3), (-0.5, 1), (0.5, 1)):
         a = z_derivatives_batch(t, [k], prec=PREC)[k]
         b = z_derivative_fd(t, k, prec=PREC)
         assert abs(a - b) < mp.mpf(10) ** -20 * max(1, abs(a))
     # the last case keeps its bits, though Z's singularities are only 2^-1/2
-    # from 0.5 and its circle has radius 1/2
+    # from 0.5
     with mp.workprec(300):
         assert abs(a - mp.siegelz(mp.mpf(0.5), derivative=1)) < mp.mpf(2) ** -100
 
@@ -182,17 +183,27 @@ def test_series_error_bounds_every_read(T, prec):
     assert bound <= mp.mpf(2) ** -prec * max(abs(v) for v in read.values())
 
 
-@pytest.mark.parametrize("t", ["0", "0.5", "3", "20", "100"])
-def test_width_zero_reads_are_within_series_error(t):
-    # z_derivatives_batch's patch: one centre, J = kmax + 1 and no truncation
-    with working_precision(PREC):
-        tm = mp.mpf(t)
-        radius = min(mp.mpf(hardy.CONTOUR_RADIUS), abs(tm) / 2 + mp.mpf(0.25))
-        patches = hardy._TaylorPatches(tm, tm, range(5), PREC, radius)
-        read = {k: patches.derivative(tm, k) for k in range(5)}
-    with mp.workprec(2 * PREC):
-        for k, value in read.items():
-            assert abs(value - mp.siegelz(tm, derivative=k)) <= patches.series_error, (t, k)
+@pytest.mark.parametrize("t", ["-3", "0", "0.5", "3", "20", "100", "500.3"])
+def test_high_order_reads_are_within_their_bounds(t):
+    # one point read at J = 3, 5 and 9, through z_derivatives_batch, also
+    # at t < 0 (Z is even), against mpmath's Z^(k) at 2 prec: mp.siegelz's
+    # up to k = 4, which its series rule continues; at 128 bits each bound
+    # is also far below 10^-20
+    for prec in (64, 128):
+        with working_precision(prec):
+            tm = mp.mpf(t)
+            reads = {J: (z_derivatives_batch(tm, range(J), prec=prec),
+                         hardy._point_read(abs(tm), prec, J)[1::2]) for J in (3, 5, 9)}
+        with mp.workprec(2 * prec):
+            exact = z_derivatives_series(tm, 9)
+            for k in range(SIEGELZ_MAX_DERIVATIVE + 1):
+                gap = abs(exact[k] - mp.siegelz(tm, derivative=k))
+                assert gap <= mp.ldexp(max(1, abs(exact[k])), 8 - 2 * prec), (prec, k)
+        for J, (values, bounds) in reads.items():
+            for k, bound in enumerate(bounds):
+                assert abs(values[k] - exact[k]) <= bound, (prec, J, k)
+                if prec == 128:
+                    assert bound < mp.mpf(10) ** -20 * max(1, abs(exact[k])), (J, k)
 
 
 @pytest.mark.parametrize("lo, hi, orders", [(14, 100, (0, 1)), (14, 50, (0,))])
@@ -273,9 +284,9 @@ def test_a_count_that_misses_the_budget_is_followed_by_the_next(monkeypatch):
     tiled, orders, prec = [], (1, 2), 64
     tile = hardy._TaylorPatches._tile
 
-    def recorded(self, lo, hi, count, radius):
+    def recorded(self, lo, hi, count):
         tiled.append(count)
-        tile(self, lo, hi, count, radius)
+        tile(self, lo, hi, count)
 
     monkeypatch.setattr(hardy._TaylorPatches, "_first_count",
                         staticmethod(lambda lo, hi: 1))
@@ -415,26 +426,24 @@ def test_patches_match_the_per_point_contour():
             assert abs(vals[k] - ref[k]) <= mp.mpf(10) ** -20 * abs(ref[k])
 
 
-@pytest.mark.parametrize("run, patches, builds", [
+@pytest.mark.parametrize("run, builds, tables", [
     # one patch of radius 4 pi, built once: J = 54 at 130 bits, N = 37
-    (lambda: theorem1_explore("60", "0.3", 2, prec=64), 1, 1),
-    (lambda: z_derivatives_batch(60, [1, 2], prec=64), 1, 1),
-    # |Z'(60)| = 0.27: the build sized for a read of 1 already meets the
-    # budget of the read
-    (lambda: z_derivatives_batch(60, [1], prec=64), 1, 1),
-    # |Z^(3)(3)| = 0.039: the build sized for a read of 1 misses the
-    # budget of the read, and the patch is built once more
-    (lambda: z_derivatives_batch(3, [3], prec=128), 1, 2),
+    (lambda: theorem1_explore("60", "0.3", 2, prec=64), [(1, 1)], 1),
+    # a point read builds no patch and reads one table, however small
+    # the |Z^(k)| it reads: |Z'(60)| = 0.27 and |Z^(3)(3)| = 0.039
+    (lambda: z_derivatives_batch(60, [1, 2], prec=64), [], 1),
+    (lambda: z_derivatives_batch(60, [1], prec=64), [], 1),
+    (lambda: z_derivatives_batch(3, [3], prec=128), [], 1),
 ], ids=["explore", "batch", "batch-small-read", "batch-resized"])
-def test_contour_zeta_budget(monkeypatch, run, patches, builds):
-    # each build reads one Dirichlet table a patch, and nothing on the
-    # patches' path calls the library zeta
-    tables, built, library = [], [], []
+def test_contour_zeta_budget(monkeypatch, run, builds, tables):
+    # each build reads one Dirichlet table a patch, a point read one in
+    # all, and nothing on either path calls the library zeta
+    read, built, library = [], [], []
     dirichlet_table = zeta._dirichlet_table
     patches_class = hardy._TaylorPatches
 
     def counted_table(*args, **kwargs):
-        tables.append(args)
+        read.append(args)
         return dirichlet_table(*args, **kwargs)
 
     class Recorded(patches_class):
@@ -451,14 +460,14 @@ def test_contour_zeta_budget(monkeypatch, run, patches, builds):
     monkeypatch.setattr(mp, "zeta", lambda *args, **kwargs: library.append(args))
     monkeypatch.setattr(hardy, "_TaylorPatches", Recorded)
     run()
-    assert [(p.count, p.builds) for p in built] == [(patches, builds)]
-    assert len(tables) == patches * builds
+    assert [(p.count, p.builds) for p in built] == builds
+    assert len(read) == tables
     assert library == []
 
 
 def test_the_contours_call_no_loggamma(monkeypatch, capsys):
-    # explore and z_derivatives_batch read theta from hardyz.theta's jets,
-    # and nothing in src calls loggamma
+    # explore and z_derivatives_batch read theta from hardyz.theta's
+    # Stirling sums, and nothing in src calls loggamma
     def refuse(*args, **kwargs):
         raise AssertionError("mp.loggamma on the contour path")
 

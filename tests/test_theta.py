@@ -8,7 +8,7 @@ import math
 import pytest
 from mpmath import mp
 
-from hardyz.hardy import CONTOUR_RADIUS, _TaylorPatches
+from hardyz.hardy import _TaylorPatches
 from hardyz.precision import working_precision
 from hardyz.theta import ThetaJet, theta_point
 
@@ -18,8 +18,9 @@ from test_libmp import measured_errors, over_assumed, theta_read
 
 # explore's lowest height, the benchmark's range, and up to three patches
 EXPLORE_HEIGHTS = ["30.5", "55", "60", "65", "100", "1000", "10000"]
-# z_derivatives_batch's circles, which shrink to radius t/2 + 1/4 near 0
+# the jets of hardy._point_read above J = 2, of radius 1/4 about t
 BATCH_HEIGHTS = ["0", "0.5", "1", "3", "20", "100"]
+READ_RADIUS = 0.25
 POINTS = 32  # read at these points of each circle, and at its centre
 BUDGET_BITS = 30  # the jets' budget, 2^-(prec + 30), about a sample's
 
@@ -35,10 +36,9 @@ def _explore_circles(T, prec: int):
 
 
 def _batch_circle(t, prec: int):
-    """(centre, radius) of z_derivatives_batch's circle about t at prec."""
+    """(centre, radius) of a point read's jet about t at prec."""
     with working_precision(prec):
-        t = mp.mpf(t)
-        return t, float(min(mp.mpf(CONTOUR_RADIUS), abs(t) / 2 + mp.mpf(0.25)))
+        return mp.mpf(t), READ_RADIUS
 
 
 def _jet(centre, radius: float, prec: int) -> ThetaJet:
@@ -113,7 +113,7 @@ def test_theta_point_is_within_its_bound(prec):
 
 @pytest.mark.parametrize("prec", [64, 128, 192])
 def test_stirling_libmp_calls_are_within_the_assumed_ulps(monkeypatch, prec):
-    # the jets of explore's patches and of z_derivatives_batch's circles,
+    # the jets of explore's patches and of the point reads above J = 2,
     # as the jet tests above build them, here at prec, and theta and
     # e^(i theta) of find_zeros' Newton reads (J = 2) at NEWTON_HEIGHTS
     def workload(recorder):

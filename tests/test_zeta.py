@@ -76,13 +76,14 @@ THETA_CENTRES = [f"{14 * (10 ** 5 / 14) ** (i / 39):.4f}" for i in range(40)]
 
 @pytest.mark.parametrize("prec", [64, 128, 192])
 def test_libmp_calls_are_within_the_assumed_ulps(monkeypatch, prec):
-    # z_eval's and find_zeros' Newton reads whole (J = 1 and 2) at
-    # ULPS_HEIGHTS, the Dirichlet table's log p and t log p included, and
+    # z_eval's and find_zeros' Newton reads whole (J = 1 and 2) and a read
+    # with a theta jet (J = 5) at ULPS_HEIGHTS, the Dirichlet table's log p
+    # and t log p included, and
     # theta and e^(i theta) of z_eval's reads up to theta(c) = 4.3e5
     def workload(recorder):
         with working_precision(prec):  # the arguments as the entry points receive them
             for t in ULPS_HEIGHTS:
-                for J in (1, 2):
+                for J in (1, 2, 5):
                     hardy._point_read(mp.mpf(t), prec, J)
             for c in THETA_CENTRES:
                 theta_read(recorder, mp.mpf(c), prec, 1)
