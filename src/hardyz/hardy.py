@@ -8,9 +8,10 @@ Newton reads of find_zeros, which states how it reads Z and what it proves
 (Kantorovich's rule for Newton's method proves a zero from one read of Z
 and Z'), and z_derivatives_batch's.  _TaylorPatches builds and keeps Z's
 Taylor series about real centres (_z_series: zeta's series from one
-Dirichlet table, theta's from a theta.ThetaJet, one exp recurrence and one
-product): theorem1_explore reads its window from the fewest its bound
-allows.  The tests' references are in tests/derivative_oracle.py."""
+Dirichlet table, theta's from a theta.ThetaJet, the exp recurrence
+_phase_series that _point_read shares, and one product): theorem1_explore
+reads its window from the fewest its bound allows.  The tests' references
+are in tests/derivative_oracle.py."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ CONTOUR_RADIUS = 2  # a window is tried up to (hi - lo)/CONTOUR_RADIUS Taylor pa
 READ_GUARD_BITS = 8  # a Taylor patch's fixed-point series carry bits + 8 fraction bits
 SHAPE_BITS = 24  # the jets that size a patch's bits need theta's shape only
 MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
+BATCH_GUARD_BITS = 2  # a point read's bounds reach 2.1 2^-prec max(1, |Z^(k)|), so the batch reads 2 more
 NEWTON_READS = 6  # (Z, Z') reads find_zeros' Newton steps take before its fallback
 # |e^(i theta~) - f| in units of 2^-bits, f libmp's cos_sin at bits + PHASE_GUARD_BITS floored
 PHASE_UNITS = math.sqrt(2) * (1 + LIBMP_ULPS["mpf_cos_sin"] * 2.0 ** -PHASE_GUARD_BITS)
@@ -90,43 +92,43 @@ def z_eval(t, prec: int = DEFAULT_PREC) -> Tuple[mpf, mpf]:
 
 def _line_size(t, prec: int, J: int) -> Tuple[int, int, int, float, List[float], float]:
     """(N, K, bits, log E, units, r) for a point read of zeta(1/2 + it)
-    and its t-derivatives below order J, each to 2^-prec.  The remainder is
-    sized on the circle of radius r about t, 0 at J = 1 (the point alone)
-    and 1/4 above, which keeps sigma near 1/2: zeta._em_size's N and K
-    give E <= 2^-prec r^(J-1) on it, and the fewest bits, or more where t
-    needs them to be exact, keep order j's rounding, _zeta_series_bound's
-    units of 2^-bits in y = (w - t)/r taken at prec bits, under 2^-prec r^j."""
+    and its t-derivatives below order J, each to 2^-prec (coefficient j in
+    h = w - t to 2^-prec/j!).  The remainder is sized on the circle of radius
+    r about t, 0 at J = 1 (the point alone) and 1/4 above, which keeps sigma
+    near 1/2: zeta._em_size's N and K give E <= 2^-prec r^(J-1)/(J-1)! on it,
+    and the fewest bits, or more where t needs them to be exact, keep order
+    j's rounding, _zeta_series_bound's units of 2^-bits in y = (w - t)/r
+    taken at prec bits, under 2^-prec r^j/j!."""
     tf, r = float(t), 0.25 if J > 1 else 0.0
-    log_target = -prec * math.log(2) + ((J - 1) * math.log(r) if r else 0.0)
+    log_target = -prec * math.log(2) + ((J - 1) * math.log(r) if r else 0.0) - math.lgamma(J)
     N, K, log_remainder = _em_size(tf, r, 0.0, log_target)
     units = _zeta_series_bound(tf, r, J, N, K, prec)[1]
-    worst = max(u * r ** -j for j, u in enumerate(units))
+    worst = max(u * r ** -j * math.factorial(j) for j, u in enumerate(units))
     bits = max(prec + math.ceil(math.log2(worst)), -t._mpf_[2])
     return N, K, bits, log_remainder, units, r
 
 
 def _point_read(t, prec: int, J: int) -> Tuple[mpf, ...]:
-    """(v_0, e_0, .., v_(J-1), e_(J-1)), |Z^(j)(t) - v_j| <= e_j, t real and
-    J <= MAX_DERIVATIVE_ORDER + 1.  In h = w - t: zeta~_j, 4^j = r^-j times
-    zeta._zeta_series' coefficient about t (d = r, sized by _line_size, bits
-    fraction bits), is within b_j, E r^-j (Cauchy; E bounds the remainder)
-    plus the rounding; theta~_0, theta~_1 are theta.theta_point's at F = bits
-    + JET_GUARD_BITS, within d_0 = d_1 = d, and theta~_k, k >= 2, those of
-    theta.ThetaJet(t, r, 2^-bits) (scale 0, F bits; 0 past its end), within
-    d_k = r^-k its error.  e^(i (theta(t + h) - theta_0)) = 1 + i sum q_n h^n,
-    q_1 = theta_1, q_n = theta_n + (i/n) sum_(k<n) k theta_k q_(n-k); q~_n
-    (parts floored) errs by e_n = d_n + sum_k k (d_k |q~_(n-k)| + (|theta~_k|
-    + d_k) e_(n-k))/n + sqrt 2 2^-F.  Z^(j)(t)/j! = Re(e^(i theta_0) W_j),
-    W_j = zeta_j + i sum_(a=1..j) q_a zeta_(j-a); W~_j (parts floored, then
-    turned by i) errs by w_j = b_j + sum_a (|q~_a| b_(j-a) + e_a (|zeta~_(j-a)|
-    + b_(j-a))) + sqrt 2 2^-bits, w_0 = b_0 (zeta._product_bound's rule).
-    f = e^(i theta~_0), cos_sin at bits + PHASE_GUARD_BITS floored, is within
-    e_f = PHASE_UNITS 2^-bits of it and d of e^(i theta_0), so v_j = j! Re(f
-    W~_j) floored errs by e_j = j! (w_j + d (|W~_j| + w_j) + e_f |W~_j| +
-    2^-bits).  Values are exact mpfs; float bounds are raised by 2^-40."""
+    """(v_0, e_0, .., v_(J-1), e_(J-1)), |Z^(j)(t) - v_j| <= e_j, t real, J <=
+    MAX_DERIVATIVE_ORDER + 1.  In h = w - t: zeta~_j, 4^j = r^-j times
+    zeta._zeta_series' coefficient about t (d = r and bits from _line_size),
+    is within b_j, E r^-j (Cauchy) plus the rounding; theta~_0, theta~_1,
+    theta.theta_point's at F = bits + JET_GUARD_BITS, within d, and theta~_k,
+    k >= 2, theta.ThetaJet(t, r, 2^-bits)'s (scale 0, F bits, 0 past its
+    end), within d_k = r^-k its error.  _phase_series from f_0 = 1 gives
+    e^(i (theta(t + h) - theta_0)) = 1 + i sum q_n h^n as f_n = i q~_n (f_1
+    = i theta~_1 exact), and _phase_errors bounds it on the computed sizes.
+    Z^(j)(t)/j! = Re(e^(i theta_0) W_j), W_j = zeta_j + i sum_(a=1..j) q_a
+    zeta_(j-a); the sum is one _product, so W~_j errs by w_j = b_j + sum_a
+    (|q~_a| b_(j-a) + e_a (|zeta~_(j-a)| + b_(j-a))) + sqrt 2 2^-bits, w_0 =
+    b_0 (zeta._product_bound's rule).  f = e^(i theta~_0), cos_sin at bits +
+    PHASE_GUARD_BITS floored, is within e_f = PHASE_UNITS 2^-bits of it and d
+    of e^(i theta_0), so v_j = j! Re(f W~_j) floored errs by e_j = j! (w_j +
+    d (|W~_j| + w_j) + e_f |W~_j| + 2^-bits).  Values are exact mpfs; float
+    bounds are raised by 2^-40."""
     N, K, bits, log_remainder, units, r = _line_size(t, prec, J)
     re, im = _zeta_series(t, mp.mpf(r), J, N, K, bits)
-    F, unit, root2 = bits + JET_GUARD_BITS, 2.0 ** -bits, math.sqrt(2)
+    F, unit = bits + JET_GUARD_BITS, 2.0 ** -bits
     bounds = [(math.exp(log_remainder) + u * unit) * r ** -j for j, u in enumerate(units)]
     z_re, z_im = [x << 2 * j for j, x in enumerate(re)], [x << 2 * j for j, x in enumerate(im)]
     angle, slope, d = theta_point(t, F)
@@ -135,28 +137,54 @@ def _point_read(t, prec: int, J: int) -> Tuple[mpf, ...]:
         jet = ThetaJet(t, r, unit)
         thetas += jet.coefficients[2:J] + [0] * (J - len(jet.coefficients))
         d_theta += [jet.error * r ** -k for k in range(2, J)]
-    q_re, q_im, q_sizes, q_errors = [0, slope], [0, 0], [0.0, abs(slope) * 2.0 ** -F], [0.0, d]
-    for n in range(2, J):
-        ar, ai = (sum(k * thetas[k] * q[n - k] for k in range(1, n)) for q in (q_re, q_im))
-        q_re.append(thetas[n] + (-ai >> F) // n)
-        q_im.append((ar >> F) // n)
-        q_sizes.append(math.hypot(q_re[n], q_im[n]) * 2.0 ** -F)
-        q_errors.append(d_theta[n] + sum(k * (d_theta[k] * q_sizes[n - k] + (abs(thetas[k]) * 2.0 ** -F
-                        + d_theta[k]) * q_errors[n - k]) for k in range(1, n)) / n + root2 * 2.0 ** -F)
-    p_re, p_im = _product(q_re, q_im, z_re, z_im, F, J)  # sum_a q_a zeta~_(j-a), floored
+    f_re, f_im = _phase_series([k * x for k, x in enumerate(thetas)], [1 << F], [0], J, F)
+    q_re, q_im = [0] + f_im[1:], [0] + [-x for x in f_re[1:]]
+    q_sizes = [math.hypot(x, y) * 2.0 ** -F for x, y in zip(q_re, q_im)]
+    q_errors = _phase_errors([abs(x) * 2.0 ** -F for x in thetas], d_theta, [1.0] + q_sizes[1:],
+                             [0.0, d], math.sqrt(2) * 2.0 ** -F)
+    p_re, p_im = _product(q_re, q_im, z_re, z_im, F, J)  # P~_j
     cos, sin = libmp.mpf_cos_sin(libmp.from_man_exp(angle, -F), bits + PHASE_GUARD_BITS)
     fr, fi = libmp.to_fixed(cos, bits), libmp.to_fixed(sin, bits)
     e_f, read = PHASE_UNITS * unit, []
     for j in range(J):
+        # zeta._product_bound's terms, summed in this order so that J <= 2 keeps its bounds
         wr, wi, w_bound = z_re[j] - p_im[j], z_im[j] + p_re[j], bounds[j]
         for a in range(1, j + 1):
             w_bound += q_sizes[a] * bounds[j - a]
             w_bound += q_errors[a] * (math.hypot(z_re[j - a], z_im[j - a]) * unit + bounds[j - a])
-        w_bound += root2 * unit if j else 0.0
+        w_bound += math.sqrt(2) * unit if j else 0.0
         w_size, scale = math.hypot(wr, wi) * unit, math.factorial(j)
         read += [mp.make_mpf(libmp.from_man_exp((fr * wr - fi * wi >> bits) * scale, -bits)),
                  mp.mpf((w_bound + d * (w_size + w_bound) + e_f * w_size + unit) * (1 + 2.0 ** -40) * scale)]
     return tuple(read)
+
+
+def _phase_series(weights: List[int], f_re: List[int], f_im: List[int], J: int,
+                  bits: int) -> Tuple[List[int], List[int]]:
+    """f = e^(i theta~)'s series past the terms given: f_n = (i/n) sum_(k<=n)
+    w_k f_(n-k), n < J, w_k = k theta~_k, each part floored to `bits`."""
+    for n in range(len(f_re), J):
+        w = weights[min(n, len(weights) - 1):0:-1]  # k theta~_k, k from min(n, deg) down to 1
+        ar = sum(map(operator.mul, w, f_re[n - len(w):n]))
+        ai = sum(map(operator.mul, w, f_im[n - len(w):n]))
+        f_re.append((-ai >> bits) // n)
+        f_im.append((ar >> bits) // n)
+    return f_re, f_im
+
+
+def _phase_errors(phi: List[float], deltas: List[float], sizes: List[float],
+                  errors: List[float], floor: float) -> List[float]:
+    """_phase_series' errors past those given, n < len(sizes): f~_n - f_n is
+    (i/n) sum_k k ((theta~_k - theta_k) f_(n-k) + theta~_k (f~_(n-k) - f_(n-k)))
+    plus a floor, or so with f~ and theta, so with theta~_k within deltas_k of
+    theta_k, phi_k >= |theta_k| and sizes_n >= |f_n| (or phi_k = |theta~_k|
+    and sizes_n = |f~_n|) it is within (1/n) sum_k k ((phi_k + deltas_k)
+    e_(n-k) + deltas_k sizes_(n-k)) + floor."""
+    for n in range(len(errors), len(sizes)):
+        ks = range(1, min(n, len(phi) - 1) + 1)
+        errors.append(sum(k * ((phi[k] + deltas[k]) * errors[n - k] + deltas[k] * sizes[n - k])
+                          for k in ks) / n + floor)
+    return errors
 
 
 def _z_series(centre, half, jet: ThetaJet, J: int, N: int, K: int,
@@ -165,11 +193,10 @@ def _z_series(centre, half, jet: ThetaJet, J: int, N: int, K: int,
     in y = (w - c)/half, with B >= bits fraction bits that make c and half
     exact: the real parts of e^(i theta~) zeta~, zeta~ from
     zeta._zeta_series and theta~ the jet's polynomial rescaled to y and
-    floored.  f = e^(i theta~) has f_0 from libmp's cos_sin at
-    B + PHASE_GUARD_BITS and f_n = (i/n) sum_(k<=n) k theta~_k f_(n-k),
-    each floored.  Z's coefficients are real, so dropping a computed one's
-    imaginary part moves it no further from Z's; _series_plan bounds the
-    error.
+    floored; f = e^(i theta~) is _phase_series from f_0, libmp's cos_sin at
+    B + PHASE_GUARD_BITS.  Z's coefficients are real, so dropping a computed
+    one's imaginary part moves it no further from Z's; _series_plan bounds
+    the error.
     """
     B = max(bits, -half._mpf_[2], -centre._mpf_[2])
     F, man, exp = jet.bits, half.man, half.exp
@@ -178,13 +205,7 @@ def _z_series(centre, half, jet: ThetaJet, J: int, N: int, K: int,
     z_re, z_im = _zeta_series(centre, half, J, N, K, B)
     cos, sin = libmp.mpf_cos_sin(libmp.from_man_exp(jet.coefficients[0], -F),
                                  B + PHASE_GUARD_BITS)
-    f_re, f_im = [libmp.to_fixed(cos, B)], [libmp.to_fixed(sin, B)]
-    for n in range(1, J):
-        w = weights[min(n, len(weights) - 1):0:-1]  # k theta~_k, k from min(n, deg) down to 1
-        ar = sum(map(operator.mul, w, f_re[n - len(w):n]))
-        ai = sum(map(operator.mul, w, f_im[n - len(w):n]))
-        f_re.append((-ai >> B) // n)
-        f_im.append((ar >> B) // n)
+    f_re, f_im = _phase_series(weights, [libmp.to_fixed(cos, B)], [libmp.to_fixed(sin, B)], J, B)
     return [sum(map(operator.mul, f_re[:j + 1], z_re[j::-1]))
             - sum(map(operator.mul, f_im[:j + 1], z_im[j::-1])) >> B for j in range(J)], B
 
@@ -202,11 +223,9 @@ def _series_plan(centre: float, r: float, jet: ThetaJet, eps: float, J: int,
     The difference is D = e^(i theta) R_K + Z~ (e^(i(theta - theta~)) - 1),
     Z~ = e^(i theta~) zeta~, |Z~| <= m + |D|, so |D| <= (|e^(i theta) R_K|
     + m (e^eps - 1))/(2 - e^eps) = E, and D's coefficients in y are at
-    most E 2^-j (Cauchy).  The rounding: zeta~'s from
-    zeta._zeta_series_bound; with phi_k = |theta_k| half^k and theta~_k
-    within a unit, |f_0| = 1, |f_n| <= (1/n) sum_k k phi_k |f_(n-k)|, and
-    f_n errs by (1/n) sum_k k ((phi_k + 2^-bits) e_(n-k) + |f_(n-k)|)
-    + sqrt 2, e_0 = PHASE_UNITS; the product's from zeta._product_bound.
+    most E 2^-j (Cauchy).  The rounding: zeta~'s from _zeta_series_bound,
+    f's from _phase_errors (phi_k = |theta_k| half^k, |f_n| <= (1/n) sum_k k
+    phi_k |f_(n-k)|, units, e_0 = PHASE_UNITS) and the product's from _product_bound.
     """
     # theta_k h^k = t_k y^k, y = h/rho: the jet's floats t_k times powers of r/rho and
     # half/rho, where theta_k = t_k/rho^k and r^k can leave the float range
@@ -219,18 +238,19 @@ def _series_plan(centre: float, r: float, jet: ThetaJet, eps: float, J: int,
     half, unit = r / 2, 2.0 ** -bits
     z_sizes, z_errors = _zeta_series_bound(centre, half, J, N, K, bits)
     phi = [abs(t) * (half / rho) ** k for k, t in enumerate(ts)]
-    f_sizes, f_errors = [1.0], [PHASE_UNITS]
+    f_sizes = [1.0]
     for n in range(1, J):
-        ks = range(1, min(n, len(phi) - 1) + 1)
-        f_sizes.append(sum(k * phi[k] * f_sizes[n - k] for k in ks) / n)
-        f_errors.append(sum(k * ((phi[k] + unit) * f_errors[n - k] + f_sizes[n - k])
-                            for k in ks) / n + math.sqrt(2))
+        f_sizes.append(sum(k * phi[k] * f_sizes[n - k] for k in range(1, min(n, len(phi) - 1) + 1)) / n)
+    f_errors = [e / unit for e in _phase_errors(phi, [unit] * len(phi), f_sizes, [PHASE_UNITS * unit],
+                                                math.sqrt(2) * unit)]
     return N, K, log_circle, _product_bound(f_sizes, f_errors, z_sizes, z_errors, bits)[1]
 
 
 def z_derivatives_batch(t, orders: Sequence[int],
                         prec: int = DEFAULT_PREC) -> Dict[int, mpf]:
-    """Z^(k)(t), k in orders, from one _point_read at |t|: (-1)^k Z^(k)(|t|) below 0."""
+    """Z^(k)(t), k in orders, each within 2^-prec max(1, |Z^(k)(t)|): one
+    _point_read at |t| ((-1)^k Z^(k)(|t|) below 0) of BATCH_GUARD_BITS more
+    bits, read again with the bits a bound misses that by."""
     orders = sorted(set(int(k) for k in orders))
     if not orders:
         return {}
@@ -239,9 +259,13 @@ def z_derivatives_batch(t, orders: Sequence[int],
     if orders[-1] > MAX_DERIVATIVE_ORDER:
         raise CapacityError(f"order {orders[-1]} exceeds {MAX_DERIVATIVE_ORDER}")
     with working_precision(prec):
-        tm = mp.mpf(t)
-        read = _point_read(abs(tm), prec, orders[-1] + 1)
-        return {k: mp.fneg(read[2 * k], exact=True) if tm < 0 and k % 2 else read[2 * k] for k in orders}
+        tm, bits, miss = mp.mpf(t), prec + BATCH_GUARD_BITS, 1
+        while miss > 0:  # the bits by which a bound misses 2^-prec max(1, |Z^(k)|)
+            read = _point_read(abs(tm), bits, orders[-1] + 1)
+            v, e = read[::2], read[1::2]
+            miss = prec + max(mp.log(e[k] / max(1, abs(v[k]) - e[k]), 2) for k in orders)
+            bits += math.ceil(miss) + 1
+        return {k: mp.fneg(v[k], exact=True) if tm < 0 and k % 2 else v[k] for k in orders}
 
 
 # ---------------------------------------------------------------------------

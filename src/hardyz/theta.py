@@ -183,6 +183,12 @@ def theta_point(t, bits: int) -> Tuple[int, int, float]:
     return (total.theta + half) >> cut, (total.slope + half) >> cut, error * (1 + 2.0 ** -40)
 
 
+def _fixed_size(x: int, y: int, bits: int) -> float:
+    """|x + iy| 2^-bits in floats, x and y shifted first where they pass the float range."""
+    cut = max(x.bit_length(), y.bit_length(), 1000) - 1000
+    return math.ldexp(math.hypot(x >> cut, y >> cut), cut - bits)
+
+
 class ThetaJet:
     """theta(centre + h) for complex |h| <= radius as the polynomial
     sum_(j<=J) t_j y^j with y = h/rho, rho = 2^scale twice the least power
@@ -263,7 +269,7 @@ class ThetaJet:
         def step(power, base, base_size):
             (pr, pi, err), (br, bi) = power, base
             return ((pr * br - pi * bi) >> F, (pr * bi + pi * br) >> F,
-                    base_size * err + math.hypot(pr, pi) * unit * s_err + math.sqrt(2))
+                    base_size * err + _fixed_size(pr, pi, F) * s_err + math.sqrt(2))
 
         binomials = [2 * k - 1 for k in range(1, K + 1)]  # C(2k-2+j, j) at j = 1, then stepped exactly
         for j in range(2, J + 1):
@@ -281,7 +287,7 @@ class ThetaJet:
             t.append(((-1) ** j * numerator) // (pairs << (F + E + down)))
             x_size = math.hypot(xr, xi) * 2.0 ** -(F + E) + x_err * unit
             errors.append(2.0 ** sh * last[2] / pairs + x_size * p_err
-                          + math.hypot(pr, pi) * unit * x_err
+                          + _fixed_size(pr, pi, F) * x_err
                           + sum(p[2] for p in shift_powers) / j + 1)
         self.coefficients, self.shifts = t, m
         rounding = sum(err * lam ** j for j, err in enumerate(errors)) * unit

@@ -183,27 +183,64 @@ def test_series_error_bounds_every_read(T, prec):
     assert bound <= mp.mpf(2) ** -prec * max(abs(v) for v in read.values())
 
 
+def _assert_reads_are_within_bounds(t, reads, batch, exact, prec: int) -> None:
+    """Each _point_read(|t|, prec, J) order within its bound of exact, Z^(k)
+    at t ((-1)^k at |t| below 0), the bound at most 2^(2-prec) max(1,
+    |Z^(k)|) (at 128 bits far below 10^-20 of it), and each batch value
+    within its 2^-prec max(1, |Z^(k)|); compared at the reference's
+    precision."""
+    for J, read in reads.items():
+        for k in range(J):
+            value, bound = read[2 * k] * (-1 if t < 0 and k % 2 else 1), read[2 * k + 1]
+            assert abs(value - exact[k]) <= bound, (prec, J, k)
+            assert bound <= mp.ldexp(max(1, abs(exact[k])), 2 - prec), (prec, J, k)
+    for k, value in batch.items():
+        assert abs(value - exact[k]) <= mp.ldexp(max(1, abs(exact[k])), -prec), (prec, k)
+
+
 @pytest.mark.parametrize("t", ["-3", "0", "0.5", "3", "20", "100", "500.3"])
 def test_high_order_reads_are_within_their_bounds(t):
-    # one point read at J = 3, 5 and 9, through z_derivatives_batch, also
-    # at t < 0 (Z is even), against mpmath's Z^(k) at 2 prec: mp.siegelz's
-    # up to k = 4, which its series rule continues; at 128 bits each bound
-    # is also far below 10^-20
+    # point reads at J = 3, 5 and 9 and the batch of orders 0-8, also at
+    # t < 0 (Z is even), against mpmath's Z^(k) at 2 prec: mp.siegelz's up
+    # to k = 4, which its series rule continues
     for prec in (64, 128):
         with working_precision(prec):
             tm = mp.mpf(t)
-            reads = {J: (z_derivatives_batch(tm, range(J), prec=prec),
-                         hardy._point_read(abs(tm), prec, J)[1::2]) for J in (3, 5, 9)}
+            reads = {J: hardy._point_read(abs(tm), prec, J) for J in (3, 5, 9)}
+            batch = z_derivatives_batch(tm, range(9), prec=prec)
         with mp.workprec(2 * prec):
             exact = z_derivatives_series(tm, 9)
             for k in range(SIEGELZ_MAX_DERIVATIVE + 1):
                 gap = abs(exact[k] - mp.siegelz(tm, derivative=k))
                 assert gap <= mp.ldexp(max(1, abs(exact[k])), 8 - 2 * prec), (prec, k)
-        for J, (values, bounds) in reads.items():
-            for k, bound in enumerate(bounds):
-                assert abs(values[k] - exact[k]) <= bound, (prec, J, k)
-                if prec == 128:
-                    assert bound < mp.mpf(10) ** -20 * max(1, abs(exact[k])), (J, k)
+            _assert_reads_are_within_bounds(tm, reads, batch, exact, prec)
+
+
+def test_the_batch_reads_again_where_a_bound_misses(monkeypatch):
+    # 8 bits short of prec, the first read misses 2^-prec max(1, |Z^(k)|),
+    # and the second, at the bits it missed by, keeps the batch's promise
+    monkeypatch.setattr(hardy, "BATCH_GUARD_BITS", -8)
+    read, bits = hardy._point_read, []
+    monkeypatch.setattr(hardy, "_point_read", lambda t, prec, J: bits.append(prec) or read(t, prec, J))
+    batch = z_derivatives_batch(3, range(9), prec=64)
+    assert len(bits) == 2 and bits[1] > 64, bits
+    with mp.workprec(128):
+        exact = z_derivatives_series(3, 9)
+        _assert_reads_are_within_bounds(mp.mpf(3), {}, batch, exact, 64)
+
+
+@pytest.mark.parametrize("t, prec", [("0.5", 64), ("3", 128), ("100", 64)])
+def test_order_32_reads_are_within_their_bounds(t, prec):
+    # a read is sized for its highest order, 32! 4^32 = 2^182 above order
+    # 0's need, so the low orders' bounds fall near 2^-(prec + 190) and the
+    # reference is taken 256 bits above prec
+    with working_precision(prec):
+        tm = mp.mpf(t)
+        reads = {33: hardy._point_read(tm, prec, 33)}
+        batch = z_derivatives_batch(tm, range(33), prec=prec)
+    with mp.workprec(prec + 256):
+        exact = z_derivatives_series(tm, 33)
+        _assert_reads_are_within_bounds(tm, reads, batch, exact, prec)
 
 
 @pytest.mark.parametrize("lo, hi, orders", [(14, 100, (0, 1)), (14, 50, (0,))])

@@ -77,6 +77,13 @@ def test_jet_reads_on_batch_circles_are_within_the_bound(t):
     assert _worst_read(*_batch_circle(t, 128), 128) <= 1
 
 
+def test_a_jet_whose_powers_pass_the_float_range_keeps_its_bound():
+    # hardy._point_read's jet about 0 at J = 65 and 128 bits: a budget of
+    # 2^-565 takes some 560 terms, and s_0^j = 2^j passes 2^1024 as an int
+    # of 573 fraction bits
+    assert _worst_read(mp.mpf(0), READ_RADIUS, 565 - BUDGET_BITS) <= 1
+
+
 def test_a_jet_refuses_a_disc_through_a_singularity():
     for centre, radius in ((0, 0.5), (60, 61), (3, 0)):
         with pytest.raises(ValueError):

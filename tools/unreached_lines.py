@@ -19,8 +19,8 @@ Unreached does not mean dead.  The CLI lines exercise the program's
 normal paths, so input guards and error raises show up, as do routes that
 only the tests or the benchmark reach: find_zeros' fallback (Illinois
 proved by its bracket's ends, after NEWTON_READS reads) and rescan loop, hardy.z_derivatives_batch with
-the part of hardy._point_read above J = 2 (theta's jet and the phase
-series), hardy._TaylorPatches' step to the next
+the part of hardy._point_read above J = 2 (theta's jet; the phase series
+runs at J = 2 too), hardy._TaylorPatches' step to the next
 count (tests/test_hardy.py forces a low count estimate; at every digest
 height the estimate holds),
 kernel.sine_product(log_domain), the polynomial probe's exact rule in
