@@ -130,7 +130,8 @@ def _c0_c1(p: float) -> Tuple[float, float]:
 def _theta(x: float) -> Tuple[float, float]:
     """(theta(x), bound on the Stirling remainder) for x >= RS_MIN_T:
     theta = Im log Gamma(z) - (x/2) log pi with z = 1/4 + ix/2, log Gamma by
-    its Stirling sum through B_8 (see z_rs for the remainder)."""
+    its Stirling sum through B_8 (see z_rs for the remainder).  hardy._z_guide
+    reads the value below RS_MIN_T too, without the bound."""
     z = complex(0.25, 0.5 * x)
     z2 = z * z
     w = (z - 0.5) * cmath.log(z) - z

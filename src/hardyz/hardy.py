@@ -6,15 +6,18 @@ theta module theta's Stirling series, each with a proved bound.  Every read
 of Z and its derivatives at a point is one _point_read: z_eval's, the
 Newton reads of find_zeros, which states how it reads Z and what it proves
 (Kantorovich's rule for Newton's method proves a zero from one read of Z
-and Z'), and z_derivatives_batch's.  _TaylorPatches builds and keeps Z's
-Taylor series about real centres (_z_series: zeta's series from one
-Dirichlet table, theta's from a theta.ThetaJet, the exp recurrence
-_phase_series that _point_read shares, and one product): theorem1_explore
-reads its window from the fewest its bound allows.  The tests' references
-are in tests/derivative_oracle.py."""
+and Z'), and z_derivatives_batch's.  Two float heuristics only choose where
+find_zeros reads, and prove nothing: _scan_step, the scan's step, and
+_z_guide, Z and Z' for the Newton steps before its first Newton read.
+_TaylorPatches builds and keeps Z's Taylor series about real centres
+(_z_series: zeta's series from one Dirichlet table, theta's from a
+theta.ThetaJet, the exp recurrence _phase_series that _point_read shares,
+and one product): theorem1_explore reads its window from the fewest its
+bound allows.  The tests' references are in tests/derivative_oracle.py."""
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -23,11 +26,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath import libmp, mp, mpf
 
-from .enclose import RS_MIN_T, log_add, z_log_majorant, z_rs
+from .enclose import RS_MIN_T, _theta, log_add, z_log_majorant, z_rs
 from .precision import (DEFAULT_PREC, GUARD_BITS, LIBMP_ULPS, floor_shifted, refine_sign_change,
                         working_precision)
 from .theta import JET_GUARD_BITS, ThetaJet, _fewest, theta_point
-from .zeta import PHASE_GUARD_BITS, _em_size, _product, _product_bound, _zeta_series, _zeta_series_bound
+from .zeta import (PHASE_GUARD_BITS, _em_size, _log_c, _product, _product_bound, _zeta_series,
+                   _zeta_series_bound)
 
 MAX_DERIVATIVE_ORDER = 64
 ZERO_HALF_WIDTH_BITS = 48
@@ -39,6 +43,7 @@ SHAPE_BITS = 24  # the jets that size a patch's bits need theta's shape only
 MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
 BATCH_GUARD_BITS = 2  # a point read's bounds reach 2.1 2^-prec max(1, |Z^(k)|), so the batch reads 2 more
 NEWTON_READS = 6  # (Z, Z') reads find_zeros' Newton steps take before its fallback
+GUIDE_STEPS = 8  # float Newton steps on _z_guide before find_zeros' first Newton read
 # |e^(i theta~) - f| in units of 2^-bits, f libmp's cos_sin at bits + PHASE_GUARD_BITS floored
 PHASE_UNITS = math.sqrt(2) * (1 + LIBMP_ULPS["mpf_cos_sin"] * 2.0 ** -PHASE_GUARD_BITS)
 
@@ -295,10 +300,41 @@ class ZeroList:
 
 
 def _theta_slope(x: float) -> float:
-    """The scan step's theta'(x) in floats for x >= 10, from theta's Stirling
-    series 1/2 log(x/2pi) - 1/(48 x^2) - 7/(1920 x^4): within 6.1e-11 from
-    x = 20 on."""
+    """The scan step's and _z_guide's theta'(x) in floats for x >= 10, from
+    theta's Stirling series 1/2 log(x/2pi) - 1/(48 x^2) - 7/(1920 x^4):
+    within 6.1e-11 from x = 20 on."""
     return 0.5 * math.log(x / (2 * math.pi)) - 1 / (48 * x * x) - 7 / (1920 * x ** 4)
+
+
+def _z_guide(x: float) -> Tuple[float, float]:
+    """(Z(x), Z'(x)) in floats, with no bound: find_zeros' Newton steps take
+    them to choose where its first Newton read is taken, as _scan_step
+    chooses where the scan reads, and no value of the guide enters a read,
+    a bracket, a bound or a report.  zeta(s) and zeta'(s), s = 1/2 + ix, are
+    the Euler-Maclaurin sum of module zeta with N = x/4 + 10 terms and the
+    corrections T_k = c_k s(s+1)..(s+2k-2) N^(1-s-2k), each from the last by
+    their ratio, until |T_k| < 1e-18; theta is enclose._theta's value and
+    theta' _theta_slope's.  Against mp.siegelz, Z is within 5e-13 to x =
+    1000, 7e-12 to 10^4 and 5e-11 at 10^5 + 0.3, and Z' within 9e-13,
+    3.4e-11 and 4.1e-10."""
+    s, N = complex(0.5, x), int(x / 4) + 10
+    zeta = dzeta = 0j
+    for n in range(1, N):
+        log_n = math.log(n)
+        term = cmath.exp(-s * log_n)
+        zeta += term
+        dzeta -= log_n * term
+    log_n, power = math.log(N), cmath.exp(-s * math.log(N))
+    zeta += power / 2 + N * power / (s - 1)
+    dzeta -= power * (log_n / 2 + N * (log_n + 1 / (s - 1)) / (s - 1))
+    t_k, slope, k = s * power / (12 * N), 1 / s, 1  # T_k and its log-derivative
+    while abs(t_k) >= 1e-18:
+        zeta, dzeta = zeta + t_k, dzeta + t_k * (slope - log_n)
+        t_k *= -math.exp(_log_c(k + 1) - _log_c(k)) * (s + 2 * k - 1) * (s + 2 * k) / (N * N)
+        slope += 1 / (s + 2 * k - 1) + 1 / (s + 2 * k)
+        k += 1
+    phase = cmath.exp(1j * _theta(x)[0])
+    return (phase * zeta).real, (1j * phase * (_theta_slope(x) * zeta + dzeta)).real
 
 
 def _scan_step(t) -> mpf:
@@ -385,12 +421,16 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
        long as z_rs proves the signs; it ends at the first point x where
        z_rs does not (proved_sign).  Below t = 200 that is its first, the
        secant root of the scan bracket.
-    2. Newton's method from x, each step one read of Z and Z' at x
-       (_point_read: v, v' with bounds e, e'), proved by Kantorovich's
-       rule in one variable (Kantorovich 1948; Ortega & Rheinboldt,
-       Iterative Solution of Nonlinear Equations, 1970, 12.6).  With
-       t = x - v/v', delta = x - t and w = 2^-ZERO_HALF_WIDTH_BITS, Z has
-       opposite signs at t - w and t + w, so a zero within w of t, when
+    2. Newton's method from x.  Up to GUIDE_STEPS steps first take Z and
+       Z' from _z_guide, floats with no bound, each held w inside (lo, hi),
+       until a step is shorter than 2^-13, does not shrink or meets a
+       non-finite value or a zero Z'; they only move x, and their values
+       prove nothing and are recorded nowhere.  Then each step is one read
+       of Z and Z' at x (_point_read: v, v' with bounds e, e'), proved by
+       Kantorovich's rule in one variable (Kantorovich 1948; Ortega &
+       Rheinboldt, Iterative Solution of Nonlinear Equations, 1970, 12.6).
+       With t = x - v/v', delta = x - t and w = 2^-ZERO_HALF_WIDTH_BITS, Z
+       has opposite signs at t - w and t + w, so a zero within w of t, when
        both points lie in [lo, hi] (the bracket stage 1 ends with) and
 
            |v'| w > (M2/2)(|delta| + w)^2 + e + e'(|delta| + w)
@@ -464,7 +504,16 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
         def newton_zero(x, zlo, zhi):
             """(t, zlo, zhi): t the zero stage 2 proves from x, or None;
             (zlo, zhi) the bracket of its proved reads."""
-            box = (zlo, zhi)
+            box, last = (zlo, zhi), math.inf
+            for _ in range(GUIDE_STEPS):
+                v, dv = _z_guide(float(x))
+                if not (math.isfinite(v) and math.isfinite(dv) and dv):
+                    break
+                step = v / dv
+                x = min(max(x - step, zlo + half_width), zhi - half_width)
+                if abs(step) < 2.0 ** -13 or not abs(step) < last:
+                    break
+                last = abs(step)
             for _ in range(NEWTON_READS):
                 read = _point_read(x, prec, 2)
                 reads[x] = read[:2]

@@ -3,6 +3,7 @@
 Kept at 128 bits so the whole file stays inside a desk-scale budget.
 """
 
+import math
 import sys
 
 import pytest
@@ -554,12 +555,15 @@ def test_zeros_to_100_siegelz_budget(zeros_to_100):
     zl, calls = zeros_to_100
     assert len(zl) == 29
     assert not calls["siegelz"]
-    # the scan and the refinement: 221 point reads, 125 of them the scan's
-    # (267 z_eval reads with the secant model, 356 when each bracket was
-    # refined to 2^-48, 1521 when it was bisected); a Newton read proves
-    # every zero, so the fallback reads nothing
+    # the scan and the refinement: 154 point reads, 125 of them the scan's
+    # and one Newton read a zero, taken where the guide's steps end (221
+    # when Newton stepped on its own reads, 267 z_eval reads with the secant
+    # model, 356 when each bracket was refined to 2^-48, 1521 when it was
+    # bisected); a Newton read proves every zero, so the fallback reads
+    # nothing
     assert not _fallback_reads(calls)
-    assert len(_point_reads(calls)) <= 290
+    assert len(calls["newton"]) == len(zl)
+    assert len(_point_reads(calls)) <= 154
 
 
 def test_zeros_to_100_at_64_bits_are_proved_by_their_bracket_ends(monkeypatch):
@@ -605,12 +609,13 @@ def test_zeros_480_to_500_match_zetazero_inside_sign_change_brackets(
 def test_zeros_480_to_500_siegelz_budget(zeros_480_to_500):
     zl, calls = zeros_480_to_500
     # above t = 200 the scan and stage 1 read z_rs where it proves the
-    # sign, and a zero takes two Newton reads: 26 point reads, 2.0 a zero
-    # (38 z_eval reads with the secant model, 70 before it), and no
-    # fallback read
+    # sign, and a zero takes one Newton read, where the guide's step from
+    # stage 1's stop lands: 13 point reads, 1.0 a zero (26 when Newton
+    # stepped on its own reads, 38 z_eval reads with the secant model, 70
+    # before it), and no fallback read
     assert not calls["siegelz"]
     assert not _fallback_reads(calls)
-    assert len(_point_reads(calls)) <= 2.5 * len(zl)
+    assert len(calls["newton"]) == len(_point_reads(calls)) == len(zl)
 
 
 def test_zeros_the_model_cannot_prove_come_from_the_fallback(monkeypatch,
@@ -649,6 +654,43 @@ def test_zeros_the_model_cannot_prove_come_from_the_fallback(monkeypatch,
             assert abs(z.t - m.t) <= z.half_width + m.half_width
 
 
+@pytest.mark.parametrize("guide", [
+    lambda v, dv: (math.nan, math.nan),
+    lambda v, dv: (v, 0.0),
+    lambda v, dv: (v, -dv),
+    lambda v, dv: (1e3, 1.0),  # a step far below the bracket, held at its lower end
+    lambda v, dv: (-1e3, 1.0),  # and far above it, held at its upper end
+], ids=["nan", "flat", "negated_slope", "lower_end", "upper_end"])
+def test_the_guide_only_steers(monkeypatch, guide, zeros_480_to_500, zeros_to_100):
+    # whatever the guide returns, the zeros, their count and their proofs
+    # come from the proved reads alone: half-width 2^-48 from a Newton read,
+    # or at most that from the fallback's bracket, and each zero within the
+    # sum of the two half-widths of the one an unpatched guide steers to
+    z_guide = hardy._z_guide
+    monkeypatch.setattr(hardy, "_z_guide", lambda x: guide(*z_guide(x)))
+    found = [find_zeros(480, 500, prec=PREC), find_zeros(14, 40, prec=PREC)]
+    monkeypatch.undo()
+    assert [len(zl) for zl in found] == [13, 6]
+    with working_precision(PREC):
+        for zl, (model, _) in zip(found, (zeros_480_to_500, zeros_to_100)):
+            for z, m in zip(zl.zeros, model.zeros):
+                assert 0 < z.half_width <= mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
+                assert abs(z.t - m.t) <= z.half_width + m.half_width
+                assert (mp.siegelz(z.t - z.half_width) > 0) \
+                    != (mp.siegelz(z.t + z.half_width) > 0)
+
+
+@pytest.mark.parametrize("t", [14.2, 30.5, 100.3, 241.049, 950.152, 10 ** 4 + 0.3])
+def test_the_guide_is_near_z_and_its_slope(t):
+    # no bound is claimed for the guide; this pins its accuracy, 3.4e-11 at
+    # worst over these heights, against mpmath's Z and Z'
+    value, slope = hardy._z_guide(t)
+    with mp.workprec(2 * PREC):
+        z, dz = mp.siegelz(t), mp.siegelz(t, derivative=1)
+        assert abs(value - z) <= 1e-9 * (1 + abs(z))
+        assert abs(slope - dz) <= 1e-9 * (1 + abs(dz))
+
+
 # one Gram interval holding one zero in each of the 11 height strata,
 # [200 + 800 i/11, 200 + 800 (i+1)/11], of the benchmark's zeros workload
 STRATA_WINDOWS = [("235.1203", "236.8532"), ("308.5633", "310.1757"),
@@ -668,19 +710,21 @@ def strata_counts():
 
 
 @pytest.mark.parametrize("prec", [64, 128, 192])
-def test_each_stratum_zero_is_proved_by_the_model_in_three_reads(monkeypatch, prec,
-                                                                 strata_counts):
-    # two Newton reads a zero, the first where z_rs stops proving signs
+def test_each_stratum_zero_is_proved_by_the_model_in_one_read(monkeypatch, prec,
+                                                               strata_counts):
+    # one Newton read a zero, where the guide's step from z_rs' last proved
+    # sign lands, and at most two guide reads a zero
     calls = _recorded_reads(monkeypatch)
     found = []
     for lo, hi in STRATA_WINDOWS:
-        before = len(_point_reads(calls))
+        before, guided = len(_point_reads(calls)), len(calls["guide"])
         zl = find_zeros(lo, hi, prec=prec)
-        found.append((zl, len(_point_reads(calls)) - before))
+        found.append((zl, len(_point_reads(calls)) - before, len(calls["guide"]) - guided))
     monkeypatch.undo()
-    for (zl, reads), count in zip(found, strata_counts):
+    for (zl, reads, guides), count in zip(found, strata_counts):
         assert len(zl) == count
-        assert reads <= 2 * count
+        assert reads <= count
+        assert guides <= 2 * count
         with mp.workprec(2 * prec):
             for z in zl.zeros:
                 assert z.half_width == mp.mpf(2) ** -ZERO_HALF_WIDTH_BITS
@@ -689,12 +733,14 @@ def test_each_stratum_zero_is_proved_by_the_model_in_three_reads(monkeypatch, pr
 
 
 def _recorded_reads(monkeypatch):
-    """Lists of (t, stage) that mp.siegelz, hardy.z_eval and the Newton
-    reads, hardy._point_read at J = 2, fill; the stage is the reader that
-    asked for the read: z_sign for the scan's z_eval reads, proved_sign for
-    the fallback's, newton_zero for a Newton read."""
-    calls = {"siegelz": [], "z_eval": [], "newton": []}
+    """Lists of (t, stage) that mp.siegelz, hardy.z_eval, the Newton
+    reads, hardy._point_read at J = 2, and the guide, hardy._z_guide, fill;
+    the stage is the reader that asked for the read: z_sign for the scan's
+    z_eval reads, proved_sign for the fallback's, newton_zero for a Newton
+    read or a guide step."""
+    calls = {"siegelz": [], "z_eval": [], "newton": [], "guide": []}
     siegelz, z_eval_exact, point_read = mp.siegelz, hardy.z_eval, hardy._point_read
+    guide = hardy._z_guide
 
     def recorded_siegelz(t, *args, **kwargs):
         calls["siegelz"].append((t, sys._getframe(1).f_code.co_name))
@@ -709,7 +755,12 @@ def _recorded_reads(monkeypatch):
             calls["newton"].append((t, sys._getframe(1).f_code.co_name))
         return point_read(t, prec, J)
 
+    def recorded_guide(x):
+        calls["guide"].append((x, sys._getframe(1).f_code.co_name))
+        return guide(x)
+
     monkeypatch.setattr(mp, "siegelz", recorded_siegelz)
+    monkeypatch.setattr(hardy, "_z_guide", recorded_guide)
     monkeypatch.setattr(hardy, "z_eval", recorded_z_eval)
     monkeypatch.setattr(hardy, "_point_read", recorded_point_read)
     return calls
@@ -726,15 +777,17 @@ def _fallback_reads(calls):
 
 
 def test_zeros_to_200_take_at_most_three_and_a_half_reads_a_zero(monkeypatch):
-    # below t = 200 z_rs proves nothing, so Newton starts from the secant
-    # root of the scan bracket, up to 1.36 wide: 266 Newton reads for 79
-    # zeros, 3.37 a zero and at most 5 (4-6 with the secant model)
+    # below t = 200 z_rs proves nothing, so the guide steps from the secant
+    # root of the scan bracket, up to 1.36 wide, and one Newton read proves
+    # each zero where they end: 79 Newton reads for 79 zeros (266, 3.37 a
+    # zero and at most 5, when Newton stepped on its own reads; 4-6 with
+    # the secant model)
     calls = _recorded_reads(monkeypatch)
     zl = find_zeros(14, 200, prec=PREC)
     monkeypatch.undo()
     assert len(zl) == 79
     refinement = [t for t, stage in calls["z_eval"] + calls["newton"] if stage != "z_sign"]
-    assert len(refinement) <= 3.5 * len(zl)
+    assert len(refinement) <= len(zl)
 
 
 def test_zeros_straddling_200_match_zetazero(monkeypatch):

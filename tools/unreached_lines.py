@@ -18,7 +18,9 @@ reached by the first.
 Unreached does not mean dead.  The CLI lines exercise the program's
 normal paths, so input guards and error raises show up, as do routes that
 only the tests or the benchmark reach: find_zeros' fallback (Illinois
-proved by its bracket's ends, after NEWTON_READS reads) and rescan loop, hardy.z_derivatives_batch with
+proved by its bracket's ends, after NEWTON_READS reads), rescan loop and
+exit from the guide's steps on a non-finite value or a zero Z' (the tests
+patch hardy._z_guide), hardy.z_derivatives_batch with
 the part of hardy._point_read above J = 2 (theta's jet; the phase series
 runs at J = 2 too), hardy._TaylorPatches' step to the next
 count (tests/test_hardy.py forces a low count estimate; at every digest
