@@ -44,6 +44,9 @@ MODEL_RADIUS = 1  # the circle about a bracket on which find_zeros bounds |Z''|
 BATCH_GUARD_BITS = 2  # a point read's bounds reach 2.1 2^-prec max(1, |Z^(k)|), so the batch reads 2 more
 NEWTON_READS = 6  # (Z, Z') reads find_zeros' Newton steps take before its fallback
 GUIDE_STEPS = 8  # float Newton steps on _z_guide before find_zeros' first Newton read
+# after a guide step this short the next, about C step^2 with C <= 3.1 on (14, 1000], is under
+# 7.3e-10: a seventh of Kantorovich's reach at 2^-ZERO_HALF_WIDTH_BITS there (>= 5.3e-9)
+GUIDE_STOP = 2.0 ** -16
 # |e^(i theta~) - f| in units of 2^-bits, f libmp's cos_sin at bits + PHASE_GUARD_BITS floored
 PHASE_UNITS = math.sqrt(2) * (1 + LIBMP_ULPS["mpf_cos_sin"] * 2.0 ** -PHASE_GUARD_BITS)
 
@@ -423,7 +426,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
        secant root of the scan bracket.
     2. Newton's method from x.  Up to GUIDE_STEPS steps first take Z and
        Z' from _z_guide, floats with no bound, each held w inside (lo, hi),
-       until a step is shorter than 2^-13, does not shrink or meets a
+       until a step is shorter than GUIDE_STOP, does not shrink or meets a
        non-finite value or a zero Z'; they only move x, and their values
        prove nothing and are recorded nowhere.  Then each step is one read
        of Z and Z' at x (_point_read: v, v' with bounds e, e'), proved by
@@ -511,7 +514,7 @@ def find_zeros(t_lo, t_hi, prec: int = DEFAULT_PREC) -> ZeroList:
                     break
                 step = v / dv
                 x = min(max(x - step, zlo + half_width), zhi - half_width)
-                if abs(step) < 2.0 ** -13 or not abs(step) < last:
+                if abs(step) < GUIDE_STOP or not abs(step) < last:
                     break
                 last = abs(step)
             for _ in range(NEWTON_READS):

@@ -190,9 +190,7 @@ def _zeta_series(c, d, J: int, N: int, K: int, bits: int) -> Tuple[List[int], Li
     pr, pi = re[1:], im[1:]
     z_re, z_im, v_re, v_im = [], [], [], []
     for j in range(J):
-        if j == 1:  # no division by j = 1
-            pr, pi = [b * x >> bits for b, x in zip(pi, ells)], [-a * x >> bits for a, x in zip(pr, ells)]
-        elif j:
+        if j:
             pr, pi = ([(b * x >> bits) // j for b, x in zip(pi, ells)],
                       [(-a * x >> bits) // j for a, x in zip(pr, ells)])
         z_re.append(sum(pr) - pr[-1] + (pr[-1] >> 1))
